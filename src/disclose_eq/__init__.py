@@ -25,7 +25,6 @@ from .posterior import (  # noqa: F401
 )
 from .candidate import (  # noqa: F401
     Candidate,
-    RootBundle,
     build_candidate,
     build_g,
     candidate_exists,

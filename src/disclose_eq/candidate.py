@@ -36,16 +36,6 @@ _XTOL = 1e-14
 
 
 @dataclass(frozen=True)
-class RootBundle:
-    """Diagnostic roots of the contact gap D at the solved slope."""
-
-    v_m: float  # maximizer of D on [r, 1]
-    v_1d: float | None  # lower root, if D attains positive values
-    v_2d: float | None  # upper root inside [r, 1], if any
-    v_bar: float  # where the pooled branch reaches cdf 1
-
-
-@dataclass(frozen=True)
 class Candidate:
     prior: Prior
     n: int
@@ -136,9 +126,7 @@ def _mean_match_residual(prior: Prior, n: int, v_l: float, r: float, v: float) -
     return (fv ** (n - 1) - fln1) * (vf - r * mass) - eta_mass * (v - r)
 
 
-def solve_beta(
-    prior: Prior, n: int, v_l: float, r: float
-) -> tuple[float, float, float, RootBundle]:
+def solve_beta(prior: Prior, n: int, v_l: float, r: float) -> tuple[float, float, float]:
     """Solve (beta, v_H, v_T) for the unique candidate at (v_L, r)."""
     if not 0.0 <= v_l < r < 1.0:
         raise InfeasibleCandidateError(f"need 0 <= v_L < r < 1, got ({v_l}, {r})")
@@ -170,12 +158,12 @@ def solve_beta(
         beta = (tm.eta_tilde - fln1) / (tm.mu_tilde - r)
         v_h = 1.0
         v_t = min(r + (1.0 - fln1) / beta, 1.0)
-    return beta, v_h, v_t, _root_bundle(prior, n, v_l, r, beta)
+    return beta, v_h, v_t
 
 
 def solve_beta_via_h_star(
     prior: Prior, n: int, v_l: float, r: float, *, rtol: float = 1e-12
-) -> tuple[float, float, float, RootBundle]:
+) -> tuple[float, float, float]:
     """Reference implementation: bisect the integrated gap in beta directly."""
     if not candidate_exists(prior, n, v_l, r):
         raise InfeasibleCandidateError(
@@ -206,38 +194,11 @@ def solve_beta_via_h_star(
             hi = mid
     beta = 0.5 * (lo + hi)
     v_h, v_t = _contact_of_beta(prior, n, v_l, r, beta)
-    return beta, v_h, v_t, _root_bundle(prior, n, v_l, r, beta)
-
-
-def _root_bundle(prior: Prior, n: int, v_l: float, r: float, beta: float) -> RootBundle:
-    fl = prior.cdf(v_l)
-    fln1 = fl ** (n - 1)
-    # beta can underflow to 0.0 at bracket endpoints of the outer solvers
-    v_bar = r + (1.0 - fln1) / beta if beta > 0.0 else float("inf")
-
-    def d(v: float) -> float:
-        return fln1 + beta * (v - r) - prior.cdf(v) ** (n - 1)
-
-    def d_slope(v: float) -> float:
-        return beta - prior.pow_cdf_deriv(v, n)
-
-    if d_slope(r) <= 0.0:
-        v_m = r
-    elif d_slope(1.0) >= 0.0:
-        v_m = 1.0
-    else:
-        v_m = bisect_root(d_slope, r, 1.0, xtol=_XTOL)
-    v_1d = v_2d = None
-    if d(v_m) > 0.0:
-        if v_m > r and d(r) < 0.0:
-            v_1d = bisect_root(d, r, v_m, xtol=_XTOL)
-        if v_m < 1.0 and d(1.0) < 0.0:
-            v_2d = bisect_root(d, v_m, 1.0, xtol=_XTOL)
-    return RootBundle(v_m=v_m, v_1d=v_1d, v_2d=v_2d, v_bar=v_bar)
+    return beta, v_h, v_t
 
 
 def build_candidate(prior: Prior, n: int, v_l: float, r: float) -> Candidate:
-    beta, v_h, v_t, _ = solve_beta(prior, n, v_l, r)
+    beta, v_h, v_t = solve_beta(prior, n, v_l, r)
     return Candidate(prior=prior, n=n, v_l=v_l, r=r, beta=beta, v_h=v_h, v_t=v_t)
 
 

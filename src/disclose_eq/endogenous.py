@@ -1,10 +1,15 @@
 """The full model: reservation value and disclosure solved jointly.
 
-The fixed point couples the exogenous-reserve map r -> v_L(r) with the
-search indifference condition, which in equilibrium collapses to an
-integral against the *prior* above v_L.  The outer bisection runs in r
-because v_L(r) is single-valued while its inverse is a correspondence at
-v_L = 0.
+The fixed point couples the firms' disclosure threshold v_L, set against
+the reservation value r, with the search indifference condition, which in
+equilibrium collapses to an integral against the *prior* above v_L.
+
+The regime comes first: nothing below r is disclosed iff r_lower_bar is at
+least mu - s, and then r* = mu - s.  Otherwise the solve is one bisection
+in v_L.  The search condition gives r = r_search(v_L) in closed form,
+always with a feasible candidate (E[v | v > v_L] - r = s / (1 - F(v_L))),
+and the multiplier continuity gap z(v_L, r_search(v_L)) is negative at
+v_L = 0 and positive next to the full-information reserve.
 """
 from __future__ import annotations
 
@@ -25,6 +30,7 @@ from .exogenous import (
     r_lower_bar,
     solve_v_l_eq,
     visit_probability,
+    z_function,
 )
 from .posterior import (
     Flat,
@@ -37,6 +43,9 @@ from .rootfind import bisect_root
 
 _EDGE = 1e-12
 _N_CAP = 1 << 20
+# r_lower_bar is bisected to 1e-12; a market closer than this to the regime
+# boundary is taken to conceal everything below r
+_REGIME_BAND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -143,6 +152,11 @@ def assemble_market(
     )
 
 
+def _conceals_bottom(rbar: float, mu: float, s: float) -> bool:
+    """Regime rule: no disclosure below r iff r_lower_bar >= mu - s."""
+    return rbar >= mu - s - _REGIME_BAND
+
+
 def validate_equilibrium(eq: Equilibrium) -> None:
     """Post-solve invariant suite; raises ValidationFailureError."""
     res_prior = search_residual_prior(eq.prior, eq.v_l_star, eq.r_star, eq.s)
@@ -158,7 +172,7 @@ def validate_equilibrium(eq: Equilibrium) -> None:
         eq.candidate.validate()
     rbar = r_lower_bar(eq.prior, eq.n, eq.alpha)
     mu = eq.prior.mean()
-    if (not eq.bottom_disclosure) != (rbar >= mu - eq.s - 1e-10):
+    if (not eq.bottom_disclosure) != _conceals_bottom(rbar, mu, eq.s):
         raise ValidationFailureError(
             "regime", f"bottom_disclosure={eq.bottom_disclosure} but rbar={rbar}"
         )
@@ -166,7 +180,7 @@ def validate_equilibrium(eq: Equilibrium) -> None:
         raise ValidationFailureError("regime-reserve", f"r* != mu - s: {eq.r_star}")
     # fixed-point self-consistency: re-solving the disclosure threshold at
     # r* must return v_L*
-    v_l_back = solve_v_l_eq(eq.prior, eq.n, eq.alpha, eq.r_star, check_monotone=False)
+    v_l_back = solve_v_l_eq(eq.prior, eq.n, eq.alpha, eq.r_star)
     if abs(v_l_back - eq.v_l_star) > 1e-9:
         raise ValidationFailureError(
             "fixed-point", f"v_L rewind {v_l_back} vs {eq.v_l_star}"
@@ -210,24 +224,15 @@ def solve_endog(prior: Prior, n: int, alpha: float, s: float) -> Equilibrium:
             note=REGIME_FULL,
         )
 
-    rbar = r_lower_bar(prior, n, alpha)
-    if rbar >= mu - s:
+    if _conceals_bottom(r_lower_bar(prior, n, alpha), mu, s):
         r_star, v_l_star = mu - s, 0.0
     else:
-        rfi = r_full_info(prior, s)
 
-        def gap(r: float) -> float:
-            v_l = solve_v_l_eq(prior, n, alpha, r, rbar=rbar, check_monotone=False)
-            return r_search(prior, v_l, s) - r
+        def gap(v_l: float) -> float:
+            return z_function(prior, n, alpha, v_l, r_search(prior, v_l, s))
 
-        lo, hi = mu - s + _EDGE, rfi - _EDGE
-        g_lo = gap(lo)
-        if g_lo <= 0.0:
-            # the regime boundary itself (rbar numerically equal to mu - s)
-            r_star, v_l_star = mu - s, 0.0
-        else:
-            r_star = bisect_root(gap, lo, hi, xtol=1e-12, f_lo=g_lo)
-            v_l_star = solve_v_l_eq(prior, n, alpha, r_star, rbar=rbar)
+        v_l_star = bisect_root(gap, 0.0, r_full_info(prior, s) - _EDGE, xtol=1e-12)
+        r_star = r_search(prior, v_l_star, s)
 
     eq = assemble_market(prior, n, alpha, v_l_star, r_star, s)
     validate_equilibrium(eq)
@@ -243,7 +248,7 @@ def n_lower_bar(prior: Prior, alpha: float, s: float) -> int:
         raise DomainError("alpha must lie in (0, 1)")
 
     def large_enough(n: int) -> bool:
-        return r_lower_bar(prior, n, alpha) >= mu - s
+        return _conceals_bottom(r_lower_bar(prior, n, alpha), mu, s)
 
     if large_enough(2):
         return 2

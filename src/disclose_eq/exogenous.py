@@ -61,7 +61,7 @@ def z_function(prior: Prior, n: int, alpha: float, v_l: float, r: float) -> floa
     """Multiplier continuity gap at v_L; > 0 iff v_L is above the fixed point."""
     if not 0.0 < alpha < 1.0:
         raise DomainError("z_function needs alpha in (0, 1)")
-    beta, _, _, _ = solve_beta(prior, n, v_l, r)
+    beta, _, _ = solve_beta(prior, n, v_l, r)
     fl = prior.cdf(v_l)
     eta = visit_probability(prior, n, v_l)
     return alpha * (eta - fl ** (n - 1)) - (1.0 - alpha) * beta * (r - v_l)
@@ -90,20 +90,11 @@ def _v_l_lower_limit(prior: Prior, r: float) -> float:
     )
 
 
-def solve_v_l_eq(
-    prior: Prior,
-    n: int,
-    alpha: float,
-    r: float,
-    rbar: float | None = None,
-    check_monotone: bool = True,
-) -> float:
+def solve_v_l_eq(prior: Prior, n: int, alpha: float, r: float) -> float:
     """The unique lower disclosure threshold for an exogenous r."""
     if not 0.0 < r < 1.0:
         raise DomainError("reservation value must lie in (0, 1)")
-    if rbar is None:
-        rbar = r_lower_bar(prior, n, alpha)
-    if r <= rbar:
+    if r <= r_lower_bar(prior, n, alpha):
         return 0.0
 
     def z(v_l: float) -> float:
@@ -123,20 +114,19 @@ def solve_v_l_eq(
         raise ValidationFailureError(
             "z-bracket", f"Z({lo})={z_lo}, Z({hi})={z_hi} at r={r}"
         )
-    if check_monotone:
-        # Uniqueness rests on the continuity gap crossing zero exactly once
-        # (it increases at any crossing, by the convexity condition); sample
-        # the sign pattern so a prior breaking the assumption fails loudly.
-        # Note the gap need not be globally monotone above the root.
-        samples = [z(lo + (hi - lo) * k / 17.0) for k in range(1, 17)]
-        seen_positive = False
-        for val in samples:
-            if val > 1e-7:
-                seen_positive = True
-            elif seen_positive and val < -1e-7:
-                raise ValidationFailureError(
-                    "z-single-crossing", f"sign pattern +/- at r={r}"
-                )
+    # Uniqueness rests on the continuity gap crossing zero exactly once
+    # (it increases at any crossing, by the convexity condition); sample
+    # the sign pattern so a prior breaking the assumption fails loudly.
+    # Note the gap need not be globally monotone above the root.
+    samples = [z(lo + (hi - lo) * k / 17.0) for k in range(1, 17)]
+    seen_positive = False
+    for val in samples:
+        if val > 1e-7:
+            seen_positive = True
+        elif seen_positive and val < -1e-7:
+            raise ValidationFailureError(
+                "z-single-crossing", f"sign pattern +/- at r={r}"
+            )
     return bisect_root(z, lo, hi, xtol=1e-12, f_lo=z_lo, f_hi=z_hi)
 
 
@@ -170,8 +160,7 @@ def solve_exog(prior: Prior, n: int, alpha: float, r: float) -> ExogEquilibrium:
             regime=REGIME_FULL,
         )
 
-    rbar = r_lower_bar(prior, n, alpha)
-    v_l = solve_v_l_eq(prior, n, alpha, r, rbar=rbar)
+    v_l = solve_v_l_eq(prior, n, alpha, r)
     cand = build_candidate(prior, n, v_l, r)
     cand.validate()
     eta = visit_probability(prior, n, v_l)

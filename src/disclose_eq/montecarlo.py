@@ -119,11 +119,6 @@ class SimReport:
         }
 
 
-def sample_posterior(g: PosteriorDistribution, u01):
-    """Inverse-cdf draw(s) from a posterior distribution."""
-    return g.sample(u01)
-
-
 def reservation_for_cost(g: PosteriorDistribution, s: float) -> float:
     """Reservation value solving E[(v - r)+] = s under g."""
     mean = g.mean()

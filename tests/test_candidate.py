@@ -81,8 +81,8 @@ def _h_star_quadrature(prior, n, v_l, r, beta, v_h, v_t):
     ],
 )
 def test_solve_beta_routes_agree(prior, n, v_l, r):
-    beta, v_h, v_t, _ = solve_beta(prior, n, v_l, r)
-    beta_ref, v_h_ref, _, _ = solve_beta_via_h_star(prior, n, v_l, r)
+    beta, v_h, v_t = solve_beta(prior, n, v_l, r)
+    beta_ref, v_h_ref, _ = solve_beta_via_h_star(prior, n, v_l, r)
     assert beta == pytest.approx(beta_ref, rel=1e-9)
     assert v_h == pytest.approx(v_h_ref, abs=1e-8)
     # the integrated-gap equation really is solved
@@ -94,17 +94,16 @@ def test_solve_beta_routes_agree(prior, n, v_l, r):
 
 
 def test_solve_beta_uniform_examples(uniform):
-    beta, v_h, v_t, roots = solve_beta(uniform, 2, 0.0, 0.25)
+    beta, v_h, v_t = solve_beta(uniform, 2, 0.0, 0.25)
     assert beta == pytest.approx(2.0, abs=1e-12)
     assert v_h == 1.0
     assert v_t == pytest.approx(0.75, abs=1e-12)
-    assert roots.v_bar == pytest.approx(0.75, abs=1e-12)
 
-    beta, v_h, _, _ = solve_beta(uniform, 2, 0.2, 0.3)
+    beta, v_h, _ = solve_beta(uniform, 2, 0.2, 0.3)
     assert beta == pytest.approx(0.4 / 0.3, abs=1e-12)
     assert v_h == 1.0
 
-    beta, v_h, v_t, _ = solve_beta(uniform, 3, 0.0, 0.2)
+    beta, v_h, v_t = solve_beta(uniform, 3, 0.0, 0.2)
     assert beta == pytest.approx(16.0 / 15.0, rel=1e-10)
     assert v_h == pytest.approx(0.8, abs=1e-11)
     assert v_t == 1.0
@@ -114,7 +113,7 @@ def test_collapse_as_v_l_approaches_r(uniform):
     # the contact point collapses onto r (at roughly a square-root rate)
     gaps = []
     for d in (1e-3, 1e-4, 1e-5, 1e-6):
-        _, v_h, _, _ = solve_beta(uniform, 3, 0.3 - d, 0.3)
+        _, v_h, _ = solve_beta(uniform, 3, 0.3 - d, 0.3)
         gaps.append(v_h - 0.3)
         assert v_h - 0.3 < 2.0 * np.sqrt(d)
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -133,7 +132,7 @@ def test_eq8_moment_form_agreement(uniform, power2):
         (uniform, 4, 0.2, 0.45),
         (power2, 3, 0.15, 0.5),
     ]:
-        beta, v_h, _, _ = solve_beta(prior, n, v_l, r)
+        beta, v_h, _ = solve_beta(prior, n, v_l, r)
         tm = prior.truncated_moments(v_l, v_h, n)
         fln1 = float(prior.cdf(v_l)) ** (n - 1)
         beta_moment = (tm.eta_tilde - fln1) / (tm.mu_tilde - r)

@@ -15,6 +15,7 @@ from disclose_eq.endogenous import (
 )
 from disclose_eq.errors import DomainError, NoInteriorRootError, UnsupportedBoundaryError
 from disclose_eq.exogenous import r_lower_bar, solve_v_l_eq
+from disclose_eq.verify import check_dm_conditions, oracle_gap
 from disclose_eq.welfare import informativeness_compare
 
 
@@ -182,3 +183,33 @@ def test_power_prior_equilibrium_structure(eq_power):
     assert 0.0 < eq.v_l_star < eq.r_star < eq.v_h_star < 1.0
     assert eq.v_t_star == 1.0  # disclosure at the top forces the cap to 1
     assert eq.top_disclosure
+
+
+@pytest.mark.parametrize(
+    "prior_name, n, alpha",
+    [("uniform", 2, 0.3), ("uniform", 4, 0.5), ("power2", 3, 0.4), ("piecewise", 3, 0.5)],
+)
+def test_regime_boundary_solves(request, prior_name, n, alpha):
+    # search costs within numerical reach of s = mu - r_lower_bar: either
+    # regime is acceptable there, but the solve must return a market that
+    # passes its own validation
+    prior = request.getfixturevalue(prior_name)
+    s_bar = prior.mean() - r_lower_bar(prior, n, alpha)
+    for delta in (0.0, 1e-11, -1e-11, -1e-10, -1e-9, -1e-8):
+        eq = solve_endog(prior, n, alpha, s_bar + delta)
+        if delta >= -1e-11:
+            assert not eq.bottom_disclosure
+        if delta <= -1e-9:
+            assert eq.bottom_disclosure
+        assert abs(search_residual_prior(prior, eq.v_l_star, eq.r_star, eq.s)) <= 1e-9
+
+
+@pytest.mark.parametrize("s", [0.25, 0.1])
+def test_small_alpha_root_next_to_full_info(uniform, s):
+    # the threshold sits within ~1e-7 of the full-information reserve
+    eq = solve_endog(uniform, 2, 1e-6, s)
+    assert eq.bottom_disclosure
+    assert eq.r_star < r_full_info(uniform, s)
+    assert check_dm_conditions(eq).passed
+    m = 201
+    assert oracle_gap(eq, m)["gap"] <= 0.2 / m

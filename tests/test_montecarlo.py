@@ -11,7 +11,6 @@ from disclose_eq.montecarlo import (
     SimConfig,
     SingleCost,
     reservation_for_cost,
-    sample_posterior,
     simulate_deviation,
     simulate_market,
 )
@@ -28,11 +27,11 @@ def test_sample_posterior_inverse(eq_uniform_small):
     g = eq.g
     # the pooled branch inverts in closed form (flat prior, two firms)
     q = 0.5
-    v = sample_posterior(g, q)
+    v = g.sample(q)
     expected = eq.r_star + (q - eq.v_l_star) / eq.beta_star
     assert v == pytest.approx(expected, abs=1e-12)
     # low quantiles come from the disclosed stretch
-    v = sample_posterior(g, 0.1)
+    v = g.sample(0.1)
     assert v == pytest.approx(0.1, abs=1e-12)
 
 
@@ -40,7 +39,7 @@ def test_sample_posterior_kolmogorov(eq_uniform_small):
     g = eq_uniform_small.g
     rng = np.random.Generator(np.random.Philox(key=np.array([7, 0], dtype=np.uint64)))
     u = rng.random(200_000)
-    draws = np.sort(np.asarray(sample_posterior(g, u)))
+    draws = np.sort(np.asarray(g.sample(u)))
     emp = np.arange(1, len(draws) + 1) / len(draws)
     dist = np.max(np.abs(emp - np.asarray(g.cdf(draws))))
     # Dvoretzky-Kiefer-Wolfowitz at well beyond the 99% level for this n
