@@ -24,7 +24,7 @@ import numpy as np
 from .candidate import verify_mpc
 from .endogenous import Equilibrium
 from .errors import DomainError, ValidationFailureError
-from .posterior import PosteriorDistribution
+from .posterior import ArrayLike, PosteriorDistribution
 from .rootfind import bisect_root
 from .verify import ContinuousCosts, CostDistribution, DiscreteCosts
 
@@ -139,8 +139,8 @@ def _reservations_for_costs(g: PosteriorDistribution, costs: np.ndarray) -> np.n
     return 0.5 * (lo + hi)
 
 
-def stop_quantile(g: PosteriorDistribution, r: float) -> float:
-    """Quantile below which a draw from g fails the reservation test.
+def stop_quantile(g: PosteriorDistribution, r: ArrayLike) -> ArrayLike:
+    """Quantiles below which a draw from g fails the reservation test, per r.
 
     The stopping rule is applied to the sampling variates rather than the
     sampled values: near the support bottom the pooled cdf can be so steep
@@ -148,9 +148,8 @@ def stop_quantile(g: PosteriorDistribution, r: float) -> float:
     share of the mass, while in quantile space the rule is exact.  A
     reservation at or below the support bottom never triggers search.
     """
-    if r <= g.support_bottom() + 1e-9:
-        return 0.0
-    return g.cdf_left(r)
+    q = np.where(np.asarray(r) <= g.support_bottom() + 1e-9, 0.0, g.cdf_left(r))
+    return q if isinstance(r, np.ndarray) else float(q)
 
 
 def _bin_edges(bins: int, eq: Equilibrium) -> np.ndarray:
@@ -230,8 +229,9 @@ def _simulate_block(
     t = _Totals()
     t.sales = np.zeros(n)
     t.visit_hist = np.zeros(n + 1)
-    t.bin_visits = np.zeros(len(edges) - 1)
-    t.bin_sales = np.zeros(len(edges) - 1)
+    n_bins = len(edges) - 1
+    t.bin_visits = np.zeros(n_bins)
+    t.bin_sales = np.zeros(n_bins)
 
     is_inexp = rng.random(size) < alpha
     n_inexp = int(np.sum(is_inexp))
@@ -257,13 +257,13 @@ def _simulate_block(
         cs = vals[np.arange(n_savvy), best]
         t.sum_cs_savvy = float(np.sum(cs))
         t.sumsq_cs_savvy = float(np.sum(cs * cs))
-        np.add.at(t.sales, best, 1)
+        t.sales += np.bincount(best, minlength=n)
         idx = np.digitize(vals.ravel(), edges) - 1
-        np.clip(idx, 0, len(edges) - 2, out=idx)
-        np.add.at(t.bin_visits, idx, 1)
+        np.clip(idx, 0, n_bins - 1, out=idx)
+        t.bin_visits += np.bincount(idx, minlength=n_bins)
         sold = np.zeros_like(vals, dtype=bool)
         sold[np.arange(n_savvy), best] = True
-        np.add.at(t.bin_sales, idx, sold.ravel().astype(float))
+        t.bin_sales += np.bincount(idx, weights=sold.ravel(), minlength=n_bins)
 
     # costly searchers: random order, reservation stopping (in quantile space)
     if n_inexp:
@@ -277,9 +277,7 @@ def _simulate_block(
             r_uniq = np.array([reservation_for_cost(eq.g, c) for c in uniq])
         else:
             r_uniq = _reservations_for_costs(eq.g, uniq)
-        q_stop_by_firm = np.array(
-            [[stop_quantile(g, r) for r in r_uniq] for g in g_by_firm]
-        )  # (firm, cost) stop quantiles
+        q_stop_by_firm = np.array([stop_quantile(g, r_uniq) for g in g_by_firm])  # (firm, cost)
         order = np.argsort(rng.random((n_inexp, n)), axis=1)  # firm at each position
         u = rng.random((n_inexp, n))
         # value drawn at each *position*, from the firm visited there
@@ -307,8 +305,8 @@ def _simulate_block(
         cs = bought_value - visits * costs
         t.sum_cs_inexp = float(np.sum(cs))
         t.sumsq_cs_inexp = float(np.sum(cs * cs))
-        np.add.at(t.sales, bought_firm, 1)
-        np.add.at(t.visit_hist, visits, 1)
+        t.sales += np.bincount(bought_firm, minlength=n)
+        t.visit_hist += np.bincount(visits, minlength=n + 1)
         t.multi = int(np.sum(visits > 1))
         pos_of_tracked = np.argmax(order == track_firm, axis=1)
         t.firm0_visits_inexp = int(np.sum(pos_of_tracked < visits))
@@ -317,9 +315,9 @@ def _simulate_block(
         sold[rows, stop_pos] = True
         vis_vals = vals[visited_mask]
         idx = np.digitize(vis_vals, edges) - 1
-        np.clip(idx, 0, len(edges) - 2, out=idx)
-        np.add.at(t.bin_visits, idx, 1)
-        np.add.at(t.bin_sales, idx, sold[visited_mask].astype(float))
+        np.clip(idx, 0, n_bins - 1, out=idx)
+        t.bin_visits += np.bincount(idx, minlength=n_bins)
+        t.bin_sales += np.bincount(idx, weights=sold[visited_mask], minlength=n_bins)
     return t
 
 

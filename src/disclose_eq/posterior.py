@@ -55,7 +55,9 @@ Segment = Union[FullDisclosure, Flat, AffinePower]
 
 
 def _affine_w(seg: AffinePower, v: ArrayLike) -> ArrayLike:
-    return seg.base + seg.slope * (v - seg.anchor)
+    """cdf**root_power on the segment, clipped to [0, 1]."""
+    w = seg.base + seg.slope * (v - seg.anchor)
+    return w.clip(0.0, 1.0) if isinstance(w, np.ndarray) else min(max(w, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,6 @@ class PosteriorDistribution:
         if isinstance(seg, Flat):
             return np.full_like(v, seg.level) if isinstance(v, np.ndarray) else seg.level
         w = _affine_w(seg, v)
-        w = np.clip(w, 0.0, 1.0) if isinstance(w, np.ndarray) else min(max(w, 0.0), 1.0)
         if seg.root_power == 1:
             return w
         return w ** (1.0 / seg.root_power)
@@ -79,31 +80,24 @@ class PosteriorDistribution:
     def _seg_levels(self, seg: Segment) -> tuple[float, float]:
         return float(self._seg_cdf(seg, seg.a)), float(self._seg_cdf(seg, seg.b))
 
-    def _seg_integral(self, seg: Segment, lo: float, hi: float) -> float:
-        """Integral of the segment cdf over [lo, hi] (within [a, b])."""
-        if hi <= lo:
-            return 0.0
+    def _seg_integral(self, seg: Segment, lo: float, hi: ArrayLike, k: int = 1) -> ArrayLike:
+        """Integral of cdf**k over [lo, hi]; lo <= hi within [a, b], hi may be an array."""
         if isinstance(seg, FullDisclosure):
-            return float(self.prior.cum_cdf(hi) - self.prior.cum_cdf(lo))
-        if isinstance(seg, Flat):
-            return seg.level * (hi - lo)
-        p = seg.root_power
-        w_lo = min(max(_affine_w(seg, lo), 0.0), 1.0)
-        w_hi = min(max(_affine_w(seg, hi), 0.0), 1.0)
-        e = (p + 1.0) / p
-        return p / (seg.slope * (p + 1.0)) * (w_hi**e - w_lo**e)
-
-    def _seg_pow_integral(self, seg: Segment, lo: float, hi: float, k: int) -> float:
-        """Integral of cdf**k over [lo, hi] (within [a, b])."""
-        if hi <= lo:
-            return 0.0
-        if isinstance(seg, FullDisclosure):
-            return float(self.prior.cum_pow_cdf(hi, k) - self.prior.cum_pow_cdf(lo, k))
+            if k == 1:
+                return self.prior.cum_cdf(hi) - self.prior.cum_cdf(lo)
+            return self.prior.cum_pow_cdf(hi, k) - self.prior.cum_pow_cdf(lo, k)
         if isinstance(seg, Flat):
             return seg.level**k * (hi - lo)
+        if seg.slope == 0.0:
+            # F(v_L)**(n-1) underflows in large markets, and the closed form
+            # below divides by the slope it scales
+            if np.any(hi > lo):
+                raise ValidationFailureError(
+                    "pooled-slope", f"pooled slope is 0 on [{seg.a}, {seg.b}] (root power {seg.root_power})"
+                )
+            return hi - lo  # empty intervals only
         p = seg.root_power
-        w_lo = min(max(_affine_w(seg, lo), 0.0), 1.0)
-        w_hi = min(max(_affine_w(seg, hi), 0.0), 1.0)
+        w_lo, w_hi = _affine_w(seg, lo), _affine_w(seg, hi)
         e = (k + p) / p
         return p / (seg.slope * (k + p)) * (w_hi**e - w_lo**e)
 
@@ -125,11 +119,11 @@ class PosteriorDistribution:
             pts.add(self.atom[0])
         return sorted(pts)
 
-    def cdf_left(self, v: float) -> float:
+    def cdf_left(self, v: ArrayLike) -> ArrayLike:
         """Left limit of the cdf at v (drops the atom's own mass)."""
-        out = float(self.cdf(v))
-        if self.atom is not None and abs(self.atom[0] - v) <= 1e-15:
-            out -= self.atom[1]
+        out = self.cdf(v)
+        if self.atom is not None:
+            out = out - np.where(np.abs(self.atom[0] - np.asarray(v)) <= 1e-15, self.atom[1], 0.0)
         return out
 
     def support_bottom(self) -> float:
@@ -165,22 +159,15 @@ class PosteriorDistribution:
         arr = np.atleast_1d(np.asarray(z, dtype=float))
         prefix = [0.0]
         for seg in self.segments:
-            if k == 1:
-                prefix.append(prefix[-1] + self._seg_integral(seg, seg.a, seg.b))
-            else:
-                prefix.append(prefix[-1] + self._seg_pow_integral(seg, seg.a, seg.b, k))
+            prefix.append(prefix[-1] + self._seg_integral(seg, seg.a, seg.b, k))
         ends = np.array([seg.b for seg in self.segments])
         idx = np.searchsorted(ends, arr, side="left")
         out = np.empty_like(arr)
         for i, seg in enumerate(self.segments):
             mask = idx == i
             if np.any(mask):
-                zs = arr[mask]
-                if k == 1:
-                    part = np.array([self._seg_integral(seg, seg.a, min(zz, seg.b)) for zz in zs])
-                else:
-                    part = np.array([self._seg_pow_integral(seg, seg.a, min(zz, seg.b), k) for zz in zs])
-                out[mask] = prefix[i] + part
+                hi = arr[mask].clip(seg.a, seg.b)
+                out[mask] = prefix[i] + self._seg_integral(seg, seg.a, hi, k)
         beyond = idx >= len(self.segments)
         if np.any(beyond):
             out[beyond] = prefix[-1] + (arr[beyond] - ends[-1])  # cdf == 1 past the top

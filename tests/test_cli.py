@@ -25,6 +25,11 @@ def test_solve_emits_equilibrium(tmp_path, capsys):
     assert payload["equilibrium"]["G"]["segments"]
 
 
+def test_underflowing_pooled_slope_exits_as_invariant_failure(tmp_path):
+    cfg = {"prior": {"family": "uniform"}, "n": 1375, "alpha": 0.5464099987813732, "s": 0.30076378322172764}
+    assert main(["solve", "--config", _write(tmp_path, "cfg.json", cfg)]) == 2
+
+
 def test_solve_round_trips_through_verify_and_simulate(tmp_path):
     cfg = _write(tmp_path, "cfg.json", BASE)
     solve_out = tmp_path / "solve.json"

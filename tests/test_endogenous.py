@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from disclose_eq import PiecewiseLinearPrior, PowerPrior, UniformPrior
 from disclose_eq.endogenous import (
     limit_equilibrium,
     n_lower_bar,
@@ -13,7 +14,12 @@ from disclose_eq.endogenous import (
     solve_endog,
     v_h_large_n,
 )
-from disclose_eq.errors import DomainError, NoInteriorRootError, UnsupportedBoundaryError
+from disclose_eq.errors import (
+    DiscloseEqError,
+    DomainError,
+    NoInteriorRootError,
+    UnsupportedBoundaryError,
+)
 from disclose_eq.exogenous import r_lower_bar, solve_v_l_eq
 from disclose_eq.verify import check_dm_conditions, oracle_gap
 from disclose_eq.welfare import informativeness_compare
@@ -213,3 +219,30 @@ def test_small_alpha_root_next_to_full_info(uniform, s):
     assert check_dm_conditions(eq).passed
     m = 201
     assert oracle_gap(eq, m)["gap"] <= 0.2 / m
+
+
+@pytest.mark.parametrize(
+    "prior, n, alpha, s",
+    [
+        (UniformPrior(), 1375, 0.5464099987813732, 0.30076378322172764),
+        (PowerPrior(6.462531934340596), 408, 0.49434848890016936, 0.2737875162253962),
+        (
+            PiecewiseLinearPrior(
+                (
+                    (0.0, 0.0),
+                    (0.3059977021415672, 0.5661837686537011),
+                    (0.5125908549620772, 0.6724729183151709),
+                    (0.6207144977167882, 0.8667805629022638),
+                    (1.0, 1.0),
+                )
+            ),
+            3079,
+            0.2544867461449715,
+            0.17263806369986467,
+        ),
+    ],
+)
+def test_underflowing_pooled_slope_is_a_typed_error(prior, n, alpha, s):
+    # F(v_L)**(n-1) underflows, so the pooled slope is 0
+    with pytest.raises(DiscloseEqError):
+        solve_endog(prior, n, alpha, s)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from disclose_eq import full_disclosure_distribution
 from disclose_eq.endogenous import solve_endog
@@ -13,8 +14,9 @@ from disclose_eq.montecarlo import (
     reservation_for_cost,
     simulate_deviation,
     simulate_market,
+    stop_quantile,
 )
-from disclose_eq.verify import DiscreteCosts, payoff_u
+from disclose_eq.verify import ContinuousCosts, DiscreteCosts, payoff_u
 from disclose_eq.welfare import cs_inexperienced, cs_savvy
 
 
@@ -128,6 +130,25 @@ def test_heterogeneous_costs_stop_first(eq_uniform_large):
     assert rep.cs_inexperienced_hat == pytest.approx(
         expected, abs=4 * rep.cs_inexperienced_se
     )
+
+
+def test_continuous_costs(eq_uniform_small):
+    # every cost type searches up to its own reservation value
+    eq = eq_uniform_small
+    costs = ContinuousCosts(((0.05, 0.0), (0.2, 1.0)))
+    base = dict(consumers=1 << 17, seed=404, cost_model=HeterogeneousCosts(costs), bins=25)
+    rep = simulate_market(eq, SimConfig(**base))
+    digest = json.dumps(rep.to_json_dict(), sort_keys=True)
+    for again in (SimConfig(**base, workers=2), SimConfig(**base)):
+        assert json.dumps(simulate_market(eq, again).to_json_dict(), sort_keys=True) == digest
+    # a consumer searches past the first firm iff the first draw fails the stop
+    # rule of that consumer's cost
+    def q(c):
+        return stop_quantile(eq.g, reservation_for_cost(eq.g, c))
+
+    expected = quad(q, 0.05, 0.2, points=[eq.s])[0] / 0.15  # cost density is 1/0.15
+    se = np.sqrt(expected * (1 - expected) / rep.n_inexperienced)
+    assert _z(rep.multi_search_freq, expected, se) < 4.0
 
 
 def test_simulate_deviation(eq_uniform_small):

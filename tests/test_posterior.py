@@ -1,0 +1,72 @@
+import numpy as np
+import pytest
+from scipy.integrate import quad
+
+from disclose_eq.montecarlo import stop_quantile
+from disclose_eq.posterior import AffinePower, Flat, FullDisclosure, PosteriorDistribution
+
+
+@pytest.fixture(scope="module")
+def g_atom(piecewise):
+    """Every segment kind and an interior atom: the prior up to 0.3 (cdf
+    0.15), a gap, mass 0.15 at 0.6, then a square-root affine-power branch
+    from cdf 0.3 up to 1 at 0.9."""
+    g = PosteriorDistribution(
+        prior=piecewise,
+        segments=(
+            FullDisclosure(0.0, 0.3),
+            Flat(0.3, 0.6, float(piecewise.cdf(0.3))),
+            AffinePower(0.6, 0.9, base=0.3**2, slope=(1.0 - 0.3**2) / 0.3, anchor=0.6, root_power=2),
+            Flat(0.9, 1.0, 1.0),
+        ),
+        atom=(0.6, 0.3 - float(piecewise.cdf(0.3))),
+    )
+    g.validate()
+    return g
+
+
+def _posteriors(request):
+    eqs = ("eq_uniform_small", "eq_uniform_large", "eq_power")
+    return [request.getfixturevalue("g_atom")] + [request.getfixturevalue(name).g for name in eqs]
+
+
+def _points(g):
+    bps = g.breakpoints()
+    mids = [0.5 * (a + b) for a, b in zip(bps, bps[1:])]
+    return np.array([-0.1, *bps, *mids, 1.15])
+
+
+def _quad(f, lo, hi, g):
+    pts = [x for x in g.breakpoints() if min(lo, hi) < x < max(lo, hi)]
+    return quad(f, lo, hi, points=pts or None, limit=200, epsabs=1e-13, epsrel=1e-13)[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_cum_integrals_match_quadrature(request, k):
+    for g in _posteriors(request):
+        z = _points(g)
+        got = g.cum_integral(z) if k == 1 else g.pow_cum_integral(z, k)
+        # the cdf vanishes below 0, so nothing accrues there
+        want = [_quad(lambda v: g.cdf(v) ** k, 0.0, zz, g) if zz > 0 else 0.0 for zz in z]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def test_excess_above_matches_quadrature(request):
+    for g in _posteriors(request):
+        r = _points(g)[1:]
+        want = [_quad(lambda v: 1.0 - g.cdf(v), rr, 1.0, g) for rr in r]
+        np.testing.assert_allclose(g.excess_above(r), want, rtol=0, atol=1e-10)
+
+
+def test_stop_quantile_array_equals_scalar_calls(request, g_atom):
+    for g in _posteriors(request):
+        bottom = g.support_bottom()
+        r = np.unique(np.concatenate([g.breakpoints(), np.linspace(0.0, 1.0, 37), [bottom + 5e-10]]))
+        q = stop_quantile(g, r)
+        assert isinstance(q, np.ndarray) and q.shape == r.shape
+        assert q.tolist() == [stop_quantile(g, float(x)) for x in r]
+        assert np.all(q[r <= bottom + 1e-9] == 0.0)  # no search from the support bottom
+    # at the atom the draw sitting on it passes the test
+    assert g_atom.cdf(0.6) == pytest.approx(0.3, abs=1e-15)
+    assert stop_quantile(g_atom, 0.6) == pytest.approx(0.15, abs=1e-15)
+    assert stop_quantile(g_atom, np.array([0.6]))[0] == stop_quantile(g_atom, 0.6)
