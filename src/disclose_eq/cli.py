@@ -53,6 +53,7 @@ from .verify import (
     hetero_first_holding_n,
     oracle_gap,
     payoff_identity_gap,
+    payoff_u,
 )
 from .welfare import cs_inexperienced, cs_savvy, equilibrium_row, scan_csv_text
 
@@ -249,8 +250,6 @@ def cmd_simulate(cfg: dict[str, Any], args) -> int:
 
 
 def _z_scores(eq: Equilibrium, report) -> dict[str, float]:
-    from .verify import payoff_u
-
     out: dict[str, float] = {}
     if report.eta_se and not np.isnan(report.eta_se) and report.eta_se > 0:
         out["eta"] = (report.eta_hat - eq.eta) / report.eta_se
@@ -273,8 +272,6 @@ def _z_scores(eq: Equilibrium, report) -> dict[str, float]:
 
 
 def _write_curve_csv(eq, report, path: str, prov: dict[str, str]) -> None:
-    from .verify import payoff_u
-
     with open(path, "w") as fh:
         fh.write(f"# config_sha256={prov['config_sha256']}\n")
         fh.write(f"# version={prov['version']}\n")

@@ -11,6 +11,11 @@ equilibrium disclosure assigns to that cost, visit firms in a uniformly
 random order, stop at the first draw at or above their reservation value,
 and otherwise buy the best of all n draws.  Every visit costs the
 consumer her search cost, the first one included.
+
+A unilateral deviation runs through the same path: every draw comes from
+the equilibrium posterior except the deviant firm's, which are redrawn
+from its own posterior with the same variates, and consumers keep the
+reservation values the equilibrium disclosure implies.
 """
 from __future__ import annotations
 
@@ -25,7 +30,6 @@ from .candidate import verify_mpc
 from .endogenous import Equilibrium
 from .errors import DomainError, ValidationFailureError
 from .posterior import ArrayLike, PosteriorDistribution
-from .rootfind import bisect_root
 from .verify import ContinuousCosts, CostDistribution, DiscreteCosts
 
 _BLOCK = 1 << 16
@@ -50,8 +54,6 @@ class SimConfig:
     seed: int
     cost_model: CostModel
     bins: int = 50
-    n: int | None = None  # taken from the equilibrium when omitted
-    alpha: float | None = None
     workers: int | None = None  # default: DISCLOSE_EQ_THREADS or serial
 
     def __post_init__(self) -> None:
@@ -119,24 +121,27 @@ class SimReport:
         }
 
 
-def reservation_for_cost(g: PosteriorDistribution, s: float) -> float:
-    """Reservation value solving E[(v - r)+] = s under g."""
+def reservation_for_cost(g: PosteriorDistribution, s: ArrayLike) -> ArrayLike:
+    """Reservation values solving E[(v - r)+] = s under g, one per cost.
+
+    Every cost must lie in (0, E_G[v]).  One array bisection on [0, 1]
+    serves all costs: 40 halvings take the bracket to 2**-40 <= 1e-12, and
+    an element whose residual is exactly 0 stays at that midpoint.  Each
+    value equals what `bisect_root` returns for that cost with xtol=1e-12.
+    """
     mean = g.mean()
-    if not 0.0 < s < mean:
+    costs = np.atleast_1d(np.asarray(s, dtype=float))
+    if not np.all((0.0 < costs) & (costs < mean)):
         raise DomainError(f"cost must lie in (0, E_G[v]) = (0, {mean})")
-    return bisect_root(lambda r: float(g.excess_above(r)) - s, 0.0, 1.0, xtol=1e-12)
-
-
-def _reservations_for_costs(g: PosteriorDistribution, costs: np.ndarray) -> np.ndarray:
-    """Vectorized bisection of the reservation equation for an array of costs."""
     lo = np.zeros_like(costs)
     hi = np.ones_like(costs)
-    for _ in range(60):
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
-        too_high = np.asarray(g.excess_above(mid)) < costs
-        hi = np.where(too_high, mid, hi)
-        lo = np.where(too_high, lo, mid)
-    return 0.5 * (lo + hi)
+        f = g.excess_above(mid) - costs
+        lo = np.where(f >= 0.0, mid, lo)
+        hi = np.where(f > 0.0, hi, mid)
+    r = 0.5 * (lo + hi)
+    return r if isinstance(s, np.ndarray) else float(r[0])
 
 
 def stop_quantile(g: PosteriorDistribution, r: ArrayLike) -> ArrayLike:
@@ -219,11 +224,10 @@ def _simulate_block(
     block_index: int,
     size: int,
     edges: np.ndarray,
-    g_by_firm: list[PosteriorDistribution],
-    alpha: float,
-    n: int,
-    track_firm: int,
+    deviant: tuple[int, PosteriorDistribution] | None,
 ) -> _Totals:
+    """One block of consumers; `deviant` is (firm, its posterior) or None."""
+    n = eq.n
     key = np.array([config.seed, block_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     t = _Totals()
@@ -232,27 +236,19 @@ def _simulate_block(
     n_bins = len(edges) - 1
     t.bin_visits = np.zeros(n_bins)
     t.bin_sales = np.zeros(n_bins)
+    track_firm, g_dev = deviant if deviant else (0, None)
 
-    is_inexp = rng.random(size) < alpha
+    is_inexp = rng.random(size) < eq.alpha
     n_inexp = int(np.sum(is_inexp))
     n_savvy = size - n_inexp
     t.n_savvy, t.n_inexp = n_savvy, n_inexp
 
-    uniform_g = len(set(map(id, g_by_firm))) == 1
-
-    def draws_by_firm(rng_draws: np.ndarray) -> np.ndarray:
-        """Column j sampled from firm j's distribution."""
-        if uniform_g:
-            return np.asarray(g_by_firm[0].sample(rng_draws))
-        out = np.empty_like(rng_draws)
-        for j, g in enumerate(g_by_firm):
-            out[:, j] = np.asarray(g.sample(rng_draws[:, j]))
-        return out
-
     # savvy consumers: visit everyone, buy the best draw
     if n_savvy:
         u = rng.random((n_savvy, n))
-        vals = draws_by_firm(u)
+        vals = np.asarray(eq.g.sample(u))
+        if g_dev is not None:
+            vals[:, track_firm] = g_dev.sample(u[:, track_firm])
         best = np.argmax(vals, axis=1)  # ties go to the lowest firm index
         cs = vals[np.arange(n_savvy), best]
         t.sum_cs_savvy = float(np.sum(cs))
@@ -273,33 +269,22 @@ def _simulate_block(
             inverse = np.zeros(n_inexp, dtype=int)
         else:
             uniq, inverse = np.unique(costs, return_inverse=True)
-        if len(uniq) <= 64:
-            r_uniq = np.array([reservation_for_cost(eq.g, c) for c in uniq])
-        else:
-            r_uniq = _reservations_for_costs(eq.g, uniq)
-        q_stop_by_firm = np.array([stop_quantile(g, r_uniq) for g in g_by_firm])  # (firm, cost)
+        r_uniq = reservation_for_cost(eq.g, uniq)
         order = np.argsort(rng.random((n_inexp, n)), axis=1)  # firm at each position
         u = rng.random((n_inexp, n))
-        # value drawn at each *position*, from the firm visited there
-        if uniform_g:
-            vals = np.asarray(g_by_firm[0].sample(u))
-            q_stop = q_stop_by_firm[0][inverse]  # same for every position
-            hit = u >= q_stop[:, None]
-        else:
-            vals = np.empty_like(u)
-            hit = np.empty_like(u, dtype=bool)
-            for j in range(n):
-                col_firm = order[:, j]
-                for f, g in enumerate(g_by_firm):
-                    sel = col_firm == f
-                    if np.any(sel):
-                        vals[sel, j] = np.asarray(g.sample(u[sel, j]))
-                        hit[sel, j] = u[sel, j] >= q_stop_by_firm[f][inverse[sel]]
+        # value drawn at each *position*; the deviant's cells redrawn from g_dev
+        vals = np.asarray(eq.g.sample(u))
+        hit = u >= stop_quantile(eq.g, r_uniq)[inverse][:, None]
+        rows = np.arange(n_inexp)
+        pos_of_tracked = np.argmax(order == track_firm, axis=1)
+        if g_dev is not None:
+            u_dev = u[rows, pos_of_tracked]
+            vals[rows, pos_of_tracked] = g_dev.sample(u_dev)
+            hit[rows, pos_of_tracked] = u_dev >= stop_quantile(g_dev, r_uniq)[inverse]
         any_hit = hit.any(axis=1)
         first_hit = np.argmax(hit, axis=1)
         visits = np.where(any_hit, first_hit + 1, n)
         stop_pos = np.where(any_hit, first_hit, np.argmax(vals, axis=1))
-        rows = np.arange(n_inexp)
         bought_value = vals[rows, stop_pos]
         bought_firm = order[rows, stop_pos]
         cs = bought_value - visits * costs
@@ -308,7 +293,6 @@ def _simulate_block(
         t.sales += np.bincount(bought_firm, minlength=n)
         t.visit_hist += np.bincount(visits, minlength=n + 1)
         t.multi = int(np.sum(visits > 1))
-        pos_of_tracked = np.argmax(order == track_firm, axis=1)
         t.firm0_visits_inexp = int(np.sum(pos_of_tracked < visits))
         visited_mask = np.arange(n)[None, :] < visits[:, None]
         sold = np.zeros_like(vals, dtype=bool)
@@ -321,13 +305,7 @@ def _simulate_block(
     return t
 
 
-def _run_blocks(eq, config, g_by_firm, track_firm: int = 0) -> tuple[_Totals, np.ndarray]:
-    n = config.n if config.n is not None else eq.n
-    alpha = config.alpha if config.alpha is not None else eq.alpha
-    if n != eq.n:
-        raise DomainError("config n must match the equilibrium")
-    if alpha != eq.alpha:
-        raise DomainError("config alpha must match the equilibrium")
+def _run_blocks(eq, config, deviant=None) -> tuple[_Totals, np.ndarray]:
     edges = _bin_edges(config.bins, eq)
     sizes = []
     remaining = config.consumers
@@ -342,9 +320,7 @@ def _run_blocks(eq, config, g_by_firm, track_firm: int = 0) -> tuple[_Totals, np
 
     def run(i_size):
         i, size = i_size
-        return i, _simulate_block(
-            eq, config, i, size, edges, g_by_firm, alpha, n, track_firm
-        )
+        return i, _simulate_block(eq, config, i, size, edges, deviant)
 
     results: dict[int, _Totals] = {}
     if workers == 1:
@@ -371,8 +347,7 @@ def _se_mean(total: float, total_sq: float, count: int) -> float:
 
 def simulate_market(eq: Equilibrium, config: SimConfig) -> SimReport:
     """Simulate the market under the equilibrium disclosure."""
-    n = config.n if config.n is not None else eq.n
-    total, edges = _run_blocks(eq, config, [eq.g] * n)
+    total, edges = _run_blocks(eq, config)
     return _report_from_totals(eq, config, total, edges)
 
 
@@ -431,8 +406,7 @@ def simulate_deviation(
     Consumers keep the reservation values implied by the equilibrium
     disclosure (passive beliefs); only the deviant's draws change.
     """
-    n = config.n if config.n is not None else eq.n
-    if not 0 <= firm_index < n:
+    if not 0 <= firm_index < eq.n:
         raise DomainError("firm_index out of range")
     report = verify_mpc(g_dev, eq.prior)
     if not report.passed:
@@ -440,9 +414,7 @@ def simulate_deviation(
             "deviation-not-mpc",
             f"min_gap={report.min_gap}, mean_error={report.mean_error}",
         )
-    g_by_firm = [eq.g] * n
-    g_by_firm[firm_index] = g_dev
-    total, _ = _run_blocks(eq, config, g_by_firm, track_firm=firm_index)
+    total, _ = _run_blocks(eq, config, (firm_index, g_dev))
     share = float(total.sales[firm_index]) / config.consumers
     se = float(np.sqrt(max(share * (1 - share), 0.0) / config.consumers))
     return share, se

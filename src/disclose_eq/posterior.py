@@ -15,6 +15,7 @@ form per segment.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Union
 
@@ -88,18 +89,21 @@ class PosteriorDistribution:
             return self.prior.cum_pow_cdf(hi, k) - self.prior.cum_pow_cdf(lo, k)
         if isinstance(seg, Flat):
             return seg.level**k * (hi - lo)
-        if seg.slope == 0.0:
-            # F(v_L)**(n-1) underflows in large markets, and the closed form
-            # below divides by the slope it scales
+        p = seg.root_power
+        scale = seg.slope * (k + p)
+        coef = p / scale if scale != 0.0 else math.inf
+        if coef == 0.0 or not math.isfinite(coef):
+            # F(v_L)**(n-1) underflows in large markets, and the slope it
+            # scales goes to 0 or so near it that the coefficient overflows
             if np.any(hi > lo):
                 raise ValidationFailureError(
-                    "pooled-slope", f"pooled slope is 0 on [{seg.a}, {seg.b}] (root power {seg.root_power})"
+                    "pooled-slope",
+                    f"pooled slope {seg.slope} on [{seg.a}, {seg.b}] (root power {p})",
                 )
             return hi - lo  # empty intervals only
-        p = seg.root_power
         w_lo, w_hi = _affine_w(seg, lo), _affine_w(seg, hi)
         e = (k + p) / p
-        return p / (seg.slope * (k + p)) * (w_hi**e - w_lo**e)
+        return coef * (w_hi**e - w_lo**e)
 
     # -- public surface -----------------------------------------------------
     @property

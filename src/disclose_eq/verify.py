@@ -24,7 +24,7 @@ from scipy.optimize import linprog
 
 from .candidate import verify_mpc
 from .endogenous import solve_endog
-from .errors import DomainError, ValidationFailureError
+from .errors import ConfigError, DomainError, IterationCapError, ValidationFailureError
 from .posterior import Flat, FullDisclosure, PosteriorDistribution
 from .priors import Prior
 
@@ -504,8 +504,6 @@ CostDistribution = Union[DiscreteCosts, ContinuousCosts]
 
 
 def cost_distribution_from_json(spec: dict[str, Any]) -> CostDistribution:
-    from .errors import ConfigError
-
     try:
         kind = spec["type"]
         if kind == "discrete":
@@ -574,8 +572,6 @@ class HeteroReport:
 def hetero_check(prior: Prior, n: int, alpha: float, costs: CostDistribution) -> HeteroReport:
     """Sufficiency check that the lowest-cost equilibrium survives cost mixing."""
     mu = prior.mean()
-    if costs.s_min <= 0.0:
-        raise DomainError("lowest cost must be strictly positive")
     if costs.s_max >= mu:
         raise DomainError(f"cost support must stay below the prior mean {mu}")
     eq = solve_endog(prior, n, alpha, costs.s_min)
@@ -618,6 +614,4 @@ def hetero_first_holding_n(
         except ValidationFailureError:
             pass  # below the concealment threshold; keep doubling
         n *= 2
-    from .errors import IterationCapError
-
     raise IterationCapError(f"sufficiency never held up to n = {n_cap}")

@@ -30,6 +30,13 @@ def test_underflowing_pooled_slope_exits_as_invariant_failure(tmp_path):
     assert main(["solve", "--config", _write(tmp_path, "cfg.json", cfg)]) == 2
 
 
+def test_simulate_rejects_costs_above_the_posterior_mean(tmp_path):
+    # E_G[v] = 0.5 here, and the cost support runs to 0.7
+    cost_model = {"type": "continuous", "knots": [[0.05, 0.0], [0.7, 1.0]]}
+    cfg = _write(tmp_path, "cfg.json", {**BASE, "cost_model": cost_model, "consumers": 20_000})
+    assert main(["simulate", "--config", cfg, "--seed", "3"]) == 1
+
+
 def test_solve_round_trips_through_verify_and_simulate(tmp_path):
     cfg = _write(tmp_path, "cfg.json", BASE)
     solve_out = tmp_path / "solve.json"

@@ -15,10 +15,10 @@ from disclose_eq.endogenous import (
     v_h_large_n,
 )
 from disclose_eq.errors import (
-    DiscloseEqError,
     DomainError,
     NoInteriorRootError,
     UnsupportedBoundaryError,
+    ValidationFailureError,
 )
 from disclose_eq.exogenous import r_lower_bar, solve_v_l_eq
 from disclose_eq.verify import check_dm_conditions, oracle_gap
@@ -240,9 +240,24 @@ def test_small_alpha_root_next_to_full_info(uniform, s):
             0.2544867461449715,
             0.17263806369986467,
         ),
+        (
+            PiecewiseLinearPrior(
+                (
+                    (0.0, 0.0),
+                    (0.29250159381240515, 0.5616089296834995),
+                    (0.466119066234454, 0.6411760916780682),
+                    (0.6432550489280306, 0.8487748628232498),
+                    (1.0, 1.0),
+                )
+            ),
+            3079,
+            0.31104034226811095,
+            0.17318465700831076,
+        ),
     ],
 )
 def test_underflowing_pooled_slope_is_a_typed_error(prior, n, alpha, s):
-    # F(v_L)**(n-1) underflows, so the pooled slope is 0
-    with pytest.raises(DiscloseEqError):
+    # F(v_L)**(n-1) underflows, so the pooled slope is 0 or subnormal
+    with pytest.raises(ValidationFailureError) as exc:
         solve_endog(prior, n, alpha, s)
+    assert exc.value.invariant == "pooled-slope"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -59,6 +60,23 @@ def test_reservation_for_cost(eq_uniform_small):
     assert reservation_for_cost(eq.g, 1e-8) == pytest.approx(eq.v_t_star, abs=1e-3)
     with pytest.raises(DomainError):
         reservation_for_cost(eq.g, 0.7)
+
+
+@pytest.mark.parametrize("market", ["eq_uniform_small", "eq_uniform_large", "eq_power"])
+def test_reservation_for_cost_array_equals_scalar_calls(request, market):
+    eq = request.getfixturevalue(market)
+    mean = eq.g.mean()
+    costs = np.concatenate([np.linspace(1e-6, mean - 1e-6, 97), [eq.s]])
+    r = reservation_for_cost(eq.g, costs)
+    assert r.tolist() == [reservation_for_cost(eq.g, float(c)) for c in costs]
+    assert np.max(np.abs(eq.g.excess_above(r) - costs)) <= 1e-12
+
+
+def test_reservation_for_cost_checks_every_cost(eq_uniform_small):
+    g = eq_uniform_small.g
+    for bad in (0.0, -0.1, g.mean(), 0.7):
+        with pytest.raises(DomainError):
+            reservation_for_cost(g, np.array([0.1, bad, 0.2]))
 
 
 def test_simulate_market_moments(eq_uniform_small):
@@ -164,6 +182,34 @@ def test_simulate_deviation(eq_uniform_small):
         simulate_deviation(eq, 0, point_mass(eq.prior, 0.9), cfg)
 
 
+@pytest.mark.parametrize("firm", [0, 3])
+def test_deviation_to_an_equal_posterior_reproduces_the_market(uniform, firm):
+    # a copy of the equilibrium posterior goes through the deviant path and
+    # must draw exactly what the undisturbed market draws for that firm
+    eq5 = solve_endog(uniform, 5, 0.5, 0.1)
+    costs = DiscreteCosts(points=((0.05, 0.4), (0.15, 0.6)))
+    cfg = SimConfig(consumers=20_000, seed=8, cost_model=HeterogeneousCosts(costs), bins=20)
+    g_copy = dataclasses.replace(eq5.g)
+    assert g_copy is not eq5.g
+    share, _ = simulate_deviation(eq5, firm, g_copy, cfg)
+    assert share == simulate_market(eq5, cfg).firm_sale_shares[firm]
+
+
+@pytest.mark.parametrize(
+    "costs",
+    [
+        ContinuousCosts(((0.05, 0.0), (0.7, 1.0))),
+        DiscreteCosts(points=tuple((c, 0.01) for c in np.linspace(0.01, 0.6, 100))),
+    ],
+    ids=["continuous", "discrete-100"],
+)
+def test_costs_outside_the_posterior_mean_are_rejected(eq_uniform_small, costs):
+    # E_G[v] = 0.5 on the uniform prior; the top cost reaches or passes it
+    cfg = SimConfig(consumers=20_000, seed=3, cost_model=HeterogeneousCosts(costs), bins=20)
+    with pytest.raises(DomainError):
+        simulate_market(eq_uniform_small, cfg)
+
+
 def test_thread_env_var_leaves_totals_unchanged(eq_uniform_small, monkeypatch):
     eq = eq_uniform_small
     base = dict(consumers=150_000, seed=77, cost_model=SingleCost(0.1), bins=25)
@@ -215,11 +261,8 @@ def test_point_mass_deviation_matches_analytic_gain(uniform):
     assert share > 0.5 + 3.0 * se  # the sign shows up in the sample
 
 
-def test_config_validation(eq_uniform_small):
+def test_config_validation():
     with pytest.raises(DomainError):
         SimConfig(consumers=0, seed=1, cost_model=SingleCost(0.1))
     with pytest.raises(DomainError):
         SimConfig(consumers=10, seed=1, cost_model=SingleCost(0.1), bins=5)
-    cfg = SimConfig(consumers=10, seed=1, cost_model=SingleCost(0.1), n=3)
-    with pytest.raises(DomainError):
-        simulate_market(eq_uniform_small, cfg)  # n mismatch
