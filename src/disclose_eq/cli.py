@@ -22,11 +22,13 @@ from typing import Any
 import numpy as np
 
 from . import __version__
+from .costs import cost_distribution_from_json
 from .endogenous import (
     Equilibrium,
     assemble_market,
     limit_equilibrium,
     n_lower_bar,
+    payoff_u,
     solve_endog,
     v_h_large_n,
 )
@@ -46,15 +48,6 @@ from .montecarlo import (
     simulate_market,
 )
 from .priors import Prior, prior_from_json
-from .verify import (
-    check_dm_conditions,
-    cost_distribution_from_json,
-    hetero_check,
-    hetero_first_holding_n,
-    oracle_gap,
-    payoff_identity_gap,
-    payoff_u,
-)
 from .welfare import cs_inexperienced, cs_savvy, equilibrium_row, scan_csv_text
 
 EXIT_OK = 0
@@ -184,6 +177,9 @@ def cmd_sweep(cfg: dict[str, Any], args) -> int:
 
 
 def cmd_verify(cfg: dict[str, Any], args) -> int:
+    # imported here so that the other commands start without scipy.optimize
+    from .verify import check_dm_conditions, oracle_gap, payoff_identity_gap
+
     prior, n, alpha, s = _market_params(cfg)
     eq = solve_endog(prior, n, alpha, s)
     if args.perturb:
@@ -314,6 +310,9 @@ def cmd_limit(cfg: dict[str, Any], args) -> int:
 
 
 def cmd_hetero(cfg: dict[str, Any], args) -> int:
+    # imported here so that the other commands start without scipy.optimize
+    from .verify import hetero_check, hetero_first_holding_n
+
     prior = prior_from_json(_require(cfg, "prior"))
     alpha = float(_require(cfg, "alpha"))
     costs = cost_distribution_from_json(_require(cfg, "cost_model"))

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from .candidate import Candidate, build_candidate, build_g
 from .errors import (
     DomainError,
@@ -87,6 +89,21 @@ class Equilibrium:
             "G": self.g.to_json_dict(),
             "note": self.note,
         }
+
+
+def payoff_u(eq, v):
+    """Sale probability conditional on a visit, at posterior mean v.
+
+    Upper-semicontinuous at the reservation value (the stopping branch
+    applies at r itself).  Works for any market-like object exposing
+    g, r_star, eta, alpha_tilde, n.
+    """
+    at = eq.alpha_tilde
+    g_pow = np.asarray(eq.g.cdf(v)) ** (eq.n - 1)
+    low = (at / eq.eta + 1.0 - at) * g_pow
+    high = at + (1.0 - at) * g_pow
+    out = np.where(np.asarray(v) >= eq.r_star, high, low)
+    return float(out) if np.ndim(v) == 0 else out
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,10 @@ from typing import Any, Union
 import numpy as np
 
 from .candidate import verify_mpc
+from .costs import ContinuousCosts, CostDistribution, DiscreteCosts
 from .endogenous import Equilibrium
 from .errors import DomainError, ValidationFailureError
 from .posterior import ArrayLike, PosteriorDistribution
-from .verify import ContinuousCosts, CostDistribution, DiscreteCosts
 
 _BLOCK = 1 << 16
 

@@ -17,14 +17,15 @@ chord of the heterogeneous payoff under the reservation value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence, Union
+from typing import Any, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .candidate import verify_mpc
-from .endogenous import solve_endog
-from .errors import ConfigError, DomainError, IterationCapError, ValidationFailureError
+from .costs import ContinuousCosts, CostDistribution, DiscreteCosts  # noqa: F401 (re-exported)
+from .endogenous import payoff_u, solve_endog
+from .errors import DomainError, IterationCapError, ValidationFailureError
 from .posterior import Flat, FullDisclosure, PosteriorDistribution
 from .priors import Prior
 
@@ -34,21 +35,6 @@ _GL_NODES = 32
 # ---------------------------------------------------------------------------
 # payoff and multiplier
 # ---------------------------------------------------------------------------
-
-def payoff_u(eq, v):
-    """Sale probability conditional on a visit, at posterior mean v.
-
-    Upper-semicontinuous at the reservation value (the stopping branch
-    applies at r itself).  Works for any market-like object exposing
-    g, r_star, eta, alpha_tilde, n.
-    """
-    at = eq.alpha_tilde
-    g_pow = np.asarray(eq.g.cdf(v)) ** (eq.n - 1)
-    low = (at / eq.eta + 1.0 - at) * g_pow
-    high = at + (1.0 - at) * g_pow
-    out = np.where(np.asarray(v) >= eq.r_star, high, low)
-    return float(out) if np.ndim(v) == 0 else out
-
 
 def multiplier_phi(eq, v):
     """The piecewise multiplier supporting the candidate disclosure."""
@@ -424,98 +410,6 @@ def deviation_gain(eq, g_dev: PosteriorDistribution) -> float:
 # ---------------------------------------------------------------------------
 # cost-heterogeneity sufficiency check
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiscreteCosts:
-    """Finite-support search-cost distribution: ((cost, prob), ...)."""
-
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        costs = [c for c, _ in self.points]
-        probs = [p for _, p in self.points]
-        if not costs or any(c <= 0.0 for c in costs):
-            raise DomainError("costs must be strictly positive")
-        if any(b <= a for a, b in zip(costs, costs[1:])):
-            raise DomainError("costs must be strictly increasing")
-        if any(p <= 0.0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
-            raise DomainError("probabilities must be positive and sum to 1")
-
-    @property
-    def s_min(self) -> float:
-        return self.points[0][0]
-
-    @property
-    def s_max(self) -> float:
-        return self.points[-1][0]
-
-    def cdf(self, x) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(xs)
-        for c, p in self.points:
-            out += np.where(xs >= c, p, 0.0)
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-
-@dataclass(frozen=True)
-class ContinuousCosts:
-    """Piecewise-linear cost cdf on [s_1, s_k] with positive density at s_1."""
-
-    knots: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.knots) < 2:
-            raise DomainError("need at least two knots")
-        xs = [k[0] for k in self.knots]
-        qs = [k[1] for k in self.knots]
-        if xs[0] <= 0.0:
-            raise DomainError("lowest cost must be strictly positive")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise DomainError("cost knots must be strictly increasing")
-        if abs(qs[0]) > 1e-15 or abs(qs[-1] - 1.0) > 1e-12:
-            raise DomainError("cost cdf must run from 0 to 1")
-        if any(b < a for a, b in zip(qs, qs[1:])):
-            raise DomainError("cost cdf must be nondecreasing")
-        if self.density_at_min <= 0.0:
-            raise DomainError("density at the lowest cost must be positive")
-
-    @property
-    def s_min(self) -> float:
-        return self.knots[0][0]
-
-    @property
-    def s_max(self) -> float:
-        return self.knots[-1][0]
-
-    @property
-    def density_at_min(self) -> float:
-        (x0, q0), (x1, q1) = self.knots[0], self.knots[1]
-        return (q1 - q0) / (x1 - x0)
-
-    def cdf(self, x) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.interp(xs, [k[0] for k in self.knots], [k[1] for k in self.knots])
-        out = np.where(xs < self.s_min, 0.0, out)
-        out = np.where(xs >= self.s_max, 1.0, out)
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-
-CostDistribution = Union[DiscreteCosts, ContinuousCosts]
-
-
-def cost_distribution_from_json(spec: dict[str, Any]) -> CostDistribution:
-    try:
-        kind = spec["type"]
-        if kind == "discrete":
-            return DiscreteCosts(points=tuple((float(c), float(p)) for c, p in spec["points"]))
-        if kind == "continuous":
-            return ContinuousCosts(knots=tuple((float(x), float(q)) for x, q in spec["knots"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed cost distribution: {exc}") from exc
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown cost distribution type {spec.get('type')!r}")
-
 
 def chord_slope_infimum(costs: CostDistribution, mu: float, r_1: float) -> float:
     """inf over v in [0, r_1) of K(mu - v) / (r_1 - v).

@@ -7,6 +7,7 @@ cdf steps with no density bookkeeping.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -264,8 +265,6 @@ def scan_csv_text(
     rows: Iterable[dict[str, Any]], axis_column: str, header_comments: Sequence[str] = ()
 ) -> str:
     """Render scan rows as CSV with provenance comment lines up top."""
-    import io
-
     buf = io.StringIO()
     for comment in header_comments:
         buf.write(f"# {comment}\n")

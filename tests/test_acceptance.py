@@ -9,18 +9,18 @@ import numpy as np
 import pytest
 
 from disclose_eq import PowerPrior, UniformPrior
+from disclose_eq.costs import ContinuousCosts, DiscreteCosts
 from disclose_eq.endogenous import (
     assemble_market,
     limit_equilibrium,
     n_lower_bar,
+    payoff_u,
     solve_endog,
     v_h_large_n,
 )
 from disclose_eq.exogenous import r_lower_bar, solve_exog
 from disclose_eq.montecarlo import SimConfig, SingleCost, simulate_market
 from disclose_eq.verify import (
-    ContinuousCosts,
-    DiscreteCosts,
     check_dm_conditions,
     expected_payoff,
     hetero_check,
@@ -29,7 +29,6 @@ from disclose_eq.verify import (
     multiplier_phi,
     oracle_gap,
     payoff_identity_gap,
-    payoff_u,
 )
 from disclose_eq.welfare import (
     MORE_INFORMATIVE,

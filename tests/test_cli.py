@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import disclose_eq
+from disclose_eq import costs, endogenous, verify
 from disclose_eq.cli import main
 
 
@@ -216,3 +221,43 @@ def test_hetero_command(tmp_path):
         },
     )
     assert main(["hetero", "--config", bad]) == 1
+
+
+# Runs in a fresh interpreter, so that the imports of this test process do
+# not count: every command but verify and hetero must leave scipy unloaded.
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from disclose_eq import cli
+runs = json.loads(sys.argv[1])
+codes = [cli.main(argv) for argv in runs]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_solve_sweep_limit_simulate_do_not_import_scipy(tmp_path):
+    sweep = {**BASE, "axis": "s", "grid": [0.05, 0.1, 0.15]}
+    limit = {"prior": {"family": "uniform"}, "alpha": 0.5, "s": 0.1, "doublings": 2}
+    # a one-point cost distribution at s: the z-scores against the theory hold
+    cost_model = {"type": "discrete", "points": [[0.1, 1.0]]}
+    sim = {**BASE, "consumers": 4000, "bins": 20, "cost_model": cost_model}
+    runs = [
+        ["solve", "--config", _write(tmp_path, "solve.json", BASE)],
+        ["sweep", "--config", _write(tmp_path, "sweep.json", sweep)],
+        ["limit", "--config", _write(tmp_path, "limit.json", limit)],
+        ["simulate", "--config", _write(tmp_path, "sim.json", sim), "--seed", "5"],
+    ]
+    for argv in runs:
+        argv += ["--out", str(tmp_path / f"{argv[0]}.out")]
+    src = os.path.dirname(os.path.dirname(disclose_eq.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(runs)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["scipy"] == []
+    # verify re-exports the moved names as the same objects
+    assert verify.DiscreteCosts is costs.DiscreteCosts
+    assert verify.ContinuousCosts is costs.ContinuousCosts
+    assert verify.payoff_u is endogenous.payoff_u

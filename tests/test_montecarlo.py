@@ -6,7 +6,8 @@ import pytest
 from scipy.integrate import quad
 
 from disclose_eq import full_disclosure_distribution
-from disclose_eq.endogenous import solve_endog
+from disclose_eq.costs import ContinuousCosts, DiscreteCosts
+from disclose_eq.endogenous import payoff_u, solve_endog
 from disclose_eq.errors import DomainError, ValidationFailureError
 from disclose_eq.montecarlo import (
     HeterogeneousCosts,
@@ -17,7 +18,6 @@ from disclose_eq.montecarlo import (
     simulate_market,
     stop_quantile,
 )
-from disclose_eq.verify import ContinuousCosts, DiscreteCosts, payoff_u
 from disclose_eq.welfare import cs_inexperienced, cs_savvy
 
 

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from disclose_eq import full_disclosure_distribution, point_mass
-from disclose_eq.endogenous import assemble_market, solve_endog
+from disclose_eq.costs import ContinuousCosts, DiscreteCosts
+from disclose_eq.endogenous import assemble_market, payoff_u, solve_endog
 from disclose_eq.errors import ValidationFailureError
 from disclose_eq.posterior import Flat, FullDisclosure, PosteriorDistribution
 from disclose_eq.priors import PiecewiseLinearPrior
 from disclose_eq.verify import (
-    ContinuousCosts,
-    DiscreteCosts,
     best_response_oracle,
     chord_slope_infimum,
     check_dm_conditions,
@@ -24,7 +23,6 @@ from disclose_eq.verify import (
     oracle_gap,
     oracle_grid,
     payoff_identity_gap,
-    payoff_u,
 )
 
 
