@@ -14,6 +14,7 @@ v_L = 0 and positive next to the full-information reserve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -51,6 +52,49 @@ _REGIME_BAND = 1e-10
 
 
 @dataclass(frozen=True)
+class PayoffBranches:
+    """The branches shared by the payoff u and the multiplier phi.
+
+    u is low(G**(n-1)) below r and high(G**(n-1)) from r on; phi is
+    low(F**(n-1)) below v_L, the pooled line on [v_L, v_H] and
+    high(F**(n-1)) above v_H.
+    """
+
+    n: int
+    r: float
+    at: float
+    c_low: float
+    fl: float  # F(v_L)
+    fh: float  # F(v_H)
+    fln1: float  # F(v_L)**(n-1)
+    beta: float
+    const: float
+    slope: float
+
+    def low(self, p):
+        return self.c_low * p
+
+    def high(self, p):
+        return self.at + (1.0 - self.at) * p
+
+    def line(self, v):
+        return self.at + (1.0 - self.at) * (self.fln1 + self.beta * (v - self.r))
+
+    def line_integral(self, mass: float, first_moment: float) -> float:
+        """Integral of the pooled line against a measure with these moments."""
+        return self.const * mass + self.slope * first_moment
+
+    def low_integral(self, f_lo: float, f_hi: float) -> float:
+        """Integral of low(F**(n-1)) dF between the cdf levels f_lo and f_hi."""
+        return self.c_low * (f_hi**self.n - f_lo**self.n) / self.n
+
+    def high_integral(self, f_lo: float, f_hi: float) -> float:
+        """Integral of high(F**(n-1)) dF between the cdf levels f_lo and f_hi."""
+        n, at = self.n, self.at
+        return at * (f_hi - f_lo) + (1.0 - at) * (f_hi**n - f_lo**n) / n
+
+
+@dataclass(frozen=True)
 class Equilibrium:
     """A solved market: primitives, thresholds, beliefs, and the posterior cdf."""
 
@@ -70,6 +114,26 @@ class Equilibrium:
     top_disclosure: bool
     candidate: Candidate | None = None
     note: str = ""
+
+    @cached_property
+    def branches(self) -> PayoffBranches:
+        prior, n, at, r = self.prior, self.n, self.alpha_tilde, self.r_star
+        # alpha = 0: the middle branch shrinks to the point r*, take its tangent
+        beta = prior.pow_cdf_deriv(r, n) if self.beta_star is None else self.beta_star
+        fl = float(prior.cdf(self.v_l_star))
+        fln1 = fl ** (n - 1)
+        return PayoffBranches(
+            n=n,
+            r=r,
+            at=at,
+            c_low=at / self.eta + 1.0 - at,
+            fl=fl,
+            fh=float(prior.cdf(self.v_h_star)),
+            fln1=fln1,
+            beta=beta,
+            const=at + (1.0 - at) * (fln1 - beta * r),
+            slope=(1.0 - at) * beta,
+        )
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -95,14 +159,11 @@ def payoff_u(eq, v):
     """Sale probability conditional on a visit, at posterior mean v.
 
     Upper-semicontinuous at the reservation value (the stopping branch
-    applies at r itself).  Works for any market-like object exposing
-    g, r_star, eta, alpha_tilde, n.
+    applies at r itself).
     """
-    at = eq.alpha_tilde
+    b = eq.branches
     g_pow = np.asarray(eq.g.cdf(v)) ** (eq.n - 1)
-    low = (at / eq.eta + 1.0 - at) * g_pow
-    high = at + (1.0 - at) * g_pow
-    out = np.where(np.asarray(v) >= eq.r_star, high, low)
+    out = np.where(np.asarray(v) >= eq.r_star, b.high(g_pow), b.low(g_pow))
     return float(out) if np.ndim(v) == 0 else out
 
 
@@ -125,11 +186,17 @@ def search_residual_posterior(g: PosteriorDistribution, r: float, s: float) -> f
     return float(g.excess_above(r)) - s
 
 
-def r_full_info(prior: Prior, s: float) -> float:
-    """Reservation value when every value is disclosed."""
+def _checked_mean(prior: Prior, s: float) -> float:
+    """The prior mean mu, after checking that the search cost lies in (0, mu)."""
     mu = prior.mean()
     if not 0.0 < s < mu:
         raise DomainError(f"search cost must lie in (0, {mu}), got {s}")
+    return mu
+
+
+def r_full_info(prior: Prior, s: float) -> float:
+    """Reservation value when every value is disclosed."""
+    _checked_mean(prior, s)
     return bisect_root(
         lambda r: search_residual_prior(prior, r, r, s), 0.0, 1.0, xtol=1e-13
     )
@@ -206,9 +273,7 @@ def validate_equilibrium(eq: Equilibrium) -> None:
 
 def solve_endog(prior: Prior, n: int, alpha: float, s: float) -> Equilibrium:
     """Solve the full model for (prior, n, alpha, s)."""
-    mu = prior.mean()
-    if not 0.0 < s < mu:
-        raise DomainError(f"search cost must lie in (0, {mu}), got {s}")
+    mu = _checked_mean(prior, s)
     if n < 2:
         raise DomainError("need n >= 2")
     if alpha == 1.0:
@@ -258,9 +323,7 @@ def solve_endog(prior: Prior, n: int, alpha: float, s: float) -> Equilibrium:
 
 def n_lower_bar(prior: Prior, alpha: float, s: float) -> int:
     """Smallest market size at which nothing below the reserve is disclosed."""
-    mu = prior.mean()
-    if not 0.0 < s < mu:
-        raise DomainError(f"search cost must lie in (0, {mu}), got {s}")
+    mu = _checked_mean(prior, s)
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
 
@@ -290,10 +353,7 @@ def v_h_large_n(prior: Prior, n: int, s: float) -> float:
     Solves int_0^v F du = (n-1)/n * F(v) * (v - r); the unique interior
     root exists only when the pooled branch stops short of 1.
     """
-    mu = prior.mean()
-    if not 0.0 < s < mu:
-        raise DomainError(f"search cost must lie in (0, {mu}), got {s}")
-    r = mu - s
+    r = _checked_mean(prior, s) - s
 
     def contact(v: float) -> float:
         return float(prior.cum_cdf(v)) - (n - 1) / n * prior.cdf(v) * (v - r)
@@ -305,12 +365,9 @@ def v_h_large_n(prior: Prior, n: int, s: float) -> float:
 
 def limit_equilibrium(prior: Prior, alpha: float, s: float) -> LimitEquilibrium:
     """Infinite-market limit: atom at mu - s, censoring below v_h_inf."""
-    mu = prior.mean()
-    if not 0.0 < s < mu:
-        raise DomainError(f"search cost must lie in (0, {mu}), got {s}")
+    r = _checked_mean(prior, s) - s
     if not 0.0 <= alpha < 1.0:
         raise DomainError("alpha must lie in [0, 1)")
-    r = mu - s
     v_h_inf = bisect_root(
         lambda w: prior.partial_vf(0.0, w) - r * prior.cdf(w), 1e-12, 1.0, xtol=1e-13
     )

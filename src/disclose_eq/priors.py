@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect as _stdbisect
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Union
 
 import numpy as np
@@ -217,16 +218,16 @@ class PiecewiseLinearPrior(Prior):
         if any(q1 <= q0 for q0, q1 in zip(qs, qs[1:])):
             raise DomainError("knot probabilities must be strictly increasing")
 
-    # cached views (plain tuples keep the dataclass hashable)
-    @property
+    # views cached in the instance dict; equality and hashing see only knots
+    @cached_property
     def _xs(self) -> tuple[float, ...]:
         return tuple(k[0] for k in self.knots)
 
-    @property
+    @cached_property
     def _qs(self) -> tuple[float, ...]:
         return tuple(k[1] for k in self.knots)
 
-    @property
+    @cached_property
     def _slopes(self) -> tuple[float, ...]:
         xs, qs = self._xs, self._qs
         return tuple((qs[i + 1] - qs[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1))

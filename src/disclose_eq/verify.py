@@ -5,6 +5,8 @@ Three routes, deliberately redundant:
 * the closed-form multiplier and the four concavification optimality
   checks (continuity/convexity, domination, contact on the support, and
   the integral identity), all evaluated analytically or on dense grids;
+  the payoff and the multiplier share one branch object per market
+  (Equilibrium.branches);
 * a discretized linear-program best response over the exact feasible
   polytope (nonnegativity, unit mass, matched mean, and stop-loss
   dominance at every grid point), solved with scipy's HiGHS backend;
@@ -38,15 +40,13 @@ _GL_NODES = 32
 
 def multiplier_phi(eq, v):
     """The piecewise multiplier supporting the candidate disclosure."""
-    prior, n, at = eq.prior, eq.n, eq.alpha_tilde
+    b = eq.branches
     arr = np.atleast_1d(np.asarray(v, dtype=float))
-    f_pow = np.asarray(prior.cdf(arr)) ** (n - 1)
-    fln1 = float(prior.cdf(eq.v_l_star)) ** (n - 1)
-    mid = at + (1.0 - at) * (fln1 + eq.beta_star * (arr - eq.r_star))
+    f_pow = np.asarray(eq.prior.cdf(arr)) ** (eq.n - 1)
     out = np.where(
         arr < eq.v_l_star,
-        (at / eq.eta + 1.0 - at) * f_pow,
-        np.where(arr <= eq.v_h_star, mid, at + (1.0 - at) * f_pow),
+        b.low(f_pow),
+        np.where(arr <= eq.v_h_star, b.line(arr), b.high(f_pow)),
     )
     return float(out[0]) if np.ndim(v) == 0 else out
 
@@ -86,17 +86,12 @@ def _support_grid(eq, grid_size: int) -> np.ndarray:
 
 def expected_payoff(eq) -> float:
     """Closed-form expected payoff of a firm playing the market disclosure."""
-    prior, n, at = eq.prior, eq.n, eq.alpha_tilde
-    fl = float(prior.cdf(eq.v_l_star))
-    c_low = at / eq.eta + 1.0 - at
-    total = c_low * fl**n / n  # disclosed stretch below v_L (G = F there)
-    pool_top = min(eq.v_h_star, eq.v_t_star)
-    g_top = float(eq.g.cdf(pool_top))
-    # pooled stretch: integral of (at + (1-at) G^(n-1)) dG = at*mass + (1-at)*d(G^n)/n
-    total += at * (g_top - fl) + (1.0 - at) * (g_top**n - fl**n) / n
+    b = eq.branches
+    g_top = float(eq.g.cdf(min(eq.v_h_star, eq.v_t_star)))
+    # G = F below v_L; on the pooled stretch u = high(G**(n-1)) against dG
+    total = b.low_integral(0.0, b.fl) + b.high_integral(b.fl, g_top)
     if eq.v_h_star < 1.0:
-        fh = float(prior.cdf(eq.v_h_star))
-        total += at * (1.0 - fh) + (1.0 - at) * (1.0 - fh**n) / n
+        total += b.high_integral(b.fh, 1.0)
     return total
 
 
@@ -107,59 +102,26 @@ def payoff_identity_gap(eq) -> float:
 
 
 def integral_phi_dF(eq) -> float:
-    prior, n, at = eq.prior, eq.n, eq.alpha_tilde
-    fl = float(prior.cdf(eq.v_l_star))
-    fh = float(prior.cdf(eq.v_h_star))
-    fln1 = fl ** (n - 1)
-    c_low = at / eq.eta + 1.0 - at
-    total = c_low * fl**n / n
-    const = at + (1.0 - at) * (fln1 - eq.beta_star * eq.r_star)
-    total += const * (fh - fl) + (1.0 - at) * eq.beta_star * prior.partial_vf(
-        eq.v_l_star, eq.v_h_star
-    )
-    total += at * (1.0 - fh) + (1.0 - at) * (1.0 - fh**n) / n
+    b = eq.branches
+    total = b.low_integral(0.0, b.fl)
+    total += b.line_integral(b.fh - b.fl, eq.prior.partial_vf(eq.v_l_star, eq.v_h_star))
+    total += b.high_integral(b.fh, 1.0)
     return total
 
 
 def integral_phi_dG(eq) -> float:
-    prior, n, at = eq.prior, eq.n, eq.alpha_tilde
-    g = eq.g
-    fl = float(prior.cdf(eq.v_l_star))
-    fh = float(prior.cdf(eq.v_h_star))
-    fln1 = fl ** (n - 1)
-    c_low = at / eq.eta + 1.0 - at
-    total = c_low * fl**n / n  # G = F below v_L
+    b, g = eq.branches, eq.g
+    total = b.low_integral(0.0, b.fl)  # G = F below v_L
     pool_top = min(eq.v_h_star, eq.v_t_star)
-    const = at + (1.0 - at) * (fln1 - eq.beta_star * eq.r_star)
     g_top = float(g.cdf(pool_top))
-    mass = g_top - fl
     # integral of v dG over the pooled stretch, by parts
-    v_dg = pool_top * g_top - eq.r_star * fl - float(
+    v_dg = pool_top * g_top - eq.r_star * b.fl - float(
         g.cum_integral(pool_top) - g.cum_integral(eq.r_star)
     )
-    total += const * mass + (1.0 - at) * eq.beta_star * v_dg
+    total += b.line_integral(g_top - b.fl, v_dg)
     if eq.v_h_star < 1.0:
-        total += at * (1.0 - fh) + (1.0 - at) * (1.0 - fh**n) / n
+        total += b.high_integral(b.fh, 1.0)
     return total
-
-
-def _phi_branch_limits(eq, b: float) -> tuple[float, float]:
-    """Exact left/right limits of the multiplier at a branch seam b."""
-    prior, n, at = eq.prior, eq.n, eq.alpha_tilde
-    fln1 = float(prior.cdf(eq.v_l_star)) ** (n - 1)
-
-    def low(v: float) -> float:
-        return (at / eq.eta + 1.0 - at) * float(prior.cdf(v)) ** (n - 1)
-
-    def mid(v: float) -> float:
-        return at + (1.0 - at) * (fln1 + eq.beta_star * (v - eq.r_star))
-
-    def high(v: float) -> float:
-        return at + (1.0 - at) * float(prior.cdf(v)) ** (n - 1)
-
-    if b == eq.v_l_star:
-        return low(b), mid(b)
-    return mid(b), high(b)
 
 
 def check_dm_conditions(eq, grid_size: int = 1001) -> CertificateReport:
@@ -171,7 +133,7 @@ def check_dm_conditions(eq, grid_size: int = 1001) -> CertificateReport:
     """
     if grid_size < 501:
         raise DomainError("grid_size must be at least 501")
-    prior, n, at = eq.prior, eq.n, eq.alpha_tilde
+    prior, n, b = eq.prior, eq.n, eq.branches
     breaks = [eq.v_l_star, eq.r_star, eq.v_h_star, eq.v_t_star]
     grid = np.unique(
         np.clip(np.concatenate([np.linspace(0.0, 1.0, grid_size), breaks]), 0.0, 1.0)
@@ -181,21 +143,19 @@ def check_dm_conditions(eq, grid_size: int = 1001) -> CertificateReport:
 
     # DM1 continuity at interior seams
     gaps = [0.0]
-    for b in (eq.v_l_star, eq.v_h_star):
-        if 0.0 < b < 1.0:
-            left, right = _phi_branch_limits(eq, b)
-            gaps.append(abs(right - left))
+    if 0.0 < eq.v_l_star < 1.0:
+        gaps.append(abs(b.line(eq.v_l_star) - b.low(b.fln1)))
+    if 0.0 < eq.v_h_star < 1.0:
+        gaps.append(abs(b.high(b.fh ** (n - 1)) - b.line(eq.v_h_star)))
     max_cont_gap = max(gaps)
 
-    # DM1 convexity: analytic kink increments plus per-branch slope scans
-    c_low = at / eq.eta + 1.0 - at
+    # DM1 convexity: analytic kink increments plus per-branch slope scans;
+    # the scans also see concave prior knots that check_convexity admits
     increments = [0.0]
     if eq.v_l_star > 0.0:
-        increments.append(
-            (1.0 - at) * eq.beta_star - c_low * prior.pow_cdf_deriv(eq.v_l_star, n)
-        )
+        increments.append(b.slope - b.c_low * prior.pow_cdf_deriv(eq.v_l_star, n))
     if eq.v_h_star < 1.0:
-        increments.append((1.0 - at) * (prior.pow_cdf_deriv(eq.v_h_star, n) - eq.beta_star))
+        increments.append((1.0 - b.at) * (prior.pow_cdf_deriv(eq.v_h_star, n) - b.beta))
     pieces = [(0.0, eq.v_l_star), (eq.v_l_star, eq.v_h_star), (eq.v_h_star, 1.0)]
     for lo, hi in pieces:
         if hi - lo < 1e-9:
@@ -316,9 +276,6 @@ def expected_payoff_under(eq, g_dev: PosteriorDistribution) -> float:
     cdf; Gauss-Legendre per cell otherwise.  Atoms contribute mass times
     the (upper-semicontinuous) payoff at their location.
     """
-    prior, n, at = eq.prior, eq.n, eq.alpha_tilde
-    c_low = at / eq.eta + 1.0 - at
-    fln1 = float(prior.cdf(eq.v_l_star)) ** (n - 1)
     cuts = sorted(
         set(g_dev.breakpoints())
         | {eq.v_l_star, eq.r_star, min(eq.v_h_star, eq.v_t_star), eq.v_h_star}
@@ -329,68 +286,41 @@ def expected_payoff_under(eq, g_dev: PosteriorDistribution) -> float:
             lo_c, hi_c = max(lo, seg.a), min(hi, seg.b)
             if hi_c <= lo_c:
                 continue
-            total += _cell_payoff(eq, seg, lo_c, hi_c, c_low, fln1)
+            total += _cell_payoff(eq, g_dev, seg, lo_c, hi_c)
     if g_dev.atom is not None:
         loc, mass = g_dev.atom
         total += mass * float(payoff_u(eq, loc))
     return total
 
 
-def _cell_payoff(eq, seg, lo: float, hi: float, c_low: float, fln1: float) -> float:
-    """Integral of u dG_dev over one smooth cell."""
-    prior, n = eq.prior, eq.n
+def _cell_payoff(eq, g_dev: PosteriorDistribution, seg, lo: float, hi: float) -> float:
+    """Integral of u dG_dev over one smooth cell of the segment seg."""
     if isinstance(seg, Flat):
         return 0.0
+    b = eq.branches
     mid = 0.5 * (lo + hi)
-    below = mid < eq.r_star
-    pool_top = min(eq.v_h_star, eq.v_t_star)
-    at = eq.alpha_tilde
-
-    # piecewise closed forms keyed on (payoff branch, deviation segment kind)
-    if isinstance(seg, FullDisclosure):
-        if below and mid <= eq.v_l_star:
-            # u = c_low * F^(n-1), dG = dF
-            return c_low * float(
-                prior.cdf(hi) ** n - prior.cdf(lo) ** n
-            ) / n
-        if below:
-            return c_low * fln1 * float(prior.cdf(hi) - prior.cdf(lo))
-        if mid <= pool_top:
-            # u affine in v on the pooled interval
-            const = at + (1.0 - at) * (fln1 - eq.beta_star * eq.r_star)
-            slope = (1.0 - at) * eq.beta_star
-            mass = float(prior.cdf(hi) - prior.cdf(lo))
-            return const * mass + slope * prior.partial_vf(lo, hi)
-        if eq.v_h_star < 1.0 and mid > eq.v_h_star:
-            return at * float(prior.cdf(hi) - prior.cdf(lo)) + (1.0 - at) * float(
-                prior.cdf(hi) ** n - prior.cdf(lo) ** n
-            ) / n
-        # above the pooled cap but below 1: u = at + (1-at)*1
-        return float(prior.cdf(hi) - prior.cdf(lo))
-    # affine-power deviation segment
-    dev = seg
-
-    def dev_cdf(x):
-        w = np.clip(dev.base + dev.slope * (x - dev.anchor), 0.0, 1.0)
-        return w ** (1.0 / dev.root_power)
+    full = isinstance(seg, FullDisclosure)  # else affine-power
+    d_lo, d_hi = g_dev._seg_cdf(seg, lo), g_dev._seg_cdf(seg, hi)
+    mass = float(d_hi - d_lo)
+    # closed forms keyed on (payoff branch, deviation segment kind)
+    if mid < eq.r_star:
+        if mid > eq.v_l_star:
+            return b.c_low * b.fln1 * mass  # u is flat on (v_L, r)
+        if full:
+            return b.low_integral(d_lo, d_hi)  # u = low(F^(n-1)), dG = dF
+    elif mid <= min(eq.v_h_star, eq.v_t_star):
+        # u affine in v on the pooled interval; integral of v dG by parts
+        v_dg = hi * float(d_hi) - lo * float(d_lo) - float(g_dev._seg_integral(seg, lo, hi))
+        return b.line_integral(mass, v_dg)
+    elif eq.v_h_star >= 1.0:
+        return mass  # u = 1 above the pooled cap
+    elif full:
+        return b.high_integral(d_lo, d_hi)
 
     def dev_pdf(x):
-        w = np.clip(dev.base + dev.slope * (x - dev.anchor), 1e-300, 1.0)
-        return (dev.slope / dev.root_power) * w ** (1.0 / dev.root_power - 1.0)
+        w = np.clip(seg.base + seg.slope * (x - seg.anchor), 1e-300, 1.0)
+        return (seg.slope / seg.root_power) * w ** (1.0 / seg.root_power - 1.0)
 
-    if below and mid > eq.v_l_star:
-        return c_low * fln1 * float(dev_cdf(hi) - dev_cdf(lo))
-    if not below and mid <= pool_top:
-        const = at + (1.0 - at) * (fln1 - eq.beta_star * eq.r_star)
-        slope = (1.0 - at) * eq.beta_star
-        mass = float(dev_cdf(hi) - dev_cdf(lo))
-        # integral of v dG by parts against the deviation segment
-        v_dg = hi * float(dev_cdf(hi)) - lo * float(dev_cdf(lo)) - float(
-            PosteriorDistribution(prior=prior, segments=(dev,))._seg_integral(dev, lo, hi)
-        )
-        return const * mass + slope * v_dg
-    if not below and mid > pool_top and eq.v_h_star >= 1.0:
-        return float(dev_cdf(hi) - dev_cdf(lo))  # u = 1 above the pooled cap
     # remaining combination (u ~ F^(n-1) shape against an affine-power
     # deviation): quadrature
     return _quad(lambda x: np.asarray(payoff_u(eq, x)) * dev_pdf(x), lo, hi)
@@ -476,7 +406,7 @@ def hetero_check(prior: Prior, n: int, alpha: float, costs: CostDistribution) ->
         )
     r_1 = eq.r_star
     b_star = chord_slope_infimum(costs, mu, r_1)
-    lhs = (1.0 - eq.alpha_tilde) * eq.beta_star
+    lhs = eq.branches.slope
     rhs = eq.alpha_tilde * b_star
     grid = np.linspace(0.0, r_1, 2001)
     u_k = eq.alpha_tilde * (1.0 - np.asarray(costs.cdf(mu - grid)))

@@ -97,6 +97,15 @@ def test_alpha_zero_note(tmp_path):
     assert "full disclosure" in payload["note"]
 
 
+def test_alpha_zero_verify_passes(tmp_path):
+    cfg = _write(tmp_path, "cfg.json", {**BASE, "n": 3, "alpha": 0.0})
+    out = tmp_path / "v.json"
+    assert main(["verify", "--config", cfg, "--oracle-grid", "201", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["certificate"]["pass"]
+    assert payload["equilibrium"]["beta_star"] is None
+
+
 def test_sweep_csv(tmp_path, capsys):
     cfg = _write(
         tmp_path,

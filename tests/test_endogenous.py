@@ -184,6 +184,20 @@ def test_boundaries_and_domain(uniform):
     assert float(eq0.g.cdf(0.37)) == pytest.approx(0.37)
 
 
+def test_search_cost_domain_is_checked_once(uniform):
+    calls = [
+        lambda s: r_full_info(uniform, s),
+        lambda s: solve_endog(uniform, 2, 0.5, s),
+        lambda s: n_lower_bar(uniform, 0.5, s),
+        lambda s: v_h_large_n(uniform, 50, s),
+        lambda s: limit_equilibrium(uniform, 0.5, s),
+    ]
+    for call in calls:
+        for s in (0.0, 0.5, 0.7):
+            with pytest.raises(DomainError, match=rf"search cost must lie in \(0, 0.5\), got {s}"):
+                call(s)
+
+
 def test_power_prior_equilibrium_structure(eq_power):
     eq = eq_power
     assert 0.0 < eq.v_l_star < eq.r_star < eq.v_h_star < 1.0

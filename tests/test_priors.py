@@ -129,6 +129,16 @@ def test_piecewise_validation():
         PowerPrior(a=0.0)
 
 
+def test_piecewise_views_are_cached():
+    knots = ((0.0, 0.0), (0.5, 0.25), (1.0, 1.0))
+    prior = PiecewiseLinearPrior(knots=knots)
+    assert prior._slopes is prior._slopes
+    assert prior._xs is prior._xs and prior._qs is prior._qs
+    twin = PiecewiseLinearPrior(knots=knots)
+    # the cached views stay out of equality and hashing
+    assert twin == prior and hash(twin) == hash(prior)
+
+
 def test_json_round_trip():
     for prior in ALL_PRIORS:
         again = prior_from_json(prior.to_json_dict())

@@ -1,0 +1,32 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("market_structure_scan.py", ["--out", "market_structure.csv"]),
+        ("search_cost_scan.py", ["--points", "8", "--out", "search_cost.csv"]),
+        ("simulate_vs_theory.py", ["--consumers", "20000"]),
+    ],
+)
+def test_script_runs(tmp_path, script, args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for arg in args:
+        if arg.endswith(".csv"):
+            assert (tmp_path / arg).stat().st_size > 0

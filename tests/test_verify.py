@@ -117,6 +117,40 @@ def test_certificate_piecewise_prior():
         assert abs(payoff_identity_gap(eq)) < 1e-9
 
 
+def test_dm1_scan_catches_a_concave_knot():
+    # the density steps down at the knot, so F^(n-1) has a concave kink on
+    # the high branch; the grid convexity check is too coarse to see it
+    prior = PiecewiseLinearPrior(((0, 0), (0.402781076841272, 0.6303272509867991), (1, 1)))
+    n = 50
+    assert prior.check_convexity(n)
+    eq = solve_endog(prior, n, 0.8664104481949356, 0.31578356733494195)
+    (x, q), (m_left, m_right) = prior.knots[1], prior._slopes
+    assert eq.v_h_star < x
+    exact = (1.0 - eq.alpha_tilde) * (n - 1) * q ** (n - 2) * (m_right - m_left)
+    assert exact < -1e-9
+    report = check_dm_conditions(eq)
+    assert not report.dm1_convex
+    assert report.dm1_min_slope_increment < -1e-9
+    assert report.dm1_max_continuity_gap <= 1e-9
+    assert report.dm2_min_gap >= -1e-9
+    assert report.dm3_max_contact_violation <= 1e-8
+    assert report.dm4_integral_gap <= 1e-8
+
+
+def test_alpha_zero_certificate(uniform, power2, piecewise):
+    # the middle branch degenerates to the point r*; its tangent slope
+    # closes both seams and both kinks exactly
+    for prior, n in [(uniform, 2), (uniform, 3), (power2, 3), (piecewise, 5)]:
+        eq = solve_endog(prior, n, 0.0, 0.1)
+        assert eq.beta_star is None
+        report = check_dm_conditions(eq)
+        assert report.passed, report
+        assert report.dm1_max_continuity_gap == 0.0
+        assert report.dm1_min_slope_increment == 0.0
+        assert abs(payoff_identity_gap(eq)) < 1e-15
+        assert oracle_gap(eq, 201)["gap"] <= 0.2 / 201
+
+
 def test_certificate_fails_on_perturbed(uniform, eq_uniform_small):
     eq = eq_uniform_small
     bad = assemble_market(uniform, 2, 0.65, eq.v_l_star + 0.1, eq.r_star, 0.1)
