@@ -225,8 +225,11 @@ def _simulate_block(
     size: int,
     edges: np.ndarray,
     deviant: tuple[int, PosteriorDistribution] | None,
+    known: tuple[np.ndarray, np.ndarray] | None,
 ) -> _Totals:
-    """One block of consumers; `deviant` is (firm, its posterior) or None."""
+    """One block of consumers; `deviant` is (firm, its posterior) or None,
+    and `known` is (costs, reservation values) when the costs are known up
+    front, or None to solve the reservation values of the block's draws."""
     n = eq.n
     key = np.array([config.seed, block_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -264,12 +267,12 @@ def _simulate_block(
     # costly searchers: random order, reservation stopping (in quantile space)
     if n_inexp:
         costs = _draw_costs(rng, config.cost_model, n_inexp)
-        if isinstance(config.cost_model, SingleCost):
-            uniq = np.array([config.cost_model.s])
-            inverse = np.zeros(n_inexp, dtype=int)
-        else:
+        if known is None:
             uniq, inverse = np.unique(costs, return_inverse=True)
-        r_uniq = reservation_for_cost(eq.g, uniq)
+            r_uniq = reservation_for_cost(eq.g, uniq)
+        else:
+            uniq, r_uniq = known
+            inverse = np.searchsorted(uniq, costs)
         order = np.argsort(rng.random((n_inexp, n)), axis=1)  # firm at each position
         u = rng.random((n_inexp, n))
         # value drawn at each *position*; the deviant's cells redrawn from g_dev
@@ -305,8 +308,23 @@ def _simulate_block(
     return t
 
 
+def _known_reservations(
+    g: PosteriorDistribution, model: CostModel
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Every cost the model can draw, ascending, with its reservation value
+    under g; None for continuous costs, which are solved block by block."""
+    if isinstance(model, SingleCost):
+        costs = np.array([model.s])
+    elif isinstance(model.costs, DiscreteCosts):
+        costs = np.array([c for c, _ in model.costs.points])
+    else:
+        return None
+    return costs, reservation_for_cost(g, costs)
+
+
 def _run_blocks(eq, config, deviant=None) -> tuple[_Totals, np.ndarray]:
     edges = _bin_edges(config.bins, eq)
+    known = _known_reservations(eq.g, config.cost_model)
     sizes = []
     remaining = config.consumers
     while remaining > 0:
@@ -320,7 +338,7 @@ def _run_blocks(eq, config, deviant=None) -> tuple[_Totals, np.ndarray]:
 
     def run(i_size):
         i, size = i_size
-        return i, _simulate_block(eq, config, i, size, edges, deviant)
+        return i, _simulate_block(eq, config, i, size, edges, deviant, known)
 
     results: dict[int, _Totals] = {}
     if workers == 1:

@@ -9,7 +9,9 @@ Three routes, deliberately redundant:
   (Equilibrium.branches);
 * a discretized linear-program best response over the exact feasible
   polytope (nonnegativity, unit mass, matched mean, and stop-loss
-  dominance at every grid point), solved with scipy's HiGHS backend;
+  dominance at every grid point), solved with scipy's HiGHS backend over
+  the stop-loss slack at the grid points: a tridiagonal LP with O(m)
+  nonzeros, run at fixed feasibility tolerances of 1e-10;
 * direct expected-payoff comparisons for hand-built deviations.
 
 The cost-heterogeneity check implements the large-market sufficiency
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .candidate import verify_mpc
@@ -32,6 +35,12 @@ from .posterior import Flat, FullDisclosure, PosteriorDistribution
 from .priors import Prior
 
 _GL_NODES = 32
+# oracle LP: HiGHS feasibility tolerances (its rows carry 1/h), the size
+# below which HiGHS ignores a matrix entry, and the width below which a
+# cell gets a slope variable of its own
+_LP_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+_HIGHS_SMALL_ENTRY = 1e-9
+_NARROW_CELL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +218,34 @@ def discretize_prior(prior: Prior, grid: np.ndarray) -> np.ndarray:
     return np.diff(cdf_vals)
 
 
+def _slack_map(h: np.ndarray, narrow: np.ndarray) -> tuple[sparse.csr_array, np.ndarray]:
+    """Stop-loss slack at each grid point as a sparse map of the LP variables.
+
+    A point carries a slack variable of its own unless the cell below it is
+    one of the narrow cells; across such a cell the slack grows by h times a
+    slope variable of the cell's own.  Returns the map and the mask of
+    points that carry their own variable.
+    """
+    m = len(h) + 1
+    own = np.ones(m, dtype=bool)
+    own[narrow + 1] = False
+    n_own = int(np.sum(own))
+    var = np.cumsum(own) - 1
+    terms: dict[int, list[tuple[int, float]]] = {}
+    for i, k in enumerate(narrow):
+        terms[k + 1] = terms.get(k, [(var[k], 1.0)]) + [(n_own + i, h[k])]
+    rows, cols, vals = [np.flatnonzero(own)], [var[own]], [np.ones(n_own)]
+    for j, t in terms.items():
+        rows.append(np.full(len(t), j))
+        cols.append(np.array([c for c, _ in t]))
+        vals.append(np.array([v for _, v in t]))
+    slack = sparse.csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(m, n_own + len(narrow)),
+    )
+    return slack, own
+
+
 def best_response_oracle(
     u_values: Sequence[float], prior: Prior, grid: Sequence[float]
 ) -> tuple[float, np.ndarray]:
@@ -216,29 +253,60 @@ def best_response_oracle(
 
     max sum g_i u_i  s.t.  g >= 0, sum g = 1, sum g v = sum f v, and for
     every grid point t: sum g_i (t - v_i)+ <= sum f_i (t - v_i)+.
+
+    The LP is solved over the stop-loss slack D_k = b_k - S_k instead of
+    the masses, where S_k = sum g_i (t_k - v_i)+ and b = cumsum(h * cumsum(f))
+    is the prior's stop-loss.  Dominance is D >= 0, and D vanishes at the
+    bottom point and, for the matched mean, at the top one, so all three
+    are bounds.  The slope of D on cell k is the prior's mass at or below
+    t_k less g's, so the masses are g = f plus the slope increments and
+    g >= 0 is m tridiagonal rows: O(m) nonzeros in all.  A cell narrower
+    than _NARROW_CELL is too short for D to resolve its slope, so that
+    slope is a variable of its own (_slack_map).  The rows carry 1/h, so
+    HiGHS runs at fixed feasibility tolerances of 1e-10 instead of its
+    1e-7 defaults, and the entries HiGHS would ignore are dropped here
+    first, so the masses come from the model that was solved.
     """
     grid = np.asarray(grid, dtype=float)
     u_values = np.asarray(u_values, dtype=float)
-    if grid.ndim != 1 or grid.shape != u_values.shape:
-        raise DomainError("grid and u_values must be 1-d arrays of equal length")
+    if grid.ndim != 1 or grid.shape != u_values.shape or len(grid) < 2:
+        raise DomainError("grid and u_values must be 1-d arrays of equal length >= 2")
+    h = np.diff(grid)
+    if not np.all(h > 0.0):
+        raise DomainError("grid must be strictly increasing")
+    m = len(grid)
     f = discretize_prior(prior, grid)
-    # stop-loss matrix: A[k, i] = (t_k - v_i)+
-    a_ub = np.maximum(grid[:, None] - grid[None, :], 0.0)
-    b_ub = a_ub @ f
-    a_eq = np.vstack([np.ones_like(grid), grid])
-    b_eq = np.array([1.0, float(grid @ f)])
+    narrow = np.flatnonzero(h < _NARROW_CELL)
+    slack, own = _slack_map(h, narrow)
+    slope = sparse.diags_array(1.0 / h) @ (slack[1:] - slack[:-1])
+    slope.data[np.abs(slope.data) < _HIGHS_SMALL_ENTRY] = 0.0
+    slope.eliminate_zeros()
+    rise = sparse.diags_array(
+        [np.ones(m - 1), -np.ones(m - 1)], offsets=[-1, 0], shape=(m, m - 1)
+    )
+    lift = rise @ slope  # the masses are f + lift @ x
+    # own slack >= 0; a narrow cell's slope is the prior's mass up to the
+    # cell less g's, so it lies in [F_k - 1, F_k]
+    cdf = np.cumsum(f)[narrow]
+    n_own = m - len(narrow)
+    bounds = np.column_stack([
+        np.concatenate([np.zeros(n_own), cdf - 1.0]),
+        np.concatenate([np.full(n_own, np.inf), cdf]),
+    ])
     res = linprog(
-        -u_values,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0.0, None),
+        -(lift.T @ u_values),
+        # g >= 0, and D >= 0 at the points without a variable of their own
+        A_ub=sparse.vstack([-lift, -slack[~own]]),
+        b_ub=np.concatenate([f, np.zeros(len(narrow))]),
+        A_eq=slack[[0, m - 1]],  # D = 0 at the bottom, and at the top (the mean)
+        b_eq=np.zeros(2),
+        bounds=bounds,
         method="highs",
+        options=_LP_TOLERANCES,
     )
     if not res.success:  # pragma: no cover - the prior's own cells are feasible
         raise ValidationFailureError("oracle-lp", res.message)
-    return -float(res.fun), np.asarray(res.x)
+    return float(u_values @ f - res.fun), f + lift @ res.x
 
 
 def oracle_gap(eq, m: int) -> dict[str, float]:

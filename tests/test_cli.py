@@ -75,6 +75,15 @@ def test_verify_oracle_and_perturbation(tmp_path):
     assert main(["verify", "--config", cfg, "--perturb", "v_L", "0.05"]) == 4
 
 
+def test_verify_on_a_large_oracle_grid(tmp_path):
+    cfg = _write(tmp_path, "cfg.json", {"prior": {"family": "power", "a": 2.0}, "n": 3, "alpha": 0.4, "s": 0.15})
+    out = tmp_path / "v.json"
+    assert main(["verify", "--config", cfg, "--oracle-grid", "4001", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["oracle"]["m"] >= 4001
+    assert payload["oracle"]["gap"] <= payload["oracle_bound"]
+
+
 def test_exit_codes(tmp_path, capsys):
     missing = _write(tmp_path, "bad.json", {"prior": {"family": "uniform"}})
     assert main(["solve", "--config", missing]) == 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from disclose_eq import full_disclosure_distribution
+from disclose_eq import full_disclosure_distribution, montecarlo
 from disclose_eq.costs import ContinuousCosts, DiscreteCosts
 from disclose_eq.endogenous import payoff_u, solve_endog
 from disclose_eq.errors import DomainError, ValidationFailureError
@@ -132,6 +132,30 @@ def test_reproducibility_and_parallel(eq_uniform_small):
     assert json.dumps(a.to_json_dict(), sort_keys=True) != json.dumps(
         d.to_json_dict(), sort_keys=True
     )
+
+
+@pytest.mark.parametrize(
+    "cost_model, solves",
+    [
+        (SingleCost(0.1), 1),
+        (HeterogeneousCosts(DiscreteCosts(points=((0.05, 0.5), (0.1, 0.5)))), 1),
+        (HeterogeneousCosts(ContinuousCosts(((0.05, 0.0), (0.2, 1.0)))), 3),
+    ],
+    ids=["single", "discrete", "continuous"],
+)
+def test_reservation_values_are_solved_once_when_costs_are_known(
+    eq_uniform_small, monkeypatch, cost_model, solves
+):
+    calls = []
+
+    def counted(g, s):
+        calls.append(np.size(s))
+        return reservation_for_cost(g, s)
+
+    monkeypatch.setattr(montecarlo, "reservation_for_cost", counted)
+    cfg = SimConfig(consumers=2 * (1 << 16) + 1000, seed=5, cost_model=cost_model, workers=2)
+    simulate_market(eq_uniform_small, cfg)  # three blocks
+    assert len(calls) == solves
 
 
 def test_heterogeneous_costs_stop_first(eq_uniform_large):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from disclose_eq import full_disclosure_distribution, point_mass
+from disclose_eq import PowerPrior, UniformPrior, full_disclosure_distribution, point_mass
 from disclose_eq.costs import ContinuousCosts, DiscreteCosts
 from disclose_eq.endogenous import assemble_market, payoff_u, solve_endog
-from disclose_eq.errors import ValidationFailureError
+from disclose_eq.errors import DomainError, ValidationFailureError
 from disclose_eq.posterior import Flat, FullDisclosure, PosteriorDistribution
 from disclose_eq.priors import PiecewiseLinearPrior
 from disclose_eq.verify import (
@@ -189,7 +192,7 @@ def test_oracle_indicator_payoff(uniform):
 
 
 def test_oracle_gap_shrinks(eq_power):
-    gaps = [oracle_gap(eq_power, m)["gap"] for m in (101, 201, 401)]
+    gaps = [oracle_gap(eq_power, m)["gap"] for m in (101, 201, 401, 801)]
     assert all(g >= -1e-9 for g in gaps)
     assert all(b <= max(a, 1e-9) for a, b in zip(gaps, gaps[1:]))
     assert gaps[1] <= 0.2 / 201
@@ -208,6 +211,146 @@ def test_oracle_flags_perturbed_candidates(uniform, eq_uniform_small):
         bad = assemble_market(uniform, 2, 0.65, eq.v_l_star + delta, eq.r_star, 0.1)
         gap = oracle_gap(bad, 201)["gap"]
         assert gap > bound  # certified strictly positive deviation gain
+
+
+def _stop_loss_matrix(grid):
+    """A[k, i] = (t_k - v_i)+ over the grid."""
+    return np.maximum(grid[:, None] - grid[None, :], 0.0)
+
+
+def _dense_oracle(u, prior, grid):
+    """The oracle LP over the masses with the dense stop-loss matrix, at the
+    same 1e-10 HiGHS tolerances: the reference value."""
+    f = discretize_prior(prior, grid)
+    a_ub = _stop_loss_matrix(grid)
+    res = linprog(
+        -np.asarray(u),
+        A_ub=a_ub,
+        b_ub=a_ub @ f,
+        A_eq=np.vstack([np.ones_like(grid), grid]),
+        b_eq=np.array([1.0, float(grid @ f)]),
+        bounds=(0.0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.success
+    return -float(res.fun)
+
+
+def _assert_contraction(masses, prior, grid, mass_tol=1e-12, stop_loss_tol=1e-10):
+    """The masses are nonnegative with the prior's mass and mean, and their
+    stop-loss stays below the prior's at every grid point."""
+    f = discretize_prior(prior, grid)
+    assert masses.min() >= -mass_tol
+    assert abs(masses.sum() - 1.0) <= mass_tol
+    assert abs(grid @ masses - grid @ f) <= mass_tol
+    a_ub = _stop_loss_matrix(grid)
+    assert np.max(a_ub @ masses - a_ub @ f) <= stop_loss_tol
+
+
+def _seeded_markets():
+    """Two solved markets per prior family and regime, then two
+    non-equilibrium candidates."""
+    rng = np.random.default_rng(7)
+    markets = []
+    for family in ("uniform", "power", "piecewise"):
+        for bottom in (True, False):
+            found = 0
+            while found < 2:
+                if family == "uniform":
+                    prior = UniformPrior()
+                elif family == "power":
+                    prior = PowerPrior(a=float(rng.uniform(1.0, 4.0)))
+                else:
+                    x = float(rng.uniform(0.3, 0.7))
+                    q = x * float(rng.uniform(0.3, 0.8))  # convex: slopes rise at the knot
+                    prior = PiecewiseLinearPrior(knots=((0.0, 0.0), (x, q), (1.0, 1.0)))
+                alpha = float(rng.uniform(0.2, 0.8))
+                if bottom:
+                    n = int(rng.integers(2, 4))
+                    s = float(rng.uniform(0.05, 0.4)) * (1.0 - alpha) * prior.mean()
+                else:
+                    n = int(rng.integers(20, 60))
+                    s = float(rng.uniform(0.05, 0.8)) * prior.mean()
+                eq = solve_endog(prior, n, alpha, s)
+                if eq.bottom_disclosure == bottom:
+                    markets.append(eq)
+                    found += 1
+    eq = solve_endog(UniformPrior(), 2, 0.65, 0.1)
+    for delta in (-0.05, 0.03):
+        markets.append(assemble_market(eq.prior, 2, 0.65, eq.v_l_star + delta, eq.r_star, 0.1))
+    return markets
+
+
+def test_oracle_matches_dense_reference_on_seeded_markets():
+    markets = _seeded_markets()
+    assert len(markets) == 14
+    assert {eq.bottom_disclosure for eq in markets} == {True, False}
+    for eq in markets:
+        for m in (101, 201):
+            grid = oracle_grid(eq, m)
+            u = payoff_u(eq, grid)
+            value, masses = best_response_oracle(u, eq.prior, grid)
+            assert value == pytest.approx(_dense_oracle(u, eq.prior, grid), abs=1e-9)
+            _assert_contraction(masses, eq.prior, grid)
+
+
+@settings(max_examples=12, deadline=5000)
+@given(
+    m=st.integers(101, 401),
+    jitter_seed=st.integers(0, 2**32 - 1),
+    u_knots=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
+    prior_spec=st.one_of(
+        st.tuples(st.just("uniform")),
+        st.tuples(st.just("power"), st.floats(0.3, 5.0)),
+        st.tuples(st.just("piecewise"), st.floats(0.1, 0.9), st.floats(0.1, 0.9)),
+    ),
+)
+def test_oracle_matches_dense_reference_on_random_grids(m, jitter_seed, u_knots, prior_spec):
+    # interior points jittered by up to 3/8 of the spacing
+    rng = np.random.default_rng(jitter_seed)
+    grid = np.linspace(0.0, 1.0, m)
+    grid[1:-1] += rng.uniform(-0.375, 0.375, m - 2) / (m - 1)
+    u = np.interp(grid, np.linspace(0.0, 1.0, len(u_knots)), u_knots)
+    if prior_spec[0] == "uniform":
+        prior = UniformPrior()
+    elif prior_spec[0] == "power":
+        prior = PowerPrior(a=prior_spec[1])
+    else:
+        prior = PiecewiseLinearPrior(knots=((0.0, 0.0), prior_spec[1:], (1.0, 1.0)))
+    value, masses = best_response_oracle(u, prior, grid)
+    assert value == pytest.approx(_dense_oracle(u, prior, grid), abs=1e-9)
+    _assert_contraction(masses, prior, grid)
+
+
+@pytest.mark.parametrize("eps", [1e-16, 1e-12, 1e-9, 5e-8, 2e-7, 1e-5])
+def test_oracle_resolves_narrow_cells(uniform, eps):
+    # cells of width eps (and 1.5 eps) next to a payoff jump and a kink
+    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, 201), [0.3 + eps, 0.3 + 2.5 * eps, 0.71 - eps]]))
+    u = (grid >= 0.3 + eps) + 0.3 * grid**2 - 0.4 * (grid > 0.71 - eps) * (grid - 0.5)
+    value, masses = best_response_oracle(u, uniform, grid)
+    assert value == pytest.approx(_dense_oracle(u, uniform, grid), abs=1e-9)
+    # a cell just wide enough to carry no slope variable resolves its
+    # mass to about 1e-17 / width
+    _assert_contraction(masses, uniform, grid, mass_tol=1e-10)
+
+
+def test_oracle_on_a_breakpoint_one_ulp_off_the_grid(uniform):
+    # r* = 0.475 is computed one ulp away from the grid point 95/200
+    eq = solve_endog(uniform, 10, 0.65, 0.15)
+    grid = oracle_grid(eq, 201)
+    assert np.min(np.diff(grid)) < 1e-15
+    u = payoff_u(eq, grid)
+    value, masses = best_response_oracle(u, uniform, grid)
+    assert value == pytest.approx(_dense_oracle(u, uniform, grid), abs=1e-9)
+    _assert_contraction(masses, uniform, grid)
+    assert oracle_gap(eq, 201)["gap"] <= 0.2 / 201
+
+
+def test_oracle_rejects_an_unsorted_grid(uniform):
+    grid = np.array([0.0, 0.5, 0.4, 1.0])
+    with pytest.raises(DomainError):
+        best_response_oracle(grid, uniform, grid)
 
 
 # ---------------------------------------------------------------------------
