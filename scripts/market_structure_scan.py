@@ -11,8 +11,8 @@ Usage: python3 scripts/market_structure_scan.py [--alpha 0.5] [--s 0.1]
 import argparse
 
 from disclose_eq import UniformPrior
-from disclose_eq.endogenous import limit_equilibrium, n_lower_bar, solve_endog
-from disclose_eq.welfare import equilibrium_row, write_scan_csv
+from disclose_eq.endogenous import limit_equilibrium, n_lower_bar
+from disclose_eq.welfare import scan_csv_text, sweep
 
 
 def main() -> None:
@@ -31,20 +31,18 @@ def main() -> None:
 
     grid = sorted(set(range(2, nbar + 1)) | {nbar + 1, nbar + 2, 2 * nbar, 4 * nbar})
     rows = []
-    prev = None
-    for n in grid:
-        eq = solve_endog(prior, n, args.alpha, args.s)
-        row = {"n": n}
-        row.update(equilibrium_row(eq, prev))
-        row["error"] = ""
+    for row, eq in sweep(prior, "n", grid, {"alpha": args.alpha, "s": args.s}):
         rows.append(row)
-        prev = eq
+        if eq is None:
+            print(f"n={row['n']:5d}  error: {row['error']}")
+            continue
         tag = "searches actively" if row["p_multi_visit"] > 0 else "stops at first firm"
         print(
-            f"n={n:5d}  r*={row['r_star']:.4f}  v_L*={row['v_L_star']:.4f}  "
+            f"n={row['n']:5d}  r*={row['r_star']:.4f}  v_L*={row['v_L_star']:.4f}  "
             f"CS_s={row['cs_savvy']:.4f}  CS_i={row['cs_inexperienced']:.4f}  ({tag})"
         )
-    write_scan_csv(rows, args.out, axis_column="n")
+    with open(args.out, "w", newline="") as fh:
+        fh.write(scan_csv_text(rows, axis_column="n"))
     print(f"wrote {args.out}")
 
 

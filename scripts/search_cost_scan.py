@@ -12,7 +12,7 @@ import argparse
 import numpy as np
 
 from disclose_eq import UniformPrior
-from disclose_eq.welfare import threshold_scan, write_scan_csv
+from disclose_eq.welfare import scan_csv_text, threshold_scan
 
 
 def main() -> None:
@@ -34,8 +34,8 @@ def main() -> None:
         print(f"s_tilde_est = {report.s_tilde_est:.6f} (+- {report.grid_resolution:.4f})")
     for name, value in report.flags.items():
         print(f"{name}: {value}")
-    rows = [dict(row, error="") for row in report.rows]
-    write_scan_csv(rows, args.out, axis_column="s")
+    with open(args.out, "w", newline="") as fh:
+        fh.write(scan_csv_text(report.rows, axis_column="s"))
     print(f"wrote {args.out}")
 
 

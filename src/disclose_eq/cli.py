@@ -7,6 +7,10 @@ JSON goes to stdout (or --out); sweeps emit CSV.  Exit codes:
   1 malformed config 4 certificate failure
   2 invariant failed 5 statistical failure (simulation z-score > 5)
 
+Numeric config values are read by _read: missing, non-numeric or, for n
+and the counts, non-integral values are malformed.  The solvers check the
+ranges, and their DomainError also exits 1.
+
 Every structured output carries the sha256 of the canonical config and
 the package version.  Floats serialize via repr, which round-trips
 exactly.  DISCLOSE_EQ_THREADS caps simulation parallelism.
@@ -48,7 +52,7 @@ from .montecarlo import (
     simulate_market,
 )
 from .priors import Prior, prior_from_json
-from .welfare import cs_inexperienced, cs_savvy, equilibrium_row, scan_csv_text
+from .welfare import cs_inexperienced, cs_savvy, scan_csv_text, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -92,19 +96,25 @@ def _require(cfg: dict[str, Any], key: str):
     return cfg[key]
 
 
+def _read(cfg: dict[str, Any], key: str, kind: type, default=None):
+    """cfg[key] (default when absent) as an int or a float; the solvers check ranges."""
+    value = cfg.get(key, default)
+    if value is None:
+        raise ConfigError(f"config is missing required key {key!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:
+        out = kind(value)
+    except (OverflowError, ValueError) as exc:  # int() of inf or nan
+        raise ConfigError(f"{key} must be finite, got {value!r}") from exc
+    if kind is int and out != value:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return out
+
+
 def _market_params(cfg: dict[str, Any]) -> tuple[Prior, int, float, float]:
     prior = prior_from_json(_require(cfg, "prior"))
-    n = _require(cfg, "n")
-    if not isinstance(n, int) or n < 2:
-        raise ConfigError("n must be an integer >= 2")
-    alpha = float(_require(cfg, "alpha"))
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError("alpha must lie in [0, 1]")
-    s = float(_require(cfg, "s"))
-    mu = prior.mean()
-    if not 0.0 < s < mu:
-        raise ConfigError(f"s must lie in (0, mu) = (0, {mu})")
-    return prior, n, alpha, s
+    return prior, _read(cfg, "n", int), _read(cfg, "alpha", float), _read(cfg, "s", float)
 
 
 def _emit(payload: dict[str, Any], out: str | None) -> None:
@@ -143,26 +153,12 @@ def cmd_sweep(cfg: dict[str, Any], args) -> int:
     prior = prior_from_json(_require(cfg, "prior"))
     axis = _require(cfg, "axis")
     grid = _require(cfg, "grid")
-    if axis not in ("n", "s", "alpha"):
-        raise ConfigError("axis must be one of n | s | alpha")
     if not isinstance(grid, list) or len(grid) < 2:
         raise ConfigError("grid must be a list with at least two points")
-    base = {k: cfg.get(k) for k in ("n", "alpha", "s")}
-    rows = []
-    prev = None
-    for value in grid:
-        row: dict[str, Any] = {axis: value}
-        params = dict(base)
-        params[axis] = value
-        try:
-            eq = solve_endog(prior, int(params["n"]), float(params["alpha"]), float(params["s"]))
-            row.update(equilibrium_row(eq, prev))
-            row["error"] = ""
-            prev = eq
-        except DiscloseEqError as exc:
-            row["error"] = str(exc)
-            prev = None
-        rows.append(row)
+    base = {k: _read(cfg, k, int if k == "n" else float) for k in ("n", "alpha", "s") if k != axis}
+    for value in grid:  # checked only: the CSV keeps each grid value as written
+        _read({"grid": value}, "grid", int if axis == "n" else float)
+    rows = [row for row, _ in sweep(prior, axis, grid, base)]
     comments = [
         f"config_sha256={_config_hash(cfg)}",
         f"version={__version__}",
@@ -183,7 +179,11 @@ def cmd_verify(cfg: dict[str, Any], args) -> int:
     prior, n, alpha, s = _market_params(cfg)
     eq = solve_endog(prior, n, alpha, s)
     if args.perturb:
-        field, delta = args.perturb[0], float(args.perturb[1])
+        field, text = args.perturb
+        try:
+            delta = float(text)
+        except ValueError as exc:
+            raise ConfigError(f"--perturb DELTA must be a number, got {text!r}") from exc
         if field == "v_L":
             eq = assemble_market(prior, n, alpha, eq.v_l_star + delta, eq.r_star, s)
         elif field == "r":
@@ -220,14 +220,14 @@ def cmd_simulate(cfg: dict[str, Any], args) -> int:
     if cost_spec is None:
         cost_model = SingleCost(s)
     elif isinstance(cost_spec, dict) and cost_spec.get("type") == "single":
-        cost_model = SingleCost(float(cost_spec["s"]))
+        cost_model = SingleCost(_read(cost_spec, "s", float))
     else:
         cost_model = HeterogeneousCosts(cost_distribution_from_json(cost_spec))
     config = SimConfig(
-        consumers=int(cfg.get("consumers", 100_000)),
+        consumers=_read(cfg, "consumers", int, 100_000),
         seed=args.seed,
         cost_model=cost_model,
-        bins=int(cfg.get("bins", 50)),
+        bins=_read(cfg, "bins", int, 50),
     )
     report = simulate_market(eq, config)
     z_scores = _z_scores(eq, report)
@@ -279,14 +279,11 @@ def _write_curve_csv(eq, report, path: str, prov: dict[str, str]) -> None:
 
 def cmd_limit(cfg: dict[str, Any], args) -> int:
     prior = prior_from_json(_require(cfg, "prior"))
-    alpha = float(_require(cfg, "alpha"))
-    s = float(_require(cfg, "s"))
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("limit analysis needs alpha in (0, 1)")
+    alpha, s = _read(cfg, "alpha", float), _read(cfg, "s", float)
     nbar = n_lower_bar(prior, alpha, s)
     seq = []
     n = nbar
-    for _ in range(int(cfg.get("doublings", 6)) + 1):
+    for _ in range(_read(cfg, "doublings", int, 6) + 1):
         try:
             seq.append([n, v_h_large_n(prior, n, s)])
         except NoInteriorRootError:
@@ -314,16 +311,16 @@ def cmd_hetero(cfg: dict[str, Any], args) -> int:
     from .verify import hetero_check, hetero_first_holding_n
 
     prior = prior_from_json(_require(cfg, "prior"))
-    alpha = float(_require(cfg, "alpha"))
+    alpha = _read(cfg, "alpha", float)
     costs = cost_distribution_from_json(_require(cfg, "cost_model"))
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < alpha < 1.0:  # hetero_check would report alpha = 0 as an invariant failure
         raise ConfigError("hetero analysis needs alpha in (0, 1)")
     payload: dict[str, Any] = {
         "command": "hetero",
         "provenance": _provenance(cfg),
     }
     if "n" in cfg:
-        report = hetero_check(prior, int(cfg["n"]), alpha, costs)
+        report = hetero_check(prior, _read(cfg, "n", int), alpha, costs)
         payload["report"] = report.to_json_dict()
     first_n, first_report = hetero_first_holding_n(prior, alpha, costs)
     payload["first_holding_n"] = first_n

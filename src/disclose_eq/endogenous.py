@@ -24,11 +24,11 @@ from .errors import (
     DomainError,
     IterationCapError,
     NoInteriorRootError,
-    UnsupportedBoundaryError,
     ValidationFailureError,
 )
 from .exogenous import (
     REGIME_FULL,
+    _check_market,
     posterior_share,
     r_lower_bar,
     solve_v_l_eq,
@@ -274,16 +274,7 @@ def validate_equilibrium(eq: Equilibrium) -> None:
 def solve_endog(prior: Prior, n: int, alpha: float, s: float) -> Equilibrium:
     """Solve the full model for (prior, n, alpha, s)."""
     mu = _checked_mean(prior, s)
-    if n < 2:
-        raise DomainError("need n >= 2")
-    if alpha == 1.0:
-        raise UnsupportedBoundaryError(
-            "alpha = 1 admits a continuum of pooling equilibria; not representable"
-        )
-    if not 0.0 <= alpha < 1.0:
-        raise DomainError("alpha must lie in [0, 1)")
-    if not prior.check_convexity(n):
-        raise DomainError("prior fails the convexity requirement on F**(n-1)")
+    _check_market(prior, n, alpha)
 
     if alpha == 0.0:
         r = r_full_info(prior, s)

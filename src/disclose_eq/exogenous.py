@@ -130,12 +130,10 @@ def solve_v_l_eq(prior: Prior, n: int, alpha: float, r: float) -> float:
     return bisect_root(z, lo, hi, xtol=1e-12, f_lo=z_lo, f_hi=z_hi)
 
 
-def solve_exog(prior: Prior, n: int, alpha: float, r: float) -> ExogEquilibrium:
-    """Solve the fixed-reservation-value equilibrium."""
+def _check_market(prior: Prior, n: int, alpha: float) -> None:
+    """The (n, alpha) domain of a market, and the prior's convexity on F**(n-1)."""
     if n < 2:
         raise DomainError("need n >= 2")
-    if not 0.0 < r < 1.0:
-        raise DomainError("reservation value must lie in (0, 1)")
     if alpha == 1.0:
         raise UnsupportedBoundaryError(
             "alpha = 1 admits a continuum of pooling equilibria; not representable"
@@ -144,6 +142,13 @@ def solve_exog(prior: Prior, n: int, alpha: float, r: float) -> ExogEquilibrium:
         raise DomainError("alpha must lie in [0, 1)")
     if not prior.check_convexity(n):
         raise DomainError("prior fails the convexity requirement on F**(n-1)")
+
+
+def solve_exog(prior: Prior, n: int, alpha: float, r: float) -> ExogEquilibrium:
+    """Solve the fixed-reservation-value equilibrium."""
+    _check_market(prior, n, alpha)
+    if not 0.0 < r < 1.0:
+        raise DomainError("reservation value must lie in (0, 1)")
     if alpha == 0.0:
         g = full_disclosure_distribution(prior)
         eta = visit_probability(prior, n, r)  # G(r) = F(r) under full disclosure

@@ -90,13 +90,6 @@ class Prior:
             raise DomainError("conditional mean above the support top")
         return self.partial_vf(a, 1.0) / mass
 
-    def conditional_mean_below(self, b: float) -> float:
-        """E[v | v < b]."""
-        mass = self.cdf(b)
-        if mass <= 0.0:
-            raise DomainError("conditional mean below the support bottom")
-        return self.partial_vf(0.0, b) / mass
-
     def truncated_moments(self, a: float, b: float, n: int) -> TruncatedMoments:
         if b <= a:
             raise DomainError(f"degenerate interval: need a < b, got [{a}, {b}]")

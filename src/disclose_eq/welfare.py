@@ -9,12 +9,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .endogenous import Equilibrium, solve_endog
-from .errors import DomainError
+from .errors import DiscloseEqError, DomainError
 from .exogenous import r_lower_bar
 from .posterior import Flat, FullDisclosure, PosteriorDistribution
 from .priors import Prior
@@ -159,6 +159,32 @@ def equilibrium_row(eq: Equilibrium, prev: Equilibrium | None) -> dict[str, Any]
     }
 
 
+def sweep(
+    prior: Prior, axis: str, grid: Iterable[Any], base: dict[str, Any]
+) -> Iterator[tuple[dict[str, Any], Equilibrium | None]]:
+    """Solve the market at each point of a grid along axis n, s or alpha.
+
+    base holds the other two parameters.  Yields (row, eq) per point; row
+    holds the grid value as given, the equilibrium_row columns and an empty
+    "error".  A point that raises DiscloseEqError yields eq = None with the
+    exception under "error", and the next point gets no verdict_vs_prev.
+    """
+    if axis not in ("n", "s", "alpha"):
+        raise DomainError("axis must be one of n | s | alpha")
+    prev: Equilibrium | None = None
+    for value in grid:
+        params = {**base, axis: value}
+        row: dict[str, Any] = {axis: value}
+        try:
+            eq = solve_endog(prior, int(params["n"]), float(params["alpha"]), float(params["s"]))
+        except DiscloseEqError as exc:
+            eq, row["error"] = None, exc
+        else:
+            row.update(equilibrium_row(eq, prev), error="")
+        prev = eq
+        yield row, eq
+
+
 def threshold_scan(
     prior: Prior, n: int, alpha: float, s_grid: Sequence[float]
 ) -> ThresholdReport:
@@ -177,14 +203,11 @@ def threshold_scan(
     s_bar = mu - r_lower_bar(prior, n, alpha)
     solved: list[tuple[float, Equilibrium]] = []
     rows: list[dict[str, Any]] = []
-    prev: Equilibrium | None = None
-    for s in s_grid:
-        eq = solve_endog(prior, n, alpha, s)
-        row = {"s": s}
-        row.update(equilibrium_row(eq, prev))
+    for row, eq in sweep(prior, "s", s_grid, {"n": n, "alpha": alpha}):
+        if eq is None:
+            raise row["error"]
         rows.append(row)
-        solved.append((s, eq))
-        prev = eq
+        solved.append((row["s"], eq))
 
     # largest prefix of the grid on which there is no disclosure at the top,
     # capped at s_bar (the two thresholds are ordered)
@@ -274,10 +297,3 @@ def scan_csv_text(
     for row in rows:
         writer.writerow({k: ("" if row.get(k) is None else row.get(k)) for k in fieldnames})
     return buf.getvalue()
-
-
-def write_scan_csv(
-    rows: Iterable[dict[str, Any]], path, axis_column: str, header_comments: Sequence[str] = ()
-) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(scan_csv_text(rows, axis_column, header_comments))

@@ -141,6 +141,14 @@ def test_sweep_csv(tmp_path, capsys):
     assert float(rows[0]["p_multi_visit"]) > 0
     assert float(rows[2]["p_multi_visit"]) == 0.0
 
+    # an alpha axis keeps the grid values as written, and alpha = 1 is a
+    # per-point error
+    alpha_cfg = {"prior": {"family": "uniform"}, "n": 2, "s": 0.1, "axis": "alpha", "grid": [0, 0.5, 1]}
+    assert main(["sweep", "--config", _write(tmp_path, "alpha.json", alpha_cfg), "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert [line.split(",")[0] for line in lines[3:]] == ["0", "0.5", "1"]
+    assert lines[-1].endswith(",alpha = 1 admits a continuum of pooling equilibria; not representable")
+
 
 def test_sweep_carries_errors_per_point(tmp_path):
     cfg = _write(
@@ -160,6 +168,9 @@ def test_sweep_carries_errors_per_point(tmp_path):
     rows = lines[3:]
     assert len(rows) == 3
     assert "search cost" in rows[1]
+    # the point after an error has no verdict against it
+    header = lines[2].split(",")
+    assert dict(zip(header, rows[2].split(",")))["verdict_vs_prev"] == ""
 
 
 def test_simulate_requires_seed_and_writes_curve(tmp_path):
@@ -239,6 +250,56 @@ def test_hetero_command(tmp_path):
         },
     )
     assert main(["hetero", "--config", bad]) == 1
+
+
+SIM = {**BASE, "consumers": 2000, "bins": 20}
+SWEEP = {**BASE, "axis": "s", "grid": [0.1, 0.2]}
+LIMIT = {"prior": {"family": "uniform"}, "alpha": 0.5, "s": 0.1, "doublings": 1}
+HETERO = {
+    "prior": {"family": "uniform"},
+    "alpha": 0.5,
+    "cost_model": {"type": "discrete", "points": [[0.1, 0.5], [0.2, 0.5]]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, extra",
+    [
+        ("sweep", {k: v for k, v in SWEEP.items() if k != "n"}, []),
+        ("sweep", {**SWEEP, "grid": [0.1, "x"]}, []),
+        ("sweep", {**SWEEP, "axis": "n", "grid": [2.7, 3.9]}, []),
+        ("sweep", {**SWEEP, "axis": "beta"}, []),
+        ("solve", {**BASE, "alpha": "abc"}, []),
+        ("solve", {**BASE, "alpha": [1]}, []),
+        ("limit", {**LIMIT, "alpha": "x"}, []),
+        ("limit", {**LIMIT, "doublings": "x"}, []),
+        ("hetero", {**HETERO, "n": "abc"}, []),
+        ("simulate", {**SIM, "consumers": "many"}, ["--seed", "1"]),
+        ("simulate", {**SIM, "bins": "x"}, ["--seed", "1"]),
+        ("simulate", {**SIM, "cost_model": {"type": "single"}}, ["--seed", "1"]),
+        ("verify", BASE, ["--perturb", "v_L", "abc"]),
+    ],
+    ids=[
+        "sweep-no-base-n",
+        "sweep-grid-string",
+        "sweep-non-integral-n",
+        "sweep-unknown-axis",
+        "solve-alpha-string",
+        "solve-alpha-list",
+        "limit-alpha-string",
+        "limit-doublings-string",
+        "hetero-n-string",
+        "simulate-consumers-string",
+        "simulate-bins-string",
+        "simulate-single-cost-no-s",
+        "verify-perturb-delta-string",
+    ],
+)
+def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg, extra):
+    cfg_path = _write(tmp_path, "cfg.json", cfg)
+    out = str(tmp_path / "out")
+    assert main([command, "--config", cfg_path, "--out", out, *extra]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 # Runs in a fresh interpreter, so that the imports of this test process do

@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -30,3 +31,9 @@ def test_script_runs(tmp_path, script, args):
     for arg in args:
         if arg.endswith(".csv"):
             assert (tmp_path / arg).stat().st_size > 0
+    if script == "market_structure_scan.py":
+        with open(tmp_path / "market_structure.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        printed = [line for line in proc.stdout.splitlines() if line.startswith("n=")]
+        assert len(rows) == len(printed) > 0
+        assert all(row["error"] == "" for row in rows)

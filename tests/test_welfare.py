@@ -3,6 +3,7 @@ import pytest
 
 from disclose_eq import full_disclosure_distribution, point_mass
 from disclose_eq.endogenous import solve_endog
+from disclose_eq.errors import ValidationFailureError
 from disclose_eq.welfare import (
     EQUALLY_INFORMATIVE,
     INCOMPARABLE,
@@ -138,6 +139,12 @@ def test_threshold_scan_uniform(uniform):
         if row["s"] > report.s_bar:
             assert row["cs_inexperienced"] == pytest.approx(0.5 - row["s"], abs=1e-9)
     assert report.grid_resolution == pytest.approx(grid[1] - grid[0], abs=1e-12)
+
+
+def test_threshold_scan_reraises_a_failing_point(uniform):
+    with pytest.raises(ValidationFailureError) as info:
+        threshold_scan(uniform, 1375, 0.5464, [0.29, 0.3008])
+    assert info.value.invariant == "pooled-slope"
 
 
 def test_scan_csv_layout(uniform):
