@@ -18,6 +18,7 @@ implemented:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -111,19 +112,27 @@ def h_star(prior: Prior, n: int, v_l: float, r: float, beta: float) -> float:
     )
 
 
-def _mean_match_residual(prior: Prior, n: int, v_l: float, r: float, v: float) -> float:
+def _mean_match_residual(prior: Prior, n: int, v_l: float, r: float) -> Callable[[float], float]:
     """Mass-scaled gap between the contact slope at v and the moment slope.
 
     Zero exactly at the contact point of the valid candidate; negative at
-    r, positive at 1 whenever the contact is interior.
+    r, positive at 1 whenever the contact is interior.  The terms in v_L
+    alone are computed once, outside the returned function of v.
     """
     fl = prior.cdf(v_l)
     fln1 = fl ** (n - 1)
-    fv = prior.cdf(v)
-    mass = fv - fl
-    vf = prior.partial_vf(v_l, v)
-    eta_mass = (fv**n - fl**n) / n - fln1 * mass  # (eta_tilde - F(v_L)^(n-1)) * mass
-    return (fv ** (n - 1) - fln1) * (vf - r * mass) - eta_mass * (v - r)
+    fln = fl**n
+    vl_fl = v_l * fl
+    cum_l = prior.cum_cdf(v_l)
+
+    def residual(v: float) -> float:
+        fv = prior.cdf(v)
+        mass = fv - fl
+        vf = v * fv - vl_fl - (prior.cum_cdf(v) - cum_l)  # prior.partial_vf(v_l, v)
+        eta_mass = (fv**n - fln) / n - fln1 * mass  # (eta_tilde - F(v_L)^(n-1)) * mass
+        return (fv ** (n - 1) - fln1) * (vf - r * mass) - eta_mass * (v - r)
+
+    return residual
 
 
 def solve_beta(prior: Prior, n: int, v_l: float, r: float) -> tuple[float, float, float]:
@@ -136,17 +145,12 @@ def solve_beta(prior: Prior, n: int, v_l: float, r: float) -> tuple[float, float
         )
     fl = prior.cdf(v_l)
     fln1 = fl ** (n - 1)
-    if _mean_match_residual(prior, n, v_l, r, 1.0) > 0.0:
+    residual = _mean_match_residual(prior, n, v_l, r)
+    if residual(1.0) > 0.0:
         # Interior contact: bisect the single mean-match equation in v_H.
         # The residual is strictly negative at r but can underflow to 0.0
         # at extreme parameters, so its sign is pinned analytically.
-        v_h = bisect_root(
-            lambda v: _mean_match_residual(prior, n, v_l, r, v),
-            r,
-            1.0,
-            xtol=_XTOL,
-            f_lo=-1.0,
-        )
+        v_h = bisect_root(residual, r, 1.0, xtol=_XTOL, f_lo=-1.0)
         if v_h - r > 1e-13:
             beta = (prior.cdf(v_h) ** (n - 1) - fln1) / (v_h - r)
         else:  # total collapse toward full disclosure (r at the support edge)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from typing import Any
 
@@ -184,6 +185,8 @@ def cmd_verify(cfg: dict[str, Any], args) -> int:
             delta = float(text)
         except ValueError as exc:
             raise ConfigError(f"--perturb DELTA must be a number, got {text!r}") from exc
+        if not math.isfinite(delta):
+            raise ConfigError(f"--perturb DELTA must be finite, got {text!r}")
         if field == "v_L":
             eq = assemble_market(prior, n, alpha, eq.v_l_star + delta, eq.r_star, s)
         elif field == "r":

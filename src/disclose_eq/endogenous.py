@@ -5,7 +5,8 @@ the reservation value r, with the search indifference condition, which in
 equilibrium collapses to an integral against the *prior* above v_L.
 
 The regime comes first: nothing below r is disclosed iff r_lower_bar is at
-least mu - s, and then r* = mu - s.  Otherwise the solve is one bisection
+least mu - s, which is the sign of z(0, mu - s) since z(0, .) is strictly
+decreasing, and then r* = mu - s.  Otherwise the solve is one bisection
 in v_L.  The search condition gives r = r_search(v_L) in closed form,
 always with a feasible candidate (E[v | v > v_L] - r = s / (1 - F(v_L))),
 and the multiplier continuity gap z(v_L, r_search(v_L)) is negative at
@@ -29,8 +30,8 @@ from .errors import (
 from .exogenous import (
     REGIME_FULL,
     _check_market,
+    conceals_below,
     posterior_share,
-    r_lower_bar,
     solve_v_l_eq,
     visit_probability,
     z_function,
@@ -46,8 +47,8 @@ from .rootfind import bisect_root
 
 _EDGE = 1e-12
 _N_CAP = 1 << 20
-# r_lower_bar is bisected to 1e-12; a market closer than this to the regime
-# boundary is taken to conceal everything below r
+# a market closer than this to the regime boundary is taken to conceal
+# everything below r, whatever the rounding in the sign of z(0, mu - s)
 _REGIME_BAND = 1e-10
 
 
@@ -236,9 +237,9 @@ def assemble_market(
     )
 
 
-def _conceals_bottom(rbar: float, mu: float, s: float) -> bool:
+def _conceals_bottom(prior: Prior, n: int, alpha: float, mu: float, s: float) -> bool:
     """Regime rule: no disclosure below r iff r_lower_bar >= mu - s."""
-    return rbar >= mu - s - _REGIME_BAND
+    return conceals_below(prior, n, alpha, mu - s - _REGIME_BAND)
 
 
 def validate_equilibrium(eq: Equilibrium) -> None:
@@ -254,11 +255,10 @@ def validate_equilibrium(eq: Equilibrium) -> None:
         raise ValidationFailureError("below-full-info", f"{eq.r_star} >= {rfi}")
     if eq.candidate is not None:
         eq.candidate.validate()
-    rbar = r_lower_bar(eq.prior, eq.n, eq.alpha)
     mu = eq.prior.mean()
-    if (not eq.bottom_disclosure) != _conceals_bottom(rbar, mu, eq.s):
+    if eq.bottom_disclosure == _conceals_bottom(eq.prior, eq.n, eq.alpha, mu, eq.s):
         raise ValidationFailureError(
-            "regime", f"bottom_disclosure={eq.bottom_disclosure} but rbar={rbar}"
+            "regime", f"bottom_disclosure={eq.bottom_disclosure} at mu - s = {mu - eq.s}"
         )
     if not eq.bottom_disclosure and abs(eq.r_star - (mu - eq.s)) > 1e-12:
         raise ValidationFailureError("regime-reserve", f"r* != mu - s: {eq.r_star}")
@@ -297,7 +297,7 @@ def solve_endog(prior: Prior, n: int, alpha: float, s: float) -> Equilibrium:
             note=REGIME_FULL,
         )
 
-    if _conceals_bottom(r_lower_bar(prior, n, alpha), mu, s):
+    if _conceals_bottom(prior, n, alpha, mu, s):
         r_star, v_l_star = mu - s, 0.0
     else:
 
@@ -319,7 +319,7 @@ def n_lower_bar(prior: Prior, alpha: float, s: float) -> int:
         raise DomainError("alpha must lie in (0, 1)")
 
     def large_enough(n: int) -> bool:
-        return _conceals_bottom(r_lower_bar(prior, n, alpha), mu, s)
+        return _conceals_bottom(prior, n, alpha, mu, s)
 
     if large_enough(2):
         return 2

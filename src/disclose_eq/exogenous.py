@@ -5,7 +5,8 @@ multiplier and F**(n-1), evaluated at the lower disclosure threshold
 itself (z_function).  It is strictly increasing in v_L and strictly
 decreasing in r, which gives a unique threshold r_lower_bar below which
 the equilibrium conceals everything under r, and a unique interior
-threshold v_L above it.
+threshold v_L above it.  Which side of r_lower_bar a reservation value
+lies on is the sign of z(0, r) alone (conceals_below).
 """
 from __future__ import annotations
 
@@ -81,6 +82,21 @@ def r_lower_bar(prior: Prior, n: int, alpha: float) -> float:
     )
 
 
+def conceals_below(prior: Prior, n: int, alpha: float, r: float) -> bool:
+    """Whether r <= r_lower_bar, from the sign of z(0, r) alone.
+
+    z(0, r) is strictly decreasing in r, so one candidate answers what
+    r_lower_bar bisects for.  r at the bottom of r_lower_bar's bracket
+    conceals; r with no candidate at v_L = 0 (at the mean) does not.
+    """
+    if r <= _EDGE:
+        return True
+    try:
+        return z_function(prior, n, alpha, 0.0, r) >= 0.0
+    except InfeasibleCandidateError:
+        return False
+
+
 def _v_l_lower_limit(prior: Prior, r: float) -> float:
     """Smallest v_L with a feasible candidate (0 when r < mean)."""
     if r < prior.mean():
@@ -94,8 +110,6 @@ def solve_v_l_eq(prior: Prior, n: int, alpha: float, r: float) -> float:
     """The unique lower disclosure threshold for an exogenous r."""
     if not 0.0 < r < 1.0:
         raise DomainError("reservation value must lie in (0, 1)")
-    if r <= r_lower_bar(prior, n, alpha):
-        return 0.0
 
     def z(v_l: float) -> float:
         try:
@@ -103,6 +117,8 @@ def solve_v_l_eq(prior: Prior, n: int, alpha: float, r: float) -> float:
         except InfeasibleCandidateError:
             return -float("inf")  # below the feasibility frontier
 
+    if z(0.0) >= 0.0:  # r <= r_lower_bar: nothing below r is disclosed
+        return 0.0
     lo = max(_v_l_lower_limit(prior, r), 0.0) + _EDGE
     hi = r - _EDGE
     z_lo, z_hi = z(lo), z(hi)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Union
 
 import numpy as np
@@ -105,6 +106,29 @@ class PosteriorDistribution:
         e = (k + p) / p
         return coef * (w_hi**e - w_lo**e)
 
+    # -- views cached in the instance dict; equality sees only the fields --
+    @cached_property
+    def _ends(self) -> np.ndarray:
+        return np.array([seg.b for seg in self.segments])
+
+    @cached_property
+    def _prefixes(self) -> dict[int, tuple[float, ...]]:
+        return {}
+
+    def _prefix(self, k: int) -> tuple[float, ...]:
+        """Integral of cdf**k from 0 up to each segment end, built once per k."""
+        prefix = self._prefixes.get(k)
+        if prefix is None:
+            out = [0.0]
+            for seg in self.segments:
+                out.append(out[-1] + self._seg_integral(seg, seg.a, seg.b, k))
+            prefix = self._prefixes[k] = tuple(out)
+        return prefix
+
+    @cached_property
+    def _cum_top(self) -> float:
+        return self.cum_integral(1.0)
+
     # -- public surface -----------------------------------------------------
     @property
     def top(self) -> float:
@@ -141,8 +165,7 @@ class PosteriorDistribution:
         out = np.ones_like(arr)
         # side="right" sends a segment boundary to the *next* segment, which
         # makes the cdf right-continuous across an atom between segments.
-        ends = np.array([seg.b for seg in self.segments])
-        idx = np.searchsorted(ends, arr, side="right")
+        idx = np.searchsorted(self._ends, arr, side="right")
         for i, seg in enumerate(self.segments):
             mask = idx == i
             if np.any(mask):
@@ -161,10 +184,8 @@ class PosteriorDistribution:
     def _cum(self, z: ArrayLike, k: int) -> ArrayLike:
         scalar = not isinstance(z, np.ndarray)
         arr = np.atleast_1d(np.asarray(z, dtype=float))
-        prefix = [0.0]
-        for seg in self.segments:
-            prefix.append(prefix[-1] + self._seg_integral(seg, seg.a, seg.b, k))
-        ends = np.array([seg.b for seg in self.segments])
+        prefix = self._prefix(k)
+        ends = self._ends
         idx = np.searchsorted(ends, arr, side="left")
         out = np.empty_like(arr)
         for i, seg in enumerate(self.segments):
@@ -178,11 +199,11 @@ class PosteriorDistribution:
         return float(out[0]) if scalar else out
 
     def mean(self) -> float:
-        return 1.0 - float(self.cum_integral(1.0))
+        return 1.0 - self._cum_top
 
     def excess_above(self, r: ArrayLike) -> ArrayLike:
         """E[(v - r)+] = integral of (1 - cdf) from r to 1."""
-        return (1.0 - r) - (self.cum_integral(1.0) - self.cum_integral(r))
+        return (1.0 - r) - (self._cum_top - self.cum_integral(r))
 
     def sample(self, u: ArrayLike) -> ArrayLike:
         """Inverse-cdf sampling; u in [0, 1)."""

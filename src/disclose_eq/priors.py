@@ -249,14 +249,21 @@ class PiecewiseLinearPrior(Prior):
         j = min(max(_stdbisect.bisect_right(self._qs, q) - 1, 0), len(self._qs) - 2)
         return self._xs[j] + (q - self._qs[j]) / self._slopes[j]
 
+    @cached_property
+    def _knot_cums(self) -> dict[int, tuple[float, ...]]:
+        return {}
+
     def _knot_cum(self, k: int) -> tuple[float, ...]:
-        """Integral of F**k from 0 up to each knot."""
-        xs, qs, ms = self._xs, self._qs, self._slopes
-        out = [0.0]
-        for i in range(len(ms)):
-            piece = (qs[i + 1] ** (k + 1) - qs[i] ** (k + 1)) / (ms[i] * (k + 1))
-            out.append(out[-1] + piece)
-        return tuple(out)
+        """Integral of F**k from 0 up to each knot, built once per k."""
+        cums = self._knot_cums.get(k)
+        if cums is None:
+            qs, ms = self._qs, self._slopes
+            out = [0.0]
+            for i in range(len(ms)):
+                piece = (qs[i + 1] ** (k + 1) - qs[i] ** (k + 1)) / (ms[i] * (k + 1))
+                out.append(out[-1] + piece)
+            cums = self._knot_cums[k] = tuple(out)
+        return cums
 
     def cum_pow_cdf(self, v: ArrayLike, k: int) -> ArrayLike:
         cums = self._knot_cum(k)

@@ -278,6 +278,8 @@ HETERO = {
         ("simulate", {**SIM, "bins": "x"}, ["--seed", "1"]),
         ("simulate", {**SIM, "cost_model": {"type": "single"}}, ["--seed", "1"]),
         ("verify", BASE, ["--perturb", "v_L", "abc"]),
+        ("verify", BASE, ["--perturb", "v_L", "inf"]),
+        ("verify", BASE, ["--perturb", "v_L", "nan"]),
     ],
     ids=[
         "sweep-no-base-n",
@@ -293,6 +295,8 @@ HETERO = {
         "simulate-bins-string",
         "simulate-single-cost-no-s",
         "verify-perturb-delta-string",
+        "verify-perturb-delta-inf",
+        "verify-perturb-delta-nan",
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg, extra):

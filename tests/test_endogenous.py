@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from disclose_eq import PiecewiseLinearPrior, PowerPrior, UniformPrior
+from disclose_eq import PiecewiseLinearPrior, PowerPrior, UniformPrior, endogenous, exogenous
 from disclose_eq.endogenous import (
     limit_equilibrium,
     n_lower_bar,
@@ -20,7 +20,7 @@ from disclose_eq.errors import (
     UnsupportedBoundaryError,
     ValidationFailureError,
 )
-from disclose_eq.exogenous import r_lower_bar, solve_v_l_eq
+from disclose_eq.exogenous import r_lower_bar, solve_v_l_eq, z_function
 from disclose_eq.verify import check_dm_conditions, oracle_gap
 from disclose_eq.welfare import informativeness_compare
 
@@ -79,6 +79,27 @@ def test_fixed_point_self_consistency(eq_uniform_small, eq_power):
     for eq in (eq_uniform_small, eq_power):
         v_l_back = solve_v_l_eq(eq.prior, eq.n, eq.alpha, eq.r_star)
         assert v_l_back == pytest.approx(eq.v_l_star, abs=1e-9)
+
+
+# Guards the cost of the regime decision: a solve takes it from the sign of
+# z(0, mu - s) and never bisects r_lower_bar, which takes about 40 z
+# evaluations, each a bisection of its own.
+@pytest.mark.parametrize("n, alpha, s, conceals", [(19, 0.5, 0.1, True), (2, 0.65, 0.1, False)])
+def test_solve_endog_does_not_bisect_r_lower_bar(monkeypatch, uniform, n, alpha, s, conceals):
+    calls = []
+
+    def counted_z(*args):
+        calls.append(args)
+        return z_function(*args)
+
+    monkeypatch.setattr(exogenous, "z_function", counted_z)
+    monkeypatch.setattr(endogenous, "z_function", counted_z)
+    r_lower_bar.cache_clear()
+    eq = solve_endog(uniform, n, alpha, s)
+    assert eq.bottom_disclosure is not conceals
+    assert r_lower_bar.cache_info().misses == 0
+    if conceals:
+        assert len(calls) <= 4
 
 
 def test_n_lower_bar_uniform(uniform):

@@ -7,8 +7,10 @@ from disclose_eq.exogenous import (
     REGIME_BOTTOM,
     REGIME_FULL,
     REGIME_NO_BOTTOM,
+    conceals_below,
     r_lower_bar,
     solve_exog,
+    solve_v_l_eq,
     visit_probability,
     z_function,
 )
@@ -46,6 +48,35 @@ def test_r_lower_bar_monotone_in_n(uniform, power2):
         # approaches the mean from below
         assert mu - vals[-1] < mu - vals[0]
         assert vals[-1] > 0.9 * mu
+
+
+_REGIME_GRID = [
+    (prior_name, n, alpha)
+    for prior_name in ("uniform", "power2", "piecewise")
+    for n in (2, 3, 10, 50, 1000)
+    for alpha in (0.05, 0.5, 0.95)
+]
+
+
+@pytest.mark.parametrize("prior_name, n, alpha", _REGIME_GRID)
+def test_conceals_below_matches_r_lower_bar(request, prior_name, n, alpha):
+    prior = request.getfixturevalue(prior_name)
+    rbar = r_lower_bar(prior, n, alpha)
+    rs = [rbar - 1e-9, rbar + 1e-9, *np.linspace(0.0, prior.mean(), 21)[1:-1]]
+    for r in rs:
+        assert conceals_below(prior, n, alpha, float(r)) == (r <= rbar)
+
+
+@pytest.mark.parametrize("prior_name, n, alpha", _REGIME_GRID)
+def test_v_l_eq_zero_at_and_below_r_lower_bar(request, prior_name, n, alpha):
+    prior = request.getfixturevalue(prior_name)
+    rbar = r_lower_bar(prior, n, alpha)
+    for r in (rbar - 1e-9, 0.5 * rbar, 1e-3 * rbar):
+        assert solve_v_l_eq(prior, n, alpha, r) == 0.0
+    # rbar is a bisection midpoint within 1e-12 of the root of z(0, .); where
+    # it landed above the root, the threshold may be a tiny positive one
+    v_l = solve_v_l_eq(prior, n, alpha, rbar)
+    assert v_l == 0.0 or (z_function(prior, n, alpha, 0.0, rbar) < 0.0 and v_l < 1e-9)
 
 
 def test_solve_exog_uniform_closed_form(uniform):
