@@ -29,9 +29,7 @@ from .candidate import (  # noqa: F401
     build_g,
     candidate_exists,
     d_function,
-    h_gap,
     h_star,
     solve_beta,
     solve_beta_via_h_star,
-    verify_mpc,
 )

@@ -14,6 +14,10 @@ implemented:
   with the contact point recomputed inside each step.  Slower by two
   orders of magnitude; kept as an independent cross-check and exercised
   by the test suite.
+
+validate_candidate checks the assembled posterior: its structure, the
+contact point, and that it is a mean-preserving contraction of the prior
+(posterior.informativeness_compare against full disclosure).
 """
 from __future__ import annotations
 
@@ -28,12 +32,20 @@ from .errors import (
     NoUpperRootError,
     ValidationFailureError,
 )
-from .posterior import AffinePower, Flat, FullDisclosure, PosteriorDistribution
+from .posterior import (
+    AffinePower,
+    Flat,
+    FullDisclosure,
+    PosteriorDistribution,
+    full_disclosure_distribution,
+    informativeness_compare,
+)
 from .priors import Prior
 from .rootfind import bisect_root
 
 FEAS_MARGIN = 1e-12  # strictness margin on E[v | v > v_L] > r
 _XTOL = 1e-14
+_BETA_RTOL = 1e-12  # relative bracket width at which solve_beta_via_h_star stops
 
 
 @dataclass(frozen=True)
@@ -45,12 +57,6 @@ class Candidate:
     beta: float
     v_h: float
     v_t: float
-
-    def posterior(self) -> PosteriorDistribution:
-        return build_g(self)
-
-    def validate(self, grid_size: int = 2001) -> None:
-        validate_candidate(self, grid_size=grid_size)
 
 
 def candidate_exists(prior: Prior, n: int, v_l: float, r: float) -> bool:
@@ -165,9 +171,7 @@ def solve_beta(prior: Prior, n: int, v_l: float, r: float) -> tuple[float, float
     return beta, v_h, v_t
 
 
-def solve_beta_via_h_star(
-    prior: Prior, n: int, v_l: float, r: float, *, rtol: float = 1e-12
-) -> tuple[float, float, float]:
+def solve_beta_via_h_star(prior: Prior, n: int, v_l: float, r: float) -> tuple[float, float, float]:
     """Reference implementation: bisect the integrated gap in beta directly."""
     if not candidate_exists(prior, n, v_l, r):
         raise InfeasibleCandidateError(
@@ -190,7 +194,7 @@ def solve_beta_via_h_star(
     lo = np.finfo(float).eps
     for _ in range(300):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= rtol * mid:
+        if hi - lo <= _BETA_RTOL * mid:
             break
         if gap(mid) > 0.0:
             lo = mid
@@ -232,46 +236,19 @@ def build_g(cand: Candidate) -> PosteriorDistribution:
     return PosteriorDistribution(prior=prior, segments=tuple(segs))
 
 
-def h_gap(g: PosteriorDistribution, prior: Prior, z):
-    """Integral of (F - G) from 0 to z; nonnegative for mean-preserving contractions."""
-    return prior.cum_cdf(z) - g.cum_integral(z)
-
-
-@dataclass(frozen=True)
-class MpcReport:
-    min_gap: float
-    mean_error: float
-    passed: bool
-
-
-def verify_mpc(
-    g: PosteriorDistribution, prior: Prior, grid_size: int = 2001, tol: float = 1e-9
-) -> MpcReport:
-    """Grid check that g is a mean-preserving contraction of the prior."""
-    if grid_size < 101:
-        raise ValueError("grid_size must be at least 101")
-    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid_size), g.breakpoints()]))
-    gaps = h_gap(g, prior, grid)
-    min_gap = float(np.min(gaps))
-    mean_error = float(gaps[-1])
-    return MpcReport(
-        min_gap=min_gap, mean_error=mean_error, passed=min_gap >= -tol and abs(mean_error) <= tol
-    )
-
-
-def validate_candidate(cand: Candidate, grid_size: int = 2001) -> None:
-    """Raise ValidationFailureError when a structural invariant fails."""
+def validate_candidate(cand: Candidate, g: PosteriorDistribution) -> None:
+    """Raise ValidationFailureError when a structural invariant of the
+    candidate or of its posterior g = build_g(cand) fails."""
     prior, n = cand.prior, cand.n
-    g = build_g(cand)
     g.validate()
     contact = abs(float(g.cdf(cand.v_h)) - float(prior.cdf(cand.v_h)))
     if contact > 1e-9:
         raise ValidationFailureError("contact-point", f"|G - F|({cand.v_h}) = {contact}")
-    mpc = verify_mpc(g, prior, grid_size=grid_size)
-    if abs(mpc.mean_error) > 1e-9:
-        raise ValidationFailureError("mean-preservation", f"mean gap {mpc.mean_error}")
-    if mpc.min_gap < -1e-9:
-        raise ValidationFailureError("integrated-gap", f"min gap {mpc.min_gap}")
+    mpc = informativeness_compare(g, full_disclosure_distribution(prior))
+    if abs(mpc.mean_gap) > 1e-9:
+        raise ValidationFailureError("mean-preservation", f"mean gap {mpc.mean_gap}")
+    if mpc.min_gap_forward < -1e-9:
+        raise ValidationFailureError("integrated-gap", f"min gap {mpc.min_gap_forward}")
     tm = prior.truncated_moments(cand.v_l, cand.v_h, n) if cand.v_h > cand.v_l else None
     if tm is not None and tm.mu_tilde > cand.r:
         fln1 = float(prior.cdf(cand.v_l)) ** (n - 1)

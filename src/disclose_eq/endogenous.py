@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .candidate import Candidate, build_candidate, build_g
+from .candidate import Candidate, build_candidate, build_g, validate_candidate
 from .errors import (
     DomainError,
     IterationCapError,
@@ -254,7 +254,7 @@ def validate_equilibrium(eq: Equilibrium) -> None:
     if not eq.r_star < rfi + 1e-12:
         raise ValidationFailureError("below-full-info", f"{eq.r_star} >= {rfi}")
     if eq.candidate is not None:
-        eq.candidate.validate()
+        validate_candidate(eq.candidate, eq.g)
     mu = eq.prior.mean()
     if eq.bottom_disclosure == _conceals_bottom(eq.prior, eq.n, eq.alpha, mu, eq.s):
         raise ValidationFailureError(

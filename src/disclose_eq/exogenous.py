@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .candidate import Candidate, build_candidate, build_g, solve_beta
+from .candidate import Candidate, build_candidate, build_g, solve_beta, validate_candidate
 from .errors import (
     DomainError,
     InfeasibleCandidateError,
@@ -183,7 +183,8 @@ def solve_exog(prior: Prior, n: int, alpha: float, r: float) -> ExogEquilibrium:
 
     v_l = solve_v_l_eq(prior, n, alpha, r)
     cand = build_candidate(prior, n, v_l, r)
-    cand.validate()
+    g = build_g(cand)
+    validate_candidate(cand, g)
     eta = visit_probability(prior, n, v_l)
     regime = REGIME_NO_BOTTOM if v_l == 0.0 else REGIME_BOTTOM
 
@@ -208,7 +209,7 @@ def solve_exog(prior: Prior, n: int, alpha: float, r: float) -> ExogEquilibrium:
         r=r,
         v_l_eq=v_l,
         candidate=cand,
-        g=build_g(cand),
+        g=g,
         eta=eta,
         alpha_tilde=posterior_share(alpha, eta),
         regime=regime,

@@ -26,11 +26,10 @@ from typing import Any, Union
 
 import numpy as np
 
-from .candidate import verify_mpc
 from .costs import ContinuousCosts, CostDistribution, DiscreteCosts
 from .endogenous import Equilibrium
-from .errors import DomainError, ValidationFailureError
-from .posterior import ArrayLike, PosteriorDistribution
+from .errors import DomainError
+from .posterior import ArrayLike, PosteriorDistribution, check_deviation_mpc
 
 _BLOCK = 1 << 16
 
@@ -426,12 +425,7 @@ def simulate_deviation(
     """
     if not 0 <= firm_index < eq.n:
         raise DomainError("firm_index out of range")
-    report = verify_mpc(g_dev, eq.prior)
-    if not report.passed:
-        raise ValidationFailureError(
-            "deviation-not-mpc",
-            f"min_gap={report.min_gap}, mean_error={report.mean_error}",
-        )
+    check_deviation_mpc(g_dev, eq.prior)
     total, _ = _run_blocks(eq, config, (firm_index, g_dev))
     share = float(total.sales[firm_index]) / config.consumers
     se = float(np.sqrt(max(share * (1 - share), 0.0) / config.consumers))

@@ -12,6 +12,10 @@ The cdf is right-continuous; an atom of mass m at x shows up as a jump
 between the segment ending at x and the one starting there.  Every
 integral used downstream (plain and power moments of the cdf) is closed
 form per segment.
+
+The integral-precision order lives here too: informativeness_compare is
+the one mean-preserving-contraction check, used by candidate validation
+(against full disclosure), the deviation gate and the welfare statics.
 """
 from __future__ import annotations
 
@@ -28,6 +32,15 @@ from .priors import Prior
 ArrayLike = Union[float, np.ndarray]
 
 _CONTINUITY_TOL = 1e-9
+# integral-precision order: tolerance on the integrated-cdf difference and
+# the uniform grid (merged with both distributions' breakpoints) it is read on
+_MPC_TOL = 1e-9
+_MPC_GRID = 2001
+
+LESS_INFORMATIVE = "LessInformative"
+MORE_INFORMATIVE = "MoreInformative"
+EQUALLY_INFORMATIVE = "EquallyInformative"
+INCOMPARABLE = "Incomparable"
 
 
 @dataclass(frozen=True)
@@ -292,3 +305,57 @@ def point_mass(prior: Prior, loc: float) -> PosteriorDistribution:
     return PosteriorDistribution(
         prior=prior, segments=(Flat(0.0, loc, 0.0),), atom=(loc, 1.0)
     )
+
+
+@dataclass(frozen=True)
+class InformativenessVerdict:
+    verdict: str
+    min_gap_forward: float
+    min_gap_backward: float
+    mean_gap: float
+
+
+def informativeness_compare(
+    g0: PosteriorDistribution, g1: PosteriorDistribution
+) -> InformativenessVerdict:
+    """Rank g0 against g1 by integral precision.
+
+    LessInformative means g0 is a mean-preserving contraction of g1.
+    Incomparability is an ordinary outcome, not an error.
+    """
+    grid = np.unique(
+        np.concatenate(
+            [np.linspace(0.0, 1.0, _MPC_GRID), g0.breakpoints(), g1.breakpoints()]
+        )
+    )
+    delta = np.asarray(g1.cum_integral(grid)) - np.asarray(g0.cum_integral(grid))
+    mean_gap = float(delta[-1])
+    min_fwd = float(np.min(delta))
+    min_bwd = float(np.min(-delta))
+    means_match = abs(mean_gap) <= _MPC_TOL
+    g0_less = means_match and min_fwd >= -_MPC_TOL
+    g0_more = means_match and min_bwd >= -_MPC_TOL
+    if g0_less and g0_more:
+        verdict = EQUALLY_INFORMATIVE
+    elif g0_less:
+        verdict = LESS_INFORMATIVE
+    elif g0_more:
+        verdict = MORE_INFORMATIVE
+    else:
+        verdict = INCOMPARABLE
+    return InformativenessVerdict(
+        verdict=verdict,
+        min_gap_forward=min_fwd,
+        min_gap_backward=min_bwd,
+        mean_gap=mean_gap,
+    )
+
+
+def check_deviation_mpc(g_dev: PosteriorDistribution, prior: Prior) -> None:
+    """Raise ValidationFailureError("deviation-not-mpc") unless the deviation
+    g_dev is a mean-preserving contraction of the prior."""
+    v = informativeness_compare(g_dev, full_disclosure_distribution(prior))
+    if v.verdict not in (LESS_INFORMATIVE, EQUALLY_INFORMATIVE):
+        raise ValidationFailureError(
+            "deviation-not-mpc", f"min_gap={v.min_gap_forward}, mean_error={v.mean_gap}"
+        )

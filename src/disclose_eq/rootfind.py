@@ -10,6 +10,8 @@ from typing import Callable
 
 from .errors import BracketError
 
+_MAX_ITER = 200  # 200 halvings take any bracket in [0, 1] far below every xtol in use
+
 
 def bisect_root(
     f: Callable[[float], float],
@@ -17,8 +19,6 @@ def bisect_root(
     hi: float,
     *,
     xtol: float = 1e-13,
-    rtol: float = 0.0,
-    max_iter: int = 200,
     f_lo: float | None = None,
     f_hi: float | None = None,
 ) -> float:
@@ -34,9 +34,9 @@ def bisect_root(
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise BracketError(f"no sign change on [{lo}, {hi}]: f={f_lo}, {f_hi}")
     lo_pos = f_lo > 0.0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol + rtol * abs(mid):
+        if hi - lo <= xtol:
             return mid
         f_mid = f(mid)
         if f_mid == 0.0:

@@ -27,11 +27,10 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .candidate import verify_mpc
 from .costs import ContinuousCosts, CostDistribution, DiscreteCosts  # noqa: F401 (re-exported)
-from .endogenous import payoff_u, solve_endog
+from .endogenous import _N_CAP, payoff_u, solve_endog
 from .errors import DomainError, IterationCapError, ValidationFailureError
-from .posterior import Flat, FullDisclosure, PosteriorDistribution
+from .posterior import Flat, FullDisclosure, PosteriorDistribution, check_deviation_mpc
 from .priors import Prior
 
 _GL_NODES = 32
@@ -396,12 +395,7 @@ def _cell_payoff(eq, g_dev: PosteriorDistribution, seg, lo: float, hi: float) ->
 
 def deviation_gain(eq, g_dev: PosteriorDistribution) -> float:
     """Payoff change from a unilateral deviation to g_dev (beliefs fixed)."""
-    report = verify_mpc(g_dev, eq.prior)
-    if not report.passed:
-        raise ValidationFailureError(
-            "deviation-not-mpc",
-            f"min_gap={report.min_gap}, mean_error={report.mean_error}",
-        )
+    check_deviation_mpc(g_dev, eq.prior)
     return expected_payoff_under(eq, g_dev) - expected_payoff(eq)
 
 
@@ -494,11 +488,11 @@ def hetero_check(prior: Prior, n: int, alpha: float, costs: CostDistribution) ->
 
 
 def hetero_first_holding_n(
-    prior: Prior, alpha: float, costs: CostDistribution, n_start: int = 2, n_cap: int = 1 << 20
+    prior: Prior, alpha: float, costs: CostDistribution
 ) -> tuple[int, HeteroReport]:
-    """First n on a doubling scan at which the sufficiency condition holds."""
-    n = n_start
-    while n <= n_cap:
+    """First n on a doubling scan from n = 2 at which the sufficiency condition holds."""
+    n = 2
+    while n <= _N_CAP:
         try:
             report = hetero_check(prior, n, alpha, costs)
             if report.holds:
@@ -506,4 +500,4 @@ def hetero_first_holding_n(
         except ValidationFailureError:
             pass  # below the concealment threshold; keep doubling
         n *= 2
-    raise IterationCapError(f"sufficiency never held up to n = {n_cap}")
+    raise IterationCapError(f"sufficiency never held up to n = {_N_CAP}")

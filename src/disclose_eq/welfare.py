@@ -1,8 +1,10 @@
-"""Consumer surplus, informativeness ordering, and search-cost scans.
+"""Consumer surplus, comparative-statics sweeps, and search-cost scans.
 
 Surplus is computed on the cdf side (E[max of n draws] equals the top of
 the support minus the integral of cdf**n), which handles atoms as flat
-cdf steps with no density bookkeeping.
+cdf steps with no density bookkeeping.  Sweeps rank neighbouring
+equilibria with posterior.informativeness_compare, which is re-exported
+here with its verdict names.
 """
 from __future__ import annotations
 
@@ -11,20 +13,21 @@ import io
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .endogenous import Equilibrium, solve_endog
 from .errors import DiscloseEqError, DomainError
 from .exogenous import r_lower_bar
-from .posterior import Flat, FullDisclosure, PosteriorDistribution
+from .posterior import (  # noqa: F401 (the order is re-exported)
+    EQUALLY_INFORMATIVE,
+    INCOMPARABLE,
+    LESS_INFORMATIVE,
+    MORE_INFORMATIVE,
+    Flat,
+    FullDisclosure,
+    InformativenessVerdict,
+    PosteriorDistribution,
+    informativeness_compare,
+)
 from .priors import Prior
-
-LESS_INFORMATIVE = "LessInformative"
-MORE_INFORMATIVE = "MoreInformative"
-EQUALLY_INFORMATIVE = "EquallyInformative"
-INCOMPARABLE = "Incomparable"
-
-_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -32,14 +35,6 @@ class SurplusReport:
     cs_savvy: float
     cs_inexperienced: float
     regime_note: str
-
-
-@dataclass(frozen=True)
-class InformativenessVerdict:
-    verdict: str
-    min_gap_forward: float
-    min_gap_backward: float
-    mean_gap: float
 
 
 @dataclass(frozen=True)
@@ -85,42 +80,6 @@ def surplus_report(eq: Equilibrium) -> SurplusReport:
         cs_savvy=cs_savvy(eq.g, eq.n),
         cs_inexperienced=cs_inexperienced(eq),
         regime_note=note,
-    )
-
-
-def informativeness_compare(
-    g0: PosteriorDistribution, g1: PosteriorDistribution, grid_size: int = 1001
-) -> InformativenessVerdict:
-    """Rank g0 against g1 by integral precision.
-
-    LessInformative means g0 is a mean-preserving contraction of g1.
-    Incomparability is an ordinary outcome, not an error.
-    """
-    grid = np.unique(
-        np.concatenate(
-            [np.linspace(0.0, 1.0, grid_size), g0.breakpoints(), g1.breakpoints()]
-        )
-    )
-    delta = np.asarray(g1.cum_integral(grid)) - np.asarray(g0.cum_integral(grid))
-    mean_gap = float(delta[-1])
-    min_fwd = float(np.min(delta))
-    min_bwd = float(np.min(-delta))
-    means_match = abs(mean_gap) <= _TOL
-    g0_less = means_match and min_fwd >= -_TOL
-    g0_more = means_match and min_bwd >= -_TOL
-    if g0_less and g0_more:
-        verdict = EQUALLY_INFORMATIVE
-    elif g0_less:
-        verdict = LESS_INFORMATIVE
-    elif g0_more:
-        verdict = MORE_INFORMATIVE
-    else:
-        verdict = INCOMPARABLE
-    return InformativenessVerdict(
-        verdict=verdict,
-        min_gap_forward=min_fwd,
-        min_gap_backward=min_bwd,
-        mean_gap=mean_gap,
     )
 
 

@@ -11,15 +11,28 @@ from disclose_eq import (
     candidate_exists,
     d_function,
     full_disclosure_distribution,
-    h_gap,
     h_star,
     point_mass,
     solve_beta,
     solve_beta_via_h_star,
-    verify_mpc,
 )
+from disclose_eq.candidate import validate_candidate
 from disclose_eq.errors import InfeasibleCandidateError, NoUpperRootError
-from disclose_eq.posterior import Flat, PosteriorDistribution
+from disclose_eq.posterior import (
+    EQUALLY_INFORMATIVE,
+    LESS_INFORMATIVE,
+    Flat,
+    PosteriorDistribution,
+    informativeness_compare,
+)
+
+
+def _against_full(g, prior):
+    return informativeness_compare(g, full_disclosure_distribution(prior))
+
+
+def _is_mpc(g, prior):
+    return _against_full(g, prior).verdict in (LESS_INFORMATIVE, EQUALLY_INFORMATIVE)
 
 
 def test_candidate_exists_examples(uniform):
@@ -179,36 +192,31 @@ def test_build_g_examples(uniform):
     assert float(g.cdf(0.3)) == pytest.approx(0.2, abs=1e-12)  # G(r) = F(v_L)
 
 
-def test_h_gap_examples(uniform):
+def test_integrated_gap_examples(uniform):
     cand = build_candidate(uniform, 2, 0.2, 0.3)
     g = build_g(cand)
-    assert float(h_gap(g, uniform, 0.0)) == pytest.approx(0.0, abs=1e-15)
-    assert float(h_gap(g, uniform, 1.0)) == pytest.approx(0.0, abs=1e-12)
-    # direct integral over the flat stretch: (r - v_L)^2 / 2
-    expected = 0.2**2 / 2 + (0.3 - 0.2) * 0.0  # int_{v_L}^{r} (v - v_L) dv
-    assert float(h_gap(g, uniform, 0.3)) == pytest.approx(0.1**2 / 2, abs=1e-12)
-    del expected
+    report = _against_full(g, uniform)
+    assert report.verdict == LESS_INFORMATIVE
+    assert report.min_gap_forward == pytest.approx(0.0, abs=1e-15)  # the gap at 0
+    assert report.mean_gap == pytest.approx(0.0, abs=1e-12)  # the gap at 1
+    # direct integral over the flat stretch: int_{v_L}^{r} (v - v_L) dv = (r - v_L)^2 / 2
+    gap_at_r = float(uniform.cum_cdf(0.3) - g.cum_integral(0.3))
+    assert gap_at_r == pytest.approx(0.1**2 / 2, abs=1e-12)
 
 
-def test_verify_mpc_examples(uniform):
-    assert verify_mpc(full_disclosure_distribution(uniform), uniform).passed
-    assert verify_mpc(point_mass(uniform, 0.5), uniform).passed
+def test_mpc_examples(uniform):
+    assert _is_mpc(full_disclosure_distribution(uniform), uniform)
+    assert _is_mpc(point_mass(uniform, 0.5), uniform)
     # shifting mass upward raises the mean: must fail on the mean error
     shifted = point_mass(uniform, 0.6)
-    report = verify_mpc(shifted, uniform)
-    assert not report.passed
-    assert abs(report.mean_error) > 1e-3
+    assert not _is_mpc(shifted, uniform)
+    assert abs(_against_full(shifted, uniform).mean_gap) > 1e-3
 
 
 def test_point_mass_below_mean_fails_gap(uniform):
-    report = verify_mpc(
-        PosteriorDistribution(
-            prior=uniform, segments=(Flat(0.0, 0.4, 0.0),), atom=(0.4, 1.0)
-        ),
-        uniform,
-    )
-    assert not report.passed
-    assert report.min_gap < -1e-3
+    g = PosteriorDistribution(prior=uniform, segments=(Flat(0.0, 0.4, 0.0),), atom=(0.4, 1.0))
+    assert not _is_mpc(g, uniform)
+    assert _against_full(g, uniform).min_gap_forward < -1e-3
 
 
 @settings(max_examples=40, deadline=None)
@@ -223,5 +231,6 @@ def test_solved_candidates_validate(v_l, gap, n):
     if r >= 1.0 or not candidate_exists(prior, n, v_l, r):
         return
     cand = build_candidate(prior, n, v_l, r)
-    cand.validate()  # raises on any structural violation
-    assert verify_mpc(build_g(cand), prior).passed
+    g = build_g(cand)
+    validate_candidate(cand, g)  # raises on any structural violation
+    assert _is_mpc(g, prior)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -344,3 +345,39 @@ def test_solve_sweep_limit_simulate_do_not_import_scipy(tmp_path):
     assert verify.DiscreteCosts is costs.DiscreteCosts
     assert verify.ContinuousCosts is costs.ContinuousCosts
     assert verify.payoff_u is endogenous.payoff_u
+
+
+# Each module imports only from strictly lower layers, so no import cycle
+# can form.  The package __init__ re-exports the layers up to candidate, and
+# __main__ runs the CLI.
+_LAYERS = (
+    ("errors",),
+    ("rootfind", "priors", "costs"),
+    ("posterior",),
+    ("candidate",),
+    ("__init__",),
+    ("exogenous",),
+    ("endogenous",),
+    ("welfare", "verify", "montecarlo"),
+    ("cli",),
+    ("__main__",),
+)
+
+
+def test_modules_import_only_from_lower_layers():
+    rank = {name: i for i, layer in enumerate(_LAYERS) for name in layer}
+    pkg = os.path.dirname(disclose_eq.__file__)
+    modules = sorted(name[:-3] for name in os.listdir(pkg) if name.endswith(".py"))
+    assert sorted(rank) == modules  # a new module needs a layer
+    for mod in modules:
+        with open(os.path.join(pkg, f"{mod}.py")) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level == 0:
+                continue
+            if node.module:
+                targets = [node.module]
+            else:  # "from . import x": a sibling module, else a name of __init__
+                targets = [a.name if a.name in rank else "__init__" for a in node.names]
+            for target in targets:
+                assert rank[target] < rank[mod], f"{mod} imports {target}"

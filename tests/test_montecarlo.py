@@ -202,8 +202,9 @@ def test_simulate_deviation(eq_uniform_small):
     assert share_f <= 0.5 + 3.0 * se_f  # equilibrium optimality
     from disclose_eq import point_mass
 
-    with pytest.raises(ValidationFailureError):
+    with pytest.raises(ValidationFailureError) as exc:
         simulate_deviation(eq, 0, point_mass(eq.prior, 0.9), cfg)
+    assert exc.value.invariant == "deviation-not-mpc"
 
 
 @pytest.mark.parametrize("firm", [0, 3])

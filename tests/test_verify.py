@@ -372,8 +372,9 @@ def test_deviation_gain_nonpositive(eq_uniform_small, eq_power):
 
 
 def test_deviation_gain_rejects_non_mpc(eq_uniform_small):
-    with pytest.raises(ValidationFailureError):
+    with pytest.raises(ValidationFailureError) as exc:
         deviation_gain(eq_uniform_small, point_mass(eq_uniform_small.prior, 0.9))
+    assert exc.value.invariant == "deviation-not-mpc"
 
 
 def test_expected_payoff_under_stieltjes_oracle(eq_uniform_small, eq_power):
