@@ -28,8 +28,5 @@ from .candidate import (  # noqa: F401
     build_candidate,
     build_g,
     candidate_exists,
-    d_function,
-    h_star,
     solve_beta,
-    solve_beta_via_h_star,
 )

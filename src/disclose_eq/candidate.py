@@ -2,18 +2,12 @@
 
 A candidate is the unique distribution that discloses below v_L, pools
 (v_L, r) into an interval above r on which cdf**(n-1) is affine with
-slope beta, and re-contacts the prior at v_H.  Solving for beta is the
-innermost loop of every equilibrium computation, so two routes are
-implemented:
-
-* solve_beta: the production path.  The defining system (contact at v_H
-  plus the preserved conditional mean) reduces to one equation in the
-  contact point alone, bisected once; when the pooled branch caps at 1
-  before re-contact, beta has a closed form in truncated moments.
-* solve_beta_via_h_star: the literal integrated-gap bisection in beta
-  with the contact point recomputed inside each step.  Slower by two
-  orders of magnitude; kept as an independent cross-check and exercised
-  by the test suite.
+slope beta, and re-contacts the prior at v_H.  Solving for beta
+(solve_beta) is the innermost loop of every equilibrium computation: the
+defining system (contact at v_H plus the preserved conditional mean)
+reduces to one equation in the contact point alone, bisected once; when
+the pooled branch caps at 1 before re-contact, beta has a closed form in
+truncated moments.
 
 validate_candidate checks the assembled posterior: its structure, the
 contact point, and that it is a mean-preserving contraction of the prior
@@ -24,14 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from .errors import (
-    BracketError,
-    InfeasibleCandidateError,
-    NoUpperRootError,
-    ValidationFailureError,
-)
+from .errors import InfeasibleCandidateError, ValidationFailureError
 from .posterior import (
     AffinePower,
     Flat,
@@ -45,7 +32,6 @@ from .rootfind import bisect_root
 
 FEAS_MARGIN = 1e-12  # strictness margin on E[v | v > v_L] > r
 _XTOL = 1e-14
-_BETA_RTOL = 1e-12  # relative bracket width at which solve_beta_via_h_star stops
 
 
 @dataclass(frozen=True)
@@ -64,58 +50,6 @@ def candidate_exists(prior: Prior, n: int, v_l: float, r: float) -> bool:
     if not 0.0 <= v_l < r < 1.0:
         return False
     return prior.conditional_mean_above(v_l) > r + FEAS_MARGIN
-
-
-def d_function(prior: Prior, n: int, v_l: float, r: float, beta: float, v: float) -> float:
-    """Gap between the pooled branch of cdf**(n-1) and F**(n-1) at v."""
-    fl = prior.cdf(v_l)
-    return fl ** (n - 1) + beta * (v - r) - prior.cdf(v) ** (n - 1)
-
-
-def _contact_of_beta(prior: Prior, n: int, v_l: float, r: float, beta: float) -> tuple[float, float]:
-    """(v_H, v_T) for a given slope; raises NoUpperRootError when the pooled
-    branch neither re-contacts F**(n-1) nor reaches 1 on [r, 1]."""
-    fl = prior.cdf(v_l)
-    fln1 = fl ** (n - 1)
-    if fln1 + beta * (1.0 - r) >= 1.0:
-        # branch caps at 1 inside [r, 1]: contact happens at the top
-        v_bar = r + (1.0 - fln1) / beta
-        return 1.0, min(v_bar, 1.0)
-
-    def d(v: float) -> float:
-        return fln1 + beta * (v - r) - prior.cdf(v) ** (n - 1)
-
-    def d_slope(v: float) -> float:
-        return beta - prior.pow_cdf_deriv(v, n)
-
-    # D is concave (F**(n-1) weakly convex); find its maximizer first.
-    if d_slope(r) <= 0.0:
-        raise NoUpperRootError("slope below the prior's growth at r")
-    if d_slope(1.0) >= 0.0:
-        # D increasing throughout and D(1) < 0 here
-        raise NoUpperRootError("pooled branch never re-contacts the prior")
-    v_m = bisect_root(d_slope, r, 1.0, xtol=_XTOL)
-    if d(v_m) <= 0.0:
-        raise NoUpperRootError("contact gap stays negative on [r, 1]")
-    v_h = bisect_root(d, v_m, 1.0, xtol=_XTOL)
-    return v_h, 1.0
-
-
-def h_star(prior: Prior, n: int, v_l: float, r: float, beta: float) -> float:
-    """Integrated cdf gap of the candidate at the contact point.
-
-    Positive means the slope is too small, negative too large; the unique
-    zero pins down the candidate (strictly decreasing in beta).
-    """
-    v_h, v_t = _contact_of_beta(prior, n, v_l, r, beta)
-    fl = prior.cdf(v_l)
-    fh = prior.cdf(v_h)
-    pooled_area = (n - 1) / (n * beta) * (fh**n - fl**n) + (1.0 - v_t)
-    return (
-        float(prior.cum_cdf(v_h) - prior.cum_cdf(v_l))
-        - fl * (r - v_l)
-        - pooled_area
-    )
 
 
 def _mean_match_residual(prior: Prior, n: int, v_l: float, r: float) -> Callable[[float], float]:
@@ -168,40 +102,6 @@ def solve_beta(prior: Prior, n: int, v_l: float, r: float) -> tuple[float, float
         beta = (tm.eta_tilde - fln1) / (tm.mu_tilde - r)
         v_h = 1.0
         v_t = min(r + (1.0 - fln1) / beta, 1.0)
-    return beta, v_h, v_t
-
-
-def solve_beta_via_h_star(prior: Prior, n: int, v_l: float, r: float) -> tuple[float, float, float]:
-    """Reference implementation: bisect the integrated gap in beta directly."""
-    if not candidate_exists(prior, n, v_l, r):
-        raise InfeasibleCandidateError(
-            f"E[v | v > {v_l}] <= {r}: no mean-preserving candidate"
-        )
-
-    def gap(beta: float) -> float:
-        try:
-            return h_star(prior, n, v_l, r, beta)
-        except NoUpperRootError:
-            return np.inf  # slope too small
-
-    hi = 1.0
-    for _ in range(200):
-        if gap(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover - finite by the infinite-slope sign argument
-        raise BracketError("no finite upper bracket for the pooling slope")
-    lo = np.finfo(float).eps
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= _BETA_RTOL * mid:
-            break
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    beta = 0.5 * (lo + hi)
-    v_h, v_t = _contact_of_beta(prior, n, v_l, r, beta)
     return beta, v_h, v_t
 
 

@@ -11,6 +11,14 @@ in v_L.  The search condition gives r = r_search(v_L) in closed form,
 always with a feasible candidate (E[v | v > v_L] - r = s / (1 - F(v_L))),
 and the multiplier continuity gap z(v_L, r_search(v_L)) is negative at
 v_L = 0 and positive next to the full-information reserve.
+
+validate_equilibrium certifies the solved market without solving it
+again.  The fixed point is certified locally: solve_v_l_eq's own bracket
+and single-crossing scan at r*, then the signs of z(v_L* -+ 1e-9, r*),
+put the threshold at r* within 1e-9 of v_L*.  r* below the
+full-information reserve is one sign of the search residual, the regime
+is the solve's own decision, and z(0, r*) in the concealing regime is read
+from the candidate the market already holds.
 """
 from __future__ import annotations
 
@@ -30,9 +38,11 @@ from .errors import (
 from .exogenous import (
     REGIME_FULL,
     _check_market,
+    _v_l_bracket,
+    _z_of_beta,
+    _z_or_infeasible,
     conceals_below,
     posterior_share,
-    solve_v_l_eq,
     visit_probability,
     z_function,
 )
@@ -242,33 +252,87 @@ def _conceals_bottom(prior: Prior, n: int, alpha: float, mu: float, s: float) ->
     return conceals_below(prior, n, alpha, mu - s - _REGIME_BAND)
 
 
-def validate_equilibrium(eq: Equilibrium) -> None:
-    """Post-solve invariant suite; raises ValidationFailureError."""
+def _check_fixed_point(eq: Equilibrium) -> None:
+    """Raise fixed-point unless the threshold that z(., r*) pins down lies
+    within 1e-9 of v_L*.
+
+    The bracket and the single-crossing scan are solve_v_l_eq's own.  Past
+    them, z(v_L* - 1e-9, r*) <= 0 <= z(v_L* + 1e-9, r*), each point clipped
+    to the bracket, puts the one crossing between the two points.
+    """
+    prior, n, alpha, r, v_l = eq.prior, eq.n, eq.alpha, eq.r_star, eq.v_l_star
+    cand = eq.candidate
+    if cand is not None and cand.v_l == 0.0:
+        # the candidate at (0, r*) is the one z(0, r*) would build again
+        z0 = _z_of_beta(prior, n, alpha, 0.0, r, cand.beta)
+    else:
+        z0 = _z_or_infeasible(prior, n, alpha, 0.0, r)
+    bracket = _v_l_bracket(prior, n, alpha, r, z0)
+    if bracket is None:
+        if abs(v_l) > 1e-9:
+            raise ValidationFailureError(
+                "fixed-point",
+                f"the threshold at r* = {r} is 0 (z(0, r*) = {z0}), not v_L* = {v_l}",
+            )
+        return
+    lo, hi, z_lo, z_hi = bracket
+
+    def z(v: float) -> float:
+        if v <= lo:
+            return z_lo
+        if v >= hi:
+            return z_hi
+        return _z_or_infeasible(prior, n, alpha, v, r)
+
+    z_above = z(v_l + 1e-9)
+    if z_above < 0.0:
+        raise ValidationFailureError(
+            "fixed-point",
+            f"z(v_L* + 1e-9, r*) = {z_above} < 0 at v_L* = {v_l}, r* = {r}: "
+            "the threshold lies above v_L* + 1e-9",
+        )
+    z_below = z(v_l - 1e-9)
+    if z_below > 0.0:
+        raise ValidationFailureError(
+            "fixed-point",
+            f"z(v_L* - 1e-9, r*) = {z_below} > 0 at v_L* = {v_l}, r* = {r}: "
+            "the threshold lies below v_L* - 1e-9",
+        )
+
+
+def validate_equilibrium(eq: Equilibrium, conceals: bool) -> None:
+    """Post-solve invariant suite; raises ValidationFailureError.
+
+    conceals is the solve's own regime decision (_conceals_bottom).  The
+    suite certifies the market from values the solve already has and never
+    solves it again: r* below the full-information reserve is one sign, and
+    the fixed point is certified locally around v_L* (_check_fixed_point).
+    """
     res_prior = search_residual_prior(eq.prior, eq.v_l_star, eq.r_star, eq.s)
     if abs(res_prior) > 1e-9:
         raise ValidationFailureError("search-equation-prior-form", f"residual {res_prior}")
     res_post = search_residual_posterior(eq.g, eq.r_star, eq.s)
     if abs(res_post) > 1e-8:
         raise ValidationFailureError("search-equation", f"residual {res_post}")
-    rfi = r_full_info(eq.prior, eq.s)
-    if not eq.r_star < rfi + 1e-12:
-        raise ValidationFailureError("below-full-info", f"{eq.r_star} >= {rfi}")
+    # the full-information reserve is the root of x -> search_residual_prior
+    # (prior, x, x, s), which strictly decreases, so r* < reserve + 1e-12
+    # iff that residual is positive at r* - 1e-12
+    x = eq.r_star - 1e-12
+    res_full = search_residual_prior(eq.prior, x, x, eq.s)
+    if not res_full > 0.0:
+        raise ValidationFailureError(
+            "below-full-info", f"search residual {res_full} <= 0 at r* - 1e-12 = {x}"
+        )
     if eq.candidate is not None:
         validate_candidate(eq.candidate, eq.g)
     mu = eq.prior.mean()
-    if eq.bottom_disclosure == _conceals_bottom(eq.prior, eq.n, eq.alpha, mu, eq.s):
+    if eq.bottom_disclosure == conceals:
         raise ValidationFailureError(
             "regime", f"bottom_disclosure={eq.bottom_disclosure} at mu - s = {mu - eq.s}"
         )
     if not eq.bottom_disclosure and abs(eq.r_star - (mu - eq.s)) > 1e-12:
         raise ValidationFailureError("regime-reserve", f"r* != mu - s: {eq.r_star}")
-    # fixed-point self-consistency: re-solving the disclosure threshold at
-    # r* must return v_L*
-    v_l_back = solve_v_l_eq(eq.prior, eq.n, eq.alpha, eq.r_star)
-    if abs(v_l_back - eq.v_l_star) > 1e-9:
-        raise ValidationFailureError(
-            "fixed-point", f"v_L rewind {v_l_back} vs {eq.v_l_star}"
-        )
+    _check_fixed_point(eq)
 
 
 def solve_endog(prior: Prior, n: int, alpha: float, s: float) -> Equilibrium:
@@ -297,7 +361,8 @@ def solve_endog(prior: Prior, n: int, alpha: float, s: float) -> Equilibrium:
             note=REGIME_FULL,
         )
 
-    if _conceals_bottom(prior, n, alpha, mu, s):
+    conceals = _conceals_bottom(prior, n, alpha, mu, s)
+    if conceals:
         r_star, v_l_star = mu - s, 0.0
     else:
 
@@ -308,7 +373,7 @@ def solve_endog(prior: Prior, n: int, alpha: float, s: float) -> Equilibrium:
         r_star = r_search(prior, v_l_star, s)
 
     eq = assemble_market(prior, n, alpha, v_l_star, r_star, s)
-    validate_equilibrium(eq)
+    validate_equilibrium(eq, conceals)
     return eq
 
 

@@ -63,6 +63,11 @@ def z_function(prior: Prior, n: int, alpha: float, v_l: float, r: float) -> floa
     if not 0.0 < alpha < 1.0:
         raise DomainError("z_function needs alpha in (0, 1)")
     beta, _, _ = solve_beta(prior, n, v_l, r)
+    return _z_of_beta(prior, n, alpha, v_l, r, beta)
+
+
+def _z_of_beta(prior: Prior, n: int, alpha: float, v_l: float, r: float, beta: float) -> float:
+    """z_function given the pooled slope beta of the candidate at (v_L, r)."""
     fl = prior.cdf(v_l)
     eta = visit_probability(prior, n, v_l)
     return alpha * (eta - fl ** (n - 1)) - (1.0 - alpha) * beta * (r - v_l)
@@ -106,26 +111,33 @@ def _v_l_lower_limit(prior: Prior, r: float) -> float:
     )
 
 
-def solve_v_l_eq(prior: Prior, n: int, alpha: float, r: float) -> float:
-    """The unique lower disclosure threshold for an exogenous r."""
-    if not 0.0 < r < 1.0:
-        raise DomainError("reservation value must lie in (0, 1)")
+def _z_or_infeasible(prior: Prior, n: int, alpha: float, v_l: float, r: float) -> float:
+    """z_function, or -inf below the feasibility frontier."""
+    try:
+        return z_function(prior, n, alpha, v_l, r)
+    except InfeasibleCandidateError:
+        return -float("inf")
 
-    def z(v_l: float) -> float:
-        try:
-            return z_function(prior, n, alpha, v_l, r)
-        except InfeasibleCandidateError:
-            return -float("inf")  # below the feasibility frontier
 
-    if z(0.0) >= 0.0:  # r <= r_lower_bar: nothing below r is disclosed
-        return 0.0
+def _v_l_bracket(
+    prior: Prior, n: int, alpha: float, r: float, z0: float
+) -> tuple[float, float, float, float] | None:
+    """The bracket (lo, hi, z(lo), z(hi)) on which z(., r) crosses zero once,
+    or None when the threshold at r is 0; z0 is z(0, r).
+
+    Raises z-bracket when the gap has no sign change on [lo, hi], and
+    z-single-crossing when 16 samples show it crossing back down.
+    """
+    if z0 >= 0.0:  # r <= r_lower_bar: nothing below r is disclosed
+        return None
     lo = max(_v_l_lower_limit(prior, r), 0.0) + _EDGE
     hi = r - _EDGE
-    z_lo, z_hi = z(lo), z(hi)
+    z_lo = _z_or_infeasible(prior, n, alpha, lo, r)
+    z_hi = _z_or_infeasible(prior, n, alpha, hi, r)
     if z_lo >= 0.0 and lo <= 2.0 * _EDGE:
         # r sits within bisection tolerance of the concealment threshold:
         # the root lies below the bracket edge, i.e. at zero
-        return 0.0
+        return None
     if not (z_lo < 0.0 < z_hi):
         raise ValidationFailureError(
             "z-bracket", f"Z({lo})={z_lo}, Z({hi})={z_hi} at r={r}"
@@ -134,7 +146,9 @@ def solve_v_l_eq(prior: Prior, n: int, alpha: float, r: float) -> float:
     # (it increases at any crossing, by the convexity condition); sample
     # the sign pattern so a prior breaking the assumption fails loudly.
     # Note the gap need not be globally monotone above the root.
-    samples = [z(lo + (hi - lo) * k / 17.0) for k in range(1, 17)]
+    samples = [
+        _z_or_infeasible(prior, n, alpha, lo + (hi - lo) * k / 17.0, r) for k in range(1, 17)
+    ]
     seen_positive = False
     for val in samples:
         if val > 1e-7:
@@ -143,7 +157,25 @@ def solve_v_l_eq(prior: Prior, n: int, alpha: float, r: float) -> float:
             raise ValidationFailureError(
                 "z-single-crossing", f"sign pattern +/- at r={r}"
             )
-    return bisect_root(z, lo, hi, xtol=1e-12, f_lo=z_lo, f_hi=z_hi)
+    return lo, hi, z_lo, z_hi
+
+
+def solve_v_l_eq(prior: Prior, n: int, alpha: float, r: float) -> float:
+    """The unique lower disclosure threshold for an exogenous r."""
+    if not 0.0 < r < 1.0:
+        raise DomainError("reservation value must lie in (0, 1)")
+    bracket = _v_l_bracket(prior, n, alpha, r, _z_or_infeasible(prior, n, alpha, 0.0, r))
+    if bracket is None:
+        return 0.0
+    lo, hi, z_lo, z_hi = bracket
+    return bisect_root(
+        lambda v_l: _z_or_infeasible(prior, n, alpha, v_l, r),
+        lo,
+        hi,
+        xtol=1e-12,
+        f_lo=z_lo,
+        f_hi=z_hi,
+    )
 
 
 def _check_market(prior: Prior, n: int, alpha: float) -> None:

@@ -9,12 +9,9 @@ from disclose_eq import (
     build_candidate,
     build_g,
     candidate_exists,
-    d_function,
     full_disclosure_distribution,
-    h_star,
     point_mass,
     solve_beta,
-    solve_beta_via_h_star,
 )
 from disclose_eq.candidate import validate_candidate
 from disclose_eq.errors import InfeasibleCandidateError, NoUpperRootError
@@ -25,6 +22,7 @@ from disclose_eq.posterior import (
     PosteriorDistribution,
     informativeness_compare,
 )
+from reference import _contact_of_beta, d_function, h_star, solve_beta_via_h_star
 
 
 def _against_full(g, prior):
@@ -165,8 +163,6 @@ def test_slope_comparative_statics(uniform, power2):
 def test_contact_monotone_in_slope(uniform):
     # on the feasible bracket the contact point rises and the cap point
     # falls as the slope grows
-    from disclose_eq.candidate import _contact_of_beta
-
     n, v_l, r = 3, 0.0, 0.2
     beta_star = solve_beta(uniform, n, v_l, r)[0]
     betas = np.linspace(0.8 * beta_star, 1.6 * beta_star, 9)

@@ -3,8 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from disclose_eq import PiecewiseLinearPrior, PowerPrior, UniformPrior, endogenous, exogenous
+from disclose_eq import (
+    PiecewiseLinearPrior,
+    PowerPrior,
+    UniformPrior,
+    candidate,
+    endogenous,
+    exogenous,
+)
 from disclose_eq.endogenous import (
+    _check_fixed_point,
+    _conceals_bottom,
+    assemble_market,
     limit_equilibrium,
     n_lower_bar,
     r_full_info,
@@ -15,6 +25,7 @@ from disclose_eq.endogenous import (
     v_h_large_n,
 )
 from disclose_eq.errors import (
+    DiscloseEqError,
     DomainError,
     NoInteriorRootError,
     UnsupportedBoundaryError,
@@ -23,6 +34,7 @@ from disclose_eq.errors import (
 from disclose_eq.exogenous import r_lower_bar, solve_v_l_eq, z_function
 from disclose_eq.verify import check_dm_conditions, oracle_gap
 from disclose_eq.welfare import informativeness_compare
+from reference import validate_by_rewind
 
 
 def endog_uniform_closed_form(alpha: float, s: float) -> tuple[float, float]:
@@ -68,6 +80,19 @@ def test_solve_endog_regime_boundary(uniform):
     assert not eq.bottom_disclosure
 
 
+@pytest.mark.parametrize("prior_name", ["uniform", "power2", "piecewise"])
+def test_below_full_info_is_one_sign(request, prior_name):
+    # x -> search_residual_prior(prior, x, x, s) strictly decreases to its
+    # root r_full_info, so validation reads r* < r_full_info + 1e-12 from
+    # the sign of the residual at r* - 1e-12
+    prior = request.getfixturevalue(prior_name)
+    for s in (0.02, 0.1, 0.3 * prior.mean()):
+        rfi = r_full_info(prior, s)
+        for d in (-1e-6, -1e-10, -5e-12, 5e-12, 1e-10, 1e-6):
+            x = rfi + d
+            assert (search_residual_prior(prior, x, x, s) > 0.0) == (x < rfi)
+
+
 def test_search_equation_residuals(eq_uniform_small, eq_power):
     for eq in (eq_uniform_small, eq_power):
         assert abs(search_residual_prior(eq.prior, eq.v_l_star, eq.r_star, eq.s)) < 1e-9
@@ -100,6 +125,170 @@ def test_solve_endog_does_not_bisect_r_lower_bar(monkeypatch, uniform, n, alpha,
     assert r_lower_bar.cache_info().misses == 0
     if conceals:
         assert len(calls) <= 4
+
+
+# Guards the cost of the post-solve validation: it certifies the market
+# without solving it again, so a concealing market costs no candidate and a
+# disclosing one the 19 z evaluations of solve_v_l_eq's bracket and scan
+# plus the two around v_L*.  A rewind of solve_v_l_eq took about 59.
+@pytest.mark.parametrize(
+    "n, alpha, s, conceals, budget", [(19, 0.5, 0.1, True, 0), (2, 0.65, 0.1, False, 21)]
+)
+def test_validate_equilibrium_does_not_re_solve(
+    monkeypatch, uniform, n, alpha, s, conceals, budget
+):
+    eq = solve_endog(uniform, n, alpha, s)
+    assert eq.bottom_disclosure is not conceals
+    calls = []
+
+    def counted_solve_beta(*args):
+        calls.append(args)
+        return candidate.solve_beta(*args)
+
+    def no_full_info(*args):
+        raise AssertionError("validation bisected the full-information reserve")
+
+    monkeypatch.setattr(exogenous, "solve_beta", counted_solve_beta)
+    monkeypatch.setattr(endogenous, "r_full_info", no_full_info)
+    endogenous.validate_equilibrium(eq, conceals)
+    assert len(calls) <= budget
+
+
+# mu - s above r_lower_bar(PowerPrior(2), 1000, 0.5) by these, inside the
+# regime band
+_BAND = (1e-12, 2e-11, 5e-11)
+
+
+def _random_markets(count: int):
+    """Seeded markets over the uniform, power and convex piecewise families,
+    with n from 2 to 300 and s across (0, mu), so both regimes occur."""
+    rng = np.random.default_rng(20261018)
+    markets = []
+    while len(markets) < count:
+        family = len(markets) % 3
+        if family == 0:
+            prior = UniformPrior()
+        elif family == 1:
+            prior = PowerPrior(float(rng.uniform(1.0, 4.0)))
+        else:
+            xs = np.sort(rng.uniform(0.1, 0.9, int(rng.integers(1, 3))))
+            widths = np.diff(np.concatenate(([0.0], xs, [1.0])))
+            slopes = np.cumsum(rng.uniform(0.2, 1.0, len(widths)))  # increasing: convex
+            qs = np.cumsum(slopes * widths)
+            qs /= qs[-1]
+            knots = ((0.0, 0.0),) + tuple(zip(xs.tolist(), qs[:-1].tolist())) + ((1.0, 1.0),)
+            prior = PiecewiseLinearPrior(knots)
+        n = int(np.exp(rng.uniform(np.log(2.0), np.log(300.0))))
+        if prior.check_convexity(n):
+            alpha = float(rng.uniform(0.05, 0.95))
+            s = float(rng.uniform(0.1, 0.95)) ** 2 * prior.mean()
+            markets.append((prior, n, alpha, s))
+    return markets
+
+
+def _boundary_markets():
+    """The regime-boundary markets of test_regime_boundary_solves and the
+    band markets of test_band_market_is_a_fixed_point_error."""
+    piecewise = PiecewiseLinearPrior(knots=((0.0, 0.0), (0.5, 0.25), (1.0, 1.0)))
+    markets = []
+    for prior, n, alpha in [
+        (UniformPrior(), 2, 0.3),
+        (UniformPrior(), 4, 0.5),
+        (PowerPrior(2.0), 3, 0.4),
+        (piecewise, 3, 0.5),
+    ]:
+        s_bar = prior.mean() - r_lower_bar(prior, n, alpha)
+        deltas = (0.0, 1e-11, -1e-11, -1e-10, -1e-9, -1e-8)
+        markets += [(prior, n, alpha, s_bar + d) for d in deltas]
+    prior = PowerPrior(2.0)
+    markets += [(prior, 1000, 0.5, prior.mean() - r_lower_bar(prior, 1000, 0.5) - d) for d in _BAND]
+    return markets
+
+
+def _validated(monkeypatch, markets):
+    """(eq, conceals) for each market that reaches its post-solve validation."""
+    seen = []
+    validate = endogenous.validate_equilibrium
+
+    def capture(eq, conceals):
+        seen.append((eq, conceals))
+        validate(eq, conceals)
+
+    monkeypatch.setattr(endogenous, "validate_equilibrium", capture)
+    for market in markets:
+        try:
+            solve_endog(*market)
+        except DiscloseEqError:
+            pass
+    monkeypatch.undo()
+    return seen
+
+
+def _outcome(validate, *args):
+    try:
+        validate(*args)
+    except DiscloseEqError as exc:
+        return type(exc).__name__, getattr(exc, "invariant", None)
+    return "passed"
+
+
+def test_validation_agrees_with_rewind(monkeypatch):
+    # the local certificate against the validation that re-solves the
+    # market: same verdict and invariant on solved markets and on their
+    # perturbations, which fail at each check in turn
+    seen = _validated(monkeypatch, _random_markets(120) + _boundary_markets())
+    cases = 0
+    outcomes = set()
+    for eq, conceals in seen:
+        prior, n, alpha, s = eq.prior, eq.n, eq.alpha, eq.s
+        perturbed = [
+            (eq.v_l_star + d, eq.r_star) for d in (1e-10, -1e-10, 1e-8, -1e-8, 1e-6, -1e-6)
+        ]
+        perturbed += [(eq.v_l_star, eq.r_star + d) for d in (1e-9, -1e-9)]
+        rfi = r_full_info(prior, s)  # a reserve just above full information
+        perturbed.append((rfi - 1e-9, rfi + 1e-10))
+        markets = [eq] + [
+            assemble_market(prior, n, alpha, v, r, s) for v, r in perturbed if v >= 0.0
+        ]
+        for market in markets:
+            old = _outcome(validate_by_rewind, market)
+            assert _outcome(endogenous.validate_equilibrium, market, conceals) == old
+            outcomes.add(old)
+            cases += 1
+    regimes = [eq.bottom_disclosure for eq, _ in seen]
+    assert len(seen) >= 140 and cases >= 1100
+    assert 30 <= sum(regimes) <= len(regimes) - 30
+    failures = {name for _, name in outcomes - {"passed"}}
+    assert "passed" in outcomes and {"fixed-point", "below-full-info", "regime"} <= failures
+
+
+def test_fixed_point_certificate_agrees_with_rewind(monkeypatch):
+    # v_L* moved across the 1e-9 bound, with only the fixed-point check
+    seen = _validated(monkeypatch, _random_markets(120))
+    for eq, _ in seen:
+        rewind = solve_v_l_eq(eq.prior, eq.n, eq.alpha, eq.r_star)
+        for d in (5e-10, -5e-10, 2e-9, -2e-9, 1e-8, -1e-8, 1e-6):
+            v_l = eq.v_l_star + d
+            if v_l < 0.0:
+                continue
+            market = assemble_market(eq.prior, eq.n, eq.alpha, v_l, eq.r_star, eq.s)
+            fails = abs(rewind - v_l) > 1e-9
+            expected = ("ValidationFailureError", "fixed-point") if fails else "passed"
+            assert _outcome(_check_fixed_point, market) == expected
+
+
+# mu - s lies above r_lower_bar by less than the regime band, so the solve
+# conceals, but z(., mu - s) crosses zero above 1e-9: no market within the
+# bounds exists there, and the solve says so through a typed error
+@pytest.mark.parametrize("d", _BAND)
+def test_band_market_is_a_fixed_point_error(power2, d):
+    s = power2.mean() - r_lower_bar(power2, 1000, 0.5) - d
+    assert _conceals_bottom(power2, 1000, 0.5, power2.mean(), s)
+    with pytest.raises(ValidationFailureError) as exc:
+        solve_endog(power2, 1000, 0.5, s)
+    assert exc.value.invariant == "fixed-point"
+    assert "z(v_L* + 1e-9, r*) = -" in str(exc.value)
+    assert "< 0" in str(exc.value)
 
 
 def test_n_lower_bar_uniform(uniform):
