@@ -29,7 +29,7 @@ import numpy as np
 from .costs import ContinuousCosts, CostDistribution, DiscreteCosts
 from .endogenous import Equilibrium
 from .errors import DomainError
-from .posterior import ArrayLike, PosteriorDistribution, check_deviation_mpc
+from .posterior import ArrayLike, PosteriorDistribution, check_deviation_mpc, sorted_unique
 
 _BLOCK = 1 << 16
 
@@ -162,7 +162,7 @@ def _bin_edges(bins: int, eq: Equilibrium) -> np.ndarray:
     breakpoints, which keeps bin averages aligned with midpoint payoffs."""
     base = np.linspace(0.0, 1.0, bins + 1)
     forced = [x for x in (eq.v_l_star, eq.r_star, eq.v_h_star, eq.v_t_star) if 0.0 < x < 1.0]
-    edges = np.unique(np.concatenate([base, forced]))
+    edges = sorted_unique(np.concatenate([base, forced]))
     # drop base edges that crowd a forced breakpoint
     keep = np.ones(len(edges), dtype=bool)
     for x in forced:

@@ -315,6 +315,14 @@ class InformativenessVerdict:
     mean_gap: float
 
 
+def sorted_unique(x: np.ndarray) -> np.ndarray:
+    """np.unique of a nonempty 1-d float array without NaN, from one sort:
+    np.unique's first call imports numpy.ma (numpy >= 2.3), a cost that
+    every cold CLI process would pay."""
+    x = np.sort(x)
+    return x[np.concatenate([[True], x[1:] != x[:-1]])]
+
+
 def informativeness_compare(
     g0: PosteriorDistribution, g1: PosteriorDistribution
 ) -> InformativenessVerdict:
@@ -323,7 +331,7 @@ def informativeness_compare(
     LessInformative means g0 is a mean-preserving contraction of g1.
     Incomparability is an ordinary outcome, not an error.
     """
-    grid = np.unique(
+    grid = sorted_unique(
         np.concatenate(
             [np.linspace(0.0, 1.0, _MPC_GRID), g0.breakpoints(), g1.breakpoints()]
         )

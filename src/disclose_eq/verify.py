@@ -6,12 +6,15 @@ Three routes, deliberately redundant:
   checks (continuity/convexity, domination, contact on the support, and
   the integral identity), all evaluated analytically or on dense grids;
   the payoff and the multiplier share one branch object per market
-  (Equilibrium.branches);
+  (Equilibrium.branches), and each is evaluated once per certificate, on
+  all its grids together;
 * a discretized linear-program best response over the exact feasible
   polytope (nonnegativity, unit mass, matched mean, and stop-loss
   dominance at every grid point), solved with scipy's HiGHS backend over
   the stop-loss slack at the grid points: a tridiagonal LP with O(m)
-  nonzeros, run at fixed feasibility tolerances of 1e-10;
+  nonzeros, run at fixed feasibility tolerances of 1e-10.  Its sparse
+  input is assembled by index arithmetic in one pass, entry for entry the
+  matrix the sparse products that define it would give;
 * direct expected-payoff comparisons for hand-built deviations.
 
 The cost-heterogeneity check implements the large-market sufficiency
@@ -30,7 +33,13 @@ from scipy.optimize import linprog
 from .costs import ContinuousCosts, CostDistribution, DiscreteCosts  # noqa: F401 (re-exported)
 from .endogenous import _N_CAP, payoff_u, solve_endog
 from .errors import DomainError, IterationCapError, ValidationFailureError
-from .posterior import Flat, FullDisclosure, PosteriorDistribution, check_deviation_mpc
+from .posterior import (
+    Flat,
+    FullDisclosure,
+    PosteriorDistribution,
+    check_deviation_mpc,
+    sorted_unique,
+)
 from .priors import Prior
 
 _GL_NODES = 32
@@ -89,7 +98,7 @@ def _support_grid(eq, grid_size: int) -> np.ndarray:
         pieces.append(np.linspace(0.0, eq.v_l_star, grid_size // 4 + 2))
     if eq.v_h_star < 1.0:
         pieces.append(np.linspace(eq.v_h_star, 1.0, grid_size // 4 + 2))
-    return np.unique(np.concatenate(pieces))
+    return sorted_unique(np.concatenate(pieces))
 
 
 def expected_payoff(eq) -> float:
@@ -137,17 +146,30 @@ def check_dm_conditions(eq, grid_size: int = 1001) -> CertificateReport:
 
     The seam gaps and kink slope increments are evaluated from the branch
     formulas (grid differencing would divide solver residuals by arbitrary
-    spacings); convexity inside each smooth branch is a grid check.
+    spacings); convexity inside each smooth branch is a grid check.  The
+    multiplier and the payoff are elementwise, so each is evaluated once,
+    on all the grids at once.
     """
     if grid_size < 501:
         raise DomainError("grid_size must be at least 501")
     prior, n, b = eq.prior, eq.n, eq.branches
     breaks = [eq.v_l_star, eq.r_star, eq.v_h_star, eq.v_t_star]
-    grid = np.unique(
+    grid = sorted_unique(
         np.clip(np.concatenate([np.linspace(0.0, 1.0, grid_size), breaks]), 0.0, 1.0)
     )
-    phi = multiplier_phi(eq, grid)
-    u = payoff_u(eq, grid)
+    sup = _support_grid(eq, grid_size)
+    # per-branch slope scans, strictly inside each branch so that
+    # solver-residual seam jumps cannot leak into the slope differences
+    scans = []
+    for lo, hi in [(0.0, eq.v_l_star), (eq.v_l_star, eq.v_h_star), (eq.v_h_star, 1.0)]:
+        if hi - lo < 1e-9:
+            continue
+        shrink = 1e-9 * (hi - lo)
+        scans.append(np.linspace(lo + shrink, hi - shrink, max(grid_size // 3, 101)))
+    grids = [grid, sup, *scans]
+    phi = multiplier_phi(eq, np.concatenate(grids))
+    phi_grid, phi_sup, *phi_scans = np.split(phi, np.cumsum([len(x) for x in grids[:-1]]))
+    u = payoff_u(eq, np.concatenate([grid, sup]))
 
     # DM1 continuity at interior seams
     gaps = [0.0]
@@ -157,31 +179,22 @@ def check_dm_conditions(eq, grid_size: int = 1001) -> CertificateReport:
         gaps.append(abs(b.high(b.fh ** (n - 1)) - b.line(eq.v_h_star)))
     max_cont_gap = max(gaps)
 
-    # DM1 convexity: analytic kink increments plus per-branch slope scans;
-    # the scans also see concave prior knots that check_convexity admits
+    # DM1 convexity: analytic kink increments plus the slope scans; the
+    # scans also see concave prior knots that check_convexity admits
     increments = [0.0]
     if eq.v_l_star > 0.0:
         increments.append(b.slope - b.c_low * prior.pow_cdf_deriv(eq.v_l_star, n))
     if eq.v_h_star < 1.0:
         increments.append((1.0 - b.at) * (prior.pow_cdf_deriv(eq.v_h_star, n) - b.beta))
-    pieces = [(0.0, eq.v_l_star), (eq.v_l_star, eq.v_h_star), (eq.v_h_star, 1.0)]
-    for lo, hi in pieces:
-        if hi - lo < 1e-9:
-            continue
-        # stay strictly inside the branch so solver-residual seam jumps
-        # cannot leak into the slope differences
-        shrink = 1e-9 * (hi - lo)
-        sub = np.linspace(lo + shrink, hi - shrink, max(grid_size // 3, 101))
-        slopes = np.diff(multiplier_phi(eq, sub)) / np.diff(sub)
+    for sub, phi_sub in zip(scans, phi_scans):
+        slopes = np.diff(phi_sub) / np.diff(sub)
         if len(slopes) > 1:
             increments.append(float(np.min(np.diff(slopes))))
     min_slope_inc = min(increments)
     dm1 = max_cont_gap <= 1e-9 and min_slope_inc >= -1e-9
 
-    dm2_min_gap = float(np.min(phi - u))
-
-    sup = _support_grid(eq, grid_size)
-    dm3 = float(np.max(np.abs(multiplier_phi(eq, sup) - payoff_u(eq, sup))))
+    dm2_min_gap = float(np.min(phi_grid - u[: len(grid)]))
+    dm3 = float(np.max(np.abs(phi_sup - u[len(grid) :])))
 
     dm4 = abs(integral_phi_dG(eq) - integral_phi_dF(eq))
 
@@ -207,7 +220,7 @@ def oracle_grid(eq, m: int) -> np.ndarray:
         raise DomainError("oracle grid needs at least 101 points")
     base = np.linspace(0.0, 1.0, m)
     forced = [eq.v_l_star, eq.r_star, eq.v_h_star, eq.v_t_star]
-    return np.unique(np.concatenate([base, forced]))
+    return sorted_unique(np.concatenate([base, forced]))
 
 
 def discretize_prior(prior: Prior, grid: np.ndarray) -> np.ndarray:
@@ -215,34 +228,6 @@ def discretize_prior(prior: Prior, grid: np.ndarray) -> np.ndarray:
     mids = np.concatenate([[0.0], 0.5 * (grid[1:] + grid[:-1]), [1.0]])
     cdf_vals = np.asarray(prior.cdf(mids))
     return np.diff(cdf_vals)
-
-
-def _slack_map(h: np.ndarray, narrow: np.ndarray) -> tuple[sparse.csr_array, np.ndarray]:
-    """Stop-loss slack at each grid point as a sparse map of the LP variables.
-
-    A point carries a slack variable of its own unless the cell below it is
-    one of the narrow cells; across such a cell the slack grows by h times a
-    slope variable of the cell's own.  Returns the map and the mask of
-    points that carry their own variable.
-    """
-    m = len(h) + 1
-    own = np.ones(m, dtype=bool)
-    own[narrow + 1] = False
-    n_own = int(np.sum(own))
-    var = np.cumsum(own) - 1
-    terms: dict[int, list[tuple[int, float]]] = {}
-    for i, k in enumerate(narrow):
-        terms[k + 1] = terms.get(k, [(var[k], 1.0)]) + [(n_own + i, h[k])]
-    rows, cols, vals = [np.flatnonzero(own)], [var[own]], [np.ones(n_own)]
-    for j, t in terms.items():
-        rows.append(np.full(len(t), j))
-        cols.append(np.array([c for c, _ in t]))
-        vals.append(np.array([v for _, v in t]))
-    slack = sparse.csr_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, n_own + len(narrow)),
-    )
-    return slack, own
 
 
 def best_response_oracle(
@@ -261,11 +246,21 @@ def best_response_oracle(
     t_k less g's, so the masses are g = f plus the slope increments and
     g >= 0 is m tridiagonal rows: O(m) nonzeros in all.  A cell narrower
     than _NARROW_CELL is too short for D to resolve its slope, so that
-    slope is a variable of its own (_slack_map).  The rows carry 1/h, so
-    HiGHS runs at fixed feasibility tolerances of 1e-10 instead of its
-    1e-7 defaults, and the entries HiGHS would ignore are dropped here
-    first, so the masses come from the model that was solved.
+    slope is a variable of its own.  The rows carry 1/h, so HiGHS runs at
+    fixed feasibility tolerances of 1e-10 instead of its 1e-7 defaults, and
+    the entries HiGHS would ignore are dropped here first, so the masses
+    come from the model that was solved.  The constraint matrix is built
+    entry by entry with index arithmetic, in the float operations and the
+    order of the sparse products slack -> slope -> masses that define it.
     """
+    return _solve_oracle(u_values, prior, grid)[:2]
+
+
+def _solve_oracle(
+    u_values: Sequence[float], prior: Prior, grid: Sequence[float]
+) -> tuple[float, np.ndarray, int, int]:
+    """best_response_oracle, with the nonzeros of the LP's constraint matrix
+    and HiGHS's simplex iterations."""
     grid = np.asarray(grid, dtype=float)
     u_values = np.asarray(u_values, dtype=float)
     if grid.ndim != 1 or grid.shape != u_values.shape or len(grid) < 2:
@@ -275,29 +270,74 @@ def best_response_oracle(
         raise DomainError("grid must be strictly increasing")
     m = len(grid)
     f = discretize_prior(prior, grid)
-    narrow = np.flatnonzero(h < _NARROW_CELL)
-    slack, own = _slack_map(h, narrow)
-    slope = sparse.diags_array(1.0 / h) @ (slack[1:] - slack[:-1])
-    slope.data[np.abs(slope.data) < _HIGHS_SMALL_ENTRY] = 0.0
-    slope.eliminate_zeros()
-    rise = sparse.diags_array(
-        [np.ones(m - 1), -np.ones(m - 1)], offsets=[-1, 0], shape=(m, m - 1)
+    # m variables: D at each point whose cell below is not narrow (its own
+    # point), then the slope on each narrow cell.  D_j is the variable of
+    # the own point p at or below j plus h_c times the slope of each narrow
+    # cell c from p up to j.
+    narrow = h < _NARROW_CELL
+    wide, cells = np.flatnonzero(~narrow), np.flatnonzero(narrow)
+    own = np.concatenate([[True], ~narrow])
+    var = np.cumsum(own) - 1
+    cell_var = m - len(cells) - 1 + np.cumsum(narrow)
+    start = np.flatnonzero(own)[var]
+
+    def slack(points):
+        """Row-major (row, column, value) of D at these points."""
+        size = 1 + points - start[points]
+        row = np.repeat(np.arange(len(points)), size)
+        pos = np.arange(len(row)) - np.repeat(np.cumsum(size) - size, size)
+        cell = start[points][row] + pos - 1
+        col = np.where(pos > 0, cell_var[cell], var[points][row])
+        return row, col, np.where(pos > 0, h[cell], 1.0)
+
+    # slope_k = (D_{k+1} - D_k) / h_k on a wide cell, whose top point is
+    # its own; on a narrow cell, (1 / h_k) * h_k times the cell's variable.
+    # Entries are keyed row * m + column.
+    inv_h = 1.0 / h
+    row, col, val = slack(wide)
+    row = wide[row]
+    key = np.concatenate([row, wide, cells]) * m
+    key += np.concatenate([col, var[wide + 1], cell_var[cells]])
+    val = np.concatenate([inv_h[row] * -val, inv_h[wide], inv_h[cells] * h[cells]])
+    kept = np.flatnonzero(np.abs(val) >= _HIGHS_SMALL_ENTRY)
+    kept = kept[np.argsort(key[kept])]
+    key, val = key[kept], val[kept]
+    # the masses are f + lift @ x, lift_j = slope_{j-1} - slope_j, in the
+    # entry order of the sparse product: slope_j's other columns, then
+    # slope_{j-1}'s.  A shared column pairs entries of opposite sign.
+    upper = key + m
+    at = np.minimum(np.searchsorted(upper, key), len(key) - 1)
+    shared = upper[at] == key
+    upper_val = val.copy()
+    upper_val[at[shared]] -= val[shared]
+    order = np.argsort(np.concatenate([key[~shared] // m * 2, upper // m * 2 + 1]), kind="stable")
+    l_row, l_col = np.divmod(np.concatenate([key[~shared], upper])[order], m)
+    lift = np.concatenate([-val[~shared], upper_val])[order]
+
+    row, col, val = slack(np.concatenate([cells + 1, [0, m - 1]]))
+    ub = row < len(cells)
+    # g >= 0, and D >= 0 at the points without a variable of their own
+    a_ub = sparse.coo_array(
+        (
+            np.concatenate([-lift, -val[ub]]),
+            (np.concatenate([l_row, m + row[ub]]), np.concatenate([l_col, col[ub]])),
+        ),
+        shape=(m + len(cells), m),
     )
-    lift = rise @ slope  # the masses are f + lift @ x
+    # D = 0 at the bottom, and at the top (the mean)
+    a_eq = sparse.coo_array((val[~ub], (row[~ub] - len(cells), col[~ub])), shape=(2, m))
     # own slack >= 0; a narrow cell's slope is the prior's mass up to the
     # cell less g's, so it lies in [F_k - 1, F_k]
-    cdf = np.cumsum(f)[narrow]
-    n_own = m - len(narrow)
+    cdf = np.cumsum(f)[cells]
     bounds = np.column_stack([
-        np.concatenate([np.zeros(n_own), cdf - 1.0]),
-        np.concatenate([np.full(n_own, np.inf), cdf]),
+        np.concatenate([np.zeros(m - len(cells)), cdf - 1.0]),
+        np.concatenate([np.full(m - len(cells), np.inf), cdf]),
     ])
     res = linprog(
-        -(lift.T @ u_values),
-        # g >= 0, and D >= 0 at the points without a variable of their own
-        A_ub=sparse.vstack([-lift, -slack[~own]]),
-        b_ub=np.concatenate([f, np.zeros(len(narrow))]),
-        A_eq=slack[[0, m - 1]],  # D = 0 at the bottom, and at the top (the mean)
+        -np.bincount(l_col, weights=lift * u_values[l_row], minlength=m),
+        A_ub=a_ub,
+        b_ub=np.concatenate([f, np.zeros(len(cells))]),
+        A_eq=a_eq,
         b_eq=np.zeros(2),
         bounds=bounds,
         method="highs",
@@ -305,19 +345,24 @@ def best_response_oracle(
     )
     if not res.success:  # pragma: no cover - the prior's own cells are feasible
         raise ValidationFailureError("oracle-lp", res.message)
-    return float(u_values @ f - res.fun), f + lift @ res.x
+    masses = f + np.bincount(l_row, weights=lift * res.x[l_col], minlength=m)
+    return float(u_values @ f - res.fun), masses, a_ub.nnz + a_eq.nnz, int(res.nit)
 
 
 def oracle_gap(eq, m: int) -> dict[str, float]:
-    """LP optimum against the market payoff, and its gap to the played value."""
+    """LP optimum against the market payoff, and its gap to the played value,
+    with the LP's size (nonzeros of its constraint matrix) and its simplex
+    iterations."""
     grid = oracle_grid(eq, m)
-    value, masses = best_response_oracle(payoff_u(eq, grid), eq.prior, grid)
+    value, _, nonzeros, iterations = _solve_oracle(payoff_u(eq, grid), eq.prior, grid)
     played = expected_payoff(eq)
     return {
         "m": float(len(grid)),
         "oracle_value": value,
         "played_value": played,
         "gap": value - played,
+        "lp_nonzeros": nonzeros,
+        "lp_iterations": iterations,
     }
 
 

@@ -9,21 +9,37 @@ The post-solve validation that re-solves the market (validate_by_rewind):
 it bisects the full-information reserve, recomputes the regime decision
 and rewinds solve_v_l_eq at r*.  endogenous.validate_equilibrium must
 agree with it on pass or fail and on the invariant name.
+
+The LP oracle assembled by scipy.sparse algebra (oracle_by_sparse_algebra,
+with its stop-loss-slack map _slack_map): verify.best_response_oracle
+builds the same HiGHS input by index arithmetic and must hand HiGHS
+exactly these arrays.
+
+The certificate with one grid evaluation per check
+(dm_conditions_by_separate_grids): verify.check_dm_conditions evaluates
+the multiplier and the payoff once on all its grids and must return the
+same report, field by field.
 """
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from disclose_eq.candidate import _XTOL, candidate_exists, validate_candidate
 from disclose_eq.endogenous import (
     Equilibrium,
     _conceals_bottom,
+    payoff_u,
     r_full_info,
     search_residual_posterior,
     search_residual_prior,
 )
 from disclose_eq.errors import (
     BracketError,
+    DomainError,
     InfeasibleCandidateError,
     NoUpperRootError,
     ValidationFailureError,
@@ -31,6 +47,16 @@ from disclose_eq.errors import (
 from disclose_eq.exogenous import solve_v_l_eq
 from disclose_eq.priors import Prior
 from disclose_eq.rootfind import bisect_root
+from disclose_eq.verify import (
+    _HIGHS_SMALL_ENTRY,
+    _LP_TOLERANCES,
+    _NARROW_CELL,
+    CertificateReport,
+    discretize_prior,
+    integral_phi_dF,
+    integral_phi_dG,
+    multiplier_phi,
+)
 
 _BETA_RTOL = 1e-12  # relative bracket width at which solve_beta_via_h_star stops
 
@@ -149,3 +175,153 @@ def validate_by_rewind(eq: Equilibrium) -> None:
         raise ValidationFailureError(
             "fixed-point", f"v_L rewind {v_l_back} vs {eq.v_l_star}"
         )
+
+
+def _slack_map(h: np.ndarray, narrow: np.ndarray) -> tuple[sparse.csr_array, np.ndarray]:
+    """Stop-loss slack at each grid point as a sparse map of the LP variables.
+
+    A point carries a slack variable of its own unless the cell below it is
+    one of the narrow cells; across such a cell the slack grows by h times a
+    slope variable of the cell's own.  Returns the map and the mask of
+    points that carry their own variable.
+    """
+    m = len(h) + 1
+    own = np.ones(m, dtype=bool)
+    own[narrow + 1] = False
+    n_own = int(np.sum(own))
+    var = np.cumsum(own) - 1
+    terms: dict[int, list[tuple[int, float]]] = {}
+    for i, k in enumerate(narrow):
+        terms[k + 1] = terms.get(k, [(var[k], 1.0)]) + [(n_own + i, h[k])]
+    rows, cols, vals = [np.flatnonzero(own)], [var[own]], [np.ones(n_own)]
+    for j, t in terms.items():
+        rows.append(np.full(len(t), j))
+        cols.append(np.array([c for c, _ in t]))
+        vals.append(np.array([v for _, v in t]))
+    slack = sparse.csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(m, n_own + len(narrow)),
+    )
+    return slack, own
+
+
+def oracle_by_sparse_algebra(
+    u_values: Sequence[float], prior: Prior, grid: Sequence[float]
+) -> tuple[float, np.ndarray]:
+    """The stop-loss-slack LP oracle, assembled with scipy.sparse algebra."""
+    grid = np.asarray(grid, dtype=float)
+    u_values = np.asarray(u_values, dtype=float)
+    if grid.ndim != 1 or grid.shape != u_values.shape or len(grid) < 2:
+        raise DomainError("grid and u_values must be 1-d arrays of equal length >= 2")
+    h = np.diff(grid)
+    if not np.all(h > 0.0):
+        raise DomainError("grid must be strictly increasing")
+    m = len(grid)
+    f = discretize_prior(prior, grid)
+    narrow = np.flatnonzero(h < _NARROW_CELL)
+    slack, own = _slack_map(h, narrow)
+    slope = sparse.diags_array(1.0 / h) @ (slack[1:] - slack[:-1])
+    slope.data[np.abs(slope.data) < _HIGHS_SMALL_ENTRY] = 0.0
+    slope.eliminate_zeros()
+    rise = sparse.diags_array(
+        [np.ones(m - 1), -np.ones(m - 1)], offsets=[-1, 0], shape=(m, m - 1)
+    )
+    lift = rise @ slope  # the masses are f + lift @ x
+    # own slack >= 0; a narrow cell's slope is the prior's mass up to the
+    # cell less g's, so it lies in [F_k - 1, F_k]
+    cdf = np.cumsum(f)[narrow]
+    n_own = m - len(narrow)
+    bounds = np.column_stack([
+        np.concatenate([np.zeros(n_own), cdf - 1.0]),
+        np.concatenate([np.full(n_own, np.inf), cdf]),
+    ])
+    res = linprog(
+        -(lift.T @ u_values),
+        # g >= 0, and D >= 0 at the points without a variable of their own
+        A_ub=sparse.vstack([-lift, -slack[~own]]),
+        b_ub=np.concatenate([f, np.zeros(len(narrow))]),
+        A_eq=slack[[0, m - 1]],  # D = 0 at the bottom, and at the top (the mean)
+        b_eq=np.zeros(2),
+        bounds=bounds,
+        method="highs",
+        options=_LP_TOLERANCES,
+    )
+    if not res.success:  # pragma: no cover - the prior's own cells are feasible
+        raise ValidationFailureError("oracle-lp", res.message)
+    return float(u_values @ f - res.fun), f + lift @ res.x
+
+
+def _support_grid(eq, grid_size: int) -> np.ndarray:
+    """Grid over the support of the disclosure (where contact must hold)."""
+    pool_top = min(eq.v_h_star, eq.v_t_star)
+    pieces = [np.linspace(eq.r_star, pool_top, grid_size // 2)]
+    if eq.v_l_star > 0.0:
+        pieces.append(np.linspace(0.0, eq.v_l_star, grid_size // 4 + 2))
+    if eq.v_h_star < 1.0:
+        pieces.append(np.linspace(eq.v_h_star, 1.0, grid_size // 4 + 2))
+    return np.unique(np.concatenate(pieces))
+
+
+def dm_conditions_by_separate_grids(eq, grid_size: int = 1001) -> CertificateReport:
+    """Evaluate the four optimality conditions for the market's multiplier.
+
+    The seam gaps and kink slope increments are evaluated from the branch
+    formulas (grid differencing would divide solver residuals by arbitrary
+    spacings); convexity inside each smooth branch is a grid check.
+    """
+    if grid_size < 501:
+        raise DomainError("grid_size must be at least 501")
+    prior, n, b = eq.prior, eq.n, eq.branches
+    breaks = [eq.v_l_star, eq.r_star, eq.v_h_star, eq.v_t_star]
+    grid = np.unique(
+        np.clip(np.concatenate([np.linspace(0.0, 1.0, grid_size), breaks]), 0.0, 1.0)
+    )
+    phi = multiplier_phi(eq, grid)
+    u = payoff_u(eq, grid)
+
+    # DM1 continuity at interior seams
+    gaps = [0.0]
+    if 0.0 < eq.v_l_star < 1.0:
+        gaps.append(abs(b.line(eq.v_l_star) - b.low(b.fln1)))
+    if 0.0 < eq.v_h_star < 1.0:
+        gaps.append(abs(b.high(b.fh ** (n - 1)) - b.line(eq.v_h_star)))
+    max_cont_gap = max(gaps)
+
+    # DM1 convexity: analytic kink increments plus per-branch slope scans;
+    # the scans also see concave prior knots that check_convexity admits
+    increments = [0.0]
+    if eq.v_l_star > 0.0:
+        increments.append(b.slope - b.c_low * prior.pow_cdf_deriv(eq.v_l_star, n))
+    if eq.v_h_star < 1.0:
+        increments.append((1.0 - b.at) * (prior.pow_cdf_deriv(eq.v_h_star, n) - b.beta))
+    pieces = [(0.0, eq.v_l_star), (eq.v_l_star, eq.v_h_star), (eq.v_h_star, 1.0)]
+    for lo, hi in pieces:
+        if hi - lo < 1e-9:
+            continue
+        # stay strictly inside the branch so solver-residual seam jumps
+        # cannot leak into the slope differences
+        shrink = 1e-9 * (hi - lo)
+        sub = np.linspace(lo + shrink, hi - shrink, max(grid_size // 3, 101))
+        slopes = np.diff(multiplier_phi(eq, sub)) / np.diff(sub)
+        if len(slopes) > 1:
+            increments.append(float(np.min(np.diff(slopes))))
+    min_slope_inc = min(increments)
+    dm1 = max_cont_gap <= 1e-9 and min_slope_inc >= -1e-9
+
+    dm2_min_gap = float(np.min(phi - u))
+
+    sup = _support_grid(eq, grid_size)
+    dm3 = float(np.max(np.abs(multiplier_phi(eq, sup) - payoff_u(eq, sup))))
+
+    dm4 = abs(integral_phi_dG(eq) - integral_phi_dF(eq))
+
+    passed = dm1 and dm2_min_gap >= -1e-9 and dm3 <= 1e-8 and dm4 <= 1e-8
+    return CertificateReport(
+        dm1_convex=dm1,
+        dm1_max_continuity_gap=max_cont_gap,
+        dm1_min_slope_increment=min_slope_inc,
+        dm2_min_gap=dm2_min_gap,
+        dm3_max_contact_violation=dm3,
+        dm4_integral_gap=dm4,
+        passed=passed,
+    )

@@ -72,6 +72,8 @@ def test_verify_oracle_and_perturbation(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["certificate"]["pass"]
     assert payload["oracle"]["gap"] <= payload["oracle_bound"]
+    # the LP's size and its simplex iterations
+    assert payload["oracle"]["lp_nonzeros"] > 0 and payload["oracle"]["lp_iterations"] > 0
     # perturbed candidate: certificate failure, exit 4
     assert main(["verify", "--config", cfg, "--perturb", "v_L", "0.05"]) == 4
 
@@ -308,13 +310,18 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg, extr
 
 
 # Runs in a fresh interpreter, so that the imports of this test process do
-# not count: every command but verify and hetero must leave scipy unloaded.
+# not count: every command but verify and hetero must leave scipy unloaded,
+# and none of them may load numpy.ma (np.unique's first call imports it).
 _NO_SCIPY_SCRIPT = """
 import json, sys
 from disclose_eq import cli
 runs = json.loads(sys.argv[1])
 codes = [cli.main(argv) for argv in runs]
-print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+print(json.dumps({
+    "codes": codes,
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "numpy.ma": "numpy.ma" in sys.modules,
+}))
 """
 
 
@@ -341,6 +348,7 @@ def test_solve_sweep_limit_simulate_do_not_import_scipy(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0, 0, 0]
     assert result["scipy"] == []
+    assert result["numpy.ma"] is False
     # verify re-exports the moved names as the same objects
     assert verify.DiscreteCosts is costs.DiscreteCosts
     assert verify.ContinuousCosts is costs.ContinuousCosts

@@ -2,15 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize, sparse
 from scipy.optimize import linprog
 
-from disclose_eq import PowerPrior, UniformPrior, full_disclosure_distribution, point_mass
+from disclose_eq import (
+    PowerPrior,
+    UniformPrior,
+    full_disclosure_distribution,
+    point_mass,
+    verify,
+)
 from disclose_eq.costs import ContinuousCosts, DiscreteCosts
 from disclose_eq.endogenous import assemble_market, payoff_u, solve_endog
-from disclose_eq.errors import DomainError, ValidationFailureError
-from disclose_eq.posterior import Flat, FullDisclosure, PosteriorDistribution
+from disclose_eq.errors import DiscloseEqError, DomainError, ValidationFailureError
+from disclose_eq.posterior import Flat, FullDisclosure, PosteriorDistribution, sorted_unique
 from disclose_eq.priors import PiecewiseLinearPrior
 from disclose_eq.verify import (
+    _support_grid,
     best_response_oracle,
     chord_slope_infimum,
     check_dm_conditions,
@@ -27,6 +35,8 @@ from disclose_eq.verify import (
     oracle_grid,
     payoff_identity_gap,
 )
+import reference
+from reference import dm_conditions_by_separate_grids, oracle_by_sparse_algebra
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +178,55 @@ def test_certificate_fails_near_full_disclosure(uniform):
     bad = assemble_market(uniform, 2, 0.65, 0.4897, 0.4898, 0.1)
     report = check_dm_conditions(bad)
     assert not report.passed
+
+
+def _perturbed(eq):
+    """The market with v_L* and r* moved, where a candidate exists."""
+    moves = [(d, 0.0) for d in (-1e-6, -1e-9, 1e-9, 1e-6, 1e-3)] + [(0.0, -1e-9), (0.0, 1e-9)]
+    markets = []
+    for dv, dr in moves:
+        if eq.v_l_star + dv < 0.0:
+            continue
+        try:
+            markets.append(assemble_market(
+                eq.prior, eq.n, eq.alpha, eq.v_l_star + dv, eq.r_star + dr, eq.s
+            ))
+        except DiscloseEqError:
+            pass
+    return markets
+
+
+def test_certificate_equals_the_separate_grid_reference(uniform, power2, piecewise):
+    # one evaluation of the multiplier and the payoff on all the grids gives
+    # the report of one evaluation per grid, to the bit
+    markets = _seeded_markets()
+    markets += [m for eq in list(markets) for m in _perturbed(eq)]
+    markets += [solve_endog(prior, n, 0.0, 0.1) for prior, n in
+                [(uniform, 2), (uniform, 3), (power2, 3), (piecewise, 5)]]
+    assert len(markets) >= 80
+    verdicts = set()
+    for eq in markets:
+        report = check_dm_conditions(eq)
+        assert repr(report) == repr(dm_conditions_by_separate_grids(eq))
+        verdicts.add(report.passed)
+    assert verdicts == {True, False}
+
+
+def test_certificate_evaluates_each_function_once(monkeypatch, eq_uniform_small, eq_power):
+    calls = {"multiplier_phi": 0, "payoff_u": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(verify, "multiplier_phi", counted("multiplier_phi", multiplier_phi))
+    monkeypatch.setattr(verify, "payoff_u", counted("payoff_u", payoff_u))
+    for eq in (eq_uniform_small, eq_power):  # three slope scans on eq_power
+        calls.update(multiplier_phi=0, payoff_u=0)
+        check_dm_conditions(eq)
+        assert calls == {"multiplier_phi": 1, "payoff_u": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +382,19 @@ def test_oracle_matches_dense_reference_on_random_grids(m, jitter_seed, u_knots,
     _assert_contraction(masses, prior, grid)
 
 
-@pytest.mark.parametrize("eps", [1e-16, 1e-12, 1e-9, 5e-8, 2e-7, 1e-5])
-def test_oracle_resolves_narrow_cells(uniform, eps):
-    # cells of width eps (and 1.5 eps) next to a payoff jump and a kink
+_NARROW_EPS = [1e-16, 1e-12, 1e-9, 5e-8, 2e-7, 1e-5]
+
+
+def _narrow_cells(eps):
+    """Payoff and grid with cells of width eps (and 1.5 eps) next to a
+    payoff jump and a kink."""
     grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, 201), [0.3 + eps, 0.3 + 2.5 * eps, 0.71 - eps]]))
-    u = (grid >= 0.3 + eps) + 0.3 * grid**2 - 0.4 * (grid > 0.71 - eps) * (grid - 0.5)
+    return (grid >= 0.3 + eps) + 0.3 * grid**2 - 0.4 * (grid > 0.71 - eps) * (grid - 0.5), grid
+
+
+@pytest.mark.parametrize("eps", _NARROW_EPS)
+def test_oracle_resolves_narrow_cells(uniform, eps):
+    u, grid = _narrow_cells(eps)
     value, masses = best_response_oracle(u, uniform, grid)
     assert value == pytest.approx(_dense_oracle(u, uniform, grid), abs=1e-9)
     # a cell just wide enough to carry no slope variable resolves its
@@ -351,6 +418,133 @@ def test_oracle_rejects_an_unsorted_grid(uniform):
     grid = np.array([0.0, 0.5, 0.4, 1.0])
     with pytest.raises(DomainError):
         best_response_oracle(grid, uniform, grid)
+
+
+def _reference_cases():
+    """(payoff, prior, grid): the seeded markets' oracle grids, the narrow-cell
+    grids, the one-ulp market, and jittered grids, a third of them with
+    chains of narrow cells."""
+    cases = []
+    for eq in _seeded_markets():
+        for m in (101, 201):
+            grid = oracle_grid(eq, m)
+            cases.append((payoff_u(eq, grid), eq.prior, grid))
+    uniform = UniformPrior()
+    for eps in _NARROW_EPS:
+        u, grid = _narrow_cells(eps)
+        cases.append((u, uniform, grid))
+    eq = solve_endog(uniform, 10, 0.65, 0.15)
+    grid = oracle_grid(eq, 201)
+    cases.append((payoff_u(eq, grid), uniform, grid))
+    rng = np.random.default_rng(13)
+    for i in range(50):
+        m = int(rng.integers(101, 402))
+        grid = np.linspace(0.0, 1.0, m)
+        grid[1:-1] += rng.uniform(-0.375, 0.375, m - 2) / (m - 1)
+        if i % 3 == 0:
+            starts = rng.uniform(0.05, 0.95, 3)
+            widths = rng.choice([1e-15, 1e-12, 3e-9, 8e-8], size=3)
+            grid = np.unique(np.concatenate(
+                [grid] + [x + w * np.arange(1, 4) for x, w in zip(starts, widths)]
+            ))
+        knot = tuple(float(x) for x in rng.uniform(0.1, 0.9, 2))
+        prior = [
+            UniformPrior(),
+            PowerPrior(a=float(rng.uniform(0.3, 5.0))),
+            PiecewiseLinearPrior(((0.0, 0.0), knot, (1.0, 1.0))),
+        ][i % 3]
+        u = np.interp(grid, np.linspace(0.0, 1.0, 5), rng.uniform(0.0, 1.0, 5))
+        cases.append((u + (grid >= rng.uniform(0.2, 0.8)), prior, grid))
+    return cases
+
+
+def test_oracle_lp_equals_the_sparse_algebra_reference(monkeypatch):
+    # HiGHS gets exactly the arrays the scipy.sparse assembly gave it: the
+    # constraint matrix as linprog stacks it, the objective, the right-hand
+    # sides and the bounds; the value and the masses agree to the bit
+    seen = []
+
+    def recorded(c, **kwargs):
+        seen.append(dict(kwargs, c=c))
+        return optimize.linprog(c, **kwargs)
+
+    monkeypatch.setattr(verify, "linprog", recorded)
+    monkeypatch.setattr(reference, "linprog", recorded)
+    cases = _reference_cases()
+    assert len(cases) == 28 + 6 + 1 + 50
+    narrow = 0
+    for u, prior, grid in cases:
+        seen.clear()
+        results = []
+        for oracle in (best_response_oracle, oracle_by_sparse_algebra):
+            try:
+                results.append(oracle(u, prior, grid))
+            except ValidationFailureError as exc:
+                # HiGHS stops without a status on a few grids with several
+                # chains of narrow cells, whichever way the LP was built
+                results.append(exc.invariant)
+        got, want = results
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1])
+        new, old = seen
+        a_new, a_old = (
+            sparse.csc_array(sparse.vstack([sparse.coo_array(k["A_ub"]), sparse.coo_array(k["A_eq"])]))
+            for k in (new, old)
+        )
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a_new, field), getattr(a_old, field))
+        for field in ("c", "b_ub", "b_eq", "bounds"):
+            assert np.array_equal(new[field], old[field])
+        assert {k: new[k] for k in ("method", "options")} == {k: old[k] for k in ("method", "options")}
+        narrow += np.min(np.diff(grid)) < verify._NARROW_CELL
+    assert narrow >= 20
+
+
+def test_oracle_gap_reports_the_lp_size(monkeypatch, eq_power):
+    results = []
+
+    def recorded(c, **kwargs):
+        results.append((kwargs, optimize.linprog(c, **kwargs)))
+        return results[-1][1]
+
+    monkeypatch.setattr(verify, "linprog", recorded)
+    gap = oracle_gap(eq_power, 201)
+    ((kwargs, res),) = results
+    assert gap["lp_nonzeros"] == kwargs["A_ub"].nnz + kwargs["A_eq"].nnz
+    assert gap["lp_iterations"] == res.nit > 0
+    # tridiagonal mass rows and the two equality rows: O(m), not m^2
+    assert 3 * gap["m"] - 2 <= gap["lp_nonzeros"] <= 3 * gap["m"] + 2
+
+
+def test_sorted_unique_is_np_unique():
+    # the grids of every call site on the seeded markets, and each with
+    # signed zeros added
+    grids = []
+    for eq in _seeded_markets():
+        breaks = [eq.v_l_star, eq.r_star, eq.v_h_star, eq.v_t_star]
+        inner = [x for x in breaks if 0.0 < x < 1.0]
+        oracle = np.concatenate([np.linspace(0.0, 1.0, 201), breaks])
+        assert np.array_equal(oracle_grid(eq, 201), np.unique(oracle))
+        assert np.array_equal(_support_grid(eq, 1001), reference._support_grid(eq, 1001))
+        grids += [
+            oracle,
+            np.concatenate([np.linspace(0.0, 1.0, 101), breaks]),
+            np.clip(np.concatenate([np.linspace(0.0, 1.0, 1001), breaks]), 0.0, 1.0),
+            np.concatenate([np.linspace(0.0, 1.0, 21), inner]),  # simulation bin edges
+            np.concatenate([
+                np.linspace(0.0, 1.0, 2001),
+                eq.g.breakpoints(),
+                full_disclosure_distribution(eq.prior).breakpoints(),
+            ]),
+        ]
+    grids += [np.concatenate([g, [-0.0], g[::-1], [0.0, -0.0]]) for g in grids[:10]]
+    for g in grids:
+        got, want = sorted_unique(g), np.unique(g)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # ---------------------------------------------------------------------------
