@@ -13,6 +13,14 @@ between the segment ending at x and the one starting there.  Every
 integral used downstream (plain and power moments of the cdf) is closed
 form per segment.
 
+A point finds its segment by one searchsorted of the segment ends into
+the sorted points, which cuts them into one contiguous slice per
+segment.  Descending input is reversed, other unsorted input is sorted
+once, and the results go back to the caller's order.  The cdf and its
+integrals see sorted grids, descending reservation values or a few
+points.  `sample` takes up to 10^6 random variates, for which that sort
+would cost more than one boolean mask per segment, so it keeps the masks.
+
 The integral-precision order lives here too: informativeness_compare is
 the one mean-preserving-contraction check, used by candidate validation
 (against full disclosure), the deviation gate and the welfare statics.
@@ -36,6 +44,7 @@ _CONTINUITY_TOL = 1e-9
 # the uniform grid (merged with both distributions' breakpoints) it is read on
 _MPC_TOL = 1e-9
 _MPC_GRID = 2001
+_MPC_BASE = np.linspace(0.0, 1.0, _MPC_GRID)
 
 LESS_INFORMATIVE = "LessInformative"
 MORE_INFORMATIVE = "MoreInformative"
@@ -173,18 +182,9 @@ class PosteriorDistribution:
 
     def cdf(self, v: ArrayLike) -> ArrayLike:
         """Right-continuous cdf; atoms jump at their location."""
-        scalar = not isinstance(v, np.ndarray)
-        arr = np.atleast_1d(np.asarray(v, dtype=float))
-        out = np.ones_like(arr)
-        # side="right" sends a segment boundary to the *next* segment, which
+        # side="left" sends a point on a segment end to the *next* segment, which
         # makes the cdf right-continuous across an atom between segments.
-        idx = np.searchsorted(self._ends, arr, side="right")
-        for i, seg in enumerate(self.segments):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = self._seg_cdf(seg, arr[mask])
-        out[arr >= self.top] = 1.0
-        return float(out[0]) if scalar else out
+        return self._by_segment(v, "left", lambda i, seg, x: self._seg_cdf(seg, x), lambda x: 1.0)
 
     def cum_integral(self, z: ArrayLike) -> ArrayLike:
         """Integral of the cdf from 0 to z."""
@@ -195,21 +195,39 @@ class PosteriorDistribution:
         return self._cum(z, k=k)
 
     def _cum(self, z: ArrayLike, k: int) -> ArrayLike:
-        scalar = not isinstance(z, np.ndarray)
-        arr = np.atleast_1d(np.asarray(z, dtype=float))
         prefix = self._prefix(k)
-        ends = self._ends
-        idx = np.searchsorted(ends, arr, side="left")
-        out = np.empty_like(arr)
-        for i, seg in enumerate(self.segments):
-            mask = idx == i
-            if np.any(mask):
-                hi = arr[mask].clip(seg.a, seg.b)
-                out[mask] = prefix[i] + self._seg_integral(seg, seg.a, hi, k)
-        beyond = idx >= len(self.segments)
-        if np.any(beyond):
-            out[beyond] = prefix[-1] + (arr[beyond] - ends[-1])  # cdf == 1 past the top
-        return float(out[0]) if scalar else out
+        return self._by_segment(
+            z,
+            "right",
+            lambda i, seg, x: prefix[i] + self._seg_integral(seg, seg.a, x.clip(seg.a, seg.b), k),
+            lambda x: prefix[-1] + (x - self._ends[-1]),  # cdf == 1 past the top
+        )
+
+    def _by_segment(self, v: ArrayLike, side: str, on_segment, past_end) -> ArrayLike:
+        """on_segment(i, segment, points) on each segment's slice of the sorted
+        points, past_end(points) beyond the last end; side says which segment
+        a point on an end belongs to."""
+        scalar = not isinstance(v, np.ndarray)
+        pts = np.asarray(v, dtype=float).ravel()
+        order = None
+        if pts.size > 1 and not np.all(pts[:-1] <= pts[1:]):
+            # reservation values arrive in descending order (they fall as costs rise)
+            descending = np.all(pts[:-1] >= pts[1:])
+            order = np.arange(pts.size)[::-1] if descending else np.argsort(pts, kind="stable")
+            pts = pts[order]
+        out = np.empty_like(pts)
+        lo = 0
+        cuts = pts.searchsorted(self._ends, side=side).tolist()
+        for i, (seg, hi) in enumerate(zip(self.segments, cuts)):
+            if hi > lo:
+                out[lo:hi] = on_segment(i, seg, pts[lo:hi])
+                lo = hi
+        out[lo:] = past_end(pts[lo:])
+        if scalar:
+            return float(out[0])
+        if order is not None:
+            out[order] = out.copy()  # scatter back to the caller's order
+        return out.reshape(np.shape(v) or (1,))
 
     def mean(self) -> float:
         return 1.0 - self._cum_top
@@ -331,11 +349,7 @@ def informativeness_compare(
     LessInformative means g0 is a mean-preserving contraction of g1.
     Incomparability is an ordinary outcome, not an error.
     """
-    grid = sorted_unique(
-        np.concatenate(
-            [np.linspace(0.0, 1.0, _MPC_GRID), g0.breakpoints(), g1.breakpoints()]
-        )
-    )
+    grid = sorted_unique(np.concatenate([_MPC_BASE, g0.breakpoints(), g1.breakpoints()]))
     delta = np.asarray(g1.cum_integral(grid)) - np.asarray(g0.cum_integral(grid))
     mean_gap = float(delta[-1])
     min_fwd = float(np.min(delta))

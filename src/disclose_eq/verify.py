@@ -343,7 +343,10 @@ def _solve_oracle(
         method="highs",
         options=_LP_TOLERANCES,
     )
-    if not res.success:  # pragma: no cover - the prior's own cells are feasible
+    # The prior's own masses are feasible, but HiGHS can stop without a
+    # status ("Status 0: Not Set") on grids with narrow cells, e.g. a top
+    # cell of width 1e-8 under a payoff jump
+    if not res.success:
         raise ValidationFailureError("oracle-lp", res.message)
     masses = f + np.bincount(l_row, weights=lift * res.x[l_col], minlength=m)
     return float(u_values @ f - res.fun), masses, a_ub.nnz + a_eq.nnz, int(res.nit)
@@ -542,7 +545,8 @@ def hetero_first_holding_n(
             report = hetero_check(prior, n, alpha, costs)
             if report.holds:
                 return n, report
-        except ValidationFailureError:
-            pass  # below the concealment threshold; keep doubling
+        except ValidationFailureError as exc:
+            if exc.invariant != "hetero-precondition":
+                raise  # only "below the concealment threshold" means keep doubling
         n *= 2
     raise IterationCapError(f"sufficiency never held up to n = {_N_CAP}")

@@ -19,6 +19,10 @@ The certificate with one grid evaluation per check
 (dm_conditions_by_separate_grids): verify.check_dm_conditions evaluates
 the multiplier and the payoff once on all its grids and must return the
 same report, field by field.
+
+The posterior evaluated by one boolean mask per segment (MaskLoopPosterior):
+PosteriorDistribution.cdf and _cum route sorted points to contiguous
+segment slices instead and must return the same bits.
 """
 from __future__ import annotations
 
@@ -45,6 +49,7 @@ from disclose_eq.errors import (
     ValidationFailureError,
 )
 from disclose_eq.exogenous import solve_v_l_eq
+from disclose_eq.posterior import ArrayLike, PosteriorDistribution
 from disclose_eq.priors import Prior
 from disclose_eq.rootfind import bisect_root
 from disclose_eq.verify import (
@@ -325,3 +330,41 @@ def dm_conditions_by_separate_grids(eq, grid_size: int = 1001) -> CertificateRep
         dm4_integral_gap=dm4,
         passed=passed,
     )
+
+
+class MaskLoopPosterior(PosteriorDistribution):
+    """A posterior whose cdf and integrals find each point's segment by a
+    boolean mask per segment; cdf_left, cum_integral, pow_cum_integral and
+    excess_above go through these two methods."""
+
+    def cdf(self, v: ArrayLike) -> ArrayLike:
+        """Right-continuous cdf; atoms jump at their location."""
+        scalar = not isinstance(v, np.ndarray)
+        arr = np.atleast_1d(np.asarray(v, dtype=float))
+        out = np.ones_like(arr)
+        # side="right" sends a segment boundary to the *next* segment, which
+        # makes the cdf right-continuous across an atom between segments.
+        idx = np.searchsorted(self._ends, arr, side="right")
+        for i, seg in enumerate(self.segments):
+            mask = idx == i
+            if np.any(mask):
+                out[mask] = self._seg_cdf(seg, arr[mask])
+        out[arr >= self.top] = 1.0
+        return float(out[0]) if scalar else out
+
+    def _cum(self, z: ArrayLike, k: int) -> ArrayLike:
+        scalar = not isinstance(z, np.ndarray)
+        arr = np.atleast_1d(np.asarray(z, dtype=float))
+        prefix = self._prefix(k)
+        ends = self._ends
+        idx = np.searchsorted(ends, arr, side="left")
+        out = np.empty_like(arr)
+        for i, seg in enumerate(self.segments):
+            mask = idx == i
+            if np.any(mask):
+                hi = arr[mask].clip(seg.a, seg.b)
+                out[mask] = prefix[i] + self._seg_integral(seg, seg.a, hi, k)
+        beyond = idx >= len(self.segments)
+        if np.any(beyond):
+            out[beyond] = prefix[-1] + (arr[beyond] - ends[-1])  # cdf == 1 past the top
+        return float(out[0]) if scalar else out

@@ -2,8 +2,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from disclose_eq.endogenous import limit_equilibrium
 from disclose_eq.montecarlo import stop_quantile
-from disclose_eq.posterior import AffinePower, Flat, FullDisclosure, PosteriorDistribution
+from disclose_eq.posterior import (
+    AffinePower,
+    Flat,
+    FullDisclosure,
+    PosteriorDistribution,
+    full_disclosure_distribution,
+    point_mass,
+)
+from reference import MaskLoopPosterior
+from test_verify import _seeded_markets
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +80,65 @@ def test_stop_quantile_array_equals_scalar_calls(request, g_atom):
     assert g_atom.cdf(0.6) == pytest.approx(0.3, abs=1e-15)
     assert stop_quantile(g_atom, 0.6) == pytest.approx(0.15, abs=1e-15)
     assert stop_quantile(g_atom, np.array([0.6]))[0] == stop_quantile(g_atom, 0.6)
+
+
+def _evaluate(g, method, x, *args):
+    """The result, or the type and invariant of the error raised."""
+    try:
+        return getattr(g, method)(x, *args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), getattr(exc, "invariant", None)
+
+
+def _assert_same_bits(got, want, context):
+    assert type(got) is type(want), context
+    if isinstance(want, tuple):
+        assert got == want, context
+        return
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    assert got.shape == want.shape and got.dtype == want.dtype, context
+    assert np.array_equal(got, want, equal_nan=True), context
+    assert np.array_equal(np.signbit(got), np.signbit(want)), context
+
+
+def _bitwise_inputs(g, rng):
+    """Scalars, sorted, descending, shuffled and duplicated arrays, every
+    breakpoint +-1 ulp, the atom, 0, 1, points above the top, and an empty
+    array."""
+    bps = np.array(g.breakpoints())
+    near = np.concatenate([bps, np.nextafter(bps, -np.inf), np.nextafter(bps, np.inf)])
+    marks = [0.0, -0.0, 1.0, g.top, np.nextafter(g.top, 2.0), 1.0 + 1e-12, 1.3, -0.2]
+    if g.atom is not None:
+        marks.append(g.atom[0])
+    points = np.concatenate([near, marks])
+    grid = np.sort(np.concatenate([np.linspace(0.0, 1.0, 257), points]))
+    inputs = [float(x) for x in points] + [grid, grid[::-1], rng.permutation(grid)]
+    inputs += [np.repeat(rng.permutation(points), 3), rng.uniform(-0.1, 1.1, 64)]
+    inputs += [np.array([]), np.array([0.5]), np.array(0.5), grid.reshape(-1, 1)[:40]]
+    return inputs
+
+
+def test_segment_slices_equal_the_mask_loop_bitwise(g_atom, uniform, power2, piecewise):
+    posteriors = [(eq.g, eq.n) for eq in _seeded_markets()]
+    posteriors += [(limit_equilibrium(p, 0.5, 0.1).g_inf, 50) for p in (uniform, power2, piecewise)]
+    posteriors += [(point_mass(p, p.mean()), 3) for p in (uniform, power2, piecewise)]
+    posteriors += [(full_disclosure_distribution(p), 4) for p in (uniform, power2, piecewise)]
+    zero_width = PosteriorDistribution(
+        prior=g_atom.prior,
+        segments=(g_atom.segments[0], Flat(0.3, 0.3, g_atom.segments[1].level), *g_atom.segments[1:]),
+        atom=g_atom.atom,
+    )
+    zero_width.validate()
+    posteriors += [(g_atom, 2), (zero_width, 5)]
+    rng = np.random.default_rng(5)
+    checked = 0
+    for g, n in posteriors:
+        ref = MaskLoopPosterior(prior=g.prior, segments=g.segments, atom=g.atom)
+        for x in _bitwise_inputs(g, rng):
+            for method, args in [("cdf", ()), ("cdf_left", ()), ("cum_integral", ()),
+                                 ("pow_cum_integral", (n,)), ("excess_above", ())]:
+                want = _evaluate(ref, method, x, *args)
+                got = _evaluate(g, method, x, *args)
+                _assert_same_bits(got, want, (g, method, x))
+                checked += 1
+    assert len(posteriors) == 25 and checked > 3000

@@ -420,6 +420,17 @@ def test_oracle_rejects_an_unsorted_grid(uniform):
         best_response_oracle(grid, uniform, grid)
 
 
+def test_oracle_reports_highs_stopping_without_a_status(uniform):
+    # one top cell of width 1e-8 under a payoff with a jump: HiGHS stops
+    # with "Status 0: Not Set", which the oracle reports as a typed failure
+    grid = np.concatenate([np.linspace(0.0, 1.0, 201), [1.0 - 1e-8]])
+    grid.sort()
+    u = 0.3 * grid + (grid >= 0.4)
+    with pytest.raises(ValidationFailureError) as exc:
+        best_response_oracle(u, uniform, grid)
+    assert exc.value.invariant == "oracle-lp"
+
+
 def _reference_cases():
     """(payoff, prior, grid): the seeded markets' oracle grids, the narrow-cell
     grids, the one-ulp market, and jittered grids, a third of them with
@@ -674,6 +685,25 @@ def test_hetero_two_point(uniform):
     assert n == 32  # doubling scan: 2..16 sit below the concealment threshold
     with pytest.raises(ValidationFailureError):
         hetero_check(uniform, 4, 0.5, costs)  # below the threshold
+
+
+def test_hetero_scan_propagates_real_failures(uniform, monkeypatch):
+    """Only the concealment precondition means "keep doubling"; any other
+    invariant failure reaches the caller under its own name."""
+    calls = []
+
+    def failing_check(prior, n, alpha, costs):
+        calls.append(n)
+        if n == 2:
+            raise ValidationFailureError("hetero-precondition", "below the threshold")
+        raise ValidationFailureError("pooled-slope", "pooled slope 0.0")
+
+    monkeypatch.setattr(verify, "hetero_check", failing_check)
+    costs = DiscreteCosts(points=((0.1, 0.5), (0.2, 0.5)))
+    with pytest.raises(ValidationFailureError) as exc:
+        hetero_first_holding_n(uniform, 0.5, costs)
+    assert exc.value.invariant == "pooled-slope"
+    assert calls == [2, 4]
 
 
 def test_hetero_continuous(uniform):
