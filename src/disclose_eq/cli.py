@@ -13,7 +13,8 @@ ranges, and their DomainError also exits 1.
 
 Every structured output carries the sha256 of the canonical config and
 the package version.  Floats serialize via repr, which round-trips
-exactly.  DISCLOSE_EQ_THREADS caps simulation parallelism.
+exactly.  DISCLOSE_EQ_THREADS, a positive integer, caps simulation
+parallelism.
 """
 from __future__ import annotations
 

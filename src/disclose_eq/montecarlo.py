@@ -1,16 +1,20 @@
 """Agent-level simulation of the search market.
 
 RNG discipline: counter-based Philox streams keyed by (seed, block index),
-one block of consumers per stream.  Totals are reduced in block order, so
-serial and parallel execution produce bit-identical reports and any rerun
-with the same seed and config reproduces every number exactly.
+one block of consumers per stream.  One ordered map runs the blocks (on a
+thread pool, or in the calling thread when serial) and their totals are
+reduced in block order, so serial and parallel execution produce
+bit-identical reports and any rerun with the same seed and config
+reproduces every number exactly.
 
 Savvy consumers visit all firms at zero cost and buy the best draw.
 Costly searchers draw a search cost, receive the reservation value the
 equilibrium disclosure assigns to that cost, visit firms in a uniformly
 random order, stop at the first draw at or above their reservation value,
 and otherwise buy the best of all n draws.  Every visit costs the
-consumer her search cost, the first one included.
+consumer her search cost, the first one included.  Once both types have
+stopped, one tally records their purchases: a savvy consumer is the case
+that visits every firm, stops at the best draw and pays nothing.
 
 A unilateral deviation runs through the same path: every draw comes from
 the equilibrium posterior except the deviant firm's, which are redrawn
@@ -19,9 +23,10 @@ reservation values the equilibrium disclosure implies.
 """
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Union
 
 import numpy as np
@@ -58,6 +63,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.consumers < 1:
             raise DomainError("need at least one consumer")
+        if self.workers is not None and self.workers < 1:
+            raise DomainError("need at least one worker")
         if self.bins < 10:
             raise DomainError("need at least 10 bins")
         if not 0 <= self.seed < 2**64:
@@ -93,30 +100,8 @@ class SimReport:
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
-            "consumers": self.consumers,
-            "seed": self.seed,
-            "n_savvy": self.n_savvy,
-            "n_inexperienced": self.n_inexperienced,
-            "eta_hat": self.eta_hat,
-            "eta_se": self.eta_se,
-            "cs_savvy_hat": self.cs_savvy_hat,
-            "cs_savvy_se": self.cs_savvy_se,
-            "cs_inexperienced_hat": self.cs_inexperienced_hat,
-            "cs_inexperienced_se": self.cs_inexperienced_se,
-            "firm_sale_shares": list(self.firm_sale_shares),
-            "visit_histogram": list(self.visit_histogram),
-            "multi_search_freq": self.multi_search_freq,
-            "conditional_sale_curve": [
-                {
-                    "bin_left": b.bin_left,
-                    "bin_right": b.bin_right,
-                    "v_mid": b.v_mid,
-                    "u_hat": b.u_hat,
-                    "se": b.se,
-                    "visits": b.visits,
-                }
-                for b in self.curve
-            ],
+            "conditional_sale_curve" if k == "curve" else k: list(v) if isinstance(v, tuple) else v
+            for k, v in asdict(self).items()
         }
 
 
@@ -173,32 +158,23 @@ def _bin_edges(bins: int, eq: Equilibrium) -> np.ndarray:
 
 @dataclass
 class _Totals:
-    n_savvy: int = 0
-    n_inexp: int = 0
+    n_savvy: int
+    n_inexp: int
+    sales: np.ndarray
+    visit_hist: np.ndarray
+    bin_visits: np.ndarray
+    bin_sales: np.ndarray
     firm0_visits_inexp: int = 0
+    multi: int = 0
     sum_cs_savvy: float = 0.0
     sumsq_cs_savvy: float = 0.0
     sum_cs_inexp: float = 0.0
     sumsq_cs_inexp: float = 0.0
-    sales: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    visit_hist: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    multi: int = 0
-    bin_visits: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    bin_sales: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
-    def merge(self, other: "_Totals") -> None:
-        self.n_savvy += other.n_savvy
-        self.n_inexp += other.n_inexp
-        self.firm0_visits_inexp += other.firm0_visits_inexp
-        self.sum_cs_savvy += other.sum_cs_savvy
-        self.sumsq_cs_savvy += other.sumsq_cs_savvy
-        self.sum_cs_inexp += other.sum_cs_inexp
-        self.sumsq_cs_inexp += other.sumsq_cs_inexp
-        self.sales = self.sales + other.sales
-        self.visit_hist = self.visit_hist + other.visit_hist
-        self.multi += other.multi
-        self.bin_visits = self.bin_visits + other.bin_visits
-        self.bin_sales = self.bin_sales + other.bin_sales
+    def merge(self, other: "_Totals") -> "_Totals":
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        return self
 
 
 def _draw_costs(rng: np.random.Generator, model: CostModel, size: int) -> np.ndarray:
@@ -217,6 +193,24 @@ def _draw_costs(rng: np.random.Generator, model: CostModel, size: int) -> np.nda
     raise DomainError(f"unknown cost model {model!r}")
 
 
+def _tally(t: _Totals, vals, visits, stop_pos, firm, cost, edges) -> tuple[float, float]:
+    """Record what a group of consumers bought and return the sum and the sum
+    of squares of their surplus.  Consumer i saw the first visits[i] draws
+    of row i of vals, bought the one at stop_pos[i] from firm[i], and paid
+    `cost` (one per consumer, or one for all) for each visit."""
+    rows = np.arange(len(vals))
+    cs = vals[rows, stop_pos] - visits * cost
+    t.sales += np.bincount(firm, minlength=len(t.sales))
+    visited = np.arange(vals.shape[1]) < visits[:, None]
+    sold = np.zeros_like(visited)
+    sold[rows, stop_pos] = True
+    n_bins = len(t.bin_visits)
+    idx = np.clip(np.digitize(vals[visited], edges) - 1, 0, n_bins - 1)
+    t.bin_visits += np.bincount(idx, minlength=n_bins)
+    t.bin_sales += np.bincount(idx, weights=sold[visited], minlength=n_bins)
+    return float(np.sum(cs)), float(np.sum(cs * cs))
+
+
 def _simulate_block(
     eq: Equilibrium,
     config: SimConfig,
@@ -232,39 +226,20 @@ def _simulate_block(
     n = eq.n
     key = np.array([config.seed, block_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    t = _Totals()
-    t.sales = np.zeros(n)
-    t.visit_hist = np.zeros(n + 1)
-    n_bins = len(edges) - 1
-    t.bin_visits = np.zeros(n_bins)
-    t.bin_sales = np.zeros(n_bins)
     track_firm, g_dev = deviant if deviant else (0, None)
+    n_inexp = int(np.sum(rng.random(size) < eq.alpha))
+    n_bins = len(edges) - 1
+    t = _Totals(size - n_inexp, n_inexp, np.zeros(n), np.zeros(n + 1), np.zeros(n_bins), np.zeros(n_bins))
 
-    is_inexp = rng.random(size) < eq.alpha
-    n_inexp = int(np.sum(is_inexp))
-    n_savvy = size - n_inexp
-    t.n_savvy, t.n_inexp = n_savvy, n_inexp
-
-    # savvy consumers: visit everyone, buy the best draw
-    if n_savvy:
-        u = rng.random((n_savvy, n))
+    if t.n_savvy:  # savvy consumers: visit everyone for free, buy the best draw
+        u = rng.random((t.n_savvy, n))
         vals = np.asarray(eq.g.sample(u))
         if g_dev is not None:
             vals[:, track_firm] = g_dev.sample(u[:, track_firm])
         best = np.argmax(vals, axis=1)  # ties go to the lowest firm index
-        cs = vals[np.arange(n_savvy), best]
-        t.sum_cs_savvy = float(np.sum(cs))
-        t.sumsq_cs_savvy = float(np.sum(cs * cs))
-        t.sales += np.bincount(best, minlength=n)
-        idx = np.digitize(vals.ravel(), edges) - 1
-        np.clip(idx, 0, n_bins - 1, out=idx)
-        t.bin_visits += np.bincount(idx, minlength=n_bins)
-        sold = np.zeros_like(vals, dtype=bool)
-        sold[np.arange(n_savvy), best] = True
-        t.bin_sales += np.bincount(idx, weights=sold.ravel(), minlength=n_bins)
+        t.sum_cs_savvy, t.sumsq_cs_savvy = _tally(t, vals, np.full(t.n_savvy, n), best, best, 0.0, edges)
 
-    # costly searchers: random order, reservation stopping (in quantile space)
-    if n_inexp:
+    if n_inexp:  # costly searchers: random order, reservation stopping (in quantile space)
         costs = _draw_costs(rng, config.cost_model, n_inexp)
         if known is None:
             uniq, inverse = np.unique(costs, return_inverse=True)
@@ -287,23 +262,11 @@ def _simulate_block(
         first_hit = np.argmax(hit, axis=1)
         visits = np.where(any_hit, first_hit + 1, n)
         stop_pos = np.where(any_hit, first_hit, np.argmax(vals, axis=1))
-        bought_value = vals[rows, stop_pos]
-        bought_firm = order[rows, stop_pos]
-        cs = bought_value - visits * costs
-        t.sum_cs_inexp = float(np.sum(cs))
-        t.sumsq_cs_inexp = float(np.sum(cs * cs))
-        t.sales += np.bincount(bought_firm, minlength=n)
+        firm = order[rows, stop_pos]
+        t.sum_cs_inexp, t.sumsq_cs_inexp = _tally(t, vals, visits, stop_pos, firm, costs, edges)
         t.visit_hist += np.bincount(visits, minlength=n + 1)
         t.multi = int(np.sum(visits > 1))
         t.firm0_visits_inexp = int(np.sum(pos_of_tracked < visits))
-        visited_mask = np.arange(n)[None, :] < visits[:, None]
-        sold = np.zeros_like(vals, dtype=bool)
-        sold[rows, stop_pos] = True
-        vis_vals = vals[visited_mask]
-        idx = np.digitize(vis_vals, edges) - 1
-        np.clip(idx, 0, n_bins - 1, out=idx)
-        t.bin_visits += np.bincount(idx, minlength=n_bins)
-        t.bin_sales += np.bincount(idx, weights=sold[visited_mask], minlength=n_bins)
     return t
 
 
@@ -321,37 +284,34 @@ def _known_reservations(
     return costs, reservation_for_cost(g, costs)
 
 
+def _thread_count(workers: int | None) -> int:
+    """`workers` if set, else DISCLOSE_EQ_THREADS, else 1."""
+    if workers is not None:
+        return workers
+    raw = os.environ.get("DISCLOSE_EQ_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise DomainError(f"DISCLOSE_EQ_THREADS must be a positive integer, not {raw!r}")
+    return threads
+
+
 def _run_blocks(eq, config, deviant=None) -> tuple[_Totals, np.ndarray]:
+    threads = _thread_count(config.workers)
     edges = _bin_edges(config.bins, eq)
     known = _known_reservations(eq.g, config.cost_model)
-    sizes = []
-    remaining = config.consumers
-    while remaining > 0:
-        sizes.append(min(_BLOCK, remaining))
-        remaining -= sizes[-1]
+    sizes = [min(_BLOCK, config.consumers - start) for start in range(0, config.consumers, _BLOCK)]
 
-    workers = config.workers
-    if workers is None:
-        workers = int(os.environ.get("DISCLOSE_EQ_THREADS", "1"))
-    workers = max(1, workers)
+    def run(i: int, size: int) -> _Totals:
+        return _simulate_block(eq, config, i, size, edges, deviant, known)
 
-    def run(i_size):
-        i, size = i_size
-        return i, _simulate_block(eq, config, i, size, edges, deviant, known)
-
-    results: dict[int, _Totals] = {}
-    if workers == 1:
-        for item in enumerate(sizes):
-            i, tot = run(item)
-            results[i] = tot
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, tot in pool.map(run, enumerate(sizes)):
-                results[i] = tot
-    total = results[0]
-    for i in range(1, len(sizes)):
-        total.merge(results[i])
-    return total, edges
+    # a pool starts its threads on the first submit; a serial run stays in
+    # this thread, where a short simulation skips the thread's start-up
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        blocks = (pool.map if threads > 1 else map)(run, range(len(sizes)), sizes)
+        return functools.reduce(_Totals.merge, blocks), edges
 
 
 def _se_mean(total: float, total_sq: float, count: int) -> float:
@@ -371,28 +331,14 @@ def simulate_market(eq: Equilibrium, config: SimConfig) -> SimReport:
 def _report_from_totals(eq, config, t: _Totals, edges: np.ndarray) -> SimReport:
     n_cons = config.consumers
     eta_hat = t.firm0_visits_inexp / t.n_inexp if t.n_inexp else float("nan")
-    eta_se = (
-        float(np.sqrt(max(eta_hat * (1 - eta_hat), 0.0) / t.n_inexp))
-        if t.n_inexp
-        else float("nan")
-    )
-    curve = []
+    eta_se = float(np.sqrt(max(eta_hat * (1 - eta_hat), 0.0) / t.n_inexp)) if t.n_inexp else float("nan")
     with np.errstate(invalid="ignore", divide="ignore"):
         u_hat = np.where(t.bin_visits > 0, t.bin_sales / np.maximum(t.bin_visits, 1), np.nan)
-        se = np.sqrt(
-            np.maximum(u_hat * (1 - u_hat), 0.0) / np.maximum(t.bin_visits, 1)
-        )
-    for k in range(len(edges) - 1):
-        curve.append(
-            CurveBin(
-                bin_left=float(edges[k]),
-                bin_right=float(edges[k + 1]),
-                v_mid=float(0.5 * (edges[k] + edges[k + 1])),
-                u_hat=float(u_hat[k]),
-                se=float(se[k]),
-                visits=int(t.bin_visits[k]),
-            )
-        )
+        se = np.sqrt(np.maximum(u_hat * (1 - u_hat), 0.0) / np.maximum(t.bin_visits, 1))
+    curve = tuple(
+        CurveBin(float(lo), float(hi), float(0.5 * (lo + hi)), float(u), float(e), int(v))
+        for lo, hi, u, e, v in zip(edges[:-1], edges[1:], u_hat, se, t.bin_visits)
+    )
     shares = tuple(float(x) / n_cons for x in t.sales)
     return SimReport(
         consumers=n_cons,
@@ -408,7 +354,7 @@ def _report_from_totals(eq, config, t: _Totals, edges: np.ndarray) -> SimReport:
         firm_sale_shares=shares,
         visit_histogram=tuple(int(x) for x in t.visit_hist),
         multi_search_freq=t.multi / t.n_inexp if t.n_inexp else 0.0,
-        curve=tuple(curve),
+        curve=curve,
     )
 
 

@@ -170,10 +170,11 @@ class PosteriorDistribution:
         return sorted(pts)
 
     def cdf_left(self, v: ArrayLike) -> ArrayLike:
-        """Left limit of the cdf at v (drops the atom's own mass)."""
+        """Left limit of the cdf at v.  Segments join continuously, so the
+        atom is the cdf's only jump: its mass is dropped at its location only."""
         out = self.cdf(v)
         if self.atom is not None:
-            out = out - np.where(np.abs(self.atom[0] - np.asarray(v)) <= 1e-15, self.atom[1], 0.0)
+            out = out - np.where(np.asarray(v) == self.atom[0], self.atom[1], 0.0)
         return out
 
     def support_bottom(self) -> float:

@@ -52,9 +52,6 @@ class Prior:
     def cdf(self, v: ArrayLike) -> ArrayLike:
         raise NotImplementedError
 
-    def pdf(self, v: ArrayLike) -> ArrayLike:
-        raise NotImplementedError
-
     def quantile(self, q: ArrayLike) -> ArrayLike:
         raise NotImplementedError
 
@@ -118,9 +115,6 @@ class UniformPrior(Prior):
         _check_unit_interval(v, "v")
         return v
 
-    def pdf(self, v: ArrayLike) -> ArrayLike:
-        return np.ones_like(v) if isinstance(v, np.ndarray) else 1.0
-
     def quantile(self, q: ArrayLike) -> ArrayLike:
         _check_unit_interval(q, "q")
         return q
@@ -160,9 +154,6 @@ class PowerPrior(Prior):
     def cdf(self, v: ArrayLike) -> ArrayLike:
         _check_unit_interval(v, "v")
         return v**self.a
-
-    def pdf(self, v: ArrayLike) -> ArrayLike:
-        return self.a * v ** (self.a - 1.0)
 
     def quantile(self, q: ArrayLike) -> ArrayLike:
         _check_unit_interval(q, "q")
@@ -236,12 +227,6 @@ class PiecewiseLinearPrior(Prior):
         i = self._piece(v)
         return self._qs[i] + self._slopes[i] * (v - self._xs[i])
 
-    def pdf(self, v: ArrayLike) -> ArrayLike:
-        if isinstance(v, np.ndarray):
-            idx = np.clip(np.searchsorted(self._xs, v, side="right") - 1, 0, len(self._slopes) - 1)
-            return np.asarray(self._slopes)[idx]
-        return self._slopes[self._piece(v)]
-
     def quantile(self, q: ArrayLike) -> ArrayLike:
         _check_unit_interval(q, "q")
         if isinstance(q, np.ndarray):
@@ -283,8 +268,8 @@ class PiecewiseLinearPrior(Prior):
         return self.cum_pow_cdf(v, 1)
 
     def pow_cdf_deriv(self, v: float, n: int) -> float:
-        f = self.cdf(v)
-        return (n - 1) * f ** (n - 2) * self.pdf(v) if n > 2 else self.pdf(v)
+        f, density = self.cdf(v), self._slopes[self._piece(v)]
+        return (n - 1) * f ** (n - 2) * density if n > 2 else density
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"family": "piecewise", "knots": [list(k) for k in self.knots]}

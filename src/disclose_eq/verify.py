@@ -23,7 +23,7 @@ chord of the heterogeneous payoff under the reservation value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -79,15 +79,7 @@ class CertificateReport:
     passed: bool
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "dm1_convex": self.dm1_convex,
-            "dm1_max_continuity_gap": self.dm1_max_continuity_gap,
-            "dm1_min_slope_increment": self.dm1_min_slope_increment,
-            "dm2_min_gap": self.dm2_min_gap,
-            "dm3_max_contact_violation": self.dm3_max_contact_violation,
-            "dm4_integral_gap": self.dm4_integral_gap,
-            "pass": self.passed,
-        }
+        return {"pass" if k == "passed" else k: v for k, v in asdict(self).items()}
 
 
 def _support_grid(eq, grid_size: int) -> np.ndarray:
@@ -489,18 +481,7 @@ class HeteroReport:
     alpha_tilde: float
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "holds": self.holds,
-            "b_star": self.b_star,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "phi_vs_uK_min_gap": self.phi_vs_uk_min_gap,
-            "n": self.n,
-            "s_1": self.s_1,
-            "r_1": self.r_1,
-            "beta_star": self.beta_star,
-            "alpha_tilde": self.alpha_tilde,
-        }
+        return {"phi_vs_uK_min_gap" if k == "phi_vs_uk_min_gap" else k: v for k, v in asdict(self).items()}
 
 
 def hetero_check(prior: Prior, n: int, alpha: float, costs: CostDistribution) -> HeteroReport:

@@ -309,6 +309,19 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg, extr
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_malformed_thread_count_is_a_config_error(tmp_path, threads):
+    src = os.path.dirname(os.path.dirname(disclose_eq.__file__))
+    env = {**os.environ, "DISCLOSE_EQ_THREADS": threads, "PYTHONPATH": src}
+    argv = ["simulate", "--config", _write(tmp_path, "sim.json", SIM), "--seed", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "disclose_eq", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 # Runs in a fresh interpreter, so that the imports of this test process do
 # not count: every command but verify and hetero must leave scipy unloaded,
 # and none of them may load numpy.ma (np.unique's first call imports it).

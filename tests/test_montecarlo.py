@@ -1,5 +1,10 @@
 import dataclasses
+import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -291,3 +296,93 @@ def test_config_validation():
         SimConfig(consumers=0, seed=1, cost_model=SingleCost(0.1))
     with pytest.raises(DomainError):
         SimConfig(consumers=10, seed=1, cost_model=SingleCost(0.1), bins=5)
+    with pytest.raises(DomainError):
+        SimConfig(consumers=10, seed=1, cost_model=SingleCost(0.1), workers=0)
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])
+def test_malformed_thread_env_var_is_a_domain_error(eq_uniform_small, monkeypatch, threads):
+    monkeypatch.setenv("DISCLOSE_EQ_THREADS", threads)
+    cfg = SimConfig(consumers=1000, seed=1, cost_model=SingleCost(0.1), bins=20)
+    with pytest.raises(DomainError, match="DISCLOSE_EQ_THREADS"):
+        simulate_market(eq_uniform_small, cfg)
+    # an explicit worker count does not read the variable
+    simulate_market(eq_uniform_small, dataclasses.replace(cfg, workers=1))
+
+
+# sha256 of json.dumps(report.to_json_dict(), sort_keys=True), pinned from
+# the simulator before its tallies were merged into one helper: any change to
+# the draws, the stopping rule or the order of the float sums shows here.
+_PINNED = {
+    "single": "f34091c6d7364f28eb287b19bb6432a42ed101150af02d4d30f081b760ca684c",
+    "discrete": "426cbdf2cfd43e4dffc8959f490a093ba879d232736a709638ca3f32bb008010",
+    "continuous": "78bacc8edac6a26d0345b17f1d113724e8c1f75ece40438c241062a856005943",
+}
+_DISCRETE = HeterogeneousCosts(DiscreteCosts(points=((0.05, 0.5), (0.1, 0.5))))
+_CONTINUOUS = HeterogeneousCosts(ContinuousCosts(knots=((0.05, 0.0), (0.2, 1.0))))
+
+
+@pytest.mark.parametrize(
+    "kind, n, alpha, consumers, cost_model, workers",
+    [
+        ("single", 2, 0.65, 70_000, SingleCost(0.1), 1),  # two blocks, the second partial
+        ("single", 2, 0.65, 70_000, SingleCost(0.1), 2),
+        ("discrete", 5, 0.5, 20_000, _DISCRETE, 1),
+        ("continuous", 2, 0.65, 3_000, _CONTINUOUS, 1),
+    ],
+    ids=["single", "single-parallel", "discrete", "continuous"],
+)
+def test_report_digests_are_pinned(uniform, kind, n, alpha, consumers, cost_model, workers):
+    eq = solve_endog(uniform, n, alpha, 0.1)
+    cfg = SimConfig(consumers=consumers, seed=2024, cost_model=cost_model, workers=workers)
+    report = simulate_market(eq, cfg).to_json_dict()
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == _PINNED[kind]
+    assert list(report) == [
+        "consumers", "seed", "n_savvy", "n_inexperienced", "eta_hat", "eta_se",
+        "cs_savvy_hat", "cs_savvy_se", "cs_inexperienced_hat", "cs_inexperienced_se",
+        "firm_sale_shares", "visit_histogram", "multi_search_freq", "conditional_sale_curve",
+    ]
+    for key in ("firm_sale_shares", "visit_histogram", "conditional_sale_curve"):
+        assert type(report[key]) is list
+    curve_keys = ["bin_left", "bin_right", "v_mid", "u_hat", "se", "visits"]
+    assert list(report["conditional_sale_curve"][0]) == curve_keys
+
+
+def test_deviation_share_is_pinned(eq_uniform_small, uniform):
+    cfg = SimConfig(consumers=70_000, seed=2024, cost_model=SingleCost(0.1), workers=2)
+    share, se = simulate_deviation(eq_uniform_small, 1, full_disclosure_distribution(uniform), cfg)
+    assert (share, se) == (0.4393, 0.0018758446097691568)
+
+
+# The benchmark's tracer rebinds the simulator's private names and counts
+# every call of _simulate_block: a traced run must reproduce the report and
+# see one call per block.
+_TRACED_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+from disclose_eq import UniformPrior, montecarlo
+from disclose_eq.endogenous import solve_endog
+
+eq = solve_endog(UniformPrior(), 2, 0.65, 0.1)
+cfg = montecarlo.SimConfig(consumers=70_000, seed=2024, cost_model=montecarlo.SingleCost(0.1), workers=2)
+t = tracer.Tracer()
+tracer.install(t)
+report = montecarlo.simulate_market(eq, cfg)
+print(json.dumps({"report": report.to_json_dict(), "metrics": tracer.layer_metrics(t.summary())}))
+"""
+
+
+def test_traced_simulation_reproduces_the_report(eq_uniform_small):
+    bench = pathlib.Path(__file__).resolve().parent.parent / "bench"
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_SCRIPT, str(bench)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True,
+    )
+    traced = json.loads(proc.stdout.splitlines()[-1])
+    cfg = SimConfig(consumers=70_000, seed=2024, cost_model=SingleCost(0.1), workers=2)
+    untraced = simulate_market(eq_uniform_small, cfg).to_json_dict()
+    assert json.dumps(traced["report"], sort_keys=True) == json.dumps(untraced, sort_keys=True)
+    assert traced["metrics"]["montecarlo.blocks"] == 2

@@ -82,6 +82,18 @@ def test_stop_quantile_array_equals_scalar_calls(request, g_atom):
     assert stop_quantile(g_atom, np.array([0.6]))[0] == stop_quantile(g_atom, 0.6)
 
 
+@pytest.mark.parametrize("which", ["g_inf", "point_mass"])
+def test_cdf_left_drops_the_atom_at_its_location_only(uniform, which):
+    g = limit_equilibrium(uniform, 0.5, 0.1).g_inf if which == "g_inf" else point_mass(uniform, 0.5)
+    loc, mass = g.atom
+    below, above = np.nextafter(loc, -1.0), np.nextafter(loc, 1.0)
+    # one ulp away the left limit is the cdf itself: no jump but the atom
+    assert g.cdf_left(below) == g.cdf(below) == 0.0
+    assert g.cdf_left(above) == g.cdf(above) == pytest.approx(mass, abs=1e-12)
+    assert g.cdf_left(loc) == 0.0 and g.cdf(loc) == g.cdf(above)
+    assert g.cdf_left(np.array([below, loc, above])).tolist() == [0.0, 0.0, g.cdf(above)]
+
+
 def _evaluate(g, method, x, *args):
     """The result, or the type and invariant of the error raised."""
     try:
