@@ -51,6 +51,7 @@ from .montecarlo import (
     HeterogeneousCosts,
     SimConfig,
     SingleCost,
+    _thread_count,
     simulate_market,
 )
 from .priors import Prior, prior_from_json
@@ -219,6 +220,7 @@ def cmd_simulate(cfg: dict[str, Any], args) -> int:
     prior, n, alpha, s = _market_params(cfg)
     if args.seed is None:
         raise ConfigError("simulate requires --seed (no wall-clock default)")
+    workers = _thread_count(None)  # a malformed DISCLOSE_EQ_THREADS fails before the solve
     eq = solve_endog(prior, n, alpha, s)
     cost_spec = cfg.get("cost_model")
     if cost_spec is None:
@@ -232,6 +234,7 @@ def cmd_simulate(cfg: dict[str, Any], args) -> int:
         seed=args.seed,
         cost_model=cost_model,
         bins=_read(cfg, "bins", int, 50),
+        workers=workers,
     )
     report = simulate_market(eq, config)
     z_scores = _z_scores(eq, report)

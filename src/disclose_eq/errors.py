@@ -17,15 +17,6 @@ class InfeasibleCandidateError(DiscloseEqError):
     """No pooling candidate exists for the requested (v_L, r) pair."""
 
 
-class NoUpperRootError(DiscloseEqError):
-    """The pooled branch never re-contacts the prior cdf at this slope.
-
-    Raised by the contact-point search when the slope is too small for the
-    pooled cdf to catch up with the prior (the mean condition then has a
-    strictly positive residual).
-    """
-
-
 class NoInteriorRootError(DiscloseEqError):
     """The large-market contact equation has no root below 1 at this n."""
 

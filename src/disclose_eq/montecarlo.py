@@ -201,13 +201,15 @@ def _tally(t: _Totals, vals, visits, stop_pos, firm, cost, edges) -> tuple[float
     rows = np.arange(len(vals))
     cs = vals[rows, stop_pos] - visits * cost
     t.sales += np.bincount(firm, minlength=len(t.sales))
-    visited = np.arange(vals.shape[1]) < visits[:, None]
-    sold = np.zeros_like(visited)
+    sold = np.zeros(vals.shape, dtype=bool)
     sold[rows, stop_pos] = True
+    if visits.min() < vals.shape[1]:  # keep only the draws that were seen
+        visited = np.arange(vals.shape[1]) < visits[:, None]
+        vals, sold = vals[visited], sold[visited]
     n_bins = len(t.bin_visits)
-    idx = np.clip(np.digitize(vals[visited], edges) - 1, 0, n_bins - 1)
+    idx = np.clip(np.digitize(vals.ravel(), edges) - 1, 0, n_bins - 1)
     t.bin_visits += np.bincount(idx, minlength=n_bins)
-    t.bin_sales += np.bincount(idx, weights=sold[visited], minlength=n_bins)
+    t.bin_sales += np.bincount(idx, weights=sold.ravel(), minlength=n_bins)
     return float(np.sum(cs)), float(np.sum(cs * cs))
 
 

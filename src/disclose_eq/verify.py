@@ -10,11 +10,14 @@ Three routes, deliberately redundant:
   all its grids together;
 * a discretized linear-program best response over the exact feasible
   polytope (nonnegativity, unit mass, matched mean, and stop-loss
-  dominance at every grid point), solved with scipy's HiGHS backend over
-  the stop-loss slack at the grid points: a tridiagonal LP with O(m)
-  nonzeros, run at fixed feasibility tolerances of 1e-10.  Its sparse
-  input is assembled by index arithmetic in one pass, entry for entry the
-  matrix the sparse products that define it would give;
+  dominance at every grid point), posed over the stop-loss slack at the
+  grid points: a tridiagonal LP with O(m) nonzeros, run at fixed
+  feasibility tolerances of 1e-10.  Its CSC input is assembled by index
+  arithmetic in one pass, entry for entry the matrix the sparse products
+  that define it would give, and handed to HiGHS through the binding SciPy
+  ships (scipy.optimize._highspy) with the settings linprog(method="highs")
+  would pass, so the solve is the one linprog would run, without its
+  input checks and result post-processing;
 * direct expected-payoff comparisons for hand-built deviations.
 
 The cost-heterogeneity check implements the large-market sufficiency
@@ -27,8 +30,14 @@ from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import (
+    HighsLp,
+    HighsModelStatus,
+    HighsOptions,
+    MatrixFormat,
+    _Highs,
+    kHighsInf,
+)
 
 from .costs import ContinuousCosts, CostDistribution, DiscreteCosts  # noqa: F401 (re-exported)
 from .endogenous import _N_CAP, payoff_u, solve_endog
@@ -49,6 +58,20 @@ _GL_NODES = 32
 _LP_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 _HIGHS_SMALL_ENTRY = 1e-9
 _NARROW_CELL = 1e-7
+
+
+def _highs_options() -> HighsOptions:
+    """The settings linprog(method="highs") passes HiGHS: quiet, presolve
+    on, dual simplex, and the oracle's tolerances."""
+    options = HighsOptions()
+    options.output_flag = options.log_to_console = False
+    options.presolve, options.simplex_strategy = "on", 1
+    for key, value in _LP_TOLERANCES.items():
+        setattr(options, key, value)
+    return options
+
+
+_LP_OPTIONS = _highs_options()
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +275,13 @@ def _solve_oracle(
     u_values: Sequence[float], prior: Prior, grid: Sequence[float]
 ) -> tuple[float, np.ndarray, int, int]:
     """best_response_oracle, with the nonzeros of the LP's constraint matrix
-    and HiGHS's simplex iterations."""
+    and HiGHS's simplex iterations.
+
+    HiGHS gets the model through SciPy's binding: the matrix, bounds and
+    settings that linprog(method="highs") would pass it for this LP (rows
+    g >= 0, then D >= 0 at each narrow cell's top, then the two equalities),
+    so the value and masses are linprog's to the bit.  Any model status but
+    optimal is a typed oracle-lp failure."""
     grid = np.asarray(grid, dtype=float)
     u_values = np.asarray(u_values, dtype=float)
     if grid.ndim != 1 or grid.shape != u_values.shape or len(grid) < 2:
@@ -307,41 +336,43 @@ def _solve_oracle(
     lift = np.concatenate([-val[~shared], upper_val])[order]
 
     row, col, val = slack(np.concatenate([cells + 1, [0, m - 1]]))
-    ub = row < len(cells)
-    # g >= 0, and D >= 0 at the points without a variable of their own
-    a_ub = sparse.coo_array(
-        (
-            np.concatenate([-lift, -val[ub]]),
-            (np.concatenate([l_row, m + row[ub]]), np.concatenate([l_col, col[ub]])),
-        ),
-        shape=(m + len(cells), m),
-    )
-    # D = 0 at the bottom, and at the top (the mean)
-    a_eq = sparse.coo_array((val[~ub], (row[~ub] - len(cells), col[~ub])), shape=(2, m))
+    # rows: g >= 0, then D >= 0 at the points without a variable of their
+    # own, then D = 0 at the bottom and at the top (the mean); the matrix
+    # goes to HiGHS column-wise, rows ascending within each column
+    rows = np.concatenate([l_row, m + row])
+    cols = np.concatenate([l_col, col])
+    vals = np.concatenate([-lift, np.where(row < len(cells), -val, val)])
+    order = np.lexsort((rows, cols))
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = m
+    lp.num_row_ = lp.a_matrix_.num_row_ = m + len(cells) + 2
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=m))])
+    lp.a_matrix_.index_ = rows[order]
+    lp.a_matrix_.value_ = vals[order]
+    lp.col_cost_ = -np.bincount(l_col, weights=lift * u_values[l_row], minlength=m)
     # own slack >= 0; a narrow cell's slope is the prior's mass up to the
     # cell less g's, so it lies in [F_k - 1, F_k]
     cdf = np.cumsum(f)[cells]
-    bounds = np.column_stack([
-        np.concatenate([np.zeros(m - len(cells)), cdf - 1.0]),
-        np.concatenate([np.full(m - len(cells), np.inf), cdf]),
-    ])
-    res = linprog(
-        -np.bincount(l_col, weights=lift * u_values[l_row], minlength=m),
-        A_ub=a_ub,
-        b_ub=np.concatenate([f, np.zeros(len(cells))]),
-        A_eq=a_eq,
-        b_eq=np.zeros(2),
-        bounds=bounds,
-        method="highs",
-        options=_LP_TOLERANCES,
-    )
+    lp.col_lower_ = np.concatenate([np.zeros(m - len(cells)), cdf - 1.0])
+    lp.col_upper_ = np.concatenate([np.full(m - len(cells), kHighsInf), cdf])
+    lp.row_lower_ = np.concatenate([np.full(m + len(cells), -kHighsInf), np.zeros(2)])
+    lp.row_upper_ = np.concatenate([f, np.zeros(len(cells) + 2)])
+    highs = _Highs()
+    highs.passOptions(_LP_OPTIONS)
+    highs.passModel(lp)
+    highs.run()
     # The prior's own masses are feasible, but HiGHS can stop without a
-    # status ("Status 0: Not Set") on grids with narrow cells, e.g. a top
-    # cell of width 1e-8 under a payoff jump
-    if not res.success:
-        raise ValidationFailureError("oracle-lp", res.message)
-    masses = f + np.bincount(l_row, weights=lift * res.x[l_col], minlength=m)
-    return float(u_values @ f - res.fun), masses, a_ub.nnz + a_eq.nnz, int(res.nit)
+    # status ("Not Set") on grids with narrow cells, e.g. a top cell of
+    # width 1e-8 under a payoff jump
+    status = highs.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        raise ValidationFailureError("oracle-lp", highs.modelStatusToString(status))
+    info = highs.getInfo()
+    x = np.asarray(highs.getSolution().col_value)
+    masses = f + np.bincount(l_row, weights=lift * x[l_col], minlength=m)
+    value = float(u_values @ f - info.objective_function_value)
+    return value, masses, len(rows), int(info.simplex_iteration_count)
 
 
 def oracle_gap(eq, m: int) -> dict[str, float]:

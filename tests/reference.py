@@ -11,9 +11,9 @@ and rewinds solve_v_l_eq at r*.  endogenous.validate_equilibrium must
 agree with it on pass or fail and on the invariant name.
 
 The LP oracle assembled by scipy.sparse algebra (oracle_by_sparse_algebra,
-with its stop-loss-slack map _slack_map): verify.best_response_oracle
-builds the same HiGHS input by index arithmetic and must hand HiGHS
-exactly these arrays.
+with its stop-loss-slack map _slack_map, solved by linprog):
+verify.best_response_oracle builds the same HiGHS input by index
+arithmetic and must hand HiGHS exactly the arrays linprog hands it.
 
 The certificate with one grid evaluation per check
 (dm_conditions_by_separate_grids): verify.check_dm_conditions evaluates
@@ -44,8 +44,8 @@ from disclose_eq.endogenous import (
 from disclose_eq.errors import (
     BracketError,
     DomainError,
+    DiscloseEqError,
     InfeasibleCandidateError,
-    NoUpperRootError,
     ValidationFailureError,
 )
 from disclose_eq.exogenous import solve_v_l_eq
@@ -64,6 +64,15 @@ from disclose_eq.verify import (
 )
 
 _BETA_RTOL = 1e-12  # relative bracket width at which solve_beta_via_h_star stops
+
+
+class NoUpperRootError(DiscloseEqError):
+    """The pooled branch never re-contacts the prior cdf at this slope.
+
+    Raised by the contact-point search when the slope is too small for the
+    pooled cdf to catch up with the prior (the mean condition then has a
+    strictly positive residual).
+    """
 
 
 def d_function(prior: Prior, n: int, v_l: float, r: float, beta: float, v: float) -> float:

@@ -14,7 +14,7 @@ from disclose_eq import (
     solve_beta,
 )
 from disclose_eq.candidate import validate_candidate
-from disclose_eq.errors import InfeasibleCandidateError, NoUpperRootError
+from disclose_eq.errors import InfeasibleCandidateError
 from disclose_eq.posterior import (
     EQUALLY_INFORMATIVE,
     LESS_INFORMATIVE,
@@ -22,7 +22,7 @@ from disclose_eq.posterior import (
     PosteriorDistribution,
     informativeness_compare,
 )
-from reference import _contact_of_beta, d_function, h_star, solve_beta_via_h_star
+from reference import NoUpperRootError, _contact_of_beta, d_function, h_star, solve_beta_via_h_star
 
 
 def _against_full(g, prior):

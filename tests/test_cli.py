@@ -322,6 +322,18 @@ def test_malformed_thread_count_is_a_config_error(tmp_path, threads):
     assert proc.stdout == ""
 
 
+def test_malformed_thread_count_fails_before_the_solve(tmp_path, monkeypatch, capsys):
+    import disclose_eq.cli as cli
+
+    def never(*args):
+        raise AssertionError("solved the market before reading DISCLOSE_EQ_THREADS")
+
+    monkeypatch.setenv("DISCLOSE_EQ_THREADS", "abc")
+    monkeypatch.setattr(cli, "solve_endog", never)
+    assert main(["simulate", "--config", _write(tmp_path, "sim.json", SIM), "--seed", "1"]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 # Runs in a fresh interpreter, so that the imports of this test process do
 # not count: every command but verify and hetero must leave scipy unloaded,
 # and none of them may load numpy.ma (np.unique's first call imports it).
