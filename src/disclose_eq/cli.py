@@ -176,7 +176,7 @@ def cmd_sweep(cfg: dict[str, Any], args) -> int:
 
 
 def cmd_verify(cfg: dict[str, Any], args) -> int:
-    # imported here so that the other commands start without scipy.optimize
+    # imported here so that the other commands start without the HiGHS binding
     from .verify import check_dm_conditions, oracle_gap, payoff_identity_gap
 
     prior, n, alpha, s = _market_params(cfg)
@@ -314,7 +314,7 @@ def cmd_limit(cfg: dict[str, Any], args) -> int:
 
 
 def cmd_hetero(cfg: dict[str, Any], args) -> int:
-    # imported here so that the other commands start without scipy.optimize
+    # imported here so that the other commands start without the HiGHS binding
     from .verify import hetero_check, hetero_first_holding_n
 
     prior = prior_from_json(_require(cfg, "prior"))

@@ -380,6 +380,82 @@ def test_solve_sweep_limit_simulate_do_not_import_scipy(tmp_path):
     assert verify.payoff_u is endogenous.payoff_u
 
 
+def _run_fresh(script, *args):
+    """Run a script in a fresh interpreter with src on the path; its last
+    stdout line, read as JSON."""
+    src = os.path.dirname(os.path.dirname(disclose_eq.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def test_verify_and_hetero_load_only_the_highs_binding(tmp_path):
+    power = {"prior": {"family": "power", "a": 2.0}, "n": 3, "alpha": 0.4, "s": 0.15}
+    runs = [
+        ["verify", "--config", _write(tmp_path, "verify.json", power), "--oracle-grid", "201"],
+        ["hetero", "--config", _write(tmp_path, "hetero.json", HETERO)],
+    ]
+    for argv in runs:
+        argv += ["--out", str(tmp_path / f"{argv[0]}.out")]
+    result = _run_fresh(_NO_SCIPY_SCRIPT, json.dumps(runs))
+    assert result["codes"] == [0, 0]
+    # the binding and its two pybind11 submodules, and no scipy.optimize,
+    # scipy.linalg or scipy.sparse
+    assert _HIGHS_CORE in result["scipy"]
+    assert all(m == _HIGHS_CORE or m.startswith(_HIGHS_CORE + ".") for m in result["scipy"])
+    assert json.loads((tmp_path / "verify.out").read_text())["oracle"]["lp_iterations"] > 0
+
+
+# Either package may be imported first; both end up with one binding module.
+_IMPORT_ORDER_SCRIPT = """
+import json, sys
+if sys.argv[1] == "scipy-first":
+    import scipy.optimize
+from disclose_eq import UniformPrior, verify
+from scipy.optimize import linprog
+import scipy.optimize._highspy._core as core
+res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+gap = verify.oracle_gap(verify.solve_endog(UniformPrior(), 2, 0.65, 0.1), 201)["gap"]
+print(json.dumps({"same": verify._Highs is core._Highs, "fun": res.fun, "x": list(res.x), "gap": gap}))
+"""
+
+
+@pytest.mark.parametrize("order", ["verify-first", "scipy-first"])
+def test_verify_and_scipy_optimize_share_the_binding_in_either_order(order):
+    result = _run_fresh(_IMPORT_ORDER_SCRIPT, order)
+    assert result["same"] is True
+    assert (result["fun"], result["x"]) == (1.0, [1.0, 0.0])
+    assert abs(result["gap"]) < 0.2 / 201
+
+
+_MISSING_BINDING_SCRIPT = """
+import importlib.machinery, json
+find_spec = importlib.machinery.PathFinder.find_spec
+importlib.machinery.PathFinder.find_spec = classmethod(
+    lambda cls, name, path=None, target=None: None if name == "_core" else find_spec(name, path, target)
+)
+try:
+    import disclose_eq.verify
+except Exception as exc:
+    print(json.dumps({"type": type(exc).__name__, "message": str(exc)}))
+"""
+
+
+def test_a_missing_binding_is_an_import_error():
+    import scipy
+
+    result = _run_fresh(_MISSING_BINDING_SCRIPT)
+    assert result["type"] == "ImportError"
+    directory = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    assert result["message"] == f"SciPy {scipy.__version__} has no HiGHS binding _core in {directory}"
+
+
 # Each module imports only from strictly lower layers, so no import cycle
 # can form.  The package __init__ re-exports the layers up to candidate, and
 # __main__ runs the CLI.
