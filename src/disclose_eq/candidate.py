@@ -53,15 +53,15 @@ def candidate_exists(prior: Prior, n: int, v_l: float, r: float) -> bool:
 
 
 def _mean_match_residual(prior: Prior, n: int, v_l: float, r: float) -> Callable[[float], float]:
-    """Mass-scaled gap between the contact slope at v and the moment slope.
+    """Gap between the contact slope at v and the moment slope, times
+    mass / F(v)^(n-1).
 
     Zero exactly at the contact point of the valid candidate; negative at
-    r, positive at 1 whenever the contact is interior.  The terms in v_L
-    alone are computed once, outside the returned function of v.
+    r, positive at 1 whenever the contact is interior.  Its only power is
+    lam = (F(v_L) / F(v))^(n-1) <= 1, so it neither overflows nor, as the
+    unscaled residual does in large markets, underflows to a false root.
     """
     fl = prior.cdf(v_l)
-    fln1 = fl ** (n - 1)
-    fln = fl**n
     vl_fl = v_l * fl
     cum_l = prior.cum_cdf(v_l)
 
@@ -69,14 +69,16 @@ def _mean_match_residual(prior: Prior, n: int, v_l: float, r: float) -> Callable
         fv = prior.cdf(v)
         mass = fv - fl
         vf = v * fv - vl_fl - (prior.cum_cdf(v) - cum_l)  # prior.partial_vf(v_l, v)
-        eta_mass = (fv**n - fln) / n - fln1 * mass  # (eta_tilde - F(v_L)^(n-1)) * mass
-        return (fv ** (n - 1) - fln1) * (vf - r * mass) - eta_mass * (v - r)
+        lam = (fl / fv) ** (n - 1) if fl > 0.0 else 0.0  # also where F(v) underflows to 0
+        # (fv - fl * lam) / n - lam * mass = (eta_tilde - F(v_L)^(n-1)) * mass / F(v)^(n-1)
+        return (1.0 - lam) * (vf - r * mass) - ((fv - fl * lam) / n - lam * mass) * (v - r)
 
     return residual
 
 
 def solve_beta(prior: Prior, n: int, v_l: float, r: float) -> tuple[float, float, float]:
-    """Solve (beta, v_H, v_T) for the unique candidate at (v_L, r)."""
+    """Solve (beta, v_H, v_T) for the unique candidate at (v_L, r); the
+    contact point stays exact where F(v_L)^(n-1) and F(v)^(n-1) underflow."""
     if not 0.0 <= v_l < r < 1.0:
         raise InfeasibleCandidateError(f"need 0 <= v_L < r < 1, got ({v_l}, {r})")
     if not candidate_exists(prior, n, v_l, r):
@@ -88,8 +90,9 @@ def solve_beta(prior: Prior, n: int, v_l: float, r: float) -> tuple[float, float
     residual = _mean_match_residual(prior, n, v_l, r)
     if residual(1.0) > 0.0:
         # Interior contact: bisect the single mean-match equation in v_H.
-        # The residual is strictly negative at r but can underflow to 0.0
-        # at extreme parameters, so its sign is pinned analytically.
+        # At r the residual is (1 - lam) times the integral of (u - r) dF over
+        # (v_L, r) < 0, but both factors round to 0.0 when r is next to v_L,
+        # so its sign is pinned analytically.
         v_h = bisect_root(residual, r, 1.0, xtol=_XTOL, f_lo=-1.0)
         if v_h - r > 1e-13:
             beta = (prior.cdf(v_h) ** (n - 1) - fln1) / (v_h - r)

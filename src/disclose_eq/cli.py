@@ -28,6 +28,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
+from .candidate import solve_beta
 from .costs import cost_distribution_from_json
 from .endogenous import (
     Equilibrium,
@@ -36,14 +37,12 @@ from .endogenous import (
     n_lower_bar,
     payoff_u,
     solve_endog,
-    v_h_large_n,
 )
 from .errors import (
     ConfigError,
     DiscloseEqError,
     DomainError,
     InfeasibleCandidateError,
-    NoInteriorRootError,
     UnsupportedBoundaryError,
     ValidationFailureError,
 )
@@ -288,14 +287,9 @@ def cmd_limit(cfg: dict[str, Any], args) -> int:
     prior = prior_from_json(_require(cfg, "prior"))
     alpha, s = _read(cfg, "alpha", float), _read(cfg, "s", float)
     nbar = n_lower_bar(prior, alpha, s)
-    seq = []
-    n = nbar
-    for _ in range(_read(cfg, "doublings", int, 6) + 1):
-        try:
-            seq.append([n, v_h_large_n(prior, n, s)])
-        except NoInteriorRootError:
-            seq.append([n, 1.0])
-        n *= 2
+    r = prior.mean() - s  # every n >= nbar conceals: v_L* = 0 and r* = mu - s
+    ns = [nbar << k for k in range(_read(cfg, "doublings", int, 6) + 1)]
+    seq = [[n, solve_beta(prior, n, 0.0, r)[1]] for n in ns]
     lim = limit_equilibrium(prior, alpha, s)
     payload = {
         "command": "limit",

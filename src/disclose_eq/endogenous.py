@@ -32,11 +32,11 @@ from .candidate import Candidate, build_candidate, build_g, validate_candidate
 from .errors import (
     DomainError,
     IterationCapError,
-    NoInteriorRootError,
     ValidationFailureError,
 )
 from .exogenous import (
     REGIME_FULL,
+    _check_alpha,
     _check_market,
     _v_l_bracket,
     _z_of_beta,
@@ -380,7 +380,8 @@ def solve_endog(prior: Prior, n: int, alpha: float, s: float) -> Equilibrium:
 def n_lower_bar(prior: Prior, alpha: float, s: float) -> int:
     """Smallest market size at which nothing below the reserve is disclosed."""
     mu = _checked_mean(prior, s)
-    if not 0.0 < alpha < 1.0:
+    _check_alpha(alpha)
+    if alpha == 0.0:
         raise DomainError("alpha must lie in (0, 1)")
 
     def large_enough(n: int) -> bool:
@@ -403,27 +404,10 @@ def n_lower_bar(prior: Prior, alpha: float, s: float) -> int:
     return hi
 
 
-def v_h_large_n(prior: Prior, n: int, s: float) -> float:
-    """Upper disclosure threshold in a large market with r* = mu - s.
-
-    Solves int_0^v F du = (n-1)/n * F(v) * (v - r); the unique interior
-    root exists only when the pooled branch stops short of 1.
-    """
-    r = _checked_mean(prior, s) - s
-
-    def contact(v: float) -> float:
-        return float(prior.cum_cdf(v)) - (n - 1) / n * prior.cdf(v) * (v - r)
-
-    if contact(1.0) >= 0.0:
-        raise NoInteriorRootError(f"no disclosure at the top at n = {n}")
-    return bisect_root(contact, r, 1.0, xtol=1e-13)
-
-
 def limit_equilibrium(prior: Prior, alpha: float, s: float) -> LimitEquilibrium:
     """Infinite-market limit: atom at mu - s, censoring below v_h_inf."""
     r = _checked_mean(prior, s) - s
-    if not 0.0 <= alpha < 1.0:
-        raise DomainError("alpha must lie in [0, 1)")
+    _check_alpha(alpha)
     v_h_inf = bisect_root(
         lambda w: prior.partial_vf(0.0, w) - r * prior.cdf(w), 1e-12, 1.0, xtol=1e-13
     )

@@ -17,10 +17,6 @@ class InfeasibleCandidateError(DiscloseEqError):
     """No pooling candidate exists for the requested (v_L, r) pair."""
 
 
-class NoInteriorRootError(DiscloseEqError):
-    """The large-market contact equation has no root below 1 at this n."""
-
-
 class UnsupportedBoundaryError(DiscloseEqError):
     """A boundary parameter value with a non-unique equilibrium (alpha = 1)."""
 

@@ -178,16 +178,21 @@ def solve_v_l_eq(prior: Prior, n: int, alpha: float, r: float) -> float:
     )
 
 
-def _check_market(prior: Prior, n: int, alpha: float) -> None:
-    """The (n, alpha) domain of a market, and the prior's convexity on F**(n-1)."""
-    if n < 2:
-        raise DomainError("need n >= 2")
+def _check_alpha(alpha: float) -> None:
+    """alpha in [0, 1); the boundary alpha = 1 is unsupported, not malformed."""
     if alpha == 1.0:
         raise UnsupportedBoundaryError(
             "alpha = 1 admits a continuum of pooling equilibria; not representable"
         )
     if not 0.0 <= alpha < 1.0:
         raise DomainError("alpha must lie in [0, 1)")
+
+
+def _check_market(prior: Prior, n: int, alpha: float) -> None:
+    """The (n, alpha) domain of a market, and the prior's convexity on F**(n-1)."""
+    if n < 2:
+        raise DomainError("need n >= 2")
+    _check_alpha(alpha)
     if not prior.check_convexity(n):
         raise DomainError("prior fails the convexity requirement on F**(n-1)")
 

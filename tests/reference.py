@@ -5,6 +5,13 @@ bisect h_star in beta with the contact point recomputed inside each step.
 It is slower than candidate.solve_beta by two orders of magnitude and
 shares none of its algebra, so it cross-checks it.
 
+The mean-match residual before its scaling by F(v)^(n-1)
+(mean_match_residual_unscaled, and solve_beta_unscaled, candidate.solve_beta
+with it swapped in): wherever its terms do not underflow, the scaled
+residual must give the same (beta, v_H, v_T).  The large-market contact
+equation at v_L = 0 under its own name (v_h_large_n): the `limit` command
+now reads the same contact point from candidate.solve_beta.
+
 The post-solve validation that re-solves the market (validate_by_rewind):
 it bisects the full-information reserve, recomputes the regime decision
 and rewinds solve_v_l_eq at r*.  endogenous.validate_equilibrium must
@@ -26,15 +33,18 @@ segment slices instead and must return the same bits.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
+from unittest import mock
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from disclose_eq import candidate
 from disclose_eq.candidate import _XTOL, candidate_exists, validate_candidate
 from disclose_eq.endogenous import (
     Equilibrium,
+    _checked_mean,
     _conceals_bottom,
     payoff_u,
     r_full_info,
@@ -159,6 +169,55 @@ def solve_beta_via_h_star(prior: Prior, n: int, v_l: float, r: float) -> tuple[f
     beta = 0.5 * (lo + hi)
     v_h, v_t = _contact_of_beta(prior, n, v_l, r, beta)
     return beta, v_h, v_t
+
+
+def mean_match_residual_unscaled(prior: Prior, n: int, v_l: float, r: float) -> Callable[[float], float]:
+    """Mass-scaled gap between the contact slope at v and the moment slope.
+
+    Zero exactly at the contact point of the valid candidate; negative at
+    r, positive at 1 whenever the contact is interior.  The terms in v_L
+    alone are computed once, outside the returned function of v.
+    """
+    fl = prior.cdf(v_l)
+    fln1 = fl ** (n - 1)
+    fln = fl**n
+    vl_fl = v_l * fl
+    cum_l = prior.cum_cdf(v_l)
+
+    def residual(v: float) -> float:
+        fv = prior.cdf(v)
+        mass = fv - fl
+        vf = v * fv - vl_fl - (prior.cum_cdf(v) - cum_l)  # prior.partial_vf(v_l, v)
+        eta_mass = (fv**n - fln) / n - fln1 * mass  # (eta_tilde - F(v_L)^(n-1)) * mass
+        return (fv ** (n - 1) - fln1) * (vf - r * mass) - eta_mass * (v - r)
+
+    return residual
+
+
+def solve_beta_unscaled(prior: Prior, n: int, v_l: float, r: float) -> tuple[float, float, float]:
+    """candidate.solve_beta bisecting the unscaled residual."""
+    with mock.patch.object(candidate, "_mean_match_residual", mean_match_residual_unscaled):
+        return candidate.solve_beta(prior, n, v_l, r)
+
+
+class NoInteriorRootError(DiscloseEqError):
+    """The large-market contact equation has no root below 1 at this n."""
+
+
+def v_h_large_n(prior: Prior, n: int, s: float) -> float:
+    """Upper disclosure threshold in a large market with r* = mu - s.
+
+    Solves int_0^v F du = (n-1)/n * F(v) * (v - r); the unique interior
+    root exists only when the pooled branch stops short of 1.
+    """
+    r = _checked_mean(prior, s) - s
+
+    def contact(v: float) -> float:
+        return float(prior.cum_cdf(v)) - (n - 1) / n * prior.cdf(v) * (v - r)
+
+    if contact(1.0) >= 0.0:
+        raise NoInteriorRootError(f"no disclosure at the top at n = {n}")
+    return bisect_root(contact, r, 1.0, xtol=1e-13)
 
 
 def validate_by_rewind(eq: Equilibrium) -> None:

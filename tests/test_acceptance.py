@@ -16,7 +16,6 @@ from disclose_eq.endogenous import (
     n_lower_bar,
     payoff_u,
     solve_endog,
-    v_h_large_n,
 )
 from disclose_eq.exogenous import r_lower_bar, solve_exog
 from disclose_eq.montecarlo import SimConfig, SingleCost, simulate_market
@@ -37,6 +36,7 @@ from disclose_eq.welfare import (
     informativeness_compare,
     threshold_scan,
 )
+from reference import v_h_large_n
 
 ORACLE_GAP_COEFF = 0.2  # calibrated in test_criterion_4
 

@@ -13,7 +13,7 @@ from disclose_eq import (
     point_mass,
     solve_beta,
 )
-from disclose_eq.candidate import validate_candidate
+from disclose_eq.candidate import _XTOL, validate_candidate
 from disclose_eq.errors import InfeasibleCandidateError
 from disclose_eq.posterior import (
     EQUALLY_INFORMATIVE,
@@ -22,7 +22,16 @@ from disclose_eq.posterior import (
     PosteriorDistribution,
     informativeness_compare,
 )
-from reference import NoUpperRootError, _contact_of_beta, d_function, h_star, solve_beta_via_h_star
+from reference import (
+    NoUpperRootError,
+    _contact_of_beta,
+    d_function,
+    h_star,
+    solve_beta_unscaled,
+    solve_beta_via_h_star,
+)
+from reference_mp import contact_point_mp
+from test_verify import _seeded_markets
 
 
 def _against_full(g, prior):
@@ -118,6 +127,43 @@ def test_solve_beta_uniform_examples(uniform):
     assert beta == pytest.approx(16.0 / 15.0, rel=1e-10)
     assert v_h == pytest.approx(0.8, abs=1e-11)
     assert v_t == 1.0
+
+
+def test_large_market_contact_point_does_not_underflow(uniform, power2):
+    # unscaled, the mean-match residual underflows to an exact 0.0 at the
+    # first midpoint of [r, 1], which bisection took for the contact point
+    n = 10**5
+    assert solve_beta(uniform, n, 0.0, 0.2)[1] == pytest.approx(0.4 * (n - 1) / (n - 2), abs=1e-12)
+    for n, exact in ((3000, 0.7381908649097014), (2**20, 0.7380681429851175)):
+        v_h = contact_point_mp(power2, n, 0.1, 0.5)
+        assert abs(v_h - exact) < 1e-15
+        assert solve_beta(power2, n, 0.1, 0.5)[1] == pytest.approx(float(v_h), abs=1e-12)
+
+
+def test_scaled_residual_keeps_the_seeded_candidates_bitwise():
+    cands = [eq.candidate for eq in _seeded_markets()]
+    assert len(cands) == 14
+    for c in cands:
+        assert (c.beta, c.v_h, c.v_t) == solve_beta_unscaled(c.prior, c.n, c.v_l, c.r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.one_of(st.just(1.0), st.floats(min_value=1.0, max_value=4.0)),
+    n=st.integers(min_value=2, max_value=50),
+    r=st.floats(min_value=0.1, max_value=0.95),
+    share=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.99)),
+)
+def test_scaled_residual_keeps_the_unscaled_contact_point(a, n, r, share):
+    # a = 1 is the uniform prior; r >= 0.1 keeps every unscaled term above
+    # the float range's floor, so the unscaled route is exact here
+    prior = UniformPrior() if a == 1.0 else PowerPrior(a=a)
+    v_l = share * r
+    if not candidate_exists(prior, n, v_l, r):
+        return
+    new, old = solve_beta(prior, n, v_l, r), solve_beta_unscaled(prior, n, v_l, r)
+    if new != old:  # the two residuals round apart next to the root (about 1 draw in 650)
+        assert new[2] == old[2] and abs(new[1] - old[1]) <= 2 * _XTOL
 
 
 def test_collapse_as_v_l_approaches_r(uniform):

@@ -95,6 +95,7 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["solve", "--config", str(garbled)]) == 1
     boundary = _write(tmp_path, "alpha1.json", {**BASE, "alpha": 1.0})
     assert main(["solve", "--config", boundary]) == 3
+    assert main(["limit", "--config", boundary]) == 3
     cfg = _write(tmp_path, "cfg.json", BASE)
     # perturbing the reserve above the feasibility frontier: invariant failure
     assert main(["verify", "--config", cfg, "--perturb", "r", "0.4"]) == 2
@@ -223,6 +224,9 @@ def test_limit_command(tmp_path):
     assert [n for n, _ in seq] == [19 * 2**k for k in range(7)]
     vs = [v for _, v in seq]
     assert all(b < a for a, b in zip(vs, vs[1:]))
+    # each entry is the solved market's contact point, to the bit
+    for n, v_h in seq:
+        assert v_h == endogenous.solve_endog(disclose_eq.UniformPrior(), n, 0.5, 0.1).v_h_star
     assert payload["limit"]["v_H_inf"] == pytest.approx(0.8, abs=1e-9)
     assert payload["limit"]["atom_mass"] == pytest.approx(0.8, abs=1e-9)
 

@@ -11,6 +11,7 @@ from disclose_eq import (
     endogenous,
     exogenous,
 )
+from disclose_eq.candidate import solve_beta
 from disclose_eq.endogenous import (
     _check_fixed_point,
     _conceals_bottom,
@@ -22,12 +23,10 @@ from disclose_eq.endogenous import (
     search_residual_posterior,
     search_residual_prior,
     solve_endog,
-    v_h_large_n,
 )
 from disclose_eq.errors import (
     DiscloseEqError,
     DomainError,
-    NoInteriorRootError,
     UnsupportedBoundaryError,
     ValidationFailureError,
 )
@@ -303,16 +302,16 @@ def test_n_lower_bar_uniform(uniform):
     assert r_lower_bar(uniform, nbar - 1, 0.5) < 0.4
 
 
-def test_v_h_large_n_uniform(uniform):
-    # closed form for the flat prior: v_H = 2 r (n-1) / (n-2) with r = 0.4
-    for n in (7, 10, 20, 50):
-        assert v_h_large_n(uniform, n, 0.1) == pytest.approx(
+def test_concealing_contact_point_uniform(uniform):
+    # v_L = 0 and r = mu - s = 0.4: closed form v_H = 2 r (n-1) / (n-2) on the flat prior
+    for n in range(7, 51):
+        assert solve_beta(uniform, n, 0.0, 0.4)[1] == pytest.approx(
             0.8 * (n - 1) / (n - 2), abs=1e-10
         )
-    for n in (2, 5, 6):
-        with pytest.raises(NoInteriorRootError):
-            v_h_large_n(uniform, n, 0.1)
-    vals = [v_h_large_n(uniform, n, 0.1) for n in range(7, 30)]
+    for n in (2, 5, 6):  # no disclosure at the top: the pooled branch caps at 1
+        _, v_h, v_t = solve_beta(uniform, n, 0.0, 0.4)
+        assert v_h == 1.0 and v_t < 1.0
+    vals = [solve_beta(uniform, n, 0.0, 0.4)[1] for n in range(7, 30)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
@@ -388,6 +387,12 @@ def test_boundaries_and_domain(uniform):
         solve_endog(uniform, 2, 0.5, 0.7)  # s >= mean
     with pytest.raises(UnsupportedBoundaryError):
         solve_endog(uniform, 2, 1.0, 0.1)
+    with pytest.raises(UnsupportedBoundaryError):
+        n_lower_bar(uniform, 1.0, 0.1)
+    with pytest.raises(UnsupportedBoundaryError):
+        limit_equilibrium(uniform, 1.0, 0.1)
+    with pytest.raises(DomainError):
+        n_lower_bar(uniform, 0.0, 0.1)  # alpha = 0 discloses fully at every n
     eq0 = solve_endog(uniform, 2, 0.0, 0.1)  # frictionless boundary
     assert eq0.beta_star is None
     assert eq0.r_star == pytest.approx(r_full_info(uniform, 0.1), abs=1e-12)
@@ -399,7 +404,6 @@ def test_search_cost_domain_is_checked_once(uniform):
         lambda s: r_full_info(uniform, s),
         lambda s: solve_endog(uniform, 2, 0.5, s),
         lambda s: n_lower_bar(uniform, 0.5, s),
-        lambda s: v_h_large_n(uniform, 50, s),
         lambda s: limit_equilibrium(uniform, 0.5, s),
     ]
     for call in calls:

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -309,7 +311,12 @@ def _assert_contraction(masses, prior, grid, mass_tol=1e-12, stop_loss_tol=1e-10
 
 def _seeded_markets():
     """Two solved markets per prior family and regime, then two
-    non-equilibrium candidates."""
+    non-equilibrium candidates, solved once per session."""
+    return list(_seeded_solves())
+
+
+@functools.cache
+def _seeded_solves():
     rng = np.random.default_rng(7)
     markets = []
     for family in ("uniform", "power", "piecewise"):
@@ -338,7 +345,7 @@ def _seeded_markets():
     eq = solve_endog(UniformPrior(), 2, 0.65, 0.1)
     for delta in (-0.05, 0.03):
         markets.append(assemble_market(eq.prior, 2, 0.65, eq.v_l_star + delta, eq.r_star, 0.1))
-    return markets
+    return tuple(markets)
 
 
 def test_oracle_matches_dense_reference_on_seeded_markets():
