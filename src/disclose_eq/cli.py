@@ -203,7 +203,7 @@ def cmd_verify(cfg: dict[str, Any], args) -> int:
         "payoff_identity_gap": payoff_identity_gap(eq),
     }
     ok = report.passed
-    if args.oracle_grid:
+    if args.oracle_grid is not None:
         gap = oracle_gap(eq, args.oracle_grid)
         payload["oracle"] = gap
         # discretization bound calibrated on the measured gap decay

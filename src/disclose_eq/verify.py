@@ -15,9 +15,10 @@ Three routes, deliberately redundant:
   feasibility tolerances of 1e-10.  Its CSC input is assembled by index
   arithmetic in one pass, entry for entry the matrix the sparse products
   that define it would give, and handed to HiGHS through the binding SciPy
-  ships (scipy.optimize._highspy) with the settings linprog(method="highs")
-  would pass, so the solve is the one linprog would run, without its
-  input checks and result post-processing;
+  ships (scipy.optimize._highspy) with the settings that ORACLE_LP_OPTIONS
+  gives linprog(method="highs"): dual simplex without presolve, under
+  devex pricing.  So the solve is the one linprog would run with those
+  options, without its input checks and result post-processing;
 * direct expected-payoff comparisons for hand-built deviations.
 
 The cost-heterogeneity check implements the large-market sufficiency
@@ -86,21 +87,36 @@ HighsLp, HighsModelStatus, HighsOptions = _core.HighsLp, _core.HighsModelStatus,
 MatrixFormat, _Highs, kHighsInf = _core.MatrixFormat, _core._Highs, _core.kHighsInf
 
 _GL_NODES = 32
-# oracle LP: HiGHS feasibility tolerances (its rows carry 1/h), the size
-# below which HiGHS ignores a matrix entry, and the width below which a
-# cell gets a slope variable of its own
-_LP_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# oracle LP: the HiGHS settings, in linprog's option names and values, so
+# that linprog can be given the same dict: feasibility tolerances of 1e-10
+# (the rows carry 1/h), and no presolve and devex pricing, which solve this
+# tridiagonal LP about 1.45x faster than linprog's defaults (presolve on,
+# dual steepest edge)
+ORACLE_LP_OPTIONS = {
+    "presolve": False,
+    "simplex_dual_edge_weight_strategy": "devex",
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
+# the size below which HiGHS ignores a matrix entry, and the width below
+# which a cell gets a slope variable of its own
 _HIGHS_SMALL_ENTRY = 1e-9
 _NARROW_CELL = 1e-7
+# linprog's names for HiGHS's dual edge-weight strategies
+_EDGE_WEIGHTS = {"steepest-devex": -1, "dantzig": 0, "devex": 1, "steepest": 2}
 
 
 def _highs_options() -> HighsOptions:
-    """The settings linprog(method="highs") passes HiGHS: quiet, presolve
-    on, dual simplex, and the oracle's tolerances."""
+    """ORACLE_LP_OPTIONS as linprog(method="highs") hands them to HiGHS,
+    quiet and with the dual simplex, the one linprog always runs."""
     options = HighsOptions()
     options.output_flag = options.log_to_console = False
-    options.presolve, options.simplex_strategy = "on", 1
-    for key, value in _LP_TOLERANCES.items():
+    options.simplex_strategy = 1
+    for key, value in ORACLE_LP_OPTIONS.items():
+        if key == "presolve":
+            value = "on" if value else "off"
+        elif key == "simplex_dual_edge_weight_strategy":
+            value = _EDGE_WEIGHTS[value]
         setattr(options, key, value)
     return options
 
@@ -312,10 +328,10 @@ def _solve_oracle(
     and HiGHS's simplex iterations.
 
     HiGHS gets the model through SciPy's binding: the matrix, bounds and
-    settings that linprog(method="highs") would pass it for this LP (rows
-    g >= 0, then D >= 0 at each narrow cell's top, then the two equalities),
-    so the value and masses are linprog's to the bit.  Any model status but
-    optimal is a typed oracle-lp failure."""
+    settings that linprog(method="highs", options=ORACLE_LP_OPTIONS) would
+    pass it for this LP (rows g >= 0, then D >= 0 at each narrow cell's top,
+    then the two equalities), so the value and masses are linprog's to the
+    bit.  Any model status but optimal is a typed oracle-lp failure."""
     grid = np.asarray(grid, dtype=float)
     u_values = np.asarray(u_values, dtype=float)
     if grid.ndim != 1 or grid.shape != u_values.shape or len(grid) < 2:
@@ -397,8 +413,8 @@ def _solve_oracle(
     highs.passModel(lp)
     highs.run()
     # The prior's own masses are feasible, but HiGHS can stop without a
-    # status ("Not Set") on grids with narrow cells, e.g. a top cell of
-    # width 1e-8 under a payoff jump
+    # status ("Not Set") on grids with chains of narrow cells, e.g. cells
+    # of width 1e-15 and 3e-9 among about 230 points under a payoff jump
     status = highs.getModelStatus()
     if status != HighsModelStatus.kOptimal:
         raise ValidationFailureError("oracle-lp", highs.modelStatusToString(status))

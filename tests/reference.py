@@ -18,9 +18,10 @@ and rewinds solve_v_l_eq at r*.  endogenous.validate_equilibrium must
 agree with it on pass or fail and on the invariant name.
 
 The LP oracle assembled by scipy.sparse algebra (oracle_by_sparse_algebra,
-with its stop-loss-slack map _slack_map, solved by linprog):
-verify.best_response_oracle builds the same HiGHS input by index
-arithmetic and must hand HiGHS exactly the arrays linprog hands it.
+with its stop-loss-slack map _slack_map, solved by linprog with the
+oracle's options, verify.ORACLE_LP_OPTIONS): verify.best_response_oracle
+builds the same HiGHS input by index arithmetic and must hand HiGHS
+exactly the arrays linprog hands it.
 
 The certificate with one grid evaluation per check
 (dm_conditions_by_separate_grids): verify.check_dm_conditions evaluates
@@ -64,8 +65,8 @@ from disclose_eq.priors import Prior
 from disclose_eq.rootfind import bisect_root
 from disclose_eq.verify import (
     _HIGHS_SMALL_ENTRY,
-    _LP_TOLERANCES,
     _NARROW_CELL,
+    ORACLE_LP_OPTIONS,
     CertificateReport,
     discretize_prior,
     integral_phi_dF,
@@ -317,7 +318,7 @@ def oracle_by_sparse_algebra(
         b_eq=np.zeros(2),
         bounds=bounds,
         method="highs",
-        options=_LP_TOLERANCES,
+        options=ORACLE_LP_OPTIONS,
     )
     if not res.success:  # pragma: no cover - the prior's own cells are feasible
         raise ValidationFailureError("oracle-lp", res.message)

@@ -99,6 +99,9 @@ def test_exit_codes(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", BASE)
     # perturbing the reserve above the feasibility frontier: invariant failure
     assert main(["verify", "--config", cfg, "--perturb", "r", "0.4"]) == 2
+    # an oracle grid below 101 points, 0 included, is a domain error
+    for m in ("0", "100"):
+        assert main(["verify", "--config", cfg, "--oracle-grid", m]) == 1
     capsys.readouterr()
 
 

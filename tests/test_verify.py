@@ -427,21 +427,36 @@ def test_oracle_rejects_an_unsorted_grid(uniform):
         best_response_oracle(grid, uniform, grid)
 
 
-def test_oracle_reports_highs_stopping_without_a_status(uniform):
-    # one top cell of width 1e-8 under a payoff with a jump: HiGHS stops
-    # with "Status 0: Not Set", which the oracle reports as a typed failure
+def test_oracle_solves_a_top_cell_of_width_1e8_under_a_jump(uniform):
+    # HiGHS stopped here with "Status 0: Not Set" under linprog's default
+    # settings (presolve on, steepest-edge pricing); without presolve and
+    # with devex pricing it solves, to linprog's bits under the same options
     grid = np.concatenate([np.linspace(0.0, 1.0, 201), [1.0 - 1e-8]])
     grid.sort()
     u = 0.3 * grid + (grid >= 0.4)
+    value, masses = best_response_oracle(u, uniform, grid)
+    assert value == pytest.approx(_dense_oracle(u, uniform, grid), abs=1e-9)
+    want, want_masses = oracle_by_sparse_algebra(u, uniform, grid)
+    assert value == want
+    assert np.array_equal(masses, want_masses)
+    _assert_contraction(masses, uniform, grid)
+
+
+def test_oracle_reports_highs_stopping_without_a_status():
+    # a jittered grid with chains of cells of width 1e-15 and 3e-9 under a
+    # payoff with a jump: HiGHS stops with "Status 0: Not Set", as it does
+    # under linprog's defaults, and the oracle reports a typed failure
+    u, prior, grid = _jittered_cases()[36]
+    assert np.min(np.diff(grid)) < 1e-14
     with pytest.raises(ValidationFailureError) as exc:
-        best_response_oracle(u, uniform, grid)
+        best_response_oracle(u, prior, grid)
     assert exc.value.invariant == "oracle-lp"
+    assert "Not Set" in str(exc.value)
 
 
 def _reference_cases():
     """(payoff, prior, grid): the seeded markets' oracle grids, the narrow-cell
-    grids, the one-ulp market, and jittered grids, a third of them with
-    chains of narrow cells."""
+    grids, the one-ulp market, and the jittered grids."""
     cases = []
     for eq in _seeded_markets():
         for m in (101, 201):
@@ -454,6 +469,13 @@ def _reference_cases():
     eq = solve_endog(uniform, 10, 0.65, 0.15)
     grid = oracle_grid(eq, 201)
     cases.append((payoff_u(eq, grid), uniform, grid))
+    return cases + _jittered_cases()
+
+
+def _jittered_cases():
+    """(payoff, prior, grid) on 50 jittered grids, a third of them with
+    chains of narrow cells, under payoffs with a jump."""
+    cases = []
     rng = np.random.default_rng(13)
     for i in range(50):
         m = int(rng.integers(101, 402))
@@ -506,7 +528,7 @@ def test_oracle_lp_equals_the_sparse_algebra_reference(monkeypatch):
     monkeypatch.setattr(reference, "linprog", recorded)
     cases = _reference_cases()
     assert len(cases) == 28 + 6 + 1 + 50
-    narrow = 0
+    narrow = stopped = 0
     for u, prior, grid in cases:
         seen.clear()
         results = []
@@ -514,12 +536,15 @@ def test_oracle_lp_equals_the_sparse_algebra_reference(monkeypatch):
             try:
                 results.append(oracle(u, prior, grid))
             except ValidationFailureError as exc:
-                # HiGHS stops without a status on a few grids with several
-                # chains of narrow cells, whichever way the LP was built
+                # HiGHS stops without a status ("Not Set") on a few
+                # jittered grids with chains of narrow cells (5 of 50
+                # under the oracle's settings), whichever way the LP was
+                # built
                 results.append(exc.invariant)
         got, want = results
         if isinstance(want, str):
             assert got == want == "oracle-lp"
+            stopped += 1
         else:
             assert got[0] == want[0]
             assert np.array_equal(got[1], want[1])
@@ -528,6 +553,7 @@ def test_oracle_lp_equals_the_sparse_algebra_reference(monkeypatch):
             assert np.array_equal(x, y)
         narrow += np.min(np.diff(grid)) < verify._NARROW_CELL
     assert narrow >= 20
+    assert stopped <= 5
 
 
 def test_oracle_gap_reports_the_lp_size(monkeypatch, eq_power):
