@@ -46,13 +46,6 @@ from .errors import (
     UnsupportedBoundaryError,
     ValidationFailureError,
 )
-from .montecarlo import (
-    HeterogeneousCosts,
-    SimConfig,
-    SingleCost,
-    _thread_count,
-    simulate_market,
-)
 from .priors import Prior, prior_from_json
 from .welfare import cs_inexperienced, cs_savvy, scan_csv_text, sweep
 
@@ -216,6 +209,9 @@ def cmd_verify(cfg: dict[str, Any], args) -> int:
 
 
 def cmd_simulate(cfg: dict[str, Any], args) -> int:
+    # imported here so that the other commands start without concurrent.futures
+    from .montecarlo import HeterogeneousCosts, SimConfig, SingleCost, _thread_count, simulate_market
+
     prior, n, alpha, s = _market_params(cfg)
     if args.seed is None:
         raise ConfigError("simulate requires --seed (no wall-clock default)")

@@ -18,7 +18,12 @@ Three routes, deliberately redundant:
   ships (scipy.optimize._highspy) with the settings that ORACLE_LP_OPTIONS
   gives linprog(method="highs"): dual simplex without presolve, under
   devex pricing.  So the solve is the one linprog would run with those
-  options, without its input checks and result post-processing;
+  options, without its input checks and result post-processing.  Each
+  thread keeps one HiGHS instance, given those settings once; every call
+  passes it the model as arrays in one passModel call (a HighsLp's
+  setters copy each array element by element), and a model HiGHS rejects
+  is a typed oracle-lp failure, because the instance would keep and solve
+  the previous one;
 * direct expected-payoff comparisons for hand-built deviations.
 
 The cost-heterogeneity check implements the large-market sufficiency
@@ -41,6 +46,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+import threading
 from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
@@ -83,8 +89,8 @@ def _load_highs_core():
 
 
 _core = _load_highs_core()
-HighsLp, HighsModelStatus, HighsOptions = _core.HighsLp, _core.HighsModelStatus, _core.HighsOptions
-MatrixFormat, _Highs, kHighsInf = _core.MatrixFormat, _core._Highs, _core.kHighsInf
+HighsModelStatus, HighsOptions, HighsStatus = _core.HighsModelStatus, _core.HighsOptions, _core.HighsStatus
+MatrixFormat, ObjSense, _Highs, kHighsInf = _core.MatrixFormat, _core.ObjSense, _core._Highs, _core.kHighsInf
 
 _GL_NODES = 32
 # oracle LP: the HiGHS settings, in linprog's option names and values, so
@@ -122,6 +128,9 @@ def _highs_options() -> HighsOptions:
 
 
 _LP_OPTIONS = _highs_options()
+# one HiGHS instance per thread, given _LP_OPTIONS once and a new model on
+# every oracle call; an instance is not safe to share between threads
+_THREAD = threading.local()
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +340,10 @@ def _solve_oracle(
     settings that linprog(method="highs", options=ORACLE_LP_OPTIONS) would
     pass it for this LP (rows g >= 0, then D >= 0 at each narrow cell's top,
     then the two equalities), so the value and masses are linprog's to the
-    bit.  Any model status but optimal is a typed oracle-lp failure."""
+    bit.  The solver is this thread's HiGHS instance, made on its first call
+    and given the settings then; the model goes to it as arrays through
+    passModel's array overload.  A model HiGHS rejects, and any model status
+    but optimal, is a typed oracle-lp failure."""
     grid = np.asarray(grid, dtype=float)
     u_values = np.asarray(u_values, dtype=float)
     if grid.ndim != 1 or grid.shape != u_values.shape or len(grid) < 2:
@@ -393,24 +405,31 @@ def _solve_oracle(
     cols = np.concatenate([l_col, col])
     vals = np.concatenate([-lift, np.where(row < len(cells), -val, val)])
     order = np.lexsort((rows, cols))
-    lp = HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = m
-    lp.num_row_ = lp.a_matrix_.num_row_ = m + len(cells) + 2
-    lp.a_matrix_.format_ = MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=m))])
-    lp.a_matrix_.index_ = rows[order]
-    lp.a_matrix_.value_ = vals[order]
-    lp.col_cost_ = -np.bincount(l_col, weights=lift * u_values[l_row], minlength=m)
     # own slack >= 0; a narrow cell's slope is the prior's mass up to the
     # cell less g's, so it lies in [F_k - 1, F_k]
     cdf = np.cumsum(f)[cells]
-    lp.col_lower_ = np.concatenate([np.zeros(m - len(cells)), cdf - 1.0])
-    lp.col_upper_ = np.concatenate([np.full(m - len(cells), kHighsInf), cdf])
-    lp.row_lower_ = np.concatenate([np.full(m + len(cells), -kHighsInf), np.zeros(2)])
-    lp.row_upper_ = np.concatenate([f, np.zeros(len(cells) + 2)])
-    highs = _Highs()
-    highs.passOptions(_LP_OPTIONS)
-    highs.passModel(lp)
+    highs = getattr(_THREAD, "highs", None)
+    if highs is None:
+        highs = _THREAD.highs = _Highs()
+        highs.passOptions(_LP_OPTIONS)
+    # columns, rows, nonzeros, format, sense, offset; cost, column bounds,
+    # row bounds; CSC start, index, value; integrality (all continuous)
+    passed = highs.passModel(
+        m, m + len(cells) + 2, len(rows), MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
+        -np.bincount(l_col, weights=lift * u_values[l_row], minlength=m),
+        np.concatenate([np.zeros(m - len(cells)), cdf - 1.0]),
+        np.concatenate([np.full(m - len(cells), kHighsInf), cdf]),
+        np.concatenate([np.full(m + len(cells), -kHighsInf), np.zeros(2)]),
+        np.concatenate([f, np.zeros(len(cells) + 2)]),
+        np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=m))]).astype(np.int32),
+        rows[order].astype(np.int32),
+        vals[order],
+        np.zeros(m, np.int32),
+    )
+    # a rejected model leaves the previous one in place, and run() would
+    # solve that one again
+    if passed == HighsStatus.kError:
+        raise ValidationFailureError("oracle-lp", "HiGHS rejected the model")
     highs.run()
     # The prior's own masses are feasible, but HiGHS can stop without a
     # status ("Not Set") on grids with chains of narrow cells, e.g. cells

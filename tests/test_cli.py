@@ -343,14 +343,20 @@ def test_malformed_thread_count_fails_before_the_solve(tmp_path, monkeypatch, ca
 
 # Runs in a fresh interpreter, so that the imports of this test process do
 # not count: every command but verify and hetero must leave scipy unloaded,
-# and none of them may load numpy.ma (np.unique's first call imports it).
+# none of them may load numpy.ma (np.unique's first call imports it), and
+# "pool" lists, after each command, which of the simulator and its thread
+# pool are loaded.
 _NO_SCIPY_SCRIPT = """
 import json, sys
 from disclose_eq import cli
 runs = json.loads(sys.argv[1])
-codes = [cli.main(argv) for argv in runs]
+codes, pool = [], []
+for argv in runs:
+    codes.append(cli.main(argv))
+    pool.append(sorted({"disclose_eq.montecarlo", "concurrent.futures"} & set(sys.modules)))
 print(json.dumps({
     "codes": codes,
+    "pool": pool,
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "numpy.ma": "numpy.ma" in sys.modules,
 }))
@@ -379,6 +385,8 @@ def test_solve_sweep_limit_simulate_do_not_import_scipy(tmp_path):
     )
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0, 0, 0]
+    # only simulate loads the simulator, and with it concurrent.futures
+    assert result["pool"] == [[], [], [], ["concurrent.futures", "disclose_eq.montecarlo"]]
     assert result["scipy"] == []
     assert result["numpy.ma"] is False
     # verify re-exports the moved names as the same objects
@@ -412,6 +420,7 @@ def test_verify_and_hetero_load_only_the_highs_binding(tmp_path):
         argv += ["--out", str(tmp_path / f"{argv[0]}.out")]
     result = _run_fresh(_NO_SCIPY_SCRIPT, json.dumps(runs))
     assert result["codes"] == [0, 0]
+    assert result["pool"] == [[], []]
     # the binding and its two pybind11 submodules, and no scipy.optimize,
     # scipy.linalg or scipy.sparse
     assert _HIGHS_CORE in result["scipy"]

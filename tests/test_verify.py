@@ -1,4 +1,6 @@
 import functools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -452,16 +454,24 @@ def test_oracle_reports_highs_stopping_without_a_status():
         best_response_oracle(u, prior, grid)
     assert exc.value.invariant == "oracle-lp"
     assert "Not Set" in str(exc.value)
+    # the thread's HiGHS instance solves the next model as a new one would
+    case = _seeded_cases()[0]
+    value, masses = best_response_oracle(*case)
+    want, want_masses = oracle_by_sparse_algebra(*case)
+    assert value == want
+    assert np.array_equal(masses, want_masses)
+
+
+def _seeded_cases():
+    """(payoff, prior, grid): the seeded markets' oracle grids at m = 101 and 201."""
+    grids = [(eq, oracle_grid(eq, m)) for eq in _seeded_markets() for m in (101, 201)]
+    return [(payoff_u(eq, grid), eq.prior, grid) for eq, grid in grids]
 
 
 def _reference_cases():
     """(payoff, prior, grid): the seeded markets' oracle grids, the narrow-cell
     grids, the one-ulp market, and the jittered grids."""
-    cases = []
-    for eq in _seeded_markets():
-        for m in (101, 201):
-            grid = oracle_grid(eq, m)
-            cases.append((payoff_u(eq, grid), eq.prior, grid))
+    cases = _seeded_cases()
     uniform = UniformPrior()
     for eps in _NARROW_EPS:
         u, grid = _narrow_cells(eps)
@@ -506,13 +516,10 @@ def test_oracle_lp_equals_the_sparse_algebra_reference(monkeypatch):
     seen = []
 
     class Recorded(verify._Highs):
-        def passModel(self, lp):
-            a = lp.a_matrix_
-            seen.append([
-                a.start_, a.index_, a.value_, lp.col_cost_,
-                lp.row_lower_, lp.row_upper_, lp.col_lower_, lp.col_upper_,
-            ])
-            return super().passModel(lp)
+        def passModel(self, *args):
+            cost, col_lower, col_upper, row_lower, row_upper, start, index, value = args[6:14]
+            seen.append([start, index, value, cost, row_lower, row_upper, col_lower, col_upper])
+            return super().passModel(*args)
 
     def recorded(c, **kwargs):
         a = sparse.csc_array(sparse.vstack([kwargs["A_ub"], kwargs["A_eq"]]))
@@ -524,6 +531,8 @@ def test_oracle_lp_equals_the_sparse_algebra_reference(monkeypatch):
         ])
         return optimize.linprog(c, **kwargs)
 
+    # a fresh per-thread cache, so that every oracle call here builds on Recorded
+    monkeypatch.setattr(verify, "_THREAD", threading.local())
     monkeypatch.setattr(verify, "_Highs", Recorded)
     monkeypatch.setattr(reference, "linprog", recorded)
     cases = _reference_cases()
@@ -554,6 +563,69 @@ def test_oracle_lp_equals_the_sparse_algebra_reference(monkeypatch):
         narrow += np.min(np.diff(grid)) < verify._NARROW_CELL
     assert narrow >= 20
     assert stopped <= 5
+
+
+def test_oracle_reports_a_rejected_model(monkeypatch):
+    # HiGHS keeps the previous model when it rejects one, and run() then
+    # reports that model's optimum: a rejection must raise, and the next
+    # model on the thread must solve to linprog's bits
+    reject = []
+
+    class Rejecting(verify._Highs):
+        def passModel(self, *args):
+            if reject:
+                reject.clear()
+                # an integrality type HiGHS does not know, one per column
+                args = args[:-1] + (np.full(args[0], 7, np.int32),)
+            return super().passModel(*args)
+
+    monkeypatch.setattr(verify, "_THREAD", threading.local())
+    monkeypatch.setattr(verify, "_Highs", Rejecting)
+    # two grids of 104 points, so the previous model's solution would fit
+    first, _, second = _seeded_cases()[:3]
+    assert len(first[2]) == len(second[2])
+    best_response_oracle(*first)
+    reject.append(True)
+    with pytest.raises(ValidationFailureError) as exc:
+        best_response_oracle(*second)
+    assert exc.value.invariant == "oracle-lp"
+    assert "rejected" in str(exc.value)
+    value, masses = best_response_oracle(*second)
+    want, want_masses = oracle_by_sparse_algebra(*second)
+    assert value == want
+    assert np.array_equal(masses, want_masses)
+
+
+def test_oracle_threads_each_keep_their_own_solver():
+    # four threads on two cores, each solving the seeded grids in its own
+    # order with frequent thread switches: a solver shared between threads
+    # would solve one thread's model for another
+    cases = _seeded_cases()
+    serial = [best_response_oracle(*case) for case in cases]
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(k):
+        order = range(len(cases)) if k % 2 == 0 else reversed(range(len(cases)))
+        barrier.wait(timeout=60)
+        results[k] = {i: best_response_oracle(*cases[i]) for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got in results:
+        assert sorted(got) == list(range(len(cases)))
+        for i, (value, masses) in got.items():
+            assert value == serial[i][0]
+            assert np.array_equal(masses, serial[i][1])
 
 
 def test_oracle_gap_reports_the_lp_size(monkeypatch, eq_power):
