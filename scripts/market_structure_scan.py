@@ -9,6 +9,13 @@ Usage: python3 scripts/market_structure_scan.py [--alpha 0.5] [--s 0.1]
        [--out market_structure.csv]
 """
 import argparse
+import sys
+from pathlib import Path
+
+try:
+    import disclose_eq  # noqa: F401
+except ModuleNotFoundError:  # run from a checkout without an install: use its src/
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from disclose_eq import UniformPrior
 from disclose_eq.endogenous import limit_equilibrium, n_lower_bar

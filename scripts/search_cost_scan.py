@@ -8,8 +8,15 @@ Usage: python3 scripts/search_cost_scan.py [--n 2] [--alpha 0.5]
        [--points 40] [--out search_cost.csv]
 """
 import argparse
+import sys
+from pathlib import Path
 
 import numpy as np
+
+try:
+    import disclose_eq  # noqa: F401
+except ModuleNotFoundError:  # run from a checkout without an install: use its src/
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from disclose_eq import UniformPrior
 from disclose_eq.welfare import scan_csv_text, threshold_scan

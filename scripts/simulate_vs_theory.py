@@ -5,6 +5,13 @@ Usage: python3 scripts/simulate_vs_theory.py [--n 2] [--alpha 0.65]
        [--s 0.1] [--consumers 1000000] [--seed 7]
 """
 import argparse
+import sys
+from pathlib import Path
+
+try:
+    import disclose_eq  # noqa: F401
+except ModuleNotFoundError:  # run from a checkout without an install: use its src/
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from disclose_eq import UniformPrior
 from disclose_eq.endogenous import solve_endog

@@ -60,15 +60,15 @@ def _mean_match_residual(prior: Prior, n: int, v_l: float, r: float) -> Callable
     r, positive at 1 whenever the contact is interior.  Its only power is
     lam = (F(v_L) / F(v))^(n-1) <= 1, so it neither overflows nor, as the
     unscaled residual does in large markets, underflows to a false root.
+    F and its integral come from one prior.cdf_cum call per point.
     """
-    fl = prior.cdf(v_l)
+    fl, cum_l = prior.cdf_cum(v_l)
     vl_fl = v_l * fl
-    cum_l = prior.cum_cdf(v_l)
 
     def residual(v: float) -> float:
-        fv = prior.cdf(v)
+        fv, cum_v = prior.cdf_cum(v)
         mass = fv - fl
-        vf = v * fv - vl_fl - (prior.cum_cdf(v) - cum_l)  # prior.partial_vf(v_l, v)
+        vf = v * fv - vl_fl - (cum_v - cum_l)  # prior.partial_vf(v_l, v)
         lam = (fl / fv) ** (n - 1) if fl > 0.0 else 0.0  # also where F(v) underflows to 0
         # (fv - fl * lam) / n - lam * mass = (eta_tilde - F(v_L)^(n-1)) * mass / F(v)^(n-1)
         return (1.0 - lam) * (vf - r * mass) - ((fv - fl * lam) / n - lam * mass) * (v - r)

@@ -189,7 +189,8 @@ class LimitEquilibrium:
 
 def search_residual_prior(prior: Prior, v_l: float, r: float, s: float) -> float:
     """Equilibrium form of the search equation: int_{v_L}^1 (v - r) dF - s."""
-    return prior.partial_vf(v_l, 1.0) - r * (1.0 - prior.cdf(v_l)) - s
+    mass, vf = prior.mass_and_vf_above(v_l)
+    return vf - r * mass - s
 
 
 def search_residual_posterior(g: PosteriorDistribution, r: float, s: float) -> float:
@@ -217,8 +218,8 @@ def r_search(prior: Prior, v_l: float, s: float) -> float:
     """Reservation value implied by the search equation at threshold v_L."""
     if not 0.0 <= v_l < 1.0:
         raise DomainError("v_L must lie in [0, 1)")
-    mass = 1.0 - prior.cdf(v_l)
-    return (prior.partial_vf(v_l, 1.0) - s) / mass
+    mass, vf = prior.mass_and_vf_above(v_l)
+    return (vf - s) / mass
 
 
 def assemble_market(
@@ -316,8 +317,9 @@ def validate_equilibrium(eq: Equilibrium, conceals: bool) -> None:
         raise ValidationFailureError("search-equation", f"residual {res_post}")
     # the full-information reserve is the root of x -> search_residual_prior
     # (prior, x, x, s), which strictly decreases, so r* < reserve + 1e-12
-    # iff that residual is positive at r* - 1e-12
-    x = eq.r_star - 1e-12
+    # iff that residual is positive at r* - 1e-12; clipped at 0, where it
+    # is mu - s > 0, when r* = mu - s lies within 1e-12 of 0
+    x = max(eq.r_star - 1e-12, 0.0)
     res_full = search_residual_prior(eq.prior, x, x, eq.s)
     if not res_full > 0.0:
         raise ValidationFailureError(

@@ -47,7 +47,11 @@ class ExogEquilibrium:
 
 def visit_probability(prior: Prior, n: int, v_l: float) -> float:
     """Chance a firm is visited by a costly searcher when G(r) = F(v_L)."""
-    fl = prior.cdf(v_l)
+    return _visit_probability_at(prior.cdf(v_l), n)
+
+
+def _visit_probability_at(fl: float, n: int) -> float:
+    """visit_probability given F(v_L)."""
     if fl >= 1.0:
         return 1.0
     return (1.0 - fl**n) / (n * (1.0 - fl))
@@ -69,7 +73,7 @@ def z_function(prior: Prior, n: int, alpha: float, v_l: float, r: float) -> floa
 def _z_of_beta(prior: Prior, n: int, alpha: float, v_l: float, r: float, beta: float) -> float:
     """z_function given the pooled slope beta of the candidate at (v_L, r)."""
     fl = prior.cdf(v_l)
-    eta = visit_probability(prior, n, v_l)
+    eta = _visit_probability_at(fl, n)
     return alpha * (eta - fl ** (n - 1)) - (1.0 - alpha) * beta * (r - v_l)
 
 

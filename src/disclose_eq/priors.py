@@ -4,7 +4,8 @@ Three families: uniform, power (cdf v**a), and piecewise-linear cdfs.
 Every moment the solvers consume is closed form, including the power
 moments of the cdf, so the nested bisections upstream never touch a
 quadrature rule.  Methods accept floats (fast path inside solver loops)
-and numpy arrays (grids, sampling).
+and numpy arrays (grids, sampling); cdf_cum is the fused scalar primitive
+of those loops, F(v) and its integral from one evaluation of the piece.
 """
 from __future__ import annotations
 
@@ -28,7 +29,11 @@ def _check_unit_interval(x: ArrayLike, name: str) -> None:
         if x.size and (float(np.min(x)) < 0.0 or float(np.max(x)) > 1.0):
             raise DomainError(f"{name} must lie in [0, 1]")
     elif not 0.0 <= x <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {x!r}")
+        raise _outside_unit_interval(x, name)
+
+
+def _outside_unit_interval(x: float, name: str) -> DomainError:
+    return DomainError(f"{name} must lie in [0, 1], got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,10 @@ class Prior:
         """Integral of F from 0 to v."""
         raise NotImplementedError
 
+    def cdf_cum(self, v: float) -> tuple[float, float]:
+        """(cdf(v), cum_cdf(v)) for a scalar v, bit for bit."""
+        raise NotImplementedError
+
     def cum_pow_cdf(self, v: ArrayLike, k: int) -> ArrayLike:
         """Integral of F**k from 0 to v (k >= 1)."""
         raise NotImplementedError
@@ -76,26 +85,32 @@ class Prior:
 
     def partial_vf(self, a: float, b: float) -> float:
         """Integral of v dF over (a, b), by parts: vF| - int F."""
-        fa = self.cdf(a)
-        fb = self.cdf(b)
-        return b * fb - a * fa - (self.cum_cdf(b) - self.cum_cdf(a))
+        fa, cum_a = self.cdf_cum(a)
+        fb, cum_b = self.cdf_cum(b)
+        return b * fb - a * fa - (cum_b - cum_a)
+
+    def mass_and_vf_above(self, a: float) -> tuple[float, float]:
+        """(1 - F(a), partial_vf(a, 1)) from one evaluation at a."""
+        fa, cum_a = self.cdf_cum(a)
+        f1, cum_1 = self.cdf_cum(1.0)
+        return 1.0 - fa, f1 - a * fa - (cum_1 - cum_a)  # 1.0 * f1 == f1
 
     def conditional_mean_above(self, a: float) -> float:
         """E[v | v > a]."""
-        mass = 1.0 - self.cdf(a)
+        mass, vf = self.mass_and_vf_above(a)
         if mass <= 0.0:
             raise DomainError("conditional mean above the support top")
-        return self.partial_vf(a, 1.0) / mass
+        return vf / mass
 
     def truncated_moments(self, a: float, b: float, n: int) -> TruncatedMoments:
         if b <= a:
             raise DomainError(f"degenerate interval: need a < b, got [{a}, {b}]")
         _check_unit_interval(a, "a")
         _check_unit_interval(b, "b")
-        fa = self.cdf(a)
-        fb = self.cdf(b)
+        fa, cum_a = self.cdf_cum(a)
+        fb, cum_b = self.cdf_cum(b)
         mass = fb - fa
-        mu_tilde = self.partial_vf(a, b) / mass
+        mu_tilde = (b * fb - a * fa - (cum_b - cum_a)) / mass  # partial_vf(a, b) / mass
         eta_tilde = (fb**n - fa**n) / (n * mass)
         return TruncatedMoments(mass=mass, mu_tilde=mu_tilde, eta_tilde=eta_tilde)
 
@@ -121,6 +136,11 @@ class UniformPrior(Prior):
 
     def cum_cdf(self, v: ArrayLike) -> ArrayLike:
         return 0.5 * v * v
+
+    def cdf_cum(self, v: float) -> tuple[float, float]:
+        if not 0.0 <= v <= 1.0:
+            raise _outside_unit_interval(v, "v")
+        return v, 0.5 * v * v
 
     def cum_pow_cdf(self, v: ArrayLike, k: int) -> ArrayLike:
         return v ** (k + 1) / (k + 1)
@@ -161,6 +181,12 @@ class PowerPrior(Prior):
 
     def cum_cdf(self, v: ArrayLike) -> ArrayLike:
         return v ** (self.a + 1.0) / (self.a + 1.0)
+
+    def cdf_cum(self, v: float) -> tuple[float, float]:
+        if not 0.0 <= v <= 1.0:
+            raise _outside_unit_interval(v, "v")
+        a1 = self.a + 1.0
+        return v**self.a, v**a1 / a1
 
     def cum_pow_cdf(self, v: ArrayLike, k: int) -> ArrayLike:
         return v ** (self.a * k + 1.0) / (self.a * k + 1.0)
@@ -266,6 +292,20 @@ class PiecewiseLinearPrior(Prior):
 
     def cum_cdf(self, v: ArrayLike) -> ArrayLike:
         return self.cum_pow_cdf(v, 1)
+
+    @cached_property
+    def _knot_cum1(self) -> tuple[float, ...]:
+        return self._knot_cum(1)
+
+    def cdf_cum(self, v: float) -> tuple[float, float]:
+        if not 0.0 <= v <= 1.0:
+            raise _outside_unit_interval(v, "v")
+        xs = self._xs
+        # _piece without its floor: v >= 0 = xs[0], so only v = 1 needs the cap
+        i = min(_stdbisect.bisect_right(xs, v) - 1, len(xs) - 2)
+        q, m = self._qs[i], self._slopes[i]
+        f = q + m * (v - xs[i])
+        return f, self._knot_cum1[i] + (f**2 - q**2) / (m * 2)
 
     def pow_cdf_deriv(self, v: float, n: int) -> float:
         f, density = self.cdf(v), self._slopes[self._piece(v)]

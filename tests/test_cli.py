@@ -36,6 +36,13 @@ def test_underflowing_pooled_slope_exits_as_invariant_failure(tmp_path):
     assert main(["solve", "--config", _write(tmp_path, "cfg.json", cfg)]) == 2
 
 
+@pytest.mark.parametrize("n, code", [(2, 0), (50, 2)])
+def test_reserve_next_to_zero_is_no_config_error(tmp_path, n, code):
+    # r* = mu - s < 1e-12 is a valid market: it solves, or fails an invariant
+    cfg = {"prior": {"family": "uniform"}, "n": n, "alpha": 0.5, "s": 0.4999999999999}
+    assert main(["solve", "--config", _write(tmp_path, "cfg.json", cfg)]) == code
+
+
 def test_simulate_rejects_costs_above_the_posterior_mean(tmp_path):
     # E_G[v] = 0.5 here, and the cost support runs to 0.7
     cost_model = {"type": "continuous", "knots": [[0.05, 0.0], [0.7, 1.0]]}

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from disclose_eq import (
     candidate,
     endogenous,
     exogenous,
+    priors,
 )
 from disclose_eq.candidate import solve_beta
 from disclose_eq.endogenous import (
@@ -34,6 +36,7 @@ from disclose_eq.exogenous import r_lower_bar, solve_v_l_eq, z_function
 from disclose_eq.verify import check_dm_conditions, oracle_gap
 from disclose_eq.welfare import informativeness_compare
 from reference import validate_by_rewind
+from test_verify import _seeded_markets
 
 
 def endog_uniform_closed_form(alpha: float, s: float) -> tuple[float, float]:
@@ -482,10 +485,37 @@ def test_small_alpha_root_next_to_full_info(uniform, s):
             0.31104034226811095,
             0.17318465700831076,
         ),
+        # r* = mu - s < 1e-12 (the below-full-info check is taken at 0)
+        (UniformPrior(), 50, 0.5, 0.4999999999999),
     ],
 )
 def test_underflowing_pooled_slope_is_a_typed_error(prior, n, alpha, s):
-    # F(v_L)**(n-1) underflows, so the pooled slope is 0 or subnormal
+    # the powers F**(n-1) on the pooled branch underflow, so the pooled
+    # slope is 0 or subnormal
     with pytest.raises(ValidationFailureError) as exc:
         solve_endog(prior, n, alpha, s)
     assert exc.value.invariant == "pooled-slope"
+
+
+def test_fused_prior_kernel_leaves_every_equilibrium_bit_equal(monkeypatch):
+    # the twelve solved seeded markets again, with cdf_cum put back to its
+    # two-call form (the last two seeded markets are assembled, not solved)
+    solved = _seeded_markets()[:12]
+    for cls in (priors.UniformPrior, priors.PowerPrior, priors.PiecewiseLinearPrior):
+        monkeypatch.setattr(cls, "cdf_cum", lambda self, v: (self.cdf(v), self.cum_cdf(v)))
+    for eq in solved:
+        again = solve_endog(eq.prior, eq.n, eq.alpha, eq.s)
+        # repr of every scalar, the posterior's segments included
+        assert json.dumps(again.to_json_dict()) == json.dumps(eq.to_json_dict())
+
+
+@pytest.mark.parametrize(
+    "prior, n, s",
+    [(UniformPrior(), 2, 0.4999999999999), (PowerPrior(a=2.0), 3, 2.0 / 3.0 - 1e-14)],
+)
+def test_reserve_within_1e_12_of_zero_certifies(prior, n, s):
+    # r* = mu - s < 1e-12: the below-full-info check is taken at 0, not below it
+    eq = solve_endog(prior, n, 0.5, s)
+    assert 0.0 < eq.r_star < 1e-12 and not eq.bottom_disclosure
+    assert check_dm_conditions(eq).passed
+    assert oracle_gap(eq, 201)["gap"] <= 0.2 / 201

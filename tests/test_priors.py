@@ -148,3 +148,57 @@ def test_json_round_trip():
         prior_from_json({"family": "cauchy"})
     with pytest.raises(ConfigError):
         prior_from_json({"family": "power"})
+
+
+def _bits(pair) -> tuple[str, str]:
+    return tuple(float(x).hex() for x in pair)
+
+
+def _unit_points(knots=()):
+    """Any v in [0, 1], with 0, 1, each knot and their float neighbours drawn often."""
+    edges = [0.0, 1.0, *knots]
+    near = [np.nextafter(x, t) for x in edges for t in (0.0, 1.0)]
+    return st.one_of(
+        st.sampled_from(edges + [float(x) for x in near]),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+
+
+@st.composite
+def _piecewise_and_point(draw):
+    k = draw(st.integers(min_value=1, max_value=4))
+    xs = sorted(draw(st.sets(st.floats(min_value=0.01, max_value=0.99), min_size=k, max_size=k)))
+    qs = sorted(draw(st.sets(st.floats(min_value=0.01, max_value=0.99), min_size=k, max_size=k)))
+    prior = PiecewiseLinearPrior(knots=((0.0, 0.0), *zip(xs, qs), (1.0, 1.0)))
+    return prior, draw(_unit_points(xs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=_unit_points())
+def test_cdf_cum_is_cdf_and_cum_cdf_uniform(v):
+    prior = UniformPrior()
+    assert _bits(prior.cdf_cum(v)) == _bits((prior.cdf(v), prior.cum_cdf(v)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(min_value=0.25, max_value=8.0), v=_unit_points())
+def test_cdf_cum_is_cdf_and_cum_cdf_power(a, v):
+    prior = PowerPrior(a=a)
+    assert _bits(prior.cdf_cum(v)) == _bits((prior.cdf(v), prior.cum_cdf(v)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_piecewise_and_point())
+def test_cdf_cum_is_cdf_and_cum_cdf_piecewise(case):
+    prior, v = case
+    assert _bits(prior.cdf_cum(v)) == _bits((prior.cdf(v), prior.cum_cdf(v)))
+
+
+@pytest.mark.parametrize("prior", ALL_PRIORS, ids=lambda p: repr(p))
+@pytest.mark.parametrize("v", [-0.1, -5e-324, 1.0000000000000002, 1.5, float("nan")])
+def test_cdf_cum_domain_error_matches_cdf(prior, v):
+    with pytest.raises(DomainError) as via_cdf:
+        prior.cdf(v)
+    with pytest.raises(DomainError) as via_cdf_cum:
+        prior.cdf_cum(v)
+    assert str(via_cdf_cum.value) == str(via_cdf.value)

@@ -37,3 +37,18 @@ def test_script_runs(tmp_path, script, args):
         printed = [line for line in proc.stdout.splitlines() if line.startswith("n=")]
         assert len(rows) == len(printed) > 0
         assert all(row["error"] == "" for row in rows)
+
+
+def test_script_runs_from_a_bare_checkout(tmp_path):
+    # no install and no PYTHONPATH: the script finds the checkout's src/ itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "search_cost_scan.py"), "--points", "4", "--out", "out.csv"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.csv").stat().st_size > 0
