@@ -193,12 +193,15 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _check_market(prior: Prior, n: int, alpha: float) -> None:
-    """The (n, alpha) domain of a market, and the prior's convexity on F**(n-1)."""
+    """The (n, alpha) domain of a market, and the convexity of F**(n-1)
+    that the model assumes, which each prior family decides exactly."""
     if n < 2:
         raise DomainError("need n >= 2")
     _check_alpha(alpha)
     if not prior.check_convexity(n):
-        raise DomainError("prior fails the convexity requirement on F**(n-1)")
+        raise DomainError(
+            f"prior fails the convexity requirement on F**(n-1): n={n}, prior {prior.to_json_dict()}"
+        )
 
 
 def solve_exog(prior: Prior, n: int, alpha: float, r: float) -> ExogEquilibrium:

@@ -26,7 +26,10 @@ exactly the arrays linprog hands it.
 The certificate with one grid evaluation per check
 (dm_conditions_by_separate_grids): verify.check_dm_conditions evaluates
 the multiplier and the payoff once on all its grids and must return the
-same report, field by field.
+same report, field by field.  The per-branch slope scans DM1 ran while
+the prior's convexity was a grid check (branch_slope_scan_minimum): on
+markets whose prior is in the domain they must read no concavity inside
+a branch, so DM1 loses nothing without them.
 
 The posterior evaluated by one boolean mask per segment (MaskLoopPosterior):
 PosteriorDistribution.cdf and _cum route sorted points to contiguous
@@ -341,7 +344,8 @@ def dm_conditions_by_separate_grids(eq, grid_size: int = 1001) -> CertificateRep
 
     The seam gaps and kink slope increments are evaluated from the branch
     formulas (grid differencing would divide solver residuals by arbitrary
-    spacings); convexity inside each smooth branch is a grid check.
+    spacings); convexity inside each smooth branch is the prior's, which
+    the solver's domain check decides.
     """
     if grid_size < 501:
         raise DomainError("grid_size must be at least 501")
@@ -361,24 +365,12 @@ def dm_conditions_by_separate_grids(eq, grid_size: int = 1001) -> CertificateRep
         gaps.append(abs(b.high(b.fh ** (n - 1)) - b.line(eq.v_h_star)))
     max_cont_gap = max(gaps)
 
-    # DM1 convexity: analytic kink increments plus per-branch slope scans;
-    # the scans also see concave prior knots that check_convexity admits
+    # DM1 convexity: analytic kink increments
     increments = [0.0]
     if eq.v_l_star > 0.0:
         increments.append(b.slope - b.c_low * prior.pow_cdf_deriv(eq.v_l_star, n))
     if eq.v_h_star < 1.0:
         increments.append((1.0 - b.at) * (prior.pow_cdf_deriv(eq.v_h_star, n) - b.beta))
-    pieces = [(0.0, eq.v_l_star), (eq.v_l_star, eq.v_h_star), (eq.v_h_star, 1.0)]
-    for lo, hi in pieces:
-        if hi - lo < 1e-9:
-            continue
-        # stay strictly inside the branch so solver-residual seam jumps
-        # cannot leak into the slope differences
-        shrink = 1e-9 * (hi - lo)
-        sub = np.linspace(lo + shrink, hi - shrink, max(grid_size // 3, 101))
-        slopes = np.diff(multiplier_phi(eq, sub)) / np.diff(sub)
-        if len(slopes) > 1:
-            increments.append(float(np.min(np.diff(slopes))))
     min_slope_inc = min(increments)
     dm1 = max_cont_gap <= 1e-9 and min_slope_inc >= -1e-9
 
@@ -399,6 +391,26 @@ def dm_conditions_by_separate_grids(eq, grid_size: int = 1001) -> CertificateRep
         dm4_integral_gap=dm4,
         passed=passed,
     )
+
+
+def branch_slope_scan_minimum(eq, grid_size: int = 1001) -> float:
+    """The least second difference of the multiplier's slope on a grid
+    strictly inside each of its three branches (0 if no branch is wide
+    enough to scan): a grid check of the convexity that DM1 takes from the
+    prior's domain."""
+    increments = [0.0]
+    pieces = [(0.0, eq.v_l_star), (eq.v_l_star, eq.v_h_star), (eq.v_h_star, 1.0)]
+    for lo, hi in pieces:
+        if hi - lo < 1e-9:
+            continue
+        # stay strictly inside the branch so solver-residual seam jumps
+        # cannot leak into the slope differences
+        shrink = 1e-9 * (hi - lo)
+        sub = np.linspace(lo + shrink, hi - shrink, max(grid_size // 3, 101))
+        slopes = np.diff(multiplier_phi(eq, sub)) / np.diff(sub)
+        if len(slopes) > 1:
+            increments.append(float(np.min(np.diff(slopes))))
+    return min(increments)
 
 
 class MaskLoopPosterior(PosteriorDistribution):

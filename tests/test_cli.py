@@ -112,6 +112,17 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_stepping_down_density_exits_as_config_error(tmp_path, capsys):
+    # piece slopes 0.79, 0.69, 1.82: F^(n-1) is concave at the first knot,
+    # outside the model's domain, though the market would solve and certify
+    knots = [[0, 0], [0.6072927943102149, 0.48088226137135215], [0.781401055201095, 0.6017525263933973], [1, 1]]
+    cfg = {"prior": {"family": "piecewise", "knots": knots}, "n": 108, "alpha": 0.5922835957132465, "s": 0.53560838314196}
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert main(["solve", "--config", path]) == 1
+    assert main(["verify", "--config", path, "--oracle-grid", "201"]) == 1
+    assert "convexity requirement on F**(n-1): n=108" in capsys.readouterr().err
+
+
 def test_alpha_zero_note(tmp_path):
     cfg = _write(tmp_path, "cfg.json", {**BASE, "alpha": 0.0})
     out = tmp_path / "out.json"

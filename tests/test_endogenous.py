@@ -458,32 +458,10 @@ def test_small_alpha_root_next_to_full_info(uniform, s):
         (UniformPrior(), 1375, 0.5464099987813732, 0.30076378322172764),
         (PowerPrior(6.462531934340596), 408, 0.49434848890016936, 0.2737875162253962),
         (
-            PiecewiseLinearPrior(
-                (
-                    (0.0, 0.0),
-                    (0.3059977021415672, 0.5661837686537011),
-                    (0.5125908549620772, 0.6724729183151709),
-                    (0.6207144977167882, 0.8667805629022638),
-                    (1.0, 1.0),
-                )
-            ),
-            3079,
-            0.2544867461449715,
-            0.17263806369986467,
-        ),
-        (
-            PiecewiseLinearPrior(
-                (
-                    (0.0, 0.0),
-                    (0.29250159381240515, 0.5616089296834995),
-                    (0.466119066234454, 0.6411760916780682),
-                    (0.6432550489280306, 0.8487748628232498),
-                    (1.0, 1.0),
-                )
-            ),
-            3079,
-            0.31104034226811095,
-            0.17318465700831076,
+            PiecewiseLinearPrior(((0.0, 0.0), (0.7752800444345923, 0.3880673360845436), (1.0, 1.0))),
+            4008,
+            0.785363241875735,
+            0.37250929101915586,
         ),
         # r* = mu - s < 1e-12 (the below-full-info check is taken at 0)
         (UniformPrior(), 50, 0.5, 0.4999999999999),
@@ -492,9 +470,55 @@ def test_small_alpha_root_next_to_full_info(uniform, s):
 def test_underflowing_pooled_slope_is_a_typed_error(prior, n, alpha, s):
     # the powers F**(n-1) on the pooled branch underflow, so the pooled
     # slope is 0 or subnormal
+    assert prior.check_convexity(n)
     with pytest.raises(ValidationFailureError) as exc:
         solve_endog(prior, n, alpha, s)
     assert exc.value.invariant == "pooled-slope"
+
+
+_STEPPING_DOWN = [
+    # piece slopes 1.85, 0.51, 1.80, 0.35
+    PiecewiseLinearPrior(
+        (
+            (0.0, 0.0),
+            (0.3059977021415672, 0.5661837686537011),
+            (0.5125908549620772, 0.6724729183151709),
+            (0.6207144977167882, 0.8667805629022638),
+            (1.0, 1.0),
+        )
+    ),
+    # piece slopes 1.92, 0.46, 1.17, 0.42
+    PiecewiseLinearPrior(
+        (
+            (0.0, 0.0),
+            (0.29250159381240515, 0.5616089296834995),
+            (0.466119066234454, 0.6411760916780682),
+            (0.6432550489280306, 0.8487748628232498),
+            (1.0, 1.0),
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "prior, n, alpha, s",
+    [
+        (_STEPPING_DOWN[0], 3079, 0.2544867461449715, 0.17263806369986467),
+        (_STEPPING_DOWN[1], 3079, 0.31104034226811095, 0.17318465700831076),
+    ],
+)
+def test_stepping_down_density_is_a_domain_error(prior, n, alpha, s):
+    # F**(n-1) has a concave kink at every knot where the density steps
+    # down, at every n, so the domain check rejects the market before any
+    # solve, the pooled-slope check included
+    for m in (2, 50, 108, 5133):
+        with pytest.raises(DomainError):
+            solve_endog(prior, m, alpha, s)
+    with pytest.raises(DomainError) as exc:
+        solve_endog(prior, n, alpha, s)
+    assert str(exc.value) == (
+        f"prior fails the convexity requirement on F**(n-1): n={n}, prior {prior.to_json_dict()}"
+    )
 
 
 def test_fused_prior_kernel_leaves_every_equilibrium_bit_equal(monkeypatch):

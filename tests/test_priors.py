@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from disclose_eq import PiecewiseLinearPrior, PowerPrior, UniformPrior, prior_from_json
@@ -64,6 +64,32 @@ def test_convexity_examples(uniform, power2):
     # concave density step fails for n = 2
     conc = PiecewiseLinearPrior(knots=((0.0, 0.0), (0.5, 0.8), (1.0, 1.0)))
     assert not conc.check_convexity(2)
+
+
+@st.composite
+def _dyadic_piecewise(draw):
+    """1-4 interior knots on dyadic grids (x in 16ths, q in 64ths), so that
+    pieces of equal slope get equal float slopes.  All pieces but the last
+    have slope 0.5, 1 or 1.5, so equal and stepped-down slopes are frequent;
+    the last piece takes what is left of the mass."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    xs = sorted(draw(st.sets(st.integers(min_value=1, max_value=15), min_size=k, max_size=k)))
+    qs = []
+    for x0, x1 in zip([0, *xs], xs):
+        qs.append((qs[-1] if qs else 0) + (x1 - x0) * draw(st.sampled_from([2, 4, 6])))
+    assume(qs[-1] < 64)
+    return PiecewiseLinearPrior(((0.0, 0.0), *((x / 16, q / 64) for x, q in zip(xs, qs)), (1.0, 1.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(prior=_dyadic_piecewise())
+@example(prior=PiecewiseLinearPrior(((0.0, 0.0), (0.5, 0.5), (1.0, 1.0))))
+def test_piecewise_convexity_is_nondecreasing_slopes_at_every_n(prior):
+    # a density that steps down at a knot of cdf q > 0 is a concave kink of
+    # (n-1) q^(n-2) (m_right - m_left) in F^(n-1) at every n, however small
+    ms = prior._slopes
+    nondecreasing = all(m0 <= m1 for m0, m1 in zip(ms, ms[1:]))
+    assert [prior.check_convexity(n) for n in (2, 3, 108, 3079, 2**20)] == [nondecreasing] * 5
 
 
 @pytest.mark.parametrize("prior", ALL_PRIORS, ids=lambda p: repr(p))

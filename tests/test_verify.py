@@ -135,23 +135,14 @@ def test_certificate_piecewise_prior():
 
 
 def test_dm1_scan_catches_a_concave_knot():
-    # the density steps down at the knot, so F^(n-1) has a concave kink on
-    # the high branch; the grid convexity check is too coarse to see it
+    # the density steps down at the knot, so F^(n-1) has a concave kink of
+    # (n-1) q^(n-2) (m_right - m_left) there, about -1.1e-8 at n = 50: too
+    # small for a grid, and outside the domain at every n
     prior = PiecewiseLinearPrior(((0, 0), (0.402781076841272, 0.6303272509867991), (1, 1)))
     n = 50
-    assert prior.check_convexity(n)
-    eq = solve_endog(prior, n, 0.8664104481949356, 0.31578356733494195)
-    (x, q), (m_left, m_right) = prior.knots[1], prior._slopes
-    assert eq.v_h_star < x
-    exact = (1.0 - eq.alpha_tilde) * (n - 1) * q ** (n - 2) * (m_right - m_left)
-    assert exact < -1e-9
-    report = check_dm_conditions(eq)
-    assert not report.dm1_convex
-    assert report.dm1_min_slope_increment < -1e-9
-    assert report.dm1_max_continuity_gap <= 1e-9
-    assert report.dm2_min_gap >= -1e-9
-    assert report.dm3_max_contact_violation <= 1e-8
-    assert report.dm4_integral_gap <= 1e-8
+    assert not prior.check_convexity(n)
+    with pytest.raises(DomainError):
+        solve_endog(prior, n, 0.8664104481949356, 0.31578356733494195)
 
 
 def test_alpha_zero_certificate(uniform, power2, piecewise):
@@ -200,11 +191,15 @@ def _perturbed(eq):
     return markets
 
 
+@functools.cache
+def _seeded_and_perturbed():
+    return tuple(_seeded_markets() + [m for eq in _seeded_markets() for m in _perturbed(eq)])
+
+
 def test_certificate_equals_the_separate_grid_reference(uniform, power2, piecewise):
     # one evaluation of the multiplier and the payoff on all the grids gives
     # the report of one evaluation per grid, to the bit
-    markets = _seeded_markets()
-    markets += [m for eq in list(markets) for m in _perturbed(eq)]
+    markets = list(_seeded_and_perturbed())
     markets += [solve_endog(prior, n, 0.0, 0.1) for prior, n in
                 [(uniform, 2), (uniform, 3), (power2, 3), (piecewise, 5)]]
     assert len(markets) >= 80
@@ -214,6 +209,15 @@ def test_certificate_equals_the_separate_grid_reference(uniform, power2, piecewi
         assert repr(report) == repr(dm_conditions_by_separate_grids(eq))
         verdicts.add(report.passed)
     assert verdicts == {True, False}
+
+
+def test_no_concavity_inside_a_branch_on_seeded_markets():
+    # inside the domain the multiplier is convex within each branch, so DM1
+    # needs only the kinks: a slope scan of each branch reads nothing below
+    # the -1e-9 gate, on equilibria and on the moved non-equilibria alike
+    markets = _seeded_and_perturbed()
+    assert len(markets) >= 70
+    assert min(reference.branch_slope_scan_minimum(eq) for eq in markets) >= -1e-9
 
 
 def test_certificate_evaluates_each_function_once(monkeypatch, eq_uniform_small, eq_power):
@@ -227,7 +231,7 @@ def test_certificate_evaluates_each_function_once(monkeypatch, eq_uniform_small,
 
     monkeypatch.setattr(verify, "multiplier_phi", counted("multiplier_phi", multiplier_phi))
     monkeypatch.setattr(verify, "payoff_u", counted("payoff_u", payoff_u))
-    for eq in (eq_uniform_small, eq_power):  # three slope scans on eq_power
+    for eq in (eq_uniform_small, eq_power):  # the full and the support grid, together
         calls.update(multiplier_phi=0, payoff_u=0)
         check_dm_conditions(eq)
         assert calls == {"multiplier_phi": 1, "payoff_u": 1}
