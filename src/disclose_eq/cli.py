@@ -9,7 +9,8 @@ JSON goes to stdout (or --out); sweeps emit CSV.  Exit codes:
 
 Numeric config values are read by _read: missing, non-numeric or, for n
 and the counts, non-integral values are malformed.  The solvers check the
-ranges, and their DomainError also exits 1.
+ranges, and their DomainError also exits 1.  A root bracket that fails
+on an input past those checks is a solver failure and exits 2.
 
 Every structured output carries the sha256 of the canonical config and
 the package version.  Floats serialize via repr, which round-trips
@@ -39,6 +40,7 @@ from .endogenous import (
     solve_endog,
 )
 from .errors import (
+    BracketError,
     ConfigError,
     DiscloseEqError,
     DomainError,
@@ -363,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedBoundaryError as exc:
         print(f"unsupported boundary: {exc}", file=sys.stderr)
         return EXIT_BOUNDARY
-    except (ValidationFailureError, InfeasibleCandidateError) as exc:
+    except (ValidationFailureError, InfeasibleCandidateError, BracketError) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (DomainError, DiscloseEqError) as exc:

@@ -14,11 +14,11 @@ v_L = 0 and positive next to the full-information reserve.
 
 validate_equilibrium certifies the solved market without solving it
 again.  The fixed point is certified locally: solve_v_l_eq's own bracket
-and single-crossing scan at r*, then the signs of z(v_L* -+ 1e-9, r*),
-put the threshold at r* within 1e-9 of v_L*.  r* below the
-full-information reserve is one sign of the search residual, the regime
-is the solve's own decision, and z(0, r*) in the concealing regime is read
-from the candidate the market already holds.
+at r*, on which the domain makes z cross zero once, then the signs of
+z(v_L* -+ 1e-9, r*), put the threshold at r* within 1e-9 of v_L*.  r*
+below the full-information reserve is one sign of the search residual,
+the regime is the solve's own decision, and z(0, r*) in the concealing
+regime is read from the candidate the market already holds.
 """
 from __future__ import annotations
 
@@ -257,8 +257,8 @@ def _check_fixed_point(eq: Equilibrium) -> None:
     """Raise fixed-point unless the threshold that z(., r*) pins down lies
     within 1e-9 of v_L*.
 
-    The bracket and the single-crossing scan are solve_v_l_eq's own.  Past
-    them, z(v_L* - 1e-9, r*) <= 0 <= z(v_L* + 1e-9, r*), each point clipped
+    The bracket is solve_v_l_eq's own, and z crosses zero once on it.  Past
+    it, z(v_L* - 1e-9, r*) <= 0 <= z(v_L* + 1e-9, r*), each point clipped
     to the bracket, puts the one crossing between the two points.
     """
     prior, n, alpha, r, v_l = eq.prior, eq.n, eq.alpha, eq.r_star, eq.v_l_star

@@ -34,7 +34,8 @@ class ValidationFailureError(DiscloseEqError):
 
 
 class BracketError(DiscloseEqError):
-    """A root bracket could not be established (indicates a bad prior)."""
+    """A root bracket could not be established on a valid input: a solver
+    failure (CLI exit code 2), not a malformed config."""
 
 
 class IterationCapError(DiscloseEqError):

@@ -129,8 +129,9 @@ def _v_l_bracket(
     """The bracket (lo, hi, z(lo), z(hi)) on which z(., r) crosses zero once,
     or None when the threshold at r is 0; z0 is z(0, r).
 
-    Raises z-bracket when the gap has no sign change on [lo, hi], and
-    z-single-crossing when 16 samples show it crossing back down.
+    The crossing is unique because the gap increases at any crossing when
+    F**(n-1) is convex, which _check_market decides exactly.  Raises
+    z-bracket when the gap has no sign change on [lo, hi].
     """
     if z0 >= 0.0:  # r <= r_lower_bar: nothing below r is disclosed
         return None
@@ -146,21 +147,6 @@ def _v_l_bracket(
         raise ValidationFailureError(
             "z-bracket", f"Z({lo})={z_lo}, Z({hi})={z_hi} at r={r}"
         )
-    # Uniqueness rests on the continuity gap crossing zero exactly once
-    # (it increases at any crossing, by the convexity condition); sample
-    # the sign pattern so a prior breaking the assumption fails loudly.
-    # Note the gap need not be globally monotone above the root.
-    samples = [
-        _z_or_infeasible(prior, n, alpha, lo + (hi - lo) * k / 17.0, r) for k in range(1, 17)
-    ]
-    seen_positive = False
-    for val in samples:
-        if val > 1e-7:
-            seen_positive = True
-        elif seen_positive and val < -1e-7:
-            raise ValidationFailureError(
-                "z-single-crossing", f"sign pattern +/- at r={r}"
-            )
     return lo, hi, z_lo, z_hi
 
 
@@ -242,7 +228,8 @@ def solve_exog(prior: Prior, n: int, alpha: float, r: float) -> ExogEquilibrium:
                 f"(1-a)*beta={(1.0 - alpha) * cand.beta} < dF^(n-1)={slope_f}",
             )
     else:
-        z0 = z_function(prior, n, alpha, 0.0, r)
+        # the candidate at (0, r) is the one z(0, r) would build again
+        z0 = _z_of_beta(prior, n, alpha, 0.0, r, cand.beta)
         if z0 < -1e-9:
             raise ValidationFailureError("multiplier-at-zero", f"Z(0,0,r)={z0}")
 

@@ -43,6 +43,17 @@ def test_reserve_next_to_zero_is_no_config_error(tmp_path, n, code):
     assert main(["solve", "--config", _write(tmp_path, "cfg.json", cfg)]) == code
 
 
+@pytest.mark.parametrize("alpha, code", [(1e-9, 0), (1e-10, 2), (1e-12, 2), (1e-15, 2)])
+def test_failed_bracket_on_a_valid_market_is_an_invariant_failure(tmp_path, capsys, alpha, code):
+    # below alpha = 1e-9 the gap has no sign change on the solver's bracket:
+    # through z-bracket at 1e-10, through the outer bisection's BracketError
+    # from 1e-12 on; neither is a malformed config
+    cfg = {"prior": {"family": "uniform"}, "n": 2, "alpha": alpha, "s": 0.1}
+    assert main(["solve", "--config", _write(tmp_path, "cfg.json", cfg)]) == code
+    if code:
+        assert "invariant failure: " in capsys.readouterr().err
+
+
 def test_simulate_rejects_costs_above_the_posterior_mean(tmp_path):
     # E_G[v] = 0.5 here, and the cost support runs to 0.7
     cost_model = {"type": "continuous", "knots": [[0.05, 0.0], [0.7, 1.0]]}

@@ -131,10 +131,10 @@ def test_solve_endog_does_not_bisect_r_lower_bar(monkeypatch, uniform, n, alpha,
 
 # Guards the cost of the post-solve validation: it certifies the market
 # without solving it again, so a concealing market costs no candidate and a
-# disclosing one the 19 z evaluations of solve_v_l_eq's bracket and scan
-# plus the two around v_L*.  A rewind of solve_v_l_eq took about 59.
+# disclosing one the 3 z evaluations of solve_v_l_eq's bracket plus the two
+# around v_L*.  A rewind of solve_v_l_eq took about 59.
 @pytest.mark.parametrize(
-    "n, alpha, s, conceals, budget", [(19, 0.5, 0.1, True, 0), (2, 0.65, 0.1, False, 21)]
+    "n, alpha, s, conceals, budget", [(19, 0.5, 0.1, True, 0), (2, 0.65, 0.1, False, 5)]
 )
 def test_validate_equilibrium_does_not_re_solve(
     monkeypatch, uniform, n, alpha, s, conceals, budget
@@ -277,6 +277,65 @@ def test_fixed_point_certificate_agrees_with_rewind(monkeypatch):
             fails = abs(rewind - v_l) > 1e-9
             expected = ("ValidationFailureError", "fixed-point") if fails else "passed"
             assert _outcome(_check_fixed_point, market) == expected
+
+
+def _disclosing_domain_markets(count: int):
+    """Seeded markets that disclose at the bottom, drawn across the exact
+    domain: the three families with convex F**(n-1), n log-uniform on
+    2..4096, and alpha and s/mu each within 1e-6..1e-1 of a bound half the
+    time."""
+    rng = np.random.default_rng(20261019)
+
+    def near_bounds() -> float:
+        kind = int(rng.integers(4))
+        if kind < 2:
+            return float(rng.uniform(0.001, 0.999))
+        d = float(10.0 ** rng.uniform(-6.0, -1.0))
+        return d if kind == 2 else 1.0 - d
+
+    markets = []
+    for k in range(count):
+        family = k % 3
+        if family == 0:
+            prior = UniformPrior()
+        elif family == 1:
+            prior = PowerPrior(float(np.exp(rng.uniform(np.log(0.25), np.log(8.0)))))
+        else:
+            xs = np.sort(rng.uniform(0.02, 0.98, int(rng.integers(1, 4))))
+            widths = np.diff(np.concatenate(([0.0], xs, [1.0])))
+            slopes = np.cumsum(rng.exponential(1.0, len(widths)))  # increasing: convex
+            qs = np.cumsum(slopes * widths)
+            qs /= qs[-1]
+            knots = ((0.0, 0.0),) + tuple(zip(xs.tolist(), qs[:-1].tolist())) + ((1.0, 1.0),)
+            prior = PiecewiseLinearPrior(knots)
+        n = int(round(np.exp(rng.uniform(np.log(2.0), np.log(4096.0)))))
+        alpha, s = near_bounds(), near_bounds() * prior.mean()
+        if prior.check_convexity(n) and not _conceals_bottom(prior, n, alpha, prior.mean(), s):
+            markets.append((prior, n, alpha, s))
+    return markets
+
+
+def test_z_crosses_zero_once_on_the_bracket():
+    # the uniqueness of the threshold: with F**(n-1) convex, which the
+    # domain check decides exactly, z(., r*) rises at any crossing, so on
+    # solve_v_l_eq's bracket no sample is negative after a positive one
+    checked = []
+    for prior, n, alpha, s in _disclosing_domain_markets(650):
+        try:
+            eq = solve_endog(prior, n, alpha, s)
+        except DiscloseEqError:
+            continue
+        r = eq.r_star
+        z0 = exogenous._z_or_infeasible(prior, n, alpha, 0.0, r)
+        lo, hi, _, _ = exogenous._v_l_bracket(prior, n, alpha, r, z0)
+        seen_positive = False
+        for v_l in np.linspace(lo, hi, 199):
+            z = exogenous._z_or_infeasible(prior, n, alpha, float(v_l), r)
+            assert not (seen_positive and z < 0.0), (prior, n, alpha, s, v_l, z)
+            seen_positive = seen_positive or z > 0.0
+        checked.append(type(prior))
+    assert len(checked) >= 150
+    assert set(checked) == {UniformPrior, PowerPrior, PiecewiseLinearPrior}
 
 
 # mu - s lies above r_lower_bar by less than the regime band, so the solve

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from disclose_eq import PowerPrior
+from disclose_eq import PowerPrior, candidate, exogenous
 from disclose_eq.errors import DomainError, UnsupportedBoundaryError
 from disclose_eq.exogenous import (
     REGIME_BOTTOM,
@@ -95,6 +95,39 @@ def test_solve_exog_example_values(uniform):
     eq = solve_exog(uniform, 2, 0.65, 0.3)
     assert eq.v_l_eq == 0.0
     assert eq.regime == REGIME_NO_BOTTOM
+
+
+def test_concealing_solve_exog_builds_one_candidate_at_zero(monkeypatch, uniform):
+    # z(0, r) for the threshold, then the market's own candidate, whose beta
+    # the multiplier-at-zero check reads instead of solving a third time
+    calls = []
+    original = candidate.solve_beta
+
+    def counted_solve_beta(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exogenous, "solve_beta", counted_solve_beta)
+    monkeypatch.setattr(candidate, "solve_beta", counted_solve_beta)
+    eq = solve_exog(uniform, 2, 0.65, 0.3)
+    assert eq.regime == REGIME_NO_BOTTOM
+    assert calls == [(uniform, 2, 0.0, 0.3)] * 2
+
+
+def test_multiplier_at_zero_reads_the_same_z(uniform):
+    # on acceptance criterion 1's grid, z(0, r) from the market's candidate
+    # is z_function(0, r) to the bit, so every verdict and value stands
+    concealing = 0
+    for alpha in np.round(np.arange(0.1, 0.95, 0.1), 10):
+        for r in np.round(np.arange(0.05, 0.96, 0.05), 10):
+            alpha, r = float(alpha), float(r)
+            eq = solve_exog(uniform, 2, alpha, r)
+            if eq.v_l_eq == 0.0:
+                z0 = exogenous._z_of_beta(uniform, 2, alpha, 0.0, r, eq.candidate.beta)
+                assert z0 == z_function(uniform, 2, alpha, 0.0, r)
+                assert eq.candidate == candidate.build_candidate(uniform, 2, 0.0, r)
+                concealing += 1
+    assert concealing >= 40
 
 
 def test_v_l_eq_increasing_in_r(uniform, power2):

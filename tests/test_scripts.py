@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("market_structure_scan.py", ["--out", "market_structure.csv"]),
         ("search_cost_scan.py", ["--points", "8", "--out", "search_cost.csv"]),
         ("simulate_vs_theory.py", ["--consumers", "20000"]),
+        ("domain_probe.py", ["--seed", "1", "--markets", "30", "--out", "domain_probe.csv"]),
     ],
 )
 def test_script_runs(tmp_path, script, args):
@@ -37,6 +38,12 @@ def test_script_runs(tmp_path, script, args):
         printed = [line for line in proc.stdout.splitlines() if line.startswith("n=")]
         assert len(rows) == len(printed) > 0
         assert all(row["error"] == "" for row in rows)
+    if script == "domain_probe.py":
+        with open(tmp_path / "domain_probe.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 30
+        assert {row["family"] for row in rows} == {"uniform", "power", "piecewise"}
+        assert "total 30: " in proc.stdout
 
 
 def test_script_runs_from_a_bare_checkout(tmp_path):
