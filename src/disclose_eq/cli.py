@@ -12,10 +12,12 @@ and the counts, non-integral values are malformed.  The solvers check the
 ranges, and their DomainError also exits 1.  A root bracket that fails
 on an input past those checks is a solver failure and exits 2.
 
-Every structured output carries the sha256 of the canonical config and
-the package version.  Floats serialize via repr, which round-trips
-exactly.  DISCLOSE_EQ_THREADS, a positive integer, caps simulation
-parallelism.
+Each cmd_* returns its body and exit code; main adds the command and the
+provenance (the sha256 of the canonical config and the package version)
+and writes every output through _write, where a path that cannot be
+written is a malformed config.  Floats serialize via repr, which
+round-trips exactly.  DISCLOSE_EQ_THREADS, a positive integer, caps
+simulation parallelism.
 """
 from __future__ import annotations
 
@@ -48,6 +50,7 @@ from .errors import (
     UnsupportedBoundaryError,
     ValidationFailureError,
 )
+from .exogenous import check_n
 from .priors import Prior, prior_from_json
 from .welfare import cs_inexperienced, cs_savvy, scan_csv_text, sweep
 
@@ -114,13 +117,21 @@ def _market_params(cfg: dict[str, Any]) -> tuple[Prior, int, float, float]:
     return prior, _read(cfg, "n", int), _read(cfg, "alpha", float), _read(cfg, "s", float)
 
 
-def _emit(payload: dict[str, Any], out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _csv_comments(cfg: dict[str, Any]) -> list[str]:
+    return [f"{key}={value}" for key, value in _provenance(cfg).items()]
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write text as is (a sweep's CSV rows end in \\r\\n) to the file out,
+    or to stdout when out is not given."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 def _summarize(eq: Equilibrium) -> str:
@@ -130,23 +141,17 @@ def _summarize(eq: Equilibrium) -> str:
     )
 
 
-def cmd_solve(cfg: dict[str, Any], args) -> int:
+def cmd_solve(cfg: dict[str, Any], args) -> tuple[dict[str, Any], int]:
     prior, n, alpha, s = _market_params(cfg)
     eq = solve_endog(prior, n, alpha, s)
-    payload = {
-        "command": "solve",
-        "provenance": _provenance(cfg),
-        "config": cfg,
-        "equilibrium": eq.to_json_dict(),
-    }
+    body = {"config": cfg, "equilibrium": eq.to_json_dict()}
     if alpha == 0.0:
-        payload["note"] = "alpha = 0: the unique equilibrium is full disclosure"
-    _emit(payload, args.out)
+        body["note"] = "alpha = 0: the unique equilibrium is full disclosure"
     print(_summarize(eq), file=sys.stderr)
-    return EXIT_OK
+    return body, EXIT_OK
 
 
-def cmd_sweep(cfg: dict[str, Any], args) -> int:
+def cmd_sweep(cfg: dict[str, Any], args) -> tuple[str, int]:
     prior = prior_from_json(_require(cfg, "prior"))
     axis = _require(cfg, "axis")
     grid = _require(cfg, "grid")
@@ -156,20 +161,10 @@ def cmd_sweep(cfg: dict[str, Any], args) -> int:
     for value in grid:  # checked only: the CSV keeps each grid value as written
         _read({"grid": value}, "grid", int if axis == "n" else float)
     rows = [row for row, _ in sweep(prior, axis, grid, base)]
-    comments = [
-        f"config_sha256={_config_hash(cfg)}",
-        f"version={__version__}",
-    ]
-    text = scan_csv_text(rows, axis_column=axis, header_comments=comments)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return scan_csv_text(rows, axis_column=axis, header_comments=_csv_comments(cfg)), EXIT_OK
 
 
-def cmd_verify(cfg: dict[str, Any], args) -> int:
+def cmd_verify(cfg: dict[str, Any], args) -> tuple[dict[str, Any], int]:
     # imported here so that the other commands start without the HiGHS binding
     from .verify import check_dm_conditions, oracle_gap, payoff_identity_gap
 
@@ -189,10 +184,8 @@ def cmd_verify(cfg: dict[str, Any], args) -> int:
             eq = assemble_market(prior, n, alpha, eq.v_l_star, eq.r_star + delta, s)
         else:
             raise ConfigError(f"--perturb supports fields v_L and r, not {field!r}")
-    report = check_dm_conditions(eq, grid_size=args.grid_size)
-    payload = {
-        "command": "verify",
-        "provenance": _provenance(cfg),
+    report = check_dm_conditions(eq)
+    body = {
         "equilibrium": eq.to_json_dict(),
         "certificate": report.to_json_dict(),
         "payoff_identity_gap": payoff_identity_gap(eq),
@@ -200,17 +193,16 @@ def cmd_verify(cfg: dict[str, Any], args) -> int:
     ok = report.passed
     if args.oracle_grid is not None:
         gap = oracle_gap(eq, args.oracle_grid)
-        payload["oracle"] = gap
+        body["oracle"] = gap
         # discretization bound calibrated on the measured gap decay
         # (equilibrium gaps stay ~30x below it, perturbations ~500x above)
         bound = ORACLE_GAP_COEFF / gap["m"]
-        payload["oracle_bound"] = bound
+        body["oracle_bound"] = bound
         ok = ok and gap["gap"] <= bound
-    _emit(payload, args.out)
-    return EXIT_OK if ok else EXIT_CERTIFICATE
+    return body, EXIT_OK if ok else EXIT_CERTIFICATE
 
 
-def cmd_simulate(cfg: dict[str, Any], args) -> int:
+def cmd_simulate(cfg: dict[str, Any], args) -> tuple[dict[str, Any], int]:
     # imported here so that the other commands start without concurrent.futures
     from .montecarlo import HeterogeneousCosts, SimConfig, SingleCost, _thread_count, simulate_market
 
@@ -234,19 +226,17 @@ def cmd_simulate(cfg: dict[str, Any], args) -> int:
         workers=workers,
     )
     report = simulate_market(eq, config)
+    if args.curve_out:  # before the JSON, so that a failed write leaves no output
+        _write(_curve_csv(eq, report, cfg), args.curve_out)
     z_scores = _z_scores(eq, report)
-    payload = {
-        "command": "simulate",
-        "provenance": _provenance(cfg),
-        "equilibrium": eq.to_json_dict(),
-        "report": report.to_json_dict(),
-        "z_scores": z_scores,
-    }
-    _emit(payload, args.out)
-    if args.curve_out:
-        _write_curve_csv(eq, report, args.curve_out, _provenance(cfg))
+    body = {"equilibrium": eq.to_json_dict(), "report": report.to_json_dict(), "z_scores": z_scores}
     worst = max((abs(z) for z in z_scores.values() if not np.isnan(z)), default=0.0)
-    return EXIT_OK if worst <= 5.0 else EXIT_STATISTICAL
+    return body, EXIT_OK if worst <= 5.0 else EXIT_STATISTICAL
+
+
+def _curve_theory(eq: Equilibrium, report) -> list[float]:
+    """The analytic payoff at the midpoints of the report's curve bins."""
+    return payoff_u(eq, np.array([b.v_mid for b in report.curve])).tolist()
 
 
 def _z_scores(eq: Equilibrium, report) -> dict[str, float]:
@@ -263,35 +253,36 @@ def _z_scores(eq: Equilibrium, report) -> dict[str, float]:
     worst_share = max(abs(sh - 1.0 / eq.n) for sh in report.firm_sale_shares)
     out["firm_share"] = float(worst_share / share_se)
     worst_curve = 0.0
-    for b in report.curve:
+    for b, u in zip(report.curve, _curve_theory(eq, report)):
         if b.visits >= 1000 and b.se > 0:
-            z = (b.u_hat - float(payoff_u(eq, b.v_mid))) / b.se
-            worst_curve = max(worst_curve, abs(z))
+            worst_curve = max(worst_curve, abs((b.u_hat - u) / b.se))
     out["curve_max"] = worst_curve
     return out
 
 
-def _write_curve_csv(eq, report, path: str, prov: dict[str, str]) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# config_sha256={prov['config_sha256']}\n")
-        fh.write(f"# version={prov['version']}\n")
-        fh.write("bin_left,bin_right,v_mid,u_hat,se,u_analytic\n")
-        for b in report.curve:
-            ua = float(payoff_u(eq, b.v_mid))
-            fh.write(f"{b.bin_left!r},{b.bin_right!r},{b.v_mid!r},{b.u_hat!r},{b.se!r},{ua!r}\n")
+def _curve_csv(eq: Equilibrium, report, cfg: dict[str, Any]) -> str:
+    lines = [f"# {c}" for c in _csv_comments(cfg)]
+    lines.append("bin_left,bin_right,v_mid,u_hat,se,u_analytic")
+    for b, u in zip(report.curve, _curve_theory(eq, report)):
+        lines.append(f"{b.bin_left!r},{b.bin_right!r},{b.v_mid!r},{b.u_hat!r},{b.se!r},{u!r}")
+    return "\n".join(lines) + "\n"
 
 
-def cmd_limit(cfg: dict[str, Any], args) -> int:
+def cmd_limit(cfg: dict[str, Any], args) -> tuple[dict[str, Any], int]:
     prior = prior_from_json(_require(cfg, "prior"))
     alpha, s = _read(cfg, "alpha", float), _read(cfg, "s", float)
     nbar = n_lower_bar(prior, alpha, s)
     r = prior.mean() - s  # every n >= nbar conceals: v_L* = 0 and r* = mu - s
-    ns = [nbar << k for k in range(_read(cfg, "doublings", int, 6) + 1)]
+    doublings = _read(cfg, "doublings", int, 6)
+    if doublings < 0:
+        raise ConfigError(f"doublings must be at least 0, got {doublings}")
+    ns = []
+    for k in range(doublings + 1):  # stops at the first n past float range
+        ns.append(nbar << k)
+        check_n(ns[-1])
     seq = [[n, solve_beta(prior, n, 0.0, r)[1]] for n in ns]
     lim = limit_equilibrium(prior, alpha, s)
-    payload = {
-        "command": "limit",
-        "provenance": _provenance(cfg),
+    body = {
         "n_lower_bar": nbar,
         "v_H_sequence": seq,
         "limit": {
@@ -301,31 +292,23 @@ def cmd_limit(cfg: dict[str, Any], args) -> int:
             "G_inf": lim.g_inf.to_json_dict(),
         },
     }
-    _emit(payload, args.out)
-    return EXIT_OK
+    return body, EXIT_OK
 
 
-def cmd_hetero(cfg: dict[str, Any], args) -> int:
+def cmd_hetero(cfg: dict[str, Any], args) -> tuple[dict[str, Any], int]:
     # imported here so that the other commands start without the HiGHS binding
     from .verify import hetero_check, hetero_first_holding_n
 
     prior = prior_from_json(_require(cfg, "prior"))
     alpha = _read(cfg, "alpha", float)
     costs = cost_distribution_from_json(_require(cfg, "cost_model"))
-    if not 0.0 < alpha < 1.0:  # hetero_check would report alpha = 0 as an invariant failure
-        raise ConfigError("hetero analysis needs alpha in (0, 1)")
-    payload: dict[str, Any] = {
-        "command": "hetero",
-        "provenance": _provenance(cfg),
-    }
+    body: dict[str, Any] = {}
     if "n" in cfg:
-        report = hetero_check(prior, _read(cfg, "n", int), alpha, costs)
-        payload["report"] = report.to_json_dict()
+        body["report"] = hetero_check(prior, _read(cfg, "n", int), alpha, costs).to_json_dict()
     first_n, first_report = hetero_first_holding_n(prior, alpha, costs)
-    payload["first_holding_n"] = first_n
-    payload["first_holding_report"] = first_report.to_json_dict()
-    _emit(payload, args.out)
-    return EXIT_OK
+    body["first_holding_n"] = first_n
+    body["first_holding_report"] = first_report.to_json_dict()
+    return body, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=["solve", "sweep", "verify", "simulate", "limit", "hetero"])
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--grid-size", type=int, default=1001)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--oracle-grid", type=int, default=None)
     parser.add_argument("--perturb", nargs=2, metavar=("FIELD", "DELTA"), default=None)
@@ -358,7 +340,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        return _COMMANDS[args.command](cfg, args)
+        body, code = _COMMANDS[args.command](cfg, args)
+        if isinstance(body, dict):
+            head = {"command": args.command, "provenance": _provenance(cfg)}
+            body = json.dumps({**head, **body}, indent=2) + "\n"
+        _write(body, args.out)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,6 +10,7 @@ lies on is the sign of z(0, r) alone (conceals_below).
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -98,12 +99,7 @@ def conceals_below(prior: Prior, n: int, alpha: float, r: float) -> bool:
     r_lower_bar bisects for.  r at the bottom of r_lower_bar's bracket
     conceals; r with no candidate at v_L = 0 (at the mean) does not.
     """
-    if r <= _EDGE:
-        return True
-    try:
-        return z_function(prior, n, alpha, 0.0, r) >= 0.0
-    except InfeasibleCandidateError:
-        return False
+    return r <= _EDGE or _z_or_infeasible(prior, n, alpha, 0.0, r) >= 0.0
 
 
 def _v_l_lower_limit(prior: Prior, r: float) -> float:
@@ -178,11 +174,18 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError("alpha must lie in [0, 1)")
 
 
+def check_n(n: int) -> None:
+    """n >= 2, and n within float range: the solvers raise floats to n - 1."""
+    if n < 2:
+        raise DomainError("need n >= 2")
+    if n > sys.float_info.max:
+        raise DomainError(f"n must not exceed {sys.float_info.max!r}, the float range")
+
+
 def _check_market(prior: Prior, n: int, alpha: float) -> None:
     """The (n, alpha) domain of a market, and the convexity of F**(n-1)
     that the model assumes, which each prior family decides exactly."""
-    if n < 2:
-        raise DomainError("need n >= 2")
+    check_n(n)
     _check_alpha(alpha)
     if not prior.check_convexity(n):
         raise DomainError(

@@ -93,6 +93,8 @@ HighsModelStatus, HighsOptions, HighsStatus = _core.HighsModelStatus, _core.High
 MatrixFormat, ObjSense, _Highs, kHighsInf = _core.MatrixFormat, _core.ObjSense, _core._Highs, _core.kHighsInf
 
 _GL_NODES = 32
+# points of the uniform grid on [0, 1] on which check_dm_conditions tests DM2
+_GRID_SIZE = 1001
 # oracle LP: the HiGHS settings, in linprog's option names and values, so
 # that linprog can be given the same dict: feasibility tolerances of 1e-10
 # (the rows carry 1/h), and no presolve and devex pricing, which solve this
@@ -164,14 +166,14 @@ class CertificateReport:
         return {"pass" if k == "passed" else k: v for k, v in asdict(self).items()}
 
 
-def _support_grid(eq, grid_size: int) -> np.ndarray:
+def _support_grid(eq) -> np.ndarray:
     """Grid over the support of the disclosure (where contact must hold)."""
     pool_top = min(eq.v_h_star, eq.v_t_star)
-    pieces = [np.linspace(eq.r_star, pool_top, grid_size // 2)]
+    pieces = [np.linspace(eq.r_star, pool_top, _GRID_SIZE // 2)]
     if eq.v_l_star > 0.0:
-        pieces.append(np.linspace(0.0, eq.v_l_star, grid_size // 4 + 2))
+        pieces.append(np.linspace(0.0, eq.v_l_star, _GRID_SIZE // 4 + 2))
     if eq.v_h_star < 1.0:
-        pieces.append(np.linspace(eq.v_h_star, 1.0, grid_size // 4 + 2))
+        pieces.append(np.linspace(eq.v_h_star, 1.0, _GRID_SIZE // 4 + 2))
     return sorted_unique(np.concatenate(pieces))
 
 
@@ -215,7 +217,7 @@ def integral_phi_dG(eq) -> float:
     return total
 
 
-def check_dm_conditions(eq, grid_size: int = 1001) -> CertificateReport:
+def check_dm_conditions(eq) -> CertificateReport:
     """Evaluate the four optimality conditions for the market's multiplier.
 
     DM1 is the seam gaps and the kink slope increments, from the branch
@@ -227,14 +229,12 @@ def check_dm_conditions(eq, grid_size: int = 1001) -> CertificateReport:
     the payoff are elementwise, so each is evaluated once, on all the grids
     at once.
     """
-    if grid_size < 501:
-        raise DomainError("grid_size must be at least 501")
     prior, n, b = eq.prior, eq.n, eq.branches
     breaks = [eq.v_l_star, eq.r_star, eq.v_h_star, eq.v_t_star]
     grid = sorted_unique(
-        np.clip(np.concatenate([np.linspace(0.0, 1.0, grid_size), breaks]), 0.0, 1.0)
+        np.clip(np.concatenate([np.linspace(0.0, 1.0, _GRID_SIZE), breaks]), 0.0, 1.0)
     )
-    points = np.concatenate([grid, _support_grid(eq, grid_size)])
+    points = np.concatenate([grid, _support_grid(eq)])
     phi, u = multiplier_phi(eq, points), payoff_u(eq, points)
 
     # DM1 continuity at interior seams
@@ -574,6 +574,8 @@ class HeteroReport:
 
 def hetero_check(prior: Prior, n: int, alpha: float, costs: CostDistribution) -> HeteroReport:
     """Sufficiency check that the lowest-cost equilibrium survives cost mixing."""
+    if not 0.0 < alpha < 1.0:  # alpha = 0 would fail the precondition as an invariant
+        raise DomainError("hetero analysis needs alpha in (0, 1)")
     mu = prior.mean()
     if costs.s_max >= mu:
         raise DomainError(f"cost support must stay below the prior mean {mu}")

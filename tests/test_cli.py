@@ -1,4 +1,7 @@
 import ast
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -312,6 +315,9 @@ HETERO = {
         ("solve", {**BASE, "alpha": [1]}, []),
         ("limit", {**LIMIT, "alpha": "x"}, []),
         ("limit", {**LIMIT, "doublings": "x"}, []),
+        ("limit", {**LIMIT, "doublings": -1}, []),
+        ("limit", {**LIMIT, "doublings": 2000}, []),
+        ("solve", {**BASE, "n": 10**400}, []),
         ("hetero", {**HETERO, "n": "abc"}, []),
         ("simulate", {**SIM, "consumers": "many"}, ["--seed", "1"]),
         ("simulate", {**SIM, "bins": "x"}, ["--seed", "1"]),
@@ -329,6 +335,9 @@ HETERO = {
         "solve-alpha-list",
         "limit-alpha-string",
         "limit-doublings-string",
+        "limit-doublings-negative",
+        "limit-n-past-float-range",
+        "solve-n-past-float-range",
         "hetero-n-string",
         "simulate-consumers-string",
         "simulate-bins-string",
@@ -343,6 +352,81 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg, extr
     out = str(tmp_path / "out")
     assert main([command, "--config", cfg_path, "--out", out, *extra]) == 1
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "command, cfg, extra",
+    [
+        ("solve", BASE, ["--out", "{missing}/out.json"]),
+        ("sweep", SWEEP, ["--out", "{missing}/out.csv"]),
+        ("simulate", SIM, ["--seed", "1", "--curve-out", "{missing}/curve.csv"]),
+    ],
+    ids=["solve-out", "sweep-out", "simulate-curve-out"],
+)
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, command, cfg, extra):
+    missing = tmp_path / "no-such-dir"
+    argv = [command, "--config", _write(tmp_path, "cfg.json", cfg), *(a.format(missing=missing) for a in extra)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"config error: cannot write {missing}/" in captured.err
+    assert captured.out == ""  # simulate writes its curve before its JSON
+
+
+# Byte-level pin of the outputs: the exit code and the sha256 of stdout,
+# stderr and every written file, recorded before the output path was
+# rewritten.  They cover what the other tests read past: key order,
+# indentation, trailing newlines and CSV line endings.  The package
+# version is in every output, so a version bump re-records them.
+# id: (config, arguments after --config; "{out}" and "{curve}" name written files)
+PINNED_CASES = {
+    "solve": (BASE, ["solve"]),
+    "solve-out": (BASE, ["solve", "--out", "{out}"]),
+    "solve-alpha-0": ({**BASE, "alpha": 0.0}, ["solve"]),
+    "sweep": ({**SWEEP, "grid": [0.05, 0.1, 0.7, 0.2]}, ["sweep"]),  # 0.7: a per-point error
+    "sweep-out": ({**SWEEP, "grid": [0.05, 0.1, 0.7, 0.2]}, ["sweep", "--out", "{out}"]),
+    "verify-oracle": (BASE, ["verify", "--oracle-grid", "201"]),
+    "verify-perturb": (BASE, ["verify", "--perturb", "v_L", "0.05"]),
+    "simulate-curve": (SIM, ["simulate", "--seed", "3", "--curve-out", "{curve}"]),
+    "limit": (LIMIT, ["limit"]),
+    "hetero": ({**HETERO, "n": 32}, ["hetero"]),
+}
+PINNED = {
+    "hetero": {"code": 0, "stdout": "e5807bef565027ea", "stderr": "e3b0c44298fc1c14", "files": {}},
+    "limit": {"code": 0, "stdout": "5855e61915c3c695", "stderr": "e3b0c44298fc1c14", "files": {}},
+    "simulate-curve": {"code": 0, "stdout": "b38413ae25cf9f03", "stderr": "e3b0c44298fc1c14", "files": {"curve": "895ed028676fd2bd"}},
+    "solve": {"code": 0, "stdout": "4ecb4ef57d7d319e", "stderr": "8db909dcd60e1bcc", "files": {}},
+    "solve-alpha-0": {"code": 0, "stdout": "edb38ef76aefc56b", "stderr": "05da6159a7629f17", "files": {}},
+    "solve-out": {"code": 0, "stdout": "e3b0c44298fc1c14", "stderr": "8db909dcd60e1bcc", "files": {"out": "4ecb4ef57d7d319e"}},
+    "sweep": {"code": 0, "stdout": "0545831dc137cccc", "stderr": "e3b0c44298fc1c14", "files": {}},
+    "sweep-out": {"code": 0, "stdout": "e3b0c44298fc1c14", "stderr": "e3b0c44298fc1c14", "files": {"out": "0545831dc137cccc"}},
+    "verify-oracle": {"code": 0, "stdout": "f2c30b1a6440d032", "stderr": "e3b0c44298fc1c14", "files": {}},
+    "verify-perturb": {"code": 4, "stdout": "6e0bf68f85efffa1", "stderr": "e3b0c44298fc1c14", "files": {}},
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def run_pinned_case(case: str, tmp_path) -> dict:
+    cfg, args = PINNED_CASES[case]
+    files = {name: tmp_path / f"{name}.txt" for name in ("out", "curve") if f"{{{name}}}" in args}
+    argv = [a.format(out=files.get("out"), curve=files.get("curve")) for a in args]
+    argv[1:1] = ["--config", _write(tmp_path, "cfg.json", cfg)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {
+        "code": code,
+        "stdout": _sha(out.getvalue().encode()),
+        "stderr": _sha(err.getvalue().encode()),
+        "files": {name: _sha(path.read_bytes()) for name, path in files.items()},
+    }
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+def test_output_bytes_are_pinned(tmp_path, case):
+    assert run_pinned_case(case, tmp_path) == PINNED[case]
 
 
 @pytest.mark.parametrize("threads", ["abc", "0"])

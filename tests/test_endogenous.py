@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -602,3 +606,34 @@ def test_reserve_within_1e_12_of_zero_certifies(prior, n, s):
     assert 0.0 < eq.r_star < 1e-12 and not eq.bottom_disclosure
     assert check_dm_conditions(eq).passed
     assert oracle_gap(eq, 201)["gap"] <= 0.2 / 201
+
+
+# The benchmark's tracer finds the outer bisection of solve_endog by the
+# qualified name of its objective, "solve_endog.<locals>.gap": a rename
+# would read as zero gap evaluations, so a traced disclosing solve must
+# count some, and the threshold's z evaluations under them.
+_TRACED_SOLVE_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+from disclose_eq import UniformPrior, endogenous
+
+t = tracer.Tracer()
+tracer.install(t)
+eq = endogenous.solve_endog(UniformPrior(), 2, 0.65, 0.1)
+print(json.dumps({"v_l_star": eq.v_l_star, "metrics": tracer.layer_metrics(t.summary())}))
+"""
+
+
+def test_tracer_counts_the_outer_bisection(eq_uniform_small):
+    bench = pathlib.Path(__file__).resolve().parent.parent / "bench"
+    src = os.path.dirname(os.path.dirname(endogenous.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_SOLVE_SCRIPT, str(bench)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True,
+    )
+    traced = json.loads(proc.stdout.splitlines()[-1])
+    assert eq_uniform_small.bottom_disclosure
+    assert traced["v_l_star"] == eq_uniform_small.v_l_star
+    assert traced["metrics"]["endogenous.gap_evals"] > 0
+    assert traced["metrics"]["exogenous.z_function.calls"] > 0

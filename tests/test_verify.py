@@ -659,7 +659,7 @@ def test_sorted_unique_is_np_unique():
         inner = [x for x in breaks if 0.0 < x < 1.0]
         oracle = np.concatenate([np.linspace(0.0, 1.0, 201), breaks])
         assert np.array_equal(oracle_grid(eq, 201), np.unique(oracle))
-        assert np.array_equal(_support_grid(eq, 1001), reference._support_grid(eq, 1001))
+        assert np.array_equal(_support_grid(eq), reference._support_grid(eq, 1001))
         grids += [
             oracle,
             np.concatenate([np.linspace(0.0, 1.0, 101), breaks]),
@@ -848,3 +848,7 @@ def test_hetero_rejects_bad_support(uniform):
 
     with pytest.raises(DomainError):
         hetero_check(uniform, 32, 0.5, DiscreteCosts(points=((0.2, 0.5), (0.6, 0.5))))
+    # alpha = 0 would fail the concealment precondition, alpha = 1 the solver
+    for alpha in (0.0, 1.0):
+        with pytest.raises(DomainError, match=r"alpha in \(0, 1\)"):
+            hetero_check(uniform, 32, alpha, DiscreteCosts(points=((0.1, 0.5), (0.2, 0.5))))
