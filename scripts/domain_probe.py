@@ -3,7 +3,7 @@
 
 Draws uniform priors, power priors with a log-uniform on [0.25, 8] and
 piecewise priors with 1-3 interior knots and nondecreasing slopes, with n
-log-uniform on 2..4096, alpha uniform on (0.001, 0.999) and s/mu uniform
+log-uniform on 2..2^20, alpha uniform on (0.001, 0.999) and s/mu uniform
 on (0.001, 0.999).  A draw whose F**(n-1) is not convex lies outside the
 domain and is drawn again.  Each market is solved, and check_dm_conditions
 runs on each one that solves.
@@ -37,7 +37,8 @@ from disclose_eq.errors import DiscloseEqError
 from disclose_eq.verify import check_dm_conditions
 
 FAMILIES = ("uniform", "power", "piecewise")
-N_BANDS = ((2, 15), (16, 255), (256, 4096))
+N_MAX = 1 << 20
+N_BANDS = ((2, 15), (16, 255), (256, 4095), (4096, N_MAX))
 
 
 def draw_prior(rng: np.random.Generator, family: str):
@@ -57,7 +58,7 @@ def draw_market(rng: np.random.Generator, family: str):
     """(prior, n, alpha, s) inside the documented domain."""
     while True:
         prior = draw_prior(rng, family)
-        n = int(round(np.exp(rng.uniform(np.log(2.0), np.log(4096.0)))))
+        n = int(round(np.exp(rng.uniform(np.log(2.0), np.log(N_MAX)))))
         if prior.check_convexity(n):
             break
     alpha = float(rng.uniform(0.001, 0.999))
@@ -103,13 +104,13 @@ def main() -> int:
             writer.writerow([family, json.dumps(prior.to_json_dict()), n, repr(alpha), repr(s), outcome, detail])
 
     total = Counter()
-    print(f"{'family':<10} {'n':<9} {'markets':>7} {'certified':>9}  other outcomes")
+    print(f"{'family':<10} {'n':<12} {'markets':>7} {'certified':>9}  other outcomes")
     for family in FAMILIES:
         for lo, hi in N_BANDS:
             counts = tally.get((family, f"{lo}-{hi}"), Counter())
             total += counts
             other = ", ".join(f"{k} {v}" for k, v in sorted(counts.items()) if k != "certified")
-            print(f"{family:<10} {f'{lo}-{hi}':<9} {sum(counts.values()):>7} {counts['certified']:>9}  {other}")
+            print(f"{family:<10} {f'{lo}-{hi}':<12} {sum(counts.values()):>7} {counts['certified']:>9}  {other}")
     untyped = sum(v for k, v in total.items() if k.startswith("untyped:"))
     print(
         f"total {sum(total.values())}: {total['certified']} certified, {total['rejected']} rejected, "

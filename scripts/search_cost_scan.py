@@ -19,6 +19,7 @@ except ModuleNotFoundError:  # run from a checkout without an install: use its s
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from disclose_eq import UniformPrior
+from disclose_eq.errors import DiscloseEqError
 from disclose_eq.welfare import scan_csv_text, threshold_scan
 
 
@@ -33,7 +34,10 @@ def main() -> None:
     prior = UniformPrior()
     mu = prior.mean()
     grid = [float(s) for s in np.linspace(0.01, mu - 0.01, args.points)]
-    report = threshold_scan(prior, args.n, args.alpha, grid)
+    try:
+        report = threshold_scan(prior, args.n, args.alpha, grid)
+    except DiscloseEqError as exc:  # a bad grid or market: say which, without a traceback
+        sys.exit(f"search_cost_scan: {type(exc).__name__}: {exc}")
 
     print(f"s_bar       = {report.s_bar:.6f} (exact: mean minus concealment threshold)")
     print(f"s_lower_est = {report.s_lower_est:.6f} (+- {report.grid_resolution:.4f})")

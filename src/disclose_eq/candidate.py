@@ -16,6 +16,7 @@ contact point, and that it is a mean-preserving contraction of the prior
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .errors import InfeasibleCandidateError, ValidationFailureError
@@ -43,6 +44,18 @@ class Candidate:
     beta: float
     v_h: float
     v_t: float
+
+    # -- cached in the instance dict; equality sees only the fields --------
+    @cached_property
+    def fl(self) -> float:
+        """F(v_L), the level of the posterior cdf on [v_L, r]."""
+        return float(self.prior.cdf(self.v_l))
+
+    @cached_property
+    def pooled(self) -> AffinePower:
+        """The pooled branch on [r, min(v_H, v_T)]: cdf**(n-1) = F(v_L)**(n-1) + beta (v - r)."""
+        top = min(self.v_h, self.v_t)
+        return AffinePower(self.r, top, self.fl ** (self.n - 1), self.beta, self.r, self.n - 1)
 
 
 def candidate_exists(prior: Prior, n: int, v_l: float, r: float) -> bool:
@@ -115,28 +128,16 @@ def build_candidate(prior: Prior, n: int, v_l: float, r: float) -> Candidate:
 
 def build_g(cand: Candidate) -> PosteriorDistribution:
     """Assemble the piecewise posterior cdf of a candidate."""
-    prior, n = cand.prior, cand.n
-    fl = float(prior.cdf(cand.v_l))
     segs: list = []
     if cand.v_l > 0.0:
         segs.append(FullDisclosure(0.0, cand.v_l))
-    segs.append(Flat(cand.v_l, cand.r, fl))
-    pool_top = min(cand.v_h, cand.v_t)
-    segs.append(
-        AffinePower(
-            a=cand.r,
-            b=pool_top,
-            base=fl ** (n - 1),
-            slope=cand.beta,
-            anchor=cand.r,
-            root_power=n - 1,
-        )
-    )
+    segs.append(Flat(cand.v_l, cand.r, cand.fl))
+    segs.append(cand.pooled)
     if cand.v_h < 1.0:
         segs.append(FullDisclosure(cand.v_h, 1.0))
     elif cand.v_t < 1.0:
         segs.append(Flat(cand.v_t, 1.0, 1.0))
-    return PosteriorDistribution(prior=prior, segments=tuple(segs))
+    return PosteriorDistribution(prior=cand.prior, segments=tuple(segs))
 
 
 def validate_candidate(cand: Candidate, g: PosteriorDistribution) -> None:
@@ -154,8 +155,7 @@ def validate_candidate(cand: Candidate, g: PosteriorDistribution) -> None:
         raise ValidationFailureError("integrated-gap", f"min gap {mpc.min_gap_forward}")
     tm = prior.truncated_moments(cand.v_l, cand.v_h, n) if cand.v_h > cand.v_l else None
     if tm is not None and tm.mu_tilde > cand.r:
-        fln1 = float(prior.cdf(cand.v_l)) ** (n - 1)
-        beta_moment = (tm.eta_tilde - fln1) / (tm.mu_tilde - cand.r)
+        beta_moment = (tm.eta_tilde - cand.pooled.base) / (tm.mu_tilde - cand.r)
         if abs(beta_moment - cand.beta) > 1e-8 * max(1.0, cand.beta):
             raise ValidationFailureError(
                 "slope-moment-form", f"{cand.beta} vs {beta_moment}"

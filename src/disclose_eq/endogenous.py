@@ -39,6 +39,7 @@ from .exogenous import (
     _check_alpha,
     _check_market,
     _v_l_bracket,
+    _visit_probability_at,
     _z_of_beta,
     _z_or_infeasible,
     conceals_below,
@@ -47,6 +48,7 @@ from .exogenous import (
     z_function,
 )
 from .posterior import (
+    AffinePower,
     Flat,
     FullDisclosure,
     PosteriorDistribution,
@@ -67,20 +69,16 @@ class PayoffBranches:
     """The branches shared by the payoff u and the multiplier phi.
 
     u is low(G**(n-1)) below r and high(G**(n-1)) from r on; phi is
-    low(F**(n-1)) below v_L, the pooled line on [v_L, v_H] and
-    high(F**(n-1)) above v_H.
+    low(F**(n-1)) below v_L, the pooled line high(pooled.line) on [v_L, v_H]
+    and high(F**(n-1)) above v_H.
     """
 
     n: int
-    r: float
     at: float
     c_low: float
     fl: float  # F(v_L)
     fh: float  # F(v_H)
-    fln1: float  # F(v_L)**(n-1)
-    beta: float
-    const: float
-    slope: float
+    pooled: AffinePower
 
     def low(self, p):
         return self.c_low * p
@@ -89,11 +87,15 @@ class PayoffBranches:
         return self.at + (1.0 - self.at) * p
 
     def line(self, v):
-        return self.at + (1.0 - self.at) * (self.fln1 + self.beta * (v - self.r))
+        return self.high(self.pooled.line(v))
+
+    @property
+    def slope(self) -> float:
+        return (1.0 - self.at) * self.pooled.slope
 
     def line_integral(self, mass: float, first_moment: float) -> float:
         """Integral of the pooled line against a measure with these moments."""
-        return self.const * mass + self.slope * first_moment
+        return self.line(0.0) * mass + self.slope * first_moment
 
     def low_integral(self, f_lo: float, f_hi: float) -> float:
         """Integral of low(F**(n-1)) dF between the cdf levels f_lo and f_hi."""
@@ -123,27 +125,25 @@ class Equilibrium:
     g: PosteriorDistribution
     bottom_disclosure: bool
     top_disclosure: bool
-    candidate: Candidate | None = None
+    candidate: Candidate | None = None  # None only on the alpha = 0 boundary
     note: str = ""
 
     @cached_property
     def branches(self) -> PayoffBranches:
         prior, n, at, r = self.prior, self.n, self.alpha_tilde, self.r_star
-        # alpha = 0: the middle branch shrinks to the point r*, take its tangent
-        beta = prior.pow_cdf_deriv(r, n) if self.beta_star is None else self.beta_star
-        fl = float(prior.cdf(self.v_l_star))
-        fln1 = fl ** (n - 1)
+        if self.candidate is None:
+            # alpha = 0: the middle branch shrinks to the point r*, take its tangent
+            fl = float(prior.cdf(self.v_l_star))
+            pooled = AffinePower(r, r, fl ** (n - 1), prior.pow_cdf_deriv(r, n), r, n - 1)
+        else:
+            fl, pooled = self.candidate.fl, self.candidate.pooled
         return PayoffBranches(
             n=n,
-            r=r,
             at=at,
             c_low=at / self.eta + 1.0 - at,
             fl=fl,
             fh=float(prior.cdf(self.v_h_star)),
-            fln1=fln1,
-            beta=beta,
-            const=at + (1.0 - at) * (fln1 - beta * r),
-            slope=(1.0 - at) * beta,
+            pooled=pooled,
         )
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -228,7 +228,7 @@ def assemble_market(
     """Build the market objects for given thresholds without asserting
     that they solve the fixed point (used for perturbation tests)."""
     cand = build_candidate(prior, n, v_l, r)
-    eta = visit_probability(prior, n, v_l)
+    eta = _visit_probability_at(cand.fl, n)
     return Equilibrium(
         prior=prior,
         n=n,

@@ -83,13 +83,9 @@ def r_lower_bar(prior: Prior, n: int, alpha: float) -> float:
     """Reservation value below which nothing under r is disclosed."""
     if not 0.0 < alpha < 1.0:
         raise DomainError("r_lower_bar needs alpha in (0, 1)")
-    if n < 2:
-        raise DomainError("need n >= 2")
+    check_n(n)
     mu = prior.mean()
-    lo, hi = _EDGE, mu - _EDGE
-    return bisect_root(
-        lambda r: z_function(prior, n, alpha, 0.0, r), lo, hi, xtol=1e-12
-    )
+    return bisect_root(lambda r: z_function(prior, n, alpha, 0.0, r), _EDGE, mu - _EDGE, xtol=1e-12)
 
 
 def conceals_below(prior: Prior, n: int, alpha: float, r: float) -> bool:
@@ -218,7 +214,7 @@ def solve_exog(prior: Prior, n: int, alpha: float, r: float) -> ExogEquilibrium:
     cand = build_candidate(prior, n, v_l, r)
     g = build_g(cand)
     validate_candidate(cand, g)
-    eta = visit_probability(prior, n, v_l)
+    eta = _visit_probability_at(cand.fl, n)
     regime = REGIME_NO_BOTTOM if v_l == 0.0 else REGIME_BOTTOM
 
     if v_l > 0.0:

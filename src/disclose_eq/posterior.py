@@ -1,12 +1,10 @@
 """Piecewise posterior-mean distributions.
 
 A posterior cdf is a contiguous list of segments on [0, top] plus at most
-one atom.  Segment kinds:
-
-  full_disclosure  cdf follows the prior F on [a, b]
-  flat             cdf constant at `level` on [a, b] (a support gap)
-  affine_power     cdf = (base + slope*(v - anchor)) ** (1/root_power),
-                   i.e. cdf**root_power is affine on [a, b]
+one atom.  Each segment kind (FullDisclosure, Flat, AffinePower) owns its
+algebra: cdf(prior, v), integral(prior, lo, hi, k) of cdf**k over [lo, hi]
+(lo <= hi within the segment; hi may be an array), quantile(prior, q) and
+to_json_dict().
 
 The cdf is right-continuous; an atom of mass m at x shows up as a jump
 between the segment ending at x and the one starting there.  Every
@@ -54,34 +52,101 @@ INCOMPARABLE = "Incomparable"
 
 @dataclass(frozen=True)
 class FullDisclosure:
+    """The cdf follows the prior F on [a, b]."""
+
     a: float
     b: float
+
+    def cdf(self, prior: Prior, v: ArrayLike) -> ArrayLike:
+        return prior.cdf(v)
+
+    def integral(self, prior: Prior, lo: float, hi: ArrayLike, k: int = 1) -> ArrayLike:
+        if k == 1:
+            return prior.cum_cdf(hi) - prior.cum_cdf(lo)
+        return prior.cum_pow_cdf(hi, k) - prior.cum_pow_cdf(lo, k)
+
+    def quantile(self, prior: Prior, q: np.ndarray) -> np.ndarray:
+        return prior.quantile(q)
+
+    def to_json_dict(self) -> dict[str, Any]:
+        return {"kind": "full_disclosure", "a": self.a, "b": self.b}
 
 
 @dataclass(frozen=True)
 class Flat:
+    """The cdf is constant at level on [a, b]: a support gap."""
+
     a: float
     b: float
     level: float
 
+    def cdf(self, prior: Prior, v: ArrayLike) -> ArrayLike:
+        return np.full_like(v, self.level) if isinstance(v, np.ndarray) else self.level
+
+    def integral(self, prior: Prior, lo: float, hi: ArrayLike, k: int = 1) -> ArrayLike:
+        return self.level**k * (hi - lo)
+
+    def quantile(self, prior: Prior, q: np.ndarray) -> np.ndarray:
+        return np.full_like(q, self.a)  # no mass here: the level is first reached at a
+
+    def to_json_dict(self) -> dict[str, Any]:
+        return {"kind": "flat", "a": self.a, "b": self.b, "level": self.level}
+
 
 @dataclass(frozen=True)
 class AffinePower:
+    """cdf**root_power is the line base + slope*(v - anchor) on [a, b]: a
+    candidate's pooled branch (Candidate.pooled), root_power = n - 1."""
+
     a: float
     b: float
     base: float
     slope: float
     anchor: float
-    root_power: int  # cdf**root_power is affine; root_power = n - 1
+    root_power: int
+
+    def line(self, v: ArrayLike) -> ArrayLike:
+        """cdf**root_power, extended past [a, b] and unclipped."""
+        return self.base + self.slope * (v - self.anchor)
+
+    def _w(self, v: ArrayLike) -> ArrayLike:
+        """cdf**root_power, clipped to [0, 1]."""
+        w = self.line(v)
+        return w.clip(0.0, 1.0) if isinstance(w, np.ndarray) else min(max(w, 0.0), 1.0)
+
+    def cdf(self, prior: Prior, v: ArrayLike) -> ArrayLike:
+        w = self._w(v)
+        return w if self.root_power == 1 else w ** (1.0 / self.root_power)
+
+    def pdf(self, v: ArrayLike) -> ArrayLike:
+        w = np.clip(self.line(v), 1e-300, 1.0)
+        return (self.slope / self.root_power) * w ** (1.0 / self.root_power - 1.0)
+
+    def integral(self, prior: Prior, lo: float, hi: ArrayLike, k: int = 1) -> ArrayLike:
+        p = self.root_power
+        scale = self.slope * (k + p)
+        coef = p / scale if scale != 0.0 else math.inf
+        if coef == 0.0 or not math.isfinite(coef):
+            # F(v_L)**(n-1) underflows in large markets, and the slope it
+            # scales goes to 0 or so near it that the coefficient overflows
+            if np.any(hi > lo):
+                raise ValidationFailureError(
+                    "pooled-slope",
+                    f"pooled slope {self.slope} on [{self.a}, {self.b}] (root power {p})",
+                )
+            return hi - lo  # empty intervals only
+        e = (k + p) / p
+        return coef * (self._w(hi) ** e - self._w(lo) ** e)
+
+    def quantile(self, prior: Prior, q: np.ndarray) -> np.ndarray:
+        return self.anchor + (q**self.root_power - self.base) / self.slope
+
+    def to_json_dict(self) -> dict[str, Any]:
+        return {"kind": "affine_power", "a": self.a, "b": self.b, "base": self.base,
+                "beta": self.slope, "r_anchor": self.anchor, "root_power": self.root_power}
 
 
 Segment = Union[FullDisclosure, Flat, AffinePower]
-
-
-def _affine_w(seg: AffinePower, v: ArrayLike) -> ArrayLike:
-    """cdf**root_power on the segment, clipped to [0, 1]."""
-    w = seg.base + seg.slope * (v - seg.anchor)
-    return w.clip(0.0, 1.0) if isinstance(w, np.ndarray) else min(max(w, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -90,43 +155,8 @@ class PosteriorDistribution:
     segments: tuple[Segment, ...]
     atom: tuple[float, float] | None = None  # (location, mass)
 
-    # -- segment bookkeeping ----------------------------------------------
-    def _seg_cdf(self, seg: Segment, v: ArrayLike) -> ArrayLike:
-        if isinstance(seg, FullDisclosure):
-            return self.prior.cdf(v)
-        if isinstance(seg, Flat):
-            return np.full_like(v, seg.level) if isinstance(v, np.ndarray) else seg.level
-        w = _affine_w(seg, v)
-        if seg.root_power == 1:
-            return w
-        return w ** (1.0 / seg.root_power)
-
     def _seg_levels(self, seg: Segment) -> tuple[float, float]:
-        return float(self._seg_cdf(seg, seg.a)), float(self._seg_cdf(seg, seg.b))
-
-    def _seg_integral(self, seg: Segment, lo: float, hi: ArrayLike, k: int = 1) -> ArrayLike:
-        """Integral of cdf**k over [lo, hi]; lo <= hi within [a, b], hi may be an array."""
-        if isinstance(seg, FullDisclosure):
-            if k == 1:
-                return self.prior.cum_cdf(hi) - self.prior.cum_cdf(lo)
-            return self.prior.cum_pow_cdf(hi, k) - self.prior.cum_pow_cdf(lo, k)
-        if isinstance(seg, Flat):
-            return seg.level**k * (hi - lo)
-        p = seg.root_power
-        scale = seg.slope * (k + p)
-        coef = p / scale if scale != 0.0 else math.inf
-        if coef == 0.0 or not math.isfinite(coef):
-            # F(v_L)**(n-1) underflows in large markets, and the slope it
-            # scales goes to 0 or so near it that the coefficient overflows
-            if np.any(hi > lo):
-                raise ValidationFailureError(
-                    "pooled-slope",
-                    f"pooled slope {seg.slope} on [{seg.a}, {seg.b}] (root power {p})",
-                )
-            return hi - lo  # empty intervals only
-        w_lo, w_hi = _affine_w(seg, lo), _affine_w(seg, hi)
-        e = (k + p) / p
-        return coef * (w_hi**e - w_lo**e)
+        return float(seg.cdf(self.prior, seg.a)), float(seg.cdf(self.prior, seg.b))
 
     # -- views cached in the instance dict; equality sees only the fields --
     @cached_property
@@ -143,7 +173,7 @@ class PosteriorDistribution:
         if prefix is None:
             out = [0.0]
             for seg in self.segments:
-                out.append(out[-1] + self._seg_integral(seg, seg.a, seg.b, k))
+                out.append(out[-1] + seg.integral(self.prior, seg.a, seg.b, k))
             prefix = self._prefixes[k] = tuple(out)
         return prefix
 
@@ -185,7 +215,7 @@ class PosteriorDistribution:
         """Right-continuous cdf; atoms jump at their location."""
         # side="left" sends a point on a segment end to the *next* segment, which
         # makes the cdf right-continuous across an atom between segments.
-        return self._by_segment(v, "left", lambda i, seg, x: self._seg_cdf(seg, x), lambda x: 1.0)
+        return self._by_segment(v, "left", lambda i, seg, x: seg.cdf(self.prior, x), lambda x: 1.0)
 
     def cum_integral(self, z: ArrayLike) -> ArrayLike:
         """Integral of the cdf from 0 to z."""
@@ -200,7 +230,7 @@ class PosteriorDistribution:
         return self._by_segment(
             z,
             "right",
-            lambda i, seg, x: prefix[i] + self._seg_integral(seg, seg.a, x.clip(seg.a, seg.b), k),
+            lambda i, seg, x: prefix[i] + seg.integral(self.prior, seg.a, x.clip(seg.a, seg.b), k),
             lambda x: prefix[-1] + (x - self._ends[-1]),  # cdf == 1 past the top
         )
 
@@ -243,30 +273,23 @@ class PosteriorDistribution:
         arr = np.atleast_1d(np.asarray(u, dtype=float))
         if arr.size and (arr.min() < 0.0 or arr.max() >= 1.0):
             raise DomainError("sampling variates must lie in [0, 1)")
-        table: list[tuple[float, float, Any]] = []  # (q_lo, q_hi, inverter)
+        table: list[tuple[float, float, Any]] = []  # (q_lo, q_hi, quantile)
         for seg in self.segments:
             lo, hi = self._seg_levels(seg)
             if hi > lo:
-                table.append((lo, hi, seg))
+                table.append((lo, hi, seg.quantile))
         if self.atom is not None:
             loc, mass = self.atom
             lo = float(self.cdf(loc)) - mass
-            table.append((lo, lo + mass, ("atom", loc)))
+            table.append((lo, lo + mass, lambda prior, q: loc))
         table.sort(key=lambda t: t[0])
         q_los = np.array([t[0] for t in table])
         out = np.empty_like(arr)
         idx = np.clip(np.searchsorted(q_los, arr, side="right") - 1, 0, len(table) - 1)
-        for i, (lo, hi, seg) in enumerate(table):
+        for i, (lo, hi, quantile) in enumerate(table):
             mask = idx == i
-            if not np.any(mask):
-                continue
-            q = np.clip(arr[mask], lo, hi)
-            if isinstance(seg, tuple):
-                out[mask] = seg[1]
-            elif isinstance(seg, FullDisclosure):
-                out[mask] = self.prior.quantile(q)
-            else:
-                out[mask] = seg.anchor + (q**seg.root_power - seg.base) / seg.slope
+            if np.any(mask):
+                out[mask] = quantile(self.prior, np.clip(arr[mask], lo, hi))
         return float(out[0]) if scalar else out
 
     def validate(self) -> None:
@@ -294,24 +317,7 @@ class PosteriorDistribution:
             raise ValidationFailureError("cdf-top", f"cdf({prev_end}) = {prev_level} != 1")
 
     def to_json_dict(self) -> dict[str, Any]:
-        segs = []
-        for seg in self.segments:
-            if isinstance(seg, FullDisclosure):
-                segs.append({"kind": "full_disclosure", "a": seg.a, "b": seg.b})
-            elif isinstance(seg, Flat):
-                segs.append({"kind": "flat", "a": seg.a, "b": seg.b, "level": seg.level})
-            else:
-                segs.append(
-                    {
-                        "kind": "affine_power",
-                        "a": seg.a,
-                        "b": seg.b,
-                        "base": seg.base,
-                        "beta": seg.slope,
-                        "r_anchor": seg.anchor,
-                        "root_power": seg.root_power,
-                    }
-                )
+        segs = [seg.to_json_dict() for seg in self.segments]
         return {"segments": segs, "atom": list(self.atom) if self.atom else None}
 
 

@@ -240,7 +240,7 @@ def check_dm_conditions(eq) -> CertificateReport:
     # DM1 continuity at interior seams
     gaps = [0.0]
     if 0.0 < eq.v_l_star < 1.0:
-        gaps.append(abs(b.line(eq.v_l_star) - b.low(b.fln1)))
+        gaps.append(abs(b.line(eq.v_l_star) - b.low(b.pooled.base)))
     if 0.0 < eq.v_h_star < 1.0:
         gaps.append(abs(b.high(b.fh ** (n - 1)) - b.line(eq.v_h_star)))
     max_cont_gap = max(gaps)
@@ -250,7 +250,7 @@ def check_dm_conditions(eq) -> CertificateReport:
     if eq.v_l_star > 0.0:
         increments.append(b.slope - b.c_low * prior.pow_cdf_deriv(eq.v_l_star, n))
     if eq.v_h_star < 1.0:
-        increments.append((1.0 - b.at) * (prior.pow_cdf_deriv(eq.v_h_star, n) - b.beta))
+        increments.append((1.0 - b.at) * (prior.pow_cdf_deriv(eq.v_h_star, n) - b.pooled.slope))
     min_slope_inc = min(increments)
     dm1 = max_cont_gap <= 1e-9 and min_slope_inc >= -1e-9
 
@@ -495,30 +495,26 @@ def _cell_payoff(eq, g_dev: PosteriorDistribution, seg, lo: float, hi: float) ->
     b = eq.branches
     mid = 0.5 * (lo + hi)
     full = isinstance(seg, FullDisclosure)  # else affine-power
-    d_lo, d_hi = g_dev._seg_cdf(seg, lo), g_dev._seg_cdf(seg, hi)
+    d_lo, d_hi = seg.cdf(g_dev.prior, lo), seg.cdf(g_dev.prior, hi)
     mass = float(d_hi - d_lo)
     # closed forms keyed on (payoff branch, deviation segment kind)
     if mid < eq.r_star:
         if mid > eq.v_l_star:
-            return b.c_low * b.fln1 * mass  # u is flat on (v_L, r)
+            return b.low(b.pooled.base) * mass  # u is flat on (v_L, r)
         if full:
             return b.low_integral(d_lo, d_hi)  # u = low(F^(n-1)), dG = dF
     elif mid <= min(eq.v_h_star, eq.v_t_star):
         # u affine in v on the pooled interval; integral of v dG by parts
-        v_dg = hi * float(d_hi) - lo * float(d_lo) - float(g_dev._seg_integral(seg, lo, hi))
+        v_dg = hi * float(d_hi) - lo * float(d_lo) - float(seg.integral(g_dev.prior, lo, hi))
         return b.line_integral(mass, v_dg)
     elif eq.v_h_star >= 1.0:
         return mass  # u = 1 above the pooled cap
     elif full:
         return b.high_integral(d_lo, d_hi)
 
-    def dev_pdf(x):
-        w = np.clip(seg.base + seg.slope * (x - seg.anchor), 1e-300, 1.0)
-        return (seg.slope / seg.root_power) * w ** (1.0 / seg.root_power - 1.0)
-
     # remaining combination (u ~ F^(n-1) shape against an affine-power
     # deviation): quadrature
-    return _quad(lambda x: np.asarray(payoff_u(eq, x)) * dev_pdf(x), lo, hi)
+    return _quad(lambda x: np.asarray(payoff_u(eq, x)) * seg.pdf(x), lo, hi)
 
 
 def deviation_gain(eq, g_dev: PosteriorDistribution) -> float:

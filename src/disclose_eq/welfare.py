@@ -57,8 +57,7 @@ def cs_savvy(g: PosteriorDistribution, n: int) -> float:
 
 def censored_value_distribution(eq: Equilibrium) -> PosteriorDistribution:
     """Distribution of min(v, r*): the per-visit value a costly searcher banks."""
-    prior = eq.prior
-    fl = float(prior.cdf(eq.v_l_star))
+    prior, fl = eq.prior, eq.branches.fl
     segs: list = []
     if eq.v_l_star > 0.0:
         segs.append(FullDisclosure(0.0, eq.v_l_star))
@@ -85,7 +84,7 @@ def surplus_report(eq: Equilibrium) -> SurplusReport:
 
 def search_stats(eq: Equilibrium) -> dict[str, float]:
     """Search behavior implied by the equilibrium disclosure."""
-    fl = float(eq.prior.cdf(eq.v_l_star))
+    fl = eq.branches.fl
     if fl < 1.0:
         expected_visits = (1.0 - fl**eq.n) / (1.0 - fl)
     else:  # pragma: no cover - requires v_L at the support top
@@ -154,6 +153,8 @@ def threshold_scan(
     """
     s_grid = list(s_grid)
     mu = prior.mean()
+    if len(s_grid) < 2:
+        raise DomainError(f"s_grid needs at least 2 points, got {len(s_grid)}")
     if any(b <= a for a, b in zip(s_grid, s_grid[1:])):
         raise DomainError("s_grid must be strictly increasing")
     if s_grid[0] <= 0.0 or s_grid[-1] >= mu:

@@ -360,7 +360,7 @@ def dm_conditions_by_separate_grids(eq, grid_size: int = 1001) -> CertificateRep
     # DM1 continuity at interior seams
     gaps = [0.0]
     if 0.0 < eq.v_l_star < 1.0:
-        gaps.append(abs(b.line(eq.v_l_star) - b.low(b.fln1)))
+        gaps.append(abs(b.line(eq.v_l_star) - b.low(b.pooled.base)))
     if 0.0 < eq.v_h_star < 1.0:
         gaps.append(abs(b.high(b.fh ** (n - 1)) - b.line(eq.v_h_star)))
     max_cont_gap = max(gaps)
@@ -370,7 +370,7 @@ def dm_conditions_by_separate_grids(eq, grid_size: int = 1001) -> CertificateRep
     if eq.v_l_star > 0.0:
         increments.append(b.slope - b.c_low * prior.pow_cdf_deriv(eq.v_l_star, n))
     if eq.v_h_star < 1.0:
-        increments.append((1.0 - b.at) * (prior.pow_cdf_deriv(eq.v_h_star, n) - b.beta))
+        increments.append((1.0 - b.at) * (prior.pow_cdf_deriv(eq.v_h_star, n) - b.pooled.slope))
     min_slope_inc = min(increments)
     dm1 = max_cont_gap <= 1e-9 and min_slope_inc >= -1e-9
 
@@ -429,7 +429,7 @@ class MaskLoopPosterior(PosteriorDistribution):
         for i, seg in enumerate(self.segments):
             mask = idx == i
             if np.any(mask):
-                out[mask] = self._seg_cdf(seg, arr[mask])
+                out[mask] = seg.cdf(self.prior, arr[mask])
         out[arr >= self.top] = 1.0
         return float(out[0]) if scalar else out
 
@@ -444,7 +444,7 @@ class MaskLoopPosterior(PosteriorDistribution):
             mask = idx == i
             if np.any(mask):
                 hi = arr[mask].clip(seg.a, seg.b)
-                out[mask] = prefix[i] + self._seg_integral(seg, seg.a, hi, k)
+                out[mask] = prefix[i] + seg.integral(self.prior, seg.a, hi, k)
         beyond = idx >= len(self.segments)
         if np.any(beyond):
             out[beyond] = prefix[-1] + (arr[beyond] - ends[-1])  # cdf == 1 past the top

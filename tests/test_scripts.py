@@ -46,6 +46,20 @@ def test_script_runs(tmp_path, script, args):
         assert "total 30: " in proc.stdout
 
 
+def test_search_cost_scan_reports_a_one_point_grid(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "search_cost_scan.py"), "--points", "1"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("search_cost_scan: DomainError:") and "Traceback" not in proc.stderr
+
+
 def test_script_runs_from_a_bare_checkout(tmp_path):
     # no install and no PYTHONPATH: the script finds the checkout's src/ itself
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

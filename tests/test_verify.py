@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import sys
 import threading
 
@@ -726,6 +727,51 @@ def test_expected_payoff_under_stieltjes_oracle(eq_uniform_small, eq_power):
             dmass = np.diff(np.asarray(g_dev.cdf(grid)))
             oracle += float(np.sum(np.asarray(payoff_u(eq, mids)) * dmass))
         assert expected_payoff_under(eq, g_dev) == pytest.approx(oracle, abs=2e-6)
+
+
+# sha256 (first 16 hex digits) of the repr of each library output over the
+# pinned markets: the seeded markets (three prior families, both regimes,
+# two non-equilibrium candidates) and the alpha = 0 boundary market
+PINNED_LIBRARY_OUTPUTS = {
+    "to_json_dict": "159121f8453cfea3",
+    "check_dm_conditions": "f29f427f9abb3a3a",
+    "payoff_identity_gap": "95da83e5b11a6c56",
+    "integral_phi_dF": "084ef9270b2d70d0",
+    "integral_phi_dG": "00097796b84339e7",
+    "oracle_gap": "eb4283236f9d1029",
+    "cs_savvy": "fd6a5173b9308d4d",
+    "cs_inexperienced": "f45c08defd7b5064",
+    "expected_payoff_under": "328cd4a8fab3d3f9",
+}
+
+
+def test_library_outputs_are_pinned(uniform, power2, eq_uniform_small, eq_power):
+    from disclose_eq.candidate import build_candidate, build_g
+    from disclose_eq.welfare import cs_inexperienced, cs_savvy
+
+    markets = _seeded_markets() + [solve_endog(uniform, 2, 0.0, 0.1)]
+    # each market against its own posterior, then affine-power deviations:
+    # the power one reaches the quadrature of a payoff cell
+    deviations = [(eq, eq.g) for eq in markets] + [
+        (eq_uniform_small, build_g(build_candidate(uniform, 2, 0.35, 0.6))),
+        (eq_power, build_g(build_candidate(power2, 3, 0.1, 0.4))),
+    ]
+    outputs = {
+        "to_json_dict": [eq.to_json_dict() for eq in markets],
+        "check_dm_conditions": [check_dm_conditions(eq) for eq in markets],
+        "payoff_identity_gap": [payoff_identity_gap(eq) for eq in markets],
+        "integral_phi_dF": [integral_phi_dF(eq) for eq in markets],
+        "integral_phi_dG": [integral_phi_dG(eq) for eq in markets],
+        "oracle_gap": [oracle_gap(eq, 201) for eq in markets],
+        "cs_savvy": [cs_savvy(eq.g, eq.n) for eq in markets],
+        "cs_inexperienced": [cs_inexperienced(eq) for eq in markets],
+        "expected_payoff_under": [expected_payoff_under(eq, g) for eq, g in deviations],
+    }
+    digests = {
+        name: hashlib.sha256(repr(values).encode()).hexdigest()[:16]
+        for name, values in outputs.items()
+    }
+    assert digests == PINNED_LIBRARY_OUTPUTS
 
 
 def _pool_around_r_uniform(prior, r, delta):

@@ -3,7 +3,7 @@ import pytest
 
 from disclose_eq import full_disclosure_distribution, point_mass
 from disclose_eq.endogenous import solve_endog
-from disclose_eq.errors import ValidationFailureError
+from disclose_eq.errors import DomainError, ValidationFailureError
 from disclose_eq.welfare import (
     EQUALLY_INFORMATIVE,
     INCOMPARABLE,
@@ -145,6 +145,22 @@ def test_threshold_scan_reraises_a_failing_point(uniform):
     with pytest.raises(ValidationFailureError) as info:
         threshold_scan(uniform, 1375, 0.5464, [0.29, 0.3008])
     assert info.value.invariant == "pooled-slope"
+
+
+@pytest.mark.parametrize(
+    "n, grid",
+    [
+        (2, [0.1]),  # one point has no spacing
+        (2, []),
+        (10**400, [0.1, 0.2]),  # beyond float range, where F**(n-1) overflows
+        (2, [0.2, 0.1]),
+        (2, [0.1, 0.5]),  # s = mu
+    ],
+    ids=["one-point", "empty", "n-10**400", "unsorted", "out-of-range"],
+)
+def test_threshold_scan_rejects_bad_input(uniform, n, grid):
+    with pytest.raises(DomainError):
+        threshold_scan(uniform, n, 0.5, grid)
 
 
 def test_scan_csv_layout(uniform):
