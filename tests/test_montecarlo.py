@@ -311,29 +311,37 @@ def test_malformed_thread_env_var_is_a_domain_error(eq_uniform_small, monkeypatc
 
 
 # sha256 of json.dumps(report.to_json_dict(), sort_keys=True), pinned from
-# the simulator before its tallies were merged into one helper: any change to
-# the draws, the stopping rule or the order of the float sums shows here.
+# the simulator before its tallies were merged into one helper (the first
+# three) and before its block kernel dropped the per-segment masks (the
+# rest): any change to the draws, the stopping rule or the order of the
+# float sums shows here.
 _PINNED = {
     "single": "f34091c6d7364f28eb287b19bb6432a42ed101150af02d4d30f081b760ca684c",
     "discrete": "426cbdf2cfd43e4dffc8959f490a093ba879d232736a709638ca3f32bb008010",
     "continuous": "78bacc8edac6a26d0345b17f1d113724e8c1f75ece40438c241062a856005943",
+    "power": "2c13f9d8b13d1bc9fef2d6064f665f930075e5dfdaf43be1d887e35ab1432a71",
+    "piecewise": "93b2cdf1031105f39c420e6778f2a5c1dc3a0088f29fca69897150b01f6ea946",
+    "uniform-12": "1721bbebe316cf47b03117e24a1f84d315248df4250283941c0f81ca6390de5b",
 }
 _DISCRETE = HeterogeneousCosts(DiscreteCosts(points=((0.05, 0.5), (0.1, 0.5))))
 _CONTINUOUS = HeterogeneousCosts(ContinuousCosts(knots=((0.05, 0.0), (0.2, 1.0))))
 
 
 @pytest.mark.parametrize(
-    "kind, n, alpha, consumers, cost_model, workers",
+    "kind, prior, n, alpha, s, consumers, cost_model, workers",
     [
-        ("single", 2, 0.65, 70_000, SingleCost(0.1), 1),  # two blocks, the second partial
-        ("single", 2, 0.65, 70_000, SingleCost(0.1), 2),
-        ("discrete", 5, 0.5, 20_000, _DISCRETE, 1),
-        ("continuous", 2, 0.65, 3_000, _CONTINUOUS, 1),
+        ("single", "uniform", 2, 0.65, 0.1, 70_000, SingleCost(0.1), 1),  # two blocks, the second partial
+        ("single", "uniform", 2, 0.65, 0.1, 70_000, SingleCost(0.1), 2),
+        ("discrete", "uniform", 5, 0.5, 0.1, 20_000, _DISCRETE, 1),
+        ("continuous", "uniform", 2, 0.65, 0.1, 3_000, _CONTINUOUS, 1),
+        ("power", "power2", 3, 0.4, 0.15, 20_000, SingleCost(0.15), 1),  # the quantile takes a pow
+        ("piecewise", "piecewise", 7, 0.5, 0.1, 20_000, SingleCost(0.1), 1),
+        ("uniform-12", "uniform", 12, 0.5, 0.1, 3_000, _CONTINUOUS, 1),
     ],
-    ids=["single", "single-parallel", "discrete", "continuous"],
+    ids=["single", "single-parallel", "discrete", "continuous", "power", "piecewise", "uniform-12"],
 )
-def test_report_digests_are_pinned(uniform, kind, n, alpha, consumers, cost_model, workers):
-    eq = solve_endog(uniform, n, alpha, 0.1)
+def test_report_digests_are_pinned(request, kind, prior, n, alpha, s, consumers, cost_model, workers):
+    eq = solve_endog(request.getfixturevalue(prior), n, alpha, s)
     cfg = SimConfig(consumers=consumers, seed=2024, cost_model=cost_model, workers=workers)
     report = simulate_market(eq, cfg).to_json_dict()
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
@@ -349,10 +357,14 @@ def test_report_digests_are_pinned(uniform, kind, n, alpha, consumers, cost_mode
     assert list(report["conditional_sale_curve"][0]) == curve_keys
 
 
-def test_deviation_share_is_pinned(eq_uniform_small, uniform):
+def test_deviation_share_is_pinned(eq_uniform_small, eq_power, uniform, power2):
     cfg = SimConfig(consumers=70_000, seed=2024, cost_model=SingleCost(0.1), workers=2)
     share, se = simulate_deviation(eq_uniform_small, 1, full_disclosure_distribution(uniform), cfg)
     assert (share, se) == (0.4393, 0.0018758446097691568)
+    # savvy consumers redraw the deviant from the strided column u[:, firm]
+    cfg = SimConfig(consumers=20_000, seed=2024, cost_model=SingleCost(0.15))
+    share, se = simulate_deviation(eq_power, 1, full_disclosure_distribution(power2), cfg)
+    assert (share, se) == (0.32805, 0.003319888533520365)
 
 
 # The benchmark's tracer rebinds the simulator's private names and counts
