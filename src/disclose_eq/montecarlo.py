@@ -16,6 +16,12 @@ consumer her search cost, the first one included.  Once both types have
 stopped, one tally records their purchases: a savvy consumer is the case
 that visits every firm, stops at the best draw and pays nothing.
 
+A block is a few passes over whole arrays.  The stopping rule, the best
+draw and the tracked firm's position are loops over the n columns, and
+the tally finds each draw's curve bin in a lookup table (_Binning) rather
+than by binary search.  Each group's arrays are freed before the next
+group draws its own, which bounds the memory of a block.
+
 A unilateral deviation runs through the same path: every draw comes from
 the equilibrium posterior except the deviant firm's, which are redrawn
 from its own posterior with the same variates, and consumers keep the
@@ -147,13 +153,54 @@ def _bin_edges(bins: int, eq: Equilibrium) -> np.ndarray:
     breakpoints, which keeps bin averages aligned with midpoint payoffs."""
     base = np.linspace(0.0, 1.0, bins + 1)
     forced = [x for x in (eq.v_l_star, eq.r_star, eq.v_h_star, eq.v_t_star) if 0.0 < x < 1.0]
-    edges = sorted_unique(np.concatenate([base, forced]))
-    # drop base edges that crowd a forced breakpoint
-    keep = np.ones(len(edges), dtype=bool)
+    # drop the base edges that crowd a forced breakpoint, but never 0 or 1
+    crowding = np.zeros(len(base), dtype=bool)
     for x in forced:
-        crowding = (np.abs(edges - x) < 0.25 / bins) & (np.abs(edges - x) > 0)
-        keep &= ~crowding
-    return edges[keep]
+        crowding |= np.abs(base - x) < 0.25 / bins
+    crowding[[0, -1]] = False
+    return sorted_unique(np.concatenate([base[~crowding], forced]))
+
+
+_CHUNK = 1 << 14  # values binned per pass
+
+
+class _Binning:
+    """Curve bins over edges from 0.0 to 1.0, found by lookup.  The cells
+    are [c, c + 1) / cells for a power of two `cells`, so that v * cells is
+    exact and c = floor(v * cells).  A value in cell c lies in bin `below[c]`
+    plus one for each edge strictly inside the cell that it reaches.  `index`
+    is np.digitize(v, edges) - 1 clipped to the bins, bit for bit."""
+
+    def __init__(self, edges: np.ndarray) -> None:
+        self.edges = edges
+        n_bins = len(edges) - 1
+        self.cells = max(4096, 1 << n_bins.bit_length())  # at most one evenly spaced edge per cell
+        floors = np.arange(self.cells + 1) / self.cells
+        self.below = np.minimum(edges.searchsorted(floors, side="right") - 1, n_bins - 1)
+        scaled = edges * self.cells
+        inner = scaled != np.floor(scaled)
+        cell, inner = np.floor(scaled[inner]).astype(np.intp), edges[inner]
+        self.inside: list[np.ndarray] = []  # the k-th edge inside each cell, else inf
+        while len(inner):
+            first = np.concatenate([[True], cell[1:] != cell[:-1]])
+            level = np.full(self.cells + 1, np.inf)
+            level[cell[first]] = inner[first]
+            self.inside.append(level)
+            cell, inner = cell[~first], inner[~first]
+
+    def index(self, vals: np.ndarray) -> np.ndarray:
+        """Bin of each value, in chunks that keep the temporaries small;
+        cells outside the table are clipped into it."""
+        flat = vals.reshape(-1)
+        idx = np.empty(flat.shape, dtype=np.intp)
+        for start in range(0, len(flat), _CHUNK):
+            v = flat[start : start + _CHUNK]
+            cell = (v * self.cells).astype(np.intp)
+            out = idx[start : start + _CHUNK]
+            self.below.take(cell, out=out, mode="clip")
+            for level in self.inside:
+                out += v >= level.take(cell, mode="clip")
+        return idx.reshape(vals.shape)
 
 
 @dataclass
@@ -193,7 +240,7 @@ def _draw_costs(rng: np.random.Generator, model: CostModel, size: int) -> np.nda
     raise DomainError(f"unknown cost model {model!r}")
 
 
-def _tally(t: _Totals, vals, visits, stop_pos, firm, cost, edges) -> tuple[float, float]:
+def _tally(t: _Totals, vals, visits, stop_pos, firm, cost, binning: _Binning) -> tuple[float, float]:
     """Record what a group of consumers bought and return the sum and the sum
     of squares of their surplus.  Consumer i saw the first visits[i] draws
     of row i of vals, bought the one at stop_pos[i] from firm[i], and paid
@@ -201,16 +248,81 @@ def _tally(t: _Totals, vals, visits, stop_pos, firm, cost, edges) -> tuple[float
     rows = np.arange(len(vals))
     cs = vals[rows, stop_pos] - visits * cost
     t.sales += np.bincount(firm, minlength=len(t.sales))
-    sold = np.zeros(vals.shape, dtype=bool)
-    sold[rows, stop_pos] = True
-    if visits.min() < vals.shape[1]:  # keep only the draws that were seen
-        visited = np.arange(vals.shape[1]) < visits[:, None]
-        vals, sold = vals[visited], sold[visited]
     n_bins = len(t.bin_visits)
-    idx = np.clip(np.digitize(vals.ravel(), edges) - 1, 0, n_bins - 1)
-    t.bin_visits += np.bincount(idx, minlength=n_bins)
-    t.bin_sales += np.bincount(idx, weights=sold.ravel(), minlength=n_bins)
+    idx = binning.index(vals)
+    t.bin_sales += np.bincount(idx[rows, stop_pos], minlength=n_bins)
+    if visits.min() < vals.shape[1]:  # draws never seen go to an extra bin
+        for j in range(1, vals.shape[1]):
+            np.copyto(idx[:, j], n_bins, where=visits <= j)
+    t.bin_visits += np.bincount(idx.ravel(), minlength=n_bins + 1)[:n_bins]
     return float(np.sum(cs)), float(np.sum(cs * cs))
+
+
+def _first_max(vals: np.ndarray) -> np.ndarray:
+    """Column of each row's maximum, ties to the lowest column."""
+    best = np.zeros(len(vals), dtype=np.intp)
+    top = vals[:, 0]
+    for j in range(1, vals.shape[1]):
+        better = vals[:, j] > top
+        np.copyto(best, j, where=better)
+        top = np.maximum(top, vals[:, j])
+    return best
+
+
+Deviant = Union[tuple[int, PosteriorDistribution], None]
+
+
+def _savvy(rng: np.random.Generator, eq: Equilibrium, count: int, deviant: Deviant) -> tuple:
+    """Savvy consumers visit every firm for free and buy the best draw.
+    Returns _tally's (vals, visits, stop_pos, firm, cost)."""
+    u = rng.random((count, eq.n))
+    vals = np.asarray(eq.g.sample(u))
+    if deviant is not None:
+        firm, g_dev = deviant
+        vals[:, firm] = g_dev.sample(u[:, firm])
+    best = _first_max(vals)  # ties go to the lowest firm index
+    return vals, np.full(count, eq.n), best, best, 0.0
+
+
+def _costly(t: _Totals, rng: np.random.Generator, eq: Equilibrium, config: SimConfig,
+            count: int, deviant: Deviant, known: tuple[np.ndarray, np.ndarray] | None) -> tuple:
+    """Costly searchers visit firms in a random order and stop by their
+    reservation values, applied in quantile space.  Counts their visits in t
+    and returns _tally's (vals, visits, stop_pos, firm, cost)."""
+    n = eq.n
+    track_firm, g_dev = deviant if deviant else (0, None)
+    costs = _draw_costs(rng, config.cost_model, count)
+    if known is None:
+        uniq, inverse = np.unique(costs, return_inverse=True)
+        r_uniq = reservation_for_cost(eq.g, uniq)
+    else:
+        uniq, r_uniq = known
+        inverse = np.searchsorted(uniq, costs)
+    order = np.argsort(rng.random((count, n)), axis=1)  # firm at each position
+    u = rng.random((count, n))
+    # value drawn at each *position*; the deviant's cells redrawn from g_dev
+    vals = np.asarray(eq.g.sample(u))
+    stop = stop_quantile(eq.g, r_uniq)[inverse]
+    rows = np.arange(count)
+    pos_of_tracked = np.zeros(count, dtype=np.intp)
+    for j in range(1, n):
+        np.copyto(pos_of_tracked, j, where=order[:, j] == track_firm)
+    if g_dev is not None:
+        vals[rows, pos_of_tracked] = g_dev.sample(u[rows, pos_of_tracked])
+        stop_dev = stop_quantile(g_dev, r_uniq)[inverse]
+    first_hit = np.full(count, n)  # n: no draw passes the stop rule
+    for j in reversed(range(n)):
+        hit = u[:, j] >= stop
+        if g_dev is not None:
+            np.copyto(hit, u[:, j] >= stop_dev, where=pos_of_tracked == j)
+        np.copyto(first_hit, j, where=hit)
+    any_hit = first_hit < n
+    visits = np.where(any_hit, first_hit + 1, n)
+    stop_pos = np.where(any_hit, first_hit, _first_max(vals))
+    t.visit_hist += np.bincount(visits, minlength=n + 1)
+    t.multi = int(np.sum(visits > 1))
+    t.firm0_visits_inexp = int(np.sum(pos_of_tracked < visits))
+    return vals, visits, stop_pos, order[rows, stop_pos], costs
 
 
 def _simulate_block(
@@ -218,8 +330,8 @@ def _simulate_block(
     config: SimConfig,
     block_index: int,
     size: int,
-    edges: np.ndarray,
-    deviant: tuple[int, PosteriorDistribution] | None,
+    binning: _Binning,
+    deviant: Deviant,
     known: tuple[np.ndarray, np.ndarray] | None,
 ) -> _Totals:
     """One block of consumers; `deviant` is (firm, its posterior) or None,
@@ -228,47 +340,15 @@ def _simulate_block(
     n = eq.n
     key = np.array([config.seed, block_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    track_firm, g_dev = deviant if deviant else (0, None)
     n_inexp = int(np.sum(rng.random(size) < eq.alpha))
-    n_bins = len(edges) - 1
+    n_bins = len(binning.edges) - 1
     t = _Totals(size - n_inexp, n_inexp, np.zeros(n), np.zeros(n + 1), np.zeros(n_bins), np.zeros(n_bins))
-
-    if t.n_savvy:  # savvy consumers: visit everyone for free, buy the best draw
-        u = rng.random((t.n_savvy, n))
-        vals = np.asarray(eq.g.sample(u))
-        if g_dev is not None:
-            vals[:, track_firm] = g_dev.sample(u[:, track_firm])
-        best = np.argmax(vals, axis=1)  # ties go to the lowest firm index
-        t.sum_cs_savvy, t.sumsq_cs_savvy = _tally(t, vals, np.full(t.n_savvy, n), best, best, 0.0, edges)
-
-    if n_inexp:  # costly searchers: random order, reservation stopping (in quantile space)
-        costs = _draw_costs(rng, config.cost_model, n_inexp)
-        if known is None:
-            uniq, inverse = np.unique(costs, return_inverse=True)
-            r_uniq = reservation_for_cost(eq.g, uniq)
-        else:
-            uniq, r_uniq = known
-            inverse = np.searchsorted(uniq, costs)
-        order = np.argsort(rng.random((n_inexp, n)), axis=1)  # firm at each position
-        u = rng.random((n_inexp, n))
-        # value drawn at each *position*; the deviant's cells redrawn from g_dev
-        vals = np.asarray(eq.g.sample(u))
-        hit = u >= stop_quantile(eq.g, r_uniq)[inverse][:, None]
-        rows = np.arange(n_inexp)
-        pos_of_tracked = np.argmax(order == track_firm, axis=1)
-        if g_dev is not None:
-            u_dev = u[rows, pos_of_tracked]
-            vals[rows, pos_of_tracked] = g_dev.sample(u_dev)
-            hit[rows, pos_of_tracked] = u_dev >= stop_quantile(g_dev, r_uniq)[inverse]
-        any_hit = hit.any(axis=1)
-        first_hit = np.argmax(hit, axis=1)
-        visits = np.where(any_hit, first_hit + 1, n)
-        stop_pos = np.where(any_hit, first_hit, np.argmax(vals, axis=1))
-        firm = order[rows, stop_pos]
-        t.sum_cs_inexp, t.sumsq_cs_inexp = _tally(t, vals, visits, stop_pos, firm, costs, edges)
-        t.visit_hist += np.bincount(visits, minlength=n + 1)
-        t.multi = int(np.sum(visits > 1))
-        t.firm0_visits_inexp = int(np.sum(pos_of_tracked < visits))
+    if t.n_savvy:
+        bought = _savvy(rng, eq, t.n_savvy, deviant)
+        t.sum_cs_savvy, t.sumsq_cs_savvy = _tally(t, *bought, binning)
+    if n_inexp:
+        bought = _costly(t, rng, eq, config, n_inexp, deviant, known)
+        t.sum_cs_inexp, t.sumsq_cs_inexp = _tally(t, *bought, binning)
     return t
 
 
@@ -302,18 +382,18 @@ def _thread_count(workers: int | None) -> int:
 
 def _run_blocks(eq, config, deviant=None) -> tuple[_Totals, np.ndarray]:
     threads = _thread_count(config.workers)
-    edges = _bin_edges(config.bins, eq)
+    binning = _Binning(_bin_edges(config.bins, eq))
     known = _known_reservations(eq.g, config.cost_model)
     sizes = [min(_BLOCK, config.consumers - start) for start in range(0, config.consumers, _BLOCK)]
 
     def run(i: int, size: int) -> _Totals:
-        return _simulate_block(eq, config, i, size, edges, deviant, known)
+        return _simulate_block(eq, config, i, size, binning, deviant, known)
 
     # a pool starts its threads on the first submit; a serial run stays in
     # this thread, where a short simulation skips the thread's start-up
     with ThreadPoolExecutor(max_workers=threads) as pool:
         blocks = (pool.map if threads > 1 else map)(run, range(len(sizes)), sizes)
-        return functools.reduce(_Totals.merge, blocks), edges
+        return functools.reduce(_Totals.merge, blocks), binning.edges
 
 
 def _se_mean(total: float, total_sq: float, count: int) -> float:

@@ -16,8 +16,10 @@ the sorted points, which cuts them into one contiguous slice per
 segment.  Descending input is reversed, other unsorted input is sorted
 once, and the results go back to the caller's order.  The cdf and its
 integrals see sorted grids, descending reservation values or a few
-points.  `sample` takes up to 10^6 random variates, for which that sort
-would cost more than one boolean mask per segment, so it keeps the masks.
+points.  `sample` takes a block of random variates in any order, which
+that sort would cost more than it saves: it evaluates each segment's
+quantile on all the variates, clipped to the segment's cdf levels, and
+keeps it where the variate reaches the segment's lower level.
 
 The integral-precision order lives here too: informativeness_compare is
 the one mean-preserving-contraction check, used by candidate validation
@@ -267,13 +269,11 @@ class PosteriorDistribution:
         """E[(v - r)+] = integral of (1 - cdf) from r to 1."""
         return (1.0 - r) - (self._cum_top - self.cum_integral(r))
 
-    def sample(self, u: ArrayLike) -> ArrayLike:
-        """Inverse-cdf sampling; u in [0, 1)."""
-        scalar = not isinstance(u, np.ndarray)
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
-        if arr.size and (arr.min() < 0.0 or arr.max() >= 1.0):
-            raise DomainError("sampling variates must lie in [0, 1)")
-        table: list[tuple[float, float, Any]] = []  # (q_lo, q_hi, quantile)
+    @cached_property
+    def _quantile_table(self) -> tuple[tuple[float, float, Any], ...]:
+        """(q_lo, q_hi, quantile) per segment with mass and for the atom,
+        ascending in q_lo."""
+        table: list[tuple[float, float, Any]] = []
         for seg in self.segments:
             lo, hi = self._seg_levels(seg)
             if hi > lo:
@@ -281,15 +281,22 @@ class PosteriorDistribution:
         if self.atom is not None:
             loc, mass = self.atom
             lo = float(self.cdf(loc)) - mass
-            table.append((lo, lo + mass, lambda prior, q: loc))
+            table.append((lo, lo + mass, Flat(loc, loc, lo).quantile))  # every q maps to loc
         table.sort(key=lambda t: t[0])
-        q_los = np.array([t[0] for t in table])
-        out = np.empty_like(arr)
-        idx = np.clip(np.searchsorted(q_los, arr, side="right") - 1, 0, len(table) - 1)
-        for i, (lo, hi, quantile) in enumerate(table):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = quantile(self.prior, np.clip(arr[mask], lo, hi))
+        return tuple(table)
+
+    def sample(self, u: ArrayLike) -> ArrayLike:
+        """Inverse-cdf sampling; u in [0, 1)."""
+        scalar = not isinstance(u, np.ndarray)
+        arr = np.atleast_1d(np.asarray(u, dtype=float))
+        if arr.size and not (arr.min() >= 0.0 and arr.max() < 1.0):  # NaN fails both
+            raise DomainError("sampling variates must lie in [0, 1)")
+        # a variate belongs to the last entry whose q_lo it reaches, or to the
+        # first: each entry overwrites the variates at or above its q_lo
+        (lo, hi, quantile), *rest = self._quantile_table
+        out = quantile(self.prior, arr.clip(lo, hi))
+        for lo, hi, quantile in rest:
+            np.copyto(out, quantile(self.prior, arr.clip(lo, hi)), where=arr >= lo)
         return float(out[0]) if scalar else out
 
     def validate(self) -> None:

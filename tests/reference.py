@@ -34,6 +34,12 @@ a branch, so DM1 loses nothing without them.
 The posterior evaluated by one boolean mask per segment (MaskLoopPosterior):
 PosteriorDistribution.cdf and _cum route sorted points to contiguous
 segment slices instead and must return the same bits.
+
+The simulator's kernel before it dropped its per-segment masks and binary
+searches: inverse-cdf sampling by one searchsorted over the segments' cdf
+levels and one boolean mask per segment (sample_by_masks), and curve bins by
+np.digitize (bins_by_digitize).  PosteriorDistribution.sample and the
+simulator's bin lookup must return the same bits.
 """
 from __future__ import annotations
 
@@ -57,8 +63,8 @@ from disclose_eq.endogenous import (
 )
 from disclose_eq.errors import (
     BracketError,
-    DomainError,
     DiscloseEqError,
+    DomainError,
     InfeasibleCandidateError,
     ValidationFailureError,
 )
@@ -449,3 +455,34 @@ class MaskLoopPosterior(PosteriorDistribution):
         if np.any(beyond):
             out[beyond] = prefix[-1] + (arr[beyond] - ends[-1])  # cdf == 1 past the top
         return float(out[0]) if scalar else out
+
+
+def sample_by_masks(g: PosteriorDistribution, u: ArrayLike) -> ArrayLike:
+    """Inverse-cdf sampling; u in [0, 1)."""
+    scalar = not isinstance(u, np.ndarray)
+    arr = np.atleast_1d(np.asarray(u, dtype=float))
+    if arr.size and (arr.min() < 0.0 or arr.max() >= 1.0):
+        raise DomainError("sampling variates must lie in [0, 1)")
+    table = []  # (q_lo, q_hi, quantile)
+    for seg in g.segments:
+        lo, hi = g._seg_levels(seg)
+        if hi > lo:
+            table.append((lo, hi, seg.quantile))
+    if g.atom is not None:
+        loc, mass = g.atom
+        lo = float(g.cdf(loc)) - mass
+        table.append((lo, lo + mass, lambda prior, q: loc))
+    table.sort(key=lambda t: t[0])
+    q_los = np.array([t[0] for t in table])
+    out = np.empty_like(arr)
+    idx = np.clip(np.searchsorted(q_los, arr, side="right") - 1, 0, len(table) - 1)
+    for i, (lo, hi, quantile) in enumerate(table):
+        mask = idx == i
+        if np.any(mask):
+            out[mask] = quantile(g.prior, np.clip(arr[mask], lo, hi))
+    return float(out[0]) if scalar else out
+
+
+def bins_by_digitize(vals: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Curve bin of each value: the last edge at or below it, clipped to the bins."""
+    return np.clip(np.digitize(vals.ravel(), edges) - 1, 0, len(edges) - 2).reshape(vals.shape)

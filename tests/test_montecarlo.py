@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from disclose_eq.montecarlo import (
     stop_quantile,
 )
 from disclose_eq.welfare import cs_inexperienced, cs_savvy
+from reference import bins_by_digitize
 
 
 def _z(x, mu, se):
@@ -289,6 +291,59 @@ def test_point_mass_deviation_matches_analytic_gain(uniform):
     expected_share = visit_prob * expected_payoff_under(market, g_dev)
     assert abs(share - expected_share) < 4.0 * se
     assert share > 0.5 + 3.0 * se  # the sign shows up in the sample
+
+
+def test_first_max_breaks_ties_to_the_lowest_column():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 5):
+        vals = rng.integers(0, 3, size=(500, n)).astype(float)
+        assert np.array_equal(montecarlo._first_max(vals), np.argmax(vals, axis=1))
+
+
+def _breakpoints(v_l, r, v_h, v_t):
+    return SimpleNamespace(v_l_star=v_l, r_star=r, v_h_star=v_h, v_t_star=v_t)
+
+
+@pytest.mark.parametrize(
+    "bins, market",
+    [
+        (50, _breakpoints(0.30001, 0.30002, 0.30003, 0.30004)),  # four edges inside one cell
+        (40, _breakpoints(0.1, 0.25, 0.5, 1.0)),  # every edge on a cell floor
+        (333, _breakpoints(0.0005, 0.3, 0.7, 0.9999)),  # next to both ends
+        (5000, _breakpoints(0.4, 0.40001, 0.6, 1.0)),  # more bins than 4096: more cells
+        (10, "eq_uniform_small"),
+        (50, "eq_power"),
+    ],
+    ids=["one-cell", "cell-floors", "near-ends", "fine", "uniform", "power"],
+)
+def test_bin_lookup_equals_digitize_bitwise(request, bins, market):
+    eq = request.getfixturevalue(market) if isinstance(market, str) else market
+    edges = montecarlo._bin_edges(bins, eq)
+    binning = montecarlo._Binning(edges)
+    near = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+    rng = np.random.default_rng(bins)
+    vals = np.concatenate([near, [0.0, -0.0, 1.0], rng.random(3 * montecarlo._CHUNK)])
+    for v in (vals, rng.permutation(vals).reshape(-1, 3)):
+        got = binning.index(v)
+        assert got.shape == v.shape and got.dtype == np.intp
+        assert np.array_equal(got, bins_by_digitize(v, edges))
+
+
+def test_bin_edges_keep_both_ends_and_every_breakpoint(uniform):
+    # v_L* = 0.002 lies within 0.25/bins of 0: the first bin must still start at 0
+    eq = solve_endog(uniform, 2, 0.5, 0.249)
+    assert 0.0 < eq.v_l_star < 0.25 / 50
+    rep = simulate_market(eq, SimConfig(consumers=2_000, seed=1, cost_model=SingleCost(0.249)))
+    assert rep.curve[0].bin_left == 0.0 and rep.curve[0].bin_right == eq.v_l_star
+    assert rep.curve[-1].bin_right == 1.0
+    assert sum(b.visits for b in rep.curve) == rep.n_savvy * 2 + sum(
+        k * count for k, count in enumerate(rep.visit_histogram)
+    )
+    # breakpoints crowding each other or an end all stay edges
+    edges = montecarlo._bin_edges(50, _breakpoints(0.001, 0.5, 0.9995, 0.9999))
+    assert edges[:2].tolist() == [0.0, 0.001] and edges[-4:].tolist() == [0.98, 0.9995, 0.9999, 1.0]
+    edges = montecarlo._bin_edges(50, _breakpoints(0.30001, 0.30002, 0.30003, 0.30004))
+    assert edges[14:20].tolist() == [0.28, 0.30001, 0.30002, 0.30003, 0.30004, 0.32]
 
 
 def test_config_validation():

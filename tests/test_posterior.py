@@ -12,7 +12,8 @@ from disclose_eq.posterior import (
     full_disclosure_distribution,
     point_mass,
 )
-from reference import MaskLoopPosterior
+from disclose_eq.errors import DomainError
+from reference import MaskLoopPosterior, sample_by_masks
 from test_verify import _seeded_markets
 
 
@@ -130,18 +131,25 @@ def _bitwise_inputs(g, rng):
     return inputs
 
 
-def test_segment_slices_equal_the_mask_loop_bitwise(g_atom, uniform, power2, piecewise):
+def _bitwise_posteriors(g_atom, priors):
+    """(posterior, market size) of the seeded markets, the large-market limit,
+    the no-information signal, full disclosure, and g_atom with and without
+    a zero-width segment."""
     posteriors = [(eq.g, eq.n) for eq in _seeded_markets()]
-    posteriors += [(limit_equilibrium(p, 0.5, 0.1).g_inf, 50) for p in (uniform, power2, piecewise)]
-    posteriors += [(point_mass(p, p.mean()), 3) for p in (uniform, power2, piecewise)]
-    posteriors += [(full_disclosure_distribution(p), 4) for p in (uniform, power2, piecewise)]
+    posteriors += [(limit_equilibrium(p, 0.5, 0.1).g_inf, 50) for p in priors]
+    posteriors += [(point_mass(p, p.mean()), 3) for p in priors]
+    posteriors += [(full_disclosure_distribution(p), 4) for p in priors]
     zero_width = PosteriorDistribution(
         prior=g_atom.prior,
         segments=(g_atom.segments[0], Flat(0.3, 0.3, g_atom.segments[1].level), *g_atom.segments[1:]),
         atom=g_atom.atom,
     )
     zero_width.validate()
-    posteriors += [(g_atom, 2), (zero_width, 5)]
+    return posteriors + [(g_atom, 2), (zero_width, 5)]
+
+
+def test_segment_slices_equal_the_mask_loop_bitwise(g_atom, uniform, power2, piecewise):
+    posteriors = _bitwise_posteriors(g_atom, (uniform, power2, piecewise))
     rng = np.random.default_rng(5)
     checked = 0
     for g, n in posteriors:
@@ -154,3 +162,42 @@ def test_segment_slices_equal_the_mask_loop_bitwise(g_atom, uniform, power2, pie
                 _assert_same_bits(got, want, (g, method, x))
                 checked += 1
     assert len(posteriors) == 25 and checked > 3000
+
+
+def _sample_inputs(g, rng):
+    """Scalars, 0-d, 1-d, 2-d, strided and reversed variates: each segment's
+    and the atom's cdf levels +-1 ulp, 0.0, the largest double below 1, and
+    uniform draws."""
+    levels = [level for seg in g.segments for level in g._seg_levels(seg)]
+    if g.atom is not None:
+        levels += [g.cdf_left(g.atom[0]), g.cdf(g.atom[0])]
+    levels = np.array(levels, dtype=float)
+    near = np.concatenate([levels, np.nextafter(levels, -1.0), np.nextafter(levels, 2.0)])
+    points = np.concatenate([near[(near >= 0.0) & (near < 1.0)], [0.0, np.nextafter(1.0, 0.0)]])
+    grid = rng.permutation(np.concatenate([points, rng.random(64)]))
+    table = rng.permutation(np.resize(grid, (len(grid), 3)))
+    inputs = [float(x) for x in points] + [np.array(x) for x in points[:3]]
+    return inputs + [grid, grid[::-1], table, table[:, 1], table.T, np.array([])]
+
+
+def test_sample_equals_the_mask_loop_bitwise(g_atom, uniform, power2, piecewise):
+    posteriors = _bitwise_posteriors(g_atom, (uniform, power2, piecewise))
+    rng = np.random.default_rng(6)
+    checked = 0
+    for g, _ in posteriors:
+        for u in _sample_inputs(g, rng):
+            want = sample_by_masks(g, u)
+            got = g.sample(u)
+            _assert_same_bits(got, want, (g, u))
+            assert np.shape(got) == np.shape(want), (g, u)
+            checked += 1
+    assert len(posteriors) == 25 and checked > 500
+
+
+def test_sample_rejects_variates_outside_the_unit_interval(eq_uniform_small):
+    g = eq_uniform_small.g
+    bad = [np.array([np.nan, 0.3]), np.array([0.3, np.nan]), np.array([[0.1], [np.nan]]),
+           float("nan"), np.array(np.nan), -1e-300, 1.0, np.array([0.2, 1.0])]
+    for u in bad:
+        with pytest.raises(DomainError, match="variates"):
+            g.sample(u)
