@@ -14,7 +14,12 @@ random order, stop at the first draw at or above their reservation value,
 and otherwise buy the best of all n draws.  Every visit costs the
 consumer her search cost, the first one included.  Once both types have
 stopped, one tally records their purchases: a savvy consumer is the case
-that visits every firm, stops at the best draw and pays nothing.
+that visits every firm, stops at the best draw and pays nothing.  A
+single cost or a finite set of costs has its reservation values solved
+once per simulation.  Costs drawn from a continuous distribution have
+theirs bracketed per block from one grid (_brackets), and only the few
+consumers with a draw close to their stop quantile get the exact solve:
+for everyone else the bracket already decides every stop (_costly).
 
 A block is a few passes over whole arrays.  The stopping rule, the best
 draw and the tracked firm's position are loops over the n columns, and
@@ -111,21 +116,46 @@ class SimReport:
         }
 
 
+_DEPTH = 12  # halvings replayed from one grid of excess_above
+_MARGIN = 1e-8  # quantile margin around a bracket's stop values
+
+
+def _brackets(g: PosteriorDistribution, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bracket [lo, hi] around each cost's reservation value after the
+    first _DEPTH halvings of reservation_for_cost's bisection.
+
+    Every midpoint those halvings visit is a grid point j / 2**_DEPTH, so one
+    excess_above call on that grid replays them bit for bit.  Every cost must
+    lie in (0, E_G[v]).
+    """
+    mean = g.mean()
+    if not np.all((0.0 < costs) & (costs < mean)):
+        raise DomainError(f"cost must lie in (0, E_G[v]) = (0, {mean})")
+    cells = 1 << _DEPTH
+    excess = g.excess_above(np.arange(cells + 1) / cells)
+    lo = np.zeros(len(costs), dtype=np.intp)
+    hi = np.full(len(costs), cells)
+    for _ in range(_DEPTH):
+        mid = (lo + hi) >> 1
+        f = excess[mid] - costs
+        lo = np.where(f >= 0.0, mid, lo)
+        hi = np.where(f > 0.0, hi, mid)
+    return lo / cells, hi / cells
+
+
 def reservation_for_cost(g: PosteriorDistribution, s: ArrayLike) -> ArrayLike:
     """Reservation values solving E[(v - r)+] = s under g, one per cost.
 
     Every cost must lie in (0, E_G[v]).  One array bisection on [0, 1]
     serves all costs: 40 halvings take the bracket to 2**-40 <= 1e-12, and
-    an element whose residual is exactly 0 stays at that midpoint.  Each
-    value equals what `bisect_root` returns for that cost with xtol=1e-12.
+    an element whose residual is exactly 0 stays at that midpoint.  The
+    first _DEPTH halvings are replayed from one grid (_brackets), the rest
+    evaluate excess_above per cost.  Each value equals what `bisect_root`
+    returns for that cost with xtol=1e-12.
     """
-    mean = g.mean()
     costs = np.atleast_1d(np.asarray(s, dtype=float))
-    if not np.all((0.0 < costs) & (costs < mean)):
-        raise DomainError(f"cost must lie in (0, E_G[v]) = (0, {mean})")
-    lo = np.zeros_like(costs)
-    hi = np.ones_like(costs)
-    for _ in range(40):
+    lo, hi = _brackets(g, costs)
+    for _ in range(40 - _DEPTH):
         mid = 0.5 * (lo + hi)
         f = g.excess_above(mid) - costs
         lo = np.where(f >= 0.0, mid, lo)
@@ -284,17 +314,48 @@ def _savvy(rng: np.random.Generator, eq: Equilibrium, count: int, deviant: Devia
     return vals, np.full(count, eq.n), best, best, 0.0
 
 
+def _stop_band(g: PosteriorDistribution, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quantiles [stop(lo) - _MARGIN, stop(hi) + _MARGIN) around the stop
+    quantile of every reservation value in [lo, hi], per bracket."""
+    return stop_quantile(g, lo) - _MARGIN, stop_quantile(g, hi) + _MARGIN
+
+
+def _near_band(u: np.ndarray, bottom: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Indices of the rows of u with a variate in their band [bottom, top)."""
+    near = np.zeros(len(u), dtype=bool)
+    for j in range(u.shape[1]):
+        near |= (u[:, j] >= bottom) & (u[:, j] < top)
+    return np.flatnonzero(near)
+
+
 def _costly(t: _Totals, rng: np.random.Generator, eq: Equilibrium, config: SimConfig,
             count: int, deviant: Deviant, known: tuple[np.ndarray, np.ndarray] | None) -> tuple:
     """Costly searchers visit firms in a random order and stop by their
     reservation values, applied in quantile space.  Counts their visits in t
-    and returns _tally's (vals, visits, stop_pos, firm, cost)."""
+    and returns _tally's (vals, visits, stop_pos, firm, cost).
+
+    Known costs come with their reservation values.  Drawn costs get a
+    bracket [lo, hi] from _brackets, and a consumer needs its exact
+    reservation value r only if one of its variates u lies in the band
+    [stop(lo) - _MARGIN, stop(hi) + _MARGIN) of its cost: below the band
+    u < stop(r) and above it u >= stop(r), whatever r in [lo, hi] is.  The
+    stop quantile is the left limit of the cdf (0 at the support bottom).
+    It rises with r within a segment up to the few-ulp error of `**`, and
+    the cdf of a validated posterior steps down by at most 1e-9 at a segment
+    join.  The margin covers both, so stop(lo) - _MARGIN <= stop(r) <=
+    stop(hi) + _MARGIN.  Every other consumer stops as if its stop quantile
+    were the band's top, which decides each of its variates the same way,
+    so the reports stay bit for bit those of the exact solve.
+    """
     n = eq.n
     track_firm, g_dev = deviant if deviant else (0, None)
     costs = _draw_costs(rng, config.cost_model, count)
     if known is None:
         uniq, inverse = np.unique(costs, return_inverse=True)
-        r_uniq = reservation_for_cost(eq.g, uniq)
+        lo, hi = _brackets(eq.g, uniq)
+        band = _stop_band(eq.g, lo, hi)
+        band_dev = _stop_band(g_dev, lo, hi) if g_dev is not None else None
+        del uniq, lo, hi  # freed before the draws
     else:
         uniq, r_uniq = known
         inverse = np.searchsorted(uniq, costs)
@@ -302,14 +363,23 @@ def _costly(t: _Totals, rng: np.random.Generator, eq: Equilibrium, config: SimCo
     u = rng.random((count, n))
     # value drawn at each *position*; the deviant's cells redrawn from g_dev
     vals = np.asarray(eq.g.sample(u))
-    stop = stop_quantile(eq.g, r_uniq)[inverse]
+    stop = band[1][inverse] if known is None else stop_quantile(eq.g, r_uniq)[inverse]
     rows = np.arange(count)
     pos_of_tracked = np.zeros(count, dtype=np.intp)
     for j in range(1, n):
         np.copyto(pos_of_tracked, j, where=order[:, j] == track_firm)
     if g_dev is not None:
         vals[rows, pos_of_tracked] = g_dev.sample(u[rows, pos_of_tracked])
-        stop_dev = stop_quantile(g_dev, r_uniq)[inverse]
+        stop_dev = band_dev[1][inverse] if known is None else stop_quantile(g_dev, r_uniq)[inverse]
+    if known is None:  # the stops so far are the band tops
+        near = _near_band(u, band[0][inverse], stop)
+        if g_dev is not None:
+            tracked = _near_band(u[rows, pos_of_tracked, None], band_dev[0][inverse], stop_dev)
+            near = np.union1d(near, tracked)
+        r_near = reservation_for_cost(eq.g, costs[near])
+        stop[near] = stop_quantile(eq.g, r_near)
+        if g_dev is not None:
+            stop_dev[near] = stop_quantile(g_dev, r_near)
     first_hit = np.full(count, n)  # n: no draw passes the stop rule
     for j in reversed(range(n)):
         hit = u[:, j] >= stop
@@ -383,6 +453,7 @@ def _thread_count(workers: int | None) -> int:
 def _run_blocks(eq, config, deviant=None) -> tuple[_Totals, np.ndarray]:
     threads = _thread_count(config.workers)
     binning = _Binning(_bin_edges(config.bins, eq))
+    eq.g.validate()  # hand-built markets arrive unsolved; _costly's stop bands need this
     known = _known_reservations(eq.g, config.cost_model)
     sizes = [min(_BLOCK, config.consumers - start) for start in range(0, config.consumers, _BLOCK)]
 
@@ -453,6 +524,7 @@ def simulate_deviation(
     """
     if not 0 <= firm_index < eq.n:
         raise DomainError("firm_index out of range")
+    g_dev.validate()
     check_deviation_mpc(g_dev, eq.prior)
     total, _ = _run_blocks(eq, config, (firm_index, g_dev))
     share = float(total.sales[firm_index]) / config.consumers

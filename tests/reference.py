@@ -40,6 +40,11 @@ searches: inverse-cdf sampling by one searchsorted over the segments' cdf
 levels and one boolean mask per segment (sample_by_masks), and curve bins by
 np.digitize (bins_by_digitize).  PosteriorDistribution.sample and the
 simulator's bin lookup must return the same bits.
+
+The reservation values by 40 plain array halvings of [0, 1], each one
+evaluating excess_above on every cost (reservation_by_halving):
+montecarlo.reservation_for_cost replays the first halvings from one grid
+and must return the same bits.
 """
 from __future__ import annotations
 
@@ -486,3 +491,16 @@ def sample_by_masks(g: PosteriorDistribution, u: ArrayLike) -> ArrayLike:
 def bins_by_digitize(vals: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Curve bin of each value: the last edge at or below it, clipped to the bins."""
     return np.clip(np.digitize(vals.ravel(), edges) - 1, 0, len(edges) - 2).reshape(vals.shape)
+
+
+def reservation_by_halving(g: PosteriorDistribution, costs: np.ndarray) -> np.ndarray:
+    """Reservation value of each cost in (0, E_G[v]): 40 halvings of [0, 1];
+    an element whose residual is exactly 0 stays at that midpoint."""
+    lo = np.zeros_like(costs)
+    hi = np.ones_like(costs)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        f = g.excess_above(mid) - costs
+        lo = np.where(f >= 0.0, mid, lo)
+        hi = np.where(f > 0.0, hi, mid)
+    return 0.5 * (lo + hi)

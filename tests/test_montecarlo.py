@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -11,7 +13,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from disclose_eq import full_disclosure_distribution, montecarlo
+from disclose_eq import (
+    PiecewiseLinearPrior,
+    PowerPrior,
+    UniformPrior,
+    full_disclosure_distribution,
+    montecarlo,
+)
 from disclose_eq.costs import ContinuousCosts, DiscreteCosts
 from disclose_eq.endogenous import payoff_u, solve_endog
 from disclose_eq.errors import DomainError, ValidationFailureError
@@ -24,8 +32,9 @@ from disclose_eq.montecarlo import (
     simulate_market,
     stop_quantile,
 )
+from disclose_eq.posterior import AffinePower, FullDisclosure, PosteriorDistribution
 from disclose_eq.welfare import cs_inexperienced, cs_savvy
-from reference import bins_by_digitize
+from reference import bins_by_digitize, reservation_by_halving
 
 
 def _z(x, mu, se):
@@ -84,6 +93,36 @@ def test_reservation_for_cost_checks_every_cost(eq_uniform_small):
     for bad in (0.0, -0.1, g.mean(), 0.7):
         with pytest.raises(DomainError):
             reservation_for_cost(g, np.array([0.1, bad, 0.2]))
+
+
+@functools.cache
+def _stress_market(name: str):
+    """Markets whose stop quantiles are hard to bracket: a steep power prior,
+    a piecewise prior with a kink, and a large market."""
+    prior, n, alpha, s = {
+        "power7": (PowerPrior(a=7.0), 3, 0.5, 0.1),
+        "piecewise": (PiecewiseLinearPrior(knots=((0.0, 0.0), (0.5, 0.25), (1.0, 1.0))), 7, 0.5, 0.1),
+        "uniform-60": (UniformPrior(), 60, 0.5, 0.05),
+    }[name]
+    return solve_endog(prior, n, alpha, s)
+
+
+@pytest.mark.parametrize(
+    "market", ["eq_uniform_small", "eq_uniform_large", "eq_power", "power7", "piecewise", "uniform-60"]
+)
+def test_reservation_for_cost_equals_plain_halving_bitwise(request, market):
+    eq = request.getfixturevalue(market) if market.startswith("eq_") else _stress_market(market)
+    g, mean = eq.g, eq.g.mean()
+    cells = 1 << montecarlo._DEPTH
+    # a cost equal to the excess at a grid point has a zero residual there
+    on_grid = np.asarray(g.excess_above(np.arange(cells + 1) / cells))
+    tiny = np.geomspace(1e-15, 1e-3, 200)
+    costs = np.concatenate([
+        tiny, mean - tiny, np.linspace(0.0, mean, 1001),
+        on_grid, np.nextafter(on_grid, 0.0), np.nextafter(on_grid, 1.0),
+    ])
+    costs = costs[(costs > 0.0) & (costs < mean)]
+    assert np.array_equal(reservation_for_cost(g, costs), reservation_by_halving(g, costs))
 
 
 def test_simulate_market_moments(eq_uniform_small):
@@ -420,24 +459,82 @@ def test_deviation_share_is_pinned(eq_uniform_small, eq_power, uniform, power2):
     cfg = SimConfig(consumers=20_000, seed=2024, cost_model=SingleCost(0.15))
     share, se = simulate_deviation(eq_power, 1, full_disclosure_distribution(power2), cfg)
     assert (share, se) == (0.32805, 0.003319888533520365)
+    # drawn costs, pinned from the simulator that solved every drawn cost's
+    # reservation value exactly
+    cfg = SimConfig(consumers=70_000, seed=2024, cost_model=_CONTINUOUS, workers=2)
+    share, se = simulate_deviation(eq_uniform_small, 1, full_disclosure_distribution(uniform), cfg)
+    assert (share, se) == (0.4546428571428571, 0.0018820305508065209)
+    cfg = SimConfig(consumers=20_000, seed=2024, cost_model=_CONTINUOUS)
+    share, se = simulate_deviation(eq_power, 1, full_disclosure_distribution(power2), cfg)
+    assert (share, se) == (0.3414, 0.0033529542197888716)
+
+
+@pytest.mark.parametrize("deviate", [False, True], ids=["market", "deviation"])
+@pytest.mark.parametrize("market", ["power7", "piecewise", "uniform-60"])
+def test_stop_bands_decide_as_the_exact_solve(monkeypatch, market, deviate):
+    # an infinite margin sends every costly consumer through the exact solve
+    eq = _stress_market(market)
+    cfg = SimConfig(consumers=20_000, seed=2024, cost_model=_CONTINUOUS)
+
+    def run():
+        report = json.dumps(simulate_market(eq, cfg).to_json_dict(), sort_keys=True)
+        share = simulate_deviation(eq, 1, full_disclosure_distribution(eq.prior), cfg) if deviate else None
+        return report, share
+
+    banded = run()
+    solved = []
+
+    def counted(g, s):
+        solved.append(np.size(s))
+        return reservation_for_cost(g, s)
+
+    monkeypatch.setattr(montecarlo, "reservation_for_cost", counted)
+    monkeypatch.setattr(montecarlo, "_MARGIN", math.inf)
+    assert run() == banded
+    n_inexp = json.loads(banded[0])["n_inexperienced"]
+    assert sum(solved) == n_inexp * (2 if deviate else 1)
+
+
+def test_malformed_posteriors_are_rejected_before_simulating(eq_uniform_small, uniform):
+    # the cdf falls from 0.5 to 0.3 on [0.5, 1]; an atom at 1 tops it up to 1
+    falling = PosteriorDistribution(
+        prior=uniform,
+        segments=(FullDisclosure(0.0, 0.5), AffinePower(0.5, 1.0, 0.5, -0.4, 0.5, 1)),
+        atom=(1.0, 0.7),
+    )
+    cfg = SimConfig(consumers=2_000, seed=1, cost_model=SingleCost(0.1))
+    with pytest.raises(ValidationFailureError) as exc:
+        simulate_deviation(eq_uniform_small, 0, falling, cfg)
+    assert exc.value.invariant == "cdf-monotone"
+    # a hand-built market reaches the simulator without a solve
+    market = dataclasses.replace(eq_uniform_small, g=falling)
+    for cost_model in (SingleCost(0.1), _CONTINUOUS):
+        with pytest.raises(ValidationFailureError) as exc:
+            simulate_market(market, dataclasses.replace(cfg, cost_model=cost_model))
+        assert exc.value.invariant == "cdf-monotone"
 
 
 # The benchmark's tracer rebinds the simulator's private names and counts
 # every call of _simulate_block: a traced run must reproduce the report and
-# see one call per block.
+# see one call per block, and with drawn costs one reservation solve per block.
 _TRACED_SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import tracer
 from disclose_eq import UniformPrior, montecarlo
+from disclose_eq.costs import ContinuousCosts
 from disclose_eq.endogenous import solve_endog
 
 eq = solve_endog(UniformPrior(), 2, 0.65, 0.1)
-cfg = montecarlo.SimConfig(consumers=70_000, seed=2024, cost_model=montecarlo.SingleCost(0.1), workers=2)
 t = tracer.Tracer()
 tracer.install(t)
-report = montecarlo.simulate_market(eq, cfg)
-print(json.dumps({"report": report.to_json_dict(), "metrics": tracer.layer_metrics(t.summary())}))
+continuous = montecarlo.HeterogeneousCosts(ContinuousCosts(((0.05, 0.0), (0.2, 1.0))))
+out = []
+for cost_model in (montecarlo.SingleCost(0.1), continuous):
+    cfg = montecarlo.SimConfig(consumers=70_000, seed=2024, cost_model=cost_model, workers=2)
+    report = montecarlo.simulate_market(eq, cfg)
+    out.append({"report": report.to_json_dict(), "counts": t.summary()["counts"]})
+print(json.dumps(out))
 """
 
 
@@ -448,8 +545,13 @@ def test_traced_simulation_reproduces_the_report(eq_uniform_small):
         [sys.executable, "-c", _TRACED_SCRIPT, str(bench)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True,
     )
-    traced = json.loads(proc.stdout.splitlines()[-1])
-    cfg = SimConfig(consumers=70_000, seed=2024, cost_model=SingleCost(0.1), workers=2)
-    untraced = simulate_market(eq_uniform_small, cfg).to_json_dict()
-    assert json.dumps(traced["report"], sort_keys=True) == json.dumps(untraced, sort_keys=True)
-    assert traced["metrics"]["montecarlo.blocks"] == 2
+    single, continuous = json.loads(proc.stdout.splitlines()[-1])
+    for traced, cost_model in ((single, SingleCost(0.1)), (continuous, _CONTINUOUS)):
+        cfg = SimConfig(consumers=70_000, seed=2024, cost_model=cost_model, workers=2)
+        untraced = simulate_market(eq_uniform_small, cfg).to_json_dict()
+        assert json.dumps(traced["report"], sort_keys=True) == json.dumps(untraced, sort_keys=True)
+    # counts add up over the two runs; each run has two blocks
+    assert single["counts"]["montecarlo.blocks"] == 2
+    assert single["counts"]["montecarlo.reservation_for_cost.calls"] == 1  # the one known cost
+    assert continuous["counts"]["montecarlo.blocks"] == 4
+    assert continuous["counts"]["montecarlo.reservation_for_cost.calls"] == 1 + 2
