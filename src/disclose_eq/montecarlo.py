@@ -350,31 +350,34 @@ def _costly(t: _Totals, rng: np.random.Generator, eq: Equilibrium, config: SimCo
     n = eq.n
     track_firm, g_dev = deviant if deviant else (0, None)
     costs = _draw_costs(rng, config.cost_model, count)
+    # per unique cost: the stop quantile, or for drawn costs the band around it
     if known is None:
         uniq, inverse = np.unique(costs, return_inverse=True)
         lo, hi = _brackets(eq.g, uniq)
-        band = _stop_band(eq.g, lo, hi)
-        band_dev = _stop_band(g_dev, lo, hi) if g_dev is not None else None
+        bottom, top = _stop_band(eq.g, lo, hi)
+        bottom_dev, top_dev = _stop_band(g_dev, lo, hi) if g_dev is not None else (None, None)
         del uniq, lo, hi  # freed before the draws
     else:
         uniq, r_uniq = known
         inverse = np.searchsorted(uniq, costs)
+        top = stop_quantile(eq.g, r_uniq)
+        top_dev = stop_quantile(g_dev, r_uniq) if g_dev is not None else None
     order = np.argsort(rng.random((count, n)), axis=1)  # firm at each position
     u = rng.random((count, n))
     # value drawn at each *position*; the deviant's cells redrawn from g_dev
     vals = np.asarray(eq.g.sample(u))
-    stop = band[1][inverse] if known is None else stop_quantile(eq.g, r_uniq)[inverse]
+    stop = top[inverse]
     rows = np.arange(count)
     pos_of_tracked = np.zeros(count, dtype=np.intp)
     for j in range(1, n):
         np.copyto(pos_of_tracked, j, where=order[:, j] == track_firm)
     if g_dev is not None:
         vals[rows, pos_of_tracked] = g_dev.sample(u[rows, pos_of_tracked])
-        stop_dev = band_dev[1][inverse] if known is None else stop_quantile(g_dev, r_uniq)[inverse]
+        stop_dev = top_dev[inverse]
     if known is None:  # the stops so far are the band tops
-        near = _near_band(u, band[0][inverse], stop)
+        near = _near_band(u, bottom[inverse], stop)
         if g_dev is not None:
-            tracked = _near_band(u[rows, pos_of_tracked, None], band_dev[0][inverse], stop_dev)
+            tracked = _near_band(u[rows, pos_of_tracked, None], bottom_dev[inverse], stop_dev)
             near = np.union1d(near, tracked)
         r_near = reservation_for_cost(eq.g, costs[near])
         stop[near] = stop_quantile(eq.g, r_near)

@@ -533,7 +533,8 @@ out = []
 for cost_model in (montecarlo.SingleCost(0.1), continuous):
     cfg = montecarlo.SimConfig(consumers=70_000, seed=2024, cost_model=cost_model, workers=2)
     report = montecarlo.simulate_market(eq, cfg)
-    out.append({"report": report.to_json_dict(), "counts": t.summary()["counts"]})
+    summ = t.summary()
+    out.append({"report": report.to_json_dict(), "counts": summ["counts"], "metrics": tracer.layer_metrics(summ)})
 print(json.dumps(out))
 """
 
@@ -550,7 +551,10 @@ def test_traced_simulation_reproduces_the_report(eq_uniform_small):
         cfg = SimConfig(consumers=70_000, seed=2024, cost_model=cost_model, workers=2)
         untraced = simulate_market(eq_uniform_small, cfg).to_json_dict()
         assert json.dumps(traced["report"], sort_keys=True) == json.dumps(untraced, sort_keys=True)
-    # counts add up over the two runs; each run has two blocks
+    # blocks per traced simulate_market span: two per run, so the span was recorded
+    assert single["metrics"]["montecarlo.blocks"] == 2
+    assert continuous["metrics"]["montecarlo.blocks"] == 2
+    # raw counts add up over the two runs
     assert single["counts"]["montecarlo.blocks"] == 2
     assert single["counts"]["montecarlo.reservation_for_cost.calls"] == 1  # the one known cost
     assert continuous["counts"]["montecarlo.blocks"] == 4
