@@ -24,8 +24,15 @@ for everyone else the bracket already decides every stop (_costly).
 A block is a few passes over whole arrays.  The stopping rule, the best
 draw and the tracked firm's position are loops over the n columns, and
 the tally finds each draw's curve bin in a lookup table (_Binning) rather
-than by binary search.  Each group's arrays are freed before the next
-group draws its own, which bounds the memory of a block.
+than by binary search.  In markets of up to three firms each firm's place
+in the visit order is its rank among the consumer's keys, found by
+pairwise comparisons instead of a per-row sort (_visit_order).  Integer
+selects (the first hit, visits, the position bought, the tracked firm's
+position, the unseen-draw bin) are arithmetic on 0/1 factors rather than
+masked copies or np.where: their masks are random, and NumPy's masked
+loops then mispredict a branch per element.  Each group's arrays are
+freed before the next group draws its own, which bounds the memory of a
+block.
 
 A unilateral deviation runs through the same path: every draw comes from
 the equilibrium posterior except the deviant firm's, which are redrawn
@@ -124,15 +131,15 @@ def _brackets(g: PosteriorDistribution, costs: np.ndarray) -> tuple[np.ndarray, 
     """The bracket [lo, hi] around each cost's reservation value after the
     first _DEPTH halvings of reservation_for_cost's bisection.
 
-    Every midpoint those halvings visit is a grid point j / 2**_DEPTH, so one
-    excess_above call on that grid replays them bit for bit.  Every cost must
-    lie in (0, E_G[v]).
+    Every midpoint those halvings visit is a grid point j / 2**_DEPTH, so
+    excess_above on that grid, which g computes once, replays them bit for
+    bit.  Every cost must lie in (0, E_G[v]).
     """
     mean = g.mean()
     if not np.all((0.0 < costs) & (costs < mean)):
         raise DomainError(f"cost must lie in (0, E_G[v]) = (0, {mean})")
     cells = 1 << _DEPTH
-    excess = g.excess_above(np.arange(cells + 1) / cells)
+    excess = g.excess_on_grid(cells)
     lo = np.zeros(len(costs), dtype=np.intp)
     hi = np.full(len(costs), cells)
     for _ in range(_DEPTH):
@@ -275,15 +282,16 @@ def _tally(t: _Totals, vals, visits, stop_pos, firm, cost, binning: _Binning) ->
     of squares of their surplus.  Consumer i saw the first visits[i] draws
     of row i of vals, bought the one at stop_pos[i] from firm[i], and paid
     `cost` (one per consumer, or one for all) for each visit."""
-    rows = np.arange(len(vals))
-    cs = vals[rows, stop_pos] - visits * cost
+    bought = np.arange(len(vals)) * vals.shape[1] + stop_pos  # flat index of each purchase
+    cs = vals.ravel().take(bought) - visits * cost
     t.sales += np.bincount(firm, minlength=len(t.sales))
     n_bins = len(t.bin_visits)
     idx = binning.index(vals)
-    t.bin_sales += np.bincount(idx[rows, stop_pos], minlength=n_bins)
+    t.bin_sales += np.bincount(idx.ravel().take(bought), minlength=n_bins)
     if visits.min() < vals.shape[1]:  # draws never seen go to an extra bin
         for j in range(1, vals.shape[1]):
-            np.copyto(idx[:, j], n_bins, where=visits <= j)
+            col = idx[:, j]
+            col += (n_bins - col) * (visits <= j)
     t.bin_visits += np.bincount(idx.ravel(), minlength=n_bins + 1)[:n_bins]
     return float(np.sum(cs)), float(np.sum(cs * cs))
 
@@ -312,6 +320,70 @@ def _savvy(rng: np.random.Generator, eq: Equilibrium, count: int, deviant: Devia
         vals[:, firm] = g_dev.sample(u[:, firm])
     best = _first_max(vals)  # ties go to the lowest firm index
     return vals, np.full(count, eq.n), best, best, 0.0
+
+
+# Rows of at most this many keys are ranked by pairwise comparisons, which
+# cost O(n**2): per 42,600 rows 0.18 ms against 2.3 ms for np.argsort at
+# n = 2, 0.6 against 3.1 ms at n = 3 and 3.3 against 3.3 ms at n = 5 (NumPy
+# 2.4.6, 2-vCPU Xeon VM).  np.argsort orders rows of 2 or 3 tied keys as a
+# stable sort would, and longer rows differently (a SIMD sort takes over), so
+# only up to 3 keys do the ranks reproduce its order, ties included.
+_RANKED_N = 3
+
+
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """Position of each column in its row's stable ascending order of keys:
+    #{i < j: k_i <= k_j} + #{i > j: k_i < k_j} for column j."""
+    rank = np.zeros(keys.shape, dtype=np.int8)  # a rank is below n <= _RANKED_N
+    for j in range(keys.shape[1]):
+        for i in range(j + 1, keys.shape[1]):
+            later = keys[:, i] < keys[:, j]  # firm i comes before firm j
+            rank[:, j] += later
+            rank[:, i] += ~later
+    return rank
+
+
+def _visit_order(keys: np.ndarray, track_firm: int) -> tuple:
+    """Each row visits the firms in ascending order of its keys, as
+    np.argsort orders them.  Returns the tracked firm's position in each
+    row and a function from one position per row to the firm visited there."""
+    count, n = keys.shape
+    if n <= _RANKED_N:
+        rank = _ranks(keys)
+        del keys
+
+        def firm_at(pos: np.ndarray) -> np.ndarray:
+            firm = np.zeros(count, dtype=np.intp)
+            for j in range(1, n):
+                firm += j * (rank[:, j] == pos)
+            return firm
+
+        return rank[:, track_firm], firm_at
+    order = np.argsort(keys, axis=1)  # firm at each position
+    del keys
+    pos_of_tracked = np.zeros(count, dtype=np.intp)
+    for j in range(1, n):
+        pos_of_tracked += j * (order[:, j] == track_firm)
+    return pos_of_tracked, lambda pos: order[np.arange(count), pos]
+
+
+def _stop_rule(u, vals, stop, stop_dev, pos_of_tracked) -> tuple[np.ndarray, np.ndarray]:
+    """Visits and the position bought, per row.  A consumer stops at the
+    first position whose variate reaches its stop quantile (stop_dev for the
+    tracked firm's draw when a deviant is set) and otherwise visits all n
+    and buys the best draw.  The selects are integer arithmetic: on random
+    masks NumPy's masked copies and np.where mispredict their branches."""
+    n = u.shape[1]
+    first_hit = np.full(len(u), n)  # n: no draw passes the stop rule
+    for j in reversed(range(n)):
+        hit = u[:, j] >= stop
+        if stop_dev is not None:  # swap in the deviant's test at its position
+            hit ^= (hit ^ (u[:, j] >= stop_dev)) & (pos_of_tracked == j)
+        first_hit -= (first_hit - j) * hit
+    any_hit = first_hit < n
+    stop_pos = _first_max(vals)
+    stop_pos += (first_hit - stop_pos) * any_hit
+    return first_hit + any_hit, stop_pos
 
 
 def _stop_band(g: PosteriorDistribution, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -362,15 +434,13 @@ def _costly(t: _Totals, rng: np.random.Generator, eq: Equilibrium, config: SimCo
         inverse = np.searchsorted(uniq, costs)
         top = stop_quantile(eq.g, r_uniq)
         top_dev = stop_quantile(g_dev, r_uniq) if g_dev is not None else None
-    order = np.argsort(rng.random((count, n)), axis=1)  # firm at each position
+    pos_of_tracked, firm_at = _visit_order(rng.random((count, n)), track_firm)
     u = rng.random((count, n))
     # value drawn at each *position*; the deviant's cells redrawn from g_dev
     vals = np.asarray(eq.g.sample(u))
     stop = top[inverse]
     rows = np.arange(count)
-    pos_of_tracked = np.zeros(count, dtype=np.intp)
-    for j in range(1, n):
-        np.copyto(pos_of_tracked, j, where=order[:, j] == track_firm)
+    stop_dev = None
     if g_dev is not None:
         vals[rows, pos_of_tracked] = g_dev.sample(u[rows, pos_of_tracked])
         stop_dev = top_dev[inverse]
@@ -383,19 +453,12 @@ def _costly(t: _Totals, rng: np.random.Generator, eq: Equilibrium, config: SimCo
         stop[near] = stop_quantile(eq.g, r_near)
         if g_dev is not None:
             stop_dev[near] = stop_quantile(g_dev, r_near)
-    first_hit = np.full(count, n)  # n: no draw passes the stop rule
-    for j in reversed(range(n)):
-        hit = u[:, j] >= stop
-        if g_dev is not None:
-            np.copyto(hit, u[:, j] >= stop_dev, where=pos_of_tracked == j)
-        np.copyto(first_hit, j, where=hit)
-    any_hit = first_hit < n
-    visits = np.where(any_hit, first_hit + 1, n)
-    stop_pos = np.where(any_hit, first_hit, _first_max(vals))
-    t.visit_hist += np.bincount(visits, minlength=n + 1)
-    t.multi = int(np.sum(visits > 1))
+    visits, stop_pos = _stop_rule(u, vals, stop, stop_dev, pos_of_tracked)
+    hist = np.bincount(visits, minlength=n + 1)
+    t.visit_hist += hist
+    t.multi = int(hist[2:].sum())
     t.firm0_visits_inexp = int(np.sum(pos_of_tracked < visits))
-    return vals, visits, stop_pos, order[rows, stop_pos], costs
+    return vals, visits, stop_pos, firm_at(stop_pos), costs
 
 
 def _simulate_block(

@@ -45,6 +45,15 @@ The reservation values by 40 plain array halvings of [0, 1], each one
 evaluating excess_above on every cost (reservation_by_halving):
 montecarlo.reservation_for_cost replays the first halvings from one grid
 and must return the same bits.
+
+The costly searchers' visit order, stopping rule and tally before the
+visit order came from ranks and the integer selects from arithmetic: the
+order by np.argsort with the tracked firm's position found by masked
+copies (visit_order_by_argsort), the first hit and the purchase chosen by
+np.copyto and np.where (stop_rule_by_copyto), and the draws never seen sent
+to the extra bin by np.copyto (tally_by_copyto).  Swapped into
+montecarlo's _visit_order, _stop_rule and _tally, they must give the same
+reports bit for bit.
 """
 from __future__ import annotations
 
@@ -74,6 +83,7 @@ from disclose_eq.errors import (
     ValidationFailureError,
 )
 from disclose_eq.exogenous import solve_v_l_eq
+from disclose_eq.montecarlo import _first_max
 from disclose_eq.posterior import ArrayLike, PosteriorDistribution
 from disclose_eq.priors import Prior
 from disclose_eq.rootfind import bisect_root
@@ -504,3 +514,44 @@ def reservation_by_halving(g: PosteriorDistribution, costs: np.ndarray) -> np.nd
         lo = np.where(f >= 0.0, mid, lo)
         hi = np.where(f > 0.0, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def visit_order_by_argsort(keys: np.ndarray, track_firm: int) -> tuple:
+    """Firms visited in ascending order of each row's keys: the tracked
+    firm's position per row, and a function from one position per row to
+    the firm visited there."""
+    order = np.argsort(keys, axis=1)  # firm at each position
+    pos_of_tracked = np.zeros(len(keys), dtype=np.intp)
+    for j in range(1, keys.shape[1]):
+        np.copyto(pos_of_tracked, j, where=order[:, j] == track_firm)
+    return pos_of_tracked, lambda pos: order[np.arange(len(order)), pos]
+
+
+def stop_rule_by_copyto(u, vals, stop, stop_dev, pos_of_tracked) -> tuple[np.ndarray, np.ndarray]:
+    """Visits and the position bought: the first position whose variate
+    reaches its stop quantile (stop_dev at the tracked firm's position),
+    else all n visits and the best draw."""
+    n = u.shape[1]
+    first_hit = np.full(len(u), n)
+    for j in reversed(range(n)):
+        hit = u[:, j] >= stop
+        if stop_dev is not None:
+            np.copyto(hit, u[:, j] >= stop_dev, where=pos_of_tracked == j)
+        np.copyto(first_hit, j, where=hit)
+    any_hit = first_hit < n
+    return np.where(any_hit, first_hit + 1, n), np.where(any_hit, first_hit, _first_max(vals))
+
+
+def tally_by_copyto(t, vals, visits, stop_pos, firm, cost, binning) -> tuple[float, float]:
+    """montecarlo._tally with the purchases gathered by 2-D indexing and the
+    draws never seen sent to the extra bin by np.copyto."""
+    rows = np.arange(len(vals))
+    cs = vals[rows, stop_pos] - visits * cost
+    t.sales += np.bincount(firm, minlength=len(t.sales))
+    n_bins = len(t.bin_visits)
+    idx = binning.index(vals)
+    t.bin_sales += np.bincount(idx[rows, stop_pos], minlength=n_bins)
+    for j in range(1, vals.shape[1]):
+        np.copyto(idx[:, j], n_bins, where=visits <= j)
+    t.bin_visits += np.bincount(idx.ravel(), minlength=n_bins + 1)[:n_bins]
+    return float(np.sum(cs)), float(np.sum(cs * cs))

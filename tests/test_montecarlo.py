@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,7 +35,13 @@ from disclose_eq.montecarlo import (
 )
 from disclose_eq.posterior import AffinePower, FullDisclosure, PosteriorDistribution
 from disclose_eq.welfare import cs_inexperienced, cs_savvy
-from reference import bins_by_digitize, reservation_by_halving
+from reference import (
+    bins_by_digitize,
+    reservation_by_halving,
+    stop_rule_by_copyto,
+    tally_by_copyto,
+    visit_order_by_argsort,
+)
 
 
 def _z(x, mu, se):
@@ -467,6 +474,12 @@ def test_deviation_share_is_pinned(eq_uniform_small, eq_power, uniform, power2):
     cfg = SimConfig(consumers=20_000, seed=2024, cost_model=_CONTINUOUS)
     share, se = simulate_deviation(eq_power, 1, full_disclosure_distribution(power2), cfg)
     assert (share, se) == (0.3414, 0.0033529542197888716)
+    # n = 5: the visit order comes from np.argsort, pinned from the simulator
+    # that found the tracked firm's position by masked copies
+    eq5 = solve_endog(uniform, 5, 0.5, 0.1)
+    cfg = SimConfig(consumers=70_000, seed=2024, cost_model=_DISCRETE, workers=2)
+    share, se = simulate_deviation(eq5, 3, full_disclosure_distribution(uniform), cfg)
+    assert (share, se) == (0.20454285714285714, 0.001524584611973719)
 
 
 @pytest.mark.parametrize("deviate", [False, True], ids=["market", "deviation"])
@@ -493,6 +506,76 @@ def test_stop_bands_decide_as_the_exact_solve(monkeypatch, market, deviate):
     assert run() == banded
     n_inexp = json.loads(banded[0])["n_inexperienced"]
     assert sum(solved) == n_inexp * (2 if deviate else 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_visit_order_equals_argsort_on_tied_keys(n):
+    rng = np.random.default_rng(10 + n)
+    keys = rng.integers(0, 3, size=(3000, n)).astype(float)
+    if n <= montecarlo._RANKED_N:
+        # the ranks give the stable order; the pinned reports were recorded
+        # with np.argsort's, so the two must agree on ties
+        assert np.array_equal(np.argsort(keys, axis=1), np.argsort(keys, axis=1, kind="stable")), (
+            f"np.argsort no longer orders rows of {n} tied keys stably, so montecarlo._ranks "
+            f"no longer reproduces the visit order of the pinned reports"
+        )
+    pos = rng.integers(0, n, size=len(keys))
+    for firm in range(n):
+        got_pos, got_firm_at = montecarlo._visit_order(keys, firm)
+        want_pos, want_firm_at = visit_order_by_argsort(keys, firm)
+        assert np.array_equal(got_pos, want_pos)
+        assert np.array_equal(got_firm_at(pos), want_firm_at(pos))
+
+
+@functools.cache
+def _uniform_market(n: int):
+    return solve_endog(UniformPrior(), n, 0.5, 0.1)
+
+
+@pytest.mark.parametrize("deviate", [False, True], ids=["market", "deviation"])
+@pytest.mark.parametrize("cost_model", [SingleCost(0.1), _DISCRETE, _CONTINUOUS], ids=["single", "discrete", "continuous"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 12])
+def test_block_kernel_equals_masked_copies_bitwise(monkeypatch, n, cost_model, deviate):
+    eq = _uniform_market(n)
+    cfg = SimConfig(consumers=3_000, seed=2024, cost_model=cost_model)
+
+    def run():
+        if deviate:
+            return simulate_deviation(eq, n - 1, full_disclosure_distribution(eq.prior), cfg)
+        return json.dumps(simulate_market(eq, cfg).to_json_dict(), sort_keys=True)
+
+    got = run()
+    monkeypatch.setattr(montecarlo, "_visit_order", visit_order_by_argsort)
+    monkeypatch.setattr(montecarlo, "_stop_rule", stop_rule_by_copyto)
+    monkeypatch.setattr(montecarlo, "_tally", tally_by_copyto)
+    assert got == run()
+
+
+# tracemalloc peak, in bytes, of one 65,536-consumer single-cost block
+# (seed 2024, block 0, caches warm) in the simulator that sorted every row
+# of keys and selected by masked copies: a block may not need more
+_BLOCK_PEAK_BYTES = {"eq_uniform_small": 5_970_049, "eq_power": 5_660_820}
+
+
+@pytest.mark.parametrize("market", ["eq_uniform_small", "eq_power"])
+def test_block_peak_memory_stays_within_the_masked_kernel(request, market):
+    eq = request.getfixturevalue(market)
+    size = montecarlo._BLOCK
+    cfg = SimConfig(consumers=size, seed=2024, cost_model=SingleCost(eq.s))
+    binning = montecarlo._Binning(montecarlo._bin_edges(cfg.bins, eq))
+    known = montecarlo._known_reservations(eq.g, cfg.cost_model)
+
+    def block():
+        return montecarlo._simulate_block(eq, cfg, 0, size, binning, None, known)
+
+    block()  # fills the posterior's caches
+    tracemalloc.start()
+    try:
+        block()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _BLOCK_PEAK_BYTES[market]
 
 
 def test_malformed_posteriors_are_rejected_before_simulating(eq_uniform_small, uniform):
