@@ -30,9 +30,14 @@ pairwise comparisons instead of a per-row sort (_visit_order).  Integer
 selects (the first hit, visits, the position bought, the tracked firm's
 position, the unseen-draw bin) are arithmetic on 0/1 factors rather than
 masked copies or np.where: their masks are random, and NumPy's masked
-loops then mispredict a branch per element.  Each group's arrays are
-freed before the next group draws its own, which bounds the memory of a
-block.
+loops then mispredict a branch per element.  Each worker runs its blocks
+on one set of arrays (_Buffers), made in the calling thread, sized by the
+larger group of a block and reused by every block it runs.  A block that
+allocated its own arrays got fresh pages from the OS each time, since
+malloc hands freed large arrays back, and zero-filling those pages took
+about 1,400 page faults per 65,536 consumers.  The draws, the sampled
+values and the curve bins are written into the reused arrays, and the
+per-row integers are kept in the smallest type that holds n + 1.
 
 A unilateral deviation runs through the same path: every draw comes from
 the equilibrium posterior except the deviant firm's, which are redrawn
@@ -42,9 +47,12 @@ reservation values the equilibrium disclosure implies.
 from __future__ import annotations
 
 import functools
+import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from types import SimpleNamespace
 from typing import Any, Union
 
 import numpy as np
@@ -225,19 +233,21 @@ class _Binning:
             self.inside.append(level)
             cell, inner = cell[~first], inner[~first]
 
-    def index(self, vals: np.ndarray) -> np.ndarray:
-        """Bin of each value, in chunks that keep the temporaries small;
-        cells outside the table are clipped into it."""
+    def index(self, vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Bin of each value, into out (intp, vals' shape) if given, in
+        chunks that keep the temporaries small; cells outside the table are
+        clipped into it."""
         flat = vals.reshape(-1)
-        idx = np.empty(flat.shape, dtype=np.intp)
+        idx = np.empty(vals.shape, dtype=np.intp) if out is None else out
+        idx_flat = idx.reshape(-1)
         for start in range(0, len(flat), _CHUNK):
             v = flat[start : start + _CHUNK]
             cell = (v * self.cells).astype(np.intp)
-            out = idx[start : start + _CHUNK]
-            self.below.take(cell, out=out, mode="clip")
+            chunk = idx_flat[start : start + _CHUNK]
+            self.below.take(cell, out=chunk, mode="clip")
             for level in self.inside:
-                out += v >= level.take(cell, mode="clip")
-        return idx.reshape(vals.shape)
+                chunk += v >= level.take(cell, mode="clip")
+        return idx
 
 
 @dataclass
@@ -261,65 +271,171 @@ class _Totals:
         return self
 
 
-def _draw_costs(rng: np.random.Generator, model: CostModel, size: int) -> np.ndarray:
+def _draw_costs(rng: np.random.Generator, model: CostModel, size: int) -> tuple:
+    """Each consumer's search cost (one number for a single cost), and for a
+    finite set of costs the index of each draw in it (else None).  A single
+    cost draws no variate, drawn costs one per consumer."""
     if isinstance(model, SingleCost):
-        return np.full(size, model.s)
+        return model.s, None
     costs = model.costs
     u = rng.random(size)
     if isinstance(costs, DiscreteCosts):
         values = np.array([c for c, _ in costs.points])
         cum = np.cumsum([p for _, p in costs.points])
-        return values[np.searchsorted(cum, u, side="right")]
+        which = np.searchsorted(cum, u, side="right")
+        return values[which], which
     if isinstance(costs, ContinuousCosts):
         xs = [k[0] for k in costs.knots]
         qs = [k[1] for k in costs.knots]
-        return np.interp(u, qs, xs)
+        return np.interp(u, qs, xs), None
     raise DomainError(f"unknown cost model {model!r}")
 
 
-def _tally(t: _Totals, vals, visits, stop_pos, firm, cost, binning: _Binning) -> tuple[float, float]:
+def _narrow(n: int) -> type:
+    """The smallest signed integer type that holds n + 1: the per-row
+    positions, visits and ranks of a market of n firms."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max > n)
+
+
+def _group_rows(size: int, alpha: float) -> int:
+    """Rows for the larger group (savvy or costly) of a block of `size`
+    consumers: its expected count plus six standard deviations, so that
+    about one block in 10**9 has to grow the arrays."""
+    p = max(alpha, 1.0 - alpha)
+    return min(size, math.ceil(p * size + 6.0 * math.sqrt(size * p * (1.0 - p))))
+
+
+class _Buffers:
+    """One worker's arrays, reused by every block it runs, so that a block
+    writes into pages the process already holds.  Each region takes several
+    roles in turn (group() names them); roles that share a region are never
+    alive at once:
+
+    draws  float, rows x n: the alpha draw, the variates u, then the curve
+           bins (as intp), once u is dead
+    vals   float, rows x n: the visit keys, then the values drawn
+    spare  float, rows x max(n, 2): sample's scratch, then the running
+           maximum, then the surplus and its cost term
+    flags  bool, rows x max(n, 2): sample's mask, then two per-row flags
+    ints   narrow, (n + 4) rows: the ranks (rows x n), the first hit (then
+           visits), the position bought, a scratch row, the tracked position
+    wide   intp, 3 rows: the firm bought (then each purchase's bin), the flat
+           index of each purchase (then a scratch row), the row offsets i * n
+
+    The regions are views of one allocation.  Freed as one large block, it
+    leaves the allocator's heap mapped for the next simulation in the
+    process (glibc raises its trim threshold to the largest block freed).
+    Freed as six blocks, the regions left the 8,192-consumer simulation of
+    the benchmark's simulate round to fault in about 180 pages each time.
+    """
+
+    def __init__(self, n: int, rows: int) -> None:
+        self.n, self.narrow, self.rows = n, _narrow(n), 0
+        self.reserve(rows)
+
+    def reserve(self, rows: int) -> None:
+        """Room for groups of up to `rows` consumers; grows, never shrinks."""
+        if rows <= self.rows:
+            return
+        n, cols = self.n, max(self.n, 2)  # spare and flags hold two rows
+        regions = [("draws", np.float64, rows * n), ("vals", np.float64, rows * n),
+                   ("spare", np.float64, rows * cols), ("wide", np.intp, 3 * rows),
+                   ("flags", np.bool_, rows * cols), ("ints", self.narrow, (n + 4) * rows)]
+        spans = [-(-np.dtype(dtype).itemsize * size // 64) * 64 for _, dtype, size in regions]
+        for name, _, _ in regions:
+            setattr(self, name, None)  # the old memory is freed before the new is allocated
+        memory = np.empty(sum(spans), dtype=np.uint8)
+        start = 0
+        for (name, dtype, size), span in zip(regions, spans):
+            setattr(self, name, memory[start : start + span].view(dtype)[:size])
+            start += span
+        self.wide[2 * rows :] = np.arange(0, rows * n, n)
+        self.rows = rows
+
+    def group(self, count: int) -> SimpleNamespace:
+        """Views for a group of `count` consumers."""
+        n, rows = self.n, self.rows
+
+        def grid(a: np.ndarray) -> np.ndarray:
+            return a[: count * n].reshape(count, n)
+
+        def row(a: np.ndarray, k: int) -> np.ndarray:
+            return a[k * rows : k * rows + count]
+
+        return SimpleNamespace(
+            u=grid(self.draws), idx=grid(self.draws.view(np.intp)), vals=grid(self.vals),
+            scratch=grid(self.spare), top=row(self.spare, 0), cs=row(self.spare, 0), term=row(self.spare, 1),
+            mask=grid(self.flags), flag=row(self.flags, 0), any_hit=row(self.flags, 1),
+            rank=grid(self.ints), first_hit=row(self.ints, n), stop_pos=row(self.ints, n + 1),
+            tmp=row(self.ints, n + 2), pos=row(self.ints, n + 3),
+            firm=row(self.wide, 0), bought=row(self.wide, 1), steps=row(self.wide, 2),
+        )
+
+
+def _tally(t: _Totals, vals, visits, stop_pos, firm, cost, binning: _Binning, b) -> tuple[float, float]:
     """Record what a group of consumers bought and return the sum and the sum
     of squares of their surplus.  Consumer i saw the first visits[i] draws
     of row i of vals, bought the one at stop_pos[i] from firm[i], and paid
-    `cost` (one per consumer, or one for all) for each visit."""
-    bought = np.arange(len(vals)) * vals.shape[1] + stop_pos  # flat index of each purchase
-    cs = vals.ravel().take(bought) - visits * cost
-    t.sales += np.bincount(firm, minlength=len(t.sales))
+    `cost` (one per consumer, or one for all) for each visit.  b holds the
+    group's views (_Buffers.group)."""
+    n = vals.shape[1]
+    t.sales += np.bincount(firm, minlength=len(t.sales))  # before b.firm is reused
+    bought = np.add(b.steps, stop_pos, out=b.bought)  # flat index of each purchase
+    cs = np.take(vals.reshape(-1), bought, out=b.cs)
+    cs -= np.multiply(visits, cost, out=b.term)
+    total = float(np.sum(cs))
+    cs *= cs
+    total_sq = float(np.sum(cs))
     n_bins = len(t.bin_visits)
-    idx = binning.index(vals)
-    t.bin_sales += np.bincount(idx.ravel().take(bought), minlength=n_bins)
-    if visits.min() < vals.shape[1]:  # draws never seen go to an extra bin
-        for j in range(1, vals.shape[1]):
+    idx = binning.index(vals, out=b.idx)
+    t.bin_sales += np.bincount(np.take(idx.reshape(-1), bought, out=b.firm), minlength=n_bins)
+    if visits.min() < n:  # draws never seen go to an extra bin
+        unseen, step = b.flag, b.bought
+        for j in range(1, n):
             col = idx[:, j]
-            col += (n_bins - col) * (visits <= j)
-    t.bin_visits += np.bincount(idx.ravel(), minlength=n_bins + 1)[:n_bins]
-    return float(np.sum(cs)), float(np.sum(cs * cs))
+            np.less_equal(visits, j, out=unseen)
+            np.subtract(n_bins, col, out=step)  # col += (n_bins - col) * unseen
+            step *= unseen
+            col += step
+    t.bin_visits += np.bincount(idx.reshape(-1), minlength=n_bins + 1)[:n_bins]
+    return total, total_sq
 
 
-def _first_max(vals: np.ndarray) -> np.ndarray:
-    """Column of each row's maximum, ties to the lowest column."""
-    best = np.zeros(len(vals), dtype=np.intp)
-    top = vals[:, 0]
-    for j in range(1, vals.shape[1]):
-        better = vals[:, j] > top
-        np.copyto(best, j, where=better)
-        top = np.maximum(top, vals[:, j])
+def _first_max(vals: np.ndarray, b=None) -> np.ndarray:
+    """Column of each row's maximum, ties to the lowest column, written to
+    b.stop_pos (a fresh array without b).  The select is integer arithmetic,
+    as in _stop_rule."""
+    count, n = vals.shape
+    if b is None:
+        b = _Buffers(n, count).group(count)
+    best, top, better, step = b.stop_pos, b.top, b.flag, b.tmp
+    best.fill(0)
+    np.copyto(top, vals[:, 0])
+    for j in range(1, n):
+        np.greater(vals[:, j], top, out=better)
+        if j < n - 1:
+            np.maximum(top, vals[:, j], out=top)
+        np.subtract(j, best, out=step)  # best += (j - best) * better
+        step *= better
+        best += step
     return best
 
 
 Deviant = Union[tuple[int, PosteriorDistribution], None]
 
 
-def _savvy(rng: np.random.Generator, eq: Equilibrium, count: int, deviant: Deviant) -> tuple:
+def _savvy(rng: np.random.Generator, eq: Equilibrium, deviant: Deviant, b) -> tuple:
     """Savvy consumers visit every firm for free and buy the best draw.
     Returns _tally's (vals, visits, stop_pos, firm, cost)."""
-    u = rng.random((count, eq.n))
-    vals = np.asarray(eq.g.sample(u))
+    u = rng.random(out=b.u)
+    eq.g.sample_into(u, b.vals, b.scratch, b.mask)
     if deviant is not None:
         firm, g_dev = deviant
-        vals[:, firm] = g_dev.sample(u[:, firm])
-    best = _first_max(vals)  # ties go to the lowest firm index
-    return vals, np.full(count, eq.n), best, best, 0.0
+        g_dev.sample_into(u[:, firm], b.vals[:, firm], b.top, b.flag)
+    best = _first_max(b.vals, b)  # ties go to the lowest firm index
+    b.first_hit.fill(eq.n)
+    np.copyto(b.firm, best)  # bincount reads intp
+    return b.vals, b.first_hit, best, b.firm, 0.0
 
 
 # Rows of at most this many keys are ranked by pairwise comparisons, which
@@ -331,59 +447,76 @@ def _savvy(rng: np.random.Generator, eq: Equilibrium, count: int, deviant: Devia
 _RANKED_N = 3
 
 
-def _ranks(keys: np.ndarray) -> np.ndarray:
-    """Position of each column in its row's stable ascending order of keys:
-    #{i < j: k_i <= k_j} + #{i > j: k_i < k_j} for column j."""
-    rank = np.zeros(keys.shape, dtype=np.int8)  # a rank is below n <= _RANKED_N
+def _ranks(keys: np.ndarray, rank: np.ndarray, later: np.ndarray) -> np.ndarray:
+    """Position of each column in its row's stable ascending order of keys,
+    written to rank: #{i < j: k_i <= k_j} + #{i > j: k_i < k_j} for column
+    j.  later is a per-row scratch flag."""
+    rank.fill(0)
     for j in range(keys.shape[1]):
         for i in range(j + 1, keys.shape[1]):
-            later = keys[:, i] < keys[:, j]  # firm i comes before firm j
+            np.less(keys[:, i], keys[:, j], out=later)  # firm i comes before firm j
             rank[:, j] += later
-            rank[:, i] += ~later
+            np.logical_not(later, out=later)
+            rank[:, i] += later
     return rank
 
 
-def _visit_order(keys: np.ndarray, track_firm: int) -> tuple:
+def _add_multiple(acc: np.ndarray, j: int, flag: np.ndarray, step: np.ndarray) -> None:
+    """acc += j * flag, through the narrow scratch row step."""
+    np.multiply(flag, j, out=step)
+    acc += step
+
+
+def _visit_order(keys: np.ndarray, track_firm: int, b) -> tuple:
     """Each row visits the firms in ascending order of its keys, as
     np.argsort orders them.  Returns the tracked firm's position in each
-    row and a function from one position per row to the firm visited there."""
-    count, n = keys.shape
+    row and a function from one position per row to the firm visited there
+    (written to b.firm)."""
+    n = keys.shape[1]
     if n <= _RANKED_N:
-        rank = _ranks(keys)
-        del keys
+        rank = _ranks(keys, b.rank, b.flag)
 
         def firm_at(pos: np.ndarray) -> np.ndarray:
-            firm = np.zeros(count, dtype=np.intp)
+            b.firm.fill(0)
             for j in range(1, n):
-                firm += j * (rank[:, j] == pos)
-            return firm
+                _add_multiple(b.firm, j, np.equal(rank[:, j], pos, out=b.flag), b.tmp)
+            return b.firm
 
         return rank[:, track_firm], firm_at
     order = np.argsort(keys, axis=1)  # firm at each position
-    del keys
-    pos_of_tracked = np.zeros(count, dtype=np.intp)
+    b.pos.fill(0)
     for j in range(1, n):
-        pos_of_tracked += j * (order[:, j] == track_firm)
-    return pos_of_tracked, lambda pos: order[np.arange(count), pos]
+        _add_multiple(b.pos, j, np.equal(order[:, j], track_firm, out=b.flag), b.tmp)
+
+    def firm_at(pos: np.ndarray) -> np.ndarray:
+        return np.take(order.reshape(-1), np.add(b.steps, pos, out=b.bought), out=b.firm)
+
+    return b.pos, firm_at
 
 
-def _stop_rule(u, vals, stop, stop_dev, pos_of_tracked) -> tuple[np.ndarray, np.ndarray]:
+def _stop_rule(u, vals, stop, stop_dev, pos_of_tracked, b) -> tuple[np.ndarray, np.ndarray]:
     """Visits and the position bought, per row.  A consumer stops at the
     first position whose variate reaches its stop quantile (stop_dev for the
     tracked firm's draw when a deviant is set) and otherwise visits all n
     and buys the best draw.  The selects are integer arithmetic: on random
     masks NumPy's masked copies and np.where mispredict their branches."""
     n = u.shape[1]
-    first_hit = np.full(len(u), n)  # n: no draw passes the stop rule
+    first_hit, hit, step = b.first_hit, b.flag, b.tmp
+    first_hit.fill(n)  # n: no draw passes the stop rule
     for j in reversed(range(n)):
-        hit = u[:, j] >= stop
+        np.greater_equal(u[:, j], stop, out=hit)
         if stop_dev is not None:  # swap in the deviant's test at its position
             hit ^= (hit ^ (u[:, j] >= stop_dev)) & (pos_of_tracked == j)
-        first_hit -= (first_hit - j) * hit
-    any_hit = first_hit < n
-    stop_pos = _first_max(vals)
-    stop_pos += (first_hit - stop_pos) * any_hit
-    return first_hit + any_hit, stop_pos
+        np.subtract(first_hit, j, out=step)  # first_hit -= (first_hit - j) * hit
+        step *= hit
+        first_hit -= step
+    any_hit = np.less(first_hit, n, out=b.any_hit)
+    stop_pos = _first_max(vals, b)
+    np.subtract(first_hit, stop_pos, out=step)  # stop_pos += (first_hit - stop_pos) * any_hit
+    step *= any_hit
+    stop_pos += step
+    first_hit += any_hit  # now the visits
+    return first_hit, stop_pos
 
 
 def _stop_band(g: PosteriorDistribution, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -401,14 +534,14 @@ def _near_band(u: np.ndarray, bottom: np.ndarray, top: np.ndarray) -> np.ndarray
 
 
 def _costly(t: _Totals, rng: np.random.Generator, eq: Equilibrium, config: SimConfig,
-            count: int, deviant: Deviant, known: tuple[np.ndarray, np.ndarray] | None) -> tuple:
+            count: int, deviant: Deviant, known: tuple | None, b) -> tuple:
     """Costly searchers visit firms in a random order and stop by their
     reservation values, applied in quantile space.  Counts their visits in t
     and returns _tally's (vals, visits, stop_pos, firm, cost).
 
-    Known costs come with their reservation values.  Drawn costs get a
-    bracket [lo, hi] from _brackets, and a consumer needs its exact
-    reservation value r only if one of its variates u lies in the band
+    Known costs come with their stop quantiles.  Drawn costs get a bracket
+    [lo, hi] from _brackets, and a consumer needs its exact reservation
+    value r only if one of its variates u lies in the band
     [stop(lo) - _MARGIN, stop(hi) + _MARGIN) of its cost: below the band
     u < stop(r) and above it u >= stop(r), whatever r in [lo, hi] is.  The
     stop quantile is the left limit of the cdf (0 at the support bottom).
@@ -421,43 +554,42 @@ def _costly(t: _Totals, rng: np.random.Generator, eq: Equilibrium, config: SimCo
     """
     n = eq.n
     track_firm, g_dev = deviant if deviant else (0, None)
-    costs = _draw_costs(rng, config.cost_model, count)
-    # per unique cost: the stop quantile, or for drawn costs the band around it
+    costs, which = _draw_costs(rng, config.cost_model, count)
+    # per cost: the stop quantile, or for drawn costs the band around it
     if known is None:
-        uniq, inverse = np.unique(costs, return_inverse=True)
+        uniq, which = np.unique(costs, return_inverse=True)
         lo, hi = _brackets(eq.g, uniq)
         bottom, top = _stop_band(eq.g, lo, hi)
         bottom_dev, top_dev = _stop_band(g_dev, lo, hi) if g_dev is not None else (None, None)
         del uniq, lo, hi  # freed before the draws
     else:
-        uniq, r_uniq = known
-        inverse = np.searchsorted(uniq, costs)
-        top = stop_quantile(eq.g, r_uniq)
-        top_dev = stop_quantile(g_dev, r_uniq) if g_dev is not None else None
-    pos_of_tracked, firm_at = _visit_order(rng.random((count, n)), track_firm)
-    u = rng.random((count, n))
+        top, top_dev = known
+    pos_of_tracked, firm_at = _visit_order(rng.random(out=b.vals), track_firm, b)
+    u = rng.random(out=b.u)
     # value drawn at each *position*; the deviant's cells redrawn from g_dev
-    vals = np.asarray(eq.g.sample(u))
-    stop = top[inverse]
-    rows = np.arange(count)
+    vals = b.vals
+    eq.g.sample_into(u, vals, b.scratch, b.mask)
+    stop = top[0] if which is None else top[which]
     stop_dev = None
     if g_dev is not None:
-        vals[rows, pos_of_tracked] = g_dev.sample(u[rows, pos_of_tracked])
-        stop_dev = top_dev[inverse]
+        at = np.add(b.steps, pos_of_tracked, out=b.bought)  # the tracked firm's cells
+        vals.reshape(-1)[at] = g_dev.sample(u.reshape(-1)[at])
+        stop_dev = top_dev[0] if which is None else top_dev[which]
     if known is None:  # the stops so far are the band tops
-        near = _near_band(u, bottom[inverse], stop)
+        near = _near_band(u, bottom[which], stop)
         if g_dev is not None:
-            tracked = _near_band(u[rows, pos_of_tracked, None], bottom_dev[inverse], stop_dev)
+            tracked = _near_band(u.reshape(-1)[at, None], bottom_dev[which], stop_dev)
             near = np.union1d(near, tracked)
         r_near = reservation_for_cost(eq.g, costs[near])
         stop[near] = stop_quantile(eq.g, r_near)
         if g_dev is not None:
             stop_dev[near] = stop_quantile(g_dev, r_near)
-    visits, stop_pos = _stop_rule(u, vals, stop, stop_dev, pos_of_tracked)
-    hist = np.bincount(visits, minlength=n + 1)
+    visits, stop_pos = _stop_rule(u, vals, stop, stop_dev, pos_of_tracked, b)
+    np.copyto(b.firm, visits)  # bincount reads intp
+    hist = np.bincount(b.firm, minlength=n + 1)
     t.visit_hist += hist
     t.multi = int(hist[2:].sum())
-    t.firm0_visits_inexp = int(np.sum(pos_of_tracked < visits))
+    t.firm0_visits_inexp = int(np.count_nonzero(np.less(pos_of_tracked, visits, out=b.flag)))
     return vals, visits, stop_pos, firm_at(stop_pos), costs
 
 
@@ -468,38 +600,48 @@ def _simulate_block(
     size: int,
     binning: _Binning,
     deviant: Deviant,
-    known: tuple[np.ndarray, np.ndarray] | None,
+    known: tuple | None,
+    buffers: _Buffers,
 ) -> _Totals:
     """One block of consumers; `deviant` is (firm, its posterior) or None,
-    and `known` is (costs, reservation values) when the costs are known up
-    front, or None to solve the reservation values of the block's draws."""
+    and `known` is (stop, stop_dev) per cost when the costs are known up
+    front, or None to solve the reservation values of the block's draws.
+    The block runs on `buffers`, which no other block uses meanwhile."""
     n = eq.n
     key = np.array([config.seed, block_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    n_inexp = int(np.sum(rng.random(size) < eq.alpha))
+    buffers.reserve(-(-size // n))  # the alpha draw fills the first `size` variates
+    draw = rng.random(out=buffers.draws[:size])
+    n_inexp = int(np.count_nonzero(np.less(draw, eq.alpha, out=buffers.flags[:size])))
+    del draw  # the group's reserve() may free the memory it views
+    buffers.reserve(max(size - n_inexp, n_inexp))
     n_bins = len(binning.edges) - 1
     t = _Totals(size - n_inexp, n_inexp, np.zeros(n), np.zeros(n + 1), np.zeros(n_bins), np.zeros(n_bins))
     if t.n_savvy:
-        bought = _savvy(rng, eq, t.n_savvy, deviant)
-        t.sum_cs_savvy, t.sumsq_cs_savvy = _tally(t, *bought, binning)
+        b = buffers.group(t.n_savvy)
+        bought = _savvy(rng, eq, deviant, b)
+        t.sum_cs_savvy, t.sumsq_cs_savvy = _tally(t, *bought, binning, b)
     if n_inexp:
-        bought = _costly(t, rng, eq, config, n_inexp, deviant, known)
-        t.sum_cs_inexp, t.sumsq_cs_inexp = _tally(t, *bought, binning)
+        b = buffers.group(n_inexp)
+        bought = _costly(t, rng, eq, config, n_inexp, deviant, known, b)
+        t.sum_cs_inexp, t.sumsq_cs_inexp = _tally(t, *bought, binning, b)
     return t
 
 
-def _known_reservations(
-    g: PosteriorDistribution, model: CostModel
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Every cost the model can draw, ascending, with its reservation value
-    under g; None for continuous costs, which are solved block by block."""
+def _known_stops(
+    g: PosteriorDistribution, model: CostModel, g_dev: PosteriorDistribution | None
+) -> tuple | None:
+    """The stop quantile under g, and under g_dev when a deviant is set, of
+    every cost the model can draw, in the model's order; None for
+    continuous costs, which are solved block by block."""
     if isinstance(model, SingleCost):
         costs = np.array([model.s])
     elif isinstance(model.costs, DiscreteCosts):
         costs = np.array([c for c, _ in model.costs.points])
     else:
         return None
-    return costs, reservation_for_cost(g, costs)
+    r = reservation_for_cost(g, costs)
+    return stop_quantile(g, r), (stop_quantile(g_dev, r) if g_dev is not None else None)
 
 
 def _thread_count(workers: int | None) -> int:
@@ -520,11 +662,20 @@ def _run_blocks(eq, config, deviant=None) -> tuple[_Totals, np.ndarray]:
     threads = _thread_count(config.workers)
     binning = _Binning(_bin_edges(config.bins, eq))
     eq.g.validate()  # hand-built markets arrive unsolved; _costly's stop bands need this
-    known = _known_reservations(eq.g, config.cost_model)
+    known = _known_stops(eq.g, config.cost_model, deviant[1] if deviant else None)
     sizes = [min(_BLOCK, config.consumers - start) for start in range(0, config.consumers, _BLOCK)]
+    # one set of arrays per worker, made here: a pool thread's malloc arena
+    # would keep their pages after the run
+    free: queue.SimpleQueue = queue.SimpleQueue()
+    for _ in range(min(threads, len(sizes))):
+        free.put(_Buffers(eq.n, _group_rows(sizes[0], eq.alpha)))
 
     def run(i: int, size: int) -> _Totals:
-        return _simulate_block(eq, config, i, size, binning, deviant, known)
+        buffers = free.get()
+        try:
+            return _simulate_block(eq, config, i, size, binning, deviant, known, buffers)
+        finally:
+            free.put(buffers)
 
     # a pool starts its threads on the first submit; a serial run stays in
     # this thread, where a short simulation skips the thread's start-up

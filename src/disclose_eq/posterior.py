@@ -3,8 +3,8 @@
 A posterior cdf is a contiguous list of segments on [0, top] plus at most
 one atom.  Each segment kind (FullDisclosure, Flat, AffinePower) owns its
 algebra: cdf(prior, v), integral(prior, lo, hi, k) of cdf**k over [lo, hi]
-(lo <= hi within the segment; hi may be an array), quantile(prior, q) and
-to_json_dict().
+(lo <= hi within the segment; hi may be an array), quantile_in_place(prior,
+q) and to_json_dict().
 
 The cdf is right-continuous; an atom of mass m at x shows up as a jump
 between the segment ending at x and the one starting there.  Every
@@ -19,7 +19,9 @@ integrals see sorted grids, descending reservation values or a few
 points.  `sample` takes a block of random variates in any order, which
 that sort would cost more than it saves: it evaluates each segment's
 quantile on all the variates, clipped to the segment's cdf levels, and
-keeps it where the variate reaches the segment's lower level.
+keeps it where the variate reaches the segment's lower level.  The
+quantiles are computed in place, so `sample_into` can write a block into
+arrays that the simulator reuses from block to block.
 
 The integral-precision order lives here too: informativeness_compare is
 the one mean-preserving-contraction check, used by candidate validation
@@ -67,8 +69,8 @@ class FullDisclosure:
             return prior.cum_cdf(hi) - prior.cum_cdf(lo)
         return prior.cum_pow_cdf(hi, k) - prior.cum_pow_cdf(lo, k)
 
-    def quantile(self, prior: Prior, q: np.ndarray) -> np.ndarray:
-        return prior.quantile(q)
+    def quantile_in_place(self, prior: Prior, q: np.ndarray) -> None:
+        prior.quantile_in_place(q)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"kind": "full_disclosure", "a": self.a, "b": self.b}
@@ -88,8 +90,8 @@ class Flat:
     def integral(self, prior: Prior, lo: float, hi: ArrayLike, k: int = 1) -> ArrayLike:
         return self.level**k * (hi - lo)
 
-    def quantile(self, prior: Prior, q: np.ndarray) -> np.ndarray:
-        return np.full_like(q, self.a)  # no mass here: the level is first reached at a
+    def quantile_in_place(self, prior: Prior, q: np.ndarray) -> None:
+        q.fill(self.a)  # no mass here: the level is first reached at a
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"kind": "flat", "a": self.a, "b": self.b, "level": self.level}
@@ -140,8 +142,14 @@ class AffinePower:
         e = (k + p) / p
         return coef * (self._w(hi) ** e - self._w(lo) ** e)
 
-    def quantile(self, prior: Prior, q: np.ndarray) -> np.ndarray:
-        return self.anchor + (q**self.root_power - self.base) / self.slope
+    def quantile_in_place(self, prior: Prior, q: np.ndarray) -> None:
+        """anchor + (q**root_power - base) / slope, bit for bit: `**=` takes
+        the same fast cases as `**` (a copy for 1, a square for 2), and the
+        final addition commutes."""
+        q **= self.root_power
+        q -= self.base
+        q /= self.slope
+        q += self.anchor
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"kind": "affine_power", "a": self.a, "b": self.b, "base": self.base,
@@ -291,11 +299,11 @@ class PosteriorDistribution:
         for seg in self.segments:
             lo, hi = self._seg_levels(seg)
             if hi > lo:
-                table.append((lo, hi, seg.quantile))
+                table.append((lo, hi, seg.quantile_in_place))
         if self.atom is not None:
             loc, mass = self.atom
             lo = float(self.cdf(loc)) - mass
-            table.append((lo, lo + mass, Flat(loc, loc, lo).quantile))  # every q maps to loc
+            table.append((lo, lo + mass, Flat(loc, loc, lo).quantile_in_place))  # every q maps to loc
         table.sort(key=lambda t: t[0])
         return tuple(table)
 
@@ -305,13 +313,23 @@ class PosteriorDistribution:
         arr = np.atleast_1d(np.asarray(u, dtype=float))
         if arr.size and not (arr.min() >= 0.0 and arr.max() < 1.0):  # NaN fails both
             raise DomainError("sampling variates must lie in [0, 1)")
+        out = np.empty_like(arr)
+        self.sample_into(arr, out, np.empty_like(arr), np.empty(arr.shape, dtype=bool))
+        return float(out[0]) if scalar else out
+
+    def sample_into(self, u: np.ndarray, out: np.ndarray, scratch: np.ndarray, mask: np.ndarray) -> None:
+        """sample(u) written into out, for variates already known to lie in
+        [0, 1).  scratch and mask have u's shape and are overwritten."""
         # a variate belongs to the last entry whose q_lo it reaches, or to the
         # first: each entry overwrites the variates at or above its q_lo
         (lo, hi, quantile), *rest = self._quantile_table
-        out = quantile(self.prior, arr.clip(lo, hi))
+        np.clip(u, lo, hi, out=out)
+        quantile(self.prior, out)
         for lo, hi, quantile in rest:
-            np.copyto(out, quantile(self.prior, arr.clip(lo, hi)), where=arr >= lo)
-        return float(out[0]) if scalar else out
+            np.clip(u, lo, hi, out=scratch)
+            quantile(self.prior, scratch)
+            np.greater_equal(u, lo, out=mask)
+            np.copyto(out, scratch, where=mask)
 
     def validate(self) -> None:
         """Structural checks: contiguous, nondecreasing, reaches 1 at the top."""

@@ -57,6 +57,11 @@ class Prior:
     def quantile(self, q: ArrayLike) -> ArrayLike:
         raise NotImplementedError
 
+    def quantile_in_place(self, q: np.ndarray) -> None:
+        """quantile(q) written over q, bit for bit; q lies in [0, 1] and is
+        not checked."""
+        q[...] = self.quantile(q)
+
     def cum_cdf(self, v: ArrayLike) -> ArrayLike:
         """Integral of F from 0 to v."""
         raise NotImplementedError
@@ -129,6 +134,9 @@ class UniformPrior(Prior):
         _check_unit_interval(q, "q")
         return q
 
+    def quantile_in_place(self, q: np.ndarray) -> None:
+        pass
+
     def cum_cdf(self, v: ArrayLike) -> ArrayLike:
         return 0.5 * v * v
 
@@ -173,6 +181,9 @@ class PowerPrior(Prior):
     def quantile(self, q: ArrayLike) -> ArrayLike:
         _check_unit_interval(q, "q")
         return q ** (1.0 / self.a)
+
+    def quantile_in_place(self, q: np.ndarray) -> None:
+        q **= 1.0 / self.a  # `**=` takes the fast cases of `**` (a square root for 1/2)
 
     def cum_cdf(self, v: ArrayLike) -> ArrayLike:
         return v ** (self.a + 1.0) / (self.a + 1.0)

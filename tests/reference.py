@@ -84,7 +84,7 @@ from disclose_eq.errors import (
 )
 from disclose_eq.exogenous import solve_v_l_eq
 from disclose_eq.montecarlo import _first_max
-from disclose_eq.posterior import ArrayLike, PosteriorDistribution
+from disclose_eq.posterior import ArrayLike, Flat, FullDisclosure, PosteriorDistribution
 from disclose_eq.priors import Prior
 from disclose_eq.rootfind import bisect_root
 from disclose_eq.verify import (
@@ -472,6 +472,16 @@ class MaskLoopPosterior(PosteriorDistribution):
         return float(out[0]) if scalar else out
 
 
+def _segment_quantile(seg, prior: Prior, q: np.ndarray) -> np.ndarray:
+    """A segment's quantile as a new array, in the closed form that its
+    in-place kernel must reproduce bit for bit."""
+    if isinstance(seg, FullDisclosure):
+        return prior.quantile(q)
+    if isinstance(seg, Flat):
+        return np.full_like(q, seg.a)
+    return seg.anchor + (q**seg.root_power - seg.base) / seg.slope
+
+
 def sample_by_masks(g: PosteriorDistribution, u: ArrayLike) -> ArrayLike:
     """Inverse-cdf sampling; u in [0, 1)."""
     scalar = not isinstance(u, np.ndarray)
@@ -482,7 +492,7 @@ def sample_by_masks(g: PosteriorDistribution, u: ArrayLike) -> ArrayLike:
     for seg in g.segments:
         lo, hi = g._seg_levels(seg)
         if hi > lo:
-            table.append((lo, hi, seg.quantile))
+            table.append((lo, hi, lambda prior, q, seg=seg: _segment_quantile(seg, prior, q)))
     if g.atom is not None:
         loc, mass = g.atom
         lo = float(g.cdf(loc)) - mass
@@ -516,10 +526,11 @@ def reservation_by_halving(g: PosteriorDistribution, costs: np.ndarray) -> np.nd
     return 0.5 * (lo + hi)
 
 
-def visit_order_by_argsort(keys: np.ndarray, track_firm: int) -> tuple:
+def visit_order_by_argsort(keys: np.ndarray, track_firm: int, buffers=None) -> tuple:
     """Firms visited in ascending order of each row's keys: the tracked
     firm's position per row, and a function from one position per row to
-    the firm visited there."""
+    the firm visited there.  Takes montecarlo._visit_order's arguments and
+    returns new arrays."""
     order = np.argsort(keys, axis=1)  # firm at each position
     pos_of_tracked = np.zeros(len(keys), dtype=np.intp)
     for j in range(1, keys.shape[1]):
@@ -527,10 +538,11 @@ def visit_order_by_argsort(keys: np.ndarray, track_firm: int) -> tuple:
     return pos_of_tracked, lambda pos: order[np.arange(len(order)), pos]
 
 
-def stop_rule_by_copyto(u, vals, stop, stop_dev, pos_of_tracked) -> tuple[np.ndarray, np.ndarray]:
+def stop_rule_by_copyto(u, vals, stop, stop_dev, pos_of_tracked, buffers=None) -> tuple[np.ndarray, np.ndarray]:
     """Visits and the position bought: the first position whose variate
     reaches its stop quantile (stop_dev at the tracked firm's position),
-    else all n visits and the best draw."""
+    else all n visits and the best draw.  Takes montecarlo._stop_rule's
+    arguments and returns new arrays."""
     n = u.shape[1]
     first_hit = np.full(len(u), n)
     for j in reversed(range(n)):
@@ -542,9 +554,9 @@ def stop_rule_by_copyto(u, vals, stop, stop_dev, pos_of_tracked) -> tuple[np.nda
     return np.where(any_hit, first_hit + 1, n), np.where(any_hit, first_hit, _first_max(vals))
 
 
-def tally_by_copyto(t, vals, visits, stop_pos, firm, cost, binning) -> tuple[float, float]:
+def tally_by_copyto(t, vals, visits, stop_pos, firm, cost, binning, buffers=None) -> tuple[float, float]:
     """montecarlo._tally with the purchases gathered by 2-D indexing and the
-    draws never seen sent to the extra bin by np.copyto."""
+    draws never seen sent to the extra bin by np.copyto, in new arrays."""
     rows = np.arange(len(vals))
     cs = vals[rows, stop_pos] - visits * cost
     t.sales += np.bincount(firm, minlength=len(t.sales))

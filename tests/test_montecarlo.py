@@ -423,6 +423,9 @@ _PINNED = {
     "power": "2c13f9d8b13d1bc9fef2d6064f665f930075e5dfdaf43be1d887e35ab1432a71",
     "piecewise": "93b2cdf1031105f39c420e6778f2a5c1dc3a0088f29fca69897150b01f6ea946",
     "uniform-12": "1721bbebe316cf47b03117e24a1f84d315248df4250283941c0f81ca6390de5b",
+    # pinned before the blocks reused per-worker arrays: three blocks each
+    "discrete-blocks": "ea2e6cc009c1f10106b73ba12b6e4beefa8299a2dffb2f594a10922e50a9b827",
+    "continuous-blocks": "83867dfaa6773bbc70d1f9fe8fb4907b94d4d6fc24bcba8958660ee8cc2f5c5e",
 }
 _DISCRETE = HeterogeneousCosts(DiscreteCosts(points=((0.05, 0.5), (0.1, 0.5))))
 _CONTINUOUS = HeterogeneousCosts(ContinuousCosts(knots=((0.05, 0.0), (0.2, 1.0))))
@@ -438,8 +441,11 @@ _CONTINUOUS = HeterogeneousCosts(ContinuousCosts(knots=((0.05, 0.0), (0.2, 1.0))
         ("power", "power2", 3, 0.4, 0.15, 20_000, SingleCost(0.15), 1),  # the quantile takes a pow
         ("piecewise", "piecewise", 7, 0.5, 0.1, 20_000, SingleCost(0.1), 1),
         ("uniform-12", "uniform", 12, 0.5, 0.1, 3_000, _CONTINUOUS, 1),
+        ("discrete-blocks", "uniform", 5, 0.5, 0.1, 150_000, _DISCRETE, 2),
+        ("continuous-blocks", "uniform", 2, 0.65, 0.1, 140_000, _CONTINUOUS, 1),
     ],
-    ids=["single", "single-parallel", "discrete", "continuous", "power", "piecewise", "uniform-12"],
+    ids=["single", "single-parallel", "discrete", "continuous", "power", "piecewise", "uniform-12",
+         "discrete-blocks", "continuous-blocks"],
 )
 def test_report_digests_are_pinned(request, kind, prior, n, alpha, s, consumers, cost_model, workers):
     eq = solve_endog(request.getfixturevalue(prior), n, alpha, s)
@@ -466,6 +472,10 @@ def test_deviation_share_is_pinned(eq_uniform_small, eq_power, uniform, power2):
     cfg = SimConfig(consumers=20_000, seed=2024, cost_model=SingleCost(0.15))
     share, se = simulate_deviation(eq_power, 1, full_disclosure_distribution(power2), cfg)
     assert (share, se) == (0.32805, 0.003319888533520365)
+    # three blocks on two workers, pinned before the blocks reused per-worker arrays
+    cfg = SimConfig(consumers=140_000, seed=2024, cost_model=SingleCost(0.15), workers=2)
+    share, se = simulate_deviation(eq_power, 1, full_disclosure_distribution(power2), cfg)
+    assert (share, se) == (0.3235, 0.0012502792545210507)
     # drawn costs, pinned from the simulator that solved every drawn cost's
     # reservation value exactly
     cfg = SimConfig(consumers=70_000, seed=2024, cost_model=_CONTINUOUS, workers=2)
@@ -520,8 +530,9 @@ def test_visit_order_equals_argsort_on_tied_keys(n):
             f"no longer reproduces the visit order of the pinned reports"
         )
     pos = rng.integers(0, n, size=len(keys))
+    b = montecarlo._Buffers(n, len(keys)).group(len(keys))
     for firm in range(n):
-        got_pos, got_firm_at = montecarlo._visit_order(keys, firm)
+        got_pos, got_firm_at = montecarlo._visit_order(keys, firm, b)
         want_pos, want_firm_at = visit_order_by_argsort(keys, firm)
         assert np.array_equal(got_pos, want_pos)
         assert np.array_equal(got_firm_at(pos), want_firm_at(pos))
@@ -532,12 +543,23 @@ def _uniform_market(n: int):
     return solve_endog(UniformPrior(), n, 0.5, 0.1)
 
 
-@pytest.mark.parametrize("deviate", [False, True], ids=["market", "deviation"])
-@pytest.mark.parametrize("cost_model", [SingleCost(0.1), _DISCRETE, _CONTINUOUS], ids=["single", "discrete", "continuous"])
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 12])
-def test_block_kernel_equals_masked_copies_bitwise(monkeypatch, n, cost_model, deviate):
+_COST_MODELS = {"single": SingleCost(0.1), "discrete": _DISCRETE, "continuous": _CONTINUOUS}
+# every market size, cost model and path in one block; then three blocks, so
+# that each block after the first runs on the arrays the one before left
+_KERNEL_CASES = [
+    (n, cost, deviate, 3_000, 1) for n in (2, 3, 4, 5, 12) for cost in _COST_MODELS for deviate in (False, True)
+] + [(n, "single", False, 140_000, workers) for n in (2, 5) for workers in (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "n, cost, deviate, consumers, workers",
+    _KERNEL_CASES,
+    ids=[f"{n}-{cost}-{'deviation' if dev else 'market'}" + (f"-{c}-w{w}" if c > 3_000 else "")
+         for n, cost, dev, c, w in _KERNEL_CASES],
+)
+def test_block_kernel_equals_masked_copies_bitwise(monkeypatch, n, cost, deviate, consumers, workers):
     eq = _uniform_market(n)
-    cfg = SimConfig(consumers=3_000, seed=2024, cost_model=cost_model)
+    cfg = SimConfig(consumers=consumers, seed=2024, cost_model=_COST_MODELS[cost], workers=workers)
 
     def run():
         if deviate:
@@ -553,29 +575,50 @@ def test_block_kernel_equals_masked_copies_bitwise(monkeypatch, n, cost_model, d
 
 # tracemalloc peak, in bytes, of one 65,536-consumer single-cost block
 # (seed 2024, block 0, caches warm) in the simulator that sorted every row
-# of keys and selected by masked copies: a block may not need more
+# of keys and selected by masked copies: a block may not need more, the
+# making of its arrays included
 _BLOCK_PEAK_BYTES = {"eq_uniform_small": 5_970_049, "eq_power": 5_660_820}
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _single_cost_block(eq):
+    """(a function that makes one worker's arrays, one that runs block 0 of a
+    65,536-consumer single-cost run on given arrays)"""
+    size = montecarlo._BLOCK
+    cfg = SimConfig(consumers=size, seed=2024, cost_model=SingleCost(eq.s))
+    binning = montecarlo._Binning(montecarlo._bin_edges(cfg.bins, eq))
+    known = montecarlo._known_stops(eq.g, cfg.cost_model, None)
+
+    def buffers():
+        return montecarlo._Buffers(eq.n, montecarlo._group_rows(size, eq.alpha))
+
+    def block(b):
+        return montecarlo._simulate_block(eq, cfg, 0, size, binning, None, known, b)
+
+    block(buffers())  # fills the posterior's caches
+    return buffers, block
 
 
 @pytest.mark.parametrize("market", ["eq_uniform_small", "eq_power"])
 def test_block_peak_memory_stays_within_the_masked_kernel(request, market):
-    eq = request.getfixturevalue(market)
-    size = montecarlo._BLOCK
-    cfg = SimConfig(consumers=size, seed=2024, cost_model=SingleCost(eq.s))
-    binning = montecarlo._Binning(montecarlo._bin_edges(cfg.bins, eq))
-    known = montecarlo._known_reservations(eq.g, cfg.cost_model)
+    buffers, block = _single_cost_block(request.getfixturevalue(market))
+    assert _traced_peak(lambda: block(buffers())) <= _BLOCK_PEAK_BYTES[market]
 
-    def block():
-        return montecarlo._simulate_block(eq, cfg, 0, size, binning, None, known)
 
-    block()  # fills the posterior's caches
-    tracemalloc.start()
-    try:
-        block()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= _BLOCK_PEAK_BYTES[market]
+@pytest.mark.parametrize("market", ["eq_uniform_small", "eq_power"])
+def test_block_on_reused_arrays_needs_half_the_peak_memory(request, market):
+    buffers, block = _single_cost_block(request.getfixturevalue(market))
+    warm = buffers()
+    block(warm)
+    assert _traced_peak(lambda: block(warm)) <= _BLOCK_PEAK_BYTES[market] // 2
 
 
 def test_malformed_posteriors_are_rejected_before_simulating(eq_uniform_small, uniform):

@@ -184,6 +184,9 @@ def test_sample_equals_the_mask_loop_bitwise(g_atom, uniform, power2, piecewise)
     posteriors = _bitwise_posteriors(g_atom, (uniform, power2, piecewise))
     rng = np.random.default_rng(6)
     checked = 0
+    # the in-place kernel writes into arrays a caller reuses: left dirty by
+    # the posteriors before, or filled with NaN
+    dirty = (np.empty(1024), np.empty(1024), np.empty(1024, dtype=bool))
     for g, _ in posteriors:
         for u in _sample_inputs(g, rng):
             want = sample_by_masks(g, u)
@@ -191,7 +194,14 @@ def test_sample_equals_the_mask_loop_bitwise(g_atom, uniform, power2, piecewise)
             _assert_same_bits(got, want, (g, u))
             assert np.shape(got) == np.shape(want), (g, u)
             checked += 1
-    assert len(posteriors) == 25 and checked > 500
+            if isinstance(u, np.ndarray) and u.ndim:
+                nan = (np.full(u.shape, np.nan), np.full(u.shape, np.nan), np.ones(u.shape, dtype=bool))
+                reused = tuple(a[: u.size].reshape(u.shape) for a in dirty)
+                for out, scratch, mask in (nan, reused):
+                    g.sample_into(u, out, scratch, mask)
+                    _assert_same_bits(out, want, (g, u))
+                    checked += 1
+    assert len(posteriors) == 25 and checked > 900
 
 
 def test_sample_rejects_variates_outside_the_unit_interval(eq_uniform_small):
