@@ -15,8 +15,8 @@ and otherwise buy the best of all n draws.  Every visit costs the
 consumer her search cost, the first one included.  Once both types have
 stopped, one tally records their purchases: a savvy consumer is the case
 that visits every firm, stops at the best draw and pays nothing.  A
-single cost or a finite set of costs has its reservation values solved
-once per simulation.  Costs drawn from a continuous distribution have
+single cost or a finite set of costs has its stop quantiles solved once
+per simulation (_Plan).  Costs drawn from a continuous distribution have
 theirs bracketed per block from one grid (_brackets), and only the few
 consumers with a draw close to their stop quantile get the exact solve:
 for everyone else the bracket already decides every stop (_costly).
@@ -233,13 +233,12 @@ class _Binning:
             self.inside.append(level)
             cell, inner = cell[~first], inner[~first]
 
-    def index(self, vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Bin of each value, into out (intp, vals' shape) if given, in
+    def index(self, vals: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Bin of each value, into out (intp, vals' shape), in
         chunks that keep the temporaries small; cells outside the table are
         clipped into it."""
         flat = vals.reshape(-1)
-        idx = np.empty(vals.shape, dtype=np.intp) if out is None else out
-        idx_flat = idx.reshape(-1)
+        idx_flat = out.reshape(-1)
         for start in range(0, len(flat), _CHUNK):
             v = flat[start : start + _CHUNK]
             cell = (v * self.cells).astype(np.intp)
@@ -247,7 +246,7 @@ class _Binning:
             self.below.take(cell, out=chunk, mode="clip")
             for level in self.inside:
                 chunk += v >= level.take(cell, mode="clip")
-        return idx
+        return out
 
 
 @dataclass
@@ -271,18 +270,49 @@ class _Totals:
         return self
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """What every block of one simulation shares.  `firm` is tracked; it is
+    the deviant when g_dev, its posterior, is set.  `stops` holds the stop
+    quantile of each cost, in the model's order, under eq.g and under g_dev
+    (None without a deviant), or is None for continuous costs, which every
+    block solves for its own draws."""
+
+    eq: Equilibrium
+    config: SimConfig
+    binning: _Binning
+    firm: int
+    g_dev: PosteriorDistribution | None
+    stops: tuple | None
+
+
+def _plan(eq: Equilibrium, config: SimConfig, firm: int = 0, g_dev: PosteriorDistribution | None = None) -> _Plan:
+    """One simulation's plan; `firm` deviates to g_dev when that is set."""
+    binning = _Binning(_bin_edges(config.bins, eq))
+    eq.g.validate()  # hand-built markets arrive unsolved; _costly's stop bands need this
+    model, stops = config.cost_model, None
+    if isinstance(model, SingleCost) or isinstance(model.costs, DiscreteCosts):
+        costs = [model.s] if isinstance(model, SingleCost) else [c for c, _ in model.costs.points]
+        r = reservation_for_cost(eq.g, np.array(costs))
+        stops = stop_quantile(eq.g, r), (stop_quantile(g_dev, r) if g_dev is not None else None)
+    return _Plan(eq, config, binning, firm, g_dev, stops)
+
+
 def _draw_costs(rng: np.random.Generator, model: CostModel, size: int) -> tuple:
-    """Each consumer's search cost (one number for a single cost), and for a
-    finite set of costs the index of each draw in it (else None).  A single
-    cost draws no variate, drawn costs one per consumer."""
+    """Each consumer's search cost (one number for a single cost), and for
+    known costs the index of each draw among them (0 for a single cost, None
+    for continuous costs).  A single cost draws no variate, drawn costs one
+    per consumer."""
     if isinstance(model, SingleCost):
-        return model.s, None
+        return model.s, 0
     costs = model.costs
     u = rng.random(size)
     if isinstance(costs, DiscreteCosts):
         values = np.array([c for c, _ in costs.points])
         cum = np.cumsum([p for _, p in costs.points])
-        which = np.searchsorted(cum, u, side="right")
+        # the last cost takes every u from cum[-2] up: the sum of the
+        # probabilities may round, or be accepted, below the largest u
+        which = np.searchsorted(cum[:-1], u, side="right")
         return values[which], which
     if isinstance(costs, ContinuousCosts):
         xs = [k[0] for k in costs.knots]
@@ -372,6 +402,15 @@ class _Buffers:
         )
 
 
+def _blend(acc: np.ndarray, value, flag: np.ndarray, step: np.ndarray) -> None:
+    """acc += (value - acc) * flag, through the scratch row step: the
+    integer select on 0/1 flags that the kernel uses in place of masked
+    copies and np.where, whose branches mispredict on random masks."""
+    np.subtract(value, acc, out=step)
+    step *= flag
+    acc += step
+
+
 def _tally(t: _Totals, vals, visits, stop_pos, firm, cost, binning: _Binning, b) -> tuple[float, float]:
     """Record what a group of consumers bought and return the sum and the sum
     of squares of their surplus.  Consumer i saw the first visits[i] draws
@@ -387,53 +426,40 @@ def _tally(t: _Totals, vals, visits, stop_pos, firm, cost, binning: _Binning, b)
     cs *= cs
     total_sq = float(np.sum(cs))
     n_bins = len(t.bin_visits)
-    idx = binning.index(vals, out=b.idx)
+    idx = binning.index(vals, b.idx)
     t.bin_sales += np.bincount(np.take(idx.reshape(-1), bought, out=b.firm), minlength=n_bins)
     if visits.min() < n:  # draws never seen go to an extra bin
-        unseen, step = b.flag, b.bought
         for j in range(1, n):
-            col = idx[:, j]
-            np.less_equal(visits, j, out=unseen)
-            np.subtract(n_bins, col, out=step)  # col += (n_bins - col) * unseen
-            step *= unseen
-            col += step
+            # the intp step: n_bins - col does not fit the narrow type
+            _blend(idx[:, j], n_bins, np.less_equal(visits, j, out=b.flag), b.bought)
     t.bin_visits += np.bincount(idx.reshape(-1), minlength=n_bins + 1)[:n_bins]
     return total, total_sq
 
 
-def _first_max(vals: np.ndarray, b=None) -> np.ndarray:
+def _first_max(vals: np.ndarray, b) -> np.ndarray:
     """Column of each row's maximum, ties to the lowest column, written to
-    b.stop_pos (a fresh array without b).  The select is integer arithmetic,
-    as in _stop_rule."""
-    count, n = vals.shape
-    if b is None:
-        b = _Buffers(n, count).group(count)
-    best, top, better, step = b.stop_pos, b.top, b.flag, b.tmp
+    b.stop_pos."""
+    n = vals.shape[1]
+    best, top, better = b.stop_pos, b.top, b.flag
     best.fill(0)
     np.copyto(top, vals[:, 0])
     for j in range(1, n):
         np.greater(vals[:, j], top, out=better)
         if j < n - 1:
             np.maximum(top, vals[:, j], out=top)
-        np.subtract(j, best, out=step)  # best += (j - best) * better
-        step *= better
-        best += step
+        _blend(best, j, better, b.tmp)
     return best
 
 
-Deviant = Union[tuple[int, PosteriorDistribution], None]
-
-
-def _savvy(rng: np.random.Generator, eq: Equilibrium, deviant: Deviant, b) -> tuple:
+def _savvy(rng: np.random.Generator, plan: _Plan, b) -> tuple:
     """Savvy consumers visit every firm for free and buy the best draw.
     Returns _tally's (vals, visits, stop_pos, firm, cost)."""
     u = rng.random(out=b.u)
-    eq.g.sample_into(u, b.vals, b.scratch, b.mask)
-    if deviant is not None:
-        firm, g_dev = deviant
-        g_dev.sample_into(u[:, firm], b.vals[:, firm], b.top, b.flag)
+    plan.eq.g.sample_into(u, b.vals, b.scratch, b.mask)
+    if plan.g_dev is not None:
+        plan.g_dev.sample_into(u[:, plan.firm], b.vals[:, plan.firm], b.top, b.flag)
     best = _first_max(b.vals, b)  # ties go to the lowest firm index
-    b.first_hit.fill(eq.n)
+    b.first_hit.fill(plan.eq.n)
     np.copyto(b.firm, best)  # bincount reads intp
     return b.vals, b.first_hit, best, b.firm, 0.0
 
@@ -461,12 +487,6 @@ def _ranks(keys: np.ndarray, rank: np.ndarray, later: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _add_multiple(acc: np.ndarray, j: int, flag: np.ndarray, step: np.ndarray) -> None:
-    """acc += j * flag, through the narrow scratch row step."""
-    np.multiply(flag, j, out=step)
-    acc += step
-
-
 def _visit_order(keys: np.ndarray, track_firm: int, b) -> tuple:
     """Each row visits the firms in ascending order of its keys, as
     np.argsort orders them.  Returns the tracked firm's position in each
@@ -479,14 +499,14 @@ def _visit_order(keys: np.ndarray, track_firm: int, b) -> tuple:
         def firm_at(pos: np.ndarray) -> np.ndarray:
             b.firm.fill(0)
             for j in range(1, n):
-                _add_multiple(b.firm, j, np.equal(rank[:, j], pos, out=b.flag), b.tmp)
+                _blend(b.firm, j, np.equal(rank[:, j], pos, out=b.flag), b.tmp)
             return b.firm
 
         return rank[:, track_firm], firm_at
     order = np.argsort(keys, axis=1)  # firm at each position
     b.pos.fill(0)
     for j in range(1, n):
-        _add_multiple(b.pos, j, np.equal(order[:, j], track_firm, out=b.flag), b.tmp)
+        _blend(b.pos, j, np.equal(order[:, j], track_firm, out=b.flag), b.tmp)
 
     def firm_at(pos: np.ndarray) -> np.ndarray:
         return np.take(order.reshape(-1), np.add(b.steps, pos, out=b.bought), out=b.firm)
@@ -498,31 +518,20 @@ def _stop_rule(u, vals, stop, stop_dev, pos_of_tracked, b) -> tuple[np.ndarray, 
     """Visits and the position bought, per row.  A consumer stops at the
     first position whose variate reaches its stop quantile (stop_dev for the
     tracked firm's draw when a deviant is set) and otherwise visits all n
-    and buys the best draw.  The selects are integer arithmetic: on random
-    masks NumPy's masked copies and np.where mispredict their branches."""
+    and buys the best draw."""
     n = u.shape[1]
-    first_hit, hit, step = b.first_hit, b.flag, b.tmp
+    first_hit, hit = b.first_hit, b.flag
     first_hit.fill(n)  # n: no draw passes the stop rule
     for j in reversed(range(n)):
         np.greater_equal(u[:, j], stop, out=hit)
         if stop_dev is not None:  # swap in the deviant's test at its position
             hit ^= (hit ^ (u[:, j] >= stop_dev)) & (pos_of_tracked == j)
-        np.subtract(first_hit, j, out=step)  # first_hit -= (first_hit - j) * hit
-        step *= hit
-        first_hit -= step
+        _blend(first_hit, j, hit, b.tmp)
     any_hit = np.less(first_hit, n, out=b.any_hit)
     stop_pos = _first_max(vals, b)
-    np.subtract(first_hit, stop_pos, out=step)  # stop_pos += (first_hit - stop_pos) * any_hit
-    step *= any_hit
-    stop_pos += step
+    _blend(stop_pos, first_hit, any_hit, b.tmp)
     first_hit += any_hit  # now the visits
     return first_hit, stop_pos
-
-
-def _stop_band(g: PosteriorDistribution, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quantiles [stop(lo) - _MARGIN, stop(hi) + _MARGIN) around the stop
-    quantile of every reservation value in [lo, hi], per bracket."""
-    return stop_quantile(g, lo) - _MARGIN, stop_quantile(g, hi) + _MARGIN
 
 
 def _near_band(u: np.ndarray, bottom: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -533,13 +542,12 @@ def _near_band(u: np.ndarray, bottom: np.ndarray, top: np.ndarray) -> np.ndarray
     return np.flatnonzero(near)
 
 
-def _costly(t: _Totals, rng: np.random.Generator, eq: Equilibrium, config: SimConfig,
-            count: int, deviant: Deviant, known: tuple | None, b) -> tuple:
+def _costly(t: _Totals, rng: np.random.Generator, plan: _Plan, count: int, b) -> tuple:
     """Costly searchers visit firms in a random order and stop by their
     reservation values, applied in quantile space.  Counts their visits in t
     and returns _tally's (vals, visits, stop_pos, firm, cost).
 
-    Known costs come with their stop quantiles.  Drawn costs get a bracket
+    Known costs take their stops from the plan.  Drawn costs get a bracket
     [lo, hi] from _brackets, and a consumer needs its exact reservation
     value r only if one of its variates u lies in the band
     [stop(lo) - _MARGIN, stop(hi) + _MARGIN) of its cost: below the band
@@ -552,30 +560,30 @@ def _costly(t: _Totals, rng: np.random.Generator, eq: Equilibrium, config: SimCo
     were the band's top, which decides each of its variates the same way,
     so the reports stay bit for bit those of the exact solve.
     """
-    n = eq.n
-    track_firm, g_dev = deviant if deviant else (0, None)
-    costs, which = _draw_costs(rng, config.cost_model, count)
+    eq, g_dev = plan.eq, plan.g_dev
+    costs, which = _draw_costs(rng, plan.config.cost_model, count)
     # per cost: the stop quantile, or for drawn costs the band around it
-    if known is None:
+    if plan.stops is None:
         uniq, which = np.unique(costs, return_inverse=True)
         lo, hi = _brackets(eq.g, uniq)
-        bottom, top = _stop_band(eq.g, lo, hi)
-        bottom_dev, top_dev = _stop_band(g_dev, lo, hi) if g_dev is not None else (None, None)
+        bottom, top = stop_quantile(eq.g, lo) - _MARGIN, stop_quantile(eq.g, hi) + _MARGIN
+        if g_dev is not None:
+            bottom_dev, top_dev = stop_quantile(g_dev, lo) - _MARGIN, stop_quantile(g_dev, hi) + _MARGIN
         del uniq, lo, hi  # freed before the draws
     else:
-        top, top_dev = known
-    pos_of_tracked, firm_at = _visit_order(rng.random(out=b.vals), track_firm, b)
+        top, top_dev = plan.stops
+    pos_of_tracked, firm_at = _visit_order(rng.random(out=b.vals), plan.firm, b)
     u = rng.random(out=b.u)
     # value drawn at each *position*; the deviant's cells redrawn from g_dev
     vals = b.vals
     eq.g.sample_into(u, vals, b.scratch, b.mask)
-    stop = top[0] if which is None else top[which]
+    stop = top[which]
     stop_dev = None
     if g_dev is not None:
         at = np.add(b.steps, pos_of_tracked, out=b.bought)  # the tracked firm's cells
         vals.reshape(-1)[at] = g_dev.sample(u.reshape(-1)[at])
-        stop_dev = top_dev[0] if which is None else top_dev[which]
-    if known is None:  # the stops so far are the band tops
+        stop_dev = top_dev[which]
+    if plan.stops is None:  # the stops so far are the band tops
         near = _near_band(u, bottom[which], stop)
         if g_dev is not None:
             tracked = _near_band(u.reshape(-1)[at, None], bottom_dev[which], stop_dev)
@@ -586,62 +594,35 @@ def _costly(t: _Totals, rng: np.random.Generator, eq: Equilibrium, config: SimCo
             stop_dev[near] = stop_quantile(g_dev, r_near)
     visits, stop_pos = _stop_rule(u, vals, stop, stop_dev, pos_of_tracked, b)
     np.copyto(b.firm, visits)  # bincount reads intp
-    hist = np.bincount(b.firm, minlength=n + 1)
+    hist = np.bincount(b.firm, minlength=eq.n + 1)
     t.visit_hist += hist
     t.multi = int(hist[2:].sum())
     t.firm0_visits_inexp = int(np.count_nonzero(np.less(pos_of_tracked, visits, out=b.flag)))
     return vals, visits, stop_pos, firm_at(stop_pos), costs
 
 
-def _simulate_block(
-    eq: Equilibrium,
-    config: SimConfig,
-    block_index: int,
-    size: int,
-    binning: _Binning,
-    deviant: Deviant,
-    known: tuple | None,
-    buffers: _Buffers,
-) -> _Totals:
-    """One block of consumers; `deviant` is (firm, its posterior) or None,
-    and `known` is (stop, stop_dev) per cost when the costs are known up
-    front, or None to solve the reservation values of the block's draws.
-    The block runs on `buffers`, which no other block uses meanwhile."""
-    n = eq.n
-    key = np.array([config.seed, block_index], dtype=np.uint64)
+def _simulate_block(plan: _Plan, block_index: int, size: int, buffers: _Buffers) -> _Totals:
+    """One block of consumers, on `buffers`, which no other block uses
+    meanwhile."""
+    eq, n = plan.eq, plan.eq.n
+    key = np.array([plan.config.seed, block_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     buffers.reserve(-(-size // n))  # the alpha draw fills the first `size` variates
     draw = rng.random(out=buffers.draws[:size])
     n_inexp = int(np.count_nonzero(np.less(draw, eq.alpha, out=buffers.flags[:size])))
     del draw  # the group's reserve() may free the memory it views
     buffers.reserve(max(size - n_inexp, n_inexp))
-    n_bins = len(binning.edges) - 1
+    n_bins = len(plan.binning.edges) - 1
     t = _Totals(size - n_inexp, n_inexp, np.zeros(n), np.zeros(n + 1), np.zeros(n_bins), np.zeros(n_bins))
     if t.n_savvy:
         b = buffers.group(t.n_savvy)
-        bought = _savvy(rng, eq, deviant, b)
-        t.sum_cs_savvy, t.sumsq_cs_savvy = _tally(t, *bought, binning, b)
+        bought = _savvy(rng, plan, b)
+        t.sum_cs_savvy, t.sumsq_cs_savvy = _tally(t, *bought, plan.binning, b)
     if n_inexp:
         b = buffers.group(n_inexp)
-        bought = _costly(t, rng, eq, config, n_inexp, deviant, known, b)
-        t.sum_cs_inexp, t.sumsq_cs_inexp = _tally(t, *bought, binning, b)
+        bought = _costly(t, rng, plan, n_inexp, b)
+        t.sum_cs_inexp, t.sumsq_cs_inexp = _tally(t, *bought, plan.binning, b)
     return t
-
-
-def _known_stops(
-    g: PosteriorDistribution, model: CostModel, g_dev: PosteriorDistribution | None
-) -> tuple | None:
-    """The stop quantile under g, and under g_dev when a deviant is set, of
-    every cost the model can draw, in the model's order; None for
-    continuous costs, which are solved block by block."""
-    if isinstance(model, SingleCost):
-        costs = np.array([model.s])
-    elif isinstance(model.costs, DiscreteCosts):
-        costs = np.array([c for c, _ in model.costs.points])
-    else:
-        return None
-    r = reservation_for_cost(g, costs)
-    return stop_quantile(g, r), (stop_quantile(g_dev, r) if g_dev is not None else None)
 
 
 def _thread_count(workers: int | None) -> int:
@@ -658,22 +639,20 @@ def _thread_count(workers: int | None) -> int:
     return threads
 
 
-def _run_blocks(eq, config, deviant=None) -> tuple[_Totals, np.ndarray]:
-    threads = _thread_count(config.workers)
-    binning = _Binning(_bin_edges(config.bins, eq))
-    eq.g.validate()  # hand-built markets arrive unsolved; _costly's stop bands need this
-    known = _known_stops(eq.g, config.cost_model, deviant[1] if deviant else None)
-    sizes = [min(_BLOCK, config.consumers - start) for start in range(0, config.consumers, _BLOCK)]
+def _run_blocks(plan: _Plan) -> _Totals:
+    threads = _thread_count(plan.config.workers)
+    consumers, n = plan.config.consumers, plan.eq.n
+    sizes = [min(_BLOCK, consumers - start) for start in range(0, consumers, _BLOCK)]
     # one set of arrays per worker, made here: a pool thread's malloc arena
     # would keep their pages after the run
     free: queue.SimpleQueue = queue.SimpleQueue()
     for _ in range(min(threads, len(sizes))):
-        free.put(_Buffers(eq.n, _group_rows(sizes[0], eq.alpha)))
+        free.put(_Buffers(n, _group_rows(sizes[0], plan.eq.alpha)))
 
     def run(i: int, size: int) -> _Totals:
         buffers = free.get()
         try:
-            return _simulate_block(eq, config, i, size, binning, deviant, known, buffers)
+            return _simulate_block(plan, i, size, buffers)
         finally:
             free.put(buffers)
 
@@ -681,7 +660,7 @@ def _run_blocks(eq, config, deviant=None) -> tuple[_Totals, np.ndarray]:
     # this thread, where a short simulation skips the thread's start-up
     with ThreadPoolExecutor(max_workers=threads) as pool:
         blocks = (pool.map if threads > 1 else map)(run, range(len(sizes)), sizes)
-        return functools.reduce(_Totals.merge, blocks), binning.edges
+        return functools.reduce(_Totals.merge, blocks)
 
 
 def _se_mean(total: float, total_sq: float, count: int) -> float:
@@ -694,8 +673,8 @@ def _se_mean(total: float, total_sq: float, count: int) -> float:
 
 def simulate_market(eq: Equilibrium, config: SimConfig) -> SimReport:
     """Simulate the market under the equilibrium disclosure."""
-    total, edges = _run_blocks(eq, config)
-    return _report_from_totals(eq, config, total, edges)
+    plan = _plan(eq, config)
+    return _report_from_totals(eq, config, _run_blocks(plan), plan.binning.edges)
 
 
 def _report_from_totals(eq, config, t: _Totals, edges: np.ndarray) -> SimReport:
@@ -743,7 +722,7 @@ def simulate_deviation(
         raise DomainError("firm_index out of range")
     g_dev.validate()
     check_deviation_mpc(g_dev, eq.prior)
-    total, _ = _run_blocks(eq, config, (firm_index, g_dev))
+    total = _run_blocks(_plan(eq, config, firm_index, g_dev))
     share = float(total.sales[firm_index]) / config.consumers
     se = float(np.sqrt(max(share * (1 - share), 0.0) / config.consumers))
     return share, se

@@ -83,7 +83,7 @@ from disclose_eq.errors import (
     ValidationFailureError,
 )
 from disclose_eq.exogenous import solve_v_l_eq
-from disclose_eq.montecarlo import _first_max
+from disclose_eq.montecarlo import _Buffers, _first_max
 from disclose_eq.posterior import ArrayLike, Flat, FullDisclosure, PosteriorDistribution
 from disclose_eq.priors import Prior
 from disclose_eq.rootfind import bisect_root
@@ -551,7 +551,8 @@ def stop_rule_by_copyto(u, vals, stop, stop_dev, pos_of_tracked, buffers=None) -
             np.copyto(hit, u[:, j] >= stop_dev, where=pos_of_tracked == j)
         np.copyto(first_hit, j, where=hit)
     any_hit = first_hit < n
-    return np.where(any_hit, first_hit + 1, n), np.where(any_hit, first_hit, _first_max(vals))
+    best = _first_max(vals, _Buffers(n, len(vals)).group(len(vals)))
+    return np.where(any_hit, first_hit + 1, n), np.where(any_hit, first_hit, best)
 
 
 def tally_by_copyto(t, vals, visits, stop_pos, firm, cost, binning, buffers=None) -> tuple[float, float]:
@@ -561,7 +562,7 @@ def tally_by_copyto(t, vals, visits, stop_pos, firm, cost, binning, buffers=None
     cs = vals[rows, stop_pos] - visits * cost
     t.sales += np.bincount(firm, minlength=len(t.sales))
     n_bins = len(t.bin_visits)
-    idx = binning.index(vals)
+    idx = binning.index(vals, np.empty(vals.shape, dtype=np.intp))
     t.bin_sales += np.bincount(idx[rows, stop_pos], minlength=n_bins)
     for j in range(1, vals.shape[1]):
         np.copyto(idx[:, j], n_bins, where=visits <= j)

@@ -227,6 +227,24 @@ def test_heterogeneous_costs_stop_first(eq_uniform_large):
     )
 
 
+@pytest.mark.parametrize(
+    "points, u",
+    [
+        # the cumulative sum ends at 0.9999999999999999, Generator.random's largest value
+        (((0.03, 0.7), (0.06, 0.2), (0.1, 0.1)), np.nextafter(1.0, 0.0)),
+        # probabilities summing to 1 - 5e-13, which DiscreteCosts accepts
+        (((0.05, 0.5), (0.1, 0.5 - 5e-13)), 1.0 - 1e-13),
+    ],
+    ids=["rounded", "accepted"],
+)
+def test_a_variate_above_the_cost_cdf_draws_the_last_cost(points, u):
+    assert np.cumsum([p for _, p in points])[-1] <= u
+    rng = SimpleNamespace(random=lambda size: np.full(size, u))
+    costs, which = montecarlo._draw_costs(rng, HeterogeneousCosts(DiscreteCosts(points)), 4)
+    assert which.tolist() == [len(points) - 1] * 4
+    assert costs.tolist() == [points[-1][0]] * 4
+
+
 def test_continuous_costs(eq_uniform_small):
     # every cost type searches up to its own reservation value
     eq = eq_uniform_small
@@ -343,7 +361,8 @@ def test_first_max_breaks_ties_to_the_lowest_column():
     rng = np.random.default_rng(3)
     for n in (1, 2, 5):
         vals = rng.integers(0, 3, size=(500, n)).astype(float)
-        assert np.array_equal(montecarlo._first_max(vals), np.argmax(vals, axis=1))
+        b = montecarlo._Buffers(n, len(vals)).group(len(vals))
+        assert np.array_equal(montecarlo._first_max(vals, b), np.argmax(vals, axis=1))
 
 
 def _breakpoints(v_l, r, v_h, v_t):
@@ -370,7 +389,7 @@ def test_bin_lookup_equals_digitize_bitwise(request, bins, market):
     rng = np.random.default_rng(bins)
     vals = np.concatenate([near, [0.0, -0.0, 1.0], rng.random(3 * montecarlo._CHUNK)])
     for v in (vals, rng.permutation(vals).reshape(-1, 3)):
-        got = binning.index(v)
+        got = binning.index(v, np.empty(v.shape, dtype=np.intp))
         assert got.shape == v.shape and got.dtype == np.intp
         assert np.array_equal(got, bins_by_digitize(v, edges))
 
@@ -545,10 +564,13 @@ def _uniform_market(n: int):
 
 _COST_MODELS = {"single": SingleCost(0.1), "discrete": _DISCRETE, "continuous": _CONTINUOUS}
 # every market size, cost model and path in one block; then three blocks, so
-# that each block after the first runs on the arrays the one before left
+# that each block after the first runs on the arrays the one before left, and
+# a deviant's stops, known or banded, serve every block of its run
 _KERNEL_CASES = [
     (n, cost, deviate, 3_000, 1) for n in (2, 3, 4, 5, 12) for cost in _COST_MODELS for deviate in (False, True)
-] + [(n, "single", False, 140_000, workers) for n in (2, 5) for workers in (1, 2)]
+] + [(n, "single", False, 140_000, workers) for n in (2, 5) for workers in (1, 2)] + [
+    (n, cost, True, 140_000, 2) for n in (2, 5) for cost in ("discrete", "continuous")
+]
 
 
 @pytest.mark.parametrize(
@@ -594,14 +616,13 @@ def _single_cost_block(eq):
     65,536-consumer single-cost run on given arrays)"""
     size = montecarlo._BLOCK
     cfg = SimConfig(consumers=size, seed=2024, cost_model=SingleCost(eq.s))
-    binning = montecarlo._Binning(montecarlo._bin_edges(cfg.bins, eq))
-    known = montecarlo._known_stops(eq.g, cfg.cost_model, None)
+    plan = montecarlo._plan(eq, cfg)
 
     def buffers():
         return montecarlo._Buffers(eq.n, montecarlo._group_rows(size, eq.alpha))
 
     def block(b):
-        return montecarlo._simulate_block(eq, cfg, 0, size, binning, None, known, b)
+        return montecarlo._simulate_block(plan, 0, size, b)
 
     block(buffers())  # fills the posterior's caches
     return buffers, block
