@@ -66,6 +66,15 @@ def draw_market(rng: np.random.Generator, family: str):
     return prior, n, alpha, s
 
 
+def draw_markets(seed: int, markets: int):
+    """The probe's markets in order: (family, prior, n, alpha, s), the
+    family cycling through FAMILIES."""
+    rng = np.random.default_rng(seed)
+    for k in range(markets):
+        family = FAMILIES[k % len(FAMILIES)]
+        yield (family, *draw_market(rng, family))
+
+
 def probe(prior, n: int, alpha: float, s: float) -> tuple[str, str]:
     """(outcome, detail): certified, rejected, error:<name> or untyped:<type>."""
     try:
@@ -91,14 +100,11 @@ def main() -> int:
     parser.add_argument("--out", default="domain_probe.csv")
     args = parser.parse_args()
 
-    rng = np.random.default_rng(args.seed)
     tally: dict[tuple[str, str], Counter] = {}
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["family", "prior", "n", "alpha", "s", "outcome", "detail"])
-        for k in range(args.markets):
-            family = FAMILIES[k % len(FAMILIES)]
-            prior, n, alpha, s = draw_market(rng, family)
+        for family, prior, n, alpha, s in draw_markets(args.seed, args.markets):
             outcome, detail = probe(prior, n, alpha, s)
             tally.setdefault((family, n_band(n)), Counter())[outcome] += 1
             writer.writerow([family, json.dumps(prior.to_json_dict()), n, repr(alpha), repr(s), outcome, detail])
