@@ -30,8 +30,10 @@ from .posterior import (
 )
 from .priors import Prior
 from .rootfind import bisect_root
+from .tolerances import (
+    CHORD_MIN_WIDTH, CONTINUITY_TOL, FEAS_MARGIN, MPC_TOL, SLOPE_REL_TOL, TOP_STRUCTURE_TOL,
+)
 
-FEAS_MARGIN = 1e-12  # strictness margin on E[v | v > v_L] > r
 _XTOL = 1e-14
 
 
@@ -107,7 +109,7 @@ def solve_beta(prior: Prior, n: int, v_l: float, r: float) -> tuple[float, float
         # (v_L, r) < 0, but both factors round to 0.0 when r is next to v_L,
         # so its sign is pinned analytically.
         v_h = bisect_root(residual, r, 1.0, xtol=_XTOL, f_lo=-1.0)
-        if v_h - r > 1e-13:
+        if v_h - r > CHORD_MIN_WIDTH:
             beta = (prior.cdf(v_h) ** (n - 1) - fln1) / (v_h - r)
         else:  # total collapse toward full disclosure (r at the support edge)
             beta = prior.pow_cdf_deriv(r, n)
@@ -146,21 +148,21 @@ def validate_candidate(cand: Candidate, g: PosteriorDistribution) -> None:
     prior, n = cand.prior, cand.n
     g.validate()
     contact = abs(float(g.cdf(cand.v_h)) - float(prior.cdf(cand.v_h)))
-    if contact > 1e-9:
+    if contact > CONTINUITY_TOL:
         raise ValidationFailureError("contact-point", f"|G - F|({cand.v_h}) = {contact}")
     mpc = informativeness_compare(g, full_disclosure_distribution(prior))
-    if abs(mpc.mean_gap) > 1e-9:
+    if abs(mpc.mean_gap) > MPC_TOL:
         raise ValidationFailureError("mean-preservation", f"mean gap {mpc.mean_gap}")
-    if mpc.min_gap_forward < -1e-9:
+    if mpc.min_gap_forward < -MPC_TOL:
         raise ValidationFailureError("integrated-gap", f"min gap {mpc.min_gap_forward}")
     tm = prior.truncated_moments(cand.v_l, cand.v_h, n) if cand.v_h > cand.v_l else None
     if tm is not None and tm.mu_tilde > cand.r:
         beta_moment = (tm.eta_tilde - cand.pooled.base) / (tm.mu_tilde - cand.r)
-        if abs(beta_moment - cand.beta) > 1e-8 * max(1.0, cand.beta):
+        if abs(beta_moment - cand.beta) > SLOPE_REL_TOL * max(1.0, cand.beta):
             raise ValidationFailureError(
                 "slope-moment-form", f"{cand.beta} vs {beta_moment}"
             )
-    if cand.v_h < 1.0 and abs(cand.v_t - 1.0) > 1e-12:
+    if cand.v_h < 1.0 and abs(cand.v_t - 1.0) > TOP_STRUCTURE_TOL:
         raise ValidationFailureError("top-structure", "v_H < 1 requires v_T = 1")
-    if cand.v_t < 1.0 and abs(cand.v_h - 1.0) > 1e-12:
+    if cand.v_t < 1.0 and abs(cand.v_h - 1.0) > TOP_STRUCTURE_TOL:
         raise ValidationFailureError("top-structure", "v_T < 1 requires v_H = 1")

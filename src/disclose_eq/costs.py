@@ -13,6 +13,7 @@ from typing import Any, Union
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .tolerances import COST_CDF_ZERO, COST_MASS_TOL
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,7 @@ class DiscreteCosts:
             raise DomainError("costs must be strictly positive")
         if any(b <= a for a, b in zip(costs, costs[1:])):
             raise DomainError("costs must be strictly increasing")
-        if any(p <= 0.0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
+        if any(p <= 0.0 for p in probs) or abs(sum(probs) - 1.0) > COST_MASS_TOL:
             raise DomainError("probabilities must be positive and sum to 1")
 
     @property
@@ -62,7 +63,7 @@ class ContinuousCosts:
             raise DomainError("lowest cost must be strictly positive")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise DomainError("cost knots must be strictly increasing")
-        if abs(qs[0]) > 1e-15 or abs(qs[-1] - 1.0) > 1e-12:
+        if abs(qs[0]) > COST_CDF_ZERO or abs(qs[-1] - 1.0) > COST_MASS_TOL:
             raise DomainError("cost cdf must run from 0 to 1")
         if any(b < a for a, b in zip(qs, qs[1:])):
             raise DomainError("cost cdf must be nondecreasing")

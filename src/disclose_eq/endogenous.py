@@ -56,12 +56,11 @@ from .posterior import (
 )
 from .priors import Prior
 from .rootfind import bisect_root
+from .tolerances import (
+    BRACKET_EDGE, FIXED_POINT_TOL, REGIME_BAND, RESERVE_TOL, SEARCH_POSTERIOR_TOL, SEARCH_PRIOR_TOL,
+)
 
-_EDGE = 1e-12
 _N_CAP = 1 << 20
-# a market closer than this to the regime boundary is taken to conceal
-# everything below r, whatever the rounding in the sign of z(0, mu - s)
-_REGIME_BAND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -250,7 +249,7 @@ def assemble_market(
 
 def _conceals_bottom(prior: Prior, n: int, alpha: float, mu: float, s: float) -> bool:
     """Regime rule: no disclosure below r iff r_lower_bar >= mu - s."""
-    return conceals_below(prior, n, alpha, mu - s - _REGIME_BAND)
+    return conceals_below(prior, n, alpha, mu - s - REGIME_BAND)
 
 
 def _check_fixed_point(eq: Equilibrium) -> None:
@@ -270,7 +269,7 @@ def _check_fixed_point(eq: Equilibrium) -> None:
         z0 = _z_or_infeasible(prior, n, alpha, 0.0, r)
     bracket = _v_l_bracket(prior, n, alpha, r, z0)
     if bracket is None:
-        if abs(v_l) > 1e-9:
+        if abs(v_l) > FIXED_POINT_TOL:
             raise ValidationFailureError(
                 "fixed-point",
                 f"the threshold at r* = {r} is 0 (z(0, r*) = {z0}), not v_L* = {v_l}",
@@ -285,14 +284,14 @@ def _check_fixed_point(eq: Equilibrium) -> None:
             return z_hi
         return _z_or_infeasible(prior, n, alpha, v, r)
 
-    z_above = z(v_l + 1e-9)
+    z_above = z(v_l + FIXED_POINT_TOL)
     if z_above < 0.0:
         raise ValidationFailureError(
             "fixed-point",
             f"z(v_L* + 1e-9, r*) = {z_above} < 0 at v_L* = {v_l}, r* = {r}: "
             "the threshold lies above v_L* + 1e-9",
         )
-    z_below = z(v_l - 1e-9)
+    z_below = z(v_l - FIXED_POINT_TOL)
     if z_below > 0.0:
         raise ValidationFailureError(
             "fixed-point",
@@ -310,16 +309,16 @@ def validate_equilibrium(eq: Equilibrium, conceals: bool) -> None:
     the fixed point is certified locally around v_L* (_check_fixed_point).
     """
     res_prior = search_residual_prior(eq.prior, eq.v_l_star, eq.r_star, eq.s)
-    if abs(res_prior) > 1e-9:
+    if abs(res_prior) > SEARCH_PRIOR_TOL:
         raise ValidationFailureError("search-equation-prior-form", f"residual {res_prior}")
     res_post = search_residual_posterior(eq.g, eq.r_star, eq.s)
-    if abs(res_post) > 1e-8:
+    if abs(res_post) > SEARCH_POSTERIOR_TOL:
         raise ValidationFailureError("search-equation", f"residual {res_post}")
     # the full-information reserve is the root of x -> search_residual_prior
-    # (prior, x, x, s), which strictly decreases, so r* < reserve + 1e-12
-    # iff that residual is positive at r* - 1e-12; clipped at 0, where it
-    # is mu - s > 0, when r* = mu - s lies within 1e-12 of 0
-    x = max(eq.r_star - 1e-12, 0.0)
+    # (prior, x, x, s), which strictly decreases, so r* < reserve +
+    # RESERVE_TOL iff that residual is positive at r* - RESERVE_TOL; clipped
+    # at 0, where it is mu - s > 0, when r* = mu - s lies within RESERVE_TOL of 0
+    x = max(eq.r_star - RESERVE_TOL, 0.0)
     res_full = search_residual_prior(eq.prior, x, x, eq.s)
     if not res_full > 0.0:
         raise ValidationFailureError(
@@ -332,7 +331,7 @@ def validate_equilibrium(eq: Equilibrium, conceals: bool) -> None:
         raise ValidationFailureError(
             "regime", f"bottom_disclosure={eq.bottom_disclosure} at mu - s = {mu - eq.s}"
         )
-    if not eq.bottom_disclosure and abs(eq.r_star - (mu - eq.s)) > 1e-12:
+    if not eq.bottom_disclosure and abs(eq.r_star - (mu - eq.s)) > RESERVE_TOL:
         raise ValidationFailureError("regime-reserve", f"r* != mu - s: {eq.r_star}")
     _check_fixed_point(eq)
 
@@ -371,7 +370,7 @@ def solve_endog(prior: Prior, n: int, alpha: float, s: float) -> Equilibrium:
         def gap(v_l: float) -> float:
             return z_function(prior, n, alpha, v_l, r_search(prior, v_l, s))
 
-        v_l_star = bisect_root(gap, 0.0, r_full_info(prior, s) - _EDGE, xtol=1e-12)
+        v_l_star = bisect_root(gap, 0.0, r_full_info(prior, s) - BRACKET_EDGE, xtol=1e-12)
         r_star = r_search(prior, v_l_star, s)
 
     eq = assemble_market(prior, n, alpha, v_l_star, r_star, s)
@@ -411,7 +410,7 @@ def limit_equilibrium(prior: Prior, alpha: float, s: float) -> LimitEquilibrium:
     r = _checked_mean(prior, s) - s
     _check_alpha(alpha)
     v_h_inf = bisect_root(
-        lambda w: prior.partial_vf(0.0, w) - r * prior.cdf(w), 1e-12, 1.0, xtol=1e-13
+        lambda w: prior.partial_vf(0.0, w) - r * prior.cdf(w), BRACKET_EDGE, 1.0, xtol=1e-13
     )
     mass = float(prior.cdf(v_h_inf))
     g_inf = PosteriorDistribution(

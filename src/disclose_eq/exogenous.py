@@ -24,8 +24,7 @@ from .errors import (
 from .posterior import PosteriorDistribution, full_disclosure_distribution
 from .priors import Prior
 from .rootfind import bisect_root
-
-_EDGE = 1e-10
+from .tolerances import DM1_TOL, KINK_REL_SLACK, Z_EDGE, Z_SIGN_TOL
 
 REGIME_NO_BOTTOM = "NoDisclosureAtBottom"
 REGIME_BOTTOM = "DisclosureAtBottom"
@@ -85,7 +84,7 @@ def r_lower_bar(prior: Prior, n: int, alpha: float) -> float:
         raise DomainError("r_lower_bar needs alpha in (0, 1)")
     check_n(n)
     mu = prior.mean()
-    return bisect_root(lambda r: z_function(prior, n, alpha, 0.0, r), _EDGE, mu - _EDGE, xtol=1e-12)
+    return bisect_root(lambda r: z_function(prior, n, alpha, 0.0, r), Z_EDGE, mu - Z_EDGE, xtol=1e-12)
 
 
 def conceals_below(prior: Prior, n: int, alpha: float, r: float) -> bool:
@@ -95,7 +94,7 @@ def conceals_below(prior: Prior, n: int, alpha: float, r: float) -> bool:
     r_lower_bar bisects for.  r at the bottom of r_lower_bar's bracket
     conceals; r with no candidate at v_L = 0 (at the mean) does not.
     """
-    return r <= _EDGE or _z_or_infeasible(prior, n, alpha, 0.0, r) >= 0.0
+    return r <= Z_EDGE or _z_or_infeasible(prior, n, alpha, 0.0, r) >= 0.0
 
 
 def _v_l_lower_limit(prior: Prior, r: float) -> float:
@@ -103,7 +102,7 @@ def _v_l_lower_limit(prior: Prior, r: float) -> float:
     if r < prior.mean():
         return 0.0
     return bisect_root(
-        lambda x: prior.conditional_mean_above(x) - r, 0.0, 1.0 - _EDGE, xtol=1e-13
+        lambda x: prior.conditional_mean_above(x) - r, 0.0, 1.0 - Z_EDGE, xtol=1e-13
     )
 
 
@@ -122,16 +121,16 @@ def _v_l_bracket(
     or None when the threshold at r is 0; z0 is z(0, r).
 
     The crossing is unique because the gap increases at any crossing when
-    F**(n-1) is convex, which _check_market decides exactly.  Raises
+    F**(n-1) is convex, which _check_market decides.  Raises
     z-bracket when the gap has no sign change on [lo, hi].
     """
     if z0 >= 0.0:  # r <= r_lower_bar: nothing below r is disclosed
         return None
-    lo = max(_v_l_lower_limit(prior, r), 0.0) + _EDGE
-    hi = r - _EDGE
+    lo = max(_v_l_lower_limit(prior, r), 0.0) + Z_EDGE
+    hi = r - Z_EDGE
     z_lo = _z_or_infeasible(prior, n, alpha, lo, r)
     z_hi = _z_or_infeasible(prior, n, alpha, hi, r)
-    if z_lo >= 0.0 and lo <= 2.0 * _EDGE:
+    if z_lo >= 0.0 and lo <= 2.0 * Z_EDGE:
         # r sits within bisection tolerance of the concealment threshold:
         # the root lies below the bracket edge, i.e. at zero
         return None
@@ -180,7 +179,7 @@ def check_n(n: int) -> None:
 
 def _check_market(prior: Prior, n: int, alpha: float) -> None:
     """The (n, alpha) domain of a market, and the convexity of F**(n-1)
-    that the model assumes, which each prior family decides exactly."""
+    that the model assumes, which each prior family decides."""
     check_n(n)
     _check_alpha(alpha)
     if not prior.check_convexity(n):
@@ -221,7 +220,7 @@ def solve_exog(prior: Prior, n: int, alpha: float, r: float) -> ExogEquilibrium:
         # affine F**(n-1) sits exactly at equality here, so allow a small
         # relative slack for the ill-conditioned r -> 1 corner
         slope_f = prior.pow_cdf_deriv(v_l, n)
-        if (1.0 - alpha) * cand.beta < slope_f * (1.0 - 1e-7) - 1e-9:
+        if (1.0 - alpha) * cand.beta < slope_f * (1.0 - KINK_REL_SLACK) - DM1_TOL:
             raise ValidationFailureError(
                 "multiplier-convexity-at-v_L",
                 f"(1-a)*beta={(1.0 - alpha) * cand.beta} < dF^(n-1)={slope_f}",
@@ -229,7 +228,7 @@ def solve_exog(prior: Prior, n: int, alpha: float, r: float) -> ExogEquilibrium:
     else:
         # the candidate at (0, r) is the one z(0, r) would build again
         z0 = _z_of_beta(prior, n, alpha, 0.0, r, cand.beta)
-        if z0 < -1e-9:
+        if z0 < -Z_SIGN_TOL:
             raise ValidationFailureError("multiplier-at-zero", f"Z(0,0,r)={z0}")
 
     return ExogEquilibrium(

@@ -61,6 +61,7 @@ from .costs import ContinuousCosts, CostDistribution, DiscreteCosts
 from .endogenous import Equilibrium
 from .errors import DomainError
 from .posterior import ArrayLike, PosteriorDistribution, check_deviation_mpc, sorted_unique
+from .tolerances import STOP_MARGIN, SUPPORT_BOTTOM_TOL
 
 _BLOCK = 1 << 16
 
@@ -132,7 +133,6 @@ class SimReport:
 
 
 _DEPTH = 12  # halvings replayed from one grid of excess_above
-_MARGIN = 1e-8  # quantile margin around a bracket's stop values
 
 
 def _brackets(g: PosteriorDistribution, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,7 +188,7 @@ def stop_quantile(g: PosteriorDistribution, r: ArrayLike) -> ArrayLike:
     share of the mass, while in quantile space the rule is exact.  A
     reservation at or below the support bottom never triggers search.
     """
-    q = np.where(np.asarray(r) <= g.support_bottom() + 1e-9, 0.0, g.cdf_left(r))
+    q = np.where(np.asarray(r) <= g.support_bottom() + SUPPORT_BOTTOM_TOL, 0.0, g.cdf_left(r))
     return q if isinstance(r, np.ndarray) else float(q)
 
 
@@ -549,15 +549,15 @@ def _costly(t: _Totals, rng: np.random.Generator, plan: _Plan, count: int, b) ->
 
     Known costs take their stops from the plan.  Drawn costs get a bracket
     [lo, hi] from _brackets, and a consumer needs its exact reservation
-    value r only if one of its variates u lies in the band
-    [stop(lo) - _MARGIN, stop(hi) + _MARGIN) of its cost: below the band
-    u < stop(r) and above it u >= stop(r), whatever r in [lo, hi] is.  The
+    value r only if one of its variates u lies in the band [stop(lo) -
+    STOP_MARGIN, stop(hi) + STOP_MARGIN) of its cost: below the band u <
+    stop(r) and above it u >= stop(r), whatever r in [lo, hi] is.  The
     stop quantile is the left limit of the cdf (0 at the support bottom).
     It rises with r within a segment up to the few-ulp error of `**`, and
     the cdf of a validated posterior steps down by at most 1e-9 at a segment
-    join.  The margin covers both, so stop(lo) - _MARGIN <= stop(r) <=
-    stop(hi) + _MARGIN.  Every other consumer stops as if its stop quantile
-    were the band's top, which decides each of its variates the same way,
+    join.  The margin covers both, so stop(lo) - STOP_MARGIN <= stop(r) <=
+    stop(hi) + STOP_MARGIN.  Every other consumer stops as if its stop
+    quantile were the band's top, which decides each of its variates the same way,
     so the reports stay bit for bit those of the exact solve.
     """
     eq, g_dev = plan.eq, plan.g_dev
@@ -566,9 +566,11 @@ def _costly(t: _Totals, rng: np.random.Generator, plan: _Plan, count: int, b) ->
     if plan.stops is None:
         uniq, which = np.unique(costs, return_inverse=True)
         lo, hi = _brackets(eq.g, uniq)
-        bottom, top = stop_quantile(eq.g, lo) - _MARGIN, stop_quantile(eq.g, hi) + _MARGIN
+        bottom = stop_quantile(eq.g, lo) - STOP_MARGIN
+        top = stop_quantile(eq.g, hi) + STOP_MARGIN
         if g_dev is not None:
-            bottom_dev, top_dev = stop_quantile(g_dev, lo) - _MARGIN, stop_quantile(g_dev, hi) + _MARGIN
+            bottom_dev = stop_quantile(g_dev, lo) - STOP_MARGIN
+            top_dev = stop_quantile(g_dev, hi) + STOP_MARGIN
         del uniq, lo, hi  # freed before the draws
     else:
         top, top_dev = plan.stops

@@ -38,13 +38,12 @@ import numpy as np
 
 from .errors import DomainError, ValidationFailureError
 from .priors import Prior
+from .tolerances import ATOM_MATCH_TOL, CONTINUITY_TOL, MPC_TOL, POOLED_LEVEL_FLOOR
 
 ArrayLike = Union[float, np.ndarray]
 
-_CONTINUITY_TOL = 1e-9
-# integral-precision order: tolerance on the integrated-cdf difference and
-# the uniform grid (merged with both distributions' breakpoints) it is read on
-_MPC_TOL = 1e-9
+# integral-precision order: the uniform grid (merged with both
+# distributions' breakpoints) that MPC_TOL is read on
 _MPC_GRID = 2001
 _MPC_BASE = np.linspace(0.0, 1.0, _MPC_GRID)
 
@@ -123,7 +122,7 @@ class AffinePower:
         return w if self.root_power == 1 else w ** (1.0 / self.root_power)
 
     def pdf(self, v: ArrayLike) -> ArrayLike:
-        w = np.clip(self.line(v), 1e-300, 1.0)
+        w = np.clip(self.line(v), POOLED_LEVEL_FLOOR, 1.0)
         return (self.slope / self.root_power) * w ** (1.0 / self.root_power - 1.0)
 
     def integral(self, prior: Prior, lo: float, hi: ArrayLike, k: int = 1) -> ArrayLike:
@@ -336,23 +335,23 @@ class PosteriorDistribution:
         prev_end = 0.0
         prev_level = 0.0
         for seg in self.segments:
-            if abs(seg.a - prev_end) > _CONTINUITY_TOL:
+            if abs(seg.a - prev_end) > CONTINUITY_TOL:
                 raise ValidationFailureError("segment-contiguity", f"gap at {seg.a}")
             lo, hi = self._seg_levels(seg)
             jump = 0.0
-            if self.atom is not None and abs(self.atom[0] - seg.a) <= 1e-15:
+            if self.atom is not None and abs(self.atom[0] - seg.a) <= ATOM_MATCH_TOL:
                 jump = self.atom[1]
-            if lo + 1e-9 < prev_level or abs(lo - prev_level - jump) > _CONTINUITY_TOL:
+            if lo + CONTINUITY_TOL < prev_level or abs(lo - prev_level - jump) > CONTINUITY_TOL:
                 raise ValidationFailureError(
                     "cdf-continuity", f"level {prev_level}->{lo} at {seg.a} (atom {jump})"
                 )
-            if hi < lo - _CONTINUITY_TOL:
+            if hi < lo - CONTINUITY_TOL:
                 raise ValidationFailureError("cdf-monotone", f"segment on [{seg.a},{seg.b}]")
             prev_end = seg.b
             prev_level = hi
-        if self.atom is not None and abs(self.atom[0] - prev_end) <= 1e-15:
+        if self.atom is not None and abs(self.atom[0] - prev_end) <= ATOM_MATCH_TOL:
             prev_level += self.atom[1]
-        if abs(prev_level - 1.0) > _CONTINUITY_TOL:
+        if abs(prev_level - 1.0) > CONTINUITY_TOL:
             raise ValidationFailureError("cdf-top", f"cdf({prev_end}) = {prev_level} != 1")
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -400,9 +399,9 @@ def informativeness_compare(
     mean_gap = float(delta[-1])
     min_fwd = float(np.min(delta))
     min_bwd = float(np.min(-delta))
-    means_match = abs(mean_gap) <= _MPC_TOL
-    g0_less = means_match and min_fwd >= -_MPC_TOL
-    g0_more = means_match and min_bwd >= -_MPC_TOL
+    means_match = abs(mean_gap) <= MPC_TOL
+    g0_less = means_match and min_fwd >= -MPC_TOL
+    g0_more = means_match and min_bwd >= -MPC_TOL
     if g0_less and g0_more:
         verdict = EQUALLY_INFORMATIVE
     elif g0_less:

@@ -17,6 +17,7 @@ from typing import Any, Union
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .tolerances import CONVEXITY_SLACK
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -79,8 +80,9 @@ class Prior:
         raise NotImplementedError
 
     def check_convexity(self, n: int) -> bool:
-        """True iff F(v)**(n-1) is weakly convex on [0, 1]: the model's
-        domain, decided exactly by each family."""
+        """Whether F(v)**(n-1) is weakly convex on [0, 1], the model's
+        domain, decided by each family from its parameters: exactly, but for
+        the power family's tolerances.CONVEXITY_SLACK on a*(n-1) >= 1."""
         raise NotImplementedError
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -204,7 +206,7 @@ class PowerPrior(Prior):
         return self.a * (n - 1) * v**e
 
     def check_convexity(self, n: int) -> bool:
-        return self.a * (n - 1) >= 1.0 - 1e-12
+        return self.a * (n - 1) >= 1.0 - CONVEXITY_SLACK
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"family": "power", "a": self.a}

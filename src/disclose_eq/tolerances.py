@@ -1,0 +1,184 @@
+"""Every numerical tolerance of the package, in one ledger.
+
+Each constant is a bound that a check, a solver or a domain test reads.
+Its docstring gives the scale it is stated in and what reads it: the
+invariant a ValidationFailureError names, or the function.  Scales:
+
+* v: absolute, in valuation units on [0, 1] (thresholds, reservation
+  values, segment ends);
+* cdf: absolute, in cdf levels (probabilities);
+* relative: a fraction of the named quantity;
+* and the units of the residual named (search equation, z, multiplier).
+
+Solver xtols stay next to their bisections, where the width a bisection
+stops at is part of its algorithm; SOLVER_XTOLS lists them.  No other
+module holds a float literal of at most 1e-6 but those xtols, every xtol
+is listed and every name here has a reader: tests/test_tolerances.py
+checks all three.
+"""
+
+# -- candidate: feasibility, the pooled slope, structure ----------------------
+
+FEAS_MARGIN = 1e-12
+"""v.  candidate_exists: a candidate at (v_L, r) needs E[v | v > v_L] >
+r + FEAS_MARGIN, so solve_beta raises InfeasibleCandidateError within it."""
+
+CHORD_MIN_WIDTH = 1e-13
+"""v.  solve_beta: below this contact width v_H - r the pooled slope is the
+derivative of F**(n-1) at r instead of the chord (total collapse toward
+full disclosure)."""
+
+SLOPE_REL_TOL = 1e-8
+"""Relative to max(1, beta).  validate_candidate: slope-moment-form, the
+pooled slope against its moment form."""
+
+TOP_STRUCTURE_TOL = 1e-12
+"""v.  validate_candidate: top-structure, v_H < 1 needs v_T = 1 and v_T < 1
+needs v_H = 1."""
+
+# -- posterior: structure and the integral-precision order --------------------
+
+CONTINUITY_TOL = 1e-9
+"""cdf (v for segment ends).  PosteriorDistribution.validate:
+segment-contiguity, cdf-continuity (a step in either direction),
+cdf-monotone and cdf-top; validate_candidate: contact-point, |G - F| at
+v_H."""
+
+ATOM_MATCH_TOL = 1e-15
+"""v.  PosteriorDistribution.validate: an atom this close to a segment's
+start or to the last segment's end is the cdf's jump there."""
+
+MPC_TOL = 1e-9
+"""Integrated cdf, absolute.  informativeness_compare: the mean gap and the
+smallest integrated-cdf gap, so validate_candidate's mean-preservation and
+integrated-gap, check_deviation_mpc's deviation-not-mpc and every verdict
+of the welfare statics."""
+
+POOLED_LEVEL_FLOOR = 1e-300
+"""cdf**(n-1).  Not a tolerance: AffinePower.pdf clips the pooled line here,
+so that its power 1/(n-1) - 1 < 0 stays finite at the bottom."""
+
+# -- endogenous: the post-solve invariants and the regime ---------------------
+
+SEARCH_PRIOR_TOL = 1e-9
+"""Units of s.  validate_equilibrium: search-equation-prior-form,
+|int_{v_L*}^1 (v - r*) dF - s|."""
+
+SEARCH_POSTERIOR_TOL = 1e-8
+"""Units of s.  validate_equilibrium: search-equation, |int_{r*}^1 (v - r*)
+dG - s|."""
+
+RESERVE_TOL = 1e-12
+"""v.  validate_equilibrium: below-full-info (r* below the full-information
+reserve + RESERVE_TOL) and regime-reserve (r* = mu - s within RESERVE_TOL
+when nothing below r* is disclosed)."""
+
+FIXED_POINT_TOL = 1e-9
+"""v.  _check_fixed_point: fixed-point, the threshold that z(., r*) pins
+down lies within this of v_L*."""
+
+REGIME_BAND = 1e-10
+"""v.  _conceals_bottom: a market whose mu - s lies within this above the
+regime boundary is taken to conceal everything below r, whatever the
+rounding in the sign of z(0, mu - s); validate_equilibrium's regime reads
+that decision."""
+
+BRACKET_EDGE = 1e-12
+"""v.  solve_endog's bisection in v_L stops this short of the
+full-information reserve, and limit_equilibrium's bisection for v_H starts
+this far above 0, where its target vanishes."""
+
+# -- exogenous: the z brackets and the fixed-r checks --------------------------
+
+Z_EDGE = 1e-10
+"""v.  The z brackets: r_lower_bar bisects on [Z_EDGE, mu - Z_EDGE] and
+conceals_below takes r <= Z_EDGE to conceal; _v_l_lower_limit stops at
+1 - Z_EDGE; _v_l_bracket keeps both its ends this far inside, and its
+z-bracket check reads them."""
+
+KINK_REL_SLACK = 1e-7
+"""Relative to dF**(n-1)/dv at v_L.  solve_exog: multiplier-convexity-at-v_L,
+for the ill-conditioned r -> 1 corner; DM1_TOL is its absolute part."""
+
+Z_SIGN_TOL = 1e-9
+"""Units of z.  solve_exog: multiplier-at-zero, z(0, r) >= -Z_SIGN_TOL when
+nothing below r is disclosed."""
+
+# -- verify: the optimality conditions and the LP oracle ----------------------
+
+DM1_TOL = 1e-9
+"""Multiplier units (its slope for the kinks).  check_dm_conditions: DM1,
+the multiplier's seam gaps and its slope increments at v_L and v_H;
+solve_exog's multiplier-convexity-at-v_L, with KINK_REL_SLACK."""
+
+DM2_TOL = 1e-9
+"""Payoff units.  check_dm_conditions: DM2, phi - u >= -DM2_TOL on the
+grid."""
+
+DM3_TOL = 1e-8
+"""Payoff units.  check_dm_conditions: DM3, |phi - u| on the posterior's
+support."""
+
+DM4_TOL = 1e-8
+"""Payoff units.  check_dm_conditions: DM4, |int phi dG - int phi dF|."""
+
+HIGHS_FEASIBILITY_TOL = 1e-10
+"""HiGHS's primal and dual feasibility, in the LP's rows (which carry 1/h).
+verify.ORACLE_LP_OPTIONS, so every oracle LP."""
+
+HIGHS_SMALL_ENTRY = 1e-9
+"""LP matrix entries.  The size below which HiGHS ignores an entry; the
+oracle's LP assembly drops those entries itself."""
+
+NARROW_CELL = 1e-7
+"""v.  The oracle's LP: a grid cell narrower than this gets a slope variable
+of its own."""
+
+# -- montecarlo: the stopping rule in quantile space ----------------------------
+
+STOP_MARGIN = 1e-8
+"""Quantile space.  montecarlo._costly: the band around a bracket's stop
+quantiles within which a consumer's reservation value is solved exactly;
+it covers the few-ulp error of `**` and a cdf step of CONTINUITY_TOL."""
+
+SUPPORT_BOTTOM_TOL = 1e-9
+"""v.  stop_quantile: a reservation value this close above the support
+bottom never triggers search."""
+
+# -- inputs: the prior domain and cost distributions ---------------------------
+
+CONVEXITY_SLACK = 1e-12
+"""Relative to 1.  PowerPrior.check_convexity admits a*(n-1) >= 1 -
+CONVEXITY_SLACK, because a = 1/(n-1), the prior on the domain's edge,
+gives (1/(n-1))*(n-1) = 1 - 2**-53 for 505 values of n below 4096."""
+
+COST_MASS_TOL = 1e-12
+"""cdf.  DiscreteCosts: the probabilities sum to 1 within this;
+ContinuousCosts: the cdf's top knot is 1 within this."""
+
+COST_CDF_ZERO = 1e-15
+"""cdf.  ContinuousCosts: the cdf's bottom knot is 0 within this."""
+
+# -- welfare: threshold scans --------------------------------------------------
+
+SCAN_TOL = 1e-12
+"""v and units of s.  threshold_scan: a market pools its top values when
+v_T* < 1 - SCAN_TOL, and a grid cost counts as above s_bar or below
+s_lower only by more than this."""
+
+# -- solver xtols, each kept next to its bisection -----------------------------
+
+SOLVER_XTOLS = {
+    "rootfind.bisect_root": 1e-13,  # the default
+    "candidate.solve_beta": 1e-14,  # candidate._XTOL, the contact point v_H
+    "endogenous.r_full_info": 1e-13,
+    "endogenous.solve_endog": 1e-12,  # v_L*
+    "endogenous.limit_equilibrium": 1e-13,  # v_H of the infinite market
+    "exogenous.r_lower_bar": 1e-12,
+    "exogenous._v_l_lower_limit": 1e-13,
+    "exogenous.solve_v_l_eq": 1e-12,
+}
+"""Where each bisection stops, keyed by the function that runs it (v, or r
+for r_full_info and r_lower_bar).  montecarlo.reservation_for_cost runs 40
+halvings on [0, 1] instead of an xtol: bisect_root's steps at
+xtol=1e-12."""

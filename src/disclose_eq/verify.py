@@ -63,6 +63,9 @@ from .posterior import (
     sorted_unique,
 )
 from .priors import Prior
+from .tolerances import (
+    DM1_TOL, DM2_TOL, DM3_TOL, DM4_TOL, HIGHS_FEASIBILITY_TOL, HIGHS_SMALL_ENTRY, NARROW_CELL,
+)
 
 
 def _load_highs_core():
@@ -96,20 +99,16 @@ _GL_NODES = 32
 # points of the uniform grid on [0, 1] on which check_dm_conditions tests DM2
 _GRID_SIZE = 1001
 # oracle LP: the HiGHS settings, in linprog's option names and values, so
-# that linprog can be given the same dict: feasibility tolerances of 1e-10
-# (the rows carry 1/h), and no presolve and devex pricing, which solve this
+# that linprog can be given the same dict: the ledger's feasibility
+# tolerances, and no presolve and devex pricing, which solve this
 # tridiagonal LP about 1.45x faster than linprog's defaults (presolve on,
 # dual steepest edge)
 ORACLE_LP_OPTIONS = {
     "presolve": False,
     "simplex_dual_edge_weight_strategy": "devex",
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
+    "primal_feasibility_tolerance": HIGHS_FEASIBILITY_TOL,
+    "dual_feasibility_tolerance": HIGHS_FEASIBILITY_TOL,
 }
-# the size below which HiGHS ignores a matrix entry, and the width below
-# which a cell gets a slope variable of its own
-_HIGHS_SMALL_ENTRY = 1e-9
-_NARROW_CELL = 1e-7
 # linprog's names for HiGHS's dual edge-weight strategies
 _EDGE_WEIGHTS = {"steepest-devex": -1, "dantzig": 0, "devex": 1, "steepest": 2}
 
@@ -225,7 +224,7 @@ def check_dm_conditions(eq) -> CertificateReport:
     spacings).  Inside each branch the multiplier is c_low F**(n-1), affine,
     or at + (1 - at) F**(n-1), with c_low > 0 and 1 - at > 0, so its
     convexity there is the convexity of F**(n-1): a fact about the input,
-    which solve_endog's domain check decides exactly.  The multiplier and
+    which solve_endog's domain check decides.  The multiplier and
     the payoff are elementwise, so each is evaluated once, on all the grids
     at once.
     """
@@ -252,7 +251,7 @@ def check_dm_conditions(eq) -> CertificateReport:
     if eq.v_h_star < 1.0:
         increments.append((1.0 - b.at) * (prior.pow_cdf_deriv(eq.v_h_star, n) - b.pooled.slope))
     min_slope_inc = min(increments)
-    dm1 = max_cont_gap <= 1e-9 and min_slope_inc >= -1e-9
+    dm1 = max_cont_gap <= DM1_TOL and min_slope_inc >= -DM1_TOL
 
     gap = phi - u
     dm2_min_gap = float(np.min(gap[: len(grid)]))
@@ -260,7 +259,7 @@ def check_dm_conditions(eq) -> CertificateReport:
 
     dm4 = abs(integral_phi_dG(eq) - integral_phi_dF(eq))
 
-    passed = dm1 and dm2_min_gap >= -1e-9 and dm3 <= 1e-8 and dm4 <= 1e-8
+    passed = dm1 and dm2_min_gap >= -DM2_TOL and dm3 <= DM3_TOL and dm4 <= DM4_TOL
     return CertificateReport(
         dm1_convex=dm1,
         dm1_max_continuity_gap=max_cont_gap,
@@ -307,7 +306,7 @@ def best_response_oracle(
     are bounds.  The slope of D on cell k is the prior's mass at or below
     t_k less g's, so the masses are g = f plus the slope increments and
     g >= 0 is m tridiagonal rows: O(m) nonzeros in all.  A cell narrower
-    than _NARROW_CELL is too short for D to resolve its slope, so that
+    than NARROW_CELL is too short for D to resolve its slope, so that
     slope is a variable of its own.  The rows carry 1/h, so HiGHS runs at
     fixed feasibility tolerances of 1e-10 instead of its 1e-7 defaults, and
     the entries HiGHS would ignore are dropped here first, so the masses
@@ -345,7 +344,7 @@ def _solve_oracle(
     # point), then the slope on each narrow cell.  D_j is the variable of
     # the own point p at or below j plus h_c times the slope of each narrow
     # cell c from p up to j.
-    narrow = h < _NARROW_CELL
+    narrow = h < NARROW_CELL
     wide, cells = np.flatnonzero(~narrow), np.flatnonzero(narrow)
     own = np.concatenate([[True], ~narrow])
     var = np.cumsum(own) - 1
@@ -370,7 +369,7 @@ def _solve_oracle(
     key = np.concatenate([row, wide, cells]) * m
     key += np.concatenate([col, var[wide + 1], cell_var[cells]])
     val = np.concatenate([inv_h[row] * -val, inv_h[wide], inv_h[cells] * h[cells]])
-    kept = np.flatnonzero(np.abs(val) >= _HIGHS_SMALL_ENTRY)
+    kept = np.flatnonzero(np.abs(val) >= HIGHS_SMALL_ENTRY)
     kept = kept[np.argsort(key[kept])]
     key, val = key[kept], val[kept]
     # the masses are f + lift @ x, lift_j = slope_{j-1} - slope_j, in the

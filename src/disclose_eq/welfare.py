@@ -28,13 +28,7 @@ from .posterior import (  # noqa: F401 (the order is re-exported)
     informativeness_compare,
 )
 from .priors import Prior
-
-
-@dataclass(frozen=True)
-class SurplusReport:
-    cs_savvy: float
-    cs_inexperienced: float
-    regime_note: str
+from .tolerances import SCAN_TOL
 
 
 @dataclass(frozen=True)
@@ -71,15 +65,6 @@ def cs_inexperienced(eq: Equilibrium) -> float:
     """Costly searcher's expected surplus: E[max of n censored draws]."""
     g_tilde = censored_value_distribution(eq)
     return eq.r_star - float(g_tilde.pow_cum_integral(eq.r_star, eq.n))
-
-
-def surplus_report(eq: Equilibrium) -> SurplusReport:
-    note = "stops at first visit" if not eq.bottom_disclosure else "searches actively"
-    return SurplusReport(
-        cs_savvy=cs_savvy(eq.g, eq.n),
-        cs_inexperienced=cs_inexperienced(eq),
-        regime_note=note,
-    )
 
 
 def search_stats(eq: Equilibrium) -> dict[str, float]:
@@ -173,7 +158,7 @@ def threshold_scan(
     # capped at s_bar (the two thresholds are ordered)
     s_lower = s_grid[0]
     for s, eq in solved:
-        if eq.v_t_star < 1.0 - 1e-12:
+        if eq.v_t_star < 1.0 - SCAN_TOL:
             s_lower = s
         else:
             break
@@ -204,8 +189,8 @@ def threshold_scan(
                 break  # require the whole prefix below best to qualify
         s_tilde_est = best
 
-    above = [row for row in rows if row["s"] > s_bar + 1e-12]
-    below = [row for row in rows if row["s"] < s_lower_est - 1e-12]
+    above = [row for row in rows if row["s"] > s_bar + SCAN_TOL]
+    below = [row for row in rows if row["s"] < s_lower_est - SCAN_TOL]
     flags = {
         "above_bar_more_informative": all(
             row["verdict_vs_prev"] == MORE_INFORMATIVE for row in above[1:]

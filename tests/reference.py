@@ -87,9 +87,8 @@ from disclose_eq.montecarlo import _Buffers, _first_max
 from disclose_eq.posterior import ArrayLike, Flat, FullDisclosure, PosteriorDistribution
 from disclose_eq.priors import Prior
 from disclose_eq.rootfind import bisect_root
+from disclose_eq.tolerances import HIGHS_SMALL_ENTRY, NARROW_CELL
 from disclose_eq.verify import (
-    _HIGHS_SMALL_ENTRY,
-    _NARROW_CELL,
     ORACLE_LP_OPTIONS,
     CertificateReport,
     discretize_prior,
@@ -316,10 +315,10 @@ def oracle_by_sparse_algebra(
         raise DomainError("grid must be strictly increasing")
     m = len(grid)
     f = discretize_prior(prior, grid)
-    narrow = np.flatnonzero(h < _NARROW_CELL)
+    narrow = np.flatnonzero(h < NARROW_CELL)
     slack, own = _slack_map(h, narrow)
     slope = sparse.diags_array(1.0 / h) @ (slack[1:] - slack[:-1])
-    slope.data[np.abs(slope.data) < _HIGHS_SMALL_ENTRY] = 0.0
+    slope.data[np.abs(slope.data) < HIGHS_SMALL_ENTRY] = 0.0
     slope.eliminate_zeros()
     rise = sparse.diags_array(
         [np.ones(m - 1), -np.ones(m - 1)], offsets=[-1, 0], shape=(m, m - 1)

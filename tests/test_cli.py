@@ -589,7 +589,7 @@ def test_a_missing_binding_is_an_import_error():
 # can form.  The package __init__ re-exports the layers up to candidate, and
 # __main__ runs the CLI.
 _LAYERS = (
-    ("errors",),
+    ("errors", "tolerances"),
     ("rootfind", "priors", "costs"),
     ("posterior",),
     ("candidate",),

@@ -531,7 +531,7 @@ def test_stop_bands_decide_as_the_exact_solve(monkeypatch, market, deviate):
         return reservation_for_cost(g, s)
 
     monkeypatch.setattr(montecarlo, "reservation_for_cost", counted)
-    monkeypatch.setattr(montecarlo, "_MARGIN", math.inf)
+    monkeypatch.setattr(montecarlo, "STOP_MARGIN", math.inf)
     assert run() == banded
     n_inexp = json.loads(banded[0])["n_inexperienced"]
     assert sum(solved) == n_inexp * (2 if deviate else 1)

@@ -228,3 +228,14 @@ def test_cdf_cum_domain_error_matches_cdf(prior, v):
     with pytest.raises(DomainError) as via_cdf_cum:
         prior.cdf_cum(v)
     assert str(via_cdf_cum.value) == str(via_cdf.value)
+
+
+def test_power_convexity_admits_the_domain_edge_and_nothing_below():
+    # a = 1/(n-1) gives a*(n-1) = 1 - 2**-53 for 505 of these n: the
+    # ledger's CONVEXITY_SLACK admits them, and a relative 1e-9 below is out
+    rounded = 0
+    for n in range(2, 4097):
+        rounded += (1.0 / (n - 1)) * (n - 1) < 1.0
+        assert PowerPrior(1.0 / (n - 1)).check_convexity(n)
+        assert not PowerPrior((1.0 - 1e-9) / (n - 1)).check_convexity(n)
+    assert rounded == 505

@@ -7,7 +7,8 @@ certified, rejected or error:<invariant>.  The test draws and probes the
 same markets again and fails on any market whose outcome moved, for the
 better or the worse, listing the moved markets by outcome.  A change that
 moves outcomes on purpose records the file again with
-`python tests/test_probe_outcomes.py` and lists the moves in CHANGES.md.
+`PYTHONPATH=src python tests/test_probe_outcomes.py` and lists the moves
+in CHANGES.md.
 The file was recorded on numpy 2.4.6 and scipy 1.17.1, the versions the
 CI workflow pins.
 """
@@ -16,9 +17,6 @@ import json
 import sys
 from collections import defaultdict
 from pathlib import Path
-
-import numpy as np
-import scipy
 
 from disclose_eq.cli import _config_hash
 
@@ -61,6 +59,9 @@ def test_probe_outcomes_match_the_recording():
 
 
 if __name__ == "__main__":
+    import numpy as np
+    import scipy
+
     outcomes = {sha: outcome for sha, (outcome, _) in probe_outcomes().items()}
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps({

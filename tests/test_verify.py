@@ -565,7 +565,7 @@ def test_oracle_lp_equals_the_sparse_algebra_reference(monkeypatch):
         new, old = seen
         for x, y in zip(new, old):
             assert np.array_equal(x, y)
-        narrow += np.min(np.diff(grid)) < verify._NARROW_CELL
+        narrow += np.min(np.diff(grid)) < verify.NARROW_CELL
     assert narrow >= 20
     assert stopped <= 5
 
