@@ -7,8 +7,10 @@ JSON goes to stdout (or --out); sweeps emit CSV.  Exit codes:
   1 malformed config 4 certificate failure
   2 invariant failed 5 statistical failure (simulation z-score > 5)
 
-Numeric config values are read by _read: missing, non-numeric or, for n
-and the counts, non-integral values are malformed.  The solvers check the
+Numeric config values are read by _read, and the prior's and the cost
+model's by their parsers, all through errors.config_number: missing,
+non-numeric (a string or a bool among them) or, for n and the counts,
+non-integral values are malformed.  The solvers check the
 ranges, and their DomainError also exits 1.  A root bracket that fails
 on an input past those checks is a solver failure and exits 2.
 
@@ -49,6 +51,7 @@ from .errors import (
     InfeasibleCandidateError,
     UnsupportedBoundaryError,
     ValidationFailureError,
+    config_number,
 )
 from .exogenous import check_n
 from .priors import Prior, prior_from_json
@@ -101,15 +104,7 @@ def _read(cfg: dict[str, Any], key: str, kind: type, default=None):
     value = cfg.get(key, default)
     if value is None:
         raise ConfigError(f"config is missing required key {key!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    try:
-        out = kind(value)
-    except (OverflowError, ValueError) as exc:  # int() of inf or nan
-        raise ConfigError(f"{key} must be finite, got {value!r}") from exc
-    if kind is int and out != value:
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return out
+    return config_number(value, key, kind)
 
 
 def _market_params(cfg: dict[str, Any]) -> tuple[Prior, int, float, float]:

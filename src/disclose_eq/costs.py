@@ -12,7 +12,7 @@ from typing import Any, Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, config_number
 from .tolerances import COST_CDF_ZERO, COST_MASS_TOL
 
 
@@ -98,11 +98,11 @@ def cost_distribution_from_json(spec: dict[str, Any]) -> CostDistribution:
     try:
         kind = spec["type"]
         if kind == "discrete":
-            return DiscreteCosts(points=tuple((float(c), float(p)) for c, p in spec["points"]))
+            points = ((config_number(c, "cost"), config_number(p, "probability")) for c, p in spec["points"])
+            return DiscreteCosts(points=tuple(points))
         if kind == "continuous":
-            return ContinuousCosts(knots=tuple((float(x), float(q)) for x, q in spec["knots"]))
+            knots = ((config_number(x, "knot"), config_number(q, "knot")) for x, q in spec["knots"])
+            return ContinuousCosts(knots=tuple(knots))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed cost distribution: {exc}") from exc
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown cost distribution type {spec.get('type')!r}")

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one check of a
+number read from a config."""
 
 
 class DiscloseEqError(Exception):
@@ -40,3 +41,18 @@ class BracketError(DiscloseEqError):
 
 class IterationCapError(DiscloseEqError):
     """An integer search exceeded its hard iteration cap."""
+
+
+def config_number(value, name: str, kind: type = float):
+    """A config's JSON number as kind (int or float); ConfigError naming it
+    when it is no number (a string or a bool among them), is too large for
+    a float, or, as an int, is not finite or not integral."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        out = kind(value)
+    except (OverflowError, ValueError) as exc:  # int() of inf or nan, float() of a huge int
+        raise ConfigError(f"{name} must be finite, got {value!r}") from exc
+    if kind is int and out != value:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return out

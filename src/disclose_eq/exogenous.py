@@ -1,4 +1,5 @@
-"""Equilibrium for a fixed (exogenous) reservation value.
+"""The lower disclosure threshold v_L as a function of the reservation
+value r, and the domain checks of a market, for solve_endog.
 
 The pinning condition is the scaled gap between the affine stretch of the
 multiplier and F**(n-1), evaluated at the lower disclosure threshold
@@ -6,43 +7,28 @@ itself (z_function).  It is strictly increasing in v_L and strictly
 decreasing in r, which gives a unique threshold r_lower_bar below which
 the equilibrium conceals everything under r, and a unique interior
 threshold v_L above it.  Which side of r_lower_bar a reservation value
-lies on is the sign of z(0, r) alone (conceals_below).
+lies on is the sign of z(0, r) alone (conceals_below).  The bracket
+in v_L on which z(., r) crosses zero once (_v_l_bracket) is where
+validate_equilibrium checks the fixed point, and solve_v_l_eq bisects the
+threshold on it.
 """
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .candidate import Candidate, build_candidate, build_g, solve_beta, validate_candidate
+from .candidate import solve_beta
 from .errors import (
     DomainError,
     InfeasibleCandidateError,
     UnsupportedBoundaryError,
     ValidationFailureError,
 )
-from .posterior import PosteriorDistribution, full_disclosure_distribution
 from .priors import Prior
 from .rootfind import bisect_root
-from .tolerances import DM1_TOL, KINK_REL_SLACK, Z_EDGE, Z_SIGN_TOL
+from .tolerances import Z_EDGE
 
-REGIME_NO_BOTTOM = "NoDisclosureAtBottom"
-REGIME_BOTTOM = "DisclosureAtBottom"
 REGIME_FULL = "FullDisclosure"  # alpha = 0 boundary only
-
-
-@dataclass(frozen=True)
-class ExogEquilibrium:
-    prior: Prior
-    n: int
-    alpha: float
-    r: float
-    v_l_eq: float
-    candidate: Candidate | None  # None only on the alpha = 0 boundary
-    g: PosteriorDistribution
-    eta: float
-    alpha_tilde: float
-    regime: str
 
 
 def visit_probability(prior: Prior, n: int, v_l: float) -> float:
@@ -186,60 +172,3 @@ def _check_market(prior: Prior, n: int, alpha: float) -> None:
         raise DomainError(
             f"prior fails the convexity requirement on F**(n-1): n={n}, prior {prior.to_json_dict()}"
         )
-
-
-def solve_exog(prior: Prior, n: int, alpha: float, r: float) -> ExogEquilibrium:
-    """Solve the fixed-reservation-value equilibrium."""
-    _check_market(prior, n, alpha)
-    if not 0.0 < r < 1.0:
-        raise DomainError("reservation value must lie in (0, 1)")
-    if alpha == 0.0:
-        g = full_disclosure_distribution(prior)
-        eta = visit_probability(prior, n, r)  # G(r) = F(r) under full disclosure
-        return ExogEquilibrium(
-            prior=prior,
-            n=n,
-            alpha=alpha,
-            r=r,
-            v_l_eq=r,
-            candidate=None,
-            g=g,
-            eta=eta,
-            alpha_tilde=0.0,
-            regime=REGIME_FULL,
-        )
-
-    v_l = solve_v_l_eq(prior, n, alpha, r)
-    cand = build_candidate(prior, n, v_l, r)
-    g = build_g(cand)
-    validate_candidate(cand, g)
-    eta = _visit_probability_at(cand.fl, n)
-    regime = REGIME_NO_BOTTOM if v_l == 0.0 else REGIME_BOTTOM
-
-    if v_l > 0.0:
-        # affine F**(n-1) sits exactly at equality here, so allow a small
-        # relative slack for the ill-conditioned r -> 1 corner
-        slope_f = prior.pow_cdf_deriv(v_l, n)
-        if (1.0 - alpha) * cand.beta < slope_f * (1.0 - KINK_REL_SLACK) - DM1_TOL:
-            raise ValidationFailureError(
-                "multiplier-convexity-at-v_L",
-                f"(1-a)*beta={(1.0 - alpha) * cand.beta} < dF^(n-1)={slope_f}",
-            )
-    else:
-        # the candidate at (0, r) is the one z(0, r) would build again
-        z0 = _z_of_beta(prior, n, alpha, 0.0, r, cand.beta)
-        if z0 < -Z_SIGN_TOL:
-            raise ValidationFailureError("multiplier-at-zero", f"Z(0,0,r)={z0}")
-
-    return ExogEquilibrium(
-        prior=prior,
-        n=n,
-        alpha=alpha,
-        r=r,
-        v_l_eq=v_l,
-        candidate=cand,
-        g=g,
-        eta=eta,
-        alpha_tilde=posterior_share(alpha, eta),
-        regime=regime,
-    )

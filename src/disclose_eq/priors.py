@@ -16,7 +16,7 @@ from typing import Any, Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, config_number
 from .tolerances import CONVEXITY_SLACK
 
 ArrayLike = Union[float, np.ndarray]
@@ -341,12 +341,10 @@ def prior_from_json(spec: dict[str, Any]) -> Prior:
         if family == "uniform":
             return UniformPrior()
         if family == "power":
-            return PowerPrior(a=float(spec["a"]))
+            return PowerPrior(a=config_number(spec["a"], "a"))
         if family == "piecewise":
-            knots = tuple((float(x), float(q)) for x, q in spec["knots"])
+            knots = tuple((config_number(x, "knot"), config_number(q, "knot")) for x, q in spec["knots"])
             return PiecewiseLinearPrior(knots=knots)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed prior spec: {exc}") from exc
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown prior family {family!r}")

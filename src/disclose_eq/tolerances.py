@@ -88,7 +88,7 @@ BRACKET_EDGE = 1e-12
 full-information reserve, and limit_equilibrium's bisection for v_H starts
 this far above 0, where its target vanishes."""
 
-# -- exogenous: the z brackets and the fixed-r checks --------------------------
+# -- exogenous: the z brackets --------------------------------------------------
 
 Z_EDGE = 1e-10
 """v.  The z brackets: r_lower_bar bisects on [Z_EDGE, mu - Z_EDGE] and
@@ -96,20 +96,11 @@ conceals_below takes r <= Z_EDGE to conceal; _v_l_lower_limit stops at
 1 - Z_EDGE; _v_l_bracket keeps both its ends this far inside, and its
 z-bracket check reads them."""
 
-KINK_REL_SLACK = 1e-7
-"""Relative to dF**(n-1)/dv at v_L.  solve_exog: multiplier-convexity-at-v_L,
-for the ill-conditioned r -> 1 corner; DM1_TOL is its absolute part."""
-
-Z_SIGN_TOL = 1e-9
-"""Units of z.  solve_exog: multiplier-at-zero, z(0, r) >= -Z_SIGN_TOL when
-nothing below r is disclosed."""
-
 # -- verify: the optimality conditions and the LP oracle ----------------------
 
 DM1_TOL = 1e-9
 """Multiplier units (its slope for the kinks).  check_dm_conditions: DM1,
-the multiplier's seam gaps and its slope increments at v_L and v_H;
-solve_exog's multiplier-convexity-at-v_L, with KINK_REL_SLACK."""
+the multiplier's seam gaps and its slope increments at v_L and v_H."""
 
 DM2_TOL = 1e-9
 """Payoff units.  check_dm_conditions: DM2, phi - u >= -DM2_TOL on the

@@ -1,6 +1,6 @@
 """Independent optimality certification of solved markets.
 
-Three routes, deliberately redundant:
+Two routes, deliberately redundant:
 
 * the closed-form multiplier and the four concavification optimality
   checks (continuity/convexity, domination, contact on the support, and
@@ -23,8 +23,7 @@ Three routes, deliberately redundant:
   passes it the model as arrays in one passModel call (a HighsLp's
   setters copy each array element by element), and a model HiGHS rejects
   is a typed oracle-lp failure, because the instance would keep and solve
-  the previous one;
-* direct expected-payoff comparisons for hand-built deviations.
+  the previous one.
 
 The cost-heterogeneity check implements the large-market sufficiency
 condition: the multiplier's pooled slope must stay below the steepest
@@ -55,13 +54,7 @@ import numpy as np
 from .costs import ContinuousCosts, CostDistribution, DiscreteCosts  # noqa: F401 (re-exported)
 from .endogenous import _N_CAP, payoff_u, solve_endog
 from .errors import DomainError, IterationCapError, ValidationFailureError
-from .posterior import (
-    Flat,
-    FullDisclosure,
-    PosteriorDistribution,
-    check_deviation_mpc,
-    sorted_unique,
-)
+from .posterior import sorted_unique
 from .priors import Prior
 from .tolerances import (
     DM1_TOL, DM2_TOL, DM3_TOL, DM4_TOL, HIGHS_FEASIBILITY_TOL, HIGHS_SMALL_ENTRY, NARROW_CELL,
@@ -95,7 +88,6 @@ _core = _load_highs_core()
 HighsModelStatus, HighsOptions, HighsStatus = _core.HighsModelStatus, _core.HighsOptions, _core.HighsStatus
 MatrixFormat, ObjSense, _Highs, kHighsInf = _core.MatrixFormat, _core.ObjSense, _core._Highs, _core.kHighsInf
 
-_GL_NODES = 32
 # points of the uniform grid on [0, 1] on which check_dm_conditions tests DM2
 _GRID_SIZE = 1001
 # oracle LP: the HiGHS settings, in linprog's option names and values, so
@@ -446,80 +438,6 @@ def oracle_gap(eq, m: int) -> dict[str, float]:
         "lp_nonzeros": nonzeros,
         "lp_iterations": iterations,
     }
-
-
-# ---------------------------------------------------------------------------
-# deviation gains
-# ---------------------------------------------------------------------------
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
-
-
-def _quad(fn, lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 0.0
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    x = mid + half * _GL_X
-    return float(half * np.sum(_GL_W * fn(x)))
-
-
-def expected_payoff_under(eq, g_dev: PosteriorDistribution) -> float:
-    """Expected payoff of deviating to g_dev while the market plays eq.
-
-    Closed form wherever the integrand is polynomial against the deviation
-    cdf; Gauss-Legendre per cell otherwise.  Atoms contribute mass times
-    the (upper-semicontinuous) payoff at their location.
-    """
-    cuts = sorted(
-        set(g_dev.breakpoints())
-        | {eq.v_l_star, eq.r_star, min(eq.v_h_star, eq.v_t_star), eq.v_h_star}
-    )
-    total = 0.0
-    for seg in g_dev.segments:
-        for lo, hi in zip(cuts, cuts[1:]):
-            lo_c, hi_c = max(lo, seg.a), min(hi, seg.b)
-            if hi_c <= lo_c:
-                continue
-            total += _cell_payoff(eq, g_dev, seg, lo_c, hi_c)
-    if g_dev.atom is not None:
-        loc, mass = g_dev.atom
-        total += mass * float(payoff_u(eq, loc))
-    return total
-
-
-def _cell_payoff(eq, g_dev: PosteriorDistribution, seg, lo: float, hi: float) -> float:
-    """Integral of u dG_dev over one smooth cell of the segment seg."""
-    if isinstance(seg, Flat):
-        return 0.0
-    b = eq.branches
-    mid = 0.5 * (lo + hi)
-    full = isinstance(seg, FullDisclosure)  # else affine-power
-    d_lo, d_hi = seg.cdf(g_dev.prior, lo), seg.cdf(g_dev.prior, hi)
-    mass = float(d_hi - d_lo)
-    # closed forms keyed on (payoff branch, deviation segment kind)
-    if mid < eq.r_star:
-        if mid > eq.v_l_star:
-            return b.low(b.pooled.base) * mass  # u is flat on (v_L, r)
-        if full:
-            return b.low_integral(d_lo, d_hi)  # u = low(F^(n-1)), dG = dF
-    elif mid <= min(eq.v_h_star, eq.v_t_star):
-        # u affine in v on the pooled interval; integral of v dG by parts
-        v_dg = hi * float(d_hi) - lo * float(d_lo) - float(seg.integral(g_dev.prior, lo, hi))
-        return b.line_integral(mass, v_dg)
-    elif eq.v_h_star >= 1.0:
-        return mass  # u = 1 above the pooled cap
-    elif full:
-        return b.high_integral(d_lo, d_hi)
-
-    # remaining combination (u ~ F^(n-1) shape against an affine-power
-    # deviation): quadrature
-    return _quad(lambda x: np.asarray(payoff_u(eq, x)) * seg.pdf(x), lo, hi)
-
-
-def deviation_gain(eq, g_dev: PosteriorDistribution) -> float:
-    """Payoff change from a unilateral deviation to g_dev (beliefs fixed)."""
-    check_deviation_mpc(g_dev, eq.prior)
-    return expected_payoff_under(eq, g_dev) - expected_payoff(eq)
 
 
 # ---------------------------------------------------------------------------

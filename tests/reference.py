@@ -12,6 +12,14 @@ residual must give the same (beta, v_H, v_T).  The large-market contact
 equation at v_L = 0 under its own name (v_h_large_n): the `limit` command
 now reads the same contact point from candidate.solve_beta.
 
+The equilibrium at a fixed (exogenous) reservation value r (solve_exog,
+returning an ExogEquilibrium with its regime, REGIME_BOTTOM or
+REGIME_NO_BOTTOM, or exogenous.REGIME_FULL at alpha = 0): the threshold
+exogenous.solve_v_l_eq bisects at r, its candidate and posterior, and the
+multiplier's convexity at v_L or the sign of z(0, r), against the two
+tolerances only it reads (KINK_REL_SLACK, Z_SIGN_TOL).  The uniform closed
+form of v_L and beta at n = 2 checks the threshold layer through it.
+
 The post-solve validation that re-solves the market (validate_by_rewind):
 it bisects the full-information reserve, recomputes the regime decision
 and rewinds solve_v_l_eq at r*.  endogenous.validate_equilibrium must
@@ -22,6 +30,15 @@ with its stop-loss-slack map _slack_map, solved by linprog with the
 oracle's options, verify.ORACLE_LP_OPTIONS): verify.best_response_oracle
 builds the same HiGHS input by index arithmetic and must hand HiGHS
 exactly the arrays linprog hands it.
+
+A deviation's expected payoff while the market plays its equilibrium
+(expected_payoff_under, and deviation_gain, its difference to
+verify.expected_payoff after the deviation's mean-preserving-contraction
+check): closed forms per payoff cell where the integrand is polynomial
+against the deviation's cdf, and 32-node Gauss-Legendre quadrature
+(_quad) in the one cell where it is not.  It is a third route to a firm's
+optimality, next to the LP oracle and the simulator's deviant path
+(montecarlo.simulate_deviation).
 
 The certificate with one grid evaluation per check
 (dm_conditions_by_separate_grids): verify.check_dm_conditions evaluates
@@ -57,6 +74,7 @@ reports bit for bit.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Sequence
 from unittest import mock
 
@@ -65,7 +83,14 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from disclose_eq import candidate
-from disclose_eq.candidate import _XTOL, candidate_exists, validate_candidate
+from disclose_eq.candidate import (
+    _XTOL,
+    Candidate,
+    build_candidate,
+    build_g,
+    candidate_exists,
+    validate_candidate,
+)
 from disclose_eq.endogenous import (
     Equilibrium,
     _checked_mean,
@@ -82,16 +107,32 @@ from disclose_eq.errors import (
     InfeasibleCandidateError,
     ValidationFailureError,
 )
-from disclose_eq.exogenous import solve_v_l_eq
+from disclose_eq.exogenous import (
+    REGIME_FULL,
+    _check_market,
+    _visit_probability_at,
+    _z_of_beta,
+    posterior_share,
+    solve_v_l_eq,
+    visit_probability,
+)
 from disclose_eq.montecarlo import _Buffers, _first_max
-from disclose_eq.posterior import ArrayLike, Flat, FullDisclosure, PosteriorDistribution
+from disclose_eq.posterior import (
+    ArrayLike,
+    Flat,
+    FullDisclosure,
+    PosteriorDistribution,
+    check_deviation_mpc,
+    full_disclosure_distribution,
+)
 from disclose_eq.priors import Prior
 from disclose_eq.rootfind import bisect_root
-from disclose_eq.tolerances import HIGHS_SMALL_ENTRY, NARROW_CELL
+from disclose_eq.tolerances import DM1_TOL, HIGHS_SMALL_ENTRY, NARROW_CELL
 from disclose_eq.verify import (
     ORACLE_LP_OPTIONS,
     CertificateReport,
     discretize_prior,
+    expected_payoff,
     integral_phi_dF,
     integral_phi_dG,
     multiplier_phi,
@@ -244,6 +285,90 @@ def v_h_large_n(prior: Prior, n: int, s: float) -> float:
     return bisect_root(contact, r, 1.0, xtol=1e-13)
 
 
+REGIME_NO_BOTTOM = "NoDisclosureAtBottom"
+REGIME_BOTTOM = "DisclosureAtBottom"
+
+KINK_REL_SLACK = 1e-7
+"""Relative to dF**(n-1)/dv at v_L.  solve_exog: multiplier-convexity-at-v_L,
+for the ill-conditioned r -> 1 corner; tolerances.DM1_TOL is its absolute
+part."""
+
+Z_SIGN_TOL = 1e-9
+"""Units of z.  solve_exog: multiplier-at-zero, z(0, r) >= -Z_SIGN_TOL when
+nothing below r is disclosed."""
+
+
+@dataclass(frozen=True)
+class ExogEquilibrium:
+    prior: Prior
+    n: int
+    alpha: float
+    r: float
+    v_l_eq: float
+    candidate: Candidate | None  # None only on the alpha = 0 boundary
+    g: PosteriorDistribution
+    eta: float
+    alpha_tilde: float
+    regime: str
+
+
+def solve_exog(prior: Prior, n: int, alpha: float, r: float) -> ExogEquilibrium:
+    """Solve the fixed-reservation-value equilibrium."""
+    _check_market(prior, n, alpha)
+    if not 0.0 < r < 1.0:
+        raise DomainError("reservation value must lie in (0, 1)")
+    if alpha == 0.0:
+        g = full_disclosure_distribution(prior)
+        eta = visit_probability(prior, n, r)  # G(r) = F(r) under full disclosure
+        return ExogEquilibrium(
+            prior=prior,
+            n=n,
+            alpha=alpha,
+            r=r,
+            v_l_eq=r,
+            candidate=None,
+            g=g,
+            eta=eta,
+            alpha_tilde=0.0,
+            regime=REGIME_FULL,
+        )
+
+    v_l = solve_v_l_eq(prior, n, alpha, r)
+    cand = build_candidate(prior, n, v_l, r)
+    g = build_g(cand)
+    validate_candidate(cand, g)
+    eta = _visit_probability_at(cand.fl, n)
+    regime = REGIME_NO_BOTTOM if v_l == 0.0 else REGIME_BOTTOM
+
+    if v_l > 0.0:
+        # affine F**(n-1) sits exactly at equality here, so allow a small
+        # relative slack for the ill-conditioned r -> 1 corner
+        slope_f = prior.pow_cdf_deriv(v_l, n)
+        if (1.0 - alpha) * cand.beta < slope_f * (1.0 - KINK_REL_SLACK) - DM1_TOL:
+            raise ValidationFailureError(
+                "multiplier-convexity-at-v_L",
+                f"(1-a)*beta={(1.0 - alpha) * cand.beta} < dF^(n-1)={slope_f}",
+            )
+    else:
+        # the candidate at (0, r) is the one z(0, r) would build again
+        z0 = _z_of_beta(prior, n, alpha, 0.0, r, cand.beta)
+        if z0 < -Z_SIGN_TOL:
+            raise ValidationFailureError("multiplier-at-zero", f"Z(0,0,r)={z0}")
+
+    return ExogEquilibrium(
+        prior=prior,
+        n=n,
+        alpha=alpha,
+        r=r,
+        v_l_eq=v_l,
+        candidate=cand,
+        g=g,
+        eta=eta,
+        alpha_tilde=posterior_share(alpha, eta),
+        regime=regime,
+    )
+
+
 def validate_by_rewind(eq: Equilibrium) -> None:
     """The post-solve invariant suite, re-solving what it checks; raises
     ValidationFailureError."""
@@ -346,6 +471,77 @@ def oracle_by_sparse_algebra(
     if not res.success:  # pragma: no cover - the prior's own cells are feasible
         raise ValidationFailureError("oracle-lp", res.message)
     return float(u_values @ f - res.fun), f + lift @ res.x
+
+
+_GL_NODES = 32
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
+
+
+def _quad(fn, lo: float, hi: float) -> float:
+    if hi <= lo:
+        return 0.0
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    x = mid + half * _GL_X
+    return float(half * np.sum(_GL_W * fn(x)))
+
+
+def expected_payoff_under(eq, g_dev: PosteriorDistribution) -> float:
+    """Expected payoff of deviating to g_dev while the market plays eq.
+
+    Closed form wherever the integrand is polynomial against the deviation
+    cdf; Gauss-Legendre per cell otherwise.  Atoms contribute mass times
+    the (upper-semicontinuous) payoff at their location.
+    """
+    cuts = sorted(
+        set(g_dev.breakpoints())
+        | {eq.v_l_star, eq.r_star, min(eq.v_h_star, eq.v_t_star), eq.v_h_star}
+    )
+    total = 0.0
+    for seg in g_dev.segments:
+        for lo, hi in zip(cuts, cuts[1:]):
+            lo_c, hi_c = max(lo, seg.a), min(hi, seg.b)
+            if hi_c <= lo_c:
+                continue
+            total += _cell_payoff(eq, g_dev, seg, lo_c, hi_c)
+    if g_dev.atom is not None:
+        loc, mass = g_dev.atom
+        total += mass * float(payoff_u(eq, loc))
+    return total
+
+
+def _cell_payoff(eq, g_dev: PosteriorDistribution, seg, lo: float, hi: float) -> float:
+    """Integral of u dG_dev over one smooth cell of the segment seg."""
+    if isinstance(seg, Flat):
+        return 0.0
+    b = eq.branches
+    mid = 0.5 * (lo + hi)
+    full = isinstance(seg, FullDisclosure)  # else affine-power
+    d_lo, d_hi = seg.cdf(g_dev.prior, lo), seg.cdf(g_dev.prior, hi)
+    mass = float(d_hi - d_lo)
+    # closed forms keyed on (payoff branch, deviation segment kind)
+    if mid < eq.r_star:
+        if mid > eq.v_l_star:
+            return b.low(b.pooled.base) * mass  # u is flat on (v_L, r)
+        if full:
+            return b.low_integral(d_lo, d_hi)  # u = low(F^(n-1)), dG = dF
+    elif mid <= min(eq.v_h_star, eq.v_t_star):
+        # u affine in v on the pooled interval; integral of v dG by parts
+        v_dg = hi * float(d_hi) - lo * float(d_lo) - float(seg.integral(g_dev.prior, lo, hi))
+        return b.line_integral(mass, v_dg)
+    elif eq.v_h_star >= 1.0:
+        return mass  # u = 1 above the pooled cap
+    elif full:
+        return b.high_integral(d_lo, d_hi)
+
+    # remaining combination (u ~ F^(n-1) shape against an affine-power
+    # deviation): quadrature
+    return _quad(lambda x: np.asarray(payoff_u(eq, x)) * seg.pdf(x), lo, hi)
+
+
+def deviation_gain(eq, g_dev: PosteriorDistribution) -> float:
+    """Payoff change from a unilateral deviation to g_dev (beliefs fixed)."""
+    check_deviation_mpc(g_dev, eq.prior)
+    return expected_payoff_under(eq, g_dev) - expected_payoff(eq)
 
 
 def _support_grid(eq, grid_size: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from disclose_eq.endogenous import (
     payoff_u,
     solve_endog,
 )
-from disclose_eq.exogenous import r_lower_bar, solve_exog
+from disclose_eq.exogenous import r_lower_bar
 from disclose_eq.montecarlo import SimConfig, SingleCost, simulate_market
 from disclose_eq.verify import (
     check_dm_conditions,
@@ -36,7 +36,7 @@ from disclose_eq.welfare import (
     informativeness_compare,
     threshold_scan,
 )
-from reference import v_h_large_n
+from reference import solve_exog, v_h_large_n
 
 ORACLE_GAP_COEFF = 0.2  # calibrated in test_criterion_4
 

@@ -325,6 +325,13 @@ HETERO = {
         ("verify", BASE, ["--perturb", "v_L", "abc"]),
         ("verify", BASE, ["--perturb", "v_L", "inf"]),
         ("verify", BASE, ["--perturb", "v_L", "nan"]),
+        ("solve", {**BASE, "prior": {"family": "power", "a": "2.0"}}, []),
+        ("solve", {**BASE, "prior": {"family": "power", "a": True}}, []),
+        ("solve", {**BASE, "prior": {"family": "power", "a": 10**400}}, []),
+        ("solve", {**BASE, "prior": {"family": "piecewise", "knots": [[0, 0], ["0.5", 0.5], [1, 1]]}}, []),
+        ("hetero", {**HETERO, "cost_model": {"type": "discrete", "points": [["0.05", 0.5], [0.1, 0.5]]}}, []),
+        ("hetero", {**HETERO, "cost_model": {"type": "continuous", "knots": [[0.05, False], [0.1, True]]}}, []),
+        ("simulate", {**SIM, "cost_model": {"type": "discrete", "points": [[10**400, 1.0]]}}, ["--seed", "1"]),
     ],
     ids=[
         "sweep-no-base-n",
@@ -345,6 +352,13 @@ HETERO = {
         "verify-perturb-delta-string",
         "verify-perturb-delta-inf",
         "verify-perturb-delta-nan",
+        "prior-a-string",
+        "prior-a-bool",
+        "prior-a-past-float-range",
+        "prior-knot-string",
+        "discrete-cost-string",
+        "continuous-knot-bool",
+        "cost-past-float-range",
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg, extra):
@@ -456,7 +470,8 @@ def test_malformed_thread_count_fails_before_the_solve(tmp_path, monkeypatch, ca
 
 # Runs in a fresh interpreter, so that the imports of this test process do
 # not count: every command but verify and hetero must leave scipy unloaded,
-# none of them may load numpy.ma (np.unique's first call imports it), and
+# none of them may load numpy.ma (np.unique's first call imports it) or
+# numpy.polynomial (about 10 ms of import that no command needs), and
 # "pool" lists, after each command, which of the simulator and its thread
 # pool are loaded.
 _NO_SCIPY_SCRIPT = """
@@ -472,6 +487,7 @@ print(json.dumps({
     "pool": pool,
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "numpy.ma": "numpy.ma" in sys.modules,
+    "numpy.polynomial": "numpy.polynomial" in sys.modules,
 }))
 """
 
@@ -502,6 +518,7 @@ def test_solve_sweep_limit_simulate_do_not_import_scipy(tmp_path):
     assert result["pool"] == [[], [], [], ["concurrent.futures", "disclose_eq.montecarlo"]]
     assert result["scipy"] == []
     assert result["numpy.ma"] is False
+    assert result["numpy.polynomial"] is False
     # verify re-exports the moved names as the same objects
     assert verify.DiscreteCosts is costs.DiscreteCosts
     assert verify.ContinuousCosts is costs.ContinuousCosts
@@ -538,6 +555,7 @@ def test_verify_and_hetero_load_only_the_highs_binding(tmp_path):
     # scipy.linalg or scipy.sparse
     assert _HIGHS_CORE in result["scipy"]
     assert all(m == _HIGHS_CORE or m.startswith(_HIGHS_CORE + ".") for m in result["scipy"])
+    assert result["numpy.polynomial"] is False
     assert json.loads((tmp_path / "verify.out").read_text())["oracle"]["lp_iterations"] > 0
 
 

@@ -4,16 +4,14 @@ import pytest
 from disclose_eq import PowerPrior, candidate, exogenous
 from disclose_eq.errors import DomainError, UnsupportedBoundaryError
 from disclose_eq.exogenous import (
-    REGIME_BOTTOM,
     REGIME_FULL,
-    REGIME_NO_BOTTOM,
     conceals_below,
     r_lower_bar,
-    solve_exog,
     solve_v_l_eq,
     visit_probability,
     z_function,
 )
+from reference import REGIME_BOTTOM, REGIME_NO_BOTTOM, solve_exog
 
 
 def uniform_v_l_eq(alpha: float, r: float) -> float:

@@ -37,6 +37,7 @@ from disclose_eq.posterior import AffinePower, FullDisclosure, PosteriorDistribu
 from disclose_eq.welfare import cs_inexperienced, cs_savvy
 from reference import (
     bins_by_digitize,
+    expected_payoff_under,
     reservation_by_halving,
     stop_rule_by_copyto,
     tally_by_copyto,
@@ -324,7 +325,6 @@ def test_point_mass_deviation_matches_analytic_gain(uniform):
     from disclose_eq import point_mass
     from disclose_eq.endogenous import Equilibrium, r_full_info
     from disclose_eq.exogenous import posterior_share, visit_probability
-    from disclose_eq.verify import expected_payoff_under
 
     alpha, s = 0.65, 0.2
     r = r_full_info(uniform, s)

@@ -27,10 +27,8 @@ from disclose_eq.verify import (
     best_response_oracle,
     chord_slope_infimum,
     check_dm_conditions,
-    deviation_gain,
     discretize_prior,
     expected_payoff,
-    expected_payoff_under,
     hetero_check,
     hetero_first_holding_n,
     integral_phi_dF,
@@ -41,7 +39,12 @@ from disclose_eq.verify import (
     payoff_identity_gap,
 )
 import reference
-from reference import dm_conditions_by_separate_grids, oracle_by_sparse_algebra
+from reference import (
+    deviation_gain,
+    dm_conditions_by_separate_grids,
+    expected_payoff_under,
+    oracle_by_sparse_algebra,
+)
 
 
 # ---------------------------------------------------------------------------
