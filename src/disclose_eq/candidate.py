@@ -103,12 +103,13 @@ def solve_beta(prior: Prior, n: int, v_l: float, r: float) -> tuple[float, float
     fl = prior.cdf(v_l)
     fln1 = fl ** (n - 1)
     residual = _mean_match_residual(prior, n, v_l, r)
-    if residual(1.0) > 0.0:
+    at_one = residual(1.0)
+    if at_one > 0.0:
         # Interior contact: bisect the single mean-match equation in v_H.
         # At r the residual is (1 - lam) times the integral of (u - r) dF over
         # (v_L, r) < 0, but both factors round to 0.0 when r is next to v_L,
         # so its sign is pinned analytically.
-        v_h = bisect_root(residual, r, 1.0, xtol=_XTOL, f_lo=-1.0)
+        v_h = bisect_root(residual, r, 1.0, xtol=_XTOL, f_lo=-1.0, f_hi=at_one)
         if v_h - r > CHORD_MIN_WIDTH:
             beta = (prior.cdf(v_h) ** (n - 1) - fln1) / (v_h - r)
         else:  # total collapse toward full disclosure (r at the support edge)

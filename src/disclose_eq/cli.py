@@ -354,10 +354,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-
-def entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

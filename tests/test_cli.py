@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -422,34 +423,47 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def run_pinned_case(case: str, tmp_path) -> dict:
+def run_pinned_case(case: str, tmp_path, environ: dict[str, str] | None = None) -> dict:
+    """Run a pinned case through cli.main in this process, or, given
+    environment variables to add, through `python -m disclose_eq`."""
     cfg, args = PINNED_CASES[case]
     files = {name: tmp_path / f"{name}.txt" for name in ("out", "curve") if f"{{{name}}}" in args}
     argv = [a.format(out=files.get("out"), curve=files.get("curve")) for a in args]
     argv[1:1] = ["--config", _write(tmp_path, "cfg.json", cfg)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    if environ is None:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        stdout, stderr = out.getvalue().encode(), err.getvalue().encode()
+    else:
+        proc = subprocess.run(
+            [sys.executable, "-m", "disclose_eq", *argv], capture_output=True, env=_fresh_env(**environ), timeout=120
+        )
+        code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
     return {
         "code": code,
-        "stdout": _sha(out.getvalue().encode()),
-        "stderr": _sha(err.getvalue().encode()),
+        "stdout": _sha(stdout),
+        "stderr": _sha(stderr),
         "files": {name: _sha(path.read_bytes()) for name, path in files.items()},
     }
 
 
-@pytest.mark.parametrize("case", sorted(PINNED_CASES))
-def test_output_bytes_are_pinned(tmp_path, case):
-    assert run_pinned_case(case, tmp_path) == PINNED[case]
+@pytest.mark.parametrize(
+    "case, environ",
+    [pytest.param(case, None, id=case) for case in sorted(PINNED_CASES)]
+    # a cold process with the caller's own OpenBLAS pool writes the same bytes
+    + [pytest.param("verify-oracle", {"OPENBLAS_NUM_THREADS": "2"}, id="verify-oracle-python-m-openblas-2")],
+)
+def test_output_bytes_are_pinned(tmp_path, case, environ):
+    assert run_pinned_case(case, tmp_path, environ) == PINNED[case]
 
 
 @pytest.mark.parametrize("threads", ["abc", "0"])
 def test_malformed_thread_count_is_a_config_error(tmp_path, threads):
-    src = os.path.dirname(os.path.dirname(disclose_eq.__file__))
-    env = {**os.environ, "DISCLOSE_EQ_THREADS": threads, "PYTHONPATH": src}
     argv = ["simulate", "--config", _write(tmp_path, "sim.json", SIM), "--seed", "1"]
     proc = subprocess.run(
-        [sys.executable, "-m", "disclose_eq", *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-m", "disclose_eq", *argv],
+        capture_output=True, text=True, env=_fresh_env(DISCLOSE_EQ_THREADS=threads), timeout=120,
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
@@ -506,13 +520,7 @@ def test_solve_sweep_limit_simulate_do_not_import_scipy(tmp_path):
     ]
     for argv in runs:
         argv += ["--out", str(tmp_path / f"{argv[0]}.out")]
-    src = os.path.dirname(os.path.dirname(disclose_eq.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(runs)],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
-    result = json.loads(proc.stdout.splitlines()[-1])
+    result = _run_fresh(_NO_SCIPY_SCRIPT, json.dumps(runs))
     assert result["codes"] == [0, 0, 0, 0]
     # only simulate loads the simulator, and with it concurrent.futures
     assert result["pool"] == [[], [], [], ["concurrent.futures", "disclose_eq.montecarlo"]]
@@ -525,14 +533,20 @@ def test_solve_sweep_limit_simulate_do_not_import_scipy(tmp_path):
     assert verify.payoff_u is endogenous.payoff_u
 
 
-def _run_fresh(script, *args):
-    """Run a script in a fresh interpreter with src on the path; its last
-    stdout line, read as JSON."""
+def _fresh_env(**environ):
+    """This process's environment with src on the path and environ's
+    variables set, or removed where their value is None."""
     src = os.path.dirname(os.path.dirname(disclose_eq.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **environ}
+    return {key: value for key, value in env.items() if value is not None}
+
+
+def _run_fresh(script, *args, **environ):
+    """Run a script in a fresh interpreter with src on the path (and
+    environ as _fresh_env applies it); its last stdout line, read as JSON."""
     proc = subprocess.run(
         [sys.executable, "-c", script, *args],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
+        capture_output=True, text=True, env=_fresh_env(**environ), timeout=120, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -604,8 +618,9 @@ def test_a_missing_binding_is_an_import_error():
 
 
 # Each module imports only from strictly lower layers, so no import cycle
-# can form.  The package __init__ re-exports the layers up to candidate, and
-# __main__ runs the CLI.
+# can form.  The package __init__ re-exports the layers up to candidate,
+# lazily (its __getattr__ imports them on first use), and __main__ runs the
+# CLI.
 _LAYERS = (
     ("errors", "tolerances"),
     ("rootfind", "priors", "costs"),
@@ -637,3 +652,65 @@ def test_modules_import_only_from_lower_layers():
                 targets = [a.name if a.name in rank else "__init__" for a in node.names]
             for target in targets:
                 assert rank[target] < rank[mod], f"{mod} imports {target}"
+
+
+# Importing the package loads no numpy, a re-export and a submodule both
+# resolve afterwards, and importing any module of the package leaves the
+# environment as it was: only __main__.main sets a default.
+_IMPORT_SCRIPT = """
+import json, os, sys
+before = dict(os.environ)
+import disclose_eq
+numpy = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+from disclose_eq import UniformPrior, costs
+import disclose_eq.__main__, disclose_eq.cli, disclose_eq.montecarlo, disclose_eq.verify
+print(json.dumps({
+    "numpy": numpy,
+    "resolved": [UniformPrior.__module__, costs.__name__],
+    "environ_kept": dict(os.environ) == before,
+}))
+"""
+
+
+def test_importing_the_package_loads_no_numpy_and_sets_no_environment():
+    result = _run_fresh(_IMPORT_SCRIPT)
+    assert result == {"numpy": [], "resolved": ["disclose_eq.priors", "disclose_eq.costs"], "environ_kept": True}
+    # a name that is neither a re-export nor a submodule fails as usual
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        disclose_eq.no_such_name
+
+
+# Runs the CLI through __main__.main in a fresh interpreter and reports the
+# process's OS threads afterwards, numpy loaded.
+_ENTRY_SCRIPT = """
+import json, os
+from disclose_eq.__main__ import main
+try:
+    main()
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({
+    "code": code,
+    "threads": len(os.listdir("/proc/self/task")),
+    "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+}))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize("caller", [None, "2"], ids=["unset", "caller-2"])
+def test_the_entry_defaults_to_a_one_thread_blas_pool(tmp_path, caller):
+    argv = ["solve", "--config", _write(tmp_path, "cfg.json", BASE), "--out", str(tmp_path / "out.json")]
+    result = _run_fresh(_ENTRY_SCRIPT, *argv, OPENBLAS_NUM_THREADS=caller)
+    assert (result["code"], result["OPENBLAS_NUM_THREADS"]) == (0, caller or "1")
+    if caller is None:  # OpenBLAS caps a caller's count at the cores it finds
+        assert result["threads"] == 1
+
+
+def test_the_installed_script_names_an_importable_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    module, _, name = scripts["disclose-eq"].partition(":")
+    target = getattr(importlib.import_module(module), name)
+    assert callable(target) and target.__module__ == "disclose_eq.__main__"
