@@ -654,19 +654,21 @@ def test_modules_import_only_from_lower_layers():
                 assert rank[target] < rank[mod], f"{mod} imports {target}"
 
 
-# Importing the package loads no numpy, a re-export and a submodule both
-# resolve afterwards, and importing any module of the package leaves the
-# environment as it was: only __main__.main sets a default.
+# Importing the package loads no numpy, a re-export, a submodule and every
+# name in __all__ resolve afterwards, and importing any module of the
+# package leaves the environment as it was: only __main__.main sets a default.
 _IMPORT_SCRIPT = """
 import json, os, sys
 before = dict(os.environ)
 import disclose_eq
 numpy = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 from disclose_eq import UniformPrior, costs
+exported = sorted({getattr(disclose_eq, name).__module__ for name in disclose_eq.__all__})
 import disclose_eq.__main__, disclose_eq.cli, disclose_eq.montecarlo, disclose_eq.verify
 print(json.dumps({
     "numpy": numpy,
     "resolved": [UniformPrior.__module__, costs.__name__],
+    "exported": exported,
     "environ_kept": dict(os.environ) == before,
 }))
 """
@@ -674,7 +676,12 @@ print(json.dumps({
 
 def test_importing_the_package_loads_no_numpy_and_sets_no_environment():
     result = _run_fresh(_IMPORT_SCRIPT)
-    assert result == {"numpy": [], "resolved": ["disclose_eq.priors", "disclose_eq.costs"], "environ_kept": True}
+    assert result == {
+        "numpy": [],
+        "resolved": ["disclose_eq.priors", "disclose_eq.costs"],
+        "exported": ["disclose_eq.candidate", "disclose_eq.posterior", "disclose_eq.priors"],
+        "environ_kept": True,
+    }
     # a name that is neither a re-export nor a submodule fails as usual
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         disclose_eq.no_such_name
