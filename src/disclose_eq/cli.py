@@ -9,9 +9,9 @@ JSON goes to stdout (or --out); sweeps emit CSV.  Exit codes:
 
 Numeric config values are read by _read, and the prior's and the cost
 model's by their parsers, all through errors.config_number: missing,
-non-numeric (a string or a bool among them) or, for n and the counts,
-non-integral values are malformed.  The solvers check the
-ranges, and their DomainError also exits 1.  A root bracket that fails
+non-numeric (a string or a bool among them), non-finite (JSON's NaN and
+Infinity) or, for n and the counts, non-integral values are malformed.
+The solvers check the ranges, and their DomainError also exits 1.  A root bracket that fails
 on an input past those checks is a solver failure and exits 2.
 
 Each cmd_* returns its body and exit code; main adds the command and the
@@ -34,7 +34,6 @@ import numpy as np
 
 from . import __version__
 from .candidate import solve_beta
-from .costs import cost_distribution_from_json
 from .endogenous import (
     Equilibrium,
     assemble_market,
@@ -55,7 +54,6 @@ from .errors import (
 )
 from .exogenous import check_n
 from .priors import Prior, prior_from_json
-from .welfare import cs_inexperienced, cs_savvy, scan_csv_text, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -147,6 +145,9 @@ def cmd_solve(cfg: dict[str, Any], args) -> tuple[dict[str, Any], int]:
 
 
 def cmd_sweep(cfg: dict[str, Any], args) -> tuple[str, int]:
+    # imported here and in _z_scores so that solve and verify start without welfare and csv
+    from .welfare import scan_csv_text, sweep
+
     prior = prior_from_json(_require(cfg, "prior"))
     axis = _require(cfg, "axis")
     grid = _require(cfg, "grid")
@@ -198,7 +199,9 @@ def cmd_verify(cfg: dict[str, Any], args) -> tuple[dict[str, Any], int]:
 
 
 def cmd_simulate(cfg: dict[str, Any], args) -> tuple[dict[str, Any], int]:
-    # imported here so that the other commands start without concurrent.futures
+    # imported here so that the other commands start without concurrent.futures,
+    # and solve and sweep without the cost models
+    from .costs import cost_distribution_from_json
     from .montecarlo import HeterogeneousCosts, SimConfig, SingleCost, _thread_count, simulate_market
 
     prior, n, alpha, s = _market_params(cfg)
@@ -235,6 +238,8 @@ def _curve_theory(eq: Equilibrium, report) -> list[float]:
 
 
 def _z_scores(eq: Equilibrium, report) -> dict[str, float]:
+    from .welfare import cs_inexperienced, cs_savvy
+
     out: dict[str, float] = {}
     if report.eta_se and not np.isnan(report.eta_se) and report.eta_se > 0:
         out["eta"] = (report.eta_hat - eq.eta) / report.eta_se
@@ -292,6 +297,7 @@ def cmd_limit(cfg: dict[str, Any], args) -> tuple[dict[str, Any], int]:
 
 def cmd_hetero(cfg: dict[str, Any], args) -> tuple[dict[str, Any], int]:
     # imported here so that the other commands start without the HiGHS binding
+    from .costs import cost_distribution_from_json
     from .verify import hetero_check, hetero_first_holding_n
 
     prior = prior_from_json(_require(cfg, "prior"))

@@ -7,6 +7,7 @@ support and cdf.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Union
 
@@ -23,6 +24,8 @@ class DiscreteCosts:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(x) for point in self.points for x in point):
+            raise DomainError("costs and probabilities must be finite")
         costs = [c for c, _ in self.points]
         probs = [p for _, p in self.points]
         if not costs or any(c <= 0.0 for c in costs):
@@ -57,6 +60,8 @@ class ContinuousCosts:
     def __post_init__(self) -> None:
         if len(self.knots) < 2:
             raise DomainError("need at least two knots")
+        if not all(math.isfinite(x) for knot in self.knots for x in knot):
+            raise DomainError("cost knots must be finite")
         xs = [k[0] for k in self.knots]
         qs = [k[1] for k in self.knots]
         if xs[0] <= 0.0:

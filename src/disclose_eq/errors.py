@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the package, and the one check of a
 number read from a config."""
+import math
 
 
 class DiscloseEqError(Exception):
@@ -45,14 +46,17 @@ class IterationCapError(DiscloseEqError):
 
 def config_number(value, name: str, kind: type = float):
     """A config's JSON number as kind (int or float); ConfigError naming it
-    when it is no number (a string or a bool among them), is too large for
-    a float, or, as an int, is not finite or not integral."""
+    when it is no number (a string or a bool among them), is not finite
+    (Python's json reads NaN and Infinity), is too large for a float, or,
+    as an int, is not integral."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         out = kind(value)
     except (OverflowError, ValueError) as exc:  # int() of inf or nan, float() of a huge int
         raise ConfigError(f"{name} must be finite, got {value!r}") from exc
+    if kind is float and not math.isfinite(out):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     if kind is int and out != value:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return out

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationFailureError
 from .priors import Prior
-from .tolerances import ATOM_MATCH_TOL, CONTINUITY_TOL, MPC_TOL, POOLED_LEVEL_FLOOR
+from .tolerances import ATOM_MATCH_TOL, CONTINUITY_TOL, MPC_TOL
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -120,10 +120,6 @@ class AffinePower:
     def cdf(self, prior: Prior, v: ArrayLike) -> ArrayLike:
         w = self._w(v)
         return w if self.root_power == 1 else w ** (1.0 / self.root_power)
-
-    def pdf(self, v: ArrayLike) -> ArrayLike:
-        w = np.clip(self.line(v), POOLED_LEVEL_FLOOR, 1.0)
-        return (self.slope / self.root_power) * w ** (1.0 / self.root_power - 1.0)
 
     def integral(self, prior: Prior, lo: float, hi: ArrayLike, k: int = 1) -> ArrayLike:
         p = self.root_power

@@ -10,6 +10,7 @@ of those loops, F(v) and its integral from one evaluation of the piece.
 from __future__ import annotations
 
 import bisect as _stdbisect
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Union
@@ -231,6 +232,8 @@ class PiecewiseLinearPrior(Prior):
         ks = self.knots
         if len(ks) < 3:
             raise DomainError("piecewise cdf needs at least 3 knots (>= 2 segments)")
+        if not all(math.isfinite(x) for knot in ks for x in knot):
+            raise DomainError("knots must be finite")
         if ks[0] != (0.0, 0.0) or ks[-1] != (1.0, 1.0):
             raise DomainError("piecewise cdf must start at (0,0) and end at (1,1)")
         xs = [k[0] for k in ks]

@@ -54,10 +54,6 @@ smallest integrated-cdf gap, so validate_candidate's mean-preservation and
 integrated-gap, check_deviation_mpc's deviation-not-mpc and every verdict
 of the welfare statics."""
 
-POOLED_LEVEL_FLOOR = 1e-300
-"""cdf**(n-1).  Not a tolerance: AffinePower.pdf clips the pooled line here,
-so that its power 1/(n-1) - 1 < 0 stays finite at the bottom."""
-
 # -- endogenous: the post-solve invariants and the regime ---------------------
 
 SEARCH_PRIOR_TOL = 1e-9

@@ -36,7 +36,8 @@ A deviation's expected payoff while the market plays its equilibrium
 verify.expected_payoff after the deviation's mean-preserving-contraction
 check): closed forms per payoff cell where the integrand is polynomial
 against the deviation's cdf, and 32-node Gauss-Legendre quadrature
-(_quad) in the one cell where it is not.  It is a third route to a firm's
+(_quad) against the pooled segment's density (affine_power_pdf) in the
+one cell where it is not.  It is a third route to a firm's
 optimality, next to the LP oracle and the simulator's deviant path
 (montecarlo.simulate_deviation).
 
@@ -118,6 +119,7 @@ from disclose_eq.exogenous import (
 )
 from disclose_eq.montecarlo import _Buffers, _first_max
 from disclose_eq.posterior import (
+    AffinePower,
     ArrayLike,
     Flat,
     FullDisclosure,
@@ -477,6 +479,17 @@ _GL_NODES = 32
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
 
 
+POOLED_LEVEL_FLOOR = 1e-300
+"""cdf**(n-1).  Not a tolerance: affine_power_pdf clips the pooled line here,
+so that its power 1/(n-1) - 1 < 0 stays finite at the bottom."""
+
+
+def affine_power_pdf(seg: AffinePower, v: ArrayLike) -> ArrayLike:
+    """The density of an affine-power segment, the one cell _quad integrates."""
+    w = np.clip(seg.line(v), POOLED_LEVEL_FLOOR, 1.0)
+    return (seg.slope / seg.root_power) * w ** (1.0 / seg.root_power - 1.0)
+
+
 def _quad(fn, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
@@ -535,7 +548,7 @@ def _cell_payoff(eq, g_dev: PosteriorDistribution, seg, lo: float, hi: float) ->
 
     # remaining combination (u ~ F^(n-1) shape against an affine-power
     # deviation): quadrature
-    return _quad(lambda x: np.asarray(payoff_u(eq, x)) * seg.pdf(x), lo, hi)
+    return _quad(lambda x: np.asarray(payoff_u(eq, x)) * affine_power_pdf(seg, x), lo, hi)
 
 
 def deviation_gain(eq, g_dev: PosteriorDistribution) -> float:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -369,6 +370,25 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg, extr
     assert capsys.readouterr().err.startswith("config error:")
 
 
+NAN = float("nan")  # json.dumps writes NaN and Infinity, and json.load reads them
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("hetero", {**HETERO, "cost_model": {"type": "discrete", "points": [[0.05, 0.5], [NAN, 0.25], [0.1, 0.25]]}}, "cost"),
+        ("solve", {**BASE, "prior": {"family": "piecewise", "knots": [[0, 0], [NAN, 0.5], [1, 1]]}}, "knot"),
+        ("sweep", {**SWEEP, "grid": [0.1, NAN, 0.2]}, "grid"),
+        ("solve", {**BASE, "alpha": float("inf")}, "alpha"),
+    ],
+    ids=["hetero-cost-nan", "prior-knot-nan", "sweep-grid-nan", "solve-alpha-infinity"],
+)
+def test_a_non_finite_number_is_a_config_error_naming_its_key(tmp_path, capsys, command, cfg, key):
+    assert main([command, "--config", _write(tmp_path, "cfg.json", cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{key} must be finite, got " in err
+
+
 @pytest.mark.parametrize(
     "command, cfg, extra",
     [
@@ -436,9 +456,7 @@ def run_pinned_case(case: str, tmp_path, environ: dict[str, str] | None = None) 
             code = main(argv)
         stdout, stderr = out.getvalue().encode(), err.getvalue().encode()
     else:
-        proc = subprocess.run(
-            [sys.executable, "-m", "disclose_eq", *argv], capture_output=True, env=_fresh_env(**environ), timeout=120
-        )
+        proc = _run_entry(argv, environ)
         code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
     return {
         "code": code,
@@ -451,7 +469,10 @@ def run_pinned_case(case: str, tmp_path, environ: dict[str, str] | None = None) 
 @pytest.mark.parametrize(
     "case, environ",
     [pytest.param(case, None, id=case) for case in sorted(PINNED_CASES)]
-    # a cold process with the caller's own OpenBLAS pool writes the same bytes
+    # a cold process, which ends by os._exit, writes the same bytes and
+    # exit code (4 among them), and so it does with the caller's own
+    # OpenBLAS pool
+    + [pytest.param(case, {}, id=f"{case}-python-m") for case in sorted(PINNED_CASES)]
     + [pytest.param("verify-oracle", {"OPENBLAS_NUM_THREADS": "2"}, id="verify-oracle-python-m-openblas-2")],
 )
 def test_output_bytes_are_pinned(tmp_path, case, environ):
@@ -461,10 +482,7 @@ def test_output_bytes_are_pinned(tmp_path, case, environ):
 @pytest.mark.parametrize("threads", ["abc", "0"])
 def test_malformed_thread_count_is_a_config_error(tmp_path, threads):
     argv = ["simulate", "--config", _write(tmp_path, "sim.json", SIM), "--seed", "1"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "disclose_eq", *argv],
-        capture_output=True, text=True, env=_fresh_env(DISCLOSE_EQ_THREADS=threads), timeout=120,
-    )
+    proc = _run_entry(argv, {"DISCLOSE_EQ_THREADS": threads}, text=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
     assert proc.stdout == ""
@@ -486,19 +504,22 @@ def test_malformed_thread_count_fails_before_the_solve(tmp_path, monkeypatch, ca
 # not count: every command but verify and hetero must leave scipy unloaded,
 # none of them may load numpy.ma (np.unique's first call imports it) or
 # numpy.polynomial (about 10 ms of import that no command needs), and
-# "pool" lists, after each command, which of the simulator and its thread
-# pool are loaded.
+# "loaded" lists, after each command, which of the modules that only some
+# commands run are loaded: a cold process compiles and builds only what
+# its command calls.
 _NO_SCIPY_SCRIPT = """
 import json, sys
 from disclose_eq import cli
 runs = json.loads(sys.argv[1])
-codes, pool = [], []
+watched = {"concurrent.futures", "csv", "disclose_eq.costs", "disclose_eq.montecarlo",
+           "disclose_eq.verify", "disclose_eq.welfare"}
+codes, loaded = [], []
 for argv in runs:
     codes.append(cli.main(argv))
-    pool.append(sorted({"disclose_eq.montecarlo", "concurrent.futures"} & set(sys.modules)))
+    loaded.append(sorted(watched & set(sys.modules)))
 print(json.dumps({
     "codes": codes,
-    "pool": pool,
+    "loaded": loaded,
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "numpy.ma": "numpy.ma" in sys.modules,
     "numpy.polynomial": "numpy.polynomial" in sys.modules,
@@ -522,8 +543,11 @@ def test_solve_sweep_limit_simulate_do_not_import_scipy(tmp_path):
         argv += ["--out", str(tmp_path / f"{argv[0]}.out")]
     result = _run_fresh(_NO_SCIPY_SCRIPT, json.dumps(runs))
     assert result["codes"] == [0, 0, 0, 0]
-    # only simulate loads the simulator, and with it concurrent.futures
-    assert result["pool"] == [[], [], [], ["concurrent.futures", "disclose_eq.montecarlo"]]
+    # solve loads none of them, sweep the welfare layer and csv, and only
+    # simulate the cost models and the simulator with its thread pool
+    welfare = ["csv", "disclose_eq.welfare"]
+    simulator = ["concurrent.futures", "disclose_eq.costs", "disclose_eq.montecarlo"]
+    assert result["loaded"] == [[], welfare, welfare, sorted(welfare + simulator)]
     assert result["scipy"] == []
     assert result["numpy.ma"] is False
     assert result["numpy.polynomial"] is False
@@ -539,6 +563,17 @@ def _fresh_env(**environ):
     src = os.path.dirname(os.path.dirname(disclose_eq.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **environ}
     return {key: value for key, value in env.items() if value is not None}
+
+
+def _run_entry(argv, environ=None, prefix=(), **kwargs):
+    """Run `python [prefix] -m disclose_eq argv` with src on the path and
+    environ as _fresh_env applies it.  PYTHONUNBUFFERED is unset unless
+    environ sets it: a pipe's stdout is then block-buffered, as a user's
+    is, and the entry's flush before its os._exit is what writes it."""
+    command = [sys.executable, *prefix, "-m", "disclose_eq", *argv]
+    env = _fresh_env(**{"PYTHONUNBUFFERED": None, **(environ or {})})
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    return subprocess.run(command, env=env, timeout=120, **{**streams, **kwargs})
 
 
 def _run_fresh(script, *args, **environ):
@@ -564,7 +599,8 @@ def test_verify_and_hetero_load_only_the_highs_binding(tmp_path):
         argv += ["--out", str(tmp_path / f"{argv[0]}.out")]
     result = _run_fresh(_NO_SCIPY_SCRIPT, json.dumps(runs))
     assert result["codes"] == [0, 0]
-    assert result["pool"] == [[], []]
+    # the certificates read the cost models, never the welfare layer or the simulator
+    assert result["loaded"] == [["disclose_eq.costs", "disclose_eq.verify"]] * 2
     # the binding and its two pybind11 submodules, and no scipy.optimize,
     # scipy.linalg or scipy.sparse
     assert _HIGHS_CORE in result["scipy"]
@@ -688,10 +724,16 @@ def test_importing_the_package_loads_no_numpy_and_sets_no_environment():
 
 
 # Runs the CLI through __main__.main in a fresh interpreter and reports the
-# process's OS threads afterwards, numpy loaded.
+# process's OS threads afterwards, numpy loaded.  The entry ends the process
+# by os._exit, which the probe turns into a SystemExit to report first.
 _ENTRY_SCRIPT = """
 import json, os
 from disclose_eq.__main__ import main
+
+def exit_to_the_probe(code):
+    raise SystemExit(code)
+
+os._exit = exit_to_the_probe
 try:
     main()
 except SystemExit as exc:
@@ -712,6 +754,58 @@ def test_the_entry_defaults_to_a_one_thread_blas_pool(tmp_path, caller):
     assert (result["code"], result["OPENBLAS_NUM_THREADS"]) == (0, caller or "1")
     if caller is None:  # OpenBLAS caps a caller's count at the cores it finds
         assert result["threads"] == 1
+
+
+def test_a_parallel_simulation_exits_with_its_code_and_output(tmp_path, capsys):
+    # three blocks of consumers, so the pool runs two threads before the exit
+    argv = ["simulate", "--config", _write(tmp_path, "sim.json", {**SIM, "consumers": 140_000}), "--seed", "3"]
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    proc = _run_entry(argv, {"DISCLOSE_EQ_THREADS": "2"}, text=True)
+    assert (proc.returncode, proc.stdout) == (0, serial)
+
+
+@pytest.mark.parametrize("unbuffered, code", [("1", 1), (None, 120)], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_still_fails(tmp_path, unbuffered, code):
+    # unbuffered, the command's write fails (exit 1); buffered, the flush
+    # after it does, and the interpreter's own exit reports it (status 120)
+    argv = ["solve", "--config", _write(tmp_path, "cfg.json", BASE)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # as `disclose-eq solve | head -c 0` leaves it
+    try:
+        proc = _run_entry(argv, {"PYTHONUNBUFFERED": unbuffered}, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code and b"BrokenPipeError" in proc.stderr
+
+
+def test_a_missing_stdout_keeps_the_code(tmp_path):
+    # no stdout at all: the output goes to --out, and the failed flush of
+    # the missing stream exits as before, with the command's code
+    out = tmp_path / "out.json"
+    argv = ["solve", "--config", _write(tmp_path, "cfg.json", BASE), "--out", str(out)]
+    proc = _run_entry(argv, stdout=None, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 0 and json.loads(out.read_text())["command"] == "solve"
+
+
+def test_a_profiled_entry_still_reports(tmp_path):
+    # a profiler's report comes after the command returns: no fast exit under it
+    proc = _run_entry(["solve", "--config", _write(tmp_path, "cfg.json", BASE)], prefix=["-m", "cProfile"])
+    assert proc.returncode == 0
+    assert b"function calls" in proc.stdout and b'"command": "solve"' in proc.stdout
+
+
+def test_a_monitoring_tool_counts_as_a_tracer(monkeypatch):
+    # Python 3.12's sys.monitoring, as coverage's sysmon core uses it
+    from disclose_eq.__main__ import _observed
+
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+    tools = {}
+    monkeypatch.setattr(sys, "monitoring", types.SimpleNamespace(get_tool=tools.get), raising=False)
+    assert _observed() is False
+    tools[1] = "coverage.py"
+    assert _observed() is True
 
 
 def test_the_installed_script_names_an_importable_entry():

@@ -4,6 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from disclose_eq import PiecewiseLinearPrior, PowerPrior, UniformPrior, prior_from_json
+from disclose_eq.costs import ContinuousCosts, DiscreteCosts
 from disclose_eq.errors import ConfigError, DomainError
 
 ALL_PRIORS = [
@@ -153,6 +154,22 @@ def test_piecewise_validation():
         PiecewiseLinearPrior(knots=((0.0, 0.1), (0.5, 0.5), (1.0, 1.0)))
     with pytest.raises(DomainError):
         PowerPrior(a=0.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: PiecewiseLinearPrior(knots=((0.0, 0.0), (x, 0.5), (1.0, 1.0))),
+        lambda x: DiscreteCosts(points=((0.05, 0.5), (x, 0.25), (0.1, 0.25))),
+        lambda x: ContinuousCosts(knots=((0.05, 0.0), (x, 0.5), (0.1, 1.0))),
+    ],
+    ids=["piecewise-prior", "discrete-costs", "continuous-costs"],
+)
+@pytest.mark.parametrize("x", [float("nan"), float("inf")])
+def test_constructors_reject_non_finite_numbers(make, x):
+    # every ordering check passes a NaN, as every comparison with it is false
+    with pytest.raises(DomainError, match="finite"):
+        make(x)
 
 
 def test_piecewise_views_are_cached():
