@@ -9,8 +9,9 @@ reduces to one equation in the contact point alone, bisected once; when
 the pooled branch caps at 1 before re-contact, beta has a closed form in
 truncated moments.
 
-validate_candidate checks the assembled posterior: its structure, the
-contact point, and that it is a mean-preserving contraction of the prior
+validate_candidate checks the assembled posterior: the contact point
+(the pooled branch ends on the prior at v_H), its structure, and that it
+is a mean-preserving contraction of the prior
 (posterior.informativeness_compare against full disclosure).
 """
 from __future__ import annotations
@@ -147,10 +148,12 @@ def validate_candidate(cand: Candidate, g: PosteriorDistribution) -> None:
     """Raise ValidationFailureError when a structural invariant of the
     candidate or of its posterior g = build_g(cand) fails."""
     prior, n = cand.prior, cand.n
+    if cand.v_h < 1.0:
+        # the pooled branch ends at v_H, where the prior takes over
+        contact = abs(float(cand.pooled.cdf(prior, cand.v_h)) - float(prior.cdf(cand.v_h)))
+        if contact > CONTINUITY_TOL:
+            raise ValidationFailureError("contact-point", f"|G - F|({cand.v_h}) = {contact}")
     g.validate()
-    contact = abs(float(g.cdf(cand.v_h)) - float(prior.cdf(cand.v_h)))
-    if contact > CONTINUITY_TOL:
-        raise ValidationFailureError("contact-point", f"|G - F|({cand.v_h}) = {contact}")
     mpc = informativeness_compare(g, full_disclosure_distribution(prior))
     if abs(mpc.mean_gap) > MPC_TOL:
         raise ValidationFailureError("mean-preservation", f"mean gap {mpc.mean_gap}")

@@ -17,9 +17,9 @@ on an input past those checks is a solver failure and exits 2.
 Each cmd_* returns its body and exit code; main adds the command and the
 provenance (the sha256 of the canonical config and the package version)
 and writes every output through _write, where a path that cannot be
-written is a malformed config.  Floats serialize via repr, which
-round-trips exactly.  DISCLOSE_EQ_THREADS, a positive integer, caps
-simulation parallelism.
+written, or a closed stdout, is a malformed config.  Floats serialize via
+repr, which round-trips exactly.  DISCLOSE_EQ_THREADS, a positive integer,
+caps simulation parallelism.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from typing import Any
 
@@ -116,9 +117,19 @@ def _csv_comments(cfg: dict[str, Any]) -> list[str]:
 
 def _write(text: str, out: str | None) -> None:
     """Write text as is (a sweep's CSV rows end in \\r\\n) to the file out,
-    or to stdout when out is not given."""
+    or to stdout when out is not given.  stdout is flushed here, so that a
+    closed pipe fails as an unwritable out does."""
     if not out:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # what stays in stdout's buffer would fail again at exit: it goes
+            # to the null device instead
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            raise ConfigError(f"cannot write stdout: {exc}") from exc
         return
     try:
         with open(out, "w", newline="") as fh:

@@ -6,11 +6,16 @@ equilibrium collapses to an integral against the *prior* above v_L.
 
 The regime comes first: nothing below r is disclosed iff r_lower_bar is at
 least mu - s, which is the sign of z(0, mu - s) since z(0, .) is strictly
-decreasing, and then r* = mu - s.  Otherwise the solve is one bisection
-in v_L.  The search condition gives r = r_search(v_L) in closed form,
-always with a feasible candidate (E[v | v > v_L] - r = s / (1 - F(v_L))),
-and the multiplier continuity gap z(v_L, r_search(v_L)) is negative at
-v_L = 0 and positive next to the full-information reserve.
+decreasing, and then r* = mu - s.  The solve builds the candidate at
+(0, mu - s) first: where z(0, mu - s) >= 0 the market conceals, and the
+regime rule, read a band below mu - s, decides the rest.  A concealing
+market keeps that candidate as its own, so it builds no second one.
+Otherwise the solve is one bisection in v_L, which starts from
+z(0, mu - s) where the search equation at v_L = 0 gives mu - s to the bit.
+The search condition gives r = r_search(v_L) in closed form, always with
+a feasible candidate (E[v | v > v_L] - r = s / (1 - F(v_L))), and the
+multiplier continuity gap z(v_L, r_search(v_L)) is negative at v_L = 0
+and positive next to the full-information reserve.
 
 validate_equilibrium certifies the solved market without solving it
 again.  The fixed point is certified locally: solve_v_l_eq's own bracket
@@ -22,6 +27,7 @@ regime is read from the candidate the market already holds.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -31,6 +37,7 @@ import numpy as np
 from .candidate import Candidate, build_candidate, build_g, validate_candidate
 from .errors import (
     DomainError,
+    InfeasibleCandidateError,
     IterationCapError,
     ValidationFailureError,
 )
@@ -222,11 +229,13 @@ def r_search(prior: Prior, v_l: float, s: float) -> float:
 
 
 def assemble_market(
-    prior: Prior, n: int, alpha: float, v_l: float, r: float, s: float
+    prior: Prior, n: int, alpha: float, v_l: float, r: float, s: float, cand: Candidate | None = None
 ) -> Equilibrium:
     """Build the market objects for given thresholds without asserting
-    that they solve the fixed point (used for perturbation tests)."""
-    cand = build_candidate(prior, n, v_l, r)
+    that they solve the fixed point (used for perturbation tests).  cand,
+    when given, is the candidate at (v_l, r), already built."""
+    if cand is None:
+        cand = build_candidate(prior, n, v_l, r)
     eta = _visit_probability_at(cand.fl, n)
     return Equilibrium(
         prior=prior,
@@ -362,7 +371,15 @@ def solve_endog(prior: Prior, n: int, alpha: float, s: float) -> Equilibrium:
             note=REGIME_FULL,
         )
 
-    conceals = _conceals_bottom(prior, n, alpha, mu, s)
+    # z(0, .) strictly decreases, so z(0, mu - s) >= 0 implies the rule's
+    # z(0, mu - s - REGIME_BAND) > 0: such a market conceals, and its
+    # candidate is the one at (0, mu - s)
+    try:
+        cand0 = build_candidate(prior, n, 0.0, mu - s)
+        z0 = _z_of_beta(prior, n, alpha, 0.0, mu - s, cand0.beta)
+    except InfeasibleCandidateError:
+        cand0, z0 = None, -math.inf
+    conceals = z0 >= 0.0 or _conceals_bottom(prior, n, alpha, mu, s)
     if conceals:
         r_star, v_l_star = mu - s, 0.0
     else:
@@ -370,10 +387,12 @@ def solve_endog(prior: Prior, n: int, alpha: float, s: float) -> Equilibrium:
         def gap(v_l: float) -> float:
             return z_function(prior, n, alpha, v_l, r_search(prior, v_l, s))
 
-        v_l_star = bisect_root(gap, 0.0, r_full_info(prior, s) - BRACKET_EDGE, xtol=1e-12)
+        # gap(0) is z0 where the search equation at v_L = 0 gives mu - s exactly
+        f_lo = z0 if cand0 is not None and r_search(prior, 0.0, s) == mu - s else None
+        v_l_star = bisect_root(gap, 0.0, r_full_info(prior, s) - BRACKET_EDGE, xtol=1e-12, f_lo=f_lo)
         r_star = r_search(prior, v_l_star, s)
 
-    eq = assemble_market(prior, n, alpha, v_l_star, r_star, s)
+    eq = assemble_market(prior, n, alpha, v_l_star, r_star, s, cand0 if conceals else None)
     validate_equilibrium(eq, conceals)
     return eq
 

@@ -26,10 +26,16 @@ arrays that the simulator reuses from block to block.
 The integral-precision order lives here too: informativeness_compare is
 the one mean-preserving-contraction check, used by candidate validation
 (against full disclosure), the deviation gate and the welfare statics.
+It reads both integrals on one grid: the uniform base grid with the
+breakpoints of both distributions inserted.  Each distribution walks its
+segments once over that sorted grid, with _cum's formulas, and when the
+two share a prior, the prior's integral on the grid is computed once for
+every full-disclosure segment of both.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Union
@@ -46,6 +52,7 @@ ArrayLike = Union[float, np.ndarray]
 # distributions' breakpoints) that MPC_TOL is read on
 _MPC_GRID = 2001
 _MPC_BASE = np.linspace(0.0, 1.0, _MPC_GRID)
+_MPC_BASE_LIST = _MPC_BASE.tolist()
 
 LESS_INFORMATIVE = "LessInformative"
 MORE_INFORMATIVE = "MoreInformative"
@@ -243,6 +250,29 @@ class PosteriorDistribution:
             lambda x: prefix[-1] + (x - self._ends[-1]),  # cdf == 1 past the top
         )
 
+    def _cum_sorted(self, grid: np.ndarray, prior_cum: np.ndarray | None) -> np.ndarray:
+        """cum_integral(grid) for an ascending grid, bit for bit, in one pass
+        of the segments.  prior_cum, when given, is self.prior.cum_cdf(grid):
+        a FullDisclosure segment then reads its slice instead of evaluating
+        the prior again."""
+        prior, prefix = self.prior, self._prefix(1)
+        out = np.empty_like(grid)
+        lo = 0
+        cuts = grid.searchsorted(self._ends, side="right").tolist()
+        for i, (seg, hi) in enumerate(zip(self.segments, cuts)):
+            if hi > lo:
+                x = grid[lo:hi]
+                # x lies in (previous end, seg.b], so _cum's clip changes
+                # nothing unless the segments overlap
+                inside = x[0] >= seg.a
+                if inside and prior_cum is not None and type(seg) is FullDisclosure:
+                    out[lo:hi] = prefix[i] + (prior_cum[lo:hi] - prior.cum_cdf(seg.a))
+                else:
+                    out[lo:hi] = prefix[i] + seg.integral(prior, seg.a, x if inside else x.clip(seg.a, seg.b), 1)
+                lo = hi
+        out[lo:] = prefix[-1] + (grid[lo:] - self._ends[-1])
+        return out
+
     def _by_segment(self, v: ArrayLike, side: str, on_segment, past_end) -> ArrayLike:
         """on_segment(i, segment, points) on each segment's slice of the sorted
         points, past_end(points) beyond the last end; side says which segment
@@ -382,6 +412,19 @@ def sorted_unique(x: np.ndarray) -> np.ndarray:
     return x[np.concatenate([[True], x[1:] != x[:-1]])]
 
 
+def _mpc_grid(g0: PosteriorDistribution, g1: PosteriorDistribution) -> np.ndarray:
+    """The sorted union of _MPC_BASE and both distributions' breakpoints:
+    each breakpoint that is not a base point is inserted where it belongs."""
+    pieces, lo = [], 0
+    for x in sorted({*g0.breakpoints(), *g1.breakpoints()}):
+        i = bisect_left(_MPC_BASE_LIST, x)
+        if i == _MPC_GRID or _MPC_BASE_LIST[i] != x:
+            pieces += (_MPC_BASE[lo:i], [x])
+            lo = i
+    pieces.append(_MPC_BASE[lo:])
+    return np.concatenate(pieces)
+
+
 def informativeness_compare(
     g0: PosteriorDistribution, g1: PosteriorDistribution
 ) -> InformativenessVerdict:
@@ -390,8 +433,9 @@ def informativeness_compare(
     LessInformative means g0 is a mean-preserving contraction of g1.
     Incomparability is an ordinary outcome, not an error.
     """
-    grid = sorted_unique(np.concatenate([_MPC_BASE, g0.breakpoints(), g1.breakpoints()]))
-    delta = np.asarray(g1.cum_integral(grid)) - np.asarray(g0.cum_integral(grid))
+    grid = _mpc_grid(g0, g1)
+    prior_cum = g0.prior.cum_cdf(grid) if g0.prior == g1.prior else None
+    delta = g1._cum_sorted(grid, prior_cum) - g0._cum_sorted(grid, prior_cum)
     mean_gap = float(delta[-1])
     min_fwd = float(np.min(delta))
     min_bwd = float(np.min(-delta))

@@ -49,6 +49,13 @@ the prior's convexity was a grid check (branch_slope_scan_minimum): on
 markets whose prior is in the domain they must read no concavity inside
 a branch, so DM1 loses nothing without them.
 
+The mean-preserving-contraction comparison on the sorted union of the base
+grid and both breakpoint lists, each distribution integrated through
+cum_integral (informativeness_by_sorted_union):
+posterior.informativeness_compare inserts the breakpoints into the base
+grid, shares the prior's integral between the distributions and walks the
+segments once, and must return an equal verdict, every field bit for bit.
+
 The posterior evaluated by one boolean mask per segment (MaskLoopPosterior):
 PosteriorDistribution.cdf and _cum route sorted points to contiguous
 segment slices instead and must return the same bits.
@@ -119,17 +126,24 @@ from disclose_eq.exogenous import (
 )
 from disclose_eq.montecarlo import _Buffers, _first_max
 from disclose_eq.posterior import (
+    _MPC_BASE,
+    EQUALLY_INFORMATIVE,
+    INCOMPARABLE,
+    LESS_INFORMATIVE,
+    MORE_INFORMATIVE,
     AffinePower,
     ArrayLike,
     Flat,
     FullDisclosure,
+    InformativenessVerdict,
     PosteriorDistribution,
     check_deviation_mpc,
     full_disclosure_distribution,
+    sorted_unique,
 )
 from disclose_eq.priors import Prior
 from disclose_eq.rootfind import bisect_root
-from disclose_eq.tolerances import DM1_TOL, HIGHS_SMALL_ENTRY, NARROW_CELL
+from disclose_eq.tolerances import DM1_TOL, HIGHS_SMALL_ENTRY, MPC_TOL, NARROW_CELL
 from disclose_eq.verify import (
     ORACLE_LP_OPTIONS,
     CertificateReport,
@@ -640,6 +654,38 @@ def branch_slope_scan_minimum(eq, grid_size: int = 1001) -> float:
         if len(slopes) > 1:
             increments.append(float(np.min(np.diff(slopes))))
     return min(increments)
+
+
+def informativeness_by_sorted_union(
+    g0: PosteriorDistribution, g1: PosteriorDistribution
+) -> InformativenessVerdict:
+    """Rank g0 against g1 by integral precision.
+
+    LessInformative means g0 is a mean-preserving contraction of g1.
+    Incomparability is an ordinary outcome, not an error.
+    """
+    grid = sorted_unique(np.concatenate([_MPC_BASE, g0.breakpoints(), g1.breakpoints()]))
+    delta = np.asarray(g1.cum_integral(grid)) - np.asarray(g0.cum_integral(grid))
+    mean_gap = float(delta[-1])
+    min_fwd = float(np.min(delta))
+    min_bwd = float(np.min(-delta))
+    means_match = abs(mean_gap) <= MPC_TOL
+    g0_less = means_match and min_fwd >= -MPC_TOL
+    g0_more = means_match and min_bwd >= -MPC_TOL
+    if g0_less and g0_more:
+        verdict = EQUALLY_INFORMATIVE
+    elif g0_less:
+        verdict = LESS_INFORMATIVE
+    elif g0_more:
+        verdict = MORE_INFORMATIVE
+    else:
+        verdict = INCOMPARABLE
+    return InformativenessVerdict(
+        verdict=verdict,
+        min_gap_forward=min_fwd,
+        min_gap_backward=min_bwd,
+        mean_gap=mean_gap,
+    )
 
 
 class MaskLoopPosterior(PosteriorDistribution):

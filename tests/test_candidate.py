@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from disclose_eq import (
     solve_beta,
 )
 from disclose_eq.candidate import _XTOL, validate_candidate
-from disclose_eq.errors import InfeasibleCandidateError
+from disclose_eq.errors import InfeasibleCandidateError, ValidationFailureError
 from disclose_eq.posterior import (
     EQUALLY_INFORMATIVE,
     LESS_INFORMATIVE,
@@ -276,3 +278,16 @@ def test_solved_candidates_validate(v_l, gap, n):
     g = build_g(cand)
     validate_candidate(cand, g)  # raises on any structural violation
     assert _is_mpc(g, prior)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_slope_off_by_a_millionth_misses_the_contact(power2, n):
+    # the pooled branch of a steeper slope ends above F(v_H): the contact
+    # check reads it there, before the posterior's own continuity check
+    cand = build_candidate(power2, n, 0.2, 0.5)
+    assert cand.v_h < 1.0
+    validate_candidate(cand, build_g(cand))
+    bad = dataclasses.replace(cand, beta=cand.beta * (1.0 + 1e-6))
+    with pytest.raises(ValidationFailureError) as exc:
+        validate_candidate(bad, build_g(bad))
+    assert exc.value.invariant == "contact-point"

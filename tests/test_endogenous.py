@@ -356,6 +356,53 @@ def test_band_market_is_a_fixed_point_error(power2, d):
     assert "< 0" in str(exc.value)
 
 
+def _record_calls(monkeypatch, module, name, calls):
+    """Rebind module.name so that each call appends its (v_L, r) to calls;
+    both solve_beta(prior, n, v_l, r) and z_function(prior, n, alpha, v_l, r)
+    end in that pair."""
+    original = getattr(module, name)
+
+    def record(*args):
+        calls.append(args[-2:])
+        return original(*args)
+
+    monkeypatch.setattr(module, name, record)
+
+
+@pytest.mark.parametrize("market", [
+    (UniformPrior(), 19, 0.5, 0.1),
+    (PowerPrior(2.0), 50, 0.5, 0.2),
+    (PiecewiseLinearPrior(knots=((0.0, 0.0), (0.5, 0.25), (1.0, 1.0))), 50, 0.5, 0.1),
+])
+def test_a_concealing_solve_solves_one_candidate(monkeypatch, market):
+    # the candidate at (0, mu - s) decides the regime and is the market's own
+    calls = []
+    for module in (candidate, exogenous):
+        _record_calls(monkeypatch, module, "solve_beta", calls)
+    eq = solve_endog(*market)
+    assert not eq.bottom_disclosure
+    assert calls == [(0.0, eq.r_star)]
+
+
+@pytest.mark.parametrize("market", [
+    (UniformPrior(), 2, 0.65, 0.1),
+    (PowerPrior(2.0), 3, 0.4, 0.15),
+    (PiecewiseLinearPrior(knots=((0.0, 0.0), (0.5, 0.25), (1.0, 1.0))), 3, 0.5, 0.1),
+])
+def test_a_disclosing_solve_evaluates_the_gap_at_0_at_most_once(monkeypatch, market):
+    prior, n, alpha, s = market
+    r0 = r_search(prior, 0.0, s)
+    assert r0 == prior.mean() - s  # so the bisection reuses z(0, mu - s)
+    candidates, gaps = [], []
+    for module in (candidate, exogenous):
+        _record_calls(monkeypatch, module, "solve_beta", candidates)
+    _record_calls(monkeypatch, endogenous, "z_function", gaps)  # gap's own name
+    eq = solve_endog(*market)
+    assert eq.bottom_disclosure
+    assert candidates.count((0.0, r0)) == 1
+    assert gaps and all(v_l > 0.0 for v_l, _ in gaps)
+
+
 def test_n_lower_bar_uniform(uniform):
     # s >= (1 - alpha)/2 collapses the threshold to the smallest market
     assert n_lower_bar(uniform, 0.9, 0.1) == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from disclose_eq.endogenous import limit_equilibrium
+from disclose_eq.endogenous import limit_equilibrium, solve_endog
 from disclose_eq.montecarlo import stop_quantile
 from disclose_eq.posterior import (
     AffinePower,
@@ -10,10 +10,14 @@ from disclose_eq.posterior import (
     FullDisclosure,
     PosteriorDistribution,
     full_disclosure_distribution,
+    informativeness_compare,
     point_mass,
 )
-from disclose_eq.errors import DomainError
-from reference import MaskLoopPosterior, sample_by_masks
+from disclose_eq.errors import DiscloseEqError, DomainError
+from disclose_eq.verify import check_dm_conditions
+from disclose_eq.welfare import sweep
+from reference import MaskLoopPosterior, informativeness_by_sorted_union, sample_by_masks
+from test_probe_outcomes import SEED, _domain_probe
 from test_verify import _seeded_markets
 
 
@@ -211,3 +215,55 @@ def test_sample_rejects_variates_outside_the_unit_interval(eq_uniform_small):
     for u in bad:
         with pytest.raises(DomainError, match="variates"):
             g.sample(u)
+
+
+def _assert_same_verdict(g0, g1):
+    want = informativeness_by_sorted_union(g0, g1)
+    got = informativeness_compare(g0, g1)
+    bits = [(v.verdict, *(x.hex() for x in (v.min_gap_forward, v.min_gap_backward, v.mean_gap))) for v in (got, want)]
+    assert got == want and bits[0] == bits[1], (g0, g1)
+    return got.verdict
+
+
+def test_mpc_compare_equals_the_sorted_union_bitwise(g_atom, uniform, power2, piecewise):
+    # every ordered pair, priors equal or not, of the bitwise posteriors (atoms
+    # among them), one with a gap between its segments and one that starts
+    # above 0, both of which clip grid points to a segment
+    posteriors = [g for g, _ in _bitwise_posteriors(g_atom, (uniform, power2, piecewise))]
+    f_gap = float(power2.cdf(0.3))
+    posteriors += [
+        PosteriorDistribution(power2, (FullDisclosure(0.0, 0.3 - 1e-12), Flat(0.3, 0.5, f_gap), FullDisclosure(0.5, 1.0))),
+        PosteriorDistribution(power2, (Flat(0.0, 0.3 - 5e-13, 0.0), FullDisclosure(0.3 - 5e-13, 1.0))),
+        PosteriorDistribution(uniform, (FullDisclosure(1e-12, 1.0),)),
+    ]
+    verdicts = {_assert_same_verdict(g0, g1) for g0 in posteriors for g1 in posteriors}
+    assert verdicts == {"LessInformative", "MoreInformative", "EquallyInformative", "Incomparable"}
+
+
+def test_mpc_compare_equals_the_sorted_union_on_solved_markets(uniform, power2):
+    # the candidate check of the certified markets of a probe draw, both ways
+    certified = 0
+    for _, prior, n, alpha, s in _domain_probe().draw_markets(SEED, 240):
+        try:
+            eq = solve_endog(prior, n, alpha, s)
+            passed = check_dm_conditions(eq).passed
+        except DiscloseEqError:
+            continue
+        if passed:
+            full = full_disclosure_distribution(prior)
+            _assert_same_verdict(eq.g, full)
+            _assert_same_verdict(full, eq.g)
+            certified += 1
+    assert certified > 60
+    # the welfare statics: neighbouring markets of a sweep, both ways
+    pairs = 0
+    for prior, axis, grid, base in [
+        (uniform, "s", np.linspace(0.02, 0.45, 25), {"n": 3, "alpha": 0.5}),
+        (power2, "n", range(2, 40, 2), {"alpha": 0.4, "s": 0.2}),
+    ]:
+        solved = [eq for _, eq in sweep(prior, axis, grid, base) if eq is not None]
+        for prev, eq in zip(solved, solved[1:]):
+            _assert_same_verdict(eq.g, prev.g)
+            _assert_same_verdict(prev.g, eq.g)
+            pairs += 1
+    assert pairs > 30
