@@ -408,21 +408,32 @@ def sorted_unique(x: np.ndarray) -> np.ndarray:
     """np.unique of a nonempty 1-d float array without NaN, from one sort:
     np.unique's first call imports numpy.ma (numpy >= 2.3), a cost that
     every cold CLI process would pay."""
-    x = np.sort(x)
+    return drop_repeats(np.sort(x))
+
+
+def drop_repeats(x: np.ndarray) -> np.ndarray:
+    """A sorted nonempty 1-d array without its repeated values (the first of
+    each run stays)."""
     return x[np.concatenate([[True], x[1:] != x[:-1]])]
 
 
-def _mpc_grid(g0: PosteriorDistribution, g1: PosteriorDistribution) -> np.ndarray:
-    """The sorted union of _MPC_BASE and both distributions' breakpoints:
-    each breakpoint that is not a base point is inserted where it belongs."""
+def insert_points(base: np.ndarray, base_list: list[float], points) -> np.ndarray:
+    """The sorted union of a sorted grid without repeats (base, and base_list
+    its tolist()) and some points without NaN: each point that is not a base
+    point is inserted where it belongs, with no sort of the base."""
     pieces, lo = [], 0
-    for x in sorted({*g0.breakpoints(), *g1.breakpoints()}):
-        i = bisect_left(_MPC_BASE_LIST, x)
-        if i == _MPC_GRID or _MPC_BASE_LIST[i] != x:
-            pieces += (_MPC_BASE[lo:i], [x])
+    for x in sorted(set(points)):
+        i = bisect_left(base_list, x)
+        if i == len(base_list) or base_list[i] != x:
+            pieces += (base[lo:i], [x])
             lo = i
-    pieces.append(_MPC_BASE[lo:])
+    pieces.append(base[lo:])
     return np.concatenate(pieces)
+
+
+def _mpc_grid(g0: PosteriorDistribution, g1: PosteriorDistribution) -> np.ndarray:
+    """The sorted union of _MPC_BASE and both distributions' breakpoints."""
+    return insert_points(_MPC_BASE, _MPC_BASE_LIST, [*g0.breakpoints(), *g1.breakpoints()])
 
 
 def informativeness_compare(

@@ -12,18 +12,23 @@ Two routes, deliberately redundant:
   polytope (nonnegativity, unit mass, matched mean, and stop-loss
   dominance at every grid point), posed over the stop-loss slack at the
   grid points: a tridiagonal LP with O(m) nonzeros, run at fixed
-  feasibility tolerances of 1e-10.  Its CSC input is assembled by index
-  arithmetic in one pass, entry for entry the matrix the sparse products
-  that define it would give, and handed to HiGHS through the binding SciPy
-  ships (scipy.optimize._highspy) with the settings that ORACLE_LP_OPTIONS
-  gives linprog(method="highs"): dual simplex without presolve, under
-  devex pricing.  So the solve is the one linprog would run with those
-  options, without its input checks and result post-processing.  Each
-  thread keeps one HiGHS instance, given those settings once; every call
-  passes it the model as arrays in one passModel call (a HighsLp's
-  setters copy each array element by element), and a model HiGHS rejects
-  is a typed oracle-lp failure, because the instance would keep and solve
-  the previous one.
+  feasibility tolerances of 1e-10.  Its CSC input is, entry for entry, the
+  matrix that the sparse products defining it would give.  On a grid
+  without a cell narrower than NARROW_CELL (every benchmark market's) it
+  is built straight from the reciprocal cell widths; a grid with a narrow
+  cell, which needs slope variables, goes to a general builder of index
+  arithmetic, which stays for those grids.  With the tridiagonal builder
+  the Python around HiGHS's run takes about a quarter of oracle_gap at
+  m = 201, where the general one took over a third.  The model is handed
+  to HiGHS through the binding SciPy ships (scipy.optimize._highspy) with
+  the settings that ORACLE_LP_OPTIONS gives linprog(method="highs"): dual
+  simplex without presolve, under devex pricing.  So the solve is the one
+  linprog would run with those options, without its input checks and
+  result post-processing.  Each thread keeps one HiGHS instance, given
+  those settings once; every call passes it the model as arrays in one
+  passModel call (a HighsLp's setters copy each array element by
+  element), and a model HiGHS rejects is a typed oracle-lp failure,
+  because the instance would keep and solve the previous one.
 
 The cost-heterogeneity check implements the large-market sufficiency
 condition: the multiplier's pooled slope must stay below the steepest
@@ -54,7 +59,7 @@ import numpy as np
 from .costs import ContinuousCosts, CostDistribution, DiscreteCosts  # noqa: F401 (re-exported)
 from .endogenous import _N_CAP, payoff_u, solve_endog
 from .errors import DomainError, IterationCapError, ValidationFailureError
-from .posterior import sorted_unique
+from .posterior import drop_repeats, insert_points, sorted_unique
 from .priors import Prior
 from .tolerances import (
     DM1_TOL, DM2_TOL, DM3_TOL, DM4_TOL, HIGHS_FEASIBILITY_TOL, HIGHS_SMALL_ENTRY, NARROW_CELL,
@@ -89,7 +94,15 @@ HighsModelStatus, HighsOptions, HighsStatus = _core.HighsModelStatus, _core.High
 MatrixFormat, ObjSense, _Highs, kHighsInf = _core.MatrixFormat, _core.ObjSense, _core._Highs, _core.kHighsInf
 
 # points of the uniform grid on [0, 1] on which check_dm_conditions tests DM2
+# (with the market's breakpoints inserted)
 _GRID_SIZE = 1001
+_DM_BASE = np.linspace(0.0, 1.0, _GRID_SIZE)
+_DM_BASE_LIST = _DM_BASE.tolist()
+# the oracle grid's points: at least ORACLE_GRID_MIN; at most ORACLE_GRID_MAX,
+# which keeps its O(m) arrays small (HiGHS's run, which grows faster than m,
+# took 7 s at m = 50,001 on power(2) n=3)
+ORACLE_GRID_MIN = 101
+ORACLE_GRID_MAX = 100_001
 # oracle LP: the HiGHS settings, in linprog's option names and values, so
 # that linprog can be given the same dict: the ledger's feasibility
 # tolerances, and no presolve and devex pricing, which solve this
@@ -158,14 +171,24 @@ class CertificateReport:
 
 
 def _support_grid(eq) -> np.ndarray:
-    """Grid over the support of the disclosure (where contact must hold)."""
+    """Grid over the support of the disclosure (where contact must hold).
+    Its pieces [0, v_L], [r, pool_top] and [v_H, 1] are in order, for
+    every candidate has 0 <= v_L < r <= min(v_H, v_T) (solve_beta), so
+    concatenated they are sorted and only their repeats go."""
     pool_top = min(eq.v_h_star, eq.v_t_star)
     pieces = [np.linspace(eq.r_star, pool_top, _GRID_SIZE // 2)]
     if eq.v_l_star > 0.0:
-        pieces.append(np.linspace(0.0, eq.v_l_star, _GRID_SIZE // 4 + 2))
+        pieces.insert(0, np.linspace(0.0, eq.v_l_star, _GRID_SIZE // 4 + 2))
     if eq.v_h_star < 1.0:
         pieces.append(np.linspace(eq.v_h_star, 1.0, _GRID_SIZE // 4 + 2))
-    return sorted_unique(np.concatenate(pieces))
+    return drop_repeats(np.concatenate(pieces))
+
+
+def _dm_grid(eq) -> np.ndarray:
+    """The grid DM2 is read on: the base grid with the market's four
+    breakpoints, clipped to [0, 1], inserted."""
+    breaks = [eq.v_l_star, eq.r_star, eq.v_h_star, eq.v_t_star]
+    return insert_points(_DM_BASE, _DM_BASE_LIST, [min(max(x, 0.0), 1.0) for x in breaks])
 
 
 def expected_payoff(eq) -> float:
@@ -221,10 +244,7 @@ def check_dm_conditions(eq) -> CertificateReport:
     at once.
     """
     prior, n, b = eq.prior, eq.n, eq.branches
-    breaks = [eq.v_l_star, eq.r_star, eq.v_h_star, eq.v_t_star]
-    grid = sorted_unique(
-        np.clip(np.concatenate([np.linspace(0.0, 1.0, _GRID_SIZE), breaks]), 0.0, 1.0)
-    )
+    grid = _dm_grid(eq)
     points = np.concatenate([grid, _support_grid(eq)])
     phi, u = multiplier_phi(eq, points), payoff_u(eq, points)
 
@@ -269,8 +289,10 @@ def check_dm_conditions(eq) -> CertificateReport:
 
 def oracle_grid(eq, m: int) -> np.ndarray:
     """m-point grid including the payoff breakpoints."""
-    if m < 101:
-        raise DomainError("oracle grid needs at least 101 points")
+    if m < ORACLE_GRID_MIN:
+        raise DomainError(f"oracle grid needs at least {ORACLE_GRID_MIN} points")
+    if m > ORACLE_GRID_MAX:
+        raise DomainError(f"oracle grid takes at most {ORACLE_GRID_MAX} points, not {m}")
     base = np.linspace(0.0, 1.0, m)
     forced = [eq.v_l_star, eq.r_star, eq.v_h_star, eq.v_t_star]
     return sorted_unique(np.concatenate([base, forced]))
@@ -302,18 +324,27 @@ def best_response_oracle(
     slope is a variable of its own.  The rows carry 1/h, so HiGHS runs at
     fixed feasibility tolerances of 1e-10 instead of its 1e-7 defaults, and
     the entries HiGHS would ignore are dropped here first, so the masses
-    come from the model that was solved.  The constraint matrix is built
-    entry by entry with index arithmetic, in the float operations and the
-    order of the sparse products slack -> slope -> masses that define it.
+    come from the model that was solved.
+
+    The grid picks one of two builders of the same LP.  Without a narrow
+    cell (every oracle_grid of the benchmark's markets), each point's
+    slack is its own variable and the matrix is -lift, tridiagonal, built
+    from 1/h directly (_tridiagonal_lp).  A grid with a narrow cell goes to
+    _general_lp, which builds the matrix entry by entry with index
+    arithmetic, in the float operations and the order of the sparse
+    products slack -> slope -> masses that define it.  Where both apply,
+    they give HiGHS the same arrays to the byte and the same masses.
     """
-    return _solve_oracle(u_values, prior, grid)[:2]
+    value, masses, _, _ = _solve_oracle(u_values, prior, grid, read_masses=True)
+    return value, masses
 
 
 def _solve_oracle(
-    u_values: Sequence[float], prior: Prior, grid: Sequence[float]
-) -> tuple[float, np.ndarray, int, int]:
+    u_values: Sequence[float], prior: Prior, grid: Sequence[float], read_masses: bool
+) -> tuple[float, np.ndarray | None, int, int]:
     """best_response_oracle, with the nonzeros of the LP's constraint matrix
-    and HiGHS's simplex iterations.
+    and HiGHS's simplex iterations; the masses are read from HiGHS's
+    solution only when read_masses is set (else None).
 
     HiGHS gets the model through SciPy's binding: the matrix, bounds and
     settings that linprog(method="highs", options=ORACLE_LP_OPTIONS) would
@@ -330,8 +361,86 @@ def _solve_oracle(
     h = np.diff(grid)
     if not np.all(h > 0.0):
         raise DomainError("grid must be strictly increasing")
-    m = len(grid)
     f = discretize_prior(prior, grid)
+    inv_h = 1.0 / h
+    # the general builder gives a narrow cell its own variable, and drops
+    # the entries of a cell wider than 1 / HIGHS_SMALL_ENTRY
+    if h.min() >= NARROW_CELL and inv_h.min() >= HIGHS_SMALL_ENTRY:
+        model, to_masses = _tridiagonal_lp(inv_h, f, u_values)
+    else:
+        model, to_masses = _general_lp(h, inv_h, f, u_values)
+    highs = getattr(_THREAD, "highs", None)
+    if highs is None:
+        highs = _THREAD.highs = _Highs()
+        highs.passOptions(_LP_OPTIONS)
+    # a rejected model leaves the previous one in place, and run() would
+    # solve that one again
+    if highs.passModel(*model) == HighsStatus.kError:
+        raise ValidationFailureError("oracle-lp", "HiGHS rejected the model")
+    highs.run()
+    # The prior's own masses are feasible, but HiGHS can stop without a
+    # status ("Not Set") on grids with chains of narrow cells, e.g. cells
+    # of width 1e-15 and 3e-9 among about 230 points under a payoff jump
+    status = highs.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        raise ValidationFailureError("oracle-lp", highs.modelStatusToString(status))
+    info = highs.getInfo()
+    value = float(u_values @ f - info.objective_function_value)
+    masses = to_masses(np.asarray(highs.getSolution().col_value)) if read_masses else None
+    return value, masses, model[2], int(info.simplex_iteration_count)
+
+
+# A builder returns passModel's arguments (columns, rows, nonzeros, format,
+# sense, offset; cost, column bounds, row bounds; CSC start, index, value;
+# integrality, all continuous) and the map from HiGHS's solution x to the
+# masses f + lift @ x.
+
+def _tridiagonal_lp(inv_h: np.ndarray, f: np.ndarray, u: np.ndarray):
+    """The oracle LP on a grid without a narrow cell, from 1/h alone.
+
+    Column c of lift is -inv_h[c-1], inv_h[c-1] + inv_h[c] and -inv_h[c] at
+    rows c-1, c and c+1 (inv_h[0] and inv_h[m-2] alone on the diagonal at
+    the end columns); the constraint matrix is -lift, then D_0's and
+    D_{m-1}'s unit entries in the two equality rows.  Each sum adds its
+    products in _general_lp's order, starting from 0.0 as np.bincount
+    does: the cost by ascending row, a mass by column j+1, j-1, j (row 0:
+    0 then 1; the last row: m-2 then m-1).  A missing term is a -0.0,
+    which leaves every sum, signed zeros included, as it was."""
+    m = len(f)
+    pad = np.concatenate([[0.0], inv_h, [0.0]])
+    diag = pad[:-1] + pad[1:]
+    above = np.zeros(m)  # lift[c-1, c] u[c-1]; column 0 has none, and 0.0 + 0.0 is 0.0
+    above[1:] = -inv_h * u[:-1]
+    below = np.full(m, -0.0)  # lift[c+1, c] u[c+1]
+    below[:-1] = -inv_h * u[1:]
+    value = np.empty((m, 3))
+    value[1:, 0], value[:, 1], value[:-1, 2] = inv_h, -diag, inv_h
+    value[0], value[-1, 2] = (-diag[0], inv_h[0], 1.0), 1.0
+    index = np.arange(-1, m - 1, dtype=np.int32)[:, None] + np.arange(3, dtype=np.int32)
+    index[0], index[-1, 2] = (0, 1, m), m + 1
+    row_lower = np.full(m + 2, -kHighsInf)
+    row_lower[m:] = 0.0
+    model = (
+        m, m + 2, 3 * m, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
+        -(((0.0 + above) + diag * u) + below),
+        np.zeros(m), np.full(m, kHighsInf), row_lower, np.concatenate([f, np.zeros(2)]),
+        np.arange(0, 3 * m + 1, 3, dtype=np.int32), index.ravel(), value.ravel(),
+        np.zeros(m, np.int32),
+    )
+
+    def to_masses(x):
+        prev, nxt, own = -inv_h * x[:-1], -inv_h * x[1:], diag * x
+        first = np.concatenate([own[:1], nxt[1:], prev[-1:]])
+        second = np.concatenate([nxt[:1], prev[:-1], own[-1:]])
+        third = np.concatenate([[-0.0], own[1:-1], [-0.0]])
+        return f + (((0.0 + first) + second) + third)
+
+    return model, to_masses
+
+
+def _general_lp(h: np.ndarray, inv_h: np.ndarray, f: np.ndarray, u: np.ndarray):
+    """The oracle LP on any strictly increasing grid, by index arithmetic."""
+    m = len(f)
     # m variables: D at each point whose cell below is not narrow (its own
     # point), then the slope on each narrow cell.  D_j is the variable of
     # the own point p at or below j plus h_c times the slope of each narrow
@@ -355,7 +464,6 @@ def _solve_oracle(
     # slope_k = (D_{k+1} - D_k) / h_k on a wide cell, whose top point is
     # its own; on a narrow cell, (1 / h_k) * h_k times the cell's variable.
     # Entries are keyed row * m + column.
-    inv_h = 1.0 / h
     row, col, val = slack(wide)
     row = wide[row]
     key = np.concatenate([row, wide, cells]) * m
@@ -387,15 +495,9 @@ def _solve_oracle(
     # own slack >= 0; a narrow cell's slope is the prior's mass up to the
     # cell less g's, so it lies in [F_k - 1, F_k]
     cdf = np.cumsum(f)[cells]
-    highs = getattr(_THREAD, "highs", None)
-    if highs is None:
-        highs = _THREAD.highs = _Highs()
-        highs.passOptions(_LP_OPTIONS)
-    # columns, rows, nonzeros, format, sense, offset; cost, column bounds,
-    # row bounds; CSC start, index, value; integrality (all continuous)
-    passed = highs.passModel(
+    model = (
         m, m + len(cells) + 2, len(rows), MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
-        -np.bincount(l_col, weights=lift * u_values[l_row], minlength=m),
+        -np.bincount(l_col, weights=lift * u[l_row], minlength=m),
         np.concatenate([np.zeros(m - len(cells)), cdf - 1.0]),
         np.concatenate([np.full(m - len(cells), kHighsInf), cdf]),
         np.concatenate([np.full(m + len(cells), -kHighsInf), np.zeros(2)]),
@@ -405,22 +507,7 @@ def _solve_oracle(
         vals[order],
         np.zeros(m, np.int32),
     )
-    # a rejected model leaves the previous one in place, and run() would
-    # solve that one again
-    if passed == HighsStatus.kError:
-        raise ValidationFailureError("oracle-lp", "HiGHS rejected the model")
-    highs.run()
-    # The prior's own masses are feasible, but HiGHS can stop without a
-    # status ("Not Set") on grids with chains of narrow cells, e.g. cells
-    # of width 1e-15 and 3e-9 among about 230 points under a payoff jump
-    status = highs.getModelStatus()
-    if status != HighsModelStatus.kOptimal:
-        raise ValidationFailureError("oracle-lp", highs.modelStatusToString(status))
-    info = highs.getInfo()
-    x = np.asarray(highs.getSolution().col_value)
-    masses = f + np.bincount(l_row, weights=lift * x[l_col], minlength=m)
-    value = float(u_values @ f - info.objective_function_value)
-    return value, masses, len(rows), int(info.simplex_iteration_count)
+    return model, lambda x: f + np.bincount(l_row, weights=lift * x[l_col], minlength=m)
 
 
 def oracle_gap(eq, m: int) -> dict[str, float]:
@@ -428,7 +515,8 @@ def oracle_gap(eq, m: int) -> dict[str, float]:
     with the LP's size (nonzeros of its constraint matrix) and its simplex
     iterations."""
     grid = oracle_grid(eq, m)
-    value, _, nonzeros, iterations = _solve_oracle(payoff_u(eq, grid), eq.prior, grid)
+    u = payoff_u(eq, grid)
+    value, _, nonzeros, iterations = _solve_oracle(u, eq.prior, grid, read_masses=False)
     played = expected_payoff(eq)
     return {
         "m": float(len(grid)),

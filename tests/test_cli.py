@@ -7,9 +7,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import disclose_eq
 from disclose_eq import costs, endogenous, verify
@@ -126,6 +129,22 @@ def test_exit_codes(tmp_path, capsys):
     for m in ("0", "100"):
         assert main(["verify", "--config", cfg, "--oracle-grid", m]) == 1
     capsys.readouterr()
+
+
+def test_an_oracle_grid_past_its_cap_is_a_config_error(tmp_path, capsys):
+    # the cap is checked before the grid is made (10**12 points would take
+    # 8 TB): one config-error line, and no large allocation
+    cfg = _write(tmp_path, "cfg.json", BASE)
+    for m in (verify.ORACLE_GRID_MAX + 1, 10**12):
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--config", cfg, "--oracle-grid", str(m)]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 24
+        err = capsys.readouterr().err
+        assert err == f"config error: oracle grid takes at most {verify.ORACLE_GRID_MAX} points, not {m}\n"
 
 
 def test_stepping_down_density_exits_as_config_error(tmp_path, capsys):
@@ -818,3 +837,108 @@ def test_the_installed_script_names_an_importable_entry():
     module, _, name = scripts["disclose-eq"].partition(":")
     target = getattr(importlib.import_module(module), name)
     assert callable(target) and target.__module__ == "disclose_eq.__main__"
+
+
+# ---------------------------------------------------------------------------
+# config fuzz: malformed and edge configs through every command
+# ---------------------------------------------------------------------------
+
+_EXIT_CODES = {0, 1, 2, 3, 4, 5}  # the codes of the module docstring of cli
+_ODD = [None, True, "x", "0.1", [], {}, [0.1], 0, 1, -1, 2, 0.5, 1.0, -0.0, 1e-300, 10**400, NAN, float("inf")]
+_VALUES = st.one_of(st.sampled_from(_ODD), st.floats(-0.1, 1.1), st.integers(-3, 40))
+_PAIRS = st.lists(st.lists(_VALUES, max_size=3), max_size=4)
+_PRIORS = st.one_of(
+    st.sampled_from([BASE["prior"], {"family": "power", "a": 2.0}, PINNED_CASES["solve"][0]["prior"]]),
+    st.builds(lambda a: {"family": "power", "a": a}, _VALUES),
+    st.builds(lambda knots: {"family": "piecewise", "knots": knots}, _PAIRS),
+    st.sampled_from([{"family": "beta"}, {"knots": []}, "uniform"]),
+)
+_COSTS = st.one_of(
+    st.sampled_from([HETERO["cost_model"], {"type": "continuous", "knots": [[0.05, 0.0], [0.2, 1.0]]}]),
+    st.builds(lambda s: {"type": "single", "s": s}, _VALUES),
+    st.builds(lambda points: {"type": "discrete", "points": points}, _PAIRS),
+    st.builds(lambda knots: {"type": "continuous", "knots": knots}, _PAIRS),
+    _VALUES,
+)
+# each command's valid config, and the values each key may take; every size
+# is bounded: n <= 64 and consumers <= 10^4 where a simulation allocates
+# consumers x n, at most 500 bins, 12 doublings and 4 sweep points
+_FUZZ_BASES = {
+    "solve": BASE, "verify": BASE, "sweep": SWEEP, "simulate": SIM, "limit": LIMIT,
+    "hetero": {**HETERO, "n": 32},
+}
+_N_LARGE = st.sampled_from([1000, 10**6, 2**60])
+_FUZZ_KEYS = {
+    "prior": _PRIORS,
+    "n": st.one_of(_VALUES, _N_LARGE),
+    "alpha": _VALUES,
+    "s": _VALUES,
+    "axis": st.sampled_from(["s", "alpha", "n", "beta", 3, None]),
+    "grid": st.one_of(_VALUES, st.lists(_VALUES, max_size=4)),
+    "consumers": st.one_of(_VALUES, st.integers(-2, 10**4)),
+    "bins": st.one_of(_VALUES, st.integers(-1, 500)),
+    "cost_model": _COSTS,
+    "doublings": st.one_of(_VALUES.filter(lambda v: not isinstance(v, int) or v <= 12), st.integers(-2, 12)),
+}
+_SIM_N = st.one_of(st.sampled_from(_ODD[:13]), st.integers(-3, 64))
+
+
+@st.composite
+def _fuzzed_run(draw):
+    """(argv after the config, config, DISCLOSE_EQ_THREADS or None)."""
+    command = draw(st.sampled_from(sorted(_FUZZ_BASES)))
+    cfg = dict(_FUZZ_BASES[command])
+    for key in draw(st.lists(st.sampled_from(sorted(_FUZZ_KEYS)), max_size=3, unique=True)):
+        if draw(st.integers(0, 3)) == 0 and key in cfg:
+            del cfg[key]
+        else:
+            cfg[key] = draw(_SIM_N if command == "simulate" and key == "n" else _FUZZ_KEYS[key])
+    if draw(st.integers(0, 19)) == 0:
+        cfg = draw(st.sampled_from([[], "solve", 3, None, {"config": [], "equilibrium": {}}]))
+    argv = [command]
+    if command == "verify":
+        grid = draw(st.sampled_from([None, -1, 0, 100, 101, 201, 2001]))
+        argv += [] if grid is None else ["--oracle-grid", str(grid)]
+        if draw(st.booleans()):
+            field = draw(st.sampled_from(["v_L", "v_L", "r", "beta"]))
+            argv += ["--perturb", field, draw(st.sampled_from(["0.05", "-0.05", "0.4", "1e-9", "abc", "nan"]))]
+    if command == "simulate":
+        seed = draw(st.sampled_from([None, 0, 1, 7, 8, -1, 2**64]))
+        argv += [] if seed is None else ["--seed", str(seed)]
+        argv += ["--curve-out", "{curve}"] if draw(st.booleans()) else []
+    threads = draw(st.sampled_from([None, None, None, "1", "2", "0", "abc", ""]))
+    return argv, cfg, threads
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=_fuzzed_run())
+# codes the draws seldom reach: an unsupported boundary, a certificate
+# failure, an invariant failure, and a parallel simulation
+@example(run=(["solve"], {**BASE, "alpha": 1.0}, None))
+@example(run=(["verify", "--perturb", "v_L", "0.05"], BASE, None))
+@example(run=(["solve"], {**BASE, "n": 1375, "alpha": 0.5464099987813732, "s": 0.30076378322172764}, None))
+@example(run=(["simulate", "--seed", "1"], {**SIM, "consumers": 10**4}, "2"))
+def test_every_fuzzed_config_exits_with_a_documented_code(tmp_path, run):
+    argv, cfg, threads = run
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    argv = [a.format(curve=tmp_path / "curve.csv") for a in argv]
+    argv[1:1] = ["--config", str(config), "--out", str(tmp_path / "out")]
+    saved = os.environ.get("DISCLOSE_EQ_THREADS")
+    if threads is None:
+        os.environ.pop("DISCLOSE_EQ_THREADS", None)
+    else:
+        os.environ["DISCLOSE_EQ_THREADS"] = threads
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main(argv)  # an exception that escapes fails the test
+    finally:
+        if saved is None:
+            os.environ.pop("DISCLOSE_EQ_THREADS", None)
+        else:
+            os.environ["DISCLOSE_EQ_THREADS"] = saved
+    assert code in _EXIT_CODES
+    if code == 1:
+        assert err.getvalue().startswith("config error:")

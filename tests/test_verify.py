@@ -20,7 +20,7 @@ from disclose_eq import (
 from disclose_eq.costs import ContinuousCosts, DiscreteCosts
 from disclose_eq.endogenous import assemble_market, payoff_u, solve_endog
 from disclose_eq.errors import DiscloseEqError, DomainError, ValidationFailureError
-from disclose_eq.posterior import Flat, FullDisclosure, PosteriorDistribution, sorted_unique
+from disclose_eq.posterior import Flat, FullDisclosure, PosteriorDistribution, insert_points, sorted_unique
 from disclose_eq.priors import PiecewiseLinearPrior
 from disclose_eq.verify import (
     _support_grid,
@@ -654,6 +654,82 @@ def test_oracle_gap_reports_the_lp_size(monkeypatch, eq_power):
     assert 3 * gap["m"] - 2 <= gap["lp_nonzeros"] <= 3 * gap["m"] + 2
 
 
+def _same_model(got, want):
+    """passModel arguments equal to the byte, dtypes included."""
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        if isinstance(y, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        else:
+            assert type(x) is type(y) and x == y
+
+
+def test_the_two_lp_builders_agree():
+    # every narrow-free grid of the reference cases, the seeded markets'
+    # grids at m = 801, and grids of 2 and 3 points: both builders give
+    # HiGHS the same arrays and map its solution to the same masses, and
+    # the oracle's value and masses are the sparse-algebra reference's
+    cases = _seeded_cases() + _jittered_cases()
+    for eq in _seeded_markets():
+        grid = oracle_grid(eq, 801)
+        cases.append((payoff_u(eq, grid), eq.prior, grid))
+    for grid in ([0.0, 1.0], [0.0, 0.4, 1.0], [0.2, 0.3, 0.9]):
+        grid = np.array(grid)
+        cases.append((1.0 * (grid >= 0.35) + 0.2 * grid**2, PowerPrior(a=2.0), grid))
+    solver = verify._Highs()
+    solver.passOptions(verify._LP_OPTIONS)
+    tried = 0
+    for u, prior, grid in cases:
+        h = np.diff(grid)
+        if np.min(h) < verify.NARROW_CELL:
+            continue
+        f = discretize_prior(prior, grid)
+        model, to_masses = verify._tridiagonal_lp(1.0 / h, f, u)
+        want_model, want_masses = verify._general_lp(h, 1.0 / h, f, u)
+        _same_model(model, want_model)
+        assert model[2] == 3 * len(grid)
+        solver.passModel(*model)
+        solver.run()
+        x = np.asarray(solver.getSolution().col_value)
+        assert to_masses(x).tobytes() == want_masses(x).tobytes()
+        try:
+            want = oracle_by_sparse_algebra(u, prior, grid)
+        except ValidationFailureError:
+            continue  # HiGHS stops without a status ("Not Set") under linprog too
+        value, masses = best_response_oracle(u, prior, grid)
+        assert value == want[0]
+        assert np.array_equal(masses, want[1])
+        tried += 1
+    assert tried >= 28 + 30 + 14 + 3
+
+
+def test_narrow_cells_reach_the_general_builder(monkeypatch):
+    # the grid picks the builder: a cell narrower than NARROW_CELL, or one
+    # so wide that its entries fall below HIGHS_SMALL_ENTRY, needs the
+    # general one
+    built = []
+    for name in ("_tridiagonal_lp", "_general_lp"):
+        def spy(*args, _name=name, _build=getattr(verify, name)):
+            built.append(_name)
+            return _build(*args)
+        monkeypatch.setattr(verify, name, spy)
+    # a cell of width 2e10 whose midpoint lies in [0, 1]
+    wide = np.array([-1e10, 1e10 + 1.0])
+    cases = _reference_cases() + [(np.array([0.0, 1.0]), UniformPrior(), wide)]
+    narrow = 0
+    for u, prior, grid in cases:
+        built.clear()
+        try:
+            best_response_oracle(u, prior, grid)
+        except ValidationFailureError:
+            pass
+        h = np.diff(grid)
+        general = np.min(h) < verify.NARROW_CELL or np.max(h) > 1e9
+        assert built == ["_general_lp" if general else "_tridiagonal_lp"]
+        narrow += general
+    assert narrow >= 20
+
+
 def test_sorted_unique_is_np_unique():
     # the grids of every call site on the seeded markets, and each with
     # signed zeros added
@@ -680,6 +756,23 @@ def test_sorted_unique_is_np_unique():
         got, want = sorted_unique(g), np.unique(g)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_the_breakpoint_grids_need_no_sort():
+    # the DM grid inserts the clipped breakpoints into its base, and the
+    # support grid's pieces come in order: each is np.unique of its points,
+    # on every seeded and moved market
+    for eq in _seeded_and_perturbed():
+        breaks = [eq.v_l_star, eq.r_star, eq.v_h_star, eq.v_t_star]
+        want = np.unique(np.clip(np.concatenate([np.linspace(0.0, 1.0, 1001), breaks]), 0.0, 1.0))
+        assert verify._dm_grid(eq).tobytes() == want.tobytes()
+        assert _support_grid(eq).tobytes() == reference._support_grid(eq, 1001).tobytes()
+    # repeats, base points, points past either end and both signed zeros
+    base = np.linspace(0.0, 1.0, 11)
+    points = [0.5, 0.35, 0.35, -0.0, 0.0, 1e-300, -0.25, 1.0, 1.5, base[3]]
+    got = insert_points(base, base.tolist(), points)
+    assert np.array_equal(got, np.unique(np.concatenate([base, points])))
+    assert not np.signbit(got[got == 0.0]).any()  # the base keeps its +0.0
 
 
 # ---------------------------------------------------------------------------
