@@ -404,14 +404,13 @@ def _tridiagonal_lp(inv_h: np.ndarray, f: np.ndarray, u: np.ndarray):
     D_{m-1}'s unit entries in the two equality rows.  Each sum adds its
     products in _general_lp's order, starting from 0.0 as np.bincount
     does: the cost by ascending row, a mass by column j+1, j-1, j (row 0:
-    0 then 1; the last row: m-2 then m-1).  A missing term is a -0.0,
-    which leaves every sum, signed zeros included, as it was."""
+    0 then 1; the last row: m-2 then m-1).  A missing term is a 0.0, which
+    changes no sum: one that starts from 0.0 is never -0.0."""
     m = len(f)
     pad = np.concatenate([[0.0], inv_h, [0.0]])
     diag = pad[:-1] + pad[1:]
-    above = np.zeros(m)  # lift[c-1, c] u[c-1]; column 0 has none, and 0.0 + 0.0 is 0.0
+    above, below = np.zeros(m), np.zeros(m)  # lift[c-1, c] u[c-1] and lift[c+1, c] u[c+1]
     above[1:] = -inv_h * u[:-1]
-    below = np.full(m, -0.0)  # lift[c+1, c] u[c+1]
     below[:-1] = -inv_h * u[1:]
     value = np.empty((m, 3))
     value[1:, 0], value[:, 1], value[:-1, 2] = inv_h, -diag, inv_h
@@ -432,7 +431,7 @@ def _tridiagonal_lp(inv_h: np.ndarray, f: np.ndarray, u: np.ndarray):
         prev, nxt, own = -inv_h * x[:-1], -inv_h * x[1:], diag * x
         first = np.concatenate([own[:1], nxt[1:], prev[-1:]])
         second = np.concatenate([nxt[:1], prev[:-1], own[-1:]])
-        third = np.concatenate([[-0.0], own[1:-1], [-0.0]])
+        third = np.concatenate([[0.0], own[1:-1], [0.0]])
         return f + (((0.0 + first) + second) + third)
 
     return model, to_masses

@@ -846,6 +846,8 @@ def test_the_installed_script_names_an_importable_entry():
 _EXIT_CODES = {0, 1, 2, 3, 4, 5}  # the codes of the module docstring of cli
 _ODD = [None, True, "x", "0.1", [], {}, [0.1], 0, 1, -1, 2, 0.5, 1.0, -0.0, 1e-300, 10**400, NAN, float("inf")]
 _VALUES = st.one_of(st.sampled_from(_ODD), st.floats(-0.1, 1.1), st.integers(-3, 40))
+# a simulation's sizes (consumers, bins, n): _VALUES without 10**400
+_SMALL = st.one_of(st.sampled_from([v for v in _ODD if v != 10**400]), st.floats(-0.1, 1.1), st.integers(-3, 40))
 _PAIRS = st.lists(st.lists(_VALUES, max_size=3), max_size=4)
 _PRIORS = st.one_of(
     st.sampled_from([BASE["prior"], {"family": "power", "a": 2.0}, PINNED_CASES["solve"][0]["prior"]]),
@@ -861,7 +863,7 @@ _COSTS = st.one_of(
     _VALUES,
 )
 # each command's valid config, and the values each key may take; every size
-# is bounded: n <= 64 and consumers <= 10^4 where a simulation allocates
+# is bounded: n <= 40 and consumers <= 10^4 where a simulation allocates
 # consumers x n, at most 500 bins, 12 doublings and 4 sweep points
 _FUZZ_BASES = {
     "solve": BASE, "verify": BASE, "sweep": SWEEP, "simulate": SIM, "limit": LIMIT,
@@ -875,12 +877,11 @@ _FUZZ_KEYS = {
     "s": _VALUES,
     "axis": st.sampled_from(["s", "alpha", "n", "beta", 3, None]),
     "grid": st.one_of(_VALUES, st.lists(_VALUES, max_size=4)),
-    "consumers": st.one_of(_VALUES, st.integers(-2, 10**4)),
-    "bins": st.one_of(_VALUES, st.integers(-1, 500)),
+    "consumers": st.one_of(_SMALL, st.integers(-2, 10**4)),
+    "bins": st.one_of(_SMALL, st.integers(-1, 500)),
     "cost_model": _COSTS,
     "doublings": st.one_of(_VALUES.filter(lambda v: not isinstance(v, int) or v <= 12), st.integers(-2, 12)),
 }
-_SIM_N = st.one_of(st.sampled_from(_ODD[:13]), st.integers(-3, 64))
 
 
 @st.composite
@@ -892,7 +893,7 @@ def _fuzzed_run(draw):
         if draw(st.integers(0, 3)) == 0 and key in cfg:
             del cfg[key]
         else:
-            cfg[key] = draw(_SIM_N if command == "simulate" and key == "n" else _FUZZ_KEYS[key])
+            cfg[key] = draw(_SMALL if command == "simulate" and key == "n" else _FUZZ_KEYS[key])
     if draw(st.integers(0, 19)) == 0:
         cfg = draw(st.sampled_from([[], "solve", 3, None, {"config": [], "equilibrium": {}}]))
     argv = [command]

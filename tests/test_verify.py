@@ -666,7 +666,7 @@ def _same_model(got, want):
 
 def test_the_two_lp_builders_agree():
     # every narrow-free grid of the reference cases, the seeded markets'
-    # grids at m = 801, and grids of 2 and 3 points: both builders give
+    # grids at m = 801, grids of 2 and 3 points and a payoff of signed zeros: both builders give
     # HiGHS the same arrays and map its solution to the same masses, and
     # the oracle's value and masses are the sparse-algebra reference's
     cases = _seeded_cases() + _jittered_cases()
@@ -676,6 +676,9 @@ def test_the_two_lp_builders_agree():
     for grid in ([0.0, 1.0], [0.0, 0.4, 1.0], [0.2, 0.3, 0.9]):
         grid = np.array(grid)
         cases.append((1.0 * (grid >= 0.35) + 0.2 * grid**2, PowerPrior(a=2.0), grid))
+    # a payoff of signed zeros: a cost of three zero products is -0.0 or 0.0
+    # by its order of summation
+    cases.append((np.array([0.0, -0.0, 0.0, -0.0, 0.5, 1.0, 0.0, -0.0, 0.0]), UniformPrior(), np.linspace(0.0, 1.0, 9)))
     solver = verify._Highs()
     solver.passOptions(verify._LP_OPTIONS)
     tried = 0
@@ -700,7 +703,7 @@ def test_the_two_lp_builders_agree():
         assert value == want[0]
         assert np.array_equal(masses, want[1])
         tried += 1
-    assert tried >= 28 + 30 + 14 + 3
+    assert tried >= 28 + 33 + 14 + 4  # the 17 grids with narrow chains left out
 
 
 def test_narrow_cells_reach_the_general_builder(monkeypatch):
