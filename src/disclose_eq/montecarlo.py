@@ -16,10 +16,10 @@ consumer her search cost, the first one included.  Once both types have
 stopped, one tally records their purchases: a savvy consumer is the case
 that visits every firm, stops at the best draw and pays nothing.  A
 single cost or a finite set of costs has its stop quantiles solved once
-per simulation (_Plan).  Costs drawn from a continuous distribution have
-theirs bracketed per block from one grid (_brackets), and only the few
-consumers with a draw close to their stop quantile get the exact solve:
-for everyone else the bracket already decides every stop (_costly).
+per simulation (_Plan).  A cost drawn from a continuous distribution
+gets its cell of one grid per posterior by one search (_cells), and only
+the few consumers with a draw close to their stop quantile get the exact
+solve: for everyone else the cell's stop band decides every stop (_costly).
 
 A block is a few passes over whole arrays.  The stopping rule, the best
 draw and the tracked firm's position are loops over the n columns, and
@@ -64,6 +64,9 @@ from .posterior import ArrayLike, PosteriorDistribution, check_deviation_mpc, so
 from .tolerances import STOP_MARGIN, SUPPORT_BOTTOM_TOL
 
 _BLOCK = 1 << 16
+# SimConfig's caps, checked before anything is allocated: 10**10 consumers
+# take over an hour at 2M/s, and 10,000 bins need a lookup of 2**14 cells
+CONSUMERS_MAX, BINS_MAX = 10**10, 10_000
 
 
 @dataclass(frozen=True)
@@ -88,12 +91,12 @@ class SimConfig:
     workers: int | None = None  # default: DISCLOSE_EQ_THREADS or serial
 
     def __post_init__(self) -> None:
-        if self.consumers < 1:
-            raise DomainError("need at least one consumer")
+        if not 1 <= self.consumers <= CONSUMERS_MAX:
+            raise DomainError(f"need 1 to {CONSUMERS_MAX} consumers, not {self.consumers}")
         if self.workers is not None and self.workers < 1:
             raise DomainError("need at least one worker")
-        if self.bins < 10:
-            raise DomainError("need at least 10 bins")
+        if not 10 <= self.bins <= BINS_MAX:
+            raise DomainError(f"need 10 to {BINS_MAX} bins, not {self.bins}")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must be an unsigned 64-bit integer")
 
@@ -132,30 +135,14 @@ class SimReport:
         }
 
 
-_DEPTH = 12  # halvings replayed from one grid of excess_above
+_DEPTH = 12  # the stop grid's points are j / 2**_DEPTH
+_ROUND = 8  # halvings per excess_above call of reservation_for_cost
 
 
-def _brackets(g: PosteriorDistribution, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bracket [lo, hi] around each cost's reservation value after the
-    first _DEPTH halvings of reservation_for_cost's bisection.
-
-    Every midpoint those halvings visit is a grid point j / 2**_DEPTH, so
-    excess_above on that grid, which g computes once, replays them bit for
-    bit.  Every cost must lie in (0, E_G[v]).
-    """
+def _check_costs(g: PosteriorDistribution, costs: np.ndarray) -> None:
     mean = g.mean()
     if not np.all((0.0 < costs) & (costs < mean)):
         raise DomainError(f"cost must lie in (0, E_G[v]) = (0, {mean})")
-    cells = 1 << _DEPTH
-    excess = g.excess_on_grid(cells)
-    lo = np.zeros(len(costs), dtype=np.intp)
-    hi = np.full(len(costs), cells)
-    for _ in range(_DEPTH):
-        mid = (lo + hi) >> 1
-        f = excess[mid] - costs
-        lo = np.where(f >= 0.0, mid, lo)
-        hi = np.where(f > 0.0, hi, mid)
-    return lo / cells, hi / cells
 
 
 def reservation_for_cost(g: PosteriorDistribution, s: ArrayLike) -> ArrayLike:
@@ -163,20 +150,40 @@ def reservation_for_cost(g: PosteriorDistribution, s: ArrayLike) -> ArrayLike:
 
     Every cost must lie in (0, E_G[v]).  One array bisection on [0, 1]
     serves all costs: 40 halvings take the bracket to 2**-40 <= 1e-12, and
-    an element whose residual is exactly 0 stays at that midpoint.  The
-    first _DEPTH halvings are replayed from one grid (_brackets), the rest
-    evaluate excess_above per cost.  Each value equals what `bisect_root`
-    returns for that cost with xtol=1e-12.
+    an element whose residual is exactly 0 stays at that midpoint.  Each
+    value equals what `bisect_root` returns for that cost with xtol=1e-12.
     """
     costs = np.atleast_1d(np.asarray(s, dtype=float))
-    lo, hi = _brackets(g, costs)
-    for _ in range(40 - _DEPTH):
-        mid = 0.5 * (lo + hi)
-        f = g.excess_above(mid) - costs
-        lo = np.where(f >= 0.0, mid, lo)
-        hi = np.where(f > 0.0, hi, mid)
-    r = 0.5 * (lo + hi)
+    _check_costs(g, costs)
+    r = np.concatenate([_bisect_in_rounds(g, part) for part in np.array_split(costs, len(costs) // 4096 + 1)])
     return r if isinstance(s, np.ndarray) else float(r[0])
+
+
+def _bisect_in_rounds(g: PosteriorDistribution, costs: np.ndarray) -> np.ndarray:
+    """The bisection in rounds of _ROUND halvings.  A round evaluates
+    excess_above once, on the 2**_ROUND + 1 evenly spaced points of each
+    open bracket, and replays its halvings on that table: the points are
+    dyadic, so it holds every midpoint they visit bit for bit.  Open
+    brackets share a width, so equal ones share a table, and the at most
+    4,096 costs of a call keep it within about 10**6 points."""
+    lo, hi = np.zeros(len(costs)), np.ones(len(costs))
+    steps = np.arange((1 << _ROUND) + 1)
+    for k in range(1, 40 // _ROUND + 1):
+        live = np.flatnonzero(lo < hi)  # a zero residual closed the others
+        if not len(live):
+            break
+        starts = sorted_unique(lo[live])
+        points = (starts[:, None] + steps * 2.0 ** (-_ROUND * k)).reshape(-1)
+        excess, c = g.excess_above(points), costs[live]
+        a = starts.searchsorted(lo[live]) * len(steps)  # the brackets' ends, as table indices
+        b = a + (1 << _ROUND)
+        for _ in range(_ROUND):
+            mid = (a + b) >> 1
+            e = excess[mid]  # e >= c where excess - c >= 0, e > c where > 0
+            a = np.where(e >= c, mid, a)
+            b = np.where(e > c, b, mid)
+        lo[live], hi[live] = points[a], points[b]
+    return 0.5 * (lo + hi)
 
 
 def stop_quantile(g: PosteriorDistribution, r: ArrayLike) -> ArrayLike:
@@ -190,6 +197,37 @@ def stop_quantile(g: PosteriorDistribution, r: ArrayLike) -> ArrayLike:
     """
     q = np.where(np.asarray(r) <= g.support_bottom() + SUPPORT_BOTTOM_TOL, 0.0, g.cdf_left(r))
     return q if isinstance(r, np.ndarray) else float(q)
+
+
+@functools.lru_cache(maxsize=16)
+def _stop_grid(g: PosteriorDistribution) -> tuple[np.ndarray, np.ndarray, bool]:
+    """excess_above and stop_quantile at the points j / 2**_DEPTH, and whether
+    the excess is nonincreasing there; built once for each of the last 16
+    posteriors, whose every caller shares the read-only arrays."""
+    points = np.arange((1 << _DEPTH) + 1) / (1 << _DEPTH)
+    excess, stops = g.excess_above(points), stop_quantile(g, points)
+    excess.flags.writeable = stops.flags.writeable = False
+    return excess, stops, bool(np.all(excess[:-1] >= excess[1:]))
+
+
+def _cells(g: PosteriorDistribution, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cost's grid cell [lo, hi], which holds its reservation value times
+    2**_DEPTH.  Where the grid's excess is nonincreasing, reservation_for_cost's
+    first _DEPTH halvings end in the cell whose top hi is the first interior
+    point with an excess below the cost (else the last point), or stop at a
+    point whose excess equals the cost, which lies below hi: then lo = 0.
+    Where the excess rises anywhere, every cell is [0, 2**_DEPTH]."""
+    _check_costs(g, costs)
+    excess, _, falling = _stop_grid(g)
+    if not falling:
+        return np.zeros(len(costs), dtype=np.intp), np.full(len(costs), 1 << _DEPTH)
+    # searched top down, where the excess ascends; sorted keys halve the search's time
+    order = np.argsort(costs)
+    hi = np.empty(len(costs), dtype=np.intp)
+    hi[order] = (1 << _DEPTH) - excess[-2:0:-1].searchsorted(costs[order], side="left")
+    lo = hi - 1
+    lo[excess[lo] == costs] = 0
+    return lo, hi
 
 
 def _bin_edges(bins: int, eq: Equilibrium) -> np.ndarray:
@@ -542,54 +580,52 @@ def _near_band(u: np.ndarray, bottom: np.ndarray, top: np.ndarray) -> np.ndarray
     return np.flatnonzero(near)
 
 
+def _band(g: PosteriorDistribution, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stop band [stop(lo) - STOP_MARGIN, stop(hi) + STOP_MARGIN) of each grid cell under g."""
+    stops = _stop_grid(g)[1]
+    return stops[lo] - STOP_MARGIN, stops[hi] + STOP_MARGIN
+
+
 def _costly(t: _Totals, rng: np.random.Generator, plan: _Plan, count: int, b) -> tuple:
     """Costly searchers visit firms in a random order and stop by their
     reservation values, applied in quantile space.  Counts their visits in t
     and returns _tally's (vals, visits, stop_pos, firm, cost).
 
-    Known costs take their stops from the plan.  Drawn costs get a bracket
-    [lo, hi] from _brackets, and a consumer needs its exact reservation
+    Known costs take their stops from the plan.  A drawn cost gets its grid
+    cell [lo, hi] (_cells), and a consumer needs its exact reservation
     value r only if one of its variates u lies in the band [stop(lo) -
-    STOP_MARGIN, stop(hi) + STOP_MARGIN) of its cost: below the band u <
-    stop(r) and above it u >= stop(r), whatever r in [lo, hi] is.  The
-    stop quantile is the left limit of the cdf (0 at the support bottom).
-    It rises with r within a segment up to the few-ulp error of `**`, and
-    the cdf of a validated posterior steps down by at most 1e-9 at a segment
-    join.  The margin covers both, so stop(lo) - STOP_MARGIN <= stop(r) <=
-    stop(hi) + STOP_MARGIN.  Every other consumer stops as if its stop
-    quantile were the band's top, which decides each of its variates the same way,
-    so the reports stay bit for bit those of the exact solve.
+    STOP_MARGIN, stop(hi) + STOP_MARGIN) of its cost (_band): below the
+    band u < stop(r) and above it u >= stop(r), whatever r in [lo, hi] is.
+    The stop quantile is the left limit of the cdf (0 at the support
+    bottom).  It rises with r within a segment up to the few-ulp error of
+    `**`, and the cdf of a validated posterior steps down by at most 1e-9 at
+    a segment join.  The margin covers both, so stop(lo) - STOP_MARGIN <=
+    stop(r) <= stop(hi) + STOP_MARGIN.  Every other consumer stops as if its
+    stop quantile were the band's top, which decides each of its variates
+    the same way, so the reports stay bit for bit those of the exact solve.
     """
     eq, g_dev = plan.eq, plan.g_dev
     costs, which = _draw_costs(rng, plan.config.cost_model, count)
-    # per cost: the stop quantile, or for drawn costs the band around it
+    # per consumer: the stop quantile, or for drawn costs the band around it
     if plan.stops is None:
-        uniq, which = np.unique(costs, return_inverse=True)
-        lo, hi = _brackets(eq.g, uniq)
-        bottom = stop_quantile(eq.g, lo) - STOP_MARGIN
-        top = stop_quantile(eq.g, hi) + STOP_MARGIN
-        if g_dev is not None:
-            bottom_dev = stop_quantile(g_dev, lo) - STOP_MARGIN
-            top_dev = stop_quantile(g_dev, hi) + STOP_MARGIN
-        del uniq, lo, hi  # freed before the draws
+        lo, hi = _cells(eq.g, costs)
+        bottom, stop = _band(eq.g, lo, hi)
+        bottom_dev, stop_dev = _band(g_dev, lo, hi) if g_dev is not None else (None, None)
+        del lo, hi  # freed before the draws
     else:
-        top, top_dev = plan.stops
+        stop, stop_dev = (None if top is None else top[which] for top in plan.stops)
     pos_of_tracked, firm_at = _visit_order(rng.random(out=b.vals), plan.firm, b)
     u = rng.random(out=b.u)
     # value drawn at each *position*; the deviant's cells redrawn from g_dev
     vals = b.vals
     eq.g.sample_into(u, vals, b.scratch, b.mask)
-    stop = top[which]
-    stop_dev = None
     if g_dev is not None:
         at = np.add(b.steps, pos_of_tracked, out=b.bought)  # the tracked firm's cells
         vals.reshape(-1)[at] = g_dev.sample(u.reshape(-1)[at])
-        stop_dev = top_dev[which]
     if plan.stops is None:  # the stops so far are the band tops
-        near = _near_band(u, bottom[which], stop)
+        near = _near_band(u, bottom, stop)
         if g_dev is not None:
-            tracked = _near_band(u.reshape(-1)[at, None], bottom_dev[which], stop_dev)
-            near = np.union1d(near, tracked)
+            near = np.union1d(near, _near_band(u.reshape(-1)[at, None], bottom_dev, stop_dev))
         r_near = reservation_for_cost(eq.g, costs[near])
         stop[near] = stop_quantile(eq.g, r_near)
         if g_dev is not None:
@@ -644,25 +680,24 @@ def _thread_count(workers: int | None) -> int:
 def _run_blocks(plan: _Plan) -> _Totals:
     threads = _thread_count(plan.config.workers)
     consumers, n = plan.config.consumers, plan.eq.n
-    sizes = [min(_BLOCK, consumers - start) for start in range(0, consumers, _BLOCK)]
+    blocks = -(-consumers // _BLOCK)  # the last one may be partial
     # one set of arrays per worker, made here: a pool thread's malloc arena
     # would keep their pages after the run
     free: queue.SimpleQueue = queue.SimpleQueue()
-    for _ in range(min(threads, len(sizes))):
-        free.put(_Buffers(n, _group_rows(sizes[0], plan.eq.alpha)))
+    for _ in range(min(threads, blocks)):
+        free.put(_Buffers(n, _group_rows(min(_BLOCK, consumers), plan.eq.alpha)))
 
-    def run(i: int, size: int) -> _Totals:
+    def run(i: int) -> _Totals:
         buffers = free.get()
         try:
-            return _simulate_block(plan, i, size, buffers)
+            return _simulate_block(plan, i, min(_BLOCK, consumers - i * _BLOCK), buffers)
         finally:
             free.put(buffers)
 
-    # a pool starts its threads on the first submit; a serial run stays in
-    # this thread, where a short simulation skips the thread's start-up
+    # a pool starts its threads on the first submit, and submits every block;
+    # a serial run takes one block at a time in this thread (no start-up)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        blocks = (pool.map if threads > 1 else map)(run, range(len(sizes)), sizes)
-        return functools.reduce(_Totals.merge, blocks)
+        return functools.reduce(_Totals.merge, (pool.map if threads > 1 else map)(run, range(blocks)))
 
 
 def _se_mean(total: float, total_sq: float, count: int) -> float:

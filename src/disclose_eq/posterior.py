@@ -193,10 +193,6 @@ class PosteriorDistribution:
     def _cum_top(self) -> float:
         return self.cum_integral(1.0)
 
-    @cached_property
-    def _excess_grids(self) -> dict[int, np.ndarray]:
-        return {}
-
     # -- public surface -----------------------------------------------------
     @property
     def top(self) -> float:
@@ -305,16 +301,6 @@ class PosteriorDistribution:
     def excess_above(self, r: ArrayLike) -> ArrayLike:
         """E[(v - r)+] = integral of (1 - cdf) from r to 1."""
         return (1.0 - r) - (self._cum_top - self.cum_integral(r))
-
-    def excess_on_grid(self, cells: int) -> np.ndarray:
-        """excess_above at j / cells for j = 0..cells, built once per cells
-        and read-only."""
-        grid = self._excess_grids.get(cells)
-        if grid is None:
-            grid = self.excess_above(np.arange(cells + 1) / cells)
-            grid.flags.writeable = False
-            self._excess_grids[cells] = grid
-        return grid
 
     @cached_property
     def _quantile_table(self) -> tuple[tuple[float, float, Any], ...]:

@@ -124,9 +124,9 @@ of its own."""
 # -- montecarlo: the stopping rule in quantile space ----------------------------
 
 STOP_MARGIN = 1e-8
-"""Quantile space.  montecarlo._costly: the band around a bracket's stop
-quantiles within which a consumer's reservation value is solved exactly;
-it covers the few-ulp error of `**` and a cdf step of CONTINUITY_TOL."""
+"""Quantile space.  montecarlo._band: the margin around a grid cell's stop
+quantiles within which a reservation value is solved exactly; it covers
+the few-ulp error of `**` and a cdf step of CONTINUITY_TOL."""
 
 SUPPORT_BOTTOM_TOL = 1e-9
 """v.  stop_quantile: a reservation value this close above the support
@@ -167,5 +167,5 @@ SOLVER_XTOLS = {
 }
 """Where each bisection stops, keyed by the function that runs it (v, or r
 for r_full_info and r_lower_bar).  montecarlo.reservation_for_cost runs 40
-halvings on [0, 1] instead of an xtol: bisect_root's steps at
-xtol=1e-12."""
+halvings on [0, 1] instead of an xtol, in rounds of 8 that each read one
+table of excess_above: bisect_root's steps at xtol=1e-12."""

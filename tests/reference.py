@@ -68,8 +68,8 @@ simulator's bin lookup must return the same bits.
 
 The reservation values by 40 plain array halvings of [0, 1], each one
 evaluating excess_above on every cost (reservation_by_halving):
-montecarlo.reservation_for_cost replays the first halvings from one grid
-and must return the same bits.
+montecarlo.reservation_for_cost replays its halvings in rounds, each from
+one table of excess_above, and must return the same bits.
 
 The costly searchers' visit order, stopping rule and tally before the
 visit order came from ranks and the integer selects from arithmetic: the

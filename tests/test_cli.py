@@ -342,6 +342,8 @@ HETERO = {
         ("hetero", {**HETERO, "n": "abc"}, []),
         ("simulate", {**SIM, "consumers": "many"}, ["--seed", "1"]),
         ("simulate", {**SIM, "bins": "x"}, ["--seed", "1"]),
+        ("simulate", {**SIM, "consumers": 10**15}, ["--seed", "1"]),
+        ("simulate", {**SIM, "bins": 10**6}, ["--seed", "1"]),
         ("simulate", {**SIM, "cost_model": {"type": "single"}}, ["--seed", "1"]),
         ("verify", BASE, ["--perturb", "v_L", "abc"]),
         ("verify", BASE, ["--perturb", "v_L", "inf"]),
@@ -369,6 +371,8 @@ HETERO = {
         "hetero-n-string",
         "simulate-consumers-string",
         "simulate-bins-string",
+        "simulate-consumers-past-cap",
+        "simulate-bins-past-cap",
         "simulate-single-cost-no-s",
         "verify-perturb-delta-string",
         "verify-perturb-delta-inf",

@@ -115,22 +115,70 @@ def _stress_market(name: str):
     return solve_endog(prior, n, alpha, s)
 
 
-@pytest.mark.parametrize(
-    "market", ["eq_uniform_small", "eq_uniform_large", "eq_power", "power7", "piecewise", "uniform-60"]
-)
-def test_reservation_for_cost_equals_plain_halving_bitwise(request, market):
-    eq = request.getfixturevalue(market) if market.startswith("eq_") else _stress_market(market)
-    g, mean = eq.g, eq.g.mean()
+_HARD_MARKETS = ["eq_uniform_small", "eq_uniform_large", "eq_power", "power7", "piecewise", "uniform-60"]
+
+
+def _hard_costs(g) -> np.ndarray:
+    """Costs in (0, E_G[v]) that test the halvings' edges: tiny, within a
+    tiny step of the mean, and equal to the excess at grid points (a zero
+    residual there), with their neighbours."""
+    mean = g.mean()
     cells = 1 << montecarlo._DEPTH
-    # a cost equal to the excess at a grid point has a zero residual there
     on_grid = np.asarray(g.excess_above(np.arange(cells + 1) / cells))
+    # a zero residual at the last halving of a round: points j / 2**16, j odd
+    on_round = np.asarray(g.excess_above(np.arange(1, 1 << 16, 128) / (1 << 16)))
     tiny = np.geomspace(1e-15, 1e-3, 200)
     costs = np.concatenate([
         tiny, mean - tiny, np.linspace(0.0, mean, 1001),
         on_grid, np.nextafter(on_grid, 0.0), np.nextafter(on_grid, 1.0),
+        on_round, np.nextafter(on_round, 0.0), np.nextafter(on_round, 1.0),
     ])
-    costs = costs[(costs > 0.0) & (costs < mean)]
-    assert np.array_equal(reservation_for_cost(g, costs), reservation_by_halving(g, costs))
+    return costs[(costs > 0.0) & (costs < mean)]
+
+
+_HARD_SOLVES: dict = {}  # market: (g, costs, reservation_for_cost's values), shared by the next two tests
+
+
+def _hard_solve(request, market: str) -> tuple:
+    if market not in _HARD_SOLVES:
+        g = (request.getfixturevalue(market) if market.startswith("eq_") else _stress_market(market)).g
+        costs = _hard_costs(g)
+        _HARD_SOLVES[market] = g, costs, reservation_for_cost(g, costs)
+    return _HARD_SOLVES[market]
+
+
+@pytest.mark.parametrize("market", _HARD_MARKETS)
+def test_reservation_for_cost_equals_plain_halving_bitwise(request, market):
+    g, costs, r = _hard_solve(request, market)
+    assert np.array_equal(r, reservation_by_halving(g, costs))
+
+
+@pytest.mark.parametrize("market", _HARD_MARKETS)
+def test_stop_grid_cells_hold_the_reservation_value(request, market):
+    g, costs, r = _hard_solve(request, market)
+    assert montecarlo._stop_grid(g)[2]  # the excess falls along the grid: cells from the search
+    lo, hi = montecarlo._cells(g, costs)
+    cells = 1 << montecarlo._DEPTH
+    assert np.all(lo / cells <= r) and np.all(r <= hi / cells)
+    assert np.all((hi - lo == 1) | (lo == 0))
+
+
+def test_cells_hold_the_halvings_on_a_grid_with_ties(eq_uniform_small, monkeypatch):
+    # a falling excess with runs of equal values: the halvings may stop at
+    # any point of the run that equals a cost
+    g, cells = eq_uniform_small.g, 1 << montecarlo._DEPTH
+    rng = np.random.default_rng(5)
+    levels = np.linspace(0.01, 0.49, 40)
+    excess = np.sort(rng.choice(levels, cells + 1))[::-1].copy()
+    monkeypatch.setattr(montecarlo, "_stop_grid", lambda g: (excess, None, True))
+    costs = np.concatenate([levels, rng.uniform(0.005, 0.495, 1000)])
+    lo, hi = montecarlo._cells(g, costs)
+    a, b = np.zeros(len(costs), dtype=np.intp), np.full(len(costs), cells)
+    for _ in range(montecarlo._DEPTH):  # reservation_for_cost's first halvings on this grid
+        mid = (a + b) >> 1
+        a, b = np.where(excess[mid] >= costs, mid, a), np.where(excess[mid] > costs, b, mid)
+    assert np.all((lo <= a) & (b <= hi))
+    assert np.any((a == b) & (a < hi - 1))  # some halvings stopped below the cell's bottom point
 
 
 def test_simulate_market_moments(eq_uniform_small):
@@ -418,6 +466,12 @@ def test_config_validation():
         SimConfig(consumers=10, seed=1, cost_model=SingleCost(0.1), bins=5)
     with pytest.raises(DomainError):
         SimConfig(consumers=10, seed=1, cost_model=SingleCost(0.1), workers=0)
+    # the caps fail before anything is allocated
+    with pytest.raises(DomainError, match="consumers"):
+        SimConfig(consumers=montecarlo.CONSUMERS_MAX + 1, seed=1, cost_model=SingleCost(0.1))
+    with pytest.raises(DomainError, match="bins"):
+        SimConfig(consumers=10, seed=1, cost_model=SingleCost(0.1), bins=montecarlo.BINS_MAX + 1)
+    SimConfig(consumers=montecarlo.CONSUMERS_MAX, seed=1, cost_model=SingleCost(0.1), bins=montecarlo.BINS_MAX)
 
 
 @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])
@@ -511,10 +565,27 @@ def test_deviation_share_is_pinned(eq_uniform_small, eq_power, uniform, power2):
     assert (share, se) == (0.20454285714285714, 0.001524584611973719)
 
 
-@pytest.mark.parametrize("deviate", [False, True], ids=["market", "deviation"])
-@pytest.mark.parametrize("market", ["power7", "piecewise", "uniform-60"])
-def test_stop_bands_decide_as_the_exact_solve(monkeypatch, market, deviate):
-    # an infinite margin sends every costly consumer through the exact solve
+# sha256 of the report and the deviation's (share, se) of the banded runs
+# below, pinned from the simulator that bracketed each block's costs by
+# replaying halvings on a grid
+_PINNED_STRESS = {
+    "power7": ("3a2d301583ab0f85a811c9a7947e1d5bb0b741a6f9ca49eb4184cd0daa17a9c9", (0.3446, 0.003360437769100925)),
+    "piecewise": ("2b43b5aa92434b8a53ebf21de4cfd28f65254d4db2cd4ad5119a79788da6bd52", (0.1506, 0.002529027876477442)),
+    "uniform-60": ("b4954142a3810c3422583e9571b47a5957976b552305aa5747524e6ec186e68d",
+                   (0.01375, 0.0008234360175508477)),
+}
+# an infinite margin, or a grid whose excess is taken not to fall (every
+# cell [0, 1]), sends every costly consumer through the exact solve
+_FORCED = [(market, deviate, "margin") for market in _PINNED_STRESS for deviate in (False, True)] + [
+    ("power7", deviate, "rising") for deviate in (False, True)
+]
+
+
+@pytest.mark.parametrize(
+    "market, deviate, force", _FORCED,
+    ids=[f"{m}-{'deviation' if d else 'market'}" + ("-rising" if f == "rising" else "") for m, d, f in _FORCED],
+)
+def test_stop_bands_decide_as_the_exact_solve(monkeypatch, market, deviate, force):
     eq = _stress_market(market)
     cfg = SimConfig(consumers=20_000, seed=2024, cost_model=_CONTINUOUS)
 
@@ -524,14 +595,23 @@ def test_stop_bands_decide_as_the_exact_solve(monkeypatch, market, deviate):
         return report, share
 
     banded = run()
-    solved = []
+    digest, share = _PINNED_STRESS[market]
+    assert (hashlib.sha256(banded[0].encode()).hexdigest(), banded[1]) == (digest, share if deviate else None)
+    stop_grid, solved = montecarlo._stop_grid, []
+
+    def rising(g):
+        excess, stops, _ = stop_grid(g)
+        return excess, stops, False
 
     def counted(g, s):
         solved.append(np.size(s))
         return reservation_for_cost(g, s)
 
     monkeypatch.setattr(montecarlo, "reservation_for_cost", counted)
-    monkeypatch.setattr(montecarlo, "STOP_MARGIN", math.inf)
+    if force == "margin":
+        monkeypatch.setattr(montecarlo, "STOP_MARGIN", math.inf)
+    else:
+        monkeypatch.setattr(montecarlo, "_stop_grid", rising)
     assert run() == banded
     n_inexp = json.loads(banded[0])["n_inexperienced"]
     assert sum(solved) == n_inexp * (2 if deviate else 1)
