@@ -16,10 +16,9 @@ consumer her search cost, the first one included.  Once both types have
 stopped, one tally records their purchases: a savvy consumer is the case
 that visits every firm, stops at the best draw and pays nothing.  A
 single cost or a finite set of costs has its stop quantiles solved once
-per simulation (_Plan).  A cost drawn from a continuous distribution
-gets its cell of one grid per posterior by one search (_cells), and only
-the few consumers with a draw close to their stop quantile get the exact
-solve: for everyone else the cell's stop band decides every stop (_costly).
+per simulation (_Plan).  A drawn cost gets its cell of a grid cached per
+posterior by one search (_cells); only consumers with a draw near their
+stop quantile get the exact solve, the cell's stop band decides the rest.
 
 A block is a few passes over whole arrays.  The stopping rule, the best
 draw and the tracked firm's position are loops over the n columns, and
@@ -64,9 +63,7 @@ from .posterior import ArrayLike, PosteriorDistribution, check_deviation_mpc, so
 from .tolerances import STOP_MARGIN, SUPPORT_BOTTOM_TOL
 
 _BLOCK = 1 << 16
-# SimConfig's caps, checked before anything is allocated: 10**10 consumers
-# take over an hour at 2M/s, and 10,000 bins need a lookup of 2**14 cells
-CONSUMERS_MAX, BINS_MAX = 10**10, 10_000
+CONSUMERS_MAX, BINS_MAX = 10**10, 10_000  # SimConfig's caps: over an hour at 2M/s; a 2**14-cell lookup
 
 
 @dataclass(frozen=True)
@@ -136,13 +133,12 @@ class SimReport:
 
 
 _DEPTH = 12  # the stop grid's points are j / 2**_DEPTH
-_ROUND = 8  # halvings per excess_above call of reservation_for_cost
+_ROUND_POINTS = 2048  # excess_above's fixed cost per call, counted in points it evaluates
 
 
 def _check_costs(g: PosteriorDistribution, costs: np.ndarray) -> None:
-    mean = g.mean()
-    if not np.all((0.0 < costs) & (costs < mean)):
-        raise DomainError(f"cost must lie in (0, E_G[v]) = (0, {mean})")
+    if not np.all((0.0 < costs) & (costs < g.mean())):
+        raise DomainError(f"cost must lie in (0, E_G[v]) = (0, {g.mean()})")
 
 
 def reservation_for_cost(g: PosteriorDistribution, s: ArrayLike) -> ArrayLike:
@@ -152,38 +148,35 @@ def reservation_for_cost(g: PosteriorDistribution, s: ArrayLike) -> ArrayLike:
     serves all costs: 40 halvings take the bracket to 2**-40 <= 1e-12, and
     an element whose residual is exactly 0 stays at that midpoint.  Each
     value equals what `bisect_root` returns for that cost with xtol=1e-12.
+
+    The halvings run in rounds, each replayed on one table of excess_above
+    that holds every midpoint they visit bit for bit (the points are dyadic):
+    the cached stop grid for the first _DEPTH, then for a round of w the
+    2**w - 1 inner points of each open bracket, where w is the bit length of
+    _ROUND_POINTS over their count.  So a few costs take 10 or more a call.
     """
     costs = np.atleast_1d(np.asarray(s, dtype=float))
     _check_costs(g, costs)
-    r = np.concatenate([_bisect_in_rounds(g, part) for part in np.array_split(costs, len(costs) // 4096 + 1)])
-    return r if isinstance(s, np.ndarray) else float(r[0])
-
-
-def _bisect_in_rounds(g: PosteriorDistribution, costs: np.ndarray) -> np.ndarray:
-    """The bisection in rounds of _ROUND halvings.  A round evaluates
-    excess_above once, on the 2**_ROUND + 1 evenly spaced points of each
-    open bracket, and replays its halvings on that table: the points are
-    dyadic, so it holds every midpoint they visit bit for bit.  Open
-    brackets share a width, so equal ones share a table, and the at most
-    4,096 costs of a call keep it within about 10**6 points."""
-    lo, hi = np.zeros(len(costs)), np.ones(len(costs))
-    steps = np.arange((1 << _ROUND) + 1)
-    for k in range(1, 40 // _ROUND + 1):
-        live = np.flatnonzero(lo < hi)  # a zero residual closed the others
-        if not len(live):
-            break
-        starts = sorted_unique(lo[live])
-        points = (starts[:, None] + steps * 2.0 ** (-_ROUND * k)).reshape(-1)
-        excess, c = g.excess_above(points), costs[live]
-        a = starts.searchsorted(lo[live]) * len(steps)  # the brackets' ends, as table indices
-        b = a + (1 << _ROUND)
-        for _ in range(_ROUND):
+    lo, hi, depth = np.zeros(len(costs)), np.ones(len(costs)), 0
+    live = np.argsort(-costs)  # brackets in ascending order, whose points excess_above takes faster
+    while depth < 40 and len(live):
+        x, c = lo[live], costs[live]
+        if depth == 0:
+            w, row, excess = _DEPTH, 0, _stop_grid(g)[0]
+        else:  # point j of bracket i at excess[row[i] + j]
+            w = min(40 - depth, max(1, (_ROUND_POINTS // len(live)).bit_length()))
+            row = np.arange(len(live)) * ((1 << w) - 1) - 1
+            excess = g.excess_above((x[:, None] + np.arange(1, 1 << w) * 2.0 ** -(depth + w)).reshape(-1))
+        depth += w
+        a, b = np.zeros(len(live), dtype=np.intp), np.full(len(live), 1 << w)
+        for _ in range(w):
             mid = (a + b) >> 1
-            e = excess[mid]  # e >= c where excess - c >= 0, e > c where > 0
-            a = np.where(e >= c, mid, a)
-            b = np.where(e > c, b, mid)
-        lo[live], hi[live] = points[a], points[b]
-    return 0.5 * (lo + hi)
+            e = excess[row + mid]  # e >= c where excess - c >= 0, e > c where > 0
+            a, b = np.where(e >= c, mid, a), np.where(e > c, b, mid)
+        lo[live], hi[live] = x + a * 2.0**-depth, x + b * 2.0**-depth
+        live = live[a < b]  # a zero residual closed the others
+    r = 0.5 * (lo + hi)
+    return r if isinstance(s, np.ndarray) else float(r[0])
 
 
 def stop_quantile(g: PosteriorDistribution, r: ArrayLike) -> ArrayLike:
@@ -201,9 +194,8 @@ def stop_quantile(g: PosteriorDistribution, r: ArrayLike) -> ArrayLike:
 
 @functools.lru_cache(maxsize=16)
 def _stop_grid(g: PosteriorDistribution) -> tuple[np.ndarray, np.ndarray, bool]:
-    """excess_above and stop_quantile at the points j / 2**_DEPTH, and whether
-    the excess is nonincreasing there; built once for each of the last 16
-    posteriors, whose every caller shares the read-only arrays."""
+    """excess_above and stop_quantile at j / 2**_DEPTH, read-only, and whether
+    the excess is nonincreasing there; built once for each of the last 16 g."""
     points = np.arange((1 << _DEPTH) + 1) / (1 << _DEPTH)
     excess, stops = g.excess_above(points), stop_quantile(g, points)
     excess.flags.writeable = stops.flags.writeable = False
@@ -225,9 +217,7 @@ def _cells(g: PosteriorDistribution, costs: np.ndarray) -> tuple[np.ndarray, np.
     order = np.argsort(costs)
     hi = np.empty(len(costs), dtype=np.intp)
     hi[order] = (1 << _DEPTH) - excess[-2:0:-1].searchsorted(costs[order], side="left")
-    lo = hi - 1
-    lo[excess[lo] == costs] = 0
-    return lo, hi
+    return np.where(excess[hi - 1] == costs, 0, hi - 1), hi
 
 
 def _bin_edges(bins: int, eq: Equilibrium) -> np.ndarray:
@@ -353,8 +343,7 @@ def _draw_costs(rng: np.random.Generator, model: CostModel, size: int) -> tuple:
         which = np.searchsorted(cum[:-1], u, side="right")
         return values[which], which
     if isinstance(costs, ContinuousCosts):
-        xs = [k[0] for k in costs.knots]
-        qs = [k[1] for k in costs.knots]
+        xs, qs = zip(*costs.knots)
         return np.interp(u, qs, xs), None
     raise DomainError(f"unknown cost model {model!r}")
 
@@ -574,16 +563,12 @@ def _stop_rule(u, vals, stop, stop_dev, pos_of_tracked, b) -> tuple[np.ndarray, 
 
 def _near_band(u: np.ndarray, bottom: np.ndarray, top: np.ndarray) -> np.ndarray:
     """Indices of the rows of u with a variate in their band [bottom, top)."""
-    near = np.zeros(len(u), dtype=bool)
-    for j in range(u.shape[1]):
-        near |= (u[:, j] >= bottom) & (u[:, j] < top)
-    return np.flatnonzero(near)
+    return np.flatnonzero(functools.reduce(np.logical_or, ((col >= bottom) & (col < top) for col in u.T)))
 
 
-def _band(g: PosteriorDistribution, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stop band [stop(lo) - STOP_MARGIN, stop(hi) + STOP_MARGIN) of each grid cell under g."""
-    stops = _stop_grid(g)[1]
-    return stops[lo] - STOP_MARGIN, stops[hi] + STOP_MARGIN
+def _band(g: PosteriorDistribution | None, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The stop band [stop(lo) - STOP_MARGIN, stop(hi) + STOP_MARGIN) of each grid cell under g, if set."""
+    return (None, None) if g is None else (_stop_grid(g)[1][lo] - STOP_MARGIN, _stop_grid(g)[1][hi] + STOP_MARGIN)
 
 
 def _costly(t: _Totals, rng: np.random.Generator, plan: _Plan, count: int, b) -> tuple:
@@ -592,25 +577,22 @@ def _costly(t: _Totals, rng: np.random.Generator, plan: _Plan, count: int, b) ->
     and returns _tally's (vals, visits, stop_pos, firm, cost).
 
     Known costs take their stops from the plan.  A drawn cost gets its grid
-    cell [lo, hi] (_cells), and a consumer needs its exact reservation
-    value r only if one of its variates u lies in the band [stop(lo) -
-    STOP_MARGIN, stop(hi) + STOP_MARGIN) of its cost (_band): below the
-    band u < stop(r) and above it u >= stop(r), whatever r in [lo, hi] is.
-    The stop quantile is the left limit of the cdf (0 at the support
-    bottom).  It rises with r within a segment up to the few-ulp error of
-    `**`, and the cdf of a validated posterior steps down by at most 1e-9 at
-    a segment join.  The margin covers both, so stop(lo) - STOP_MARGIN <=
-    stop(r) <= stop(hi) + STOP_MARGIN.  Every other consumer stops as if its
-    stop quantile were the band's top, which decides each of its variates
-    the same way, so the reports stay bit for bit those of the exact solve.
+    cell [lo, hi] (_cells) and the stop band of that cell (_band).  The stop
+    quantile, the cdf's left limit, rises with r within a segment up to the
+    few-ulp error of `**` and steps down by at most 1e-9 at a segment join
+    of a validated posterior.  The margin covers both, so stop(lo) -
+    STOP_MARGIN <= stop(r) <= stop(hi) + STOP_MARGIN for the exact
+    reservation value r: a variate below the band fails the stop rule and
+    one above it passes, whatever r is.  Only a consumer with a variate in
+    the band needs r; every other stops as if its stop quantile were the
+    band's top, so the reports stay bit for bit those of the exact solve.
     """
     eq, g_dev = plan.eq, plan.g_dev
     costs, which = _draw_costs(rng, plan.config.cost_model, count)
     # per consumer: the stop quantile, or for drawn costs the band around it
     if plan.stops is None:
         lo, hi = _cells(eq.g, costs)
-        bottom, stop = _band(eq.g, lo, hi)
-        bottom_dev, stop_dev = _band(g_dev, lo, hi) if g_dev is not None else (None, None)
+        (bottom, stop), (bottom_dev, stop_dev) = _band(eq.g, lo, hi), _band(g_dev, lo, hi)
         del lo, hi  # freed before the draws
     else:
         stop, stop_dev = (None if top is None else top[which] for top in plan.stops)
@@ -711,11 +693,7 @@ def _se_mean(total: float, total_sq: float, count: int) -> float:
 def simulate_market(eq: Equilibrium, config: SimConfig) -> SimReport:
     """Simulate the market under the equilibrium disclosure."""
     plan = _plan(eq, config)
-    return _report_from_totals(eq, config, _run_blocks(plan), plan.binning.edges)
-
-
-def _report_from_totals(eq, config, t: _Totals, edges: np.ndarray) -> SimReport:
-    n_cons = config.consumers
+    t, edges, n_cons = _run_blocks(plan), plan.binning.edges, config.consumers
     eta_hat = t.firm0_visits_inexp / t.n_inexp if t.n_inexp else float("nan")
     eta_se = float(np.sqrt(max(eta_hat * (1 - eta_hat), 0.0) / t.n_inexp)) if t.n_inexp else float("nan")
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -167,5 +167,5 @@ SOLVER_XTOLS = {
 }
 """Where each bisection stops, keyed by the function that runs it (v, or r
 for r_full_info and r_lower_bar).  montecarlo.reservation_for_cost runs 40
-halvings on [0, 1] instead of an xtol, in rounds of 8 that each read one
+halvings on [0, 1] instead of an xtol, in rounds that each read one
 table of excess_above: bisect_root's steps at xtol=1e-12."""

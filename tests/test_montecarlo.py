@@ -125,7 +125,8 @@ def _hard_costs(g) -> np.ndarray:
     mean = g.mean()
     cells = 1 << montecarlo._DEPTH
     on_grid = np.asarray(g.excess_above(np.arange(cells + 1) / cells))
-    # a zero residual at the last halving of a round: points j / 2**16, j odd
+    # a zero residual at halving 16, which ends a round once thousands of
+    # brackets take one halving a round: points j / 2**16, j odd
     on_round = np.asarray(g.excess_above(np.arange(1, 1 << 16, 128) / (1 << 16)))
     tiny = np.geomspace(1e-15, 1e-3, 200)
     costs = np.concatenate([
@@ -151,6 +152,33 @@ def _hard_solve(request, market: str) -> tuple:
 def test_reservation_for_cost_equals_plain_halving_bitwise(request, market):
     g, costs, r = _hard_solve(request, market)
     assert np.array_equal(r, reservation_by_halving(g, costs))
+
+
+@pytest.mark.parametrize("market", _HARD_MARKETS)
+def test_reservation_for_cost_in_small_groups_equals_plain_halving_bitwise(request, market):
+    # a zero residual at each of the 40 halvings, solved in groups of 1, 3
+    # and 40 costs, whose rounds end at different halvings
+    g = _hard_solve(request, market)[0]
+    rng = np.random.default_rng(40)
+    points = np.array([(2 * rng.integers(0, 1 << (d - 1)) + 1) / 2.0**d for d in range(1, 41)])
+    hits = np.asarray(g.excess_above(points))
+    costs = np.concatenate([hits, np.nextafter(hits, 0.0), np.nextafter(hits, 1.0)])
+    costs = rng.permutation(costs[(costs > 0.0) & (costs < g.mean())])
+    want = reservation_by_halving(g, costs)
+    for size in (1, 3, 40):
+        got = np.concatenate([reservation_for_cost(g, costs[i : i + size]) for i in range(0, len(costs), size)])
+        assert np.array_equal(got, want), size
+
+
+def test_reservation_for_cost_tables_stay_small(request, monkeypatch):
+    # a round's table holds about _ROUND_POINTS points, or one per bracket
+    # when there are more brackets: never a wide table per cost
+    g, costs, r = _hard_solve(request, "power7")
+    sizes, excess_above = [], PosteriorDistribution.excess_above
+    monkeypatch.setattr(PosteriorDistribution, "excess_above", lambda self, x: sizes.append(np.size(x)) or excess_above(self, x))
+    assert np.array_equal(reservation_for_cost(g, costs), r)
+    assert len(sizes) <= 40 and max(sizes) < max(2 * montecarlo._ROUND_POINTS, len(costs))
+    assert sum(sizes) <= 40 * len(costs)
 
 
 @pytest.mark.parametrize("market", _HARD_MARKETS)
