@@ -58,7 +58,7 @@ class Candidate:
     def pooled(self) -> AffinePower:
         """The pooled branch on [r, min(v_H, v_T)]: cdf**(n-1) = F(v_L)**(n-1) + beta (v - r)."""
         top = min(self.v_h, self.v_t)
-        return AffinePower(self.r, top, self.fl ** (self.n - 1), self.beta, self.r, self.n - 1)
+        return AffinePower(self.r, top, self.fl ** (self.n - 1), self.beta, self.n - 1)
 
 
 def candidate_exists(prior: Prior, n: int, v_l: float, r: float) -> bool:

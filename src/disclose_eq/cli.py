@@ -18,8 +18,9 @@ Each cmd_* returns its body and exit code; main adds the command and the
 provenance (the sha256 of the canonical config and the package version)
 and writes every output through _write, where a path that cannot be
 written, or a closed stdout, is a malformed config.  Floats serialize via
-repr, which round-trips exactly.  DISCLOSE_EQ_THREADS, a positive integer,
-caps simulation parallelism.
+repr, which round-trips exactly.  DISCLOSE_EQ_THREADS, a positive integer
+(default 1), is a setting of the command line, not of the library:
+simulate reads it before the solve and passes it on as SimConfig.workers.
 """
 from __future__ import annotations
 
@@ -213,12 +214,12 @@ def cmd_simulate(cfg: dict[str, Any], args) -> tuple[dict[str, Any], int]:
     # imported here so that the other commands start without concurrent.futures,
     # and solve and sweep without the cost models
     from .costs import cost_distribution_from_json
-    from .montecarlo import HeterogeneousCosts, SimConfig, SingleCost, _thread_count, simulate_market
+    from .montecarlo import HeterogeneousCosts, SimConfig, SingleCost, simulate_market
 
     prior, n, alpha, s = _market_params(cfg)
     if args.seed is None:
         raise ConfigError("simulate requires --seed (no wall-clock default)")
-    workers = _thread_count(None)  # a malformed DISCLOSE_EQ_THREADS fails before the solve
+    workers = _thread_count()  # a malformed DISCLOSE_EQ_THREADS fails before the solve
     eq = solve_endog(prior, n, alpha, s)
     cost_spec = cfg.get("cost_model")
     if cost_spec is None:
@@ -241,6 +242,18 @@ def cmd_simulate(cfg: dict[str, Any], args) -> tuple[dict[str, Any], int]:
     body = {"equilibrium": eq.to_json_dict(), "report": report.to_json_dict(), "z_scores": z_scores}
     worst = max((abs(z) for z in z_scores.values() if not np.isnan(z)), default=0.0)
     return body, EXIT_OK if worst <= 5.0 else EXIT_STATISTICAL
+
+
+def _thread_count() -> int:
+    """DISCLOSE_EQ_THREADS, else 1."""
+    raw = os.environ.get("DISCLOSE_EQ_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise DomainError(f"DISCLOSE_EQ_THREADS must be a positive integer, not {raw!r}")
+    return threads
 
 
 def _curve_theory(eq: Equilibrium, report) -> list[float]:

@@ -140,7 +140,7 @@ class Equilibrium:
         if self.candidate is None:
             # alpha = 0: the middle branch shrinks to the point r*, take its tangent
             fl = float(prior.cdf(self.v_l_star))
-            pooled = AffinePower(r, r, fl ** (n - 1), prior.pow_cdf_deriv(r, n), r, n - 1)
+            pooled = AffinePower(r, r, fl ** (n - 1), prior.pow_cdf_deriv(r, n), n - 1)
         else:
             fl, pooled = self.candidate.fl, self.candidate.pooled
         return PayoffBranches(

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -59,7 +58,7 @@ import numpy as np
 from .costs import ContinuousCosts, CostDistribution, DiscreteCosts
 from .endogenous import Equilibrium
 from .errors import DomainError
-from .posterior import ArrayLike, PosteriorDistribution, check_deviation_mpc, sorted_unique
+from .posterior import ArrayLike, PosteriorDistribution, check_deviation_mpc, insert_points
 from .tolerances import STOP_MARGIN, SUPPORT_BOTTOM_TOL
 
 _BLOCK = 1 << 16
@@ -85,12 +84,12 @@ class SimConfig:
     seed: int
     cost_model: CostModel
     bins: int = 50
-    workers: int | None = None  # default: DISCLOSE_EQ_THREADS or serial
+    workers: int = 1  # threads running the blocks; 1 runs them in the calling thread
 
     def __post_init__(self) -> None:
         if not 1 <= self.consumers <= CONSUMERS_MAX:
             raise DomainError(f"need 1 to {CONSUMERS_MAX} consumers, not {self.consumers}")
-        if self.workers is not None and self.workers < 1:
+        if self.workers < 1:
             raise DomainError("need at least one worker")
         if not 10 <= self.bins <= BINS_MAX:
             raise DomainError(f"need 10 to {BINS_MAX} bins, not {self.bins}")
@@ -231,7 +230,8 @@ def _bin_edges(bins: int, eq: Equilibrium) -> np.ndarray:
     for x in forced:
         crowding |= np.abs(base - x) < 0.25 / bins
     crowding[[0, -1]] = False
-    return sorted_unique(np.concatenate([base[~crowding], forced]))
+    base = base[~crowding]
+    return insert_points(base, base.tolist(), forced)
 
 
 _CHUNK = 1 << 14  # values binned per pass
@@ -566,18 +566,14 @@ def _near_band(u: np.ndarray, bottom: np.ndarray, top: np.ndarray) -> np.ndarray
     return np.flatnonzero(functools.reduce(np.logical_or, ((col >= bottom) & (col < top) for col in u.T)))
 
 
-def _band(g: PosteriorDistribution | None, lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """The stop band [stop(lo) - STOP_MARGIN, stop(hi) + STOP_MARGIN) of each grid cell under g, if set."""
-    return (None, None) if g is None else (_stop_grid(g)[1][lo] - STOP_MARGIN, _stop_grid(g)[1][hi] + STOP_MARGIN)
-
-
 def _costly(t: _Totals, rng: np.random.Generator, plan: _Plan, count: int, b) -> tuple:
     """Costly searchers visit firms in a random order and stop by their
     reservation values, applied in quantile space.  Counts their visits in t
     and returns _tally's (vals, visits, stop_pos, firm, cost).
 
     Known costs take their stops from the plan.  A drawn cost gets its grid
-    cell [lo, hi] (_cells) and the stop band of that cell (_band).  The stop
+    cell [lo, hi] (_cells) and the stop band [stop(lo) - STOP_MARGIN,
+    stop(hi) + STOP_MARGIN) of that cell under eq.g and g_dev.  The stop
     quantile, the cdf's left limit, rises with r within a segment up to the
     few-ulp error of `**` and steps down by at most 1e-9 at a segment join
     of a validated posterior.  The margin covers both, so stop(lo) -
@@ -592,7 +588,10 @@ def _costly(t: _Totals, rng: np.random.Generator, plan: _Plan, count: int, b) ->
     # per consumer: the stop quantile, or for drawn costs the band around it
     if plan.stops is None:
         lo, hi = _cells(eq.g, costs)
-        (bottom, stop), (bottom_dev, stop_dev) = _band(eq.g, lo, hi), _band(g_dev, lo, hi)
+        (bottom, stop), (bottom_dev, stop_dev) = (
+            (None, None) if g is None else (_stop_grid(g)[1][lo] - STOP_MARGIN, _stop_grid(g)[1][hi] + STOP_MARGIN)
+            for g in (eq.g, g_dev)
+        )
         del lo, hi  # freed before the draws
     else:
         stop, stop_dev = (None if top is None else top[which] for top in plan.stops)
@@ -645,22 +644,8 @@ def _simulate_block(plan: _Plan, block_index: int, size: int, buffers: _Buffers)
     return t
 
 
-def _thread_count(workers: int | None) -> int:
-    """`workers` if set, else DISCLOSE_EQ_THREADS, else 1."""
-    if workers is not None:
-        return workers
-    raw = os.environ.get("DISCLOSE_EQ_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise DomainError(f"DISCLOSE_EQ_THREADS must be a positive integer, not {raw!r}")
-    return threads
-
-
 def _run_blocks(plan: _Plan) -> _Totals:
-    threads = _thread_count(plan.config.workers)
+    threads = plan.config.workers
     consumers, n = plan.config.consumers, plan.eq.n
     blocks = -(-consumers // _BLOCK)  # the last one may be partial
     # one set of arrays per worker, made here: a pool thread's malloc arena

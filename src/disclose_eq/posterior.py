@@ -13,9 +13,8 @@ form per segment.
 
 A point finds its segment by one searchsorted of the segment ends into
 the sorted points, which cuts them into one contiguous slice per
-segment.  Descending input is reversed, other unsorted input is sorted
-once, and the results go back to the caller's order.  The cdf and its
-integrals see sorted grids, descending reservation values or a few
+segment.  Unsorted input is sorted once, and the results go back to the
+caller's order.  The cdf and its integrals see sorted grids or a few
 points.  `sample` takes a block of random variates in any order, which
 that sort would cost more than it saves: it evaluates each segment's
 quantile on all the variates, clipped to the segment's cdf levels, and
@@ -105,19 +104,18 @@ class Flat:
 
 @dataclass(frozen=True)
 class AffinePower:
-    """cdf**root_power is the line base + slope*(v - anchor) on [a, b]: a
-    candidate's pooled branch (Candidate.pooled), root_power = n - 1."""
+    """cdf**root_power is the line base + slope*(v - a) on [a, b]: a
+    candidate's pooled branch from a = r (Candidate.pooled), root_power = n - 1."""
 
     a: float
     b: float
     base: float
     slope: float
-    anchor: float
     root_power: int
 
     def line(self, v: ArrayLike) -> ArrayLike:
         """cdf**root_power, extended past [a, b] and unclipped."""
-        return self.base + self.slope * (v - self.anchor)
+        return self.base + self.slope * (v - self.a)
 
     def _w(self, v: ArrayLike) -> ArrayLike:
         """cdf**root_power, clipped to [0, 1]."""
@@ -145,17 +143,17 @@ class AffinePower:
         return coef * (self._w(hi) ** e - self._w(lo) ** e)
 
     def quantile_in_place(self, prior: Prior, q: np.ndarray) -> None:
-        """anchor + (q**root_power - base) / slope, bit for bit: `**=` takes
+        """a + (q**root_power - base) / slope, bit for bit: `**=` takes
         the same fast cases as `**` (a copy for 1, a square for 2), and the
         final addition commutes."""
         q **= self.root_power
         q -= self.base
         q /= self.slope
-        q += self.anchor
+        q += self.a
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"kind": "affine_power", "a": self.a, "b": self.b, "base": self.base,
-                "beta": self.slope, "r_anchor": self.anchor, "root_power": self.root_power}
+                "beta": self.slope, "r_anchor": self.a, "root_power": self.root_power}
 
 
 Segment = Union[FullDisclosure, Flat, AffinePower]
@@ -277,9 +275,7 @@ class PosteriorDistribution:
         pts = np.asarray(v, dtype=float).ravel()
         order = None
         if pts.size > 1 and not np.all(pts[:-1] <= pts[1:]):
-            # reservation values arrive in descending order (they fall as costs rise)
-            descending = np.all(pts[:-1] >= pts[1:])
-            order = np.arange(pts.size)[::-1] if descending else np.argsort(pts, kind="stable")
+            order = np.argsort(pts, kind="stable")
             pts = pts[order]
         out = np.empty_like(pts)
         lo = 0
@@ -390,13 +386,6 @@ class InformativenessVerdict:
     mean_gap: float
 
 
-def sorted_unique(x: np.ndarray) -> np.ndarray:
-    """np.unique of a nonempty 1-d float array without NaN, from one sort:
-    np.unique's first call imports numpy.ma (numpy >= 2.3), a cost that
-    every cold CLI process would pay."""
-    return drop_repeats(np.sort(x))
-
-
 def drop_repeats(x: np.ndarray) -> np.ndarray:
     """A sorted nonempty 1-d array without its repeated values (the first of
     each run stays)."""
@@ -406,7 +395,8 @@ def drop_repeats(x: np.ndarray) -> np.ndarray:
 def insert_points(base: np.ndarray, base_list: list[float], points) -> np.ndarray:
     """The sorted union of a sorted grid without repeats (base, and base_list
     its tolist()) and some points without NaN: each point that is not a base
-    point is inserted where it belongs, with no sort of the base."""
+    point is inserted where it belongs, with no sort of the base and no
+    np.unique (its first call imports numpy.ma on numpy >= 2.3)."""
     pieces, lo = [], 0
     for x in sorted(set(points)):
         i = bisect_left(base_list, x)
@@ -417,11 +407,6 @@ def insert_points(base: np.ndarray, base_list: list[float], points) -> np.ndarra
     return np.concatenate(pieces)
 
 
-def _mpc_grid(g0: PosteriorDistribution, g1: PosteriorDistribution) -> np.ndarray:
-    """The sorted union of _MPC_BASE and both distributions' breakpoints."""
-    return insert_points(_MPC_BASE, _MPC_BASE_LIST, [*g0.breakpoints(), *g1.breakpoints()])
-
-
 def informativeness_compare(
     g0: PosteriorDistribution, g1: PosteriorDistribution
 ) -> InformativenessVerdict:
@@ -430,7 +415,7 @@ def informativeness_compare(
     LessInformative means g0 is a mean-preserving contraction of g1.
     Incomparability is an ordinary outcome, not an error.
     """
-    grid = _mpc_grid(g0, g1)
+    grid = insert_points(_MPC_BASE, _MPC_BASE_LIST, [*g0.breakpoints(), *g1.breakpoints()])
     prior_cum = g0.prior.cum_cdf(grid) if g0.prior == g1.prior else None
     delta = g1._cum_sorted(grid, prior_cum) - g0._cum_sorted(grid, prior_cum)
     mean_gap = float(delta[-1])

@@ -66,7 +66,7 @@ class Prior:
 
     def cum_cdf(self, v: ArrayLike) -> ArrayLike:
         """Integral of F from 0 to v."""
-        raise NotImplementedError
+        return self.cum_pow_cdf(v, 1)
 
     def cdf_cum(self, v: float) -> tuple[float, float]:
         """(cdf(v), cum_cdf(v)) for a scalar v, bit for bit."""
@@ -141,6 +141,8 @@ class UniformPrior(Prior):
         pass
 
     def cum_cdf(self, v: ArrayLike) -> ArrayLike:
+        # not cum_pow_cdf(v, 1): for a float v, libm's pow makes v ** 2 / 2
+        # differ from 0.5 * v * v in the last bit at 0.07-0.2% of points
         return 0.5 * v * v
 
     def cdf_cum(self, v: float) -> tuple[float, float]:
@@ -187,9 +189,6 @@ class PowerPrior(Prior):
 
     def quantile_in_place(self, q: np.ndarray) -> None:
         q **= 1.0 / self.a  # `**=` takes the fast cases of `**` (a square root for 1/2)
-
-    def cum_cdf(self, v: ArrayLike) -> ArrayLike:
-        return v ** (self.a + 1.0) / (self.a + 1.0)
 
     def cdf_cum(self, v: float) -> tuple[float, float]:
         if not 0.0 <= v <= 1.0:
@@ -304,9 +303,6 @@ class PiecewiseLinearPrior(Prior):
         i = self._piece(v)
         f = qs[i] + ms[i] * (v - xs[i])
         return cums[i] + (f ** (k + 1) - qs[i] ** (k + 1)) / (ms[i] * (k + 1))
-
-    def cum_cdf(self, v: ArrayLike) -> ArrayLike:
-        return self.cum_pow_cdf(v, 1)
 
     @cached_property
     def _knot_cum1(self) -> tuple[float, ...]:

@@ -124,7 +124,7 @@ of its own."""
 # -- montecarlo: the stopping rule in quantile space ----------------------------
 
 STOP_MARGIN = 1e-8
-"""Quantile space.  montecarlo._band: the margin around a grid cell's stop
+"""Quantile space.  montecarlo._costly: the margin around a grid cell's stop
 quantiles within which a reservation value is solved exactly; it covers
 the few-ulp error of `**` and a cdf step of CONTINUITY_TOL."""
 

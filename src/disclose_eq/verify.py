@@ -59,7 +59,7 @@ import numpy as np
 from .costs import ContinuousCosts, CostDistribution, DiscreteCosts  # noqa: F401 (re-exported)
 from .endogenous import _N_CAP, payoff_u, solve_endog
 from .errors import DomainError, IterationCapError, ValidationFailureError
-from .posterior import drop_repeats, insert_points, sorted_unique
+from .posterior import drop_repeats, insert_points
 from .priors import Prior
 from .tolerances import (
     DM1_TOL, DM2_TOL, DM3_TOL, DM4_TOL, HIGHS_FEASIBILITY_TOL, HIGHS_SMALL_ENTRY, NARROW_CELL,
@@ -295,7 +295,7 @@ def oracle_grid(eq, m: int) -> np.ndarray:
         raise DomainError(f"oracle grid takes at most {ORACLE_GRID_MAX} points, not {m}")
     base = np.linspace(0.0, 1.0, m)
     forced = [eq.v_l_star, eq.r_star, eq.v_h_star, eq.v_t_star]
-    return sorted_unique(np.concatenate([base, forced]))
+    return insert_points(base, base.tolist(), forced)
 
 
 def discretize_prior(prior: Prior, grid: np.ndarray) -> np.ndarray:
@@ -384,10 +384,9 @@ def _solve_oracle(
     status = highs.getModelStatus()
     if status != HighsModelStatus.kOptimal:
         raise ValidationFailureError("oracle-lp", highs.modelStatusToString(status))
-    info = highs.getInfo()
-    value = float(u_values @ f - info.objective_function_value)
+    value = float(u_values @ f - highs.getObjectiveValue())
     masses = to_masses(np.asarray(highs.getSolution().col_value)) if read_masses else None
-    return value, masses, model[2], int(info.simplex_iteration_count)
+    return value, masses, model[2], int(highs.getInfoValue("simplex_iteration_count")[1])
 
 
 # A builder returns passModel's arguments (columns, rows, nonzeros, format,

@@ -3,8 +3,7 @@
 Surplus is computed on the cdf side (E[max of n draws] equals the top of
 the support minus the integral of cdf**n), which handles atoms as flat
 cdf steps with no density bookkeeping.  Sweeps rank neighbouring
-equilibria with posterior.informativeness_compare, which is re-exported
-here with its verdict names.
+equilibria with posterior.informativeness_compare.
 """
 from __future__ import annotations
 
@@ -16,14 +15,10 @@ from typing import Any, Iterable, Iterator, Sequence
 from .endogenous import Equilibrium, solve_endog
 from .errors import DiscloseEqError, DomainError
 from .exogenous import r_lower_bar
-from .posterior import (  # noqa: F401 (the order is re-exported)
-    EQUALLY_INFORMATIVE,
-    INCOMPARABLE,
-    LESS_INFORMATIVE,
+from .posterior import (
     MORE_INFORMATIVE,
     Flat,
     FullDisclosure,
-    InformativenessVerdict,
     PosteriorDistribution,
     informativeness_compare,
 )

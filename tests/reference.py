@@ -139,7 +139,6 @@ from disclose_eq.posterior import (
     PosteriorDistribution,
     check_deviation_mpc,
     full_disclosure_distribution,
-    sorted_unique,
 )
 from disclose_eq.priors import Prior
 from disclose_eq.rootfind import bisect_root
@@ -664,7 +663,7 @@ def informativeness_by_sorted_union(
     LessInformative means g0 is a mean-preserving contraction of g1.
     Incomparability is an ordinary outcome, not an error.
     """
-    grid = sorted_unique(np.concatenate([_MPC_BASE, g0.breakpoints(), g1.breakpoints()]))
+    grid = np.unique(np.concatenate([_MPC_BASE, g0.breakpoints(), g1.breakpoints()]))
     delta = np.asarray(g1.cum_integral(grid)) - np.asarray(g0.cum_integral(grid))
     mean_gap = float(delta[-1])
     min_fwd = float(np.min(delta))
@@ -733,7 +732,7 @@ def _segment_quantile(seg, prior: Prior, q: np.ndarray) -> np.ndarray:
         return prior.quantile(q)
     if isinstance(seg, Flat):
         return np.full_like(q, seg.a)
-    return seg.anchor + (q**seg.root_power - seg.base) / seg.slope
+    return seg.a + (q**seg.root_power - seg.base) / seg.slope
 
 
 def sample_by_masks(g: PosteriorDistribution, u: ArrayLike) -> ArrayLike:

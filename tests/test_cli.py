@@ -15,8 +15,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import disclose_eq
-from disclose_eq import costs, endogenous, verify
-from disclose_eq.cli import main
+from disclose_eq import costs, endogenous, montecarlo, verify
+from disclose_eq.cli import _thread_count, main
+from disclose_eq.errors import DomainError
 
 
 def _write(tmp_path, name, payload):
@@ -509,6 +510,27 @@ def test_malformed_thread_count_is_a_config_error(tmp_path, threads):
     assert proc.returncode == 1
     assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])
+def test_malformed_thread_env_var_is_a_domain_error(eq_uniform_small, monkeypatch, threads):
+    monkeypatch.setenv("DISCLOSE_EQ_THREADS", threads)
+    with pytest.raises(DomainError, match="DISCLOSE_EQ_THREADS"):
+        _thread_count()
+    # the variable is the command line's: the library does not read it
+    cfg = montecarlo.SimConfig(consumers=1000, seed=1, cost_model=montecarlo.SingleCost(0.1), bins=20)
+    montecarlo.simulate_market(eq_uniform_small, cfg)
+
+
+def test_thread_env_var_leaves_totals_unchanged(tmp_path, monkeypatch, capsys):
+    cfg = {**SIM, "consumers": 150_000, "bins": 25}
+    argv = ["simulate", "--config", _write(tmp_path, "sim.json", cfg), "--seed", "77"]
+    monkeypatch.delenv("DISCLOSE_EQ_THREADS", raising=False)
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setenv("DISCLOSE_EQ_THREADS", "3")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == serial
 
 
 def test_malformed_thread_count_fails_before_the_solve(tmp_path, monkeypatch, capsys):

@@ -383,17 +383,6 @@ def test_costs_outside_the_posterior_mean_are_rejected(eq_uniform_small, costs):
         simulate_market(eq_uniform_small, cfg)
 
 
-def test_thread_env_var_leaves_totals_unchanged(eq_uniform_small, monkeypatch):
-    eq = eq_uniform_small
-    base = dict(consumers=150_000, seed=77, cost_model=SingleCost(0.1), bins=25)
-    serial = simulate_market(eq, SimConfig(**base))
-    monkeypatch.setenv("DISCLOSE_EQ_THREADS", "3")
-    threaded = simulate_market(eq, SimConfig(**base))
-    assert json.dumps(serial.to_json_dict(), sort_keys=True) == json.dumps(
-        threaded.to_json_dict(), sort_keys=True
-    )
-
-
 def test_point_mass_deviation_matches_analytic_gain(uniform):
     # two-firm counterfactual where everyone else discloses fully and one
     # firm deviates to the no-information signal: the simulated sale share
@@ -500,16 +489,6 @@ def test_config_validation():
     with pytest.raises(DomainError, match="bins"):
         SimConfig(consumers=10, seed=1, cost_model=SingleCost(0.1), bins=montecarlo.BINS_MAX + 1)
     SimConfig(consumers=montecarlo.CONSUMERS_MAX, seed=1, cost_model=SingleCost(0.1), bins=montecarlo.BINS_MAX)
-
-
-@pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])
-def test_malformed_thread_env_var_is_a_domain_error(eq_uniform_small, monkeypatch, threads):
-    monkeypatch.setenv("DISCLOSE_EQ_THREADS", threads)
-    cfg = SimConfig(consumers=1000, seed=1, cost_model=SingleCost(0.1), bins=20)
-    with pytest.raises(DomainError, match="DISCLOSE_EQ_THREADS"):
-        simulate_market(eq_uniform_small, cfg)
-    # an explicit worker count does not read the variable
-    simulate_market(eq_uniform_small, dataclasses.replace(cfg, workers=1))
 
 
 # sha256 of json.dumps(report.to_json_dict(), sort_keys=True), pinned from
@@ -754,7 +733,7 @@ def test_malformed_posteriors_are_rejected_before_simulating(eq_uniform_small, u
     # the cdf falls from 0.5 to 0.3 on [0.5, 1]; an atom at 1 tops it up to 1
     falling = PosteriorDistribution(
         prior=uniform,
-        segments=(FullDisclosure(0.0, 0.5), AffinePower(0.5, 1.0, 0.5, -0.4, 0.5, 1)),
+        segments=(FullDisclosure(0.0, 0.5), AffinePower(0.5, 1.0, 0.5, -0.4, 1)),
         atom=(1.0, 0.7),
     )
     cfg = SimConfig(consumers=2_000, seed=1, cost_model=SingleCost(0.1))

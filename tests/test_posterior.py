@@ -31,7 +31,7 @@ def g_atom(piecewise):
         segments=(
             FullDisclosure(0.0, 0.3),
             Flat(0.3, 0.6, float(piecewise.cdf(0.3))),
-            AffinePower(0.6, 0.9, base=0.3**2, slope=(1.0 - 0.3**2) / 0.3, anchor=0.6, root_power=2),
+            AffinePower(0.6, 0.9, base=0.3**2, slope=(1.0 - 0.3**2) / 0.3, root_power=2),
             Flat(0.9, 1.0, 1.0),
         ),
         atom=(0.6, 0.3 - float(piecewise.cdf(0.3))),

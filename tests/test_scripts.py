@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -73,3 +74,37 @@ def test_script_runs_from_a_bare_checkout(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out.csv").stat().st_size > 0
+
+
+# The benchmark's tracer binds functions of the package by name
+# (exogenous.solve_v_l_eq, exogenous.r_lower_bar.cache_info,
+# exogenous.z_function, montecarlo._simulate_block, ...): a rename fails
+# install() here, and a traced solve must give the untraced numbers.
+_TRACED_RUN = """
+import json
+from disclose_eq import UniformPrior, endogenous, montecarlo, verify
+
+def run():
+    eq = endogenous.solve_endog(UniformPrior(), 2, 0.65, 0.1)
+    sim = montecarlo.simulate_market(eq, montecarlo.SimConfig(2000, 1, montecarlo.SingleCost(0.1)))
+    out = [eq.to_json_dict(), verify.check_dm_conditions(eq).to_json_dict(), verify.oracle_gap(eq, 201)]
+    return json.dumps(out + [sim.to_json_dict()], sort_keys=True)
+
+untraced = run()
+import tracer
+t = tracer.Tracer()
+tracer.install(t)
+import worker
+print(json.dumps([untraced, run(), sorted(t.summary()["spans"])]))
+"""
+
+
+def test_the_benchmark_tracer_binds_and_keeps_the_outputs(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    untraced, traced, spans = json.loads(proc.stdout)
+    assert traced == untraced
+    assert {"endogenous.solve_endog.uniform", "verify.oracle_gap", "montecarlo.simulate_market.single"} <= set(spans)

@@ -14,13 +14,14 @@ from disclose_eq import (
     PowerPrior,
     UniformPrior,
     full_disclosure_distribution,
+    montecarlo,
     point_mass,
     verify,
 )
 from disclose_eq.costs import ContinuousCosts, DiscreteCosts
 from disclose_eq.endogenous import assemble_market, payoff_u, solve_endog
 from disclose_eq.errors import DiscloseEqError, DomainError, ValidationFailureError
-from disclose_eq.posterior import Flat, FullDisclosure, PosteriorDistribution, insert_points, sorted_unique
+from disclose_eq.posterior import Flat, FullDisclosure, PosteriorDistribution, insert_points
 from disclose_eq.priors import PiecewiseLinearPrior
 from disclose_eq.verify import (
     _support_grid,
@@ -733,43 +734,25 @@ def test_narrow_cells_reach_the_general_builder(monkeypatch):
     assert narrow >= 20
 
 
-def test_sorted_unique_is_np_unique():
-    # the grids of every call site on the seeded markets, and each with
-    # signed zeros added
-    grids = []
-    for eq in _seeded_markets():
-        breaks = [eq.v_l_star, eq.r_star, eq.v_h_star, eq.v_t_star]
-        inner = [x for x in breaks if 0.0 < x < 1.0]
-        oracle = np.concatenate([np.linspace(0.0, 1.0, 201), breaks])
-        assert np.array_equal(oracle_grid(eq, 201), np.unique(oracle))
-        assert np.array_equal(_support_grid(eq), reference._support_grid(eq, 1001))
-        grids += [
-            oracle,
-            np.concatenate([np.linspace(0.0, 1.0, 101), breaks]),
-            np.clip(np.concatenate([np.linspace(0.0, 1.0, 1001), breaks]), 0.0, 1.0),
-            np.concatenate([np.linspace(0.0, 1.0, 21), inner]),  # simulation bin edges
-            np.concatenate([
-                np.linspace(0.0, 1.0, 2001),
-                eq.g.breakpoints(),
-                full_disclosure_distribution(eq.prior).breakpoints(),
-            ]),
-        ]
-    grids += [np.concatenate([g, [-0.0], g[::-1], [0.0, -0.0]]) for g in grids[:10]]
-    for g in grids:
-        got, want = sorted_unique(g), np.unique(g)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
 def test_the_breakpoint_grids_need_no_sort():
-    # the DM grid inserts the clipped breakpoints into its base, and the
-    # support grid's pieces come in order: each is np.unique of its points,
-    # on every seeded and moved market
+    # the DM and oracle grids and the simulator's bin edges insert the
+    # breakpoints into their base, and the support grid's pieces come in
+    # order: each is np.unique of its points, on every seeded and moved market
     for eq in _seeded_and_perturbed():
         breaks = [eq.v_l_star, eq.r_star, eq.v_h_star, eq.v_t_star]
         want = np.unique(np.clip(np.concatenate([np.linspace(0.0, 1.0, 1001), breaks]), 0.0, 1.0))
         assert verify._dm_grid(eq).tobytes() == want.tobytes()
         assert _support_grid(eq).tobytes() == reference._support_grid(eq, 1001).tobytes()
+        for m in (101, 201, 801):
+            want = np.unique(np.concatenate([np.linspace(0.0, 1.0, m), breaks]))
+            assert oracle_grid(eq, m).tobytes() == want.tobytes()
+        inner = np.array([x for x in breaks if 0.0 < x < 1.0])
+        for bins in (10, 50, 200):
+            # the base edges kept: both ends, and every edge not crowding a breakpoint
+            base = np.linspace(0.0, 1.0, bins + 1)
+            kept = (np.abs(base[:, None] - inner) >= 0.25 / bins).all(axis=1) | (base == 0.0) | (base == 1.0)
+            want = np.unique(np.concatenate([base[kept], inner]))
+            assert montecarlo._bin_edges(bins, eq).tobytes() == want.tobytes()
     # repeats, base points, points past either end and both signed zeros
     base = np.linspace(0.0, 1.0, 11)
     points = [0.5, 0.35, 0.35, -0.0, 0.0, 1e-300, -0.25, 1.0, 1.5, base[3]]

@@ -4,11 +4,8 @@ import pytest
 from disclose_eq import full_disclosure_distribution, point_mass
 from disclose_eq.endogenous import solve_endog
 from disclose_eq.errors import DomainError, ValidationFailureError
+from disclose_eq.posterior import EQUALLY_INFORMATIVE, INCOMPARABLE, LESS_INFORMATIVE, MORE_INFORMATIVE
 from disclose_eq.welfare import (
-    EQUALLY_INFORMATIVE,
-    INCOMPARABLE,
-    LESS_INFORMATIVE,
-    MORE_INFORMATIVE,
     censored_value_distribution,
     cs_inexperienced,
     cs_savvy,
