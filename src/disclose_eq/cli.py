@@ -39,6 +39,7 @@ from .candidate import solve_beta
 from .endogenous import (
     Equilibrium,
     assemble_market,
+    check_n,
     limit_equilibrium,
     n_lower_bar,
     payoff_u,
@@ -54,7 +55,6 @@ from .errors import (
     ValidationFailureError,
     config_number,
 )
-from .exogenous import check_n
 from .priors import Prior, prior_from_json
 
 EXIT_OK = 0

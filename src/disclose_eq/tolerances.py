@@ -84,13 +84,14 @@ BRACKET_EDGE = 1e-12
 full-information reserve, and limit_equilibrium's bisection for v_H starts
 this far above 0, where its target vanishes."""
 
-# -- exogenous: the z brackets --------------------------------------------------
+# -- endogenous and exogenous: the z brackets ---------------------------------
 
 Z_EDGE = 1e-10
-"""v.  The z brackets: r_lower_bar bisects on [Z_EDGE, mu - Z_EDGE] and
-conceals_below takes r <= Z_EDGE to conceal; _v_l_lower_limit stops at
-1 - Z_EDGE; _v_l_bracket keeps both its ends this far inside, and its
-z-bracket check reads them."""
+"""v.  The z brackets: endogenous.conceals_below takes r <= Z_EDGE to
+conceal; endogenous._v_l_lower_limit stops at 1 - Z_EDGE;
+endogenous._v_l_bracket keeps both its ends this far inside, and its
+z-bracket check reads them; exogenous.r_lower_bar bisects on
+[Z_EDGE, mu - Z_EDGE]."""
 
 # -- verify: the optimality conditions and the LP oracle ----------------------
 
@@ -161,8 +162,8 @@ SOLVER_XTOLS = {
     "endogenous.r_full_info": 1e-13,
     "endogenous.solve_endog": 1e-12,  # v_L*
     "endogenous.limit_equilibrium": 1e-13,  # v_H of the infinite market
+    "endogenous._v_l_lower_limit": 1e-13,
     "exogenous.r_lower_bar": 1e-12,
-    "exogenous._v_l_lower_limit": 1e-13,
     "exogenous.solve_v_l_eq": 1e-12,
 }
 """Where each bisection stops, keyed by the function that runs it (v, or r

@@ -62,25 +62,8 @@ def cs_inexperienced(eq: Equilibrium) -> float:
     return eq.r_star - float(g_tilde.pow_cum_integral(eq.r_star, eq.n))
 
 
-def search_stats(eq: Equilibrium) -> dict[str, float]:
-    """Search behavior implied by the equilibrium disclosure."""
-    fl = eq.branches.fl
-    if fl < 1.0:
-        expected_visits = (1.0 - fl**eq.n) / (1.0 - fl)
-    else:  # pragma: no cover - requires v_L at the support top
-        expected_visits = float(eq.n)
-    return {
-        "p_stop_first": 1.0 - fl,
-        "p_multi_visit": fl,
-        "expected_visits": expected_visits,
-        "eta": eq.eta,
-        "alpha_tilde": eq.alpha_tilde,
-    }
-
-
 def equilibrium_row(eq: Equilibrium, prev: Equilibrium | None) -> dict[str, Any]:
     """One comparative-statics record, with the verdict against the previous point."""
-    stats = search_stats(eq)
     verdict = ""
     if prev is not None:
         verdict = informativeness_compare(eq.g, prev.g).verdict
@@ -92,7 +75,7 @@ def equilibrium_row(eq: Equilibrium, prev: Equilibrium | None) -> dict[str, Any]
         "beta_star": eq.beta_star,
         "cs_savvy": cs_savvy(eq.g, eq.n),
         "cs_inexperienced": cs_inexperienced(eq),
-        "p_multi_visit": stats["p_multi_visit"],
+        "p_multi_visit": eq.branches.fl,  # F(v_L), the chance a costly searcher visits a second firm
         "verdict_vs_prev": verdict,
     }
 

@@ -14,7 +14,7 @@ now reads the same contact point from candidate.solve_beta.
 
 The equilibrium at a fixed (exogenous) reservation value r (solve_exog,
 returning an ExogEquilibrium with its regime, REGIME_BOTTOM or
-REGIME_NO_BOTTOM, or exogenous.REGIME_FULL at alpha = 0): the threshold
+REGIME_NO_BOTTOM, or endogenous.REGIME_FULL at alpha = 0): the threshold
 exogenous.solve_v_l_eq bisects at r, its candidate and posterior, and the
 multiplier's convexity at v_L or the sign of z(0, r), against the two
 tolerances only it reads (KINK_REL_SLACK, Z_SIGN_TOL).  The uniform closed
@@ -100,13 +100,19 @@ from disclose_eq.candidate import (
     validate_candidate,
 )
 from disclose_eq.endogenous import (
+    REGIME_FULL,
     Equilibrium,
+    _check_market,
     _checked_mean,
     _conceals_bottom,
+    _visit_probability_at,
+    _z_of_beta,
     payoff_u,
+    posterior_share,
     r_full_info,
     search_residual_posterior,
     search_residual_prior,
+    visit_probability,
 )
 from disclose_eq.errors import (
     BracketError,
@@ -115,15 +121,7 @@ from disclose_eq.errors import (
     InfeasibleCandidateError,
     ValidationFailureError,
 )
-from disclose_eq.exogenous import (
-    REGIME_FULL,
-    _check_market,
-    _visit_probability_at,
-    _z_of_beta,
-    posterior_share,
-    solve_v_l_eq,
-    visit_probability,
-)
+from disclose_eq.exogenous import solve_v_l_eq
 from disclose_eq.montecarlo import _Buffers, _first_max
 from disclose_eq.posterior import (
     _MPC_BASE,

@@ -708,8 +708,8 @@ _LAYERS = (
     ("posterior",),
     ("candidate",),
     ("__init__",),
-    ("exogenous",),
     ("endogenous",),
+    ("exogenous",),
     ("welfare", "verify", "montecarlo"),
     ("cli",),
     ("__main__",),

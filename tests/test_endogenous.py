@@ -29,6 +29,8 @@ from disclose_eq.endogenous import (
     search_residual_posterior,
     search_residual_prior,
     solve_endog,
+    visit_probability,
+    z_function,
 )
 from disclose_eq.errors import (
     DiscloseEqError,
@@ -36,7 +38,7 @@ from disclose_eq.errors import (
     UnsupportedBoundaryError,
     ValidationFailureError,
 )
-from disclose_eq.exogenous import r_lower_bar, solve_v_l_eq, z_function
+from disclose_eq.exogenous import r_lower_bar, solve_v_l_eq
 from disclose_eq.verify import check_dm_conditions, oracle_gap
 from disclose_eq.welfare import informativeness_compare
 from reference import validate_by_rewind
@@ -52,6 +54,19 @@ def endog_uniform_closed_form(alpha: float, s: float) -> tuple[float, float]:
     """
     q = math.sqrt(2.0 * s / (1.0 - alpha))
     return 1.0 - (2.0 - alpha) / 2.0 * q, 1.0 - q
+
+
+def test_z_examples(uniform):
+    # at the collapse point the candidate term dominates: strictly positive
+    r = 0.4
+    z = z_function(uniform, 2, 0.5, r - 1e-9, r)
+    eta_r = visit_probability(uniform, 2, r)
+    assert z == pytest.approx(0.5 * (eta_r - r), abs=1e-6)
+    assert z > 0.0
+    # the closed case: alpha = 0.5, r = alpha/2 makes the gap vanish at zero
+    assert z_function(uniform, 2, 0.5, 0.0, 0.25) == pytest.approx(0.0, abs=1e-12)
+    # as alpha vanishes the slope term takes over, so the gap is negative
+    assert z_function(uniform, 2, 1e-9, 0.2, 0.4) < 0.0
 
 
 def test_r_full_info(uniform):
@@ -154,7 +169,7 @@ def test_validate_equilibrium_does_not_re_solve(
     def no_full_info(*args):
         raise AssertionError("validation bisected the full-information reserve")
 
-    monkeypatch.setattr(exogenous, "solve_beta", counted_solve_beta)
+    monkeypatch.setattr(endogenous, "solve_beta", counted_solve_beta)
     monkeypatch.setattr(endogenous, "r_full_info", no_full_info)
     endogenous.validate_equilibrium(eq, conceals)
     assert len(calls) <= budget
@@ -330,11 +345,11 @@ def test_z_crosses_zero_once_on_the_bracket():
         except DiscloseEqError:
             continue
         r = eq.r_star
-        z0 = exogenous._z_or_infeasible(prior, n, alpha, 0.0, r)
-        lo, hi, _, _ = exogenous._v_l_bracket(prior, n, alpha, r, z0)
+        z0 = endogenous._z_or_infeasible(prior, n, alpha, 0.0, r)
+        lo, hi, _, _ = endogenous._v_l_bracket(prior, n, alpha, r, z0)
         seen_positive = False
         for v_l in np.linspace(lo, hi, 199):
-            z = exogenous._z_or_infeasible(prior, n, alpha, float(v_l), r)
+            z = endogenous._z_or_infeasible(prior, n, alpha, float(v_l), r)
             assert not (seen_positive and z < 0.0), (prior, n, alpha, s, v_l, z)
             seen_positive = seen_positive or z > 0.0
         checked.append(type(prior))
@@ -377,7 +392,7 @@ def _record_calls(monkeypatch, module, name, calls):
 def test_a_concealing_solve_solves_one_candidate(monkeypatch, market):
     # the candidate at (0, mu - s) decides the regime and is the market's own
     calls = []
-    for module in (candidate, exogenous):
+    for module in (candidate, endogenous):
         _record_calls(monkeypatch, module, "solve_beta", calls)
     eq = solve_endog(*market)
     assert not eq.bottom_disclosure
@@ -393,13 +408,16 @@ def test_a_disclosing_solve_evaluates_the_gap_at_0_at_most_once(monkeypatch, mar
     prior, n, alpha, s = market
     r0 = r_search(prior, 0.0, s)
     assert r0 == prior.mean() - s  # so the bisection reuses z(0, mu - s)
-    candidates, gaps = [], []
-    for module in (candidate, exogenous):
+    candidates, zs = [], []
+    for module in (candidate, endogenous):
         _record_calls(monkeypatch, module, "solve_beta", candidates)
-    _record_calls(monkeypatch, endogenous, "z_function", gaps)  # gap's own name
+    _record_calls(monkeypatch, endogenous, "z_function", zs)  # gap's own name
     eq = solve_endog(*market)
     assert eq.bottom_disclosure
     assert candidates.count((0.0, r0)) == 1
+    # the regime rule and the validation reach z by the same name; gap's
+    # calls are those on the search locus
+    gaps = [(v_l, r) for v_l, r in zs if r == r_search(prior, v_l, s)]
     assert gaps and all(v_l > 0.0 for v_l, _ in gaps)
 
 

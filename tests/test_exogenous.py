@@ -1,34 +1,15 @@
 import numpy as np
 import pytest
 
-from disclose_eq import PowerPrior, candidate, exogenous
+from disclose_eq import PowerPrior, candidate, endogenous
+from disclose_eq.endogenous import REGIME_FULL, conceals_below, z_function
 from disclose_eq.errors import DomainError, UnsupportedBoundaryError
-from disclose_eq.exogenous import (
-    REGIME_FULL,
-    conceals_below,
-    r_lower_bar,
-    solve_v_l_eq,
-    visit_probability,
-    z_function,
-)
+from disclose_eq.exogenous import r_lower_bar, solve_v_l_eq
 from reference import REGIME_BOTTOM, REGIME_NO_BOTTOM, solve_exog
 
 
 def uniform_v_l_eq(alpha: float, r: float) -> float:
     return max((2.0 * r - alpha) / (2.0 - alpha), 0.0)
-
-
-def test_z_examples(uniform):
-    # at the collapse point the candidate term dominates: strictly positive
-    r = 0.4
-    z = z_function(uniform, 2, 0.5, r - 1e-9, r)
-    eta_r = visit_probability(uniform, 2, r)
-    assert z == pytest.approx(0.5 * (eta_r - r), abs=1e-6)
-    assert z > 0.0
-    # the closed case: alpha = 0.5, r = alpha/2 makes the gap vanish at zero
-    assert z_function(uniform, 2, 0.5, 0.0, 0.25) == pytest.approx(0.0, abs=1e-12)
-    # as alpha vanishes the slope term takes over, so the gap is negative
-    assert z_function(uniform, 2, 1e-9, 0.2, 0.4) < 0.0
 
 
 def test_r_lower_bar_uniform(uniform):
@@ -105,7 +86,7 @@ def test_concealing_solve_exog_builds_one_candidate_at_zero(monkeypatch, uniform
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(exogenous, "solve_beta", counted_solve_beta)
+    monkeypatch.setattr(endogenous, "solve_beta", counted_solve_beta)
     monkeypatch.setattr(candidate, "solve_beta", counted_solve_beta)
     eq = solve_exog(uniform, 2, 0.65, 0.3)
     assert eq.regime == REGIME_NO_BOTTOM
@@ -121,7 +102,7 @@ def test_multiplier_at_zero_reads_the_same_z(uniform):
             alpha, r = float(alpha), float(r)
             eq = solve_exog(uniform, 2, alpha, r)
             if eq.v_l_eq == 0.0:
-                z0 = exogenous._z_of_beta(uniform, 2, alpha, 0.0, r, eq.candidate.beta)
+                z0 = endogenous._z_of_beta(uniform, 2, alpha, 0.0, r, eq.candidate.beta)
                 assert z0 == z_function(uniform, 2, alpha, 0.0, r)
                 assert eq.candidate == candidate.build_candidate(uniform, 2, 0.0, r)
                 concealing += 1

@@ -389,7 +389,7 @@ def test_point_mass_deviation_matches_analytic_gain(uniform):
     # must line up with the analytic payoff route
     from disclose_eq import point_mass
     from disclose_eq.endogenous import Equilibrium, r_full_info
-    from disclose_eq.exogenous import posterior_share, visit_probability
+    from disclose_eq.endogenous import posterior_share, visit_probability
 
     alpha, s = 0.65, 0.2
     r = r_full_info(uniform, s)

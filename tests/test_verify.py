@@ -876,7 +876,7 @@ def test_pool_deviation_beats_full_disclosure(uniform):
     # against full-disclosure opponents, pooling around the reservation
     # value is profitable: the jump makes the auxiliary chord concave
     from disclose_eq.endogenous import Equilibrium, r_full_info
-    from disclose_eq.exogenous import posterior_share, visit_probability
+    from disclose_eq.endogenous import posterior_share, visit_probability
 
     alpha, s = 0.65, 0.1
     r = r_full_info(uniform, s)

@@ -9,9 +9,9 @@ from disclose_eq.welfare import (
     censored_value_distribution,
     cs_inexperienced,
     cs_savvy,
+    equilibrium_row,
     informativeness_compare,
     scan_csv_text,
-    search_stats,
     threshold_scan,
 )
 
@@ -87,16 +87,10 @@ def test_informativeness_incomparable_pair(uniform):
 
 
 def test_search_stats(eq_uniform_small, eq_uniform_large):
-    stats = search_stats(eq_uniform_large)
-    assert stats["p_multi_visit"] == 0.0
-    assert stats["expected_visits"] == 1.0
-    assert stats["eta"] == pytest.approx(1.0 / 19.0, abs=1e-12)
+    assert equilibrium_row(eq_uniform_large, None)["p_multi_visit"] == 0.0
+    assert eq_uniform_large.eta == pytest.approx(1.0 / 19.0, abs=1e-12)
 
-    stats = search_stats(eq_uniform_small)
-    assert stats["p_multi_visit"] > 0.0
-    assert stats["expected_visits"] == pytest.approx(
-        stats["eta"] * eq_uniform_small.n, abs=1e-12
-    )
+    assert equilibrium_row(eq_uniform_small, None)["p_multi_visit"] > 0.0
 
 
 def test_mps_improves_savvy_surplus(uniform):
