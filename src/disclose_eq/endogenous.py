@@ -516,14 +516,21 @@ def solve_endog(prior: Prior, n: int, alpha: float, s: float) -> Equilibrium:
 
 
 def n_lower_bar(prior: Prior, alpha: float, s: float) -> int:
-    """Smallest market size at which nothing below the reserve is disclosed."""
+    """Smallest market size inside the domain (F**(n-1) convex) at which
+    nothing below the reserve is disclosed.  Both halves of that test are
+    monotone in n, so doubling then bisecting finds it."""
     mu = _checked_mean(prior, s)
     _check_alpha(alpha)
     if alpha == 0.0:
         raise DomainError("alpha must lie in (0, 1)")
+    if not prior.check_convexity(_N_CAP):
+        raise DomainError(
+            f"prior fails the convexity requirement on F**(n-1) at every n up to {_N_CAP}: "
+            f"prior {prior.to_json_dict()}"
+        )
 
     def large_enough(n: int) -> bool:
-        return _conceals_bottom(prior, n, alpha, mu, s)
+        return prior.check_convexity(n) and _conceals_bottom(prior, n, alpha, mu, s)
 
     if large_enough(2):
         return 2

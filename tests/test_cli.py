@@ -288,6 +288,17 @@ def test_limit_command(tmp_path):
     assert payload["limit"]["atom_mass"] == pytest.approx(0.8, abs=1e-9)
 
 
+def test_limit_starts_inside_the_domain(tmp_path):
+    # power(0.524...) is convex only from n = 3; n = 2 would conceal but lies outside the model
+    config = {"prior": {"family": "power", "a": 0.5242896958412805}, "alpha": 0.544892716095088, "s": 0.24267768031576822}
+    out = tmp_path / "lim.out"
+    assert main(["limit", "--config", _write(tmp_path, "lim.json", config), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["n_lower_bar"] == 3
+    assert payload["v_H_sequence"][0][0] == 3
+    assert main(["solve", "--config", _write(tmp_path, "cfg.json", {**config, "n": 2})]) == 1
+
+
 def test_hetero_command(tmp_path):
     cfg = _write(
         tmp_path,

@@ -433,6 +433,22 @@ def test_n_lower_bar_uniform(uniform):
     assert r_lower_bar(uniform, nbar - 1, 0.5) < 0.4
 
 
+# a power prior whose domain starts at n = 3 (a(n-1) >= 1), in a market that
+# would conceal at n = 2 if the model held there
+_POWER_FROM_3 = (PowerPrior(0.5242896958412805), 0.544892716095088, 0.24267768031576822)
+
+
+def test_n_lower_bar_lies_inside_the_domain():
+    prior, alpha, s = _POWER_FROM_3
+    assert n_lower_bar(prior, alpha, s) == 3
+    assert not solve_endog(prior, 3, alpha, s).bottom_disclosure
+    with pytest.raises(DomainError, match="convexity"):
+        solve_endog(prior, 2, alpha, s)
+    # a density that steps down fails the convexity at every n
+    with pytest.raises(DomainError, match="at every n"):
+        n_lower_bar(PiecewiseLinearPrior(((0.0, 0.0), (0.5, 0.75), (1.0, 1.0))), 0.5, 0.1)
+
+
 def test_concealing_contact_point_uniform(uniform):
     # v_L = 0 and r = mu - s = 0.4: closed form v_H = 2 r (n-1) / (n-2) on the flat prior
     for n in range(7, 51):

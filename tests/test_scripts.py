@@ -13,9 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize(
     "script, args",
     [
-        ("market_structure_scan.py", ["--out", "market_structure.csv"]),
-        ("search_cost_scan.py", ["--points", "8", "--out", "search_cost.csv"]),
-        ("simulate_vs_theory.py", ["--consumers", "20000"]),
+        ("paper_claims.py", ["--markets", "6"]),
         ("domain_probe.py", ["--seed", "1", "--markets", "30", "--out", "domain_probe.csv"]),
     ],
 )
@@ -33,12 +31,10 @@ def test_script_runs(tmp_path, script, args):
     for arg in args:
         if arg.endswith(".csv"):
             assert (tmp_path / arg).stat().st_size > 0
-    if script == "market_structure_scan.py":
-        with open(tmp_path / "market_structure.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        printed = [line for line in proc.stdout.splitlines() if line.startswith("n=")]
-        assert len(rows) == len(printed) > 0
-        assert all(row["error"] == "" for row in rows)
+    if script == "paper_claims.py":
+        rows = [line for line in proc.stdout.splitlines() if line.startswith("(")]
+        assert [row[:3] for row in rows[:4]] == ["(a)", "(b)", "(c)", "(d)"] and len(rows) == 10
+        assert "typed errors: " in proc.stdout and proc.stdout.endswith("untyped exceptions: 0\n")
     if script == "domain_probe.py":
         with open(tmp_path / "domain_probe.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -47,25 +43,11 @@ def test_script_runs(tmp_path, script, args):
         assert "total 30: " in proc.stdout
 
 
-def test_search_cost_scan_reports_a_one_point_grid(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "search_cost_scan.py"), "--points", "1"],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("search_cost_scan: DomainError:") and "Traceback" not in proc.stderr
-
-
 def test_script_runs_from_a_bare_checkout(tmp_path):
     # no install and no PYTHONPATH: the script finds the checkout's src/ itself
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "search_cost_scan.py"), "--points", "4", "--out", "out.csv"],
+        [sys.executable, str(ROOT / "scripts" / "paper_claims.py"), "--markets", "3"],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -73,7 +55,7 @@ def test_script_runs_from_a_bare_checkout(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "out.csv").stat().st_size > 0
+    assert "untyped exceptions: 0" in proc.stdout
 
 
 # The benchmark's tracer binds functions of the package by name
