@@ -70,7 +70,7 @@ def check_market(prior, alpha: float, s: float):
     except DiscloseEqError as exc:
         errors.append((exc, config))
     else:
-        cases["(e) s_lower <= s_bar"].append((report.s_lower_est <= report.s_bar, config))
+        cases["(e) s_lower <= s_bar"].append((report.s_lower_grid <= report.s_bar, config))
         if report.s_tilde_est is not None:
             cases["(e) s_tilde <= s_lower"].append((report.s_tilde_est <= report.s_lower_est, config))
         for name, held in report.flags.items():

@@ -23,10 +23,11 @@ quantiles are computed in place, so `sample_into` can write a block into
 arrays that the simulator reuses from block to block.
 
 The integral-precision order lives here too: informativeness_compare is
-the one mean-preserving-contraction check, used by candidate validation
-(against full disclosure), the deviation gate and the welfare statics.
-It reads both integrals on one grid: the uniform base grid with the
-breakpoints of both distributions inserted.  Each distribution walks its
+the mean-preserving-contraction check of a general posterior, used by the
+deviation gate and the welfare statics (candidate validation reads a
+candidate's integrated gap at its segment ends instead, which its
+structure makes enough).  It reads both integrals on one grid: the
+uniform base grid with the breakpoints of both distributions inserted.  Each distribution walks its
 segments once over that sorted grid, with _cum's formulas, and when the
 two share a prior, the prior's integral on the grid is computed once for
 every full-disclosure segment of both.

@@ -49,10 +49,11 @@ ATOM_MATCH_TOL = 1e-15
 start or to the last segment's end is the cdf's jump there."""
 
 MPC_TOL = 1e-9
-"""Integrated cdf, absolute.  informativeness_compare: the mean gap and the
-smallest integrated-cdf gap, so validate_candidate's mean-preservation and
-integrated-gap, check_deviation_mpc's deviation-not-mpc and every verdict
-of the welfare statics."""
+"""Integrated cdf, absolute.  The mean gap and the smallest integrated-cdf
+gap: validate_candidate's mean-preservation and integrated-gap, read at
+the candidate's segment ends (candidate._integrated_gaps); and
+informativeness_compare, so check_deviation_mpc's deviation-not-mpc and
+every verdict of the welfare statics."""
 
 # -- endogenous: the post-solve invariants and the regime ---------------------
 

@@ -29,7 +29,8 @@ from .tolerances import SCAN_TOL
 @dataclass(frozen=True)
 class ThresholdReport:
     s_bar: float
-    s_lower_est: float
+    s_lower_est: float  # s_lower_grid capped at s_bar
+    s_lower_grid: float
     s_tilde_est: float | None
     grid_resolution: float
     flags: dict[str, bool]
@@ -132,8 +133,9 @@ def threshold_scan(
         rows.append(row)
         solved.append((row["s"], eq))
 
-    # largest prefix of the grid on which there is no disclosure at the top,
-    # capped at s_bar (the two thresholds are ordered)
+    # largest prefix of the grid on which there is no disclosure at the top;
+    # the s_tilde search caps it at s_bar (the two thresholds are ordered),
+    # and the report keeps it uncapped too, where a break of that order shows
     s_lower = s_grid[0]
     for s, eq in solved:
         if eq.v_t_star < 1.0 - SCAN_TOL:
@@ -187,6 +189,7 @@ def threshold_scan(
     return ThresholdReport(
         s_bar=s_bar,
         s_lower_est=s_lower_est,
+        s_lower_grid=s_lower,
         s_tilde_est=s_tilde_est,
         grid_resolution=resolution,
         flags=flags,

@@ -15,7 +15,7 @@ from disclose_eq import (
     point_mass,
     solve_beta,
 )
-from disclose_eq.candidate import _XTOL, validate_candidate
+from disclose_eq.candidate import _XTOL, _integrated_gaps, validate_candidate
 from disclose_eq.errors import InfeasibleCandidateError, ValidationFailureError
 from disclose_eq.posterior import (
     EQUALLY_INFORMATIVE,
@@ -24,6 +24,7 @@ from disclose_eq.posterior import (
     PosteriorDistribution,
     informativeness_compare,
 )
+from disclose_eq.tolerances import MPC_TOL
 from reference import (
     NoUpperRootError,
     _contact_of_beta,
@@ -33,7 +34,7 @@ from reference import (
     solve_beta_via_h_star,
 )
 from reference_mp import contact_point_mp
-from test_verify import _seeded_markets
+from test_verify import _seeded_and_perturbed, _seeded_markets
 
 
 def _against_full(g, prior):
@@ -280,14 +281,58 @@ def test_solved_candidates_validate(v_l, gap, n):
     assert _is_mpc(g, prior)
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_a_slope_off_by_a_millionth_misses_the_contact(power2, n):
-    # the pooled branch of a steeper slope ends above F(v_H): the contact
-    # check reads it there, before the posterior's own continuity check
-    cand = build_candidate(power2, n, 0.2, 0.5)
+@pytest.mark.parametrize(
+    "prior_name, n, v_l, r",
+    [("power2", 3, 0.2, 0.5), ("power2", 4, 0.2, 0.5), ("uniform", 5, 0.2, 0.4)],
+    ids=["3", "4", "uniform-5"],
+)
+def test_a_slope_off_by_a_millionth_misses_the_contact(request, prior_name, n, v_l, r):
+    # the pooled branch of a steeper or flatter slope ends off F(v_H): the
+    # contact check reads it there, before the posterior's own continuity
+    # check and the integrated gaps, whose lemma needs the contact
+    cand = build_candidate(request.getfixturevalue(prior_name), n, v_l, r)
     assert cand.v_h < 1.0
     validate_candidate(cand, build_g(cand))
-    bad = dataclasses.replace(cand, beta=cand.beta * (1.0 + 1e-6))
-    with pytest.raises(ValidationFailureError) as exc:
-        validate_candidate(bad, build_g(bad))
-    assert exc.value.invariant == "contact-point"
+    for factor in (1.0 + 1e-6, 1.0 - 1e-6):
+        bad = dataclasses.replace(cand, beta=cand.beta * factor)
+        with pytest.raises(ValidationFailureError) as exc:
+            validate_candidate(bad, build_g(bad))
+        assert exc.value.invariant == "contact-point"
+
+
+def _capped_mutations(eq):
+    """eq's candidate with beta moved by a millionth either way and v_T
+    recomputed where the moved line reaches 1: the branch stays capped and
+    continuous, but no longer preserves the mean."""
+    cand = eq.candidate
+    return [
+        dataclasses.replace(cand, beta=beta, v_t=cand.r + (1.0 - cand.pooled.base) / beta)
+        for beta in (cand.beta * (1.0 + 1e-6), cand.beta * (1.0 - 1e-6))
+    ]
+
+
+def test_a_capped_slope_off_by_a_millionth_breaks_the_mean(eq_uniform_small):
+    assert eq_uniform_small.v_h_star == 1.0 and eq_uniform_small.v_t_star < 1.0
+    for bad in _capped_mutations(eq_uniform_small):
+        with pytest.raises(ValidationFailureError) as exc:
+            validate_candidate(bad, build_g(bad))
+        assert exc.value.invariant == "mean-preservation"
+        assert str(exc.value).startswith("mean-preservation: mean gap ")
+
+
+def test_segment_end_gaps_equal_the_dense_comparator(eq_uniform_small):
+    # D(1) and min D read at the segment ends against informativeness_compare
+    # on its 2,001-point grid: the same numbers and the same verdict, on the
+    # seeded solves, their moved non-equilibria and the capped mutations
+    gs = [eq.g for eq in _seeded_and_perturbed()]
+    gs += [build_g(bad) for bad in _capped_mutations(eq_uniform_small)]
+    verdicts = set()
+    for g in gs:
+        dense = _against_full(g, g.prior)
+        mean_gap, min_gap = _integrated_gaps(g)
+        assert abs(mean_gap - dense.mean_gap) <= 1e-15
+        assert abs(min_gap - dense.min_gap_forward) <= 1e-15
+        passed = abs(mean_gap) <= MPC_TOL and min_gap >= -MPC_TOL
+        assert passed == (dense.verdict in (LESS_INFORMATIVE, EQUALLY_INFORMATIVE))
+        verdicts.add(passed)
+    assert len(gs) >= 70 and verdicts == {True, False}

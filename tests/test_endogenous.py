@@ -421,6 +421,24 @@ def test_a_disclosing_solve_evaluates_the_gap_at_0_at_most_once(monkeypatch, mar
     assert gaps and all(v_l > 0.0 for v_l, _ in gaps)
 
 
+@pytest.mark.parametrize("market", [
+    (UniformPrior(), 2, 0.65, 0.1),  # capped pooled branch, v_T < 1
+    (UniformPrior(), 19, 0.5, 0.1),
+    (PowerPrior(2.0), 3, 0.4, 0.15),  # contact at v_H < 1
+    (PiecewiseLinearPrior(knots=((0.0, 0.0), (0.5, 0.25), (1.0, 1.0))), 3, 0.5, 0.1),
+])
+def test_a_solve_never_reaches_the_dense_comparator(monkeypatch, market):
+    # a candidate's mean-preserving contraction is read at its segment ends;
+    # informativeness_compare's 2,001-point grid is for general posteriors
+    def reached(*args):
+        raise AssertionError("solve_endog reached informativeness_compare")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("disclose_eq") and hasattr(module, "informativeness_compare"):
+            monkeypatch.setattr(module, "informativeness_compare", reached)
+    solve_endog(*market)
+
+
 def test_n_lower_bar_uniform(uniform):
     # s >= (1 - alpha)/2 collapses the threshold to the smallest market
     assert n_lower_bar(uniform, 0.9, 0.1) == 2
@@ -618,6 +636,17 @@ def test_underflowing_pooled_slope_is_a_typed_error(prior, n, alpha, s):
     with pytest.raises(ValidationFailureError) as exc:
         solve_endog(prior, n, alpha, s)
     assert exc.value.invariant == "pooled-slope"
+
+
+@pytest.mark.parametrize("n", [405, 450, 504])
+def test_underflowing_disclosing_level_is_a_typed_error(uniform, n):
+    # a disclosing market just below n_lower_bar = 505: F(v_L)**(n-1) is
+    # subnormal or 0, so the pooled branch starts below the flat level
+    # F(v_L) (at n = 450 it falls from 0.0882 to 0.0 at r).  The scaled
+    # pooled branch is to certify these markets, and then this test flips.
+    with pytest.raises(ValidationFailureError) as exc:
+        solve_endog(uniform, n, 0.05, 0.01)
+    assert exc.value.invariant == "cdf-continuity"
 
 
 _STEPPING_DOWN = [

@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ("paper_claims.py", ["--markets", "6"]),
         ("domain_probe.py", ["--seed", "1", "--markets", "30", "--out", "domain_probe.csv"]),
+        ("domain_probe.py", ["--edges", "--markets", "30", "--out", "domain_probe.csv"]),
     ],
 )
 def test_script_runs(tmp_path, script, args):
@@ -41,6 +42,10 @@ def test_script_runs(tmp_path, script, args):
         assert len(rows) == 30
         assert {row["family"] for row in rows} == {"uniform", "power", "piecewise"}
         assert "total 30: " in proc.stdout
+        if "--edges" in args:  # the tally by edge, and each market's edge in the CSV
+            assert {row["edge"] for row in rows} == {"alpha->0", "alpha->1", "s->0", "s->mu"}
+            assert [line.split()[0] for line in proc.stdout.splitlines() if line.startswith(("alpha->", "s->"))] == [
+                "alpha->0", "alpha->1", "s->0", "s->mu"]
 
 
 def test_script_runs_from_a_bare_checkout(tmp_path):

@@ -116,6 +116,7 @@ def test_threshold_scan_uniform(uniform):
     report = threshold_scan(uniform, 2, alpha, grid)
     assert report.s_bar == pytest.approx(0.5 - alpha / 2, abs=1e-10)
     assert 0.0 < report.s_lower_est <= report.s_bar
+    assert report.s_lower_est == min(report.s_lower_grid, report.s_bar)
     assert report.flags["above_bar_more_informative"]
     assert report.flags["above_bar_cs_savvy_increasing"]
     assert report.flags["above_bar_cs_inexperienced_decreasing"]
