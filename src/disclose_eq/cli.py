@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="disclose-eq",
         description="Disclosure equilibria in consumer-search markets",
     )
-    parser.add_argument("command", choices=["solve", "sweep", "verify", "simulate", "limit", "hetero"])
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--seed", type=int, default=None)

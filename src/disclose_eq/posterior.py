@@ -26,11 +26,9 @@ The integral-precision order lives here too: informativeness_compare is
 the mean-preserving-contraction check of a general posterior, used by the
 deviation gate and the welfare statics (candidate validation reads a
 candidate's integrated gap at its segment ends instead, which its
-structure makes enough).  It reads both integrals on one grid: the
-uniform base grid with the breakpoints of both distributions inserted.  Each distribution walks its
-segments once over that sorted grid, with _cum's formulas, and when the
-two share a prior, the prior's integral on the grid is computed once for
-every full-disclosure segment of both.
+structure makes enough).  It integrates both posteriors with cum_integral
+on one grid: the uniform base grid with the breakpoints of both
+distributions inserted.
 """
 from __future__ import annotations
 
@@ -228,13 +226,9 @@ class PosteriorDistribution:
         # makes the cdf right-continuous across an atom between segments.
         return self._by_segment(v, "left", lambda i, seg, x: seg.cdf(self.prior, x), lambda x: 1.0)
 
-    def cum_integral(self, z: ArrayLike) -> ArrayLike:
-        """Integral of the cdf from 0 to z."""
-        return self._cum(z, k=1)
-
-    def pow_cum_integral(self, z: ArrayLike, k: int) -> ArrayLike:
+    def cum_integral(self, z: ArrayLike, k: int = 1) -> ArrayLike:
         """Integral of cdf**k from 0 to z."""
-        return self._cum(z, k=k)
+        return self._cum(z, k)
 
     def _cum(self, z: ArrayLike, k: int) -> ArrayLike:
         prefix = self._prefix(k)
@@ -244,29 +238,6 @@ class PosteriorDistribution:
             lambda i, seg, x: prefix[i] + seg.integral(self.prior, seg.a, x.clip(seg.a, seg.b), k),
             lambda x: prefix[-1] + (x - self._ends[-1]),  # cdf == 1 past the top
         )
-
-    def _cum_sorted(self, grid: np.ndarray, prior_cum: np.ndarray | None) -> np.ndarray:
-        """cum_integral(grid) for an ascending grid, bit for bit, in one pass
-        of the segments.  prior_cum, when given, is self.prior.cum_cdf(grid):
-        a FullDisclosure segment then reads its slice instead of evaluating
-        the prior again."""
-        prior, prefix = self.prior, self._prefix(1)
-        out = np.empty_like(grid)
-        lo = 0
-        cuts = grid.searchsorted(self._ends, side="right").tolist()
-        for i, (seg, hi) in enumerate(zip(self.segments, cuts)):
-            if hi > lo:
-                x = grid[lo:hi]
-                # x lies in (previous end, seg.b], so _cum's clip changes
-                # nothing unless the segments overlap
-                inside = x[0] >= seg.a
-                if inside and prior_cum is not None and type(seg) is FullDisclosure:
-                    out[lo:hi] = prefix[i] + (prior_cum[lo:hi] - prior.cum_cdf(seg.a))
-                else:
-                    out[lo:hi] = prefix[i] + seg.integral(prior, seg.a, x if inside else x.clip(seg.a, seg.b), 1)
-                lo = hi
-        out[lo:] = prefix[-1] + (grid[lo:] - self._ends[-1])
-        return out
 
     def _by_segment(self, v: ArrayLike, side: str, on_segment, past_end) -> ArrayLike:
         """on_segment(i, segment, points) on each segment's slice of the sorted
@@ -411,14 +382,14 @@ def insert_points(base: np.ndarray, base_list: list[float], points) -> np.ndarra
 def informativeness_compare(
     g0: PosteriorDistribution, g1: PosteriorDistribution
 ) -> InformativenessVerdict:
-    """Rank g0 against g1 by integral precision.
+    """Rank g0 against g1 by integral precision: both are integrated with
+    cum_integral on the base grid with their breakpoints inserted.
 
     LessInformative means g0 is a mean-preserving contraction of g1.
     Incomparability is an ordinary outcome, not an error.
     """
     grid = insert_points(_MPC_BASE, _MPC_BASE_LIST, [*g0.breakpoints(), *g1.breakpoints()])
-    prior_cum = g0.prior.cum_cdf(grid) if g0.prior == g1.prior else None
-    delta = g1._cum_sorted(grid, prior_cum) - g0._cum_sorted(grid, prior_cum)
+    delta = g1.cum_integral(grid) - g0.cum_integral(grid)
     mean_gap = float(delta[-1])
     min_fwd = float(np.min(delta))
     min_bwd = float(np.min(-delta))

@@ -42,7 +42,7 @@ def cs_savvy(g: PosteriorDistribution, n: int) -> float:
     if n < 1:
         raise DomainError("need n >= 1")
     top = g.top
-    return top - float(g.pow_cum_integral(top, n))
+    return top - float(g.cum_integral(top, n))
 
 
 def censored_value_distribution(eq: Equilibrium) -> PosteriorDistribution:
@@ -60,7 +60,7 @@ def censored_value_distribution(eq: Equilibrium) -> PosteriorDistribution:
 def cs_inexperienced(eq: Equilibrium) -> float:
     """Costly searcher's expected surplus: E[max of n censored draws]."""
     g_tilde = censored_value_distribution(eq)
-    return eq.r_star - float(g_tilde.pow_cum_integral(eq.r_star, eq.n))
+    return eq.r_star - float(g_tilde.cum_integral(eq.r_star, eq.n))
 
 
 def equilibrium_row(eq: Equilibrium, prev: Equilibrium | None) -> dict[str, Any]:
@@ -125,21 +125,20 @@ def threshold_scan(
         raise DomainError(f"s_grid must lie inside (0, {mu})")
 
     s_bar = mu - r_lower_bar(prior, n, alpha)
-    solved: list[tuple[float, Equilibrium]] = []
-    rows: list[dict[str, Any]] = []
+    solved: list[tuple[dict[str, Any], Equilibrium]] = []
     for row, eq in sweep(prior, "s", s_grid, {"n": n, "alpha": alpha}):
         if eq is None:
             raise row["error"]
-        rows.append(row)
-        solved.append((row["s"], eq))
+        solved.append((row, eq))
+    rows = [row for row, _ in solved]
 
     # largest prefix of the grid on which there is no disclosure at the top;
     # the s_tilde search caps it at s_bar (the two thresholds are ordered),
     # and the report keeps it uncapped too, where a break of that order shows
     s_lower = s_grid[0]
-    for s, eq in solved:
-        if eq.v_t_star < 1.0 - SCAN_TOL:
-            s_lower = s
+    for row in rows:
+        if row["v_T_star"] < 1.0 - SCAN_TOL:
+            s_lower = row["s"]
         else:
             break
     s_lower_est = min(s_lower, s_bar)
@@ -147,27 +146,18 @@ def threshold_scan(
     # for the largest grid point below s_lower: how far down the grid every
     # smaller cost is strictly better on all three counts
     s_tilde_est: float | None = None
-    ref = None
-    for s, eq in solved:
-        if s <= s_lower_est:
-            ref = (s, eq)
-    if ref is not None:
-        ref_s, ref_eq = ref
-        ref_css = cs_savvy(ref_eq.g, n)
-        ref_csi = cs_inexperienced(ref_eq)
-        candidates = [(s, eq) for s, eq in solved if s < ref_s]
-        best = None
-        for s, eq in sorted(candidates, reverse=True):
-            v = informativeness_compare(eq.g, ref_eq.g).verdict
+    prefix = [(row, eq) for row, eq in solved if row["s"] <= s_lower_est]
+    if prefix:
+        (ref, ref_eq), *candidates = reversed(prefix)
+        for row, eq in candidates:
             if (
-                v == MORE_INFORMATIVE
-                and cs_savvy(eq.g, n) > ref_css
-                and cs_inexperienced(eq) > ref_csi
+                informativeness_compare(eq.g, ref_eq.g).verdict == MORE_INFORMATIVE
+                and row["cs_savvy"] > ref["cs_savvy"]
+                and row["cs_inexperienced"] > ref["cs_inexperienced"]
             ):
-                best = s
+                s_tilde_est = row["s"]
             else:
-                break  # require the whole prefix below best to qualify
-        s_tilde_est = best
+                break  # require the whole prefix below s_tilde to qualify
 
     above = [row for row in rows if row["s"] > s_bar + SCAN_TOL]
     below = [row for row in rows if row["s"] < s_lower_est - SCAN_TOL]

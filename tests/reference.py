@@ -53,8 +53,8 @@ The mean-preserving-contraction comparison on the sorted union of the base
 grid and both breakpoint lists, each distribution integrated through
 cum_integral (informativeness_by_sorted_union):
 posterior.informativeness_compare inserts the breakpoints into the base
-grid, shares the prior's integral between the distributions and walks the
-segments once, and must return an equal verdict, every field bit for bit.
+grid without a sort, and must return an equal verdict, every field bit for
+bit.
 
 The posterior evaluated by one boolean mask per segment (MaskLoopPosterior):
 PosteriorDistribution.cdf and _cum route sorted points to contiguous
@@ -687,8 +687,8 @@ def informativeness_by_sorted_union(
 
 class MaskLoopPosterior(PosteriorDistribution):
     """A posterior whose cdf and integrals find each point's segment by a
-    boolean mask per segment; cdf_left, cum_integral, pow_cum_integral and
-    excess_above go through these two methods."""
+    boolean mask per segment; cdf_left, cum_integral(z, k) and excess_above
+    go through these two methods."""
 
     def cdf(self, v: ArrayLike) -> ArrayLike:
         """Right-continuous cdf; atoms jump at their location."""

@@ -60,7 +60,7 @@ def _quad(f, lo, hi, g):
 def test_cum_integrals_match_quadrature(request, k):
     for g in _posteriors(request):
         z = _points(g)
-        got = g.cum_integral(z) if k == 1 else g.pow_cum_integral(z, k)
+        got = g.cum_integral(z, k)
         # the cdf vanishes below 0, so nothing accrues there
         want = [_quad(lambda v: g.cdf(v) ** k, 0.0, zz, g) if zz > 0 else 0.0 for zz in z]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
@@ -160,7 +160,7 @@ def test_segment_slices_equal_the_mask_loop_bitwise(g_atom, uniform, power2, pie
         ref = MaskLoopPosterior(prior=g.prior, segments=g.segments, atom=g.atom)
         for x in _bitwise_inputs(g, rng):
             for method, args in [("cdf", ()), ("cdf_left", ()), ("cum_integral", ()),
-                                 ("pow_cum_integral", (n,)), ("excess_above", ())]:
+                                 ("cum_integral", (n,)), ("excess_above", ())]:
                 want = _evaluate(ref, method, x, *args)
                 got = _evaluate(g, method, x, *args)
                 _assert_same_bits(got, want, (g, method, x))

@@ -813,7 +813,8 @@ def test_expected_payoff_under_stieltjes_oracle(eq_uniform_small, eq_power):
 
 # sha256 (first 16 hex digits) of the repr of each library output over the
 # pinned markets: the seeded markets (three prior families, both regimes,
-# two non-equilibrium candidates) and the alpha = 0 boundary market
+# two non-equilibrium candidates) and the alpha = 0 boundary market; and of
+# two search-cost scans
 PINNED_LIBRARY_OUTPUTS = {
     "to_json_dict": "159121f8453cfea3",
     "check_dm_conditions": "f29f427f9abb3a3a",
@@ -824,12 +825,15 @@ PINNED_LIBRARY_OUTPUTS = {
     "cs_savvy": "fd6a5173b9308d4d",
     "cs_inexperienced": "f45c08defd7b5064",
     "expected_payoff_under": "328cd4a8fab3d3f9",
+    "informativeness_compare": "53d871b9b8798bcf",
+    "threshold_scan": "2ac880db3d7f9668",
 }
 
 
 def test_library_outputs_are_pinned(uniform, power2, eq_uniform_small, eq_power):
     from disclose_eq.candidate import build_candidate, build_g
-    from disclose_eq.welfare import cs_inexperienced, cs_savvy
+    from disclose_eq.posterior import informativeness_compare
+    from disclose_eq.welfare import cs_inexperienced, cs_savvy, threshold_scan
 
     markets = _seeded_markets() + [solve_endog(uniform, 2, 0.0, 0.1)]
     # each market against its own posterior, then affine-power deviations:
@@ -838,6 +842,7 @@ def test_library_outputs_are_pinned(uniform, power2, eq_uniform_small, eq_power)
         (eq_uniform_small, build_g(build_candidate(uniform, 2, 0.35, 0.6))),
         (eq_power, build_g(build_candidate(power2, 3, 0.1, 0.4))),
     ]
+    costs = np.linspace(0.02, 0.45, 12).tolist()
     outputs = {
         "to_json_dict": [eq.to_json_dict() for eq in markets],
         "check_dm_conditions": [check_dm_conditions(eq) for eq in markets],
@@ -848,6 +853,14 @@ def test_library_outputs_are_pinned(uniform, power2, eq_uniform_small, eq_power)
         "cs_savvy": [cs_savvy(eq.g, eq.n) for eq in markets],
         "cs_inexperienced": [cs_inexperienced(eq) for eq in markets],
         "expected_payoff_under": [expected_payoff_under(eq, g) for eq, g in deviations],
+        # each posterior against its prior, then neighbouring markets on one prior
+        "informativeness_compare": [
+            informativeness_compare(eq.g, full_disclosure_distribution(eq.prior)) for eq in markets
+        ] + [informativeness_compare(a.g, b.g) for a, b in zip(markets, markets[1:]) if a.prior == b.prior],
+        "threshold_scan": [
+            threshold_scan(uniform, 2, 0.5, costs),
+            threshold_scan(power2, 3, 0.5, costs),
+        ],
     }
     digests = {
         name: hashlib.sha256(repr(values).encode()).hexdigest()[:16]
