@@ -36,10 +36,8 @@ from .posterior import (
 from .priors import Prior
 from .rootfind import bisect_root
 from .tolerances import (
-    CHORD_MIN_WIDTH, CONTINUITY_TOL, FEAS_MARGIN, MPC_TOL, SLOPE_REL_TOL, TOP_STRUCTURE_TOL,
+    CHORD_MIN_WIDTH, CONTACT_XTOL, CONTINUITY_TOL, FEAS_MARGIN, MPC_TOL, SLOPE_REL_TOL, TOP_STRUCTURE_TOL,
 )
-
-_XTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -114,7 +112,7 @@ def solve_beta(prior: Prior, n: int, v_l: float, r: float) -> tuple[float, float
         # At r the residual is (1 - lam) times the integral of (u - r) dF over
         # (v_L, r) < 0, but both factors round to 0.0 when r is next to v_L,
         # so its sign is pinned analytically.
-        v_h = bisect_root(residual, r, 1.0, xtol=_XTOL, f_lo=-1.0, f_hi=at_one)
+        v_h = bisect_root(residual, r, 1.0, xtol=CONTACT_XTOL, f_lo=-1.0, f_hi=at_one)
         if v_h - r > CHORD_MIN_WIDTH:
             beta = (prior.cdf(v_h) ** (n - 1) - fln1) / (v_h - r)
         else:  # total collapse toward full disclosure (r at the support edge)

@@ -66,7 +66,8 @@ from .posterior import (
 from .priors import Prior
 from .rootfind import bisect_root
 from .tolerances import (
-    BRACKET_EDGE, FIXED_POINT_TOL, REGIME_BAND, RESERVE_TOL, SEARCH_POSTERIOR_TOL, SEARCH_PRIOR_TOL, Z_EDGE,
+    BISECT_XTOL, BRACKET_EDGE, FIXED_POINT_TOL, REGIME_BAND, RESERVE_TOL, SEARCH_POSTERIOR_TOL,
+    SEARCH_PRIOR_TOL, THRESHOLD_XTOL, Z_EDGE,
 )
 
 REGIME_FULL = "FullDisclosure"  # alpha = 0 boundary only
@@ -243,7 +244,7 @@ def _v_l_lower_limit(prior: Prior, r: float) -> float:
     if r < prior.mean():
         return 0.0
     return bisect_root(
-        lambda x: prior.conditional_mean_above(x) - r, 0.0, 1.0 - Z_EDGE, xtol=1e-13
+        lambda x: prior.conditional_mean_above(x) - r, 0.0, 1.0 - Z_EDGE, xtol=BISECT_XTOL
     )
 
 
@@ -334,7 +335,7 @@ def r_full_info(prior: Prior, s: float) -> float:
     """Reservation value when every value is disclosed."""
     _checked_mean(prior, s)
     return bisect_root(
-        lambda r: search_residual_prior(prior, r, r, s), 0.0, 1.0, xtol=1e-13
+        lambda r: search_residual_prior(prior, r, r, s), 0.0, 1.0, xtol=BISECT_XTOL
     )
 
 
@@ -507,7 +508,7 @@ def solve_endog(prior: Prior, n: int, alpha: float, s: float) -> Equilibrium:
 
         # gap(0) is z0 where the search equation at v_L = 0 gives mu - s exactly
         f_lo = z0 if cand0 is not None and r_search(prior, 0.0, s) == mu - s else None
-        v_l_star = bisect_root(gap, 0.0, r_full_info(prior, s) - BRACKET_EDGE, xtol=1e-12, f_lo=f_lo)
+        v_l_star = bisect_root(gap, 0.0, r_full_info(prior, s) - BRACKET_EDGE, xtol=THRESHOLD_XTOL, f_lo=f_lo)
         r_star = r_search(prior, v_l_star, s)
 
     eq = assemble_market(prior, n, alpha, v_l_star, r_star, s, cand0 if conceals else None)
@@ -554,7 +555,7 @@ def limit_equilibrium(prior: Prior, alpha: float, s: float) -> LimitEquilibrium:
     r = _checked_mean(prior, s) - s
     _check_alpha(alpha)
     v_h_inf = bisect_root(
-        lambda w: prior.partial_vf(0.0, w) - r * prior.cdf(w), BRACKET_EDGE, 1.0, xtol=1e-13
+        lambda w: prior.partial_vf(0.0, w) - r * prior.cdf(w), BRACKET_EDGE, 1.0, xtol=BISECT_XTOL
     )
     mass = float(prior.cdf(v_h_inf))
     g_inf = PosteriorDistribution(

@@ -15,7 +15,7 @@ from .endogenous import _v_l_bracket, _z_or_infeasible, check_n, z_function
 from .errors import DomainError
 from .priors import Prior
 from .rootfind import bisect_root
-from .tolerances import Z_EDGE
+from .tolerances import THRESHOLD_XTOL, Z_EDGE
 
 
 @lru_cache(maxsize=4096)
@@ -25,7 +25,7 @@ def r_lower_bar(prior: Prior, n: int, alpha: float) -> float:
         raise DomainError("r_lower_bar needs alpha in (0, 1)")
     check_n(n)
     mu = prior.mean()
-    return bisect_root(lambda r: z_function(prior, n, alpha, 0.0, r), Z_EDGE, mu - Z_EDGE, xtol=1e-12)
+    return bisect_root(lambda r: z_function(prior, n, alpha, 0.0, r), Z_EDGE, mu - Z_EDGE, xtol=THRESHOLD_XTOL)
 
 
 def solve_v_l_eq(prior: Prior, n: int, alpha: float, r: float) -> float:
@@ -40,7 +40,7 @@ def solve_v_l_eq(prior: Prior, n: int, alpha: float, r: float) -> float:
         lambda v_l: _z_or_infeasible(prior, n, alpha, v_l, r),
         lo,
         hi,
-        xtol=1e-12,
+        xtol=THRESHOLD_XTOL,
         f_lo=z_lo,
         f_hi=z_hi,
     )

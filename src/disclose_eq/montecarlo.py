@@ -146,7 +146,8 @@ def reservation_for_cost(g: PosteriorDistribution, s: ArrayLike) -> ArrayLike:
     Every cost must lie in (0, E_G[v]).  One array bisection on [0, 1]
     serves all costs: 40 halvings take the bracket to 2**-40 <= 1e-12, and
     an element whose residual is exactly 0 stays at that midpoint.  Each
-    value equals what `bisect_root` returns for that cost with xtol=1e-12.
+    value equals what `bisect_root` returns for that cost with xtol=1e-12
+    (tolerances.THRESHOLD_XTOL).
 
     The halvings run in rounds, each replayed on one table of excess_above
     that holds every midpoint they visit bit for bit (the points are dyadic):

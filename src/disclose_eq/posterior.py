@@ -69,8 +69,6 @@ class FullDisclosure:
         return prior.cdf(v)
 
     def integral(self, prior: Prior, lo: float, hi: ArrayLike, k: int = 1) -> ArrayLike:
-        if k == 1:
-            return prior.cum_cdf(hi) - prior.cum_cdf(lo)
         return prior.cum_pow_cdf(hi, k) - prior.cum_pow_cdf(lo, k)
 
     def quantile_in_place(self, prior: Prior, q: np.ndarray) -> None:

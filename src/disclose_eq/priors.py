@@ -64,12 +64,8 @@ class Prior:
         not checked."""
         q[...] = self.quantile(q)
 
-    def cum_cdf(self, v: ArrayLike) -> ArrayLike:
-        """Integral of F from 0 to v."""
-        return self.cum_pow_cdf(v, 1)
-
     def cdf_cum(self, v: float) -> tuple[float, float]:
-        """(cdf(v), cum_cdf(v)) for a scalar v, bit for bit."""
+        """(cdf(v), cum_pow_cdf(v, 1)) for a scalar v, bit for bit."""
         raise NotImplementedError
 
     def cum_pow_cdf(self, v: ArrayLike, k: int) -> ArrayLike:
@@ -91,7 +87,7 @@ class Prior:
 
     # -- derived moments ---------------------------------------------------
     def mean(self) -> float:
-        return 1.0 - float(self.cum_cdf(1.0))
+        return 1.0 - float(self.cum_pow_cdf(1.0, 1))
 
     def partial_vf(self, a: float, b: float) -> float:
         """Integral of v dF over (a, b), by parts: vF| - int F."""
@@ -140,17 +136,16 @@ class UniformPrior(Prior):
     def quantile_in_place(self, q: np.ndarray) -> None:
         pass
 
-    def cum_cdf(self, v: ArrayLike) -> ArrayLike:
-        # not cum_pow_cdf(v, 1): for a float v, libm's pow makes v ** 2 / 2
-        # differ from 0.5 * v * v in the last bit at 0.07-0.2% of points
-        return 0.5 * v * v
-
     def cdf_cum(self, v: float) -> tuple[float, float]:
         if not 0.0 <= v <= 1.0:
             raise _outside_unit_interval(v, "v")
         return v, 0.5 * v * v
 
     def cum_pow_cdf(self, v: ArrayLike, k: int) -> ArrayLike:
+        if k == 1:
+            # not v ** 2 / 2: for a float v, libm's pow makes that differ
+            # from 0.5 * v * v in the last bit at 0.07-0.2% of points
+            return 0.5 * v * v
         return v ** (k + 1) / (k + 1)
 
     def pow_cdf_deriv(self, v: float, n: int) -> float:

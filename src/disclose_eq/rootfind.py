@@ -18,7 +18,7 @@ def bisect_root(
     lo: float,
     hi: float,
     *,
-    xtol: float = 1e-13,
+    xtol: float,
     f_lo: float | None = None,
     f_hi: float | None = None,
 ) -> float:

@@ -10,11 +10,10 @@ invariant a ValidationFailureError names, or the function.  Scales:
 * relative: a fraction of the named quantity;
 * and the units of the residual named (search equation, z, multiplier).
 
-Solver xtols stay next to their bisections, where the width a bisection
-stops at is part of its algorithm; SOLVER_XTOLS lists them.  No other
-module holds a float literal of at most 1e-6 but those xtols, every xtol
-is listed and every name here has a reader: tests/test_tolerances.py
-checks all three.
+The solver xtols, where each bisection stops, are bounds here too, each
+read at its bisection.  No other module holds a float literal of at most
+1e-6, and every name here has a reader: tests/test_tolerances.py checks
+both.
 """
 
 # -- candidate: feasibility, the pooled slope, structure ----------------------
@@ -113,7 +112,7 @@ DM4_TOL = 1e-8
 
 HIGHS_FEASIBILITY_TOL = 1e-10
 """HiGHS's primal and dual feasibility, in the LP's rows (which carry 1/h).
-verify.ORACLE_LP_OPTIONS, so every oracle LP."""
+verify._LP_OPTIONS, so every oracle LP."""
 
 HIGHS_SMALL_ENTRY = 1e-9
 """LP matrix entries.  The size below which HiGHS ignores an entry; the
@@ -155,19 +154,18 @@ SCAN_TOL = 1e-12
 v_T* < 1 - SCAN_TOL, and a grid cost counts as above s_bar or below
 s_lower only by more than this."""
 
-# -- solver xtols, each kept next to its bisection -----------------------------
+# -- solver xtols: the bracket width at which a bisection stops ----------------
 
-SOLVER_XTOLS = {
-    "rootfind.bisect_root": 1e-13,  # the default
-    "candidate.solve_beta": 1e-14,  # candidate._XTOL, the contact point v_H
-    "endogenous.r_full_info": 1e-13,
-    "endogenous.solve_endog": 1e-12,  # v_L*
-    "endogenous.limit_equilibrium": 1e-13,  # v_H of the infinite market
-    "endogenous._v_l_lower_limit": 1e-13,
-    "exogenous.r_lower_bar": 1e-12,
-    "exogenous.solve_v_l_eq": 1e-12,
-}
-"""Where each bisection stops, keyed by the function that runs it (v, or r
-for r_full_info and r_lower_bar).  montecarlo.reservation_for_cost runs 40
-halvings on [0, 1] instead of an xtol, in rounds that each read one
-table of excess_above: bisect_root's steps at xtol=1e-12."""
+CONTACT_XTOL = 1e-14
+"""v.  solve_beta's bisection for the contact point v_H."""
+
+THRESHOLD_XTOL = 1e-12
+"""v (r for r_lower_bar).  The bisections of the lower disclosure threshold:
+solve_endog's v_L*, exogenous.solve_v_l_eq's v_L at a given r and
+exogenous.r_lower_bar's r.  montecarlo.reservation_for_cost runs 40
+halvings on [0, 1] instead, in rounds that each read one table of
+excess_above: bisect_root's steps at this xtol."""
+
+BISECT_XTOL = 1e-13
+"""v (r for r_full_info).  The other bisections: r_full_info,
+limit_equilibrium's v_H of the infinite market and _v_l_lower_limit."""

@@ -20,15 +20,15 @@ Two routes, deliberately redundant:
   arithmetic, which stays for those grids.  With the tridiagonal builder
   the Python around HiGHS's run takes about a quarter of oracle_gap at
   m = 201, where the general one took over a third.  The model is handed
-  to HiGHS through the binding SciPy ships (scipy.optimize._highspy) with
-  the settings that ORACLE_LP_OPTIONS gives linprog(method="highs"): dual
-  simplex without presolve, under devex pricing.  So the solve is the one
-  linprog would run with those options, without its input checks and
-  result post-processing.  Each thread keeps one HiGHS instance, given
-  those settings once; every call passes it the model as arrays in one
-  passModel call (a HighsLp's setters copy each array element by
-  element), and a model HiGHS rejects is a typed oracle-lp failure,
-  because the instance would keep and solve the previous one.
+  to HiGHS through the binding SciPy ships (scipy.optimize._highspy)
+  under _LP_OPTIONS, set in HiGHS's own terms: dual simplex without
+  presolve, under devex pricing.  So the solve is the one
+  linprog(method="highs") runs with those options, without its input
+  checks and result post-processing.  Each thread keeps one HiGHS
+  instance, given those settings once; every call passes it the model as
+  arrays in one passModel call (a HighsLp's setters copy each array
+  element by element), and a model HiGHS rejects is a typed oracle-lp
+  failure, because the instance would keep and solve the previous one.
 
 The cost-heterogeneity check implements the large-market sufficiency
 condition: the multiplier's pooled slope must stay below the steepest
@@ -103,37 +103,16 @@ _DM_BASE_LIST = _DM_BASE.tolist()
 # took 7 s at m = 50,001 on power(2) n=3)
 ORACLE_GRID_MIN = 101
 ORACLE_GRID_MAX = 100_001
-# oracle LP: the HiGHS settings, in linprog's option names and values, so
-# that linprog can be given the same dict: the ledger's feasibility
-# tolerances, and no presolve and devex pricing, which solve this
-# tridiagonal LP about 1.45x faster than linprog's defaults (presolve on,
-# dual steepest edge)
-ORACLE_LP_OPTIONS = {
-    "presolve": False,
-    "simplex_dual_edge_weight_strategy": "devex",
-    "primal_feasibility_tolerance": HIGHS_FEASIBILITY_TOL,
-    "dual_feasibility_tolerance": HIGHS_FEASIBILITY_TOL,
-}
-# linprog's names for HiGHS's dual edge-weight strategies
-_EDGE_WEIGHTS = {"steepest-devex": -1, "dantzig": 0, "devex": 1, "steepest": 2}
-
-
-def _highs_options() -> HighsOptions:
-    """ORACLE_LP_OPTIONS as linprog(method="highs") hands them to HiGHS,
-    quiet and with the dual simplex, the one linprog always runs."""
-    options = HighsOptions()
-    options.output_flag = options.log_to_console = False
-    options.simplex_strategy = 1
-    for key, value in ORACLE_LP_OPTIONS.items():
-        if key == "presolve":
-            value = "on" if value else "off"
-        elif key == "simplex_dual_edge_weight_strategy":
-            value = _EDGE_WEIGHTS[value]
-        setattr(options, key, value)
-    return options
-
-
-_LP_OPTIONS = _highs_options()
+# oracle LP: the HiGHS settings, quiet: the dual simplex, the ledger's
+# feasibility tolerances, and no presolve and devex pricing (edge-weight
+# strategy 1), which solve this tridiagonal LP about 1.45x faster than
+# HiGHS's defaults (presolve on, dual steepest edge)
+_LP_OPTIONS = HighsOptions()
+_LP_OPTIONS.output_flag = _LP_OPTIONS.log_to_console = False
+_LP_OPTIONS.simplex_strategy = 1
+_LP_OPTIONS.presolve = "off"
+_LP_OPTIONS.simplex_dual_edge_weight_strategy = 1
+_LP_OPTIONS.primal_feasibility_tolerance = _LP_OPTIONS.dual_feasibility_tolerance = HIGHS_FEASIBILITY_TOL
 # one HiGHS instance per thread, given _LP_OPTIONS once and a new model on
 # every oracle call; an instance is not safe to share between threads
 _THREAD = threading.local()
@@ -347,9 +326,9 @@ def _solve_oracle(
     solution only when read_masses is set (else None).
 
     HiGHS gets the model through SciPy's binding: the matrix, bounds and
-    settings that linprog(method="highs", options=ORACLE_LP_OPTIONS) would
-    pass it for this LP (rows g >= 0, then D >= 0 at each narrow cell's top,
-    then the two equalities), so the value and masses are linprog's to the
+    settings (_LP_OPTIONS) that linprog(method="highs") with those options
+    would pass it for this LP (rows g >= 0, then D >= 0 at each narrow
+    cell's top, then the two equalities), so the value and masses are linprog's to the
     bit.  The solver is this thread's HiGHS instance, made on its first call
     and given the settings then; the model goes to it as arrays through
     passModel's array overload.  A model HiGHS rejects, and any model status

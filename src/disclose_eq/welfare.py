@@ -15,13 +15,7 @@ from typing import Any, Iterable, Iterator, Sequence
 from .endogenous import Equilibrium, solve_endog
 from .errors import DiscloseEqError, DomainError
 from .exogenous import r_lower_bar
-from .posterior import (
-    MORE_INFORMATIVE,
-    Flat,
-    FullDisclosure,
-    PosteriorDistribution,
-    informativeness_compare,
-)
+from .posterior import MORE_INFORMATIVE, PosteriorDistribution, informativeness_compare
 from .priors import Prior
 from .tolerances import SCAN_TOL
 
@@ -45,22 +39,15 @@ def cs_savvy(g: PosteriorDistribution, n: int) -> float:
     return top - float(g.cum_integral(top, n))
 
 
-def censored_value_distribution(eq: Equilibrium) -> PosteriorDistribution:
-    """Distribution of min(v, r*): the per-visit value a costly searcher banks."""
-    prior, fl = eq.prior, eq.branches.fl
-    segs: list = []
-    if eq.v_l_star > 0.0:
-        segs.append(FullDisclosure(0.0, eq.v_l_star))
-    segs.append(Flat(eq.v_l_star, eq.r_star, fl))
-    return PosteriorDistribution(
-        prior=prior, segments=tuple(segs), atom=(eq.r_star, 1.0 - fl)
-    )
-
-
 def cs_inexperienced(eq: Equilibrium) -> float:
-    """Costly searcher's expected surplus: E[max of n censored draws]."""
-    g_tilde = censored_value_distribution(eq)
-    return eq.r_star - float(g_tilde.cum_integral(eq.r_star, eq.n))
+    """Costly searcher's expected surplus: E[max of n censored draws].
+
+    The per-visit value a costly searcher banks is min(v, r*): its cdf is F
+    below v_L*, flat at F(v_L*) on [v_L*, r*) and 1 from the atom at r*.
+    So the integral of its cdf**n up to r* is int_0^{v_L*} F**n +
+    F(v_L*)**n (r* - v_L*)."""
+    v_l, r, n = eq.v_l_star, eq.r_star, eq.n
+    return r - float(eq.prior.cum_pow_cdf(v_l, n) + eq.branches.fl**n * (r - v_l))
 
 
 def equilibrium_row(eq: Equilibrium, prev: Equilibrium | None) -> dict[str, Any]:

@@ -26,10 +26,11 @@ and rewinds solve_v_l_eq at r*.  endogenous.validate_equilibrium must
 agree with it on pass or fail and on the invariant name.
 
 The LP oracle assembled by scipy.sparse algebra (oracle_by_sparse_algebra,
-with its stop-loss-slack map _slack_map, solved by linprog with the
-oracle's options, verify.ORACLE_LP_OPTIONS): verify.best_response_oracle
-builds the same HiGHS input by index arithmetic and must hand HiGHS
-exactly the arrays linprog hands it.
+with its stop-loss-slack map _slack_map, solved by linprog under
+LINPROG_OPTIONS, the oracle's HiGHS settings verify._LP_OPTIONS in
+linprog's names): verify.best_response_oracle builds the same HiGHS input
+by index arithmetic and must hand HiGHS exactly the arrays linprog hands
+it.
 
 A deviation's expected payoff while the market plays its equilibrium
 (expected_payoff_under, and deviation_gain, its difference to
@@ -48,6 +49,12 @@ same report, field by field.  The per-branch slope scans DM1 ran while
 the prior's convexity was a grid check (branch_slope_scan_minimum): on
 markets whose prior is in the domain they must read no concavity inside
 a branch, so DM1 loses nothing without them.
+
+The distribution of the value a costly searcher banks per visit, min(v, r*),
+as a posterior of segments and an atom (censored_value_distribution): the
+expected maximum of n such draws, r* - its cum_integral(r*, n), must equal
+welfare.cs_inexperienced, which writes that integral in closed form from
+the prior's integral of F**n, bit for bit.
 
 The mean-preserving-contraction comparison on the sorted union of the base
 grid and both breakpoint lists, each distribution integrated through
@@ -92,7 +99,6 @@ from scipy.optimize import linprog
 
 from disclose_eq import candidate
 from disclose_eq.candidate import (
-    _XTOL,
     Candidate,
     build_candidate,
     build_g,
@@ -140,9 +146,10 @@ from disclose_eq.posterior import (
 )
 from disclose_eq.priors import Prior
 from disclose_eq.rootfind import bisect_root
-from disclose_eq.tolerances import DM1_TOL, HIGHS_SMALL_ENTRY, MPC_TOL, NARROW_CELL
+from disclose_eq.tolerances import (
+    CONTACT_XTOL, DM1_TOL, HIGHS_FEASIBILITY_TOL, HIGHS_SMALL_ENTRY, MPC_TOL, NARROW_CELL,
+)
 from disclose_eq.verify import (
-    ORACLE_LP_OPTIONS,
     CertificateReport,
     discretize_prior,
     expected_payoff,
@@ -191,10 +198,10 @@ def _contact_of_beta(prior: Prior, n: int, v_l: float, r: float, beta: float) ->
     if d_slope(1.0) >= 0.0:
         # D increasing throughout and D(1) < 0 here
         raise NoUpperRootError("pooled branch never re-contacts the prior")
-    v_m = bisect_root(d_slope, r, 1.0, xtol=_XTOL)
+    v_m = bisect_root(d_slope, r, 1.0, xtol=CONTACT_XTOL)
     if d(v_m) <= 0.0:
         raise NoUpperRootError("contact gap stays negative on [r, 1]")
-    v_h = bisect_root(d, v_m, 1.0, xtol=_XTOL)
+    v_h = bisect_root(d, v_m, 1.0, xtol=CONTACT_XTOL)
     return v_h, 1.0
 
 
@@ -209,7 +216,7 @@ def h_star(prior: Prior, n: int, v_l: float, r: float, beta: float) -> float:
     fh = prior.cdf(v_h)
     pooled_area = (n - 1) / (n * beta) * (fh**n - fl**n) + (1.0 - v_t)
     return (
-        float(prior.cum_cdf(v_h) - prior.cum_cdf(v_l))
+        float(prior.cum_pow_cdf(v_h, 1) - prior.cum_pow_cdf(v_l, 1))
         - fl * (r - v_l)
         - pooled_area
     )
@@ -260,12 +267,12 @@ def mean_match_residual_unscaled(prior: Prior, n: int, v_l: float, r: float) -> 
     fln1 = fl ** (n - 1)
     fln = fl**n
     vl_fl = v_l * fl
-    cum_l = prior.cum_cdf(v_l)
+    cum_l = prior.cum_pow_cdf(v_l, 1)
 
     def residual(v: float) -> float:
         fv = prior.cdf(v)
         mass = fv - fl
-        vf = v * fv - vl_fl - (prior.cum_cdf(v) - cum_l)  # prior.partial_vf(v_l, v)
+        vf = v * fv - vl_fl - (prior.cum_pow_cdf(v, 1) - cum_l)  # prior.partial_vf(v_l, v)
         eta_mass = (fv**n - fln) / n - fln1 * mass  # (eta_tilde - F(v_L)^(n-1)) * mass
         return (fv ** (n - 1) - fln1) * (vf - r * mass) - eta_mass * (v - r)
 
@@ -291,7 +298,7 @@ def v_h_large_n(prior: Prior, n: int, s: float) -> float:
     r = _checked_mean(prior, s) - s
 
     def contact(v: float) -> float:
-        return float(prior.cum_cdf(v)) - (n - 1) / n * prior.cdf(v) * (v - r)
+        return float(prior.cum_pow_cdf(v, 1)) - (n - 1) / n * prior.cdf(v) * (v - r)
 
     if contact(1.0) >= 0.0:
         raise NoInteriorRootError(f"no disclosure at the top at n = {n}")
@@ -412,6 +419,16 @@ def validate_by_rewind(eq: Equilibrium) -> None:
         )
 
 
+# verify._LP_OPTIONS in linprog's option names; linprog itself adds the
+# dual simplex and no output
+LINPROG_OPTIONS = {
+    "presolve": False,
+    "simplex_dual_edge_weight_strategy": "devex",
+    "primal_feasibility_tolerance": HIGHS_FEASIBILITY_TOL,
+    "dual_feasibility_tolerance": HIGHS_FEASIBILITY_TOL,
+}
+
+
 def _slack_map(h: np.ndarray, narrow: np.ndarray) -> tuple[sparse.csr_array, np.ndarray]:
     """Stop-loss slack at each grid point as a sparse map of the LP variables.
 
@@ -479,7 +496,7 @@ def oracle_by_sparse_algebra(
         b_eq=np.zeros(2),
         bounds=bounds,
         method="highs",
-        options=ORACLE_LP_OPTIONS,
+        options=LINPROG_OPTIONS,
     )
     if not res.success:  # pragma: no cover - the prior's own cells are feasible
         raise ValidationFailureError("oracle-lp", res.message)
@@ -651,6 +668,16 @@ def branch_slope_scan_minimum(eq, grid_size: int = 1001) -> float:
         if len(slopes) > 1:
             increments.append(float(np.min(np.diff(slopes))))
     return min(increments)
+
+
+def censored_value_distribution(eq: Equilibrium) -> PosteriorDistribution:
+    """Distribution of min(v, r*): the per-visit value a costly searcher banks."""
+    fl = eq.branches.fl
+    segs: list = []
+    if eq.v_l_star > 0.0:
+        segs.append(FullDisclosure(0.0, eq.v_l_star))
+    segs.append(Flat(eq.v_l_star, eq.r_star, fl))
+    return PosteriorDistribution(prior=eq.prior, segments=tuple(segs), atom=(eq.r_star, 1.0 - fl))
 
 
 def informativeness_by_sorted_union(

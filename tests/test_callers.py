@@ -19,7 +19,6 @@ PKG = ROOT / "src" / "disclose_eq"
 ALLOWED = {
     "simulate_deviation": "the entry point of the simulator kernel's own deviant path",
     "best_response_oracle": "the LP oracle's public form, without the size and iteration counts oracle_gap reads",
-    "SOLVER_XTOLS": "the ledger's listing of solver xtols, which tests/test_tolerances.py checks against the source",
 }
 
 

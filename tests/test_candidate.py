@@ -15,7 +15,7 @@ from disclose_eq import (
     point_mass,
     solve_beta,
 )
-from disclose_eq.candidate import _XTOL, _integrated_gaps, validate_candidate
+from disclose_eq.candidate import _integrated_gaps, validate_candidate
 from disclose_eq.errors import InfeasibleCandidateError, ValidationFailureError
 from disclose_eq.posterior import (
     EQUALLY_INFORMATIVE,
@@ -24,7 +24,7 @@ from disclose_eq.posterior import (
     PosteriorDistribution,
     informativeness_compare,
 )
-from disclose_eq.tolerances import MPC_TOL
+from disclose_eq.tolerances import CONTACT_XTOL, MPC_TOL
 from reference import (
     NoUpperRootError,
     _contact_of_beta,
@@ -166,7 +166,7 @@ def test_scaled_residual_keeps_the_unscaled_contact_point(a, n, r, share):
         return
     new, old = solve_beta(prior, n, v_l, r), solve_beta_unscaled(prior, n, v_l, r)
     if new != old:  # the two residuals round apart next to the root (about 1 draw in 650)
-        assert new[2] == old[2] and abs(new[1] - old[1]) <= 2 * _XTOL
+        assert new[2] == old[2] and abs(new[1] - old[1]) <= 2 * CONTACT_XTOL
 
 
 def test_collapse_as_v_l_approaches_r(uniform):
@@ -245,7 +245,7 @@ def test_integrated_gap_examples(uniform):
     assert report.min_gap_forward == pytest.approx(0.0, abs=1e-15)  # the gap at 0
     assert report.mean_gap == pytest.approx(0.0, abs=1e-12)  # the gap at 1
     # direct integral over the flat stretch: int_{v_L}^{r} (v - v_L) dv = (r - v_L)^2 / 2
-    gap_at_r = float(uniform.cum_cdf(0.3) - g.cum_integral(0.3))
+    gap_at_r = float(uniform.cum_pow_cdf(0.3, 1) - g.cum_integral(0.3))
     assert gap_at_r == pytest.approx(0.1**2 / 2, abs=1e-12)
 
 

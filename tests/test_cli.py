@@ -868,7 +868,7 @@ def test_a_monitoring_tool_counts_as_a_tracer(monkeypatch):
 
 
 def test_the_installed_script_names_an_importable_entry():
-    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    import tomllib
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml"), "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
     module, _, name = scripts["disclose-eq"].partition(":")

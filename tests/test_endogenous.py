@@ -699,7 +699,7 @@ def test_fused_prior_kernel_leaves_every_equilibrium_bit_equal(monkeypatch):
     # two-call form (the last two seeded markets are assembled, not solved)
     solved = _seeded_markets()[:12]
     for cls in (priors.UniformPrior, priors.PowerPrior, priors.PiecewiseLinearPrior):
-        monkeypatch.setattr(cls, "cdf_cum", lambda self, v: (self.cdf(v), self.cum_cdf(v)))
+        monkeypatch.setattr(cls, "cdf_cum", lambda self, v: (self.cdf(v), self.cum_pow_cdf(v, 1)))
     for eq in solved:
         again = solve_endog(eq.prior, eq.n, eq.alpha, eq.s)
         # repr of every scalar, the posterior's segments included

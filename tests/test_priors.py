@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from disclose_eq import PiecewiseLinearPrior, PowerPrior, UniformPrior, prior_from_json
 from disclose_eq.costs import ContinuousCosts, DiscreteCosts
 from disclose_eq.errors import ConfigError, DomainError
+from disclose_eq.posterior import full_disclosure_distribution
 
 ALL_PRIORS = [
     UniformPrior(),
@@ -220,21 +221,35 @@ def _piecewise_and_point(draw):
 @given(v=_unit_points())
 def test_cdf_cum_is_cdf_and_cum_cdf_uniform(v):
     prior = UniformPrior()
-    assert _bits(prior.cdf_cum(v)) == _bits((prior.cdf(v), prior.cum_cdf(v)))
+    assert _bits(prior.cdf_cum(v)) == _bits((prior.cdf(v), prior.cum_pow_cdf(v, 1)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(a=st.floats(min_value=0.25, max_value=8.0), v=_unit_points())
 def test_cdf_cum_is_cdf_and_cum_cdf_power(a, v):
     prior = PowerPrior(a=a)
-    assert _bits(prior.cdf_cum(v)) == _bits((prior.cdf(v), prior.cum_cdf(v)))
+    assert _bits(prior.cdf_cum(v)) == _bits((prior.cdf(v), prior.cum_pow_cdf(v, 1)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_piecewise_and_point())
 def test_cdf_cum_is_cdf_and_cum_cdf_piecewise(case):
     prior, v = case
-    assert _bits(prior.cdf_cum(v)) == _bits((prior.cdf(v), prior.cum_cdf(v)))
+    assert _bits(prior.cdf_cum(v)) == _bits((prior.cdf(v), prior.cum_pow_cdf(v, 1)))
+
+
+def test_uniform_integral_of_f_is_half_v_squared_bitwise():
+    # the draws where, as Python floats, libm's pow gives v ** 2 / 2 a last
+    # bit other than 0.5 * v * v, the form every pinned output rests on
+    draws = [x for x in np.random.default_rng(0).random(20_000).tolist() if x**2 / 2 != 0.5 * x * x]
+    assert len(draws) == 14
+    prior = UniformPrior()
+    full = full_disclosure_distribution(prior)
+    for x in draws:
+        want = (0.5 * x * x).hex()
+        assert float(prior.cum_pow_cdf(x, 1)).hex() == want
+        assert float(prior.cdf_cum(x)[1]).hex() == want
+        assert float(full.cum_integral(x)).hex() == want
 
 
 @pytest.mark.parametrize("prior", ALL_PRIORS, ids=lambda p: repr(p))

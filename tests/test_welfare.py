@@ -3,10 +3,9 @@ import pytest
 
 from disclose_eq import full_disclosure_distribution, point_mass
 from disclose_eq.endogenous import solve_endog
-from disclose_eq.errors import DomainError, ValidationFailureError
+from disclose_eq.errors import DiscloseEqError, DomainError, ValidationFailureError
 from disclose_eq.posterior import EQUALLY_INFORMATIVE, INCOMPARABLE, LESS_INFORMATIVE, MORE_INFORMATIVE
 from disclose_eq.welfare import (
-    censored_value_distribution,
     cs_inexperienced,
     cs_savvy,
     equilibrium_row,
@@ -14,6 +13,8 @@ from disclose_eq.welfare import (
     scan_csv_text,
     threshold_scan,
 )
+from reference import censored_value_distribution
+from test_probe_outcomes import SEED, _domain_probe
 
 
 def _cs_savvy_quadrature(g, n):
@@ -60,14 +61,36 @@ def test_cs_savvy_bounds_cs_inexperienced(eq_uniform_small):
     assert cs_savvy(eq.g, eq.n) >= cs_inexperienced(eq) >= 0.4  # single-visit floor
 
 
-def test_cs_inexperienced_matches_quadrature(eq_uniform_small):
-    eq = eq_uniform_small
-    g_tilde = censored_value_distribution(eq)
-    # stop just short of the reservation value: the atom there carries no
-    # dv-measure, but the right-continuous cdf would leak it into the rule
-    grid = np.linspace(0.0, eq.r_star - 1e-9, 400_001)
-    oracle = eq.r_star - np.trapezoid(np.asarray(g_tilde.cdf(grid)) ** eq.n, grid)
-    assert cs_inexperienced(eq) == pytest.approx(oracle, abs=1e-8)
+def test_cs_inexperienced_matches_quadrature(eq_uniform_small, power2, piecewise):
+    concealing = solve_endog(power2, 20, 0.5, 0.1)
+    disclosing = solve_endog(piecewise, 3, 0.5, 0.1)
+    assert concealing.v_l_star == 0.0 < disclosing.v_l_star
+    for eq in (eq_uniform_small, concealing, disclosing):
+        g_tilde = censored_value_distribution(eq)
+        # stop just short of the reservation value: the atom there carries no
+        # dv-measure, but the right-continuous cdf would leak it into the rule
+        grid = np.linspace(0.0, eq.r_star - 1e-9, 400_001)
+        oracle = eq.r_star - np.trapezoid(np.asarray(g_tilde.cdf(grid)) ** eq.n, grid)
+        assert cs_inexperienced(eq) == pytest.approx(oracle, abs=1e-8)
+
+
+def test_cs_inexperienced_is_the_censored_integral_bitwise(uniform, power2, piecewise):
+    # the closed form against the censored posterior's own integral on the
+    # solved markets of a probe draw, and at alpha = 0, where v_L* = r*
+    markets = []
+    for _, prior, n, alpha, s in _domain_probe().draw_markets(SEED, 300):
+        try:
+            markets.append(solve_endog(prior, n, alpha, s))
+        except DiscloseEqError:
+            pass
+    assert len(markets) > 100
+    for prior, n in [(uniform, 2), (uniform, 10), (power2, 3), (piecewise, 4)]:
+        eq = solve_endog(prior, n, 0.0, 0.1)
+        assert eq.v_l_star == eq.r_star
+        markets.append(eq)
+    for eq in markets:
+        want = eq.r_star - float(censored_value_distribution(eq).cum_integral(eq.r_star, eq.n))
+        assert cs_inexperienced(eq).hex() == want.hex()
 
 
 def test_informativeness_examples(uniform, eq_uniform_small):
