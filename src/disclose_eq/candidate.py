@@ -9,6 +9,10 @@ reduces to one equation in the contact point alone, bisected once; when
 the pooled branch caps at 1 before re-contact, beta has a closed form in
 truncated moments.
 
+The degenerate candidate v_L = r = v_H, beta = dF**(n-1)/dv at r, v_T = 1
+is full disclosure (endogenous.full_disclosure_market): the collapse
+solve_beta takes below CHORD_MIN_WIDTH, its pooled branch the tangent at r.
+
 validate_candidate checks the assembled posterior: the contact point
 (the pooled branch ends on the prior at v_H), its structure, and that it
 is a mean-preserving contraction of the prior.  That last check reads the

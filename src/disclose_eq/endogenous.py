@@ -28,7 +28,9 @@ z(0, mu - s) where the search equation at v_L = 0 gives mu - s to the bit.
 The search condition gives r = r_search(v_L) in closed form, always with
 a feasible candidate (E[v | v > v_L] - r = s / (1 - F(v_L))), and the
 multiplier continuity gap z(v_L, r_search(v_L)) is negative at v_L = 0
-and positive next to the full-information reserve.
+and positive next to the full-information reserve.  Every market carries
+the candidate its payoff branches are read from; at alpha = 0, where all is
+disclosed at that reserve, it is the degenerate one (full_disclosure_market).
 
 validate_equilibrium certifies the solved market without solving it
 again.  The fixed point is certified locally: _v_l_bracket at r*, on
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -70,7 +73,7 @@ from .tolerances import (
     SEARCH_PRIOR_TOL, THRESHOLD_XTOL, Z_EDGE,
 )
 
-REGIME_FULL = "FullDisclosure"  # alpha = 0 boundary only
+REGIME_FULL = "FullDisclosure"  # the note of full_disclosure_market
 _N_CAP = 1 << 20
 
 
@@ -129,31 +132,25 @@ class Equilibrium:
     v_l_star: float
     v_h_star: float
     v_t_star: float
-    beta_star: float | None  # None only on the alpha = 0 boundary
+    beta_star: float | None  # None only under full disclosure
     eta: float
     alpha_tilde: float
     g: PosteriorDistribution
     bottom_disclosure: bool
     top_disclosure: bool
-    candidate: Candidate | None = None  # None only on the alpha = 0 boundary
+    candidate: Candidate  # degenerate at v_L = v_H = r* under full disclosure
     note: str = ""
 
     @cached_property
     def branches(self) -> PayoffBranches:
-        prior, n, at, r = self.prior, self.n, self.alpha_tilde, self.r_star
-        if self.candidate is None:
-            # alpha = 0: the middle branch shrinks to the point r*, take its tangent
-            fl = float(prior.cdf(self.v_l_star))
-            pooled = AffinePower(r, r, fl ** (n - 1), prior.pow_cdf_deriv(r, n), n - 1)
-        else:
-            fl, pooled = self.candidate.fl, self.candidate.pooled
+        at = self.alpha_tilde
         return PayoffBranches(
-            n=n,
+            n=self.n,
             at=at,
             c_low=at / self.eta + 1.0 - at,
-            fl=fl,
-            fh=float(prior.cdf(self.v_h_star)),
-            pooled=pooled,
+            fl=self.candidate.fl,
+            fh=float(self.prior.cdf(self.v_h_star)),
+            pooled=self.candidate.pooled,
         )
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -375,6 +372,31 @@ def assemble_market(
     )
 
 
+def full_disclosure_market(prior: Prior, n: int, alpha: float, s: float, r: float) -> Equilibrium:
+    """The market in which every value is disclosed and r is the reserve,
+    with the degenerate candidate at v_L = v_H = r: the alpha = 0
+    equilibrium at r_full_info(prior, s), or the opponents of a deviation."""
+    eta = visit_probability(prior, n, r)
+    return Equilibrium(
+        prior=prior,
+        n=n,
+        alpha=alpha,
+        s=s,
+        r_star=r,
+        v_l_star=r,
+        v_h_star=r,
+        v_t_star=1.0,
+        beta_star=None,
+        eta=eta,
+        alpha_tilde=posterior_share(alpha, eta),
+        g=full_disclosure_distribution(prior),
+        bottom_disclosure=True,
+        top_disclosure=False,
+        candidate=Candidate(prior=prior, n=n, v_l=r, r=r, beta=prior.pow_cdf_deriv(r, n), v_h=r, v_t=1.0),
+        note=REGIME_FULL,
+    )
+
+
 def _conceals_bottom(prior: Prior, n: int, alpha: float, mu: float, s: float) -> bool:
     """Regime rule: no disclosure below r iff r_lower_bar >= mu - s."""
     return conceals_below(prior, n, alpha, mu - s - REGIME_BAND)
@@ -389,10 +411,9 @@ def _check_fixed_point(eq: Equilibrium) -> None:
     to the bracket, puts the one crossing between the two points.
     """
     prior, n, alpha, r, v_l = eq.prior, eq.n, eq.alpha, eq.r_star, eq.v_l_star
-    cand = eq.candidate
-    if cand is not None and cand.v_l == 0.0:
+    if eq.candidate.v_l == 0.0:
         # the candidate at (0, r*) is the one z(0, r*) would build again
-        z0 = _z_of_beta(prior, n, alpha, 0.0, r, cand.beta)
+        z0 = _z_of_beta(prior, n, alpha, 0.0, r, eq.candidate.beta)
     else:
         z0 = _z_or_infeasible(prior, n, alpha, 0.0, r)
     bracket = _v_l_bracket(prior, n, alpha, r, z0)
@@ -452,8 +473,7 @@ def validate_equilibrium(eq: Equilibrium, conceals: bool) -> None:
         raise ValidationFailureError(
             "below-full-info", f"search residual {res_full} <= 0 at r* - 1e-12 = {x}"
         )
-    if eq.candidate is not None:
-        validate_candidate(eq.candidate, eq.g)
+    validate_candidate(eq.candidate, eq.g)
     mu = eq.prior.mean()
     if eq.bottom_disclosure == conceals:
         raise ValidationFailureError(
@@ -470,25 +490,7 @@ def solve_endog(prior: Prior, n: int, alpha: float, s: float) -> Equilibrium:
     _check_market(prior, n, alpha)
 
     if alpha == 0.0:
-        r = r_full_info(prior, s)
-        return Equilibrium(
-            prior=prior,
-            n=n,
-            alpha=0.0,
-            s=s,
-            r_star=r,
-            v_l_star=r,
-            v_h_star=r,
-            v_t_star=1.0,
-            beta_star=None,
-            eta=visit_probability(prior, n, r),
-            alpha_tilde=0.0,
-            g=full_disclosure_distribution(prior),
-            bottom_disclosure=True,
-            top_disclosure=False,
-            candidate=None,
-            note=REGIME_FULL,
-        )
+        return full_disclosure_market(prior, n, 0.0, s, r_full_info(prior, s))
 
     # z(0, .) strictly decreases, so z(0, mu - s) >= 0 implies the rule's
     # z(0, mu - s - REGIME_BAND) > 0: such a market conceals, and its
@@ -533,21 +535,13 @@ def n_lower_bar(prior: Prior, alpha: float, s: float) -> int:
     def large_enough(n: int) -> bool:
         return prior.check_convexity(n) and _conceals_bottom(prior, n, alpha, mu, s)
 
-    if large_enough(2):
-        return 2
-    hi = 4
+    hi = 2
     while not large_enough(hi):
         hi *= 2
         if hi > _N_CAP:
             raise IterationCapError(f"no concealment threshold below n = {_N_CAP}")
-    lo = hi // 2  # largest known-false
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if large_enough(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    sizes = range(hi // 2 + 1, hi)  # strictly between hi // 2 (too small) and hi
+    return sizes.start + bisect_left(sizes, True, key=large_enough)
 
 
 def limit_equilibrium(prior: Prior, alpha: float, s: float) -> LimitEquilibrium:

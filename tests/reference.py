@@ -401,8 +401,7 @@ def validate_by_rewind(eq: Equilibrium) -> None:
     rfi = r_full_info(eq.prior, eq.s)
     if not eq.r_star < rfi + 1e-12:
         raise ValidationFailureError("below-full-info", f"{eq.r_star} >= {rfi}")
-    if eq.candidate is not None:
-        validate_candidate(eq.candidate, eq.g)
+    validate_candidate(eq.candidate, eq.g)
     mu = eq.prior.mean()
     if eq.bottom_disclosure == _conceals_bottom(eq.prior, eq.n, eq.alpha, mu, eq.s):
         raise ValidationFailureError(

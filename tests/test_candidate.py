@@ -20,11 +20,12 @@ from disclose_eq.errors import InfeasibleCandidateError, ValidationFailureError
 from disclose_eq.posterior import (
     EQUALLY_INFORMATIVE,
     LESS_INFORMATIVE,
+    AffinePower,
     Flat,
     PosteriorDistribution,
     informativeness_compare,
 )
-from disclose_eq.tolerances import CONTACT_XTOL, MPC_TOL
+from disclose_eq.tolerances import CONTACT_XTOL, MPC_TOL, TOP_STRUCTURE_TOL
 from reference import (
     NoUpperRootError,
     _contact_of_beta,
@@ -298,6 +299,33 @@ def test_a_slope_off_by_a_millionth_misses_the_contact(request, prior_name, n, v
         with pytest.raises(ValidationFailureError) as exc:
             validate_candidate(bad, build_g(bad))
         assert exc.value.invariant == "contact-point"
+
+
+def test_a_mean_preserving_spread_fails_the_integrated_gap(uniform):
+    # mass 0.2 at 0, flat to 0.25, then a line to 1 at 1: the mean is the
+    # prior's (D(1) = 0), but G > F below 0.2, and D < 0 on (0, 1)
+    spread = PosteriorDistribution(
+        prior=uniform,
+        segments=(Flat(0.0, 0.25, 0.2), AffinePower(0.25, 1.0, 0.2, 0.8 / 0.75, 1)),
+        atom=(0.0, 0.2),
+    )
+    spread.validate()
+    cand = build_candidate(uniform, 2, 0.2, 0.3)
+    with pytest.raises(ValidationFailureError) as exc:
+        validate_candidate(cand, spread)
+    assert exc.value.invariant == "integrated-gap"
+
+
+@pytest.mark.parametrize("v_t", [0.975, 1.0 - TOP_STRUCTURE_TOL / 2], ids=["v_H<1", "v_T<1"])
+def test_a_top_with_contact_and_cap_fails_top_structure(power2, v_t):
+    # an interior contact point with the pooled branch also capped below 1.
+    # v_T within the tolerance of 1 passes the first row, which reads it as
+    # v_T = 1, and fails the second, which reads it as v_T < 1
+    cand = build_candidate(power2, 3, 0.2, 0.5)
+    assert cand.v_h < 0.95 < v_t < 1.0 == cand.v_t
+    with pytest.raises(ValidationFailureError) as exc:
+        validate_candidate(dataclasses.replace(cand, v_t=v_t), build_g(cand))
+    assert exc.value.invariant == "top-structure"
 
 
 def _capped_mutations(eq):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from disclose_eq import (
     exogenous,
     priors,
 )
-from disclose_eq.candidate import solve_beta
+from disclose_eq.candidate import solve_beta, validate_candidate
 from disclose_eq.endogenous import (
     _check_fixed_point,
     _conceals_bottom,
@@ -29,6 +30,7 @@ from disclose_eq.endogenous import (
     search_residual_posterior,
     search_residual_prior,
     solve_endog,
+    validate_equilibrium,
     visit_probability,
     z_function,
 )
@@ -39,6 +41,7 @@ from disclose_eq.errors import (
     ValidationFailureError,
 )
 from disclose_eq.exogenous import r_lower_bar, solve_v_l_eq
+from disclose_eq.posterior import AffinePower, full_disclosure_distribution
 from disclose_eq.verify import check_dm_conditions, oracle_gap
 from disclose_eq.welfare import informativeness_compare
 from reference import validate_by_rewind
@@ -119,6 +122,15 @@ def test_search_equation_residuals(eq_uniform_small, eq_power):
         assert abs(search_residual_prior(eq.prior, eq.v_l_star, eq.r_star, eq.s)) < 1e-9
         assert abs(search_residual_posterior(eq.g, eq.r_star, eq.s)) < 1e-8
         assert eq.r_star < r_full_info(eq.prior, eq.s)
+
+
+def test_a_posterior_off_the_search_equation_fails_it(eq_uniform_small, uniform):
+    # the solved thresholds keep the prior form; full disclosure in place of
+    # the market's posterior adds int_{v_L*}^{r*} (r* - v) dF to the excess
+    bad = dataclasses.replace(eq_uniform_small, g=full_disclosure_distribution(uniform))
+    with pytest.raises(ValidationFailureError) as exc:
+        validate_equilibrium(bad, conceals=False)
+    assert exc.value.invariant == "search-equation"
 
 
 def test_fixed_point_self_consistency(eq_uniform_small, eq_power):
@@ -562,6 +574,22 @@ def test_boundaries_and_domain(uniform):
     assert eq0.beta_star is None
     assert eq0.r_star == pytest.approx(r_full_info(uniform, 0.1), abs=1e-12)
     assert float(eq0.g.cdf(0.37)) == pytest.approx(0.37)
+
+
+@pytest.mark.parametrize("prior_name", ["uniform", "power2", "piecewise"])
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_full_disclosure_branches_are_the_tangent_at_r_bitwise(request, prior_name, n):
+    # the alpha = 0 market's degenerate candidate at v_L = v_H = r* gives the
+    # tangent of F**(n-1) at r* that the market built by hand before it held one
+    prior = request.getfixturevalue(prior_name)
+    eq = solve_endog(prior, n, 0.0, 0.1)
+    r, fl = eq.r_star, float(prior.cdf(eq.v_l_star))
+    tangent = AffinePower(r, r, fl ** (n - 1), prior.pow_cdf_deriv(r, n), n - 1)
+    b = eq.branches
+    assert (b.fl, b.c_low, b.fh) == (fl, 1.0, float(prior.cdf(eq.v_h_star)))
+    assert b.pooled == tangent  # a, b, base, slope and root_power
+    validate_candidate(eq.candidate, eq.g)  # the market's certificate holds for it too
+    assert (eq.beta_star, eq.note, eq.top_disclosure) == (None, "FullDisclosure", False)
 
 
 def test_search_cost_domain_is_checked_once(uniform):

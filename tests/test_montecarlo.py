@@ -388,35 +388,17 @@ def test_point_mass_deviation_matches_analytic_gain(uniform):
     # firm deviates to the no-information signal: the simulated sale share
     # must line up with the analytic payoff route
     from disclose_eq import point_mass
-    from disclose_eq.endogenous import Equilibrium, r_full_info
-    from disclose_eq.endogenous import posterior_share, visit_probability
+    from disclose_eq.endogenous import full_disclosure_market, r_full_info
 
     alpha, s = 0.65, 0.2
-    r = r_full_info(uniform, s)
-    assert r < 0.5  # the pooled mean now stops the costly searcher
-    eta = visit_probability(uniform, 2, r)
-    market = Equilibrium(
-        prior=uniform,
-        n=2,
-        alpha=alpha,
-        s=s,
-        r_star=r,
-        v_l_star=r,
-        v_h_star=r,
-        v_t_star=1.0,
-        beta_star=None,
-        eta=eta,
-        alpha_tilde=posterior_share(alpha, eta),
-        g=full_disclosure_distribution(uniform),
-        bottom_disclosure=True,
-        top_disclosure=False,
-    )
+    market = full_disclosure_market(uniform, 2, alpha, s, r_full_info(uniform, s))
+    assert market.r_star < 0.5  # the pooled mean now stops the costly searcher
     g_dev = point_mass(uniform, 0.5)
     gain = expected_payoff_under(market, g_dev) - expected_payoff_under(market, market.g)
     assert gain > 1e-3  # deviating is strictly profitable here
     cfg = SimConfig(consumers=200_000, seed=271828, cost_model=SingleCost(s), bins=20)
     share, se = simulate_deviation(market, 0, g_dev, cfg)
-    visit_prob = alpha * eta + (1.0 - alpha)
+    visit_prob = alpha * market.eta + (1.0 - alpha)
     expected_share = visit_prob * expected_payoff_under(market, g_dev)
     assert abs(share - expected_share) < 4.0 * se
     assert share > 0.5 + 3.0 * se  # the sign shows up in the sample

@@ -13,7 +13,7 @@ from disclose_eq.posterior import (
     informativeness_compare,
     point_mass,
 )
-from disclose_eq.errors import DiscloseEqError, DomainError
+from disclose_eq.errors import DiscloseEqError, DomainError, ValidationFailureError
 from disclose_eq.verify import check_dm_conditions
 from disclose_eq.welfare import sweep
 from reference import MaskLoopPosterior, informativeness_by_sorted_union, sample_by_masks
@@ -38,6 +38,20 @@ def g_atom(piecewise):
     )
     g.validate()
     return g
+
+
+@pytest.mark.parametrize(
+    "segments, invariant",
+    [
+        ((FullDisclosure(0.0, 0.4), FullDisclosure(0.5, 1.0)), "segment-contiguity"),
+        ((FullDisclosure(0.0, 0.5),), "cdf-top"),
+    ],
+    ids=["gap", "short"],
+)
+def test_a_broken_posterior_names_its_invariant(uniform, segments, invariant):
+    with pytest.raises(ValidationFailureError) as exc:
+        PosteriorDistribution(prior=uniform, segments=segments).validate()
+    assert exc.value.invariant == invariant
 
 
 def _posteriors(request):

@@ -888,28 +888,11 @@ def _pool_around_r_uniform(prior, r, delta):
 def test_pool_deviation_beats_full_disclosure(uniform):
     # against full-disclosure opponents, pooling around the reservation
     # value is profitable: the jump makes the auxiliary chord concave
-    from disclose_eq.endogenous import Equilibrium, r_full_info
-    from disclose_eq.endogenous import posterior_share, visit_probability
+    from disclose_eq.endogenous import full_disclosure_market, r_full_info
 
     alpha, s = 0.65, 0.1
-    r = r_full_info(uniform, s)
-    eta = visit_probability(uniform, 2, r)
-    market = Equilibrium(
-        prior=uniform,
-        n=2,
-        alpha=alpha,
-        s=s,
-        r_star=r,
-        v_l_star=r,
-        v_h_star=r,
-        v_t_star=1.0,
-        beta_star=None,
-        eta=eta,
-        alpha_tilde=posterior_share(alpha, eta),
-        g=full_disclosure_distribution(uniform),
-        bottom_disclosure=True,
-        top_disclosure=False,
-    )
+    market = full_disclosure_market(uniform, 2, alpha, s, r_full_info(uniform, s))
+    r = market.r_star
     g_dev = _pool_around_r_uniform(uniform, r, 0.05)
     base = expected_payoff_under(market, market.g)
     dev = expected_payoff_under(market, g_dev)

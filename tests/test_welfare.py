@@ -150,6 +150,29 @@ def test_threshold_scan_uniform(uniform):
     assert report.grid_resolution == pytest.approx(grid[1] - grid[0], abs=1e-12)
 
 
+@pytest.mark.parametrize("n, s_tilde", [(2, 0.005), (3, None)])
+def test_threshold_scan_s_tilde_is_the_qualifying_run_below_the_prefix_top(uniform, n, s_tilde):
+    # s_tilde_est is the lowest cost of the unbroken run of prefix rows, read
+    # down from the prefix's top row, each more informative than that row and
+    # better for both consumer types; n = 2 qualifies all the way down, n = 3
+    # breaks at the first row
+    report = threshold_scan(uniform, n, 0.5, list(np.linspace(0.005, 0.3, 30)))
+    top, *below = reversed([row for row in report.rows if row["s"] <= report.s_lower_est])
+    assert len(below) == 24
+    top_g = solve_endog(uniform, n, 0.5, top["s"]).g
+    run = []
+    for row in below:
+        g = solve_endog(uniform, n, 0.5, row["s"]).g
+        if not (
+            informativeness_compare(g, top_g).verdict == MORE_INFORMATIVE
+            and row["cs_savvy"] > top["cs_savvy"]
+            and row["cs_inexperienced"] > top["cs_inexperienced"]
+        ):
+            break
+        run.append(row["s"])
+    assert report.s_tilde_est == (run[-1] if run else None) == s_tilde
+
+
 def test_threshold_scan_reraises_a_failing_point(uniform):
     with pytest.raises(ValidationFailureError) as info:
         threshold_scan(uniform, 1375, 0.5464, [0.29, 0.3008])
