@@ -62,9 +62,11 @@ class Candidate:
 
     @cached_property
     def pooled(self) -> AffinePower:
-        """The pooled branch on [r, min(v_H, v_T)]: cdf**(n-1) = F(v_L)**(n-1) + beta (v - r)."""
+        """The pooled branch on [r, min(v_H, v_T)]: cdf**(n-1) = F(v_L)**(n-1) + beta (v - r),
+        with its cdf at the top end where it starts at 0 (AffinePower.hi)."""
         top = min(self.v_h, self.v_t)
-        return AffinePower(self.r, top, self.fl ** (self.n - 1), self.beta, self.n - 1)
+        hi = 1.0 if self.v_h >= 1.0 else float(self.prior.cdf(top)) if self.fl == 0.0 else 0.0
+        return AffinePower(self.r, top, self.fl ** (self.n - 1), self.beta, self.n - 1, hi)
 
 
 def candidate_exists(prior: Prior, n: int, v_l: float, r: float) -> bool:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationFailureError
 from .priors import Prior
-from .tolerances import ATOM_MATCH_TOL, CONTINUITY_TOL, MPC_TOL
+from .tolerances import ATOM_MATCH_TOL, CONTINUITY_TOL, MPC_TOL, POOLED_LEVEL_FLOOR
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -102,13 +102,30 @@ class Flat:
 @dataclass(frozen=True)
 class AffinePower:
     """cdf**root_power is the line base + slope*(v - a) on [a, b]: a
-    candidate's pooled branch from a = r (Candidate.pooled), root_power = n - 1."""
+    candidate's pooled branch from a = r (Candidate.pooled), root_power = n - 1.
+
+    In a large concealing market the line starts at base = 0 and its rise
+    over [a, b], F(b)**root_power, leaves the float range, so slope
+    underflows.  There (_scaled) the branch is read from hi, the cdf at b:
+    cdf = hi * t**(1/root_power) with t = (v - a) / (b - a).  Everywhere
+    else hi is not read, and the line's arithmetic runs unchanged.
+    """
 
     a: float
     b: float
     base: float
     slope: float
     root_power: int
+    hi: float = 0.0  # the cdf at b when base == 0; 0.0 otherwise
+
+    def _scaled(self) -> bool:
+        """Whether base + slope (v - a) underflows on [a, b]."""
+        return self.base == 0.0 and self.hi > 0.0 and self.slope * (self.b - self.a) < POOLED_LEVEL_FLOOR
+
+    def _t(self, v: ArrayLike) -> ArrayLike:
+        """(v - a) / (b - a), clipped to [0, 1]."""
+        t = (v - self.a) / (self.b - self.a)
+        return t.clip(0.0, 1.0) if isinstance(t, np.ndarray) else min(max(t, 0.0), 1.0)
 
     def line(self, v: ArrayLike) -> ArrayLike:
         """cdf**root_power, extended past [a, b] and unclipped."""
@@ -120,16 +137,21 @@ class AffinePower:
         return w.clip(0.0, 1.0) if isinstance(w, np.ndarray) else min(max(w, 0.0), 1.0)
 
     def cdf(self, prior: Prior, v: ArrayLike) -> ArrayLike:
+        if self._scaled():
+            return self.hi * self._t(v) ** (1.0 / self.root_power)
         w = self._w(v)
         return w if self.root_power == 1 else w ** (1.0 / self.root_power)
 
     def integral(self, prior: Prior, lo: float, hi: ArrayLike, k: int = 1) -> ArrayLike:
         p = self.root_power
+        if self._scaled():
+            e = (k + p) / p
+            return self.hi**k * (self.b - self.a) * p / (k + p) * (self._t(hi) ** e - self._t(lo) ** e)
         scale = self.slope * (k + p)
         coef = p / scale if scale != 0.0 else math.inf
         if coef == 0.0 or not math.isfinite(coef):
-            # F(v_L)**(n-1) underflows in large markets, and the slope it
-            # scales goes to 0 or so near it that the coefficient overflows
+            # outside the scaled form, F**(n-1) underflows in large markets,
+            # and the slope goes to 0 or so near it that the coefficient overflows
             if np.any(hi > lo):
                 raise ValidationFailureError(
                     "pooled-slope",
@@ -142,7 +164,13 @@ class AffinePower:
     def quantile_in_place(self, prior: Prior, q: np.ndarray) -> None:
         """a + (q**root_power - base) / slope, bit for bit: `**=` takes
         the same fast cases as `**` (a copy for 1, a square for 2), and the
-        final addition commutes."""
+        final addition commutes.  The scaled branch inverts hi * t**(1/root_power)."""
+        if self._scaled():
+            q /= self.hi
+            q **= self.root_power
+            q *= self.b - self.a
+            q += self.a
+            return
         q **= self.root_power
         q -= self.base
         q /= self.slope

@@ -54,6 +54,11 @@ the candidate's segment ends (candidate._integrated_gaps); and
 informativeness_compare, so check_deviation_mpc's deviation-not-mpc and
 every verdict of the welfare statics."""
 
+POOLED_LEVEL_FLOOR = 1e-290
+"""Levels of cdf**(n-1).  AffinePower._scaled: a pooled branch that starts
+at base 0 and whose line rises by less than this over its segment is read
+in its scaled form, from the cdf at its top end, not from its slope."""
+
 # -- endogenous: the post-solve invariants and the regime ---------------------
 
 SEARCH_PRIOR_TOL = 1e-9

@@ -40,14 +40,24 @@ def test_solve_emits_equilibrium(tmp_path, capsys):
     assert payload["equilibrium"]["G"]["segments"]
 
 
-def test_underflowing_pooled_slope_exits_as_invariant_failure(tmp_path):
-    cfg = {"prior": {"family": "uniform"}, "n": 1375, "alpha": 0.5464099987813732, "s": 0.30076378322172764}
+def test_underflowing_pooled_branch_exits_as_invariant_failure(tmp_path):
+    # a disclosing market whose pooled branch starts at F(v_L)**(n-1) = 0
+    # (test_underflowing_disclosing_level_is_a_typed_error)
+    cfg = {"prior": {"family": "uniform"}, "n": 450, "alpha": 0.05, "s": 0.01}
     assert main(["solve", "--config", _write(tmp_path, "cfg.json", cfg)]) == 2
 
 
-@pytest.mark.parametrize("n, code", [(2, 0), (50, 2)])
+def test_underflowing_pooled_slope_solves_as_a_concealing_market(tmp_path, capsys):
+    # the pooled slope underflows to 0, and the branch is read in its scaled form
+    cfg = {"prior": {"family": "uniform"}, "n": 1375, "alpha": 0.5464099987813732, "s": 0.30076378322172764}
+    assert main(["solve", "--config", _write(tmp_path, "cfg.json", cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["equilibrium"]["bottom_disclosure"] is False
+
+
+@pytest.mark.parametrize("n, code", [(2, 0), (50, 0)])
 def test_reserve_next_to_zero_is_no_config_error(tmp_path, n, code):
-    # r* = mu - s < 1e-12 is a valid market: it solves, or fails an invariant
+    # r* = mu - s < 1e-12 is a valid market: it solves (at n = 50 with the
+    # pooled branch in its scaled form), or fails an invariant
     cfg = {"prior": {"family": "uniform"}, "n": n, "alpha": 0.5, "s": 0.4999999999999}
     assert main(["solve", "--config", _write(tmp_path, "cfg.json", cfg)]) == code
 

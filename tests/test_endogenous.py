@@ -659,10 +659,17 @@ def test_small_alpha_root_next_to_full_info(uniform, s):
 )
 def test_underflowing_pooled_slope_is_a_typed_error(prior, n, alpha, s):
     # the powers F**(n-1) on the pooled branch underflow, so the pooled
-    # slope is 0 or subnormal
+    # slope is 0 or subnormal: read from that slope, the branch's integral
+    # is a typed error.  The candidate passes the cdf at the branch's top
+    # (AffinePower.hi), so the branch is read in its scaled form, and the
+    # concealing market solves and passes its certificate.
     assert prior.check_convexity(n)
+    eq = solve_endog(prior, n, alpha, s)
+    pooled = eq.candidate.pooled
+    assert not eq.bottom_disclosure and pooled._scaled()
+    assert check_dm_conditions(eq).passed
     with pytest.raises(ValidationFailureError) as exc:
-        solve_endog(prior, n, alpha, s)
+        dataclasses.replace(pooled, hi=0.0).integral(prior, pooled.a, pooled.b)
     assert exc.value.invariant == "pooled-slope"
 
 

@@ -55,4 +55,6 @@ def test_claims_a_to_c_hold_and_every_typed_error_is_tallied(monkeypatch):
                 assert config in solved
         assert failed == sum("n" in c and "axis" not in c for _, c in errors)
         typed += failed
-    assert typed > 0  # the draw reaches the sizes where solves fail (ROADMAP item 1)
+    # the draw reaches sizes up to 10**4, where the pooled slope underflows:
+    # read in its scaled form, every one of them solves
+    assert typed == 0

@@ -87,6 +87,27 @@ def test_excess_above_matches_quadrature(request):
         np.testing.assert_allclose(g.excess_above(r), want, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("p", [965, 990])
+def test_the_scaled_pooled_branch_agrees_with_its_line(uniform, p):
+    # hi**p is 3.2e-291 and 9.6e-299: the line's rise over [a, b] is below
+    # POOLED_LEVEL_FLOOR but still a normal float, so the scaled form
+    # (from hi) and the line's arithmetic (from the slope) can be compared
+    a, b, hi = 0.2, 0.7, 0.5
+    scaled = AffinePower(a, b, 0.0, hi**p / (b - a), p, hi)
+    line = AffinePower(a, b, 0.0, hi**p / (b - a), p)
+    assert scaled._scaled() and not line._scaled()
+    v = np.array([a, 0.25, 0.4, 0.6999, b])
+    np.testing.assert_allclose(scaled.cdf(uniform, v), line.cdf(uniform, v), rtol=1e-12, atol=0)
+    assert scaled.cdf(uniform, b) == hi
+    for k in (1, 2, 5):
+        np.testing.assert_allclose(
+            scaled.integral(uniform, 0.3, v[1:], k), line.integral(uniform, 0.3, v[1:], k), rtol=1e-12, atol=0
+        )
+    q = scaled.cdf(uniform, v)
+    scaled.quantile_in_place(uniform, q)
+    np.testing.assert_allclose(q, v, rtol=1e-12, atol=0)
+
+
 def test_stop_quantile_array_equals_scalar_calls(request, g_atom):
     for g in _posteriors(request):
         bottom = g.support_bottom()

@@ -175,8 +175,8 @@ def test_threshold_scan_s_tilde_is_the_qualifying_run_below_the_prefix_top(unifo
 
 def test_threshold_scan_reraises_a_failing_point(uniform):
     with pytest.raises(ValidationFailureError) as info:
-        threshold_scan(uniform, 1375, 0.5464, [0.29, 0.3008])
-    assert info.value.invariant == "pooled-slope"
+        threshold_scan(uniform, 450, 0.05, [0.005, 0.01])
+    assert info.value.invariant == "cdf-continuity"
 
 
 @pytest.mark.parametrize(
