@@ -37,7 +37,7 @@ from .posterior import (
     FullDisclosure,
     PosteriorDistribution,
 )
-from .priors import Prior
+from .priors import CdfCum, Prior
 from .rootfind import bisect_root
 from .tolerances import (
     CHORD_MIN_WIDTH, CONTACT_XTOL, CONTINUITY_TOL, FEAS_MARGIN, MPC_TOL, SLOPE_REL_TOL, TOP_STRUCTURE_TOL,
@@ -69,14 +69,14 @@ class Candidate:
         return AffinePower(self.r, top, self.fl ** (self.n - 1), self.beta, self.n - 1, hi)
 
 
-def candidate_exists(prior: Prior, n: int, v_l: float, r: float) -> bool:
-    """A candidate exists iff the mean above v_L strictly exceeds r."""
+def candidate_exists(prior: Prior, n: int, v_l: float, r: float, at_v_l: CdfCum | None = None) -> bool:
+    """A candidate exists iff the mean above v_L strictly exceeds r; at_v_l = prior.cdf_cum(v_l) if given."""
     if not 0.0 <= v_l < r < 1.0:
         return False
-    return prior.conditional_mean_above(v_l) > r + FEAS_MARGIN
+    return prior.conditional_mean_above(v_l, at_v_l) > r + FEAS_MARGIN
 
 
-def _mean_match_residual(prior: Prior, n: int, v_l: float, r: float) -> Callable[[float], float]:
+def _mean_match_residual(prior: Prior, n: int, v_l: float, r: float, at_v_l: CdfCum) -> Callable[..., float]:
     """Gap between the contact slope at v and the moment slope, times
     mass / F(v)^(n-1).
 
@@ -84,13 +84,13 @@ def _mean_match_residual(prior: Prior, n: int, v_l: float, r: float) -> Callable
     r, positive at 1 whenever the contact is interior.  Its only power is
     lam = (F(v_L) / F(v))^(n-1) <= 1, so it neither overflows nor, as the
     unscaled residual does in large markets, underflows to a false root.
-    F and its integral come from one prior.cdf_cum call per point.
+    F and its integral come from one prior.cdf_cum call per point, at_v_l at v_L.
     """
-    fl, cum_l = prior.cdf_cum(v_l)
+    fl, cum_l = at_v_l
     vl_fl = v_l * fl
 
-    def residual(v: float) -> float:
-        fv, cum_v = prior.cdf_cum(v)
+    def residual(v: float, at_v: CdfCum | None = None) -> float:
+        fv, cum_v = at_v or prior.cdf_cum(v)
         mass = fv - fl
         vf = v * fv - vl_fl - (cum_v - cum_l)  # prior.partial_vf(v_l, v)
         lam = (fl / fv) ** (n - 1) if fl > 0.0 else 0.0  # also where F(v) underflows to 0
@@ -100,19 +100,20 @@ def _mean_match_residual(prior: Prior, n: int, v_l: float, r: float) -> Callable
     return residual
 
 
-def solve_beta(prior: Prior, n: int, v_l: float, r: float) -> tuple[float, float, float]:
+def solve_beta(prior: Prior, n: int, v_l: float, r: float, at_v_l: CdfCum | None = None) -> tuple[float, float, float]:
     """Solve (beta, v_H, v_T) for the unique candidate at (v_L, r); the
-    contact point stays exact where F(v_L)^(n-1) and F(v)^(n-1) underflow."""
+    contact point stays exact where F(v_L)^(n-1) and F(v)^(n-1) underflow.
+    at_v_l is prior.cdf_cum(v_l), read here if not given."""
     if not 0.0 <= v_l < r < 1.0:
         raise InfeasibleCandidateError(f"need 0 <= v_L < r < 1, got ({v_l}, {r})")
-    if not candidate_exists(prior, n, v_l, r):
+    at_v_l = at_v_l or prior.cdf_cum(v_l)
+    if not candidate_exists(prior, n, v_l, r, at_v_l):
         raise InfeasibleCandidateError(
             f"E[v | v > {v_l}] <= {r}: no mean-preserving candidate"
         )
-    fl = prior.cdf(v_l)
-    fln1 = fl ** (n - 1)
-    residual = _mean_match_residual(prior, n, v_l, r)
-    at_one = residual(1.0)
+    fln1 = at_v_l[0] ** (n - 1)
+    residual = _mean_match_residual(prior, n, v_l, r, at_v_l)
+    at_one = residual(1.0, prior.at_one)
     if at_one > 0.0:
         # Interior contact: bisect the single mean-match equation in v_H.
         # At r the residual is (1 - lam) times the integral of (u - r) dF over
@@ -126,7 +127,7 @@ def solve_beta(prior: Prior, n: int, v_l: float, r: float) -> tuple[float, float
         v_t = 1.0
     else:
         # the pooled branch caps at 1 before re-contact: moment closed form
-        tm = prior.truncated_moments(v_l, 1.0, n)
+        tm = prior.truncated_moments(v_l, 1.0, n, at_v_l)
         beta = (tm.eta_tilde - fln1) / (tm.mu_tilde - r)
         v_h = 1.0
         v_t = min(r + (1.0 - fln1) / beta, 1.0)

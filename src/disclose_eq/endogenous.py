@@ -66,7 +66,7 @@ from .posterior import (
     PosteriorDistribution,
     full_disclosure_distribution,
 )
-from .priors import Prior
+from .priors import CdfCum, Prior
 from .rootfind import bisect_root
 from .tolerances import (
     BISECT_XTOL, BRACKET_EDGE, FIXED_POINT_TOL, REGIME_BAND, RESERVE_TOL, SEARCH_POSTERIOR_TOL,
@@ -194,13 +194,8 @@ class LimitEquilibrium:
     g_inf: PosteriorDistribution
 
 
-def visit_probability(prior: Prior, n: int, v_l: float) -> float:
-    """Chance a firm is visited by a costly searcher when G(r) = F(v_L)."""
-    return _visit_probability_at(prior.cdf(v_l), n)
-
-
-def _visit_probability_at(fl: float, n: int) -> float:
-    """visit_probability given F(v_L)."""
+def visit_probability(fl: float, n: int) -> float:
+    """Chance a firm is visited by a costly searcher when G(r) = F(v_L) = fl."""
     if fl >= 1.0:
         return 1.0
     return (1.0 - fl**n) / (n * (1.0 - fl))
@@ -211,18 +206,17 @@ def posterior_share(alpha: float, eta: float) -> float:
     return alpha * eta / (alpha * eta + 1.0 - alpha)
 
 
-def z_function(prior: Prior, n: int, alpha: float, v_l: float, r: float) -> float:
+def z_function(prior: Prior, n: int, alpha: float, v_l: float, r: float, at_v_l: CdfCum | None = None) -> float:
     """Multiplier continuity gap at v_L; > 0 iff v_L is above the fixed point."""
     if not 0.0 < alpha < 1.0:
         raise DomainError("z_function needs alpha in (0, 1)")
-    beta, _, _ = solve_beta(prior, n, v_l, r)
-    return _z_of_beta(prior, n, alpha, v_l, r, beta)
+    beta, _, _ = solve_beta(prior, n, v_l, r, at_v_l)
+    return _z_of_beta(at_v_l[0] if at_v_l else prior.cdf(v_l), n, alpha, v_l, r, beta)
 
 
-def _z_of_beta(prior: Prior, n: int, alpha: float, v_l: float, r: float, beta: float) -> float:
-    """z_function given the pooled slope beta of the candidate at (v_L, r)."""
-    fl = prior.cdf(v_l)
-    eta = _visit_probability_at(fl, n)
+def _z_of_beta(fl: float, n: int, alpha: float, v_l: float, r: float, beta: float) -> float:
+    """z_function given F(v_L) and the pooled slope beta of the candidate at (v_L, r)."""
+    eta = visit_probability(fl, n)
     return alpha * (eta - fl ** (n - 1)) - (1.0 - alpha) * beta * (r - v_l)
 
 
@@ -287,8 +281,12 @@ def search_residual_prior(prior: Prior, v_l: float, r: float, s: float) -> float
 
 
 def search_residual_posterior(g: PosteriorDistribution, r: float, s: float) -> float:
-    """Raw search equation: int_r^1 (v - r) dG - s."""
-    return float(g.excess_above(r)) - s
+    """Raw search equation: int_r^1 (v - r) dG - s = int_r^1 (1 - G) - s for r <= g.top,
+    with int G read from g's prefix integrals in their scalar arithmetic."""
+    prefix = g._prefix(1)
+    i, seg = next((i, seg) for i, seg in enumerate(g.segments) if r <= seg.b)
+    cum_1 = prefix[-1] + (1.0 - g.segments[-1].b)  # the cdf is 1 above the top
+    return (1.0 - r) - (cum_1 - (prefix[i] + seg.integral(g.prior, seg.a, r))) - s
 
 
 def _checked_mean(prior: Prior, s: float) -> float:
@@ -336,11 +334,11 @@ def r_full_info(prior: Prior, s: float) -> float:
     )
 
 
-def r_search(prior: Prior, v_l: float, s: float) -> float:
+def r_search(prior: Prior, v_l: float, s: float, at_v_l: CdfCum | None = None) -> float:
     """Reservation value implied by the search equation at threshold v_L."""
     if not 0.0 <= v_l < 1.0:
         raise DomainError("v_L must lie in [0, 1)")
-    mass, vf = prior.mass_and_vf_above(v_l)
+    mass, vf = prior.mass_and_vf_above(v_l, at_v_l)
     return (vf - s) / mass
 
 
@@ -352,7 +350,7 @@ def assemble_market(
     when given, is the candidate at (v_l, r), already built."""
     if cand is None:
         cand = build_candidate(prior, n, v_l, r)
-    eta = _visit_probability_at(cand.fl, n)
+    eta = visit_probability(cand.fl, n)
     return Equilibrium(
         prior=prior,
         n=n,
@@ -376,7 +374,7 @@ def full_disclosure_market(prior: Prior, n: int, alpha: float, s: float, r: floa
     """The market in which every value is disclosed and r is the reserve,
     with the degenerate candidate at v_L = v_H = r: the alpha = 0
     equilibrium at r_full_info(prior, s), or the opponents of a deviation."""
-    eta = visit_probability(prior, n, r)
+    eta = visit_probability(prior.cdf(r), n)
     return Equilibrium(
         prior=prior,
         n=n,
@@ -413,7 +411,7 @@ def _check_fixed_point(eq: Equilibrium) -> None:
     prior, n, alpha, r, v_l = eq.prior, eq.n, eq.alpha, eq.r_star, eq.v_l_star
     if eq.candidate.v_l == 0.0:
         # the candidate at (0, r*) is the one z(0, r*) would build again
-        z0 = _z_of_beta(prior, n, alpha, 0.0, r, eq.candidate.beta)
+        z0 = _z_of_beta(eq.candidate.fl, n, alpha, 0.0, r, eq.candidate.beta)
     else:
         z0 = _z_or_infeasible(prior, n, alpha, 0.0, r)
     bracket = _v_l_bracket(prior, n, alpha, r, z0)
@@ -497,7 +495,7 @@ def solve_endog(prior: Prior, n: int, alpha: float, s: float) -> Equilibrium:
     # candidate is the one at (0, mu - s)
     try:
         cand0 = build_candidate(prior, n, 0.0, mu - s)
-        z0 = _z_of_beta(prior, n, alpha, 0.0, mu - s, cand0.beta)
+        z0 = _z_of_beta(cand0.fl, n, alpha, 0.0, mu - s, cand0.beta)
     except InfeasibleCandidateError:
         cand0, z0 = None, -math.inf
     conceals = z0 >= 0.0 or _conceals_bottom(prior, n, alpha, mu, s)
@@ -506,7 +504,8 @@ def solve_endog(prior: Prior, n: int, alpha: float, s: float) -> Equilibrium:
     else:
 
         def gap(v_l: float) -> float:
-            return z_function(prior, n, alpha, v_l, r_search(prior, v_l, s))
+            at_v_l = prior.cdf_cum(v_l)  # the step's one read of the prior
+            return z_function(prior, n, alpha, v_l, r_search(prior, v_l, s, at_v_l), at_v_l)
 
         # gap(0) is z0 where the search equation at v_L = 0 gives mu - s exactly
         f_lo = z0 if cand0 is not None and r_search(prior, 0.0, s) == mu - s else None

@@ -21,6 +21,7 @@ from .errors import ConfigError, DomainError, config_number
 from .tolerances import CONVEXITY_SLACK
 
 ArrayLike = Union[float, np.ndarray]
+CdfCum = tuple[float, float]  # (F(v), int_0^v F) from one Prior.cdf_cum(v)
 
 
 def _check_unit_interval(x: ArrayLike, name: str) -> None:
@@ -86,8 +87,12 @@ class Prior:
         raise NotImplementedError
 
     # -- derived moments ---------------------------------------------------
+    @cached_property
+    def at_one(self) -> CdfCum:  # cdf_cum(1.0), evaluated once per prior
+        return self.cdf_cum(1.0)
+
     def mean(self) -> float:
-        return 1.0 - float(self.cum_pow_cdf(1.0, 1))
+        return 1.0 - float(self.at_one[1])  # cum_pow_cdf(1.0, 1), bit for bit
 
     def partial_vf(self, a: float, b: float) -> float:
         """Integral of v dF over (a, b), by parts: vF| - int F."""
@@ -95,26 +100,26 @@ class Prior:
         fb, cum_b = self.cdf_cum(b)
         return b * fb - a * fa - (cum_b - cum_a)
 
-    def mass_and_vf_above(self, a: float) -> tuple[float, float]:
-        """(1 - F(a), partial_vf(a, 1)) from one evaluation at a."""
-        fa, cum_a = self.cdf_cum(a)
-        f1, cum_1 = self.cdf_cum(1.0)
+    def mass_and_vf_above(self, a: float, at_a: CdfCum | None = None) -> tuple[float, float]:
+        """(1 - F(a), partial_vf(a, 1)) from one evaluation at a, at_a = cdf_cum(a) if given."""
+        fa, cum_a = at_a or self.cdf_cum(a)
+        f1, cum_1 = self.at_one
         return 1.0 - fa, f1 - a * fa - (cum_1 - cum_a)  # 1.0 * f1 == f1
 
-    def conditional_mean_above(self, a: float) -> float:
-        """E[v | v > a]."""
-        mass, vf = self.mass_and_vf_above(a)
+    def conditional_mean_above(self, a: float, at_a: CdfCum | None = None) -> float:
+        """E[v | v > a]; at_a as in mass_and_vf_above."""
+        mass, vf = self.mass_and_vf_above(a, at_a)
         if mass <= 0.0:
             raise DomainError("conditional mean above the support top")
         return vf / mass
 
-    def truncated_moments(self, a: float, b: float, n: int) -> TruncatedMoments:
+    def truncated_moments(self, a: float, b: float, n: int, at_a: CdfCum | None = None) -> TruncatedMoments:
         if b <= a:
             raise DomainError(f"degenerate interval: need a < b, got [{a}, {b}]")
         _check_unit_interval(a, "a")
         _check_unit_interval(b, "b")
-        fa, cum_a = self.cdf_cum(a)
-        fb, cum_b = self.cdf_cum(b)
+        fa, cum_a = at_a or self.cdf_cum(a)
+        fb, cum_b = self.at_one if b == 1.0 else self.cdf_cum(b)
         mass = fb - fa
         mu_tilde = (b * fb - a * fa - (cum_b - cum_a)) / mass  # partial_vf(a, b) / mass
         eta_tilde = (fb**n - fa**n) / (n * mass)

@@ -97,7 +97,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from disclose_eq import candidate
+from disclose_eq import candidate, endogenous
 from disclose_eq.candidate import (
     Candidate,
     build_candidate,
@@ -111,7 +111,6 @@ from disclose_eq.endogenous import (
     _check_market,
     _checked_mean,
     _conceals_bottom,
-    _visit_probability_at,
     _z_of_beta,
     payoff_u,
     posterior_share,
@@ -147,7 +146,8 @@ from disclose_eq.posterior import (
 from disclose_eq.priors import Prior
 from disclose_eq.rootfind import bisect_root
 from disclose_eq.tolerances import (
-    CONTACT_XTOL, DM1_TOL, HIGHS_FEASIBILITY_TOL, HIGHS_SMALL_ENTRY, MPC_TOL, NARROW_CELL,
+    CHORD_MIN_WIDTH, CONTACT_XTOL, DM1_TOL, FEAS_MARGIN, HIGHS_FEASIBILITY_TOL, HIGHS_SMALL_ENTRY, MPC_TOL,
+    NARROW_CELL,
 )
 from disclose_eq.verify import (
     CertificateReport,
@@ -256,12 +256,14 @@ def solve_beta_via_h_star(prior: Prior, n: int, v_l: float, r: float) -> tuple[f
     return beta, v_h, v_t
 
 
-def mean_match_residual_unscaled(prior: Prior, n: int, v_l: float, r: float) -> Callable[[float], float]:
+def mean_match_residual_unscaled(prior: Prior, n: int, v_l: float, r: float, at_v_l=None) -> Callable[..., float]:
     """Mass-scaled gap between the contact slope at v and the moment slope.
 
     Zero exactly at the contact point of the valid candidate; negative at
     r, positive at 1 whenever the contact is interior.  The terms in v_L
-    alone are computed once, outside the returned function of v.
+    alone are computed once, outside the returned function of v.  It reads
+    the prior itself, so it ignores the pairs candidate.solve_beta hands its
+    residual (at_v_l and at_v).
     """
     fl = prior.cdf(v_l)
     fln1 = fl ** (n - 1)
@@ -269,7 +271,7 @@ def mean_match_residual_unscaled(prior: Prior, n: int, v_l: float, r: float) -> 
     vl_fl = v_l * fl
     cum_l = prior.cum_pow_cdf(v_l, 1)
 
-    def residual(v: float) -> float:
+    def residual(v: float, at_v=None) -> float:
         fv = prior.cdf(v)
         mass = fv - fl
         vf = v * fv - vl_fl - (prior.cum_pow_cdf(v, 1) - cum_l)  # prior.partial_vf(v_l, v)
@@ -283,6 +285,94 @@ def solve_beta_unscaled(prior: Prior, n: int, v_l: float, r: float) -> tuple[flo
     """candidate.solve_beta bisecting the unscaled residual."""
     with mock.patch.object(candidate, "_mean_match_residual", mean_match_residual_unscaled):
         return candidate.solve_beta(prior, n, v_l, r)
+
+
+def _mass_and_vf_above_by_reads(prior: Prior, a: float) -> tuple[float, float]:
+    """Prior.mass_and_vf_above reading the prior at a and at 1."""
+    fa, cum_a = prior.cdf_cum(a)
+    f1, cum_1 = prior.cdf_cum(1.0)
+    return 1.0 - fa, f1 - a * fa - (cum_1 - cum_a)
+
+
+def _mean_match_residual_by_reads(prior: Prior, n: int, v_l: float, r: float) -> Callable[[float], float]:
+    """candidate._mean_match_residual reading the prior at v_L itself and at
+    every v, 1 included."""
+    fl, cum_l = prior.cdf_cum(v_l)
+    vl_fl = v_l * fl
+
+    def residual(v: float) -> float:
+        fv, cum_v = prior.cdf_cum(v)
+        mass = fv - fl
+        vf = v * fv - vl_fl - (cum_v - cum_l)
+        lam = (fl / fv) ** (n - 1) if fl > 0.0 else 0.0
+        return (1.0 - lam) * (vf - r * mass) - ((fv - fl * lam) / n - lam * mass) * (v - r)
+
+    return residual
+
+
+def solve_beta_by_repeated_reads(prior: Prior, n: int, v_l: float, r: float) -> tuple[float, float, float]:
+    """candidate.solve_beta reading the prior wherever a term needs it: at
+    v_L for the feasibility test, F(v_L), the residual and the capped
+    moments, and at 1 for each of those but F(v_L): 4 reads at v_L and 3 at
+    1 on a capped branch."""
+    if not 0.0 <= v_l < r < 1.0:
+        raise InfeasibleCandidateError(f"need 0 <= v_L < r < 1, got ({v_l}, {r})")
+    mass, vf = _mass_and_vf_above_by_reads(prior, v_l)
+    if mass <= 0.0:
+        raise DomainError("conditional mean above the support top")
+    if not vf / mass > r + FEAS_MARGIN:
+        raise InfeasibleCandidateError(f"E[v | v > {v_l}] <= {r}: no mean-preserving candidate")
+    fl = prior.cdf(v_l)
+    fln1 = fl ** (n - 1)
+    residual = _mean_match_residual_by_reads(prior, n, v_l, r)
+    at_one = residual(1.0)
+    if at_one > 0.0:
+        v_h = bisect_root(residual, r, 1.0, xtol=CONTACT_XTOL, f_lo=-1.0, f_hi=at_one)
+        if v_h - r > CHORD_MIN_WIDTH:
+            beta = (prior.cdf(v_h) ** (n - 1) - fln1) / (v_h - r)
+        else:
+            beta = prior.pow_cdf_deriv(r, n)
+        return beta, v_h, 1.0
+    (fa, cum_a), (fb, cum_b) = prior.cdf_cum(v_l), prior.cdf_cum(1.0)
+    mass = fb - fa
+    mu_tilde = (1.0 * fb - v_l * fa - (cum_b - cum_a)) / mass
+    eta_tilde = (fb**n - fa**n) / (n * mass)
+    beta = (eta_tilde - fln1) / (mu_tilde - r)
+    return beta, 1.0, min(r + (1.0 - fln1) / beta, 1.0)
+
+
+def z_function_by_repeated_reads(prior: Prior, n: int, alpha: float, v_l: float, r: float) -> float:
+    """endogenous.z_function on solve_beta_by_repeated_reads, reading F(v_L) again."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError("z_function needs alpha in (0, 1)")
+    beta, _, _ = solve_beta_by_repeated_reads(prior, n, v_l, r)
+    fl = prior.cdf(v_l)
+    return alpha * (visit_probability(fl, n) - fl ** (n - 1)) - (1.0 - alpha) * beta * (r - v_l)
+
+
+def r_search_by_repeated_reads(prior: Prior, v_l: float, s: float) -> float:
+    """endogenous.r_search reading the prior at v_L and at 1."""
+    mass, vf = _mass_and_vf_above_by_reads(prior, v_l)
+    return (vf - s) / mass
+
+
+def gap_by_repeated_reads(prior: Prior, n: int, alpha: float, s: float) -> Callable[[float], float]:
+    """solve_endog's outer step gap(v_L), with the reads above: 6 of the
+    prior at v_L and 4 at 1 on a capped branch."""
+    return lambda v_l: z_function_by_repeated_reads(prior, n, alpha, v_l, r_search_by_repeated_reads(prior, v_l, s))
+
+
+def solve_endog_by_repeated_reads(prior: Prior, n: int, alpha: float, s: float) -> Equilibrium:
+    """endogenous.solve_endog with solve_beta, z_function and r_search swapped
+    for the routes above, which drop the pair a caller hands them."""
+    with mock.patch.multiple(
+        endogenous,
+        z_function=lambda prior, n, alpha, v_l, r, at_v_l=None: z_function_by_repeated_reads(prior, n, alpha, v_l, r),
+        r_search=lambda prior, v_l, s, at_v_l=None: r_search_by_repeated_reads(prior, v_l, s),
+    ), mock.patch.object(
+        candidate, "solve_beta", lambda prior, n, v_l, r, at_v_l=None: solve_beta_by_repeated_reads(prior, n, v_l, r)
+    ):
+        return endogenous.solve_endog(prior, n, alpha, s)
 
 
 class NoInteriorRootError(DiscloseEqError):
@@ -339,7 +429,7 @@ def solve_exog(prior: Prior, n: int, alpha: float, r: float) -> ExogEquilibrium:
         raise DomainError("reservation value must lie in (0, 1)")
     if alpha == 0.0:
         g = full_disclosure_distribution(prior)
-        eta = visit_probability(prior, n, r)  # G(r) = F(r) under full disclosure
+        eta = visit_probability(prior.cdf(r), n)  # G(r) = F(r) under full disclosure
         return ExogEquilibrium(
             prior=prior,
             n=n,
@@ -357,7 +447,7 @@ def solve_exog(prior: Prior, n: int, alpha: float, r: float) -> ExogEquilibrium:
     cand = build_candidate(prior, n, v_l, r)
     g = build_g(cand)
     validate_candidate(cand, g)
-    eta = _visit_probability_at(cand.fl, n)
+    eta = visit_probability(cand.fl, n)
     regime = REGIME_NO_BOTTOM if v_l == 0.0 else REGIME_BOTTOM
 
     if v_l > 0.0:
@@ -371,7 +461,7 @@ def solve_exog(prior: Prior, n: int, alpha: float, r: float) -> ExogEquilibrium:
             )
     else:
         # the candidate at (0, r) is the one z(0, r) would build again
-        z0 = _z_of_beta(prior, n, alpha, 0.0, r, cand.beta)
+        z0 = _z_of_beta(cand.fl, n, alpha, 0.0, r, cand.beta)
         if z0 < -Z_SIGN_TOL:
             raise ValidationFailureError("multiplier-at-zero", f"Z(0,0,r)={z0}")
 

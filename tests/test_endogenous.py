@@ -44,7 +44,14 @@ from disclose_eq.exogenous import r_lower_bar, solve_v_l_eq
 from disclose_eq.posterior import AffinePower, full_disclosure_distribution
 from disclose_eq.verify import check_dm_conditions, oracle_gap
 from disclose_eq.welfare import informativeness_compare
-from reference import validate_by_rewind
+from reference import (
+    gap_by_repeated_reads,
+    r_search_by_repeated_reads,
+    solve_beta_by_repeated_reads,
+    solve_endog_by_repeated_reads,
+    validate_by_rewind,
+    z_function_by_repeated_reads,
+)
 from test_verify import _seeded_markets
 
 
@@ -63,7 +70,7 @@ def test_z_examples(uniform):
     # at the collapse point the candidate term dominates: strictly positive
     r = 0.4
     z = z_function(uniform, 2, 0.5, r - 1e-9, r)
-    eta_r = visit_probability(uniform, 2, r)
+    eta_r = visit_probability(uniform.cdf(r), 2)
     assert z == pytest.approx(0.5 * (eta_r - r), abs=1e-6)
     assert z > 0.0
     # the closed case: alpha = 0.5, r = alpha/2 makes the gap vanish at zero
@@ -384,13 +391,14 @@ def test_band_market_is_a_fixed_point_error(power2, d):
 
 
 def _record_calls(monkeypatch, module, name, calls):
-    """Rebind module.name so that each call appends its (v_L, r) to calls;
-    both solve_beta(prior, n, v_l, r) and z_function(prior, n, alpha, v_l, r)
-    end in that pair."""
+    """Rebind module.name so that each call appends its (v_L, r) to calls:
+    solve_beta(prior, n, v_l, r, ...) or z_function(prior, n, alpha, v_l, r, ...),
+    each perhaps with the prior's pair at v_L after the pair."""
     original = getattr(module, name)
+    at = 2 if name == "solve_beta" else 3
 
     def record(*args):
-        calls.append(args[-2:])
+        calls.append(args[at:at + 2])
         return original(*args)
 
     monkeypatch.setattr(module, name, record)
@@ -782,3 +790,84 @@ def test_tracer_counts_the_outer_bisection(eq_uniform_small):
     assert traced["v_l_star"] == eq_uniform_small.v_l_star
     assert traced["metrics"]["endogenous.gap_evals"] > 0
     assert traced["metrics"]["exogenous.z_function.calls"] > 0
+
+
+def _seeded_gap_steps(monkeypatch):
+    """(market, gap, v_L of each outer step) for the disclosing seeded
+    markets, solved again with solve_endog's gap closure recorded."""
+    markets = {(eq.prior, eq.n, eq.alpha, eq.s) for eq in _seeded_markets() if eq.bottom_disclosure}
+    original = endogenous.bisect_root
+    found = []
+
+    def record(f, *args, **kwargs):
+        if f.__qualname__ != "solve_endog.<locals>.gap":
+            return original(f, *args, **kwargs)
+        steps = []
+        found[-1] += (f, steps)
+        return original(lambda v_l: steps.append(v_l) or f(v_l), *args, **kwargs)
+
+    monkeypatch.setattr(endogenous, "bisect_root", record)
+    for market in sorted(markets, key=repr):
+        found.append((market,))
+        solve_endog(*market)
+    monkeypatch.undo()
+    return found
+
+
+def test_one_read_per_step_equals_the_repeated_reads_bitwise(monkeypatch):
+    # each outer step of the disclosing seeded solves, layer by layer,
+    # against the routes that read the prior wherever a term needs it
+    steps = 0
+    for (prior, n, alpha, s), gap, points in _seeded_gap_steps(monkeypatch):
+        gap_ref = gap_by_repeated_reads(prior, n, alpha, s)
+        for v_l in points:
+            at_v_l = prior.cdf_cum(v_l)
+            r = r_search(prior, v_l, s, at_v_l)
+            assert r == r_search(prior, v_l, s) == r_search_by_repeated_reads(prior, v_l, s)
+            beta = solve_beta_by_repeated_reads(prior, n, v_l, r)
+            assert solve_beta(prior, n, v_l, r, at_v_l) == solve_beta(prior, n, v_l, r) == beta
+            z = z_function_by_repeated_reads(prior, n, alpha, v_l, r)
+            assert z_function(prior, n, alpha, v_l, r, at_v_l) == z_function(prior, n, alpha, v_l, r) == z
+            assert gap(v_l) == gap_ref(v_l) == z
+            steps += 1
+    assert steps >= 250
+
+
+def test_solves_equal_the_repeated_reads_bitwise():
+    markets = {(eq.prior, eq.n, eq.alpha, eq.s) for eq in _seeded_markets()}
+    for market in markets:
+        eq, ref = solve_endog(*market), solve_endog_by_repeated_reads(*market)
+        assert eq.to_json_dict() == ref.to_json_dict() and eq.candidate == ref.candidate
+    assert len(markets) == 13  # 12, and the market of the two perturbed candidates
+
+
+def _prior_reads(monkeypatch, prior, step) -> list[tuple[str, float]]:
+    """(method, point) of each read of the prior's primitives while step runs."""
+    reads = []
+    for name in ("cdf", "cdf_cum", "cum_pow_cdf", "pow_cdf_deriv"):
+        original = getattr(type(prior), name)
+
+        def read(self, v, *args, _name=name, _original=original):
+            reads.append((_name, v))
+            return _original(self, v, *args)
+
+        monkeypatch.setattr(type(prior), name, read)
+    step()
+    monkeypatch.undo()
+    return reads
+
+
+def test_a_capped_gap_step_reads_the_prior_once(monkeypatch):
+    # a step whose candidate caps at 1 reads the prior at v_L only: once,
+    # through cdf_cum, where the routes that read again made 6 reads at v_L
+    # and 4 at 1; the pair at 1 is the prior's own, read once per prior
+    capped = 0
+    for (prior, n, alpha, s), gap, points in _seeded_gap_steps(monkeypatch):
+        for v_l in points:
+            if solve_beta(prior, n, v_l, r_search(prior, v_l, s))[1] < 1.0:
+                continue  # an interior contact reads the prior along its bisection too
+            assert _prior_reads(monkeypatch, prior, lambda: gap(v_l)) == [("cdf_cum", v_l)]
+            before = _prior_reads(monkeypatch, prior, lambda: gap_by_repeated_reads(prior, n, alpha, s)(v_l))
+            assert sorted(point for _, point in before) == [v_l] * 6 + [1.0] * 4
+            capped += 1
+    assert capped >= 200

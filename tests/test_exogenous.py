@@ -83,7 +83,7 @@ def test_concealing_solve_exog_builds_one_candidate_at_zero(monkeypatch, uniform
     original = candidate.solve_beta
 
     def counted_solve_beta(*args):
-        calls.append(args)
+        calls.append(args[:4])  # z_function hands on the prior's pair at v_L, or None
         return original(*args)
 
     monkeypatch.setattr(endogenous, "solve_beta", counted_solve_beta)
@@ -102,7 +102,7 @@ def test_multiplier_at_zero_reads_the_same_z(uniform):
             alpha, r = float(alpha), float(r)
             eq = solve_exog(uniform, 2, alpha, r)
             if eq.v_l_eq == 0.0:
-                z0 = endogenous._z_of_beta(uniform, 2, alpha, 0.0, r, eq.candidate.beta)
+                z0 = endogenous._z_of_beta(eq.candidate.fl, 2, alpha, 0.0, r, eq.candidate.beta)
                 assert z0 == z_function(uniform, 2, alpha, 0.0, r)
                 assert eq.candidate == candidate.build_candidate(uniform, 2, 0.0, r)
                 concealing += 1
