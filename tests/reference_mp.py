@@ -7,6 +7,11 @@ the equation needs no rescaling: it checks candidate.solve_beta's contact
 point up to n = 2^20 without sharing its float model.  The priors are
 rebuilt from their parameters in closed form (_mp_prior); their cdf and
 integrated cdf are polynomials on each piece.
+
+large_market_contact_mp solves the concealing candidate's contact point
+from a different equation, one in F and its integral only (no power of F),
+at 40 digits, and at n = infinity the limit v_inf; cdf_over_density_mp
+gives the constant F/f(v_inf) of the 1/n law that n (v_H - v_inf) follows.
 """
 from __future__ import annotations
 
@@ -79,3 +84,42 @@ def contact_point_mp(
             else:
                 lo = mid
         return (lo + hi) / 2
+
+
+def large_market_contact_mp(prior: Prior, n: float, r: float, *, dps: int = 40, halvings: int = 140) -> mp.mpf:
+    """v_H of the concealing candidate at (0, r) from its exact equation in
+    F and the integral of F alone: the root in (r, 1) of
+
+        Phi_n(v) = int_0^v F - (1 - 1/n) F(v) (v - r),
+
+    and at n = mp.inf the infinite market's v_inf.  The pooled branch is
+    G^(n-1) = beta (v - r) on [r, v_H] with G(v_H) = F(v_H), so int_r^{v_H} G
+    = (n - 1)/n F(v_H) (v_H - r), and the preserved mean, int_0^{v_H} G =
+    int_0^{v_H} F, is Phi_n(v_H) = 0.  Phi_n(r) = int_0^r F > 0, and Phi_n
+    rises then falls on (r, 1), so a negative Phi_n(1) (the branch re-contacts
+    the prior before 1) brackets its one root, which is bisected."""
+    with mp.workdps(dps):
+        cdf, cum_cdf = _mp_prior(prior)
+        r, c = mp.mpf(r), 1 - 1 / mp.mpf(n)
+
+        def phi(v: mp.mpf) -> mp.mpf:
+            return cum_cdf(v) - c * cdf(v) * (v - r)
+
+        lo, hi = r, mp.mpf(1)
+        if phi(hi) >= 0:
+            raise ValueError(f"the pooled branch reaches 1 before re-contact at n = {n}")
+        for _ in range(halvings):
+            mid = (lo + hi) / 2
+            if phi(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def cdf_over_density_mp(prior: Prior, v: mp.mpf, *, dps: int = 40) -> mp.mpf:
+    """F(v) / f(v), the density by mpmath's numerical derivative of the cdf
+    (v inside a piece of a piecewise prior)."""
+    with mp.workdps(dps):
+        cdf, _ = _mp_prior(prior)
+        return cdf(v) / mp.diff(cdf, v)

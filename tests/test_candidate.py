@@ -1,11 +1,13 @@
 import dataclasses
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disclose_eq import (
+    PiecewiseLinearPrior,
     PowerPrior,
     UniformPrior,
     build_candidate,
@@ -34,7 +36,7 @@ from reference import (
     solve_beta_unscaled,
     solve_beta_via_h_star,
 )
-from reference_mp import contact_point_mp
+from reference_mp import cdf_over_density_mp, contact_point_mp, large_market_contact_mp
 from test_verify import _seeded_and_perturbed, _seeded_markets
 
 
@@ -364,3 +366,24 @@ def test_segment_end_gaps_equal_the_dense_comparator(eq_uniform_small):
         assert passed == (dense.verdict in (LESS_INFORMATIVE, EQUALLY_INFORMATIVE))
         verdicts.add(passed)
     assert len(gs) >= 70 and verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "prior", [UniformPrior(), PowerPrior(2.0), PiecewiseLinearPrior(((0.0, 0.0), (0.5, 0.25), (1.0, 1.0)))],
+    ids=["uniform", "power2", "piecewise"],
+)
+def test_large_market_contact_solves_its_exact_equation(prior):
+    # the concealing candidate at (0, mu - s) against the root of
+    # int_0^v F = (1 - 1/n) F(v) (v - r) at 40 digits, which reads F and its
+    # integral only; and n (v_H - v_inf) against its limit F/f(v_inf), with
+    # an error that falls like 1/n (32x per step of n)
+    s = 0.1
+    r = prior.mean() - s
+    v_inf = large_market_contact_mp(prior, mp.inf, r)
+    law = cdf_over_density_mp(prior, v_inf)
+    errors = []
+    for n in (2**5, 2**10, 2**15, 2**20):
+        _, v_h, v_t = solve_beta(prior, n, 0.0, r)
+        assert v_t == 1.0 and abs(v_h - float(large_market_contact_mp(prior, n, r))) <= CONTACT_XTOL
+        errors.append(abs(n * (mp.mpf(v_h) - v_inf) - law))
+    assert all(16 < big / small < 64 for big, small in zip(errors, errors[1:])), errors
