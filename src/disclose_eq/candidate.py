@@ -7,7 +7,10 @@ slope beta, and re-contacts the prior at v_H.  Solving for beta
 defining system (contact at v_H plus the preserved conditional mean)
 reduces to one equation in the contact point alone, bisected once; when
 the pooled branch caps at 1 before re-contact, beta has a closed form in
-truncated moments.
+truncated moments.  solve_beta reads the prior at v_L once, one cdf_cum
+pair that the feasibility test, F(v_L)**(n-1), the residual and the
+truncated moments share (solve_endog's outer step hands it over, having
+read it for r_search), and at 1 the pair the prior holds (Prior.at_one).
 
 The degenerate candidate v_L = r = v_H, beta = dF**(n-1)/dv at r, v_T = 1
 is full disclosure (endogenous.full_disclosure_market): the collapse
@@ -157,7 +160,7 @@ def _integrated_gaps(g: PosteriorDistribution) -> tuple[float, float]:
     """(D(1), min D) over 0 and the ends of g's segments, D(t) = int_0^t
     (F - G): F's integral from prior.cdf_cum, G's from g's per-segment
     prefix integrals, built once per posterior (in a solve, already by
-    the search residual's excess_above)."""
+    the search-equation row of validate_equilibrium)."""
     prior = g.prior
     gaps = [prior.cdf_cum(seg.b)[1] - cum for seg, cum in zip(g.segments, g._prefix(1)[1:])]
     return gaps[-1], min(0.0, *gaps)  # D(0) = 0

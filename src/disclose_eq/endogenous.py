@@ -25,6 +25,8 @@ regime rule, read a band below mu - s, decides the rest.  A concealing
 market keeps that candidate as its own, so it builds no second one.
 Otherwise the solve is one bisection in v_L, which starts from
 z(0, mu - s) where the search equation at v_L = 0 gives mu - s to the bit.
+Each of its steps (gap) reads the prior once, prior.cdf_cum(v_L), and
+r_search, z_function and solve_beta share that pair.
 The search condition gives r = r_search(v_L) in closed form, always with
 a feasible candidate (E[v | v > v_L] - r = s / (1 - F(v_L))), and the
 multiplier continuity gap z(v_L, r_search(v_L)) is negative at v_L = 0
@@ -38,7 +40,9 @@ which the domain makes z cross zero once, then the signs of
 z(v_L* -+ 1e-9, r*), put the threshold at r* within 1e-9 of v_L*.  r*
 below the full-information reserve is one sign of the search residual,
 the regime is the solve's own decision, and z(0, r*) in the concealing
-regime is read from the candidate the market already holds.
+regime is read from the candidate the market already holds.  The search
+equation's posterior form reads the integral of G at r* and at 1 from
+the posterior's prefix integrals, in their scalar arithmetic.
 """
 from __future__ import annotations
 

@@ -6,6 +6,9 @@ moments of the cdf, so the nested bisections upstream never touch a
 quadrature rule.  Methods accept floats (fast path inside solver loops)
 and numpy arrays (grids, sampling); cdf_cum is the fused scalar primitive
 of those loops, F(v) and its integral from one evaluation of the piece.
+A solver step reads it once at v_L and hands the pair (CdfCum) to each
+moment it takes there (the at_a arguments); the pair at 1 is read once
+per prior (at_one).
 """
 from __future__ import annotations
 
