@@ -12,6 +12,12 @@ residual must give the same (beta, v_H, v_T).  The large-market contact
 equation at v_L = 0 under its own name (v_h_large_n): the `limit` command
 now reads the same contact point from candidate.solve_beta.
 
+The solve reading the prior wherever a term needs it, as it did before
+each outer step read it once (solve_beta_by_repeated_reads, and the z,
+r_search, outer-step and whole-solve routes on it: 6 reads at v_L and 4 at
+1 on a capped step): candidate.solve_beta, endogenous.z_function and
+r_search, solve_endog's gap and solve_endog must return the same bits.
+
 The equilibrium at a fixed (exogenous) reservation value r (solve_exog,
 returning an ExogEquilibrium with its regime, REGIME_BOTTOM or
 REGIME_NO_BOTTOM, or endogenous.REGIME_FULL at alpha = 0): the threshold
