@@ -30,9 +30,11 @@ r_search, z_function and solve_beta share that pair.
 The search condition gives r = r_search(v_L) in closed form, always with
 a feasible candidate (E[v | v > v_L] - r = s / (1 - F(v_L))), and the
 multiplier continuity gap z(v_L, r_search(v_L)) is negative at v_L = 0
-and positive next to the full-information reserve.  Every market carries
-the candidate its payoff branches are read from; at alpha = 0, where all is
-disclosed at that reserve, it is the degenerate one (full_disclosure_market).
+and positive next to the full-information reserve.  A market (Equilibrium)
+stores its candidate, alpha, s and g, and reads its thresholds, slope,
+visit probability and regime flags from the candidate; at alpha = 0, where
+all is disclosed at that reserve, it is the degenerate one at v_L = r
+(full_disclosure_market).
 
 validate_equilibrium certifies the solved market without solving it
 again.  The fixed point is certified locally: _v_l_bracket at r*, on
@@ -126,24 +128,35 @@ class PayoffBranches:
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """A solved market: primitives, thresholds, beliefs, and the posterior cdf."""
+    """A solved market: alpha, s, the candidate its thresholds, slope and
+    payoff branches are read from, and its posterior cdf g = build_g(candidate)."""
 
-    prior: Prior
-    n: int
     alpha: float
     s: float
-    r_star: float
-    v_l_star: float
-    v_h_star: float
-    v_t_star: float
-    beta_star: float | None  # None only under full disclosure
-    eta: float
-    alpha_tilde: float
-    g: PosteriorDistribution
-    bottom_disclosure: bool
-    top_disclosure: bool
     candidate: Candidate  # degenerate at v_L = v_H = r* under full disclosure
-    note: str = ""
+    g: PosteriorDistribution
+
+    prior = property(lambda self: self.candidate.prior)
+    n = property(lambda self: self.candidate.n)
+    r_star = property(lambda self: self.candidate.r)
+    v_l_star = property(lambda self: self.candidate.v_l)
+    v_h_star = property(lambda self: self.candidate.v_h)
+    v_t_star = property(lambda self: self.candidate.v_t)
+    # solve_beta builds no candidate with v_L >= r: v_L = r > 0 is full disclosure's
+    note = property(lambda self: REGIME_FULL if self.candidate.v_l == self.candidate.r else "")
+    beta_star = property(lambda self: None if self.note else self.candidate.beta)
+    bottom_disclosure = property(lambda self: self.v_l_star > 0.0)
+    top_disclosure = property(lambda self: self.v_h_star < 1.0 and not self.note)
+    alpha_tilde = property(lambda self: posterior_share(self.alpha, self.eta))
+
+    @cached_property
+    def eta(self) -> float:
+        return visit_probability(self.candidate.fl, self.n)
+
+    @property
+    def thresholds(self) -> tuple[float, float, float, float]:
+        """(v_L*, r*, v_H*, v_T*), the breakpoints of the payoff and of g."""
+        return self.v_l_star, self.r_star, self.v_h_star, self.v_t_star
 
     @cached_property
     def branches(self) -> PayoffBranches:
@@ -354,49 +367,15 @@ def assemble_market(
     when given, is the candidate at (v_l, r), already built."""
     if cand is None:
         cand = build_candidate(prior, n, v_l, r)
-    eta = visit_probability(cand.fl, n)
-    return Equilibrium(
-        prior=prior,
-        n=n,
-        alpha=alpha,
-        s=s,
-        r_star=r,
-        v_l_star=v_l,
-        v_h_star=cand.v_h,
-        v_t_star=cand.v_t,
-        beta_star=cand.beta,
-        eta=eta,
-        alpha_tilde=posterior_share(alpha, eta),
-        g=build_g(cand),
-        bottom_disclosure=v_l > 0.0,
-        top_disclosure=cand.v_h < 1.0,
-        candidate=cand,
-    )
+    return Equilibrium(alpha=alpha, s=s, candidate=cand, g=build_g(cand))
 
 
 def full_disclosure_market(prior: Prior, n: int, alpha: float, s: float, r: float) -> Equilibrium:
     """The market in which every value is disclosed and r is the reserve,
     with the degenerate candidate at v_L = v_H = r: the alpha = 0
     equilibrium at r_full_info(prior, s), or the opponents of a deviation."""
-    eta = visit_probability(prior.cdf(r), n)
-    return Equilibrium(
-        prior=prior,
-        n=n,
-        alpha=alpha,
-        s=s,
-        r_star=r,
-        v_l_star=r,
-        v_h_star=r,
-        v_t_star=1.0,
-        beta_star=None,
-        eta=eta,
-        alpha_tilde=posterior_share(alpha, eta),
-        g=full_disclosure_distribution(prior),
-        bottom_disclosure=True,
-        top_disclosure=False,
-        candidate=Candidate(prior=prior, n=n, v_l=r, r=r, beta=prior.pow_cdf_deriv(r, n), v_h=r, v_t=1.0),
-        note=REGIME_FULL,
-    )
+    cand = Candidate(prior=prior, n=n, v_l=r, r=r, beta=prior.pow_cdf_deriv(r, n), v_h=r, v_t=1.0)
+    return Equilibrium(alpha=alpha, s=s, candidate=cand, g=full_disclosure_distribution(prior))
 
 
 def _conceals_bottom(prior: Prior, n: int, alpha: float, mu: float, s: float) -> bool:

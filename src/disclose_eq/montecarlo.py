@@ -225,7 +225,7 @@ def _bin_edges(bins: int, eq: Equilibrium) -> np.ndarray:
     edge (the payoff jump must be estimable) and so are the other structural
     breakpoints, which keeps bin averages aligned with midpoint payoffs."""
     base = np.linspace(0.0, 1.0, bins + 1)
-    forced = [x for x in (eq.v_l_star, eq.r_star, eq.v_h_star, eq.v_t_star) if 0.0 < x < 1.0]
+    forced = [x for x in eq.thresholds if 0.0 < x < 1.0]
     # drop the base edges that crowd a forced breakpoint, but never 0 or 1
     crowding = np.zeros(len(base), dtype=bool)
     for x in forced:

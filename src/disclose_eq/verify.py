@@ -164,10 +164,9 @@ def _support_grid(eq) -> np.ndarray:
 
 
 def _dm_grid(eq) -> np.ndarray:
-    """The grid DM2 is read on: the base grid with the market's four
-    breakpoints, clipped to [0, 1], inserted."""
-    breaks = [eq.v_l_star, eq.r_star, eq.v_h_star, eq.v_t_star]
-    return insert_points(_DM_BASE, _DM_BASE_LIST, [min(max(x, 0.0), 1.0) for x in breaks])
+    """The grid DM2 is read on: the base grid with the market's thresholds,
+    clipped to [0, 1], inserted."""
+    return insert_points(_DM_BASE, _DM_BASE_LIST, [min(max(x, 0.0), 1.0) for x in eq.thresholds])
 
 
 def expected_payoff(eq) -> float:
@@ -267,14 +266,13 @@ def check_dm_conditions(eq) -> CertificateReport:
 # ---------------------------------------------------------------------------
 
 def oracle_grid(eq, m: int) -> np.ndarray:
-    """m-point grid including the payoff breakpoints."""
+    """m-point grid including the market's thresholds, the payoff breakpoints."""
     if m < ORACLE_GRID_MIN:
         raise DomainError(f"oracle grid needs at least {ORACLE_GRID_MIN} points")
     if m > ORACLE_GRID_MAX:
         raise DomainError(f"oracle grid takes at most {ORACLE_GRID_MAX} points, not {m}")
     base = np.linspace(0.0, 1.0, m)
-    forced = [eq.v_l_star, eq.r_star, eq.v_h_star, eq.v_t_star]
-    return insert_points(base, base.tolist(), forced)
+    return insert_points(base, base.tolist(), eq.thresholds)
 
 
 def discretize_prior(prior: Prior, grid: np.ndarray) -> np.ndarray:

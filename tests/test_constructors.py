@@ -3,13 +3,17 @@
 An Equilibrium is called into being only by endogenous.assemble_market (a
 candidate solved at given thresholds) and endogenous.full_disclosure_market
 (the degenerate candidate at r), in src/, scripts/ and the tests, so every
-market carries the candidate its payoff branches are read from.  Code that
+market carries the candidate its payoff branches are read from, and stores
+nothing else that the candidate fixes.  Code that
 needs a changed market derives it with dataclasses.replace.  An
 AffinePower in src/ is built only by Candidate.pooled, the one home of the
 pooled branch.
 """
 import ast
+import dataclasses
 from pathlib import Path
+
+from disclose_eq.endogenous import Equilibrium
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,3 +49,13 @@ def test_a_market_is_built_by_its_two_constructors_only():
 
 def test_the_pooled_branch_is_built_by_the_candidate_only():
     assert _callers("AffinePower", "src") == {("src/disclose_eq/candidate.py", "Candidate.pooled")}
+
+
+def test_a_market_stores_its_candidate_and_no_copy_of_it():
+    """A market stores alpha, s, its candidate and its posterior g, and no
+    more: the prior, n, the four thresholds, beta*, eta, alpha~, both regime
+    flags and the note are fixed by the candidate (and alpha), so a stored
+    copy could disagree with the candidate the payoff branches read.  g stays
+    a field, so that a test can substitute a posterior with
+    dataclasses.replace(eq, g=...)."""
+    assert tuple(f.name for f in dataclasses.fields(Equilibrium)) == ("alpha", "s", "candidate", "g")

@@ -413,7 +413,7 @@ def test_first_max_breaks_ties_to_the_lowest_column():
 
 
 def _breakpoints(v_l, r, v_h, v_t):
-    return SimpleNamespace(v_l_star=v_l, r_star=r, v_h_star=v_h, v_t_star=v_t)
+    return SimpleNamespace(thresholds=(v_l, r, v_h, v_t))
 
 
 @pytest.mark.parametrize(
