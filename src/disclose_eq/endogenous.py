@@ -227,8 +227,9 @@ def z_function(prior: Prior, n: int, alpha: float, v_l: float, r: float, at_v_l:
     """Multiplier continuity gap at v_L; > 0 iff v_L is above the fixed point."""
     if not 0.0 < alpha < 1.0:
         raise DomainError("z_function needs alpha in (0, 1)")
+    at_v_l = at_v_l or prior.cdf_cum(v_l)
     beta, _, _ = solve_beta(prior, n, v_l, r, at_v_l)
-    return _z_of_beta(at_v_l[0] if at_v_l else prior.cdf(v_l), n, alpha, v_l, r, beta)
+    return _z_of_beta(at_v_l[0], n, alpha, v_l, r, beta)
 
 
 def _z_of_beta(fl: float, n: int, alpha: float, v_l: float, r: float, beta: float) -> float:

@@ -860,13 +860,17 @@ def _prior_reads(monkeypatch, prior, step) -> list[tuple[str, float]]:
 def test_a_capped_gap_step_reads_the_prior_once(monkeypatch):
     # a step whose candidate caps at 1 reads the prior at v_L only: once,
     # through cdf_cum, where the routes that read again made 6 reads at v_L
-    # and 4 at 1; the pair at 1 is the prior's own, read once per prior
+    # and 4 at 1; the pair at 1 is the prior's own, read once per prior.  A
+    # z evaluation without the pair (the fixed-point check, the regime rule,
+    # solve_v_l_eq, r_lower_bar) reads it once too, for solve_beta and F(v_L)
     capped = 0
     for (prior, n, alpha, s), gap, points in _seeded_gap_steps(monkeypatch):
         for v_l in points:
-            if solve_beta(prior, n, v_l, r_search(prior, v_l, s))[1] < 1.0:
+            r = r_search(prior, v_l, s)
+            if solve_beta(prior, n, v_l, r)[1] < 1.0:
                 continue  # an interior contact reads the prior along its bisection too
             assert _prior_reads(monkeypatch, prior, lambda: gap(v_l)) == [("cdf_cum", v_l)]
+            assert _prior_reads(monkeypatch, prior, lambda: z_function(prior, n, alpha, v_l, r)) == [("cdf_cum", v_l)]
             before = _prior_reads(monkeypatch, prior, lambda: gap_by_repeated_reads(prior, n, alpha, s)(v_l))
             assert sorted(point for _, point in before) == [v_l] * 6 + [1.0] * 4
             capped += 1
