@@ -157,8 +157,6 @@ class UniformPrior(Prior):
         return v ** (k + 1) / (k + 1)
 
     def pow_cdf_deriv(self, v: float, n: int) -> float:
-        if n == 2:
-            return 1.0
         return (n - 1) * v ** (n - 2)
 
     def check_convexity(self, n: int) -> bool:
@@ -204,8 +202,6 @@ class PowerPrior(Prior):
 
     def pow_cdf_deriv(self, v: float, n: int) -> float:
         e = self.a * (n - 1) - 1.0
-        if e == 0.0:
-            return self.a * (n - 1)
         return self.a * (n - 1) * v**e
 
     def check_convexity(self, n: int) -> bool:

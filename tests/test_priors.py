@@ -271,3 +271,17 @@ def test_power_convexity_admits_the_domain_edge_and_nothing_below():
         assert PowerPrior(1.0 / (n - 1)).check_convexity(n)
         assert not PowerPrior((1.0 - 1e-9) / (n - 1)).check_convexity(n)
     assert rounded == 505
+
+
+def test_pow_cdf_deriv_at_a_zero_exponent_is_the_constant_bitwise():
+    # where F**(n-1) is linear (uniform at n = 2, power with a (n - 1) = 1)
+    # the general formula gives the constant slope to the bit, 0 and 1 included
+    points = np.concatenate([[0.0, 5e-324, 1e-300, 0.3, 1.0], np.random.default_rng(0).random(10_000)])
+    for v in points.tolist():
+        got = UniformPrior().pow_cdf_deriv(v, 2)
+        assert type(got) is float and got == 1.0
+    linear = [(a, n) for n in range(2, 10_000) for a in (1.0 / (n - 1),) if a * (n - 1) - 1.0 == 0.0]
+    assert len(linear) > 8_000
+    for a, n in linear + [(0.5, 3), (0.25, 5)]:
+        for v in (0.0, 0.3, 1.0):
+            assert PowerPrior(a=a).pow_cdf_deriv(v, n) == a * (n - 1)
