@@ -22,7 +22,7 @@ from disclose_eq.endogenous import n_lower_bar
 from disclose_eq.errors import DiscloseEqError
 from disclose_eq.welfare import sweep, threshold_scan
 
-N_GRID = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 256, 1024, 4096, 10**4)
+N_GRID = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 256, 1024, 4096, 10**4, 2**14, 2**17, 2**20)
 
 
 def draw_markets(seed: int, markets: int):

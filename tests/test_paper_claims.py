@@ -55,6 +55,6 @@ def test_claims_a_to_c_hold_and_every_typed_error_is_tallied(monkeypatch):
                 assert config in solved
         assert failed == sum("n" in c and "axis" not in c for _, c in errors)
         typed += failed
-    # the draw reaches sizes up to 10**4, where the pooled slope underflows:
+    # the draw reaches sizes up to 2**20, where the pooled slope underflows:
     # read in its scaled form, every one of them solves
     assert typed == 0
