@@ -4,10 +4,9 @@ An Equilibrium is called into being only by endogenous.assemble_market (a
 candidate solved at given thresholds) and endogenous.full_disclosure_market
 (the degenerate candidate at r), in src/, scripts/ and the tests, so every
 market carries the candidate its payoff branches are read from, and stores
-nothing else that the candidate fixes.  Code that
-needs a changed market derives it with dataclasses.replace.  An
-AffinePower in src/ is built only by Candidate.pooled, the one home of the
-pooled branch.
+nothing else that the candidate fixes.  Code that needs a changed market
+derives it with dataclasses.replace.  An AffinePower in src/ is built only
+by Candidate.pooled, the one home of the pooled branch.
 """
 import ast
 import dataclasses
