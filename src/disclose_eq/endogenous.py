@@ -8,9 +8,10 @@ decreasing in r, which gives a unique threshold r_lower_bar below which
 the equilibrium conceals everything under r, and a unique interior
 threshold v_L above it.  Which side of r_lower_bar a reservation value
 lies on is the sign of z(0, r) alone (conceals_below).  The bracket
-in v_L on which z(., r) crosses zero once (_v_l_bracket) is where
-validate_equilibrium checks the fixed point; exogenous.solve_v_l_eq
-bisects the threshold at an exogenous r on it.  The domain of a market
+in v_L on which z(., r) crosses zero once (_v_l_bracket) is [0, r -
+Z_EDGE], with z read as -inf where no candidate exists, so it needs no
+feasibility frontier; validate_equilibrium checks the fixed point on it,
+and exogenous.solve_v_l_eq bisects the threshold at an exogenous r on it.  The domain of a market
 (n, alpha, s and the convexity of F**(n-1)) is checked here too.
 
 The fixed point couples the firms' disclosure threshold v_L, set against
@@ -37,8 +38,9 @@ all is disclosed at that reserve, it is the degenerate one at v_L = r
 (full_disclosure_market).
 
 validate_equilibrium certifies the solved market without solving it
-again.  The fixed point is certified locally: _v_l_bracket at r*, on
-which the domain makes z cross zero once, then the signs of
+again.  The fixed point is certified locally: _v_l_bracket at r*,
+from the z(0, r*) the check already holds, on which the domain makes z
+cross zero once, then the signs of
 z(v_L* -+ 1e-9, r*), put the threshold at r* within 1e-9 of v_L*.  r*
 below the full-information reserve is one sign of the search residual,
 the regime is the solve's own decision, and z(0, r*) in the concealing
@@ -248,15 +250,6 @@ def conceals_below(prior: Prior, n: int, alpha: float, r: float) -> bool:
     return r <= Z_EDGE or _z_or_infeasible(prior, n, alpha, 0.0, r) >= 0.0
 
 
-def _v_l_lower_limit(prior: Prior, r: float) -> float:
-    """Smallest v_L with a feasible candidate (0 when r < mean)."""
-    if r < prior.mean():
-        return 0.0
-    return bisect_root(
-        lambda x: prior.conditional_mean_above(x) - r, 0.0, 1.0 - Z_EDGE, xtol=BISECT_XTOL
-    )
-
-
 def _z_or_infeasible(prior: Prior, n: int, alpha: float, v_l: float, r: float) -> float:
     """z_function, or -inf below the feasibility frontier."""
     try:
@@ -268,28 +261,21 @@ def _z_or_infeasible(prior: Prior, n: int, alpha: float, v_l: float, r: float) -
 def _v_l_bracket(
     prior: Prior, n: int, alpha: float, r: float, z0: float
 ) -> tuple[float, float, float, float] | None:
-    """The bracket (lo, hi, z(lo), z(hi)) on which z(., r) crosses zero once,
-    or None when the threshold at r is 0; z0 is z(0, r).
+    """The bracket (0, hi, z(0, r), z(hi, r)), hi = r - Z_EDGE, on which
+    z(., r) crosses zero once, or None when the threshold at r is 0; z0 is
+    z(0, r), -inf where no candidate exists at v_L = 0.
 
     The crossing is unique because the gap increases at any crossing when
-    F**(n-1) is convex, which _check_market decides.  Raises
-    z-bracket when the gap has no sign change on [lo, hi].
+    F**(n-1) is convex, which _check_market decides; z is -inf below the
+    feasibility frontier.  Raises z-bracket when z(hi, r) is not positive.
     """
     if z0 >= 0.0:  # r <= r_lower_bar: nothing below r is disclosed
         return None
-    lo = max(_v_l_lower_limit(prior, r), 0.0) + Z_EDGE
     hi = r - Z_EDGE
-    z_lo = _z_or_infeasible(prior, n, alpha, lo, r)
     z_hi = _z_or_infeasible(prior, n, alpha, hi, r)
-    if z_lo >= 0.0 and lo <= 2.0 * Z_EDGE:
-        # r sits within bisection tolerance of the concealment threshold:
-        # the root lies below the bracket edge, i.e. at zero
-        return None
-    if not (z_lo < 0.0 < z_hi):
-        raise ValidationFailureError(
-            "z-bracket", f"Z({lo})={z_lo}, Z({hi})={z_hi} at r={r}"
-        )
-    return lo, hi, z_lo, z_hi
+    if not z_hi > 0.0:
+        raise ValidationFailureError("z-bracket", f"Z(0)={z0}, Z({hi})={z_hi} at r={r}")
+    return 0.0, hi, z0, z_hi
 
 
 def search_residual_prior(prior: Prior, v_l: float, r: float, s: float) -> float:

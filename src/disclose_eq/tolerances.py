@@ -93,9 +93,8 @@ this far above 0, where its target vanishes."""
 
 Z_EDGE = 1e-10
 """v.  The z brackets: endogenous.conceals_below takes r <= Z_EDGE to
-conceal; endogenous._v_l_lower_limit stops at 1 - Z_EDGE;
-endogenous._v_l_bracket keeps both its ends this far inside, and its
-z-bracket check reads them; exogenous.r_lower_bar bisects on
+conceal; endogenous._v_l_bracket at r is [0, r - Z_EDGE], and its
+z-bracket check reads z at its top end; exogenous.r_lower_bar bisects on
 [Z_EDGE, mu - Z_EDGE]."""
 
 # -- verify: the optimality conditions and the LP oracle ----------------------
@@ -172,5 +171,5 @@ halvings on [0, 1] instead, in rounds that each read one table of
 excess_above: bisect_root's steps at this xtol."""
 
 BISECT_XTOL = 1e-13
-"""v (r for r_full_info).  The other bisections: r_full_info,
-limit_equilibrium's v_H of the infinite market and _v_l_lower_limit."""
+"""v (r for r_full_info).  The other bisections: r_full_info and
+limit_equilibrium's v_H of the infinite market."""

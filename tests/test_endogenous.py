@@ -444,6 +444,28 @@ def test_a_disclosing_solve_evaluates_the_gap_at_0_at_most_once(monkeypatch, mar
 
 
 @pytest.mark.parametrize("market", [
+    (UniformPrior(), 2, 0.65, 0.02),  # r* >= mu
+    (PowerPrior(2.0), 3, 0.4, 0.05),  # r* >= mu
+    (UniformPrior(), 2, 0.65, 0.1),  # r* < mu
+])
+def test_a_disclosing_certificate_solves_four_candidates(monkeypatch, market):
+    # z(0, r*), z at the bracket top r* - Z_EDGE and z(v_L* -+ 1e-9, r*): the
+    # bracket starts at 0, so no bisection for the feasibility frontier
+    # E[v | v > v_L] = r* runs, and each candidate asks for its mean once
+    prior = market[0]
+    eq = solve_endog(*market)
+    assert eq.bottom_disclosure and (eq.r_star >= prior.mean()) == (market[3] < 0.1)
+    candidates, means = [], []
+    for module in (candidate, endogenous):
+        _record_calls(monkeypatch, module, "solve_beta", candidates)
+    original = priors.Prior.conditional_mean_above
+    monkeypatch.setattr(priors.Prior, "conditional_mean_above", lambda *args: means.append(args[1]) or original(*args))
+    validate_equilibrium(eq, conceals=False)
+    assert (len(candidates), len(means)) == (4, 4)
+    assert (0.0, eq.r_star) in candidates
+
+
+@pytest.mark.parametrize("market", [
     (UniformPrior(), 2, 0.65, 0.1),  # capped pooled branch, v_T < 1
     (UniformPrior(), 19, 0.5, 0.1),
     (PowerPrior(2.0), 3, 0.4, 0.15),  # contact at v_H < 1
