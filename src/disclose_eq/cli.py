@@ -371,9 +371,6 @@ def main(argv: list[str] | None = None) -> int:
             body = json.dumps({**head, **body}, indent=2) + "\n"
         _write(body, args.out)
         return code
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except UnsupportedBoundaryError as exc:
         print(f"unsupported boundary: {exc}", file=sys.stderr)
         return EXIT_BOUNDARY

@@ -177,8 +177,10 @@ class AffinePower:
         q += self.a
 
     def to_json_dict(self) -> dict[str, Any]:
+        """The branch's fields; hi only in the scaled form, the one that reads it."""
+        scaled = {"hi": self.hi} if self._scaled() else {}
         return {"kind": "affine_power", "a": self.a, "b": self.b, "base": self.base,
-                "beta": self.slope, "r_anchor": self.a, "root_power": self.root_power}
+                "beta": self.slope, "r_anchor": self.a, "root_power": self.root_power, **scaled}
 
 
 Segment = Union[FullDisclosure, Flat, AffinePower]

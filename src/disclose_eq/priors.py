@@ -319,7 +319,7 @@ class PiecewiseLinearPrior(Prior):
 
     def pow_cdf_deriv(self, v: float, n: int) -> float:
         f, density = self.cdf(v), self._slopes[self._piece(v)]
-        return (n - 1) * f ** (n - 2) * density if n > 2 else density
+        return (n - 1) * f ** (n - 2) * density
 
     def check_convexity(self, n: int) -> bool:
         # the slopes cdf itself uses, compared exactly

@@ -585,9 +585,11 @@ def hetero_check(prior: Prior, n: int, alpha: float, costs: CostDistribution) ->
 def hetero_first_holding_n(
     prior: Prior, alpha: float, costs: CostDistribution
 ) -> tuple[int, HeteroReport]:
-    """First n on a doubling scan from n = 2 at which the sufficiency condition holds."""
-    n = 2
-    while n <= _N_CAP:
+    """First n on a doubling scan from n = 2 at which the sufficiency condition
+    holds, skipping sizes outside the domain (F**(n-1) not convex)."""
+    for n in (1 << k for k in range(1, _N_CAP.bit_length())):
+        if not prior.check_convexity(n):
+            continue
         try:
             report = hetero_check(prior, n, alpha, costs)
             if report.holds:
@@ -595,5 +597,4 @@ def hetero_first_holding_n(
         except ValidationFailureError as exc:
             if exc.invariant != "hetero-precondition":
                 raise  # only "below the concealment threshold" means keep doubling
-        n *= 2
     raise IterationCapError(f"sufficiency never held up to n = {_N_CAP}")

@@ -108,6 +108,22 @@ def test_the_scaled_pooled_branch_agrees_with_its_line(uniform, p):
     np.testing.assert_allclose(q, v, rtol=1e-12, atol=0)
 
 
+def test_the_json_of_a_scaled_pooled_branch_rebuilds_its_cdf(uniform):
+    # the pooled line of this concealing market underflows (beta 0.0), so its
+    # cdf is read from hi, which the JSON carries in that form only
+    eq = solve_endog(uniform, 1375, 0.5464099987813732, 0.30076378322172764)
+    segments = eq.g.to_json_dict()["segments"]
+    (pooled,) = [seg for seg in segments if seg["kind"] == "affine_power"]
+    assert pooled["base"] == 0.0 and pooled["beta"] == 0.0
+    rebuilt = AffinePower(pooled["a"], pooled["b"], pooled["base"], pooled["beta"], pooled["root_power"], pooled["hi"])
+    v = np.linspace(pooled["a"], pooled["b"], 7)
+    assert rebuilt.cdf(uniform, v).tolist() == eq.g.cdf(v).tolist()
+    assert 0.0 < eq.g.cdf(float(v[3])) == rebuilt.cdf(uniform, float(v[3]))
+    # an unscaled branch reads no hi, and its JSON names none
+    line = AffinePower(0.2, 0.7, 0.0, 0.5**3 / 0.5, 3, 0.5)
+    assert not line._scaled() and "hi" not in line.to_json_dict()
+
+
 def test_stop_quantile_array_equals_scalar_calls(request, g_atom):
     for g in _posteriors(request):
         bottom = g.support_bottom()

@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -285,3 +287,24 @@ def test_pow_cdf_deriv_at_a_zero_exponent_is_the_constant_bitwise():
     for a, n in linear + [(0.5, 3), (0.25, 5)]:
         for v in (0.0, 0.3, 1.0):
             assert PowerPrior(a=a).pow_cdf_deriv(v, n) == a * (n - 1)
+
+
+def test_piecewise_pow_cdf_deriv_at_n_2_is_the_density_bitwise():
+    # at n = 2 the general formula is 1 * F**0 * density, the density to the
+    # bit, at the knots (right-continuous), 0, 1 and points inside
+    rng = np.random.default_rng(48)
+    checked = 0
+    for _ in range(3_000):
+        k = int(rng.integers(1, 6))
+        xs = np.sort(rng.uniform(0.0, 1.0, k)).tolist()
+        qs = np.sort(rng.uniform(0.0, 1.0, k)).tolist()
+        if len(set(xs)) < k or len(set(qs)) < k or 0.0 in xs + qs:
+            continue
+        prior = PiecewiseLinearPrior(((0.0, 0.0),) + tuple(zip(xs, qs)) + ((1.0, 1.0),))
+        for v in [0.0, 1.0] + xs + rng.random(5).tolist():
+            i = min(max(bisect.bisect_right(prior._xs, v) - 1, 0), len(prior._xs) - 2)
+            density = (prior._qs[i + 1] - prior._qs[i]) / (prior._xs[i + 1] - prior._xs[i])
+            got = prior.pow_cdf_deriv(v, 2)
+            assert type(got) is float and got == density, (prior, v)
+            checked += 1
+    assert checked > 20_000

@@ -950,6 +950,19 @@ def test_hetero_scan_propagates_real_failures(uniform, monkeypatch):
     assert calls == [2, 4]
 
 
+@pytest.mark.parametrize("costs, first_n", [
+    (DiscreteCosts(points=((0.05, 0.5), (0.1, 0.5))), 64),
+    (ContinuousCosts(knots=((0.02, 0.0), (0.08, 1.0))), 256),
+])
+def test_hetero_scan_skips_sizes_outside_the_domain(costs, first_n):
+    # power(0.3) has F**(n-1) convex only from n = 5 (0.3 (n - 1) >= 1); the
+    # scan passes over 2 and 4 as n_lower_bar does, instead of failing there
+    prior = PowerPrior(0.3)
+    assert [prior.check_convexity(n) for n in (2, 4, 8)] == [False, False, True]
+    n, report = hetero_first_holding_n(prior, 0.5, costs)
+    assert (n, report.holds) == (first_n, True)
+
+
 def test_hetero_continuous(uniform):
     costs = ContinuousCosts(knots=((0.05, 0.0), (0.2, 1.0)))
     n, report = hetero_first_holding_n(uniform, 0.5, costs)
