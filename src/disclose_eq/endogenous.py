@@ -11,8 +11,9 @@ lies on is the sign of z(0, r) alone (conceals_below).  The bracket
 in v_L on which z(., r) crosses zero once (_v_l_bracket) is [0, r -
 Z_EDGE], with z read as -inf where no candidate exists, so it needs no
 feasibility frontier; validate_equilibrium checks the fixed point on it,
-and exogenous.solve_v_l_eq bisects the threshold at an exogenous r on it.  The domain of a market
-(n, alpha, s and the convexity of F**(n-1)) is checked here too.
+and exogenous.solve_v_l_eq bisects the threshold at an exogenous r on
+it.  The domain of a market (n, alpha, s and the convexity of F**(n-1))
+is checked here too.
 
 The fixed point couples the firms' disclosure threshold v_L, set against
 the reservation value r, with the search indifference condition, which in
@@ -40,8 +41,8 @@ all is disclosed at that reserve, it is the degenerate one at v_L = r
 validate_equilibrium certifies the solved market without solving it
 again.  The fixed point is certified locally: _v_l_bracket at r*,
 from the z(0, r*) the check already holds, on which the domain makes z
-cross zero once, then the signs of
-z(v_L* -+ 1e-9, r*), put the threshold at r* within 1e-9 of v_L*.  r*
+cross zero once, then the signs of z(v_L* -+ 1e-9, r*), put the
+threshold at r* within 1e-9 of v_L*.  r*
 below the full-information reserve is one sign of the search residual,
 the regime is the solve's own decision, and z(0, r*) in the concealing
 regime is read from the candidate the market already holds.  The search
