@@ -488,6 +488,16 @@ def solve_endog(prior: Prior, n: int, alpha: float, s: float) -> Equilibrium:
     return eq
 
 
+def check_convex_by_cap(prior: Prior) -> None:
+    """DomainError unless F**(n-1) is convex at some n up to _N_CAP (then at
+    every larger n): the scans over n find no size inside the domain."""
+    if not prior.check_convexity(_N_CAP):
+        raise DomainError(
+            f"prior fails the convexity requirement on F**(n-1) at every n up to {_N_CAP}: "
+            f"prior {prior.to_json_dict()}"
+        )
+
+
 def n_lower_bar(prior: Prior, alpha: float, s: float) -> int:
     """Smallest market size inside the domain (F**(n-1) convex) at which
     nothing below the reserve is disclosed.  Both halves of that test are
@@ -496,11 +506,7 @@ def n_lower_bar(prior: Prior, alpha: float, s: float) -> int:
     _check_alpha(alpha)
     if alpha == 0.0:
         raise DomainError("alpha must lie in (0, 1)")
-    if not prior.check_convexity(_N_CAP):
-        raise DomainError(
-            f"prior fails the convexity requirement on F**(n-1) at every n up to {_N_CAP}: "
-            f"prior {prior.to_json_dict()}"
-        )
+    check_convex_by_cap(prior)
 
     def large_enough(n: int) -> bool:
         return prior.check_convexity(n) and _conceals_bottom(prior, n, alpha, mu, s)

@@ -105,7 +105,8 @@ the multiplier's seam gaps and its slope increments at v_L and v_H."""
 
 DM2_TOL = 1e-9
 """Payoff units.  check_dm_conditions: DM2, phi - u >= -DM2_TOL on the
-grid."""
+grid; verify._pooling_basis, the same for the line its duals lay over the
+pooled stretch of the oracle's grid, and convexity at the stretch's ends."""
 
 DM3_TOL = 1e-8
 """Payoff units.  check_dm_conditions: DM3, |phi - u| on the posterior's

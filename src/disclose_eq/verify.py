@@ -17,18 +17,26 @@ Two routes, deliberately redundant:
   without a cell narrower than NARROW_CELL (every benchmark market's) it
   is built straight from the reciprocal cell widths; a grid with a narrow
   cell, which needs slope variables, goes to a general builder of index
-  arithmetic, which stays for those grids.  With the tridiagonal builder
-  the Python around HiGHS's run takes about a quarter of oracle_gap at
-  m = 201, where the general one took over a third.  The model is handed
-  to HiGHS through the binding SciPy ships (scipy.optimize._highspy)
-  under _LP_OPTIONS, set in HiGHS's own terms: dual simplex without
-  presolve, under devex pricing.  So the solve is the one
+  arithmetic, which stays for those grids.  From the pooling basis below,
+  HiGHS's run is about a third of oracle_gap at m = 201 and the Python
+  around it the rest.  The model is handed to HiGHS through the binding
+  SciPy ships (scipy.optimize._highspy) under _LP_OPTIONS, set in HiGHS's
+  own terms: dual simplex without presolve, under devex pricing.  So the
+  solve is the one
   linprog(method="highs") runs with those options, without its input
   checks and result post-processing.  Each thread keeps one HiGHS
   instance, given those settings once; every call passes it the model as
   arrays in one passModel call (a HighsLp's setters copy each array
   element by element), and a model HiGHS rejects is a typed oracle-lp
   failure, because the instance would keep and solve the previous one.
+  oracle_gap starts the tridiagonal LP from the basis that pools the
+  market's stretch [v_L*, v_H*] (_pooling_basis), where best_response_oracle,
+  which has no market, starts from the slack basis as linprog does.  On
+  1,760 oracles of the benchmark's markets (m = 201 and 801) the dual
+  simplex took 4,073 iterations in all where the slack basis took
+  446,071, and the values moved by at most 1e-12.  The masses are
+  read from the vertex of HiGHS's final basis, solved again, not from its
+  updated factors.
 
 The cost-heterogeneity check implements the large-market sufficiency
 condition: the multiplier's pooled slope must stay below the steepest
@@ -57,7 +65,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .costs import ContinuousCosts, CostDistribution, DiscreteCosts  # noqa: F401 (re-exported)
-from .endogenous import _N_CAP, payoff_u, solve_endog
+from .endogenous import _N_CAP, check_convex_by_cap, payoff_u, solve_endog
 from .errors import DomainError, IterationCapError, ValidationFailureError
 from .posterior import drop_repeats, insert_points
 from .priors import Prior
@@ -92,6 +100,7 @@ def _load_highs_core():
 _core = _load_highs_core()
 HighsModelStatus, HighsOptions, HighsStatus = _core.HighsModelStatus, _core.HighsOptions, _core.HighsStatus
 MatrixFormat, ObjSense, _Highs, kHighsInf = _core.MatrixFormat, _core.ObjSense, _core._Highs, _core.kHighsInf
+_BASIC, _AT_LOWER, _AT_UPPER = _core.HighsBasisStatus.kBasic, _core.HighsBasisStatus.kLower, _core.HighsBasisStatus.kUpper
 
 # points of the uniform grid on [0, 1] on which check_dm_conditions tests DM2
 # (with the market's breakpoints inserted)
@@ -317,7 +326,8 @@ def best_response_oracle(
 
 
 def _solve_oracle(
-    u_values: Sequence[float], prior: Prior, grid: Sequence[float], read_masses: bool
+    u_values: Sequence[float], prior: Prior, grid: Sequence[float], read_masses: bool,
+    pool: Sequence[float] | None = None,
 ) -> tuple[float, np.ndarray | None, int, int]:
     """best_response_oracle, with the nonzeros of the LP's constraint matrix
     and HiGHS's simplex iterations; the masses are read from HiGHS's
@@ -326,11 +336,17 @@ def _solve_oracle(
     HiGHS gets the model through SciPy's binding: the matrix, bounds and
     settings (_LP_OPTIONS) that linprog(method="highs") with those options
     would pass it for this LP (rows g >= 0, then D >= 0 at each narrow
-    cell's top, then the two equalities), so the value and masses are linprog's to the
-    bit.  The solver is this thread's HiGHS instance, made on its first call
-    and given the settings then; the model goes to it as arrays through
-    passModel's array overload.  A model HiGHS rejects, and any model status
-    but optimal, is a typed oracle-lp failure."""
+    cell's top, then the two equalities).  Without a pool HiGHS starts
+    from the slack basis, as under linprog, so the value is linprog's to
+    the bit.  A pool (v_L*, r*, min(v_H*, v_T*), v_H*) of grid points
+    starts the tridiagonal LP from _pooling_basis instead (the general
+    builder's LP starts cold); the value then agrees with the cold solve's
+    to 1e-12 on the benchmark's markets.  The masses are those of the
+    vertex of HiGHS's final basis (_vertex_masses).  The solver is this
+    thread's HiGHS instance, made on its first call and given the settings
+    then; the model goes to it as arrays through passModel's array
+    overload.  A model or a basis HiGHS rejects, and any model status but
+    optimal, is a typed oracle-lp failure."""
     grid = np.asarray(grid, dtype=float)
     u_values = np.asarray(u_values, dtype=float)
     if grid.ndim != 1 or grid.shape != u_values.shape or len(grid) < 2:
@@ -340,20 +356,25 @@ def _solve_oracle(
         raise DomainError("grid must be strictly increasing")
     f = discretize_prior(prior, grid)
     inv_h = 1.0 / h
+    basis = None
     # the general builder gives a narrow cell its own variable, and drops
     # the entries of a cell wider than 1 / HIGHS_SMALL_ENTRY
     if h.min() >= NARROW_CELL and inv_h.min() >= HIGHS_SMALL_ENTRY:
-        model, to_masses = _tridiagonal_lp(inv_h, f, u_values)
+        model = _tridiagonal_lp(inv_h, f, u_values)
+        if pool is not None:
+            basis = _pooling_basis(grid, f, u_values, pool)
     else:
-        model, to_masses = _general_lp(h, inv_h, f, u_values)
+        model = _general_lp(h, inv_h, f, u_values)
     highs = getattr(_THREAD, "highs", None)
     if highs is None:
         highs = _THREAD.highs = _Highs()
         highs.passOptions(_LP_OPTIONS)
     # a rejected model leaves the previous one in place, and run() would
-    # solve that one again
+    # solve that one again; a new model clears the previous basis
     if highs.passModel(*model) == HighsStatus.kError:
         raise ValidationFailureError("oracle-lp", "HiGHS rejected the model")
+    if basis is not None and highs.setBasis(basis) == HighsStatus.kError:
+        raise ValidationFailureError("oracle-lp", "HiGHS rejected the starting basis")
     highs.run()
     # The prior's own masses are feasible, but HiGHS can stop without a
     # status ("Not Set") on grids with chains of narrow cells, e.g. cells
@@ -362,14 +383,90 @@ def _solve_oracle(
     if status != HighsModelStatus.kOptimal:
         raise ValidationFailureError("oracle-lp", highs.modelStatusToString(status))
     value = float(u_values @ f - highs.getObjectiveValue())
-    masses = to_masses(np.asarray(highs.getSolution().col_value)) if read_masses else None
+    masses = _vertex_masses(highs.getBasis(), model, f) if read_masses else None
     return value, masses, model[2], int(highs.getInfoValue("simplex_iteration_count")[1])
 
 
-# A builder returns passModel's arguments (columns, rows, nonzeros, format,
+def _vertex_masses(basis, model, f: np.ndarray) -> np.ndarray:
+    """The masses at the vertex of HiGHS's final basis: f less the
+    activities of the rows g >= 0, at column values solved again from the
+    rows the basis holds at a bound, by sparse LU.  HiGHS's own column
+    values carry the error of its updated factors: on a jittered 265-point
+    grid under power(2) a row it held at g = 0 read a mass of -3.4e-9 from
+    them, and its row activities missed the unit mass by 3.5e-9; from the
+    solved vertex both are under 1e-13.  SciPy's sparse solver is imported
+    here, on the first call, so that oracle_gap's imports stay the binding."""
+    from scipy.sparse import csc_array
+    from scipy.sparse.linalg import spsolve
+
+    col_lower, col_upper, row_lower, row_upper, start, index, value = model[7:14]
+    a = csc_array((value, index, start), shape=(model[1], model[0]))
+    col_status = np.array(basis.col_status, dtype=np.int8)
+    row_status = np.array(basis.row_status, dtype=np.int8)
+    free, held = col_status == int(_BASIC), row_status != int(_BASIC)
+    x = np.where(col_status == int(_AT_UPPER), col_upper, col_lower)
+    x[free] = 0.0
+    bound = np.where(row_status == int(_AT_UPPER), row_upper, row_lower)[held]
+    x[free] = spsolve(a[held][:, free], bound - a[held] @ x)
+    return f - (a @ x)[: len(f)]
+
+
+def _pooling_basis(grid: np.ndarray, f: np.ndarray, u: np.ndarray, pool: Sequence[float]):
+    """The tridiagonal LP's basis that pools the market's stretch
+    [v_L*, v_H*] onto the two grid points around its mean, or None where
+    the market is not a pooling multiplier's on the grid.
+
+    With i_L and i_H the stretch's end points, the slack D_k is basic at
+    every point strictly inside, D_0 and D_{m-1} are basic (the equality
+    rows, nonbasic, fix them at 0), and every other D_k sits at its bound
+    0.  Every row g_k >= 0 of the stretch is at its bound g_k = 0 but two,
+    at the adjacent points j, j+1 around the mean of f over the stretch,
+    clipped to the contact stretch [r*, min(v_H*, v_T*)]: the vertex moves
+    the stretch's mass onto them, with its mean, so it is primal feasible
+    where they bracket that mean.  Its duals are the payoff off the stretch
+    and, on it, the line through the payoff at j and j+1; they are dual
+    feasible where that line dominates the payoff on the stretch and the
+    kinks at i_L and i_H are convex, each checked at the grid points to
+    DM2_TOL.  On an equilibrium the line is the multiplier's, so the
+    vertex pays the integral of the multiplier against f and the dual
+    simplex starts at or next to the optimum.  A market that fails the
+    check (one moved off its equilibrium, where a start of neither primal
+    nor dual feasibility made HiGHS stop with "Not Set") and a stretch of
+    one point (alpha = 0) get None, and HiGHS starts from the slack basis."""
+    m = len(grid)
+    i_l, i_a, i_b, i_h = np.searchsorted(grid, pool).tolist()
+    if i_h == i_l:
+        return None
+    stretch = slice(i_l, i_h + 1)
+    mass = float(f[stretch].sum())
+    j = i_a
+    if mass > 0.0:
+        j = int(np.searchsorted(grid, float(f[stretch] @ grid[stretch]) / mass, side="right")) - 1
+    j = max(min(max(j, i_a), i_b - 1), i_l)
+    slope = (u[j + 1] - u[j]) / (grid[j + 1] - grid[j])
+
+    def line_over_payoff(k):
+        return u[j] + slope * (grid[k] - grid[j]) - u[k]
+
+    # the line dominates the payoff on the stretch, and its kinks at the
+    # ends are convex: just outside, it runs under the payoff
+    outside = [k for k in (i_l - 1, i_h + 1) if 0 <= k < m]
+    if np.min(line_over_payoff(stretch)) < -DM2_TOL or any(line_over_payoff(k) > DM2_TOL for k in outside):
+        return None
+    cols = [_AT_LOWER] * m
+    rows = [_BASIC] * m + [_AT_LOWER] * 2
+    cols[0] = cols[-1] = _BASIC
+    cols[i_l + 1 : i_h] = [_BASIC] * (i_h - i_l - 1)
+    rows[stretch] = [_AT_UPPER] * (i_h - i_l + 1)
+    rows[j] = rows[j + 1] = _BASIC
+    basis = _core.HighsBasis()
+    basis.col_status, basis.row_status, basis.valid, basis.alien = cols, rows, True, False
+    return basis
+
+
+# A builder returns passModel's arguments: columns, rows, nonzeros, format,
 # sense, offset; cost, column bounds, row bounds; CSC start, index, value;
-# integrality, all continuous) and the map from HiGHS's solution x to the
-# masses f + lift @ x.
+# integrality, all continuous.
 
 def _tridiagonal_lp(inv_h: np.ndarray, f: np.ndarray, u: np.ndarray):
     """The oracle LP on a grid without a narrow cell, from 1/h alone.
@@ -377,11 +474,10 @@ def _tridiagonal_lp(inv_h: np.ndarray, f: np.ndarray, u: np.ndarray):
     Column c of lift is -inv_h[c-1], inv_h[c-1] + inv_h[c] and -inv_h[c] at
     rows c-1, c and c+1 (inv_h[0] and inv_h[m-2] alone on the diagonal at
     the end columns); the constraint matrix is -lift, then D_0's and
-    D_{m-1}'s unit entries in the two equality rows.  Each sum adds its
-    products in _general_lp's order, starting from 0.0 as np.bincount
-    does: the cost by ascending row, a mass by column j+1, j-1, j (row 0:
-    0 then 1; the last row: m-2 then m-1).  A missing term is a 0.0, which
-    changes no sum: one that starts from 0.0 is never -0.0."""
+    D_{m-1}'s unit entries in the two equality rows.  The cost adds its
+    products in _general_lp's order, by ascending row, starting from 0.0
+    as np.bincount does.  A missing term is a 0.0, which changes no sum:
+    one that starts from 0.0 is never -0.0."""
     m = len(f)
     pad = np.concatenate([[0.0], inv_h, [0.0]])
     diag = pad[:-1] + pad[1:]
@@ -395,22 +491,13 @@ def _tridiagonal_lp(inv_h: np.ndarray, f: np.ndarray, u: np.ndarray):
     index[0], index[-1, 2] = (0, 1, m), m + 1
     row_lower = np.full(m + 2, -kHighsInf)
     row_lower[m:] = 0.0
-    model = (
+    return (
         m, m + 2, 3 * m, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
         -(((0.0 + above) + diag * u) + below),
         np.zeros(m), np.full(m, kHighsInf), row_lower, np.concatenate([f, np.zeros(2)]),
         np.arange(0, 3 * m + 1, 3, dtype=np.int32), index.ravel(), value.ravel(),
         np.zeros(m, np.int32),
     )
-
-    def to_masses(x):
-        prev, nxt, own = -inv_h * x[:-1], -inv_h * x[1:], diag * x
-        first = np.concatenate([own[:1], nxt[1:], prev[-1:]])
-        second = np.concatenate([nxt[:1], prev[:-1], own[-1:]])
-        third = np.concatenate([[0.0], own[1:-1], [0.0]])
-        return f + (((0.0 + first) + second) + third)
-
-    return model, to_masses
 
 
 def _general_lp(h: np.ndarray, inv_h: np.ndarray, f: np.ndarray, u: np.ndarray):
@@ -447,7 +534,7 @@ def _general_lp(h: np.ndarray, inv_h: np.ndarray, f: np.ndarray, u: np.ndarray):
     kept = np.flatnonzero(np.abs(val) >= HIGHS_SMALL_ENTRY)
     kept = kept[np.argsort(key[kept])]
     key, val = key[kept], val[kept]
-    # the masses are f + lift @ x, lift_j = slope_{j-1} - slope_j, in the
+    # lift_j = slope_{j-1} - slope_j (the masses are f + lift @ x), in the
     # entry order of the sparse product: slope_j's other columns, then
     # slope_{j-1}'s.  A shared column pairs entries of opposite sign.
     upper = key + m
@@ -470,7 +557,7 @@ def _general_lp(h: np.ndarray, inv_h: np.ndarray, f: np.ndarray, u: np.ndarray):
     # own slack >= 0; a narrow cell's slope is the prior's mass up to the
     # cell less g's, so it lies in [F_k - 1, F_k]
     cdf = np.cumsum(f)[cells]
-    model = (
+    return (
         m, m + len(cells) + 2, len(rows), MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
         -np.bincount(l_col, weights=lift * u[l_row], minlength=m),
         np.concatenate([np.zeros(m - len(cells)), cdf - 1.0]),
@@ -482,7 +569,6 @@ def _general_lp(h: np.ndarray, inv_h: np.ndarray, f: np.ndarray, u: np.ndarray):
         vals[order],
         np.zeros(m, np.int32),
     )
-    return model, lambda x: f + np.bincount(l_row, weights=lift * x[l_col], minlength=m)
 
 
 def oracle_gap(eq, m: int) -> dict[str, float]:
@@ -491,7 +577,8 @@ def oracle_gap(eq, m: int) -> dict[str, float]:
     iterations."""
     grid = oracle_grid(eq, m)
     u = payoff_u(eq, grid)
-    value, _, nonzeros, iterations = _solve_oracle(u, eq.prior, grid, read_masses=False)
+    pool = (eq.v_l_star, eq.r_star, min(eq.v_h_star, eq.v_t_star), eq.v_h_star)
+    value, _, nonzeros, iterations = _solve_oracle(u, eq.prior, grid, False, pool)
     played = expected_payoff(eq)
     return {
         "m": float(len(grid)),
@@ -586,7 +673,9 @@ def hetero_first_holding_n(
     prior: Prior, alpha: float, costs: CostDistribution
 ) -> tuple[int, HeteroReport]:
     """First n on a doubling scan from n = 2 at which the sufficiency condition
-    holds, skipping sizes outside the domain (F**(n-1) not convex)."""
+    holds, skipping sizes outside the domain (F**(n-1) not convex); a prior
+    convex at no size up to the cap is n_lower_bar's DomainError."""
+    check_convex_by_cap(prior)
     for n in (1 << k for k in range(1, _N_CAP.bit_length())):
         if not prior.check_convexity(n):
             continue
