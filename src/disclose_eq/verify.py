@@ -36,7 +36,8 @@ Two routes, deliberately redundant:
   simplex took 4,073 iterations in all where the slack basis took
   446,071, and the values moved by at most 1e-12.  The masses are
   read from the vertex of HiGHS's final basis, solved again, not from its
-  updated factors.
+  updated factors; so best_response_oracle's value is linprog's to the
+  bit, but its masses are not.
 
 The cost-heterogeneity check implements the large-market sufficiency
 condition: the multiplier's pooled slope must stay below the steepest
@@ -383,31 +384,36 @@ def _solve_oracle(
     if status != HighsModelStatus.kOptimal:
         raise ValidationFailureError("oracle-lp", highs.modelStatusToString(status))
     value = float(u_values @ f - highs.getObjectiveValue())
-    masses = _vertex_masses(highs.getBasis(), model, f) if read_masses else None
+    masses = _vertex_masses(highs, model, f) if read_masses else None
     return value, masses, model[2], int(highs.getInfoValue("simplex_iteration_count")[1])
 
 
-def _vertex_masses(basis, model, f: np.ndarray) -> np.ndarray:
+def _vertex_masses(highs, model, f: np.ndarray) -> np.ndarray:
     """The masses at the vertex of HiGHS's final basis: f less the
-    activities of the rows g >= 0, at column values solved again from the
-    rows the basis holds at a bound, by sparse LU.  HiGHS's own column
-    values carry the error of its updated factors: on a jittered 265-point
-    grid under power(2) a row it held at g = 0 read a mass of -3.4e-9 from
-    them, and its row activities missed the unit mass by 3.5e-9; from the
-    solved vertex both are under 1e-13.  SciPy's sparse solver is imported
-    here, on the first call, so that oracle_gap's imports stay the binding."""
+    activities of the rows g >= 0, at column values solved again by sparse
+    LU from the rows off the basis.  Each row of the LP has a finite upper
+    bound, and a finite lower one only where it is an equality, so a row
+    off the basis is at its upper bound; a column off it keeps HiGHS's
+    value, one of its bounds.  HiGHS's basic values carry the error of its
+    updated factors: on a jittered 265-point grid under power(2) a row it
+    held at g = 0 read a mass of -3.4e-9 from its column values, and its
+    row activities missed the unit mass by 3.5e-9; from the solved vertex
+    both are under 1e-13.  The basis is read as getBasicVariables' index
+    array, not as getBasis' per-entry statuses, which take about 0.2 ms
+    to convert at m = 201.  SciPy's sparse solver is imported here, on the
+    first call, so that oracle_gap's imports stay the binding."""
     from scipy.sparse import csc_array
     from scipy.sparse.linalg import spsolve
 
-    col_lower, col_upper, row_lower, row_upper, start, index, value = model[7:14]
+    row_upper, start, index, value = model[10:14]
     a = csc_array((value, index, start), shape=(model[1], model[0]))
-    col_status = np.array(basis.col_status, dtype=np.int8)
-    row_status = np.array(basis.row_status, dtype=np.int8)
-    free, held = col_status == int(_BASIC), row_status != int(_BASIC)
-    x = np.where(col_status == int(_AT_UPPER), col_upper, col_lower)
+    basic = highs.getBasicVariables()[1]  # a column's index, or -1 - a row's
+    free = np.sort(basic[basic >= 0])  # in column order, whatever the pivots
+    held = np.ones(model[1], dtype=bool)
+    held[-1 - basic[basic < 0]] = False
+    x = np.array(highs.getSolution().col_value)
     x[free] = 0.0
-    bound = np.where(row_status == int(_AT_UPPER), row_upper, row_lower)[held]
-    x[free] = spsolve(a[held][:, free], bound - a[held] @ x)
+    x[free] = spsolve(a[:, free][held], (row_upper - a @ x)[held])
     return f - (a @ x)[: len(f)]
 
 

@@ -673,7 +673,10 @@ def test_verify_and_hetero_load_only_the_highs_binding(tmp_path):
     assert _HIGHS_CORE in result["scipy"]
     assert all(m == _HIGHS_CORE or m.startswith(_HIGHS_CORE + ".") for m in result["scipy"])
     assert result["numpy.polynomial"] is False
-    assert json.loads((tmp_path / "verify.out").read_text())["oracle"]["lp_nonzeros"] > 0
+    # the LP was solved: its value is the played one or more, where the
+    # slack basis's vertex, full disclosure, pays 0.013 less
+    payload = json.loads((tmp_path / "verify.out").read_text())
+    assert 0.0 <= payload["oracle"]["gap"] <= payload["oracle_bound"]
 
 
 # Either package may be imported first; both end up with one binding module.
