@@ -116,16 +116,8 @@ DM4_TOL = 1e-8
 """Payoff units.  check_dm_conditions: DM4, |int phi dG - int phi dF|."""
 
 HIGHS_FEASIBILITY_TOL = 1e-10
-"""HiGHS's primal and dual feasibility, in the LP's rows (which carry 1/h).
+"""HiGHS's primal and dual feasibility, in the LP's rows.
 verify._LP_OPTIONS, so every oracle LP."""
-
-HIGHS_SMALL_ENTRY = 1e-9
-"""LP matrix entries.  The size below which HiGHS ignores an entry; the
-oracle's LP assembly drops those entries itself."""
-
-NARROW_CELL = 1e-7
-"""v.  The oracle's LP: a grid cell narrower than this gets a slope variable
-of its own."""
 
 # -- montecarlo: the stopping rule in quantile space ----------------------------
 

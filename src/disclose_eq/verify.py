@@ -10,34 +10,32 @@ Two routes, deliberately redundant:
   all its grids together;
 * a discretized linear-program best response over the exact feasible
   polytope (nonnegativity, unit mass, matched mean, and stop-loss
-  dominance at every grid point), posed over the stop-loss slack at the
-  grid points: a tridiagonal LP with O(m) nonzeros, run at fixed
-  feasibility tolerances of 1e-10.  Its CSC input is, entry for entry, the
-  matrix that the sparse products defining it would give.  On a grid
-  without a cell narrower than NARROW_CELL (every benchmark market's) it
-  is built straight from the reciprocal cell widths; a grid with a narrow
-  cell, which needs slope variables, goes to a general builder of index
-  arithmetic, which stays for those grids.  From the pooling basis below,
-  HiGHS's run is about a third of oracle_gap at m = 201 and the Python
-  around it the rest.  The model is handed to HiGHS through the binding
-  SciPy ships (scipy.optimize._highspy) under _LP_OPTIONS, set in HiGHS's
-  own terms: dual simplex without presolve, under devex pricing.  So the
-  solve is the one
-  linprog(method="highs") runs with those options, without its input
-  checks and result post-processing.  Each thread keeps one HiGHS
-  instance, given those settings once; every call passes it the model as
-  arrays in one passModel call (a HighsLp's setters copy each array
-  element by element), and a model HiGHS rejects is a typed oracle-lp
-  failure, because the instance would keep and solve the previous one.
-  oracle_gap starts the tridiagonal LP from the basis that pools the
-  market's stretch [v_L*, v_H*] (_pooling_basis), where best_response_oracle,
+  dominance at every grid point), posed over the cumulative mass moved
+  and the stop-loss slack at the grid points: one LP of 6m - 5 nonzeros,
+  every one +-1 or a cell width, run unscaled at fixed feasibility
+  tolerances of 1e-10 on any strictly increasing grid (_cumulative_lp).
+  Its CSC input is, entry for entry, the matrix that the sparse products
+  defining it would give.  The model is handed to HiGHS through the
+  binding SciPy ships (scipy.optimize._highspy) under _LP_OPTIONS, set in
+  HiGHS's own terms: dual simplex without presolve or scaling, under
+  devex pricing.  So the solve is the one linprog(method="highs") runs
+  with those options, without its input checks and result
+  post-processing.  Each thread keeps one HiGHS instance, given those
+  settings once; every call passes it the model as arrays in one
+  passModel call (a HighsLp's setters copy each array element by
+  element), and a model HiGHS rejects is a typed oracle-lp failure,
+  because the instance would keep and solve the previous one.
+  oracle_gap starts the LP from the basis that pools the market's
+  stretch [v_L*, v_H*] (_pooling_basis), where best_response_oracle,
   which has no market, starts from the slack basis as linprog does.  On
   1,760 oracles of the benchmark's markets (m = 201 and 801) the dual
-  simplex took 4,073 iterations in all where the slack basis took
-  446,071, and the values moved by at most 1e-12.  The masses are
-  read from the vertex of HiGHS's final basis, solved again, not from its
-  updated factors; so best_response_oracle's value is linprog's to the
-  bit, but its masses are not.
+  simplex took 169 iterations in all, and the values stay within 1.6e-11
+  of the cold solve's.  From the slack basis it takes far more (47,298
+  on the seeded test markets at m = 201), which only
+  best_response_oracle and markets off their equilibrium pay.  The
+  masses are read from the vertex of HiGHS's final basis, solved again,
+  not from its updated factors; so best_response_oracle's value is
+  linprog's to the bit, but its masses are not.
 
 The cost-heterogeneity check implements the large-market sufficiency
 condition: the multiplier's pooled slope must stay below the steepest
@@ -55,6 +53,7 @@ Xeon VM.  A SciPy without the binding fails this import with ImportError.
 """
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -70,9 +69,7 @@ from .endogenous import _N_CAP, check_convex_by_cap, payoff_u, solve_endog
 from .errors import DomainError, IterationCapError, ValidationFailureError
 from .posterior import drop_repeats, insert_points
 from .priors import Prior
-from .tolerances import (
-    DM1_TOL, DM2_TOL, DM3_TOL, DM4_TOL, HIGHS_FEASIBILITY_TOL, HIGHS_SMALL_ENTRY, NARROW_CELL,
-)
+from .tolerances import DM1_TOL, DM2_TOL, DM3_TOL, DM4_TOL, HIGHS_FEASIBILITY_TOL
 
 
 def _load_highs_core():
@@ -109,19 +106,22 @@ _GRID_SIZE = 1001
 _DM_BASE = np.linspace(0.0, 1.0, _GRID_SIZE)
 _DM_BASE_LIST = _DM_BASE.tolist()
 # the oracle grid's points: at least ORACLE_GRID_MIN; at most ORACLE_GRID_MAX,
-# which keeps its O(m) arrays small (HiGHS's run, which grows faster than m,
-# took 7 s at m = 50,001 on power(2) n=3)
+# which keeps its O(m) arrays small (a cold HiGHS run grows faster than m;
+# from the pooling basis power(2) n=3 takes 0.17 s at m = 100,001)
 ORACLE_GRID_MIN = 101
 ORACLE_GRID_MAX = 100_001
 # oracle LP: the HiGHS settings, quiet: the dual simplex, the ledger's
-# feasibility tolerances, and no presolve and devex pricing (edge-weight
-# strategy 1), which solve this tridiagonal LP about 1.45x faster than
-# HiGHS's defaults (presolve on, dual steepest edge)
+# feasibility tolerances, no presolve and devex pricing (edge-weight
+# strategy 1); and no scaling (strategy 0), for every entry is +-1 or a
+# cell width: scaled, a warm run took 0.21 ms instead of 0.14 ms at
+# m = 201, and the value missed its vertex's payoff by 2.1e-9 on two test
+# grids with chains of narrow cells
 _LP_OPTIONS = HighsOptions()
 _LP_OPTIONS.output_flag = _LP_OPTIONS.log_to_console = False
 _LP_OPTIONS.simplex_strategy = 1
 _LP_OPTIONS.presolve = "off"
 _LP_OPTIONS.simplex_dual_edge_weight_strategy = 1
+_LP_OPTIONS.simplex_scale_strategy = 0
 _LP_OPTIONS.primal_feasibility_tolerance = _LP_OPTIONS.dual_feasibility_tolerance = HIGHS_FEASIBILITY_TOL
 # one HiGHS instance per thread, given _LP_OPTIONS once and a new model on
 # every oracle call; an instance is not safe to share between threads
@@ -300,27 +300,18 @@ def best_response_oracle(
     max sum g_i u_i  s.t.  g >= 0, sum g = 1, sum g v = sum f v, and for
     every grid point t: sum g_i (t - v_i)+ <= sum f_i (t - v_i)+.
 
-    The LP is solved over the stop-loss slack D_k = b_k - S_k instead of
-    the masses, where S_k = sum g_i (t_k - v_i)+ and b = cumsum(h * cumsum(f))
-    is the prior's stop-loss.  Dominance is D >= 0, and D vanishes at the
-    bottom point and, for the matched mean, at the top one, so all three
-    are bounds.  The slope of D on cell k is the prior's mass at or below
-    t_k less g's, so the masses are g = f plus the slope increments and
-    g >= 0 is m tridiagonal rows: O(m) nonzeros in all.  A cell narrower
-    than NARROW_CELL is too short for D to resolve its slope, so that
-    slope is a variable of its own.  The rows carry 1/h, so HiGHS runs at
-    fixed feasibility tolerances of 1e-10 instead of its 1e-7 defaults, and
-    the entries HiGHS would ignore are dropped here first, so the masses
-    come from the model that was solved.
-
-    The grid picks one of two builders of the same LP.  Without a narrow
-    cell (every oracle_grid of the benchmark's markets), each point's
-    slack is its own variable and the matrix is -lift, tridiagonal, built
-    from 1/h directly (_tridiagonal_lp).  A grid with a narrow cell goes to
-    _general_lp, which builds the matrix entry by entry with index
-    arithmetic, in the float operations and the order of the sparse
-    products slack -> slope -> masses that define it.  Where both apply,
-    they give HiGHS the same arrays to the byte and the same masses.
+    The LP is solved over the cumulative mass moved, C_k = sum_{j<=k}
+    (f_j - g_j), and a lower bound D_k on the stop-loss slack at t_k
+    (_cumulative_lp).  g_k >= 0 is the row C_k - C_{k-1} <= f_k, and the
+    unit mass is C_{m-1} = 0.  The prior's stop-loss less g's rises by
+    h_k C_k over cell k, so dominance is D >= 0 from D_0 = 0 under the
+    chain D_{k+1} - D_k <= h_k C_k: by induction such a D lies below the
+    true slack, so the LP is the one with the chain as equalities (which
+    HiGHS left basic at up to 4e-11, so that the vertex missed the mean by
+    up to 9.8e-11).  The matched mean is the slack at the top, one row
+    sum h_k C_k = 0.  Every entry is +-1 or a cell width, 6m - 5 of them,
+    so a narrow cell needs nothing of its own and HiGHS runs unscaled.
+    The value is sum f u less the optimum of sum C_k (u_k - u_{k+1}).
     """
     value, masses, _, _ = _solve_oracle(u_values, prior, grid, read_masses=True)
     return value, masses
@@ -336,18 +327,19 @@ def _solve_oracle(
 
     HiGHS gets the model through SciPy's binding: the matrix, bounds and
     settings (_LP_OPTIONS) that linprog(method="highs") with those options
-    would pass it for this LP (rows g >= 0, then D >= 0 at each narrow
-    cell's top, then the two equalities).  Without a pool HiGHS starts
-    from the slack basis, as under linprog, so the value is linprog's to
-    the bit.  A pool (v_L*, r*, min(v_H*, v_T*), v_H*) of grid points
-    starts the tridiagonal LP from _pooling_basis instead (the general
-    builder's LP starts cold); the value then agrees with the cold solve's
-    to 1e-12 on the benchmark's markets.  The masses are those of the
-    vertex of HiGHS's final basis (_vertex_masses).  The solver is this
-    thread's HiGHS instance, made on its first call and given the settings
-    then; the model goes to it as arrays through passModel's array
-    overload.  A model or a basis HiGHS rejects, and any model status but
-    optimal, is a typed oracle-lp failure."""
+    would pass it for this LP (rows g >= 0, then the chain, then the
+    mean).  Without a pool HiGHS starts from the slack basis, as under
+    linprog, so the value is linprog's to the bit.  A pool (v_L*, r*,
+    min(v_H*, v_T*), v_H*) of grid points starts it from _pooling_basis
+    instead, on any grid; the value then agrees with the cold solve's to
+    1.6e-11 on the benchmark's markets.  sum f u is NumPy's pairwise sum,
+    not a BLAS dot, whose bits OpenBLAS's thread count changes above
+    10,000 terms.  The masses are those of the vertex of HiGHS's final
+    basis (_vertex_masses).  The solver is this thread's HiGHS instance,
+    made on its first call and given the settings then; the model goes to
+    it as arrays through passModel's array overload.  A model or a basis
+    HiGHS rejects, and any model status but optimal, is a typed oracle-lp
+    failure."""
     grid = np.asarray(grid, dtype=float)
     u_values = np.asarray(u_values, dtype=float)
     if grid.ndim != 1 or grid.shape != u_values.shape or len(grid) < 2:
@@ -356,16 +348,8 @@ def _solve_oracle(
     if not np.all(h > 0.0):
         raise DomainError("grid must be strictly increasing")
     f = discretize_prior(prior, grid)
-    inv_h = 1.0 / h
-    basis = None
-    # the general builder gives a narrow cell its own variable, and drops
-    # the entries of a cell wider than 1 / HIGHS_SMALL_ENTRY
-    if h.min() >= NARROW_CELL and inv_h.min() >= HIGHS_SMALL_ENTRY:
-        model = _tridiagonal_lp(inv_h, f, u_values)
-        if pool is not None:
-            basis = _pooling_basis(grid, f, u_values, pool)
-    else:
-        model = _general_lp(h, inv_h, f, u_values)
+    model = _cumulative_lp(h, f, u_values)
+    basis = None if pool is None else _pooling_basis(grid, f, u_values, pool)
     highs = getattr(_THREAD, "highs", None)
     if highs is None:
         highs = _THREAD.highs = _Highs()
@@ -377,13 +361,10 @@ def _solve_oracle(
     if basis is not None and highs.setBasis(basis) == HighsStatus.kError:
         raise ValidationFailureError("oracle-lp", "HiGHS rejected the starting basis")
     highs.run()
-    # The prior's own masses are feasible, but HiGHS can stop without a
-    # status ("Not Set") on grids with chains of narrow cells, e.g. cells
-    # of width 1e-15 and 3e-9 among about 230 points under a payoff jump
     status = highs.getModelStatus()
     if status != HighsModelStatus.kOptimal:
         raise ValidationFailureError("oracle-lp", highs.modelStatusToString(status))
-    value = float(u_values @ f - highs.getObjectiveValue())
+    value = float(np.add.reduce(u_values * f) - highs.getObjectiveValue())
     masses = _vertex_masses(highs, model, f) if read_masses else None
     return value, masses, model[2], int(highs.getInfoValue("simplex_iteration_count")[1])
 
@@ -394,13 +375,13 @@ def _vertex_masses(highs, model, f: np.ndarray) -> np.ndarray:
     LU from the rows off the basis.  Each row of the LP has a finite upper
     bound, and a finite lower one only where it is an equality, so a row
     off the basis is at its upper bound; a column off it keeps HiGHS's
-    value, one of its bounds.  HiGHS's basic values carry the error of its
-    updated factors: on a jittered 265-point grid under power(2) a row it
-    held at g = 0 read a mass of -3.4e-9 from its column values, and its
-    row activities missed the unit mass by 3.5e-9; from the solved vertex
-    both are under 1e-13.  The basis is read as getBasicVariables' index
-    array, not as getBasis' per-entry statuses, which take about 0.2 ms
-    to convert at m = 201.  SciPy's sparse solver is imported here, on the
+    value, one of its bounds or 0 for a free C_k.  HiGHS's basic values
+    carry the error of its updated factors: when the LP's rows carried
+    1/h, a row it held at g = 0 on a jittered 265-point grid under
+    power(2) read a mass of -3.4e-9 from its column values (1.2e-15 at
+    most on the test grids since); from the solved vertex under 1e-13.
+    The basis is read as getBasicVariables' index array, not as getBasis'
+    per-entry statuses, which take about 0.2 ms to convert at m = 201.  SciPy's sparse solver is imported here, on the
     first call, so that oracle_gap's imports stay the binding."""
     from scipy.sparse import csc_array
     from scipy.sparse.linalg import spsolve
@@ -418,22 +399,23 @@ def _vertex_masses(highs, model, f: np.ndarray) -> np.ndarray:
 
 
 def _pooling_basis(grid: np.ndarray, f: np.ndarray, u: np.ndarray, pool: Sequence[float]):
-    """The tridiagonal LP's basis that pools the market's stretch
-    [v_L*, v_H*] onto the two grid points around its mean, or None where
-    the market is not a pooling multiplier's on the grid.
+    """The oracle LP's basis that pools the market's stretch [v_L*, v_H*]
+    onto the two grid points around its mean, or None where the market is
+    not a pooling multiplier's on the grid.
 
-    With i_L and i_H the stretch's end points, the slack D_k is basic at
-    every point strictly inside, D_0 and D_{m-1} are basic (the equality
-    rows, nonbasic, fix them at 0), and every other D_k sits at its bound
-    0.  Every row g_k >= 0 of the stretch is at its bound g_k = 0 but two,
-    at the adjacent points j, j+1 around the mean of f over the stretch,
-    clipped to the contact stretch [r*, min(v_H*, v_T*)]: the vertex moves
-    the stretch's mass onto them, with its mean, so it is primal feasible
-    where they bracket that mean.  Its duals are the payoff off the stretch
-    and, on it, the line through the payoff at j and j+1; they are dual
-    feasible where that line dominates the payoff on the stretch and the
-    kinks at i_L and i_H are convex, each checked at the grid points to
-    DM2_TOL.  On an equilibrium the line is the multiplier's, so the
+    With i_L and i_H the stretch's end points, every C_k but the fixed
+    C_{m-1} is basic; the slack D_k is basic at every point strictly
+    inside and at the top, and every other D_k sits at its bound 0; the
+    chain rows are at their bound, so D is the exact slack, and the mean
+    row holds D_{m-1} at 0.  Every row g_k >= 0 of the stretch is at its
+    bound g_k = 0 but two, at the adjacent points j, j+1 around the mean
+    of f over the stretch, clipped to the contact stretch [r*, min(v_H*,
+    v_T*)]: the vertex moves the stretch's mass onto them, with its mean,
+    so it is primal feasible where they bracket that mean.  Its duals are
+    the payoff off the stretch and, on it, the line through the payoff at
+    j and j+1; they are dual feasible where that line dominates the payoff
+    on the stretch and the kinks at i_L and i_H are convex, each checked
+    at the grid points to DM2_TOL.  On an equilibrium the line is the multiplier's, so the
     vertex pays the integral of the multiplier against f and the dual
     simplex starts at or next to the optimum.  A market that fails the
     check (one moved off its equilibrium, where a start of neither primal
@@ -447,7 +429,8 @@ def _pooling_basis(grid: np.ndarray, f: np.ndarray, u: np.ndarray, pool: Sequenc
     mass = float(f[stretch].sum())
     j = i_a
     if mass > 0.0:
-        j = int(np.searchsorted(grid, float(f[stretch] @ grid[stretch]) / mass, side="right")) - 1
+        mean = float(np.add.reduce(f[stretch] * grid[stretch])) / mass
+        j = int(np.searchsorted(grid, mean, side="right")) - 1
     j = max(min(max(j, i_a), i_b - 1), i_l)
     slope = (u[j + 1] - u[j]) / (grid[j + 1] - grid[j])
 
@@ -459,10 +442,10 @@ def _pooling_basis(grid: np.ndarray, f: np.ndarray, u: np.ndarray, pool: Sequenc
     outside = [k for k in (i_l - 1, i_h + 1) if 0 <= k < m]
     if np.min(line_over_payoff(stretch)) < -DM2_TOL or any(line_over_payoff(k) > DM2_TOL for k in outside):
         return None
-    cols = [_AT_LOWER] * m
-    rows = [_BASIC] * m + [_AT_LOWER] * 2
-    cols[0] = cols[-1] = _BASIC
-    cols[i_l + 1 : i_h] = [_BASIC] * (i_h - i_l - 1)
+    cols = [_BASIC] * (m - 1) + [_AT_LOWER] * (m + 1)
+    cols[m + i_l + 1 : m + i_h] = [_BASIC] * (i_h - i_l - 1)
+    cols[-1] = _BASIC
+    rows = [_BASIC] * m + [_AT_UPPER] * (m - 1) + [_AT_LOWER]
     rows[stretch] = [_AT_UPPER] * (i_h - i_l + 1)
     rows[j] = rows[j + 1] = _BASIC
     basis = _core.HighsBasis()
@@ -470,110 +453,52 @@ def _pooling_basis(grid: np.ndarray, f: np.ndarray, u: np.ndarray, pool: Sequenc
     return basis
 
 
-# A builder returns passModel's arguments: columns, rows, nonzeros, format,
-# sense, offset; cost, column bounds, row bounds; CSC start, index, value;
-# integrality, all continuous.
-
-def _tridiagonal_lp(inv_h: np.ndarray, f: np.ndarray, u: np.ndarray):
-    """The oracle LP on a grid without a narrow cell, from 1/h alone.
-
-    Column c of lift is -inv_h[c-1], inv_h[c-1] + inv_h[c] and -inv_h[c] at
-    rows c-1, c and c+1 (inv_h[0] and inv_h[m-2] alone on the diagonal at
-    the end columns); the constraint matrix is -lift, then D_0's and
-    D_{m-1}'s unit entries in the two equality rows.  The cost adds its
-    products in _general_lp's order, by ascending row, starting from 0.0
-    as np.bincount does.  A missing term is a 0.0, which changes no sum:
-    one that starts from 0.0 is never -0.0."""
+def _cumulative_lp(h: np.ndarray, f: np.ndarray, u: np.ndarray):
+    """The oracle LP over the cumulative mass moved, as passModel's
+    arguments: columns, rows, nonzeros, format, sense, offset; cost,
+    column bounds, row bounds; CSC start, index, value; integrality.  The
+    cost of C_k is u_k - u_{k+1} (u_{m-1} for C_{m-1}), started from 0.0
+    as a sparse product's sum is, so that it is never -0.0."""
     m = len(f)
-    pad = np.concatenate([[0.0], inv_h, [0.0]])
-    diag = pad[:-1] + pad[1:]
-    above, below = np.zeros(m), np.zeros(m)  # lift[c-1, c] u[c-1] and lift[c+1, c] u[c+1]
-    above[1:] = -inv_h * u[:-1]
-    below[:-1] = -inv_h * u[1:]
-    value = np.empty((m, 3))
-    value[1:, 0], value[:, 1], value[:-1, 2] = inv_h, -diag, inv_h
-    value[0], value[-1, 2] = (-diag[0], inv_h[0], 1.0), 1.0
-    index = np.arange(-1, m - 1, dtype=np.int32)[:, None] + np.arange(3, dtype=np.int32)
-    index[0], index[-1, 2] = (0, 1, m), m + 1
-    row_lower = np.full(m + 2, -kHighsInf)
-    row_lower[m:] = 0.0
+    start, index, value, col_lower, col_upper, row_lower, integrality = _lp_frame(m)
+    value = value.copy()
+    value[2 : 4 * m - 4 : 4] = -h
+    value[3 : 4 * m - 4 : 4] = h
+    cost, row_upper = np.zeros(2 * m), np.zeros(2 * m)
+    cost[:m] += u
+    cost[: m - 1] -= u[1:]
+    row_upper[:m] = f
     return (
-        m, m + 2, 3 * m, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
-        -(((0.0 + above) + diag * u) + below),
-        np.zeros(m), np.full(m, kHighsInf), row_lower, np.concatenate([f, np.zeros(2)]),
-        np.arange(0, 3 * m + 1, 3, dtype=np.int32), index.ravel(), value.ravel(),
-        np.zeros(m, np.int32),
+        2 * m, 2 * m, 6 * m - 5, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
+        cost, col_lower, col_upper, row_lower, row_upper, start, index, value, integrality,
     )
 
 
-def _general_lp(h: np.ndarray, inv_h: np.ndarray, f: np.ndarray, u: np.ndarray):
-    """The oracle LP on any strictly increasing grid, by index arithmetic."""
-    m = len(f)
-    # m variables: D at each point whose cell below is not narrow (its own
-    # point), then the slope on each narrow cell.  D_j is the variable of
-    # the own point p at or below j plus h_c times the slope of each narrow
-    # cell c from p up to j.
-    narrow = h < NARROW_CELL
-    wide, cells = np.flatnonzero(~narrow), np.flatnonzero(narrow)
-    own = np.concatenate([[True], ~narrow])
-    var = np.cumsum(own) - 1
-    cell_var = m - len(cells) - 1 + np.cumsum(narrow)
-    start = np.flatnonzero(own)[var]
-
-    def slack(points):
-        """Row-major (row, column, value) of D at these points."""
-        size = 1 + points - start[points]
-        row = np.repeat(np.arange(len(points)), size)
-        pos = np.arange(len(row)) - np.repeat(np.cumsum(size) - size, size)
-        cell = start[points][row] + pos - 1
-        col = np.where(pos > 0, cell_var[cell], var[points][row])
-        return row, col, np.where(pos > 0, h[cell], 1.0)
-
-    # slope_k = (D_{k+1} - D_k) / h_k on a wide cell, whose top point is
-    # its own; on a narrow cell, (1 / h_k) * h_k times the cell's variable.
-    # Entries are keyed row * m + column.
-    row, col, val = slack(wide)
-    row = wide[row]
-    key = np.concatenate([row, wide, cells]) * m
-    key += np.concatenate([col, var[wide + 1], cell_var[cells]])
-    val = np.concatenate([inv_h[row] * -val, inv_h[wide], inv_h[cells] * h[cells]])
-    kept = np.flatnonzero(np.abs(val) >= HIGHS_SMALL_ENTRY)
-    kept = kept[np.argsort(key[kept])]
-    key, val = key[kept], val[kept]
-    # lift_j = slope_{j-1} - slope_j (the masses are f + lift @ x), in the
-    # entry order of the sparse product: slope_j's other columns, then
-    # slope_{j-1}'s.  A shared column pairs entries of opposite sign.
-    upper = key + m
-    at = np.minimum(np.searchsorted(upper, key), len(key) - 1)
-    shared = upper[at] == key
-    upper_val = val.copy()
-    upper_val[at[shared]] -= val[shared]
-    order = np.argsort(np.concatenate([key[~shared] // m * 2, upper // m * 2 + 1]), kind="stable")
-    l_row, l_col = np.divmod(np.concatenate([key[~shared], upper])[order], m)
-    lift = np.concatenate([-val[~shared], upper_val])[order]
-
-    row, col, val = slack(np.concatenate([cells + 1, [0, m - 1]]))
-    # rows: g >= 0, then D >= 0 at the points without a variable of their
-    # own, then D = 0 at the bottom and at the top (the mean); the matrix
-    # goes to HiGHS column-wise, rows ascending within each column
-    rows = np.concatenate([l_row, m + row])
-    cols = np.concatenate([l_col, col])
-    vals = np.concatenate([-lift, np.where(row < len(cells), -val, val)])
-    order = np.lexsort((rows, cols))
-    # own slack >= 0; a narrow cell's slope is the prior's mass up to the
-    # cell less g's, so it lies in [F_k - 1, F_k]
-    cdf = np.cumsum(f)[cells]
+@functools.lru_cache(maxsize=8)
+def _lp_frame(m: int):
+    """What _cumulative_lp's model takes from m alone, the cell widths in
+    its matrix left 0.  Column C_k (k < m-1) is +1 and -1 in the rows
+    g_k >= 0 and g_{k+1} >= 0, then -h_k in chain row k and h_k in the mean
+    row; C_{m-1} is +1 in row g_{m-1} >= 0.  D_k is +1 in chain row k-1
+    and -1 in chain row k.  The arrays are shared by every model of m
+    points; passModel copies them."""
+    count = np.full(2 * m, 2)
+    count[: m - 1] = 4
+    count[[m - 1, m, 2 * m - 1]] = 1
+    k = np.arange(m - 1)
+    index = np.column_stack([k, k + 1, k + m, np.full(m - 1, 2 * m - 1)])
+    value = np.zeros(6 * m - 5)
+    value[0 : 4 * m - 4 : 4], value[1 : 4 * m - 4 : 4] = 1.0, -1.0
+    value[4 * m - 4], value[4 * m - 3 :: 2], value[4 * m - 2 :: 2] = 1.0, -1.0, 1.0
+    col_lower = np.concatenate([np.full(m, -kHighsInf), np.zeros(m)])
+    col_upper = np.full(2 * m, kHighsInf)
+    col_upper[m - 1] = col_lower[m - 1] = col_upper[m] = 0.0
+    row_lower = np.full(2 * m, -kHighsInf)
+    row_lower[-1] = 0.0
     return (
-        m, m + len(cells) + 2, len(rows), MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
-        -np.bincount(l_col, weights=lift * u[l_row], minlength=m),
-        np.concatenate([np.zeros(m - len(cells)), cdf - 1.0]),
-        np.concatenate([np.full(m - len(cells), kHighsInf), cdf]),
-        np.concatenate([np.full(m + len(cells), -kHighsInf), np.zeros(2)]),
-        np.concatenate([f, np.zeros(len(cells) + 2)]),
-        np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=m))]).astype(np.int32),
-        rows[order].astype(np.int32),
-        vals[order],
-        np.zeros(m, np.int32),
+        np.concatenate([[0], np.cumsum(count)]).astype(np.int32),
+        np.concatenate([index.ravel(), [m - 1], np.repeat(np.arange(m, 2 * m - 1), 2)]).astype(np.int32),
+        value, col_lower, col_upper, row_lower, np.zeros(2 * m, np.int32),
     )
 
 

@@ -32,7 +32,7 @@ and rewinds solve_v_l_eq at r*.  endogenous.validate_equilibrium must
 agree with it on pass or fail and on the invariant name.
 
 The LP oracle assembled by scipy.sparse algebra (oracle_by_sparse_algebra,
-with its stop-loss-slack map _slack_map, solved by linprog under
+from difference and chain matrices, solved by linprog under
 LINPROG_OPTIONS, the oracle's HiGHS settings verify._LP_OPTIONS in
 linprog's names): verify.best_response_oracle builds the same HiGHS input
 by index arithmetic and must hand HiGHS exactly the arrays linprog hands
@@ -95,13 +95,14 @@ reports bit for bit.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 from unittest import mock
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeWarning, linprog
 
 from disclose_eq import candidate, endogenous
 from disclose_eq.candidate import (
@@ -152,8 +153,7 @@ from disclose_eq.posterior import (
 from disclose_eq.priors import Prior
 from disclose_eq.rootfind import bisect_root
 from disclose_eq.tolerances import (
-    CHORD_MIN_WIDTH, CONTACT_XTOL, DM1_TOL, FEAS_MARGIN, HIGHS_FEASIBILITY_TOL, HIGHS_SMALL_ENTRY, MPC_TOL,
-    NARROW_CELL,
+    CHORD_MIN_WIDTH, CONTACT_XTOL, DM1_TOL, FEAS_MARGIN, HIGHS_FEASIBILITY_TOL, MPC_TOL,
 )
 from disclose_eq.verify import (
     CertificateReport,
@@ -515,47 +515,30 @@ def validate_by_rewind(eq: Equilibrium) -> None:
 
 
 # verify._LP_OPTIONS in linprog's option names; linprog itself adds the
-# dual simplex and no output
+# dual simplex and no output, and passes simplex_scale_strategy to HiGHS as
+# it is
 LINPROG_OPTIONS = {
     "presolve": False,
     "simplex_dual_edge_weight_strategy": "devex",
     "primal_feasibility_tolerance": HIGHS_FEASIBILITY_TOL,
     "dual_feasibility_tolerance": HIGHS_FEASIBILITY_TOL,
+    "simplex_scale_strategy": 0,
 }
-
-
-def _slack_map(h: np.ndarray, narrow: np.ndarray) -> tuple[sparse.csr_array, np.ndarray]:
-    """Stop-loss slack at each grid point as a sparse map of the LP variables.
-
-    A point carries a slack variable of its own unless the cell below it is
-    one of the narrow cells; across such a cell the slack grows by h times a
-    slope variable of the cell's own.  Returns the map and the mask of
-    points that carry their own variable.
-    """
-    m = len(h) + 1
-    own = np.ones(m, dtype=bool)
-    own[narrow + 1] = False
-    n_own = int(np.sum(own))
-    var = np.cumsum(own) - 1
-    terms: dict[int, list[tuple[int, float]]] = {}
-    for i, k in enumerate(narrow):
-        terms[k + 1] = terms.get(k, [(var[k], 1.0)]) + [(n_own + i, h[k])]
-    rows, cols, vals = [np.flatnonzero(own)], [var[own]], [np.ones(n_own)]
-    for j, t in terms.items():
-        rows.append(np.full(len(t), j))
-        cols.append(np.array([c for c, _ in t]))
-        vals.append(np.array([v for _, v in t]))
-    slack = sparse.csr_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, n_own + len(narrow)),
-    )
-    return slack, own
 
 
 def oracle_by_sparse_algebra(
     u_values: Sequence[float], prior: Prior, grid: Sequence[float]
 ) -> tuple[float, np.ndarray]:
-    """The stop-loss-slack LP oracle, assembled with scipy.sparse algebra."""
+    """The LP oracle over the cumulative mass moved, assembled with
+    scipy.sparse algebra.
+
+    The variables are C_k, the prior's mass at or below grid point k less
+    g's, and D_k, a lower bound on the stop-loss slack at point k.  The
+    masses are g = f - rise @ C, and the slack's rise over cell k is
+    h_k C_k, so dominance is D >= 0 under the chain D_{k+1} - D_k <= h_k C_k
+    from D_0 = 0.  C_{m-1} = 0 is the unit mass, and sum h_k C_k = 0, the
+    slack at the top, is the matched mean.
+    """
     grid = np.asarray(grid, dtype=float)
     u_values = np.asarray(u_values, dtype=float)
     if grid.ndim != 1 or grid.shape != u_values.shape or len(grid) < 2:
@@ -565,37 +548,27 @@ def oracle_by_sparse_algebra(
         raise DomainError("grid must be strictly increasing")
     m = len(grid)
     f = discretize_prior(prior, grid)
-    narrow = np.flatnonzero(h < NARROW_CELL)
-    slack, own = _slack_map(h, narrow)
-    slope = sparse.diags_array(1.0 / h) @ (slack[1:] - slack[:-1])
-    slope.data[np.abs(slope.data) < HIGHS_SMALL_ENTRY] = 0.0
-    slope.eliminate_zeros()
-    rise = sparse.diags_array(
-        [np.ones(m - 1), -np.ones(m - 1)], offsets=[-1, 0], shape=(m, m - 1)
-    )
-    lift = rise @ slope  # the masses are f + lift @ x
-    # own slack >= 0; a narrow cell's slope is the prior's mass up to the
-    # cell less g's, so it lies in [F_k - 1, F_k]
-    cdf = np.cumsum(f)[narrow]
-    n_own = m - len(narrow)
-    bounds = np.column_stack([
-        np.concatenate([np.zeros(n_own), cdf - 1.0]),
-        np.concatenate([np.full(n_own, np.inf), cdf]),
-    ])
-    res = linprog(
-        -(lift.T @ u_values),
-        # g >= 0, and D >= 0 at the points without a variable of their own
-        A_ub=sparse.vstack([-lift, -slack[~own]]),
-        b_ub=np.concatenate([f, np.zeros(len(narrow))]),
-        A_eq=slack[[0, m - 1]],  # D = 0 at the bottom, and at the top (the mean)
-        b_eq=np.zeros(2),
-        bounds=bounds,
-        method="highs",
-        options=LINPROG_OPTIONS,
-    )
+    rise = sparse.diags_array([np.ones(m), -np.ones(m - 1)], offsets=[0, -1]).tocsr()
+    step = sparse.diags_array([-np.ones(m - 1), np.ones(m - 1)], offsets=[0, 1], shape=(m - 1, m))
+    width = sparse.diags_array(h, shape=(m - 1, m))
+    fixed = np.zeros(2 * m, dtype=bool)
+    fixed[[m - 1, m]] = True  # C_{m-1} and D_0
+    lower = np.concatenate([np.full(m, -np.inf), np.zeros(m)])
+    with warnings.catch_warnings():  # linprog names simplex_scale_strategy as unknown
+        warnings.filterwarnings("ignore", "Unrecognized options", OptimizeWarning)
+        res = linprog(
+            np.concatenate([rise.T @ u_values, np.zeros(m)]),
+            A_ub=sparse.block_array([[rise, None], [-width, step]]),  # g >= 0, then the chain
+            b_ub=np.concatenate([f, np.zeros(m - 1)]),
+            A_eq=sparse.hstack([sparse.csr_array(np.ones((1, m - 1))) @ width, sparse.csr_array((1, m))]),
+            b_eq=np.zeros(1),
+            bounds=np.column_stack([np.where(fixed, 0.0, lower), np.where(fixed, 0.0, np.inf)]),
+            method="highs",
+            options=LINPROG_OPTIONS,
+        )
     if not res.success:  # pragma: no cover - the prior's own cells are feasible
         raise ValidationFailureError("oracle-lp", res.message)
-    return float(u_values @ f - res.fun), f + lift @ res.x
+    return float(np.add.reduce(u_values * f) - res.fun), f - rise @ res.x[:m]
 
 
 _GL_NODES = 32

@@ -125,6 +125,19 @@ def test_verify_on_a_large_oracle_grid(tmp_path):
     assert payload["oracle"]["gap"] <= payload["oracle_bound"]
 
 
+def test_the_oracle_value_does_not_depend_on_the_blas_threads(tmp_path):
+    # OpenBLAS splits a dot product of more than 10,000 terms over its
+    # threads; the oracle's sums are NumPy's pairwise ones, so a caller's
+    # OPENBLAS_NUM_THREADS leaves the value's bits alone
+    cfg = _write(tmp_path, "cfg.json", {"prior": {"family": "power", "a": 2.0}, "n": 3, "alpha": 0.4, "s": 0.15})
+    values = []
+    for threads in ("1", "2"):
+        proc = _run_entry(["verify", "--config", cfg, "--oracle-grid", "20001"], {"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0
+        values.append(json.loads(proc.stdout)["oracle"]["oracle_value"])
+    assert values[0] == values[1]
+
+
 def test_exit_codes(tmp_path, capsys):
     missing = _write(tmp_path, "bad.json", {"prior": {"family": "uniform"}})
     assert main(["solve", "--config", missing]) == 1
@@ -480,7 +493,7 @@ PINNED = {
     "solve-out": {"code": 0, "stdout": "e3b0c44298fc1c14", "stderr": "8db909dcd60e1bcc", "files": {"out": "4ecb4ef57d7d319e"}},
     "sweep": {"code": 0, "stdout": "0545831dc137cccc", "stderr": "e3b0c44298fc1c14", "files": {}},
     "sweep-out": {"code": 0, "stdout": "e3b0c44298fc1c14", "stderr": "e3b0c44298fc1c14", "files": {"out": "0545831dc137cccc"}},
-    "verify-oracle": {"code": 0, "stdout": "1ef1bc258b763c36", "stderr": "e3b0c44298fc1c14", "files": {}},
+    "verify-oracle": {"code": 0, "stdout": "3d785ac55777479b", "stderr": "e3b0c44298fc1c14", "files": {}},
     "verify-perturb": {"code": 4, "stdout": "6e0bf68f85efffa1", "stderr": "e3b0c44298fc1c14", "files": {}},
 }
 
