@@ -1,11 +1,10 @@
 """The CLI's one entry: `python -m disclose_eq` and the `disclose-eq` script.
 
-A cold process makes one BLAS call, the oracle's dot of about m terms,
-which OpenBLAS splits across threads only above 10,000 terms; yet it
-starts a pool of one thread per core when numpy loads, and the idle
-workers spin before they sleep.  So the entry defaults
-OPENBLAS_NUM_THREADS to 1 before numpy first loads; a value the caller
-set wins.  Importing the package sets nothing.
+A cold process makes no BLAS call: the oracle's sums of about m terms
+are NumPy's pairwise ones.  Yet OpenBLAS starts a pool of one thread per
+core when numpy loads, and the idle workers spin before they sleep.  So
+the entry defaults OPENBLAS_NUM_THREADS to 1 before numpy first loads; a
+value the caller set wins.  Importing the package sets nothing.
 
 Once the command has returned and stdout and stderr are flushed, the
 process ends with os._exit: the interpreter's teardown, a fifth of a cold

@@ -105,8 +105,9 @@ the multiplier's seam gaps and its slope increments at v_L and v_H."""
 
 DM2_TOL = 1e-9
 """Payoff units.  check_dm_conditions: DM2, phi - u >= -DM2_TOL on the
-grid; verify._pooling_basis, the same for the line its duals lay over the
-pooled stretch of the oracle's grid, and convexity at the stretch's ends."""
+grid; verify._pooling_vertex, the same for the line its duals lay over the
+pooled stretch of the oracle's grid, and convexity at the stretch's ends,
+before it hands HiGHS that vertex's basis."""
 
 DM3_TOL = 1e-8
 """Payoff units.  check_dm_conditions: DM3, |phi - u| on the posterior's
@@ -117,7 +118,8 @@ DM4_TOL = 1e-8
 
 HIGHS_FEASIBILITY_TOL = 1e-10
 """HiGHS's primal and dual feasibility, in the LP's rows.
-verify._LP_OPTIONS, so every oracle LP."""
+verify._LP_OPTIONS, so every oracle LP; verify._pooling_vertex, the same
+test of the pooling vertex in closed form."""
 
 # -- montecarlo: the stopping rule in quantile space ----------------------------
 

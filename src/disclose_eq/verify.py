@@ -25,13 +25,15 @@ Two routes, deliberately redundant:
   passModel call (a HighsLp's setters copy each array element by
   element), and a model HiGHS rejects is a typed oracle-lp failure,
   because the instance would keep and solve the previous one.
-  oracle_gap starts the LP from the basis that pools the market's
-  stretch [v_L*, v_H*] (_pooling_basis), where best_response_oracle,
-  which has no market, starts from the slack basis as linprog does.  On
-  1,760 oracles of the benchmark's markets (m = 201 and 801) the dual
-  simplex took 169 iterations in all, and the values stay within 1.6e-11
-  of the cold solve's.  From the slack basis it takes far more (47,298
-  on the seeded test markets at m = 201), which only
+  oracle_gap first tests the vertex that pools the market's stretch
+  [v_L*, v_H*] for optimality in closed form, in O(m) arithmetic at
+  HiGHS's tolerance (_pooling_vertex), and reads the value from that
+  vertex where it passes: on 1,656 of the 1,760 oracles of the
+  benchmark's markets (m = 201 and 801), with no HiGHS call.  Elsewhere
+  HiGHS starts from that vertex's basis, where best_response_oracle,
+  which has no market, starts from the slack basis as linprog does.
+  From the slack basis the dual simplex takes far more iterations
+  (47,298 on the seeded test markets at m = 201), which only
   best_response_oracle and markets off their equilibrium pay.  The
   masses are read from the vertex of HiGHS's final basis, solved again,
   not from its updated factors; so best_response_oracle's value is
@@ -107,7 +109,9 @@ _DM_BASE = np.linspace(0.0, 1.0, _GRID_SIZE)
 _DM_BASE_LIST = _DM_BASE.tolist()
 # the oracle grid's points: at least ORACLE_GRID_MIN; at most ORACLE_GRID_MAX,
 # which keeps its O(m) arrays small (a cold HiGHS run grows faster than m;
-# from the pooling basis power(2) n=3 takes 0.17 s at m = 100,001)
+# at m = 100,001 oracle_gap on power(2) n=3 takes about 8 ms where the
+# closed form certifies the pooling vertex, and 0.12 s where HiGHS starts
+# from its basis, on a 2-vCPU Xeon VM)
 ORACLE_GRID_MIN = 101
 ORACLE_GRID_MAX = 100_001
 # oracle LP: the HiGHS settings, quiet: the dual simplex, the ledger's
@@ -322,24 +326,28 @@ def _solve_oracle(
     pool: Sequence[float] | None = None,
 ) -> tuple[float, np.ndarray | None, int, int]:
     """best_response_oracle, with the nonzeros of the LP's constraint matrix
-    and HiGHS's simplex iterations; the masses are read from HiGHS's
-    solution only when read_masses is set (else None).
+    and HiGHS's simplex iterations; the masses are returned only when
+    read_masses is set (else None).
 
+    A pool (v_L*, r*, min(v_H*, v_T*), v_H*) of grid points is first
+    tested in closed form (_pooling_vertex): where the vertex that pools
+    it is optimal, the value is that vertex's payoff, with no HiGHS call
+    and 0 iterations.  Over the benchmark's markets it is then within
+    1.9e-12 (m = 201) and 1.8e-11 (m = 801) of HiGHS's value from the
+    same basis, which carries the error of HiGHS's factors.  Otherwise
     HiGHS gets the model through SciPy's binding: the matrix, bounds and
     settings (_LP_OPTIONS) that linprog(method="highs") with those options
     would pass it for this LP (rows g >= 0, then the chain, then the
     mean).  Without a pool HiGHS starts from the slack basis, as under
-    linprog, so the value is linprog's to the bit.  A pool (v_L*, r*,
-    min(v_H*, v_T*), v_H*) of grid points starts it from _pooling_basis
-    instead, on any grid; the value then agrees with the cold solve's to
-    1.6e-11 on the benchmark's markets.  sum f u is NumPy's pairwise sum,
-    not a BLAS dot, whose bits OpenBLAS's thread count changes above
-    10,000 terms.  The masses are those of the vertex of HiGHS's final
-    basis (_vertex_masses).  The solver is this thread's HiGHS instance,
-    made on its first call and given the settings then; the model goes to
-    it as arrays through passModel's array overload.  A model or a basis
-    HiGHS rejects, and any model status but optimal, is a typed oracle-lp
-    failure."""
+    linprog, so the value is linprog's to the bit; with one, from the
+    pooling vertex's basis where _pooling_vertex gives it.  Every sum of
+    about m terms is NumPy's pairwise one, not a BLAS dot, whose bits
+    OpenBLAS's thread count changes above 10,000 terms.  HiGHS's masses
+    are those of the vertex of its final basis (_vertex_masses).  The
+    solver is this thread's HiGHS instance, made on its first call and
+    given the settings then; the model goes to it as arrays through
+    passModel's array overload.  A model or a basis HiGHS rejects, and any
+    model status but optimal, is a typed oracle-lp failure."""
     grid = np.asarray(grid, dtype=float)
     u_values = np.asarray(u_values, dtype=float)
     if grid.ndim != 1 or grid.shape != u_values.shape or len(grid) < 2:
@@ -348,8 +356,10 @@ def _solve_oracle(
     if not np.all(h > 0.0):
         raise DomainError("grid must be strictly increasing")
     f = discretize_prior(prior, grid)
+    masses, basis = (None, None) if pool is None else _pooling_vertex(grid, h, f, u_values, pool)
+    if masses is not None:
+        return float(np.add.reduce(u_values * masses)), masses if read_masses else None, 6 * len(grid) - 5, 0
     model = _cumulative_lp(h, f, u_values)
-    basis = None if pool is None else _pooling_basis(grid, f, u_values, pool)
     highs = getattr(_THREAD, "highs", None)
     if highs is None:
         highs = _THREAD.highs = _Highs()
@@ -380,9 +390,14 @@ def _vertex_masses(highs, model, f: np.ndarray) -> np.ndarray:
     1/h, a row it held at g = 0 on a jittered 265-point grid under
     power(2) read a mass of -3.4e-9 from its column values (1.2e-15 at
     most on the test grids since); from the solved vertex under 1e-13.
-    The basis is read as getBasicVariables' index array, not as getBasis'
-    per-entry statuses, which take about 0.2 ms to convert at m = 201.  SciPy's sparse solver is imported here, on the
-    first call, so that oracle_gap's imports stay the binding."""
+    The re-solve is not waste under the cumulative LP either: f less the
+    differences of HiGHS's column values misses the prior's mean by
+    2.9e-10 on the grid with a cell of 9.99e-10, an entry under HiGHS's
+    small_matrix_value that it drops from its own model.  The basis is
+    read as getBasicVariables' index array, not as getBasis' per-entry
+    statuses, which take about 0.2 ms to convert at m = 201.  SciPy's
+    sparse solver is imported here, on the first call, so that
+    oracle_gap's imports stay the binding."""
     from scipy.sparse import csc_array
     from scipy.sparse.linalg import spsolve
 
@@ -398,10 +413,11 @@ def _vertex_masses(highs, model, f: np.ndarray) -> np.ndarray:
     return f - (a @ x)[: len(f)]
 
 
-def _pooling_basis(grid: np.ndarray, f: np.ndarray, u: np.ndarray, pool: Sequence[float]):
-    """The oracle LP's basis that pools the market's stretch [v_L*, v_H*]
-    onto the two grid points around its mean, or None where the market is
-    not a pooling multiplier's on the grid.
+def _pooling_vertex(grid: np.ndarray, h: np.ndarray, f: np.ndarray, u: np.ndarray, pool: Sequence[float]):
+    """The oracle LP's vertex that pools the market's stretch [v_L*, v_H*]
+    onto the two grid points around its mean: (its masses, None) where it
+    is optimal, (None, its basis) where HiGHS should start from it, and
+    (None, None) where the market is not a pooling multiplier's on the grid.
 
     With i_L and i_H the stretch's end points, every C_k but the fixed
     C_{m-1} is basic; the slack D_k is basic at every point strictly
@@ -410,21 +426,32 @@ def _pooling_basis(grid: np.ndarray, f: np.ndarray, u: np.ndarray, pool: Sequenc
     row holds D_{m-1} at 0.  Every row g_k >= 0 of the stretch is at its
     bound g_k = 0 but two, at the adjacent points j, j+1 around the mean
     of f over the stretch, clipped to the contact stretch [r*, min(v_H*,
-    v_T*)]: the vertex moves the stretch's mass onto them, with its mean,
-    so it is primal feasible where they bracket that mean.  Its duals are
-    the payoff off the stretch and, on it, the line through the payoff at
-    j and j+1; they are dual feasible where that line dominates the payoff
-    on the stretch and the kinks at i_L and i_H are convex, each checked
-    at the grid points to DM2_TOL.  On an equilibrium the line is the multiplier's, so the
-    vertex pays the integral of the multiplier against f and the dual
-    simplex starts at or next to the optimum.  A market that fails the
-    check (one moved off its equilibrium, where a start of neither primal
-    nor dual feasibility made HiGHS stop with "Not Set") and a stretch of
-    one point (alpha = 0) get None, and HiGHS starts from the slack basis."""
+    v_T*)]: the vertex g is f off the stretch and the stretch's mass and
+    mean on j and j+1.  Its duals lay phi over the grid: the payoff off
+    the stretch and, on it, the line through the payoff at j and j+1.
+
+    The vertex is optimal where it is primal and dual feasible, each to
+    HIGHS_FEASIBILITY_TOL, the test HiGHS applies to this basis: the
+    masses at j and j+1 and the running slack D_k = sum h C over the
+    stretch are >= 0; the line lies over the payoff on the stretch (the
+    duals of its rows g_k >= 0); phi's slope increment is >= 0 at each
+    point where D_k is held at 0 (the reduced costs of those D_k); and
+    no cell's slope of phi exceeds the last cell's (the chain rows'
+    duals).  On the stretch's cells phi's slope is the line's, never a
+    difference quotient over a cell, which may be 6e-17 wide.
+
+    Where that test fails, the basis is still a start next to the optimum
+    where the line dominates the payoff on the stretch and runs under it
+    just outside, each checked at the grid points to DM2_TOL.  On an
+    equilibrium the line is the multiplier's.  A market that fails that
+    check too (one moved off its equilibrium, where a start of neither
+    primal nor dual feasibility made HiGHS stop with "Not Set") and a
+    stretch of one point (alpha = 0) get neither, and HiGHS starts from
+    the slack basis."""
     m = len(grid)
     i_l, i_a, i_b, i_h = np.searchsorted(grid, pool).tolist()
     if i_h == i_l:
-        return None
+        return None, None
     stretch = slice(i_l, i_h + 1)
     mass = float(f[stretch].sum())
     j = i_a
@@ -432,16 +459,38 @@ def _pooling_basis(grid: np.ndarray, f: np.ndarray, u: np.ndarray, pool: Sequenc
         mean = float(np.add.reduce(f[stretch] * grid[stretch])) / mass
         j = int(np.searchsorted(grid, mean, side="right")) - 1
     j = max(min(max(j, i_a), i_b - 1), i_l)
-    slope = (u[j + 1] - u[j]) / (grid[j + 1] - grid[j])
+    slope = (u[j + 1] - u[j]) / h[j]
+    line = u[j] + slope * (grid[stretch] - grid[j])
+    over = line - u[stretch]
 
-    def line_over_payoff(k):
-        return u[j] + slope * (grid[k] - grid[j]) - u[k]
+    tol = HIGHS_FEASIBILITY_TOL
+    g = f.copy()
+    g[stretch] = 0.0
+    g[j] = np.add.reduce(f[stretch] * (grid[j + 1] - grid[stretch])) / h[j]
+    g[j + 1] = np.add.reduce(f[stretch] * (grid[stretch] - grid[j])) / h[j]
+    moved = np.cumsum(f[i_l:i_h] - g[i_l:i_h])  # C_k on the stretch's cells
+    phi = u.copy()
+    phi[stretch] = line
+    phi_slope = np.diff(phi) / h
+    phi_slope[i_l:i_h] = slope
+    increment = np.diff(phi_slope)  # at the points 1..m-2
+    if (
+        min(g[j], g[j + 1]) >= -tol  # the basic values: the two masses
+        and np.all(np.cumsum(h[i_l : i_h - 1] * moved[:-1]) >= -tol)  # and D_k inside
+        and np.all(over >= -tol)  # the duals of the held rows g_k >= 0
+        and np.all(increment[:i_l] >= -tol)  # the reduced costs of the D_k at 0
+        and np.all(increment[i_h - 1 :] >= -tol)
+        and np.all(phi_slope <= phi_slope[-1] + tol)  # the chain rows' duals
+    ):
+        return g, None
 
     # the line dominates the payoff on the stretch, and its kinks at the
     # ends are convex: just outside, it runs under the payoff
     outside = [k for k in (i_l - 1, i_h + 1) if 0 <= k < m]
-    if np.min(line_over_payoff(stretch)) < -DM2_TOL or any(line_over_payoff(k) > DM2_TOL for k in outside):
-        return None
+    if np.min(over) < -DM2_TOL or any(
+        u[j] + slope * (grid[k] - grid[j]) - u[k] > DM2_TOL for k in outside
+    ):
+        return None, None
     cols = [_BASIC] * (m - 1) + [_AT_LOWER] * (m + 1)
     cols[m + i_l + 1 : m + i_h] = [_BASIC] * (i_h - i_l - 1)
     cols[-1] = _BASIC
@@ -450,7 +499,7 @@ def _pooling_basis(grid: np.ndarray, f: np.ndarray, u: np.ndarray, pool: Sequenc
     rows[j] = rows[j + 1] = _BASIC
     basis = _core.HighsBasis()
     basis.col_status, basis.row_status, basis.valid, basis.alien = cols, rows, True, False
-    return basis
+    return None, basis
 
 
 def _cumulative_lp(h: np.ndarray, f: np.ndarray, u: np.ndarray):

@@ -493,7 +493,7 @@ PINNED = {
     "solve-out": {"code": 0, "stdout": "e3b0c44298fc1c14", "stderr": "8db909dcd60e1bcc", "files": {"out": "4ecb4ef57d7d319e"}},
     "sweep": {"code": 0, "stdout": "0545831dc137cccc", "stderr": "e3b0c44298fc1c14", "files": {}},
     "sweep-out": {"code": 0, "stdout": "e3b0c44298fc1c14", "stderr": "e3b0c44298fc1c14", "files": {"out": "0545831dc137cccc"}},
-    "verify-oracle": {"code": 0, "stdout": "3d785ac55777479b", "stderr": "e3b0c44298fc1c14", "files": {}},
+    "verify-oracle": {"code": 0, "stdout": "7e511c21d81526ff", "stderr": "e3b0c44298fc1c14", "files": {}},
     "verify-perturb": {"code": 4, "stdout": "6e0bf68f85efffa1", "stderr": "e3b0c44298fc1c14", "files": {}},
 }
 

@@ -337,6 +337,23 @@ def _assert_best_response(masses, value, u, prior, grid):
     assert abs(u @ masses - value) <= (1e-9 if narrow else 1e-12)
 
 
+def _closed_form_off(monkeypatch):
+    """A tolerance that fails every comparison of the closed-form test, so
+    oracle_gap hands HiGHS the pooling basis wherever it did before the
+    closed form."""
+    monkeypatch.setattr(verify, "HIGHS_FEASIBILITY_TOL", -np.inf)
+
+
+def _pool(eq):
+    return (eq.v_l_star, eq.r_star, min(eq.v_h_star, eq.v_t_star), eq.v_h_star)
+
+
+def _accepts(eq, grid, u):
+    """Whether the closed form takes the pooling vertex as the optimum."""
+    f = discretize_prior(eq.prior, grid)
+    return verify._pooling_vertex(grid, np.diff(grid), f, u, _pool(eq))[0] is not None
+
+
 def _seeded_markets():
     """Two solved markets per prior family and regime, then two
     non-equilibrium candidates, solved once per session."""
@@ -439,7 +456,7 @@ def test_oracle_resolves_narrow_cells(uniform, eps):
     _assert_contraction(masses, uniform, grid, mass_tol=1e-10)
 
 
-def test_oracle_on_a_breakpoint_one_ulp_off_the_grid(uniform):
+def test_oracle_on_a_breakpoint_one_ulp_off_the_grid(monkeypatch, uniform):
     # r* = 0.475 is computed one ulp away from the grid point 95/200
     eq = solve_endog(uniform, 10, 0.65, 0.15)
     grid = oracle_grid(eq, 201)
@@ -450,14 +467,20 @@ def test_oracle_on_a_breakpoint_one_ulp_off_the_grid(uniform):
     _assert_contraction(masses, uniform, grid)
     assert oracle_gap(eq, 201)["gap"] <= 0.2 / 201
     # r* = 0.35 is one ulp off a grid point too, at both grid sizes: the
-    # oracle starts from the pooling basis, at the optimum (146 and 2,898
-    # iterations when a narrow cell sent the LP to a builder without it)
+    # pooling vertex is the optimum, and HiGHS, started from its basis,
+    # takes no iteration (146 and 2,898 when a narrow cell sent the LP to a
+    # builder without it)
     eq = solve_endog(uniform, 19, 0.4, 0.15)
     for m in (201, 4001):
         assert np.min(np.diff(oracle_grid(eq, m))) < 1e-15
         gap = oracle_gap(eq, m)
         assert gap["lp_iterations"] == 0
         assert gap["gap"] <= 0.2 / gap["m"]
+        with monkeypatch.context() as patch:
+            _closed_form_off(patch)
+            highs = oracle_gap(eq, m)
+        assert highs["lp_iterations"] == 0
+        assert abs(highs["oracle_value"] - gap["oracle_value"]) <= 1e-12
 
 
 def test_oracle_rejects_an_unsorted_grid(uniform):
@@ -635,9 +658,13 @@ def test_oracle_reports_a_rejected_model(monkeypatch):
     _assert_best_response(masses, value, *second)
 
 
-def test_oracle_reports_a_rejected_starting_basis(monkeypatch, eq_power):
+def test_oracle_reports_a_rejected_starting_basis(monkeypatch, uniform):
     # a starting basis HiGHS rejects is a typed failure, not a cold solve;
-    # the next call on the thread solves as before
+    # the next call on the thread solves as before.  On this market the
+    # pooling vertex is not optimal at m = 201 (phi's slope increment is
+    # -4.7e-10 at the grid point below v_L*), so oracle_gap hands HiGHS its
+    # basis, from which it pivots once
+    eq = solve_endog(uniform, 2, 0.17589106877949487, 0.1454499384425067)
     reject = []
 
     class Rejecting(verify._Highs):
@@ -649,13 +676,14 @@ def test_oracle_reports_a_rejected_starting_basis(monkeypatch, eq_power):
 
     monkeypatch.setattr(verify, "_THREAD", threading.local())
     monkeypatch.setattr(verify, "_Highs", Rejecting)
-    want = oracle_gap(eq_power, 201)
+    want = oracle_gap(eq, 201)
+    assert want["lp_iterations"] == 1
     reject.append(True)
     with pytest.raises(ValidationFailureError) as exc:
-        oracle_gap(eq_power, 201)
+        oracle_gap(eq, 201)
     assert exc.value.invariant == "oracle-lp"
     assert "rejected the starting basis" in str(exc.value)
-    assert oracle_gap(eq_power, 201) == want
+    assert oracle_gap(eq, 201) == want
 
 
 def test_oracle_threads_each_keep_their_own_solver():
@@ -691,6 +719,8 @@ def test_oracle_threads_each_keep_their_own_solver():
 
 
 def test_oracle_gap_reports_the_lp_size(monkeypatch):
+    # the size is the LP's whether or not HiGHS runs; the iterations are
+    # HiGHS's from the pooling basis, with the closed form off
     results = []
 
     def recorded(c, **kwargs):
@@ -712,7 +742,9 @@ def test_oracle_gap_reports_the_lp_size(monkeypatch):
         assert abs(gap["oracle_value"] - want) <= 1e-12
         # the thread's next model starts cold again, at linprog's count
         assert verify._solve_oracle(u, eq.prior, grid, False)[3] == res.nit
-        warm += gap["lp_iterations"]
+        with monkeypatch.context() as patch:
+            _closed_form_off(patch)
+            warm += oracle_gap(eq, 201)["lp_iterations"]
         cold += res.nit
     # the pooling basis at least halves the simplex iterations
     assert 2 * warm <= cold
@@ -720,9 +752,10 @@ def test_oracle_gap_reports_the_lp_size(monkeypatch):
 
 @pytest.mark.parametrize("m", [101, 201, 801])
 def test_oracle_gap_agrees_with_the_cold_oracle(m):
-    # from the pooling basis and from the slack basis, the oracle values of
-    # the seeded markets, and of the markets moved off them, agree to 1e-12,
-    # and no verdict under the CLI's bound moves
+    # from the pooling vertex (in closed form, or HiGHS from its basis) and
+    # from the slack basis, the oracle values of the seeded markets, and of
+    # the markets moved off them, agree to 1e-12, and no verdict under the
+    # CLI's bound moves
     for eq in _seeded_and_perturbed():
         gap = oracle_gap(eq, m)
         grid = oracle_grid(eq, m)
@@ -754,26 +787,89 @@ def test_one_point_pools_certify_through_the_oracle(uniform, alpha, s):
         assert -1e-12 <= gap["gap"] <= 0.2 / gap["m"]
 
 
-def test_the_pooling_basis_is_the_optimum_on_a_seeded_market(eq_power):
+def test_the_pooling_basis_is_the_optimum_on_a_seeded_market(monkeypatch, eq_power):
     # a disclosing power(2) market: the basis HiGHS starts from is optimal
     assert eq_power.v_l_star > 0.0 and eq_power.v_h_star < 1.0
+    _closed_form_off(monkeypatch)
     for m in (201, 801, 4001):
         assert oracle_gap(eq_power, m)["lp_iterations"] == 0
 
 
 def test_a_market_off_its_equilibrium_starts_cold(power2, eq_power):
     # v_L* moved by 0.01 tears the multiplier's seam: the line of the
-    # pooling basis's duals fails the check, and HiGHS starts from the slack
-    # basis, as best_response_oracle does, to the same value and count
+    # pooling vertex's duals fails both its checks, and HiGHS starts from
+    # the slack basis, as best_response_oracle does, to the same value and count
     eq = assemble_market(power2, eq_power.n, eq_power.alpha, eq_power.v_l_star + 0.01, eq_power.r_star, eq_power.s)
     grid = oracle_grid(eq, 201)
     u = payoff_u(eq, grid)
-    pool = (eq.v_l_star, eq.r_star, min(eq.v_h_star, eq.v_t_star), eq.v_h_star)
-    assert verify._pooling_basis(grid, discretize_prior(power2, grid), u, pool) is None
+    masses, basis = verify._pooling_vertex(grid, np.diff(grid), discretize_prior(power2, grid), u, _pool(eq))
+    assert masses is None and basis is None
     value, _, _, iterations = verify._solve_oracle(u, power2, grid, False)
     gap = oracle_gap(eq, 201)
     assert (gap["oracle_value"], gap["lp_iterations"]) == (value, iterations)
     assert not check_dm_conditions(eq).passed
+
+
+def test_the_closed_form_value_equals_the_dense_oracle():
+    # every value the closed form gives is the dense LP's to 1e-12: on the
+    # seeded and moved markets at m = 101 and 201, and at m = 801 on one
+    # seeded market per prior family (a dense LP of 801 points takes 1-2 s)
+    accepted = 0
+    at_801 = [_seeded_markets()[k] for k in (0, 6, 8)]
+    for m, markets in ((101, _seeded_and_perturbed()), (201, _seeded_and_perturbed()), (801, at_801)):
+        for eq in markets:
+            grid = oracle_grid(eq, m)
+            u = payoff_u(eq, grid)
+            if _accepts(eq, grid, u):
+                gap = oracle_gap(eq, m)
+                assert (gap["lp_iterations"], gap["lp_nonzeros"]) == (0, 6 * gap["m"] - 5)
+                assert abs(gap["oracle_value"] - _dense_oracle(u, eq.prior, grid)) <= 1e-12
+                accepted += 1
+    assert accepted >= 80
+
+
+@pytest.mark.parametrize("where", ["above the line on the stretch", "below the stretch"])
+def test_the_closed_form_declines_a_vertex_off_the_optimum(monkeypatch, eq_power, where):
+    # the payoff raised by 1e-9 at a contact point of the stretch, where the
+    # line lay on it; or raised by 1e-8 at v = 0.005, where phi is flattest
+    # below v_L* (its slope increment is 2.3e-6 there, so a change of 1e-9
+    # anywhere below v_L*, which moves an increment by 4.2e-7 at most, leaves
+    # the vertex optimal), which turns phi concave.  The pooling vertex is
+    # not optimal, and the value is HiGHS's from its basis, the cold
+    # solve's to 1e-12
+    grid = oracle_grid(eq_power, 201)
+    u = payoff_u(eq_power, grid)
+    _, i_a, _, _ = np.searchsorted(grid, _pool(eq_power))
+    assert _accepts(eq_power, grid, u)
+    if where == "below the stretch":
+        assert grid[1] == 0.005 and grid[1] < eq_power.v_l_star
+        u[1] += 1e-8
+    else:
+        assert abs(u[i_a + 2] - multiplier_phi(eq_power, grid[i_a + 2])) <= 1e-12
+        u[i_a + 2] += 1e-9
+    assert not _accepts(eq_power, grid, u)
+    monkeypatch.setattr(verify, "payoff_u", lambda eq, points: u)
+    gap = oracle_gap(eq_power, 201)
+    with monkeypatch.context() as patch:
+        _closed_form_off(patch)
+        assert oracle_gap(eq_power, 201) == gap
+    assert gap["lp_iterations"] >= 1
+    assert abs(gap["oracle_value"] - best_response_oracle(u, eq_power.prior, grid)[0]) <= 1e-12
+
+
+def test_an_optimal_pooling_vertex_runs_no_lp(monkeypatch, uniform, eq_power):
+    # where the closed form accepts, oracle_gap never runs HiGHS
+    class Failing(verify._Highs):
+        def run(self):
+            raise AssertionError("HiGHS ran")
+
+    monkeypatch.setattr(verify, "_THREAD", threading.local())
+    monkeypatch.setattr(verify, "_Highs", Failing)
+    one_ulp = solve_endog(uniform, 19, 0.4, 0.15)
+    for eq, m in [(eq_power, 201), (eq_power, 801), (eq_power, 4001), (one_ulp, 4001)]:
+        gap = oracle_gap(eq, m)
+        assert gap["lp_iterations"] == 0
+        assert 0.0 <= gap["gap"] <= 0.2 / gap["m"]
 
 
 def test_the_breakpoint_grids_need_no_sort():
@@ -863,7 +959,7 @@ PINNED_LIBRARY_OUTPUTS = {
     "payoff_identity_gap": "95da83e5b11a6c56",
     "integral_phi_dF": "084ef9270b2d70d0",
     "integral_phi_dG": "00097796b84339e7",
-    "oracle_gap": "19084b87cc6fa261",
+    "oracle_gap": "78b51823e154c54f",
     "cs_savvy": "fd6a5173b9308d4d",
     "cs_inexperienced": "f45c08defd7b5064",
     "expected_payoff_under": "328cd4a8fab3d3f9",
