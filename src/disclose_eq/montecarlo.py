@@ -59,7 +59,7 @@ from .costs import ContinuousCosts, CostDistribution, DiscreteCosts
 from .endogenous import Equilibrium
 from .errors import DomainError
 from .posterior import ArrayLike, PosteriorDistribution, check_deviation_mpc, insert_points
-from .tolerances import STOP_MARGIN, SUPPORT_BOTTOM_TOL
+from .tolerances import SIM_BYTES_MAX, STOP_MARGIN, SUPPORT_BOTTOM_TOL
 
 _BLOCK = 1 << 16
 CONSUMERS_MAX, BINS_MAX = 10**10, 10_000  # SimConfig's caps: over an hour at 2M/s; a 2**14-cell lookup
@@ -400,9 +400,15 @@ class _Buffers:
                    ("spare", np.float64, rows * cols), ("wide", np.intp, 3 * rows),
                    ("flags", np.bool_, rows * cols), ("ints", self.narrow, (n + 4) * rows)]
         spans = [-(-np.dtype(dtype).itemsize * size // 64) * 64 for _, dtype, size in regions]
+        total = sum(spans)
+        if total > SIM_BYTES_MAX:
+            raise DomainError(
+                f"a worker's arrays for {rows} consumers in a market of n = {n} would take "
+                f"{total / 2**30:.1f} GiB, over the bound of {SIM_BYTES_MAX / 2**30:.0f} GiB"
+            )
         for name, _, _ in regions:
             setattr(self, name, None)  # the old memory is freed before the new is allocated
-        memory = np.empty(sum(spans), dtype=np.uint8)
+        memory = np.empty(total, dtype=np.uint8)
         start = 0
         for (name, dtype, size), span in zip(regions, spans):
             setattr(self, name, memory[start : start + span].view(dtype)[:size])

@@ -8,7 +8,8 @@ invariant a ValidationFailureError names, or the function.  Scales:
   values, segment ends);
 * cdf: absolute, in cdf levels (probabilities);
 * relative: a fraction of the named quantity;
-* and the units of the residual named (search equation, z, multiplier).
+* and the units of the residual named (search equation, z, multiplier),
+  or bytes for the simulator's memory bound.
 
 The solver xtols, where each bisection stops, are bounds here too, each
 read at its bisection.  No other module holds a float literal of at most
@@ -121,7 +122,15 @@ HIGHS_FEASIBILITY_TOL = 1e-10
 verify._LP_OPTIONS, so every oracle LP; verify._pooling_vertex, the same
 test of the pooling vertex in closed form."""
 
-# -- montecarlo: the stopping rule in quantile space ----------------------------
+HIGHS_SMALL_ENTRY = 1e-12
+"""The LP's matrix entries, cell widths among them.  verify._LP_OPTIONS:
+HiGHS's small_matrix_value, under which it drops an entry from its model.
+At its default of 1e-9 HiGHS dropped the width of a 9.99e-10 cell, so its
+column values missed the prior's mean by 2.9e-10 and its objective missed
+their payoff by 8.8e-11.  1e-12 is the smallest value HiGHS accepts; a
+cell narrower than that is still dropped."""
+
+# -- montecarlo: the stopping rule in quantile space, and the memory bound -----
 
 STOP_MARGIN = 1e-8
 """Quantile space.  montecarlo._costly: the margin around a grid cell's stop
@@ -131,6 +140,14 @@ the few-ulp error of `**` and a cdf step of CONTINUITY_TOL."""
 SUPPORT_BOTTOM_TOL = 1e-9
 """v.  stop_quantile: a reservation value this close above the support
 bottom never triggers search."""
+
+SIM_BYTES_MAX = 4 * 2**30
+"""Bytes.  montecarlo._Buffers.reserve: the most one worker's arrays may
+take; a simulation that needs more is a DomainError, raised before the
+allocation.  They take about 27 n bytes per consumer of a group (29 n from
+n = 32,767), and a group holds up to 65,536 consumers.  So n = 1,375 needs
+1.3 GiB at alpha 0.55 and 2.3 GiB at most at any alpha, where n = 100,000
+asked for 98.8 GiB at alpha 0.55 and ended in an untyped MemoryError."""
 
 # -- inputs: the prior domain and cost distributions ---------------------------
 

@@ -35,9 +35,11 @@ Two routes, deliberately redundant:
   From the slack basis the dual simplex takes far more iterations
   (47,298 on the seeded test markets at m = 201), which only
   best_response_oracle and markets off their equilibrium pay.  The
-  masses are read from the vertex of HiGHS's final basis, solved again,
-  not from its updated factors; so best_response_oracle's value is
-  linprog's to the bit, but its masses are not.
+  masses are f less the differences of HiGHS's column values C, so
+  best_response_oracle's value and masses are linprog's to the bit.
+  HiGHS solves the exact model: it drops only matrix entries under
+  HIGHS_SMALL_ENTRY, its floor, where its default of 1e-9 dropped the
+  width of a narrower cell and its masses then missed the prior's mean.
 
 The cost-heterogeneity check implements the large-market sufficiency
 condition: the multiplier's pooled slope must stay below the steepest
@@ -71,7 +73,7 @@ from .endogenous import _N_CAP, check_convex_by_cap, payoff_u, solve_endog
 from .errors import DomainError, IterationCapError, ValidationFailureError
 from .posterior import drop_repeats, insert_points
 from .priors import Prior
-from .tolerances import DM1_TOL, DM2_TOL, DM3_TOL, DM4_TOL, HIGHS_FEASIBILITY_TOL
+from .tolerances import DM1_TOL, DM2_TOL, DM3_TOL, DM4_TOL, HIGHS_FEASIBILITY_TOL, HIGHS_SMALL_ENTRY
 
 
 def _load_highs_core():
@@ -116,10 +118,10 @@ ORACLE_GRID_MIN = 101
 ORACLE_GRID_MAX = 100_001
 # oracle LP: the HiGHS settings, quiet: the dual simplex, the ledger's
 # feasibility tolerances, no presolve and devex pricing (edge-weight
-# strategy 1); and no scaling (strategy 0), for every entry is +-1 or a
-# cell width: scaled, a warm run took 0.21 ms instead of 0.14 ms at
-# m = 201, and the value missed its vertex's payoff by 2.1e-9 on two test
-# grids with chains of narrow cells
+# strategy 1); no scaling (strategy 0), for every entry is +-1 or a cell
+# width: scaled, a warm run took 0.21 ms instead of 0.14 ms at m = 201, and
+# the value missed its vertex's payoff by 2.1e-9 on two test grids with
+# chains of narrow cells; and the ledger's floor for a kept matrix entry
 _LP_OPTIONS = HighsOptions()
 _LP_OPTIONS.output_flag = _LP_OPTIONS.log_to_console = False
 _LP_OPTIONS.simplex_strategy = 1
@@ -127,6 +129,7 @@ _LP_OPTIONS.presolve = "off"
 _LP_OPTIONS.simplex_dual_edge_weight_strategy = 1
 _LP_OPTIONS.simplex_scale_strategy = 0
 _LP_OPTIONS.primal_feasibility_tolerance = _LP_OPTIONS.dual_feasibility_tolerance = HIGHS_FEASIBILITY_TOL
+_LP_OPTIONS.small_matrix_value = HIGHS_SMALL_ENTRY
 # one HiGHS instance per thread, given _LP_OPTIONS once and a new model on
 # every oracle call; an instance is not safe to share between threads
 _THREAD = threading.local()
@@ -317,17 +320,15 @@ def best_response_oracle(
     so a narrow cell needs nothing of its own and HiGHS runs unscaled.
     The value is sum f u less the optimum of sum C_k (u_k - u_{k+1}).
     """
-    value, masses, _, _ = _solve_oracle(u_values, prior, grid, read_masses=True)
+    value, masses, _, _ = _solve_oracle(u_values, prior, grid)
     return value, masses
 
 
 def _solve_oracle(
-    u_values: Sequence[float], prior: Prior, grid: Sequence[float], read_masses: bool,
-    pool: Sequence[float] | None = None,
-) -> tuple[float, np.ndarray | None, int, int]:
+    u_values: Sequence[float], prior: Prior, grid: Sequence[float], pool: Sequence[float] | None = None,
+) -> tuple[float, np.ndarray, int, int]:
     """best_response_oracle, with the nonzeros of the LP's constraint matrix
-    and HiGHS's simplex iterations; the masses are returned only when
-    read_masses is set (else None).
+    and HiGHS's simplex iterations.
 
     A pool (v_L*, r*, min(v_H*, v_T*), v_H*) of grid points is first
     tested in closed form (_pooling_vertex): where the vertex that pools
@@ -339,15 +340,16 @@ def _solve_oracle(
     settings (_LP_OPTIONS) that linprog(method="highs") with those options
     would pass it for this LP (rows g >= 0, then the chain, then the
     mean).  Without a pool HiGHS starts from the slack basis, as under
-    linprog, so the value is linprog's to the bit; with one, from the
-    pooling vertex's basis where _pooling_vertex gives it.  Every sum of
-    about m terms is NumPy's pairwise one, not a BLAS dot, whose bits
-    OpenBLAS's thread count changes above 10,000 terms.  HiGHS's masses
-    are those of the vertex of its final basis (_vertex_masses).  The
-    solver is this thread's HiGHS instance, made on its first call and
-    given the settings then; the model goes to it as arrays through
-    passModel's array overload.  A model or a basis HiGHS rejects, and any
-    model status but optimal, is a typed oracle-lp failure."""
+    linprog, so the value and the masses are linprog's to the bit; with
+    one, from the pooling vertex's basis where _pooling_vertex gives it.
+    Every sum of about m terms is NumPy's pairwise one, not a BLAS dot,
+    whose bits OpenBLAS's thread count changes above 10,000 terms.  The
+    masses are f less the differences of HiGHS's column values C_k, as
+    the linprog reference reads them.  The solver is this thread's HiGHS
+    instance, made on its first call and given the settings then; the
+    model goes to it as arrays through passModel's array overload.  A
+    model or a basis HiGHS rejects, and any model status but optimal, is
+    a typed oracle-lp failure."""
     grid = np.asarray(grid, dtype=float)
     u_values = np.asarray(u_values, dtype=float)
     if grid.ndim != 1 or grid.shape != u_values.shape or len(grid) < 2:
@@ -358,7 +360,7 @@ def _solve_oracle(
     f = discretize_prior(prior, grid)
     masses, basis = (None, None) if pool is None else _pooling_vertex(grid, h, f, u_values, pool)
     if masses is not None:
-        return float(np.add.reduce(u_values * masses)), masses if read_masses else None, 6 * len(grid) - 5, 0
+        return float(np.add.reduce(u_values * masses)), masses, 6 * len(grid) - 5, 0
     model = _cumulative_lp(h, f, u_values)
     highs = getattr(_THREAD, "highs", None)
     if highs is None:
@@ -375,42 +377,8 @@ def _solve_oracle(
     if status != HighsModelStatus.kOptimal:
         raise ValidationFailureError("oracle-lp", highs.modelStatusToString(status))
     value = float(np.add.reduce(u_values * f) - highs.getObjectiveValue())
-    masses = _vertex_masses(highs, model, f) if read_masses else None
+    masses = f - np.diff(highs.getSolution().col_value[: len(f)], prepend=0.0)
     return value, masses, model[2], int(highs.getInfoValue("simplex_iteration_count")[1])
-
-
-def _vertex_masses(highs, model, f: np.ndarray) -> np.ndarray:
-    """The masses at the vertex of HiGHS's final basis: f less the
-    activities of the rows g >= 0, at column values solved again by sparse
-    LU from the rows off the basis.  Each row of the LP has a finite upper
-    bound, and a finite lower one only where it is an equality, so a row
-    off the basis is at its upper bound; a column off it keeps HiGHS's
-    value, one of its bounds or 0 for a free C_k.  HiGHS's basic values
-    carry the error of its updated factors: when the LP's rows carried
-    1/h, a row it held at g = 0 on a jittered 265-point grid under
-    power(2) read a mass of -3.4e-9 from its column values (1.2e-15 at
-    most on the test grids since); from the solved vertex under 1e-13.
-    The re-solve is not waste under the cumulative LP either: f less the
-    differences of HiGHS's column values misses the prior's mean by
-    2.9e-10 on the grid with a cell of 9.99e-10, an entry under HiGHS's
-    small_matrix_value that it drops from its own model.  The basis is
-    read as getBasicVariables' index array, not as getBasis' per-entry
-    statuses, which take about 0.2 ms to convert at m = 201.  SciPy's
-    sparse solver is imported here, on the first call, so that
-    oracle_gap's imports stay the binding."""
-    from scipy.sparse import csc_array
-    from scipy.sparse.linalg import spsolve
-
-    row_upper, start, index, value = model[10:14]
-    a = csc_array((value, index, start), shape=(model[1], model[0]))
-    basic = highs.getBasicVariables()[1]  # a column's index, or -1 - a row's
-    free = np.sort(basic[basic >= 0])  # in column order, whatever the pivots
-    held = np.ones(model[1], dtype=bool)
-    held[-1 - basic[basic < 0]] = False
-    x = np.array(highs.getSolution().col_value)
-    x[free] = 0.0
-    x[free] = spsolve(a[:, free][held], (row_upper - a @ x)[held])
-    return f - (a @ x)[: len(f)]
 
 
 def _pooling_vertex(grid: np.ndarray, h: np.ndarray, f: np.ndarray, u: np.ndarray, pool: Sequence[float]):
@@ -558,7 +526,7 @@ def oracle_gap(eq, m: int) -> dict[str, float]:
     grid = oracle_grid(eq, m)
     u = payoff_u(eq, grid)
     pool = (eq.v_l_star, eq.r_star, min(eq.v_h_star, eq.v_t_star), eq.v_h_star)
-    value, _, nonzeros, iterations = _solve_oracle(u, eq.prior, grid, False, pool)
+    value, _, nonzeros, iterations = _solve_oracle(u, eq.prior, grid, pool)
     played = expected_payoff(eq)
     return {
         "m": float(len(grid)),

@@ -36,7 +36,11 @@ from difference and chain matrices, solved by linprog under
 LINPROG_OPTIONS, the oracle's HiGHS settings verify._LP_OPTIONS in
 linprog's names): verify.best_response_oracle builds the same HiGHS input
 by index arithmetic and must hand HiGHS exactly the arrays linprog hands
-it.
+it.  Both read the masses as f less the differences of HiGHS's column
+values, so the value and the masses must be linprog's bit for bit.  The
+settings include small_matrix_value at HIGHS_SMALL_ENTRY, HiGHS's floor:
+at its default of 1e-9 HiGHS drops the width of a narrower cell, and its
+solution then misses the prior's mean.
 
 A deviation's expected payoff while the market plays its equilibrium
 (expected_payoff_under, and deviation_gain, its difference to
@@ -153,7 +157,7 @@ from disclose_eq.posterior import (
 from disclose_eq.priors import Prior
 from disclose_eq.rootfind import bisect_root
 from disclose_eq.tolerances import (
-    CHORD_MIN_WIDTH, CONTACT_XTOL, DM1_TOL, FEAS_MARGIN, HIGHS_FEASIBILITY_TOL, MPC_TOL,
+    CHORD_MIN_WIDTH, CONTACT_XTOL, DM1_TOL, FEAS_MARGIN, HIGHS_FEASIBILITY_TOL, HIGHS_SMALL_ENTRY, MPC_TOL,
 )
 from disclose_eq.verify import (
     CertificateReport,
@@ -515,14 +519,15 @@ def validate_by_rewind(eq: Equilibrium) -> None:
 
 
 # verify._LP_OPTIONS in linprog's option names; linprog itself adds the
-# dual simplex and no output, and passes simplex_scale_strategy to HiGHS as
-# it is
+# dual simplex and no output, and passes simplex_scale_strategy and
+# small_matrix_value to HiGHS as they are
 LINPROG_OPTIONS = {
     "presolve": False,
     "simplex_dual_edge_weight_strategy": "devex",
     "primal_feasibility_tolerance": HIGHS_FEASIBILITY_TOL,
     "dual_feasibility_tolerance": HIGHS_FEASIBILITY_TOL,
     "simplex_scale_strategy": 0,
+    "small_matrix_value": HIGHS_SMALL_ENTRY,
 }
 
 
@@ -554,7 +559,7 @@ def oracle_by_sparse_algebra(
     fixed = np.zeros(2 * m, dtype=bool)
     fixed[[m - 1, m]] = True  # C_{m-1} and D_0
     lower = np.concatenate([np.full(m, -np.inf), np.zeros(m)])
-    with warnings.catch_warnings():  # linprog names simplex_scale_strategy as unknown
+    with warnings.catch_warnings():  # linprog names the last two options as unknown
         warnings.filterwarnings("ignore", "Unrecognized options", OptimizeWarning)
         res = linprog(
             np.concatenate([rise.T @ u_values, np.zeros(m)]),

@@ -381,6 +381,9 @@ HETERO = {
         ("simulate", {**SIM, "consumers": 10**15}, ["--seed", "1"]),
         ("simulate", {**SIM, "bins": 10**6}, ["--seed", "1"]),
         ("simulate", {**SIM, "cost_model": {"type": "single"}}, ["--seed", "1"]),
+        # one worker's arrays would take 98.8 GiB, over the ledger's bound
+        ("simulate", {**BASE, "n": 100_000, "alpha": 0.5464099987813732, "s": 0.30076378322172764,
+                      "consumers": 200_000}, ["--seed", "3"]),
         ("verify", BASE, ["--perturb", "v_L", "abc"]),
         ("verify", BASE, ["--perturb", "v_L", "inf"]),
         ("verify", BASE, ["--perturb", "v_L", "nan"]),
@@ -410,6 +413,7 @@ HETERO = {
         "simulate-consumers-past-cap",
         "simulate-bins-past-cap",
         "simulate-single-cost-no-s",
+        "simulate-arrays-past-memory-bound",
         "verify-perturb-delta-string",
         "verify-perturb-delta-inf",
         "verify-perturb-delta-nan",

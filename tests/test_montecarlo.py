@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import math
+import mmap
 import os
 import pathlib
 import subprocess
@@ -709,6 +710,30 @@ def test_block_on_reused_arrays_needs_half_the_peak_memory(request, market):
     warm = buffers()
     block(warm)
     assert _traced_peak(lambda: block(warm)) <= _BLOCK_PEAK_BYTES[market] // 2
+
+
+def test_a_worker_s_arrays_stay_within_the_memory_bound(monkeypatch):
+    # one worker's arrays for 200,000 consumers of uniform n = 1,375 at
+    # alpha 0.546 (1.3 GiB) fit the ledger's bound, and at any alpha; at
+    # n = 100,000 they would take 98.8 GiB, a DomainError raised before any
+    # allocation.  The allocation is a private anonymous mapping, which
+    # takes memory only for the pages written (the row offsets), so the
+    # arrays are built without taking theirs
+    asked = []
+
+    def mapped(size, dtype):
+        asked.append(size)
+        return np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS), dtype)
+
+    monkeypatch.setattr(montecarlo.np, "empty", mapped)
+    alpha = 0.5464099987813732
+    for rows in (montecarlo._group_rows(montecarlo._BLOCK, alpha), montecarlo._BLOCK):
+        b = montecarlo._Buffers(1375, rows)
+        assert b.group(rows).vals.shape == (rows, 1375)
+        assert asked.pop() <= montecarlo.SIM_BYTES_MAX
+    with pytest.raises(DomainError, match="98.8 GiB"):
+        montecarlo._Buffers(100_000, montecarlo._group_rows(montecarlo._BLOCK, alpha))
+    assert not asked
 
 
 def test_malformed_posteriors_are_rejected_before_simulating(eq_uniform_small, uniform):

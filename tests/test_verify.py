@@ -322,19 +322,16 @@ def _assert_contraction(masses, prior, grid, mass_tol=1e-12, stop_loss_tol=1e-10
 
 def _assert_best_response(masses, value, u, prior, grid):
     """The masses are a contraction of the prior that pays the oracle's
-    value: a best response, checked without the LP.  The oracle reads its
-    masses from the vertex of HiGHS's final basis, solved again, and
-    linprog from HiGHS's column values, so the two may differ by HiGHS's
-    factor error and are not compared.  Both bounds are 1e-12 on a grid
-    whose cells are all at least 1e-6 wide.  On narrower grids the
-    contraction's residuals reach 1.4e-11 (a jittered grid with chains of
-    narrow cells), and HiGHS's value misses the vertex's by up to 8.8e-11
-    where a cell is narrower than 1e-9, a matrix entry HiGHS ignores (the
-    1e-9 grid of _narrow_cells): there the bounds are 1e-10 and the dense
-    reference's 1e-9."""
+    value: a best response, checked without the LP.  The payoff bound is
+    1e-12 on every grid: HiGHS keeps every cell width of at least 1e-12,
+    so its objective is its column values' payoff.  The contraction's
+    bounds are 1e-12 on a grid whose cells are all at least 1e-6 wide, and
+    1e-10 on narrower grids: there the stop-loss residual reaches 1.4e-11
+    (a jittered grid with chains of narrow cells), and the mean misses by
+    up to 5e-13 where a cell under 1e-12 is one HiGHS drops."""
     narrow = np.min(np.diff(grid)) < 1e-6
     _assert_contraction(masses, prior, grid, mass_tol=1e-10 if narrow else 1e-12)
-    assert abs(u @ masses - value) <= (1e-9 if narrow else 1e-12)
+    assert abs(u @ masses - value) <= 1e-12
 
 
 def _closed_form_off(monkeypatch):
@@ -417,8 +414,9 @@ def test_oracle_matches_dense_reference_on_seeded_markets():
         st.tuples(st.just("piecewise"), st.floats(0.1, 0.9), st.floats(0.1, 0.9)),
     ),
 )
-# HiGHS's column values read a mass of -3.4e-9 on this grid, where its row
-# holds g = 0; the solved vertex's masses are a contraction to 1e-12
+# a jittered power(2) grid on which an earlier form of the LP, whose rows
+# carried 1/h, read a mass of -3.4e-9 from HiGHS's column values where its
+# row held g = 0; the masses must be a contraction to 1e-12
 @example(m=265, jitter_seed=231, u_knots=[0.5, 0.625, 0.875, 0.0, 0.25, 0.0], prior_spec=("power", 2.0))
 def test_oracle_matches_dense_reference_on_random_grids(m, jitter_seed, u_knots, prior_spec):
     # interior points jittered by up to 3/8 of the spacing
@@ -579,12 +577,12 @@ def _jittered_cases():
 def test_oracle_lp_equals_the_sparse_algebra_reference(monkeypatch):
     # HiGHS gets exactly the arrays that linprog builds from the
     # scipy.sparse assembly: the constraint matrix in CSC order, the
-    # objective, the right-hand sides and the bounds; the value agrees to
-    # the bit, and the masses are a best response that pays it.  Every LP
-    # solves, on the grids with chains of narrow cells too (HiGHS stopped
-    # with "Not Set" on 5 of them when the LP's rows carried 1/h), and on
-    # grids of 2 and 3 points and a payoff of signed zeros, whose cost is
-    # -0.0 or 0.0 by the order of its sums
+    # objective, the right-hand sides and the bounds; the value and the
+    # masses agree to the bit, and the masses are a best response that pays
+    # it.  Every LP solves, on the grids with chains of narrow cells too
+    # (HiGHS stopped with "Not Set" on 5 of them when the LP's rows carried
+    # 1/h), and on grids of 2 and 3 points and a payoff of signed zeros,
+    # whose cost is -0.0 or 0.0 by the order of its sums
     seen = []
 
     class Recorded(verify._Highs):
@@ -618,6 +616,7 @@ def test_oracle_lp_equals_the_sparse_algebra_reference(monkeypatch):
         seen.clear()
         got, want = best_response_oracle(u, prior, grid), oracle_by_sparse_algebra(u, prior, grid)
         assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
         _assert_best_response(got[1], got[0], u, prior, grid)
         new, old = seen
         for x, y in zip(new, old):
@@ -741,7 +740,7 @@ def test_oracle_gap_reports_the_lp_size(monkeypatch):
         assert gap["lp_nonzeros"] == 6 * gap["m"] - 5
         assert abs(gap["oracle_value"] - want) <= 1e-12
         # the thread's next model starts cold again, at linprog's count
-        assert verify._solve_oracle(u, eq.prior, grid, False)[3] == res.nit
+        assert verify._solve_oracle(u, eq.prior, grid)[3] == res.nit
         with monkeypatch.context() as patch:
             _closed_form_off(patch)
             warm += oracle_gap(eq, 201)["lp_iterations"]
@@ -804,7 +803,7 @@ def test_a_market_off_its_equilibrium_starts_cold(power2, eq_power):
     u = payoff_u(eq, grid)
     masses, basis = verify._pooling_vertex(grid, np.diff(grid), discretize_prior(power2, grid), u, _pool(eq))
     assert masses is None and basis is None
-    value, _, _, iterations = verify._solve_oracle(u, power2, grid, False)
+    value, _, _, iterations = verify._solve_oracle(u, power2, grid)
     gap = oracle_gap(eq, 201)
     assert (gap["oracle_value"], gap["lp_iterations"]) == (value, iterations)
     assert not check_dm_conditions(eq).passed
