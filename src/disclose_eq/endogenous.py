@@ -74,6 +74,8 @@ from .posterior import (
     FullDisclosure,
     PosteriorDistribution,
     full_disclosure_distribution,
+    in_caller_order,
+    sorted_points,
 )
 from .priors import CdfCum, Prior
 from .rootfind import bisect_root
@@ -173,6 +175,17 @@ class Equilibrium:
             pooled=self.candidate.pooled,
         )
 
+    @cached_property
+    def played_value(self) -> float:
+        """Closed-form expected payoff of a firm playing the market disclosure."""
+        b = self.branches
+        g_top = float(self.g.cdf(min(self.v_h_star, self.v_t_star)))
+        # G = F below v_L; on the pooled stretch u = high(G**(n-1)) against dG
+        total = b.low_integral(0.0, b.fl) + b.high_integral(b.fl, g_top)
+        if self.v_h_star < 1.0:
+            total += b.high_integral(b.fh, 1.0)
+        return total
+
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "prior": self.prior.to_json_dict(),
@@ -197,12 +210,15 @@ def payoff_u(eq, v):
     """Sale probability conditional on a visit, at posterior mean v.
 
     Upper-semicontinuous at the reservation value (the stopping branch
-    applies at r itself).
+    applies at r itself).  Each branch is evaluated on its slice of the
+    sorted points only.
     """
     b = eq.branches
-    g_pow = np.asarray(eq.g.cdf(v)) ** (eq.n - 1)
-    out = np.where(np.asarray(v) >= eq.r_star, b.high(g_pow), b.low(g_pow))
-    return float(out) if np.ndim(v) == 0 else out
+    pts, order = sorted_points(v)
+    g_pow = eq.g.cdf(pts) ** (eq.n - 1)
+    i = pts.searchsorted(eq.r_star)
+    out = np.concatenate([b.low(g_pow[:i]), b.high(g_pow[i:])])
+    return float(out[0]) if np.ndim(v) == 0 else in_caller_order(out, order, v)
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,16 @@ A point finds its segment by one searchsorted of the segment ends into
 the sorted points, which cuts them into one contiguous slice per
 segment.  Unsorted input is sorted once, and the results go back to the
 caller's order.  The cdf and its integrals see sorted grids or a few
-points.  `sample` takes a block of random variates in any order, which
-that sort would cost more than it saves: it evaluates each segment's
-quantile on all the variates, clipped to the segment's cdf levels, and
-keeps it where the variate reaches the segment's lower level.  The
-quantiles are computed in place, so `sample_into` can write a block into
-arrays that the simulator reuses from block to block.
+points.  A scalar skips that machinery: a bisect of the segment ends
+finds its segment, which reads it as a one-element array, so a scalar
+read is the array read's element to the bit.  A NaN has no segment and
+is a DomainError, as a scalar or in an array.  `sample` takes a block of
+random variates in any order, which that sort would cost more than it
+saves: it evaluates each segment's quantile on all the variates, clipped
+to the segment's cdf levels, and keeps it where the variate reaches the
+segment's lower level.  The quantiles are computed in place, so
+`sample_into` can write a block into arrays that the simulator reuses
+from block to block.
 
 The integral-precision order lives here too: informativeness_compare is
 the mean-preserving-contraction check of a general posterior, used by the
@@ -33,7 +37,7 @@ distributions inserted.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Union
@@ -201,6 +205,10 @@ class PosteriorDistribution:
         return np.array([seg.b for seg in self.segments])
 
     @cached_property
+    def _ends_list(self) -> list[float]:
+        return self._ends.tolist()
+
+    @cached_property
     def _prefixes(self) -> dict[int, tuple[float, ...]]:
         return {}
 
@@ -252,7 +260,7 @@ class PosteriorDistribution:
         """Right-continuous cdf; atoms jump at their location."""
         # side="left" sends a point on a segment end to the *next* segment, which
         # makes the cdf right-continuous across an atom between segments.
-        return self._by_segment(v, "left", lambda i, seg, x: seg.cdf(self.prior, x), lambda x: 1.0)
+        return self._by_segment(v, "left", lambda i, seg, x: seg.cdf(self.prior, x), np.ones_like)
 
     def cum_integral(self, z: ArrayLike, k: int = 1) -> ArrayLike:
         """Integral of cdf**k from 0 to z."""
@@ -270,13 +278,20 @@ class PosteriorDistribution:
     def _by_segment(self, v: ArrayLike, side: str, on_segment, past_end) -> ArrayLike:
         """on_segment(i, segment, points) on each segment's slice of the sorted
         points, past_end(points) beyond the last end; side says which segment
-        a point on an end belongs to."""
-        scalar = not isinstance(v, np.ndarray)
-        pts = np.asarray(v, dtype=float).ravel()
-        order = None
-        if pts.size > 1 and not np.all(pts[:-1] <= pts[1:]):
-            order = np.argsort(pts, kind="stable")
-            pts = pts[order]
+        a point on an end belongs to.  A scalar is read on its own segment
+        as a one-element array (the module docstring)."""
+        if not isinstance(v, np.ndarray):
+            if v != v:
+                raise DomainError("a posterior cannot be read at NaN")
+            # searchsorted's side="left" cuts before the first end above v
+            i = (bisect_right if side == "left" else bisect_left)(self._ends_list, v)
+            pts = np.array([v], dtype=float)
+            if i == len(self.segments):
+                return float(past_end(pts)[0])
+            return float(on_segment(i, self.segments[i], pts)[0])
+        pts, order = sorted_points(v)
+        if pts.size and pts[-1] != pts[-1]:  # NaN sorts last
+            raise DomainError("a posterior cannot be read at NaN")
         out = np.empty_like(pts)
         lo = 0
         cuts = pts.searchsorted(self._ends, side=side).tolist()
@@ -285,11 +300,7 @@ class PosteriorDistribution:
                 out[lo:hi] = on_segment(i, seg, pts[lo:hi])
                 lo = hi
         out[lo:] = past_end(pts[lo:])
-        if scalar:
-            return float(out[0])
-        if order is not None:
-            out[order] = out.copy()  # scatter back to the caller's order
-        return out.reshape(np.shape(v) or (1,))
+        return in_caller_order(out, order, v)
 
     def mean(self) -> float:
         return 1.0 - self._cum_top
@@ -384,6 +395,24 @@ class InformativenessVerdict:
     min_gap_forward: float
     min_gap_backward: float
     mean_gap: float
+
+
+def sorted_points(v: ArrayLike) -> tuple[np.ndarray, np.ndarray | None]:
+    """v as a sorted 1-d float array, and the order that sorts it (None
+    where v is sorted already, NaN last)."""
+    pts = np.asarray(v, dtype=float).ravel()
+    if pts.size > 1 and not (pts[:-1] <= pts[1:]).all():
+        order = pts.argsort(kind="stable")
+        return pts[order], order
+    return pts, None
+
+
+def in_caller_order(out: np.ndarray, order: np.ndarray | None, v: ArrayLike) -> np.ndarray:
+    """Values computed on sorted_points(v), back in v's order and shape (a
+    scalar's as one element)."""
+    if order is not None:
+        out[order] = out.copy()
+    return out.reshape(np.shape(v) or (1,))
 
 
 def drop_repeats(x: np.ndarray) -> np.ndarray:

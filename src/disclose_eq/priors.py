@@ -29,7 +29,7 @@ CdfCum = tuple[float, float]  # (F(v), int_0^v F) from one Prior.cdf_cum(v)
 
 def _check_unit_interval(x: ArrayLike, name: str) -> None:
     if isinstance(x, np.ndarray):
-        if x.size and (float(np.min(x)) < 0.0 or float(np.max(x)) > 1.0):
+        if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN fails both
             raise DomainError(f"{name} must lie in [0, 1]")
     elif not 0.0 <= x <= 1.0:
         raise _outside_unit_interval(x, name)

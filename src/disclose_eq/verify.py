@@ -41,6 +41,22 @@ Two routes, deliberately redundant:
   HIGHS_SMALL_ENTRY, its floor, where its default of 1e-9 dropped the
   width of a narrower cell and its masses then missed the prior's mean.
 
+A certificate computes each value once per market.  check_dm_conditions
+sorts its two grids together once; multiplier_phi and payoff_u evaluate
+each branch on its slice of the sorted points only; a scalar read of the
+posterior bisects its segment ends; the played value is cached on the
+market (Equilibrium.played_value) for oracle_gap and payoff_identity_gap;
+and the oracle's base grid is made once per m.  Right after a solve, as
+the benchmark runs it, a certificate of the 440 certify_random markets of
+bench seeds 1-10 averages about 0.36 ms on a 2-vCPU Xeon VM (0.47 ms
+before): check_dm_conditions 0.20 ms, of which the multiplier, the
+payoff, DM4's posterior reads and the grids take about 0.05, 0.07, 0.04
+and 0.03 ms; oracle_gap 0.16 ms, of which the pooling-vertex test, the
+payoff, discretize_prior, the grid and the played value take about 0.05,
+0.04, 0.01, 0.01 and 0.01 ms, and HiGHS about 0.04 ms averaged in from
+the 26 markets where the closed form declines (0.74 ms each, against
+0.10 ms for the 414 it certifies); payoff_identity_gap a microsecond.
+
 The cost-heterogeneity check implements the large-market sufficiency
 condition: the multiplier's pooled slope must stay below the steepest
 chord of the heterogeneous payoff under the reservation value.
@@ -71,7 +87,7 @@ import numpy as np
 from .costs import ContinuousCosts, CostDistribution, DiscreteCosts  # noqa: F401 (re-exported)
 from .endogenous import _N_CAP, check_convex_by_cap, payoff_u, solve_endog
 from .errors import DomainError, IterationCapError, ValidationFailureError
-from .posterior import drop_repeats, insert_points
+from .posterior import drop_repeats, in_caller_order, insert_points, sorted_points
 from .priors import Prior
 from .tolerances import DM1_TOL, DM2_TOL, DM3_TOL, DM4_TOL, HIGHS_FEASIBILITY_TOL, HIGHS_SMALL_ENTRY
 
@@ -109,11 +125,17 @@ _BASIC, _AT_LOWER, _AT_UPPER = _core.HighsBasisStatus.kBasic, _core.HighsBasisSt
 _GRID_SIZE = 1001
 _DM_BASE = np.linspace(0.0, 1.0, _GRID_SIZE)
 _DM_BASE_LIST = _DM_BASE.tolist()
+# 0, 1, ..., k - 1 for the support grid's pieces of k points (_linspace)
+_POOL_STEPS = np.arange(_GRID_SIZE // 2, dtype=float)
+_TAIL_STEPS = np.arange(_GRID_SIZE // 4 + 2, dtype=float)
 # the oracle grid's points: at least ORACLE_GRID_MIN; at most ORACLE_GRID_MAX,
-# which keeps its O(m) arrays small (a cold HiGHS run grows faster than m;
-# at m = 100,001 oracle_gap on power(2) n=3 takes about 8 ms where the
-# closed form certifies the pooling vertex, and 0.12 s where HiGHS starts
-# from its basis, on a 2-vCPU Xeon VM)
+# which keeps its O(m) arrays small.  At m = 100,001 oracle_gap on power(2)
+# n=3 takes about 8 ms, where the closed form certifies the pooling vertex.
+# Where it declines, HiGHS's run from that vertex's basis grows faster than
+# m though it takes 0-2 iterations: on uniform n=2, alpha 0.17589106877949487,
+# s 0.1454499384425067, 24-28 ms at m = 4,001, 0.26-0.32 s at 20,001 and
+# 0.77-1.14 s at 40,001, while passModel stays under 8 ms and the vertex and
+# its basis under 7 ms (two runs on a 2-vCPU Xeon VM)
 ORACLE_GRID_MIN = 101
 ORACLE_GRID_MAX = 100_001
 # oracle LP: the HiGHS settings, quiet: the dual simplex, the ledger's
@@ -140,16 +162,15 @@ _THREAD = threading.local()
 # ---------------------------------------------------------------------------
 
 def multiplier_phi(eq, v):
-    """The piecewise multiplier supporting the candidate disclosure."""
-    b = eq.branches
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
-    f_pow = np.asarray(eq.prior.cdf(arr)) ** (eq.n - 1)
-    out = np.where(
-        arr < eq.v_l_star,
-        b.low(f_pow),
-        np.where(arr <= eq.v_h_star, b.line(arr), b.high(f_pow)),
-    )
-    return float(out[0]) if np.ndim(v) == 0 else out
+    """The piecewise multiplier supporting the candidate disclosure, each
+    branch evaluated on its slice of the sorted points only."""
+    b, prior, k = eq.branches, eq.prior, eq.n - 1
+    pts, order = sorted_points(v)
+    i_l, i_h = pts.searchsorted(eq.v_l_star), pts.searchsorted(eq.v_h_star, side="right")
+    out = np.concatenate([
+        b.low(prior.cdf(pts[:i_l]) ** k), b.line(pts[i_l:i_h]), b.high(prior.cdf(pts[i_h:]) ** k),
+    ])
+    return float(out[0]) if np.ndim(v) == 0 else in_caller_order(out, order, v)
 
 
 @dataclass(frozen=True)
@@ -166,17 +187,30 @@ class CertificateReport:
         return {"pass" if k == "passed" else k: v for k, v in asdict(self).items()}
 
 
+def _linspace(start: float, stop: float, steps: np.ndarray) -> np.ndarray:
+    """np.linspace(start, stop, len(steps)) to the bit, with steps =
+    np.arange(len(steps)) made once: its arithmetic without its per-call
+    conversions."""
+    div = len(steps) - 1
+    delta = stop - start
+    step = delta / div
+    y = steps / div * delta if step == 0.0 else steps * step  # linspace's denormal case
+    y += start
+    y[-1] = stop
+    return y
+
+
 def _support_grid(eq) -> np.ndarray:
     """Grid over the support of the disclosure (where contact must hold).
     Its pieces [0, v_L], [r, pool_top] and [v_H, 1] are in order, for
     every candidate has 0 <= v_L < r <= min(v_H, v_T) (solve_beta), so
     concatenated they are sorted and only their repeats go."""
     pool_top = min(eq.v_h_star, eq.v_t_star)
-    pieces = [np.linspace(eq.r_star, pool_top, _GRID_SIZE // 2)]
+    pieces = [_linspace(eq.r_star, pool_top, _POOL_STEPS)]
     if eq.v_l_star > 0.0:
-        pieces.insert(0, np.linspace(0.0, eq.v_l_star, _GRID_SIZE // 4 + 2))
+        pieces.insert(0, _linspace(0.0, eq.v_l_star, _TAIL_STEPS))
     if eq.v_h_star < 1.0:
-        pieces.append(np.linspace(eq.v_h_star, 1.0, _GRID_SIZE // 4 + 2))
+        pieces.append(_linspace(eq.v_h_star, 1.0, _TAIL_STEPS))
     return drop_repeats(np.concatenate(pieces))
 
 
@@ -186,21 +220,10 @@ def _dm_grid(eq) -> np.ndarray:
     return insert_points(_DM_BASE, _DM_BASE_LIST, [min(max(x, 0.0), 1.0) for x in eq.thresholds])
 
 
-def expected_payoff(eq) -> float:
-    """Closed-form expected payoff of a firm playing the market disclosure."""
-    b = eq.branches
-    g_top = float(eq.g.cdf(min(eq.v_h_star, eq.v_t_star)))
-    # G = F below v_L; on the pooled stretch u = high(G**(n-1)) against dG
-    total = b.low_integral(0.0, b.fl) + b.high_integral(b.fl, g_top)
-    if eq.v_h_star < 1.0:
-        total += b.high_integral(b.fh, 1.0)
-    return total
-
-
 def payoff_identity_gap(eq) -> float:
     """Difference between the expected payoff and its symmetry benchmark."""
     benchmark = (1.0 / eq.n) / (eq.alpha * eq.eta + 1.0 - eq.alpha)
-    return expected_payoff(eq) - benchmark
+    return eq.played_value - benchmark
 
 
 def integral_phi_dF(eq) -> float:
@@ -235,13 +258,15 @@ def check_dm_conditions(eq) -> CertificateReport:
     or at + (1 - at) F**(n-1), with c_low > 0 and 1 - at > 0, so its
     convexity there is the convexity of F**(n-1): a fact about the input,
     which solve_endog's domain check decides.  The multiplier and
-    the payoff are elementwise, so each is evaluated once, on all the grids
-    at once.
+    the payoff are elementwise, so each is evaluated once, on both grids
+    at once, sorted once here (each grid is sorted, so a stable sort merges
+    two runs); their gap goes back to the grids' order.
     """
     prior, n, b = eq.prior, eq.n, eq.branches
     grid = _dm_grid(eq)
     points = np.concatenate([grid, _support_grid(eq)])
-    phi, u = multiplier_phi(eq, points), payoff_u(eq, points)
+    order = points.argsort(kind="stable")
+    points = points[order]
 
     # DM1 continuity at interior seams
     gaps = [0.0]
@@ -260,9 +285,10 @@ def check_dm_conditions(eq) -> CertificateReport:
     min_slope_inc = min(increments)
     dm1 = max_cont_gap <= DM1_TOL and min_slope_inc >= -DM1_TOL
 
-    gap = phi - u
-    dm2_min_gap = float(np.min(gap[: len(grid)]))
-    dm3 = float(np.max(np.abs(gap[len(grid) :])))
+    gap = np.empty_like(points)
+    gap[order] = multiplier_phi(eq, points) - payoff_u(eq, points)
+    dm2_min_gap = float(gap[: len(grid)].min())
+    dm3 = float(np.abs(gap[len(grid) :]).max())
 
     dm4 = abs(integral_phi_dG(eq) - integral_phi_dF(eq))
 
@@ -288,15 +314,24 @@ def oracle_grid(eq, m: int) -> np.ndarray:
         raise DomainError(f"oracle grid needs at least {ORACLE_GRID_MIN} points")
     if m > ORACLE_GRID_MAX:
         raise DomainError(f"oracle grid takes at most {ORACLE_GRID_MAX} points, not {m}")
+    return insert_points(*_oracle_base(m), eq.thresholds)
+
+
+@functools.lru_cache(maxsize=8)
+def _oracle_base(m: int) -> tuple[np.ndarray, list[float]]:
+    """linspace(0, 1, m) and its list, made once per m; insert_points copies."""
     base = np.linspace(0.0, 1.0, m)
-    return insert_points(base, base.tolist(), eq.thresholds)
+    return base, base.tolist()
 
 
 def discretize_prior(prior: Prior, grid: np.ndarray) -> np.ndarray:
     """Cell masses of the prior around each grid point (midpoint cells)."""
-    mids = np.concatenate([[0.0], 0.5 * (grid[1:] + grid[:-1]), [1.0]])
+    mids = np.empty(len(grid) + 1)
+    mids[0], mids[-1] = 0.0, 1.0
+    np.add(grid[1:], grid[:-1], out=mids[1:-1])
+    mids[1:-1] *= 0.5
     cdf_vals = np.asarray(prior.cdf(mids))
-    return np.diff(cdf_vals)
+    return cdf_vals[1:] - cdf_vals[:-1]
 
 
 def best_response_oracle(
@@ -354,8 +389,8 @@ def _solve_oracle(
     u_values = np.asarray(u_values, dtype=float)
     if grid.ndim != 1 or grid.shape != u_values.shape or len(grid) < 2:
         raise DomainError("grid and u_values must be 1-d arrays of equal length >= 2")
-    h = np.diff(grid)
-    if not np.all(h > 0.0):
+    h = grid[1:] - grid[:-1]
+    if not (h > 0.0).all():
         raise DomainError("grid must be strictly increasing")
     f = discretize_prior(prior, grid)
     masses, basis = (None, None) if pool is None else _pooling_vertex(grid, h, f, u_values, pool)
@@ -417,15 +452,15 @@ def _pooling_vertex(grid: np.ndarray, h: np.ndarray, f: np.ndarray, u: np.ndarra
     stretch of one point (alpha = 0) get neither, and HiGHS starts from
     the slack basis."""
     m = len(grid)
-    i_l, i_a, i_b, i_h = np.searchsorted(grid, pool).tolist()
+    i_l, i_a, i_b, i_h = grid.searchsorted(pool).tolist()
     if i_h == i_l:
         return None, None
     stretch = slice(i_l, i_h + 1)
-    mass = float(f[stretch].sum())
+    mass = float(np.add.reduce(f[stretch]))
     j = i_a
     if mass > 0.0:
         mean = float(np.add.reduce(f[stretch] * grid[stretch])) / mass
-        j = int(np.searchsorted(grid, mean, side="right")) - 1
+        j = int(grid.searchsorted(mean, side="right")) - 1
     j = max(min(max(j, i_a), i_b - 1), i_l)
     slope = (u[j + 1] - u[j]) / h[j]
     line = u[j] + slope * (grid[stretch] - grid[j])
@@ -436,26 +471,26 @@ def _pooling_vertex(grid: np.ndarray, h: np.ndarray, f: np.ndarray, u: np.ndarra
     g[stretch] = 0.0
     g[j] = np.add.reduce(f[stretch] * (grid[j + 1] - grid[stretch])) / h[j]
     g[j + 1] = np.add.reduce(f[stretch] * (grid[stretch] - grid[j])) / h[j]
-    moved = np.cumsum(f[i_l:i_h] - g[i_l:i_h])  # C_k on the stretch's cells
+    moved = (f[i_l:i_h] - g[i_l:i_h]).cumsum()  # C_k on the stretch's cells
     phi = u.copy()
     phi[stretch] = line
-    phi_slope = np.diff(phi) / h
+    phi_slope = (phi[1:] - phi[:-1]) / h
     phi_slope[i_l:i_h] = slope
-    increment = np.diff(phi_slope)  # at the points 1..m-2
+    increment = phi_slope[1:] - phi_slope[:-1]  # at the points 1..m-2
     if (
         min(g[j], g[j + 1]) >= -tol  # the basic values: the two masses
-        and np.all(np.cumsum(h[i_l : i_h - 1] * moved[:-1]) >= -tol)  # and D_k inside
-        and np.all(over >= -tol)  # the duals of the held rows g_k >= 0
-        and np.all(increment[:i_l] >= -tol)  # the reduced costs of the D_k at 0
-        and np.all(increment[i_h - 1 :] >= -tol)
-        and np.all(phi_slope <= phi_slope[-1] + tol)  # the chain rows' duals
+        and ((h[i_l : i_h - 1] * moved[:-1]).cumsum() >= -tol).all()  # and D_k inside
+        and (over >= -tol).all()  # the duals of the held rows g_k >= 0
+        and (increment[:i_l] >= -tol).all()  # the reduced costs of the D_k at 0
+        and (increment[i_h - 1 :] >= -tol).all()
+        and (phi_slope <= phi_slope[-1] + tol).all()  # the chain rows' duals
     ):
         return g, None
 
     # the line dominates the payoff on the stretch, and its kinks at the
     # ends are convex: just outside, it runs under the payoff
     outside = [k for k in (i_l - 1, i_h + 1) if 0 <= k < m]
-    if np.min(over) < -DM2_TOL or any(
+    if over.min() < -DM2_TOL or any(
         u[j] + slope * (grid[k] - grid[j]) - u[k] > DM2_TOL for k in outside
     ):
         return None, None
@@ -527,7 +562,7 @@ def oracle_gap(eq, m: int) -> dict[str, float]:
     u = payoff_u(eq, grid)
     pool = (eq.v_l_star, eq.r_star, min(eq.v_h_star, eq.v_t_star), eq.v_h_star)
     value, _, nonzeros, iterations = _solve_oracle(u, eq.prior, grid, pool)
-    played = expected_payoff(eq)
+    played = eq.played_value
     return {
         "m": float(len(grid)),
         "oracle_value": value,

@@ -44,7 +44,7 @@ solution then misses the prior's mean.
 
 A deviation's expected payoff while the market plays its equilibrium
 (expected_payoff_under, and deviation_gain, its difference to
-verify.expected_payoff after the deviation's mean-preserving-contraction
+Equilibrium.played_value after the deviation's mean-preserving-contraction
 check): closed forms per payoff cell where the integrand is polynomial
 against the deviation's cdf, and 32-node Gauss-Legendre quadrature
 (_quad) against the pooled segment's density (affine_power_pdf) in the
@@ -162,7 +162,6 @@ from disclose_eq.tolerances import (
 from disclose_eq.verify import (
     CertificateReport,
     discretize_prior,
-    expected_payoff,
     integral_phi_dF,
     integral_phi_dG,
     multiplier_phi,
@@ -655,7 +654,7 @@ def _cell_payoff(eq, g_dev: PosteriorDistribution, seg, lo: float, hi: float) ->
 def deviation_gain(eq, g_dev: PosteriorDistribution) -> float:
     """Payoff change from a unilateral deviation to g_dev (beliefs fixed)."""
     check_deviation_mpc(g_dev, eq.prior)
-    return expected_payoff_under(eq, g_dev) - expected_payoff(eq)
+    return expected_payoff_under(eq, g_dev) - eq.played_value
 
 
 def _support_grid(eq, grid_size: int) -> np.ndarray:

@@ -21,7 +21,6 @@ from disclose_eq.exogenous import r_lower_bar
 from disclose_eq.montecarlo import SimConfig, SingleCost, simulate_market
 from disclose_eq.verify import (
     check_dm_conditions,
-    expected_payoff,
     hetero_check,
     hetero_first_holding_n,
     integral_phi_dF,
@@ -106,7 +105,7 @@ def test_criterion_3_certificate_suite():
         eq = solve_endog(prior, n, alpha, s)
         report = check_dm_conditions(eq)
         assert report.passed, (prior, n, alpha, s, report)
-        assert abs(integral_phi_dF(eq) - expected_payoff(eq)) <= 1e-8
+        assert abs(integral_phi_dF(eq) - eq.played_value) <= 1e-8
         assert abs(payoff_identity_gap(eq)) <= 1e-9
         checked += 1
     elapsed = time.perf_counter() - t0

@@ -318,3 +318,45 @@ def test_mpc_compare_equals_the_sorted_union_on_solved_markets(uniform, power2):
             _assert_same_verdict(prev.g, eq.g)
             pairs += 1
     assert pairs > 30
+
+
+def _scalar_read_posteriors(uniform, power2):
+    """(name, posterior) of each posterior shape a scalar read meets."""
+    return [
+        ("disclosing, v_H < 1", solve_endog(power2, 3, 0.4, 0.15).g),
+        ("capped, v_T < 1", solve_endog(uniform, 2, 0.5, 0.1).g),
+        ("scaled concealing", solve_endog(uniform, 1375, 0.5464099987813732, 0.30076378322172764).g),
+        ("full disclosure", solve_endog(uniform, 2, 0.0, 0.1).g),
+        ("limit atom", limit_equilibrium(uniform, 0.5, 0.1).g_inf),
+    ]
+
+
+def test_scalar_reads_equal_the_array_reads_bitwise(uniform, power2):
+    # a scalar finds its segment by a bisect of the ends, an array by
+    # searchsorted: at 0, 1, every segment end and the points one ulp
+    # either side (where cdf's side="left" and the integrals' side="right"
+    # part), and inside each segment, the scalar read is the array read's
+    # element to the bit, alone or among all the points
+    shapes = _scalar_read_posteriors(uniform, power2)
+    assert shapes[2][1].segments[1]._scaled() and shapes[4][1].atom is not None
+    for name, g in shapes:
+        ends = np.array([seg.b for seg in g.segments])
+        inside = [0.5 * (seg.a + seg.b) for seg in g.segments] + [seg.a + 0.1 * (seg.b - seg.a) for seg in g.segments]
+        points = np.concatenate([[0.0, 1.0], ends, np.nextafter(ends, -1.0), np.nextafter(ends, 2.0), inside])
+        points = points[(points >= 0.0) & (points <= 1.0)]
+        for method in ("cdf", "cdf_left", "cum_integral", "excess_above"):
+            together = getattr(g, method)(points)
+            for x, among in zip(points.tolist(), together.tolist()):
+                scalar = getattr(g, method)(x)
+                alone = getattr(g, method)(np.array([x]))[0]
+                assert np.ndim(scalar) == 0 and np.shape(alone) == (), (name, method, x)
+                assert float(scalar).hex() == float(alone).hex() == among.hex(), (name, method, x)
+
+
+def test_a_posterior_read_at_nan_is_a_domain_error(uniform, power2):
+    # a NaN point has no segment: the scalar and the array read raise alike
+    for name, g in _scalar_read_posteriors(uniform, power2):
+        for method in ("cdf", "cdf_left", "cum_integral", "excess_above"):
+            for x in (float("nan"), np.float64("nan"), np.array([0.3, np.nan]), np.array([np.nan]), np.array(np.nan)):
+                with pytest.raises(DomainError, match="NaN"):
+                    getattr(g, method)(x)

@@ -264,6 +264,19 @@ def test_cdf_cum_domain_error_matches_cdf(prior, v):
     assert str(via_cdf_cum.value) == str(via_cdf.value)
 
 
+@pytest.mark.parametrize("prior", ALL_PRIORS, ids=lambda p: repr(p))
+@pytest.mark.parametrize("method", ["cdf", "quantile"])
+def test_array_reads_reject_nan_as_scalar_reads_do(prior, method):
+    # NaN fails both x.min() >= 0 and x.max() <= 1, on every family
+    read = getattr(prior, method)
+    with pytest.raises(DomainError):
+        read(float("nan"))
+    for x in (np.array([0.2, np.nan]), np.array([np.nan, 0.2]), np.array([[0.1], [np.nan]]), np.array(np.nan)):
+        with pytest.raises(DomainError, match="must lie in"):
+            read(x)
+    assert read(np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
+
+
 def test_power_convexity_admits_the_domain_edge_and_nothing_below():
     # a = 1/(n-1) gives a*(n-1) = 1 - 2**-53 for 505 of these n: the
     # ledger's CONVEXITY_SLACK admits them, and a relative 1e-9 below is out

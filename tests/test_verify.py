@@ -29,7 +29,6 @@ from disclose_eq.verify import (
     chord_slope_infimum,
     check_dm_conditions,
     discretize_prior,
-    expected_payoff,
     hetero_check,
     hetero_first_holding_n,
     integral_phi_dF,
@@ -91,7 +90,7 @@ def test_expected_payoff_quadrature_oracle(eq_power):
         g = np.asarray(eq.g.cdf(grid))
         dg = np.gradient(g, grid)
         total += np.trapezoid(u * dg, grid)
-    assert expected_payoff(eq) == pytest.approx(total, abs=5e-6)
+    assert eq.played_value == pytest.approx(total, abs=5e-6)
 
 
 def test_multiplier_coincides_with_payoff_above_contact(eq_power):
@@ -127,7 +126,7 @@ def test_certificate_passes_on_solved(eq_uniform_small, eq_uniform_large, eq_pow
         assert report.passed, report
         assert abs(integral_phi_dG(eq) - integral_phi_dF(eq)) <= 1e-8
         # dual value equals primal value
-        assert integral_phi_dF(eq) == pytest.approx(expected_payoff(eq), abs=1e-8)
+        assert integral_phi_dF(eq) == pytest.approx(eq.played_value, abs=1e-8)
 
 
 def test_certificate_piecewise_prior():
