@@ -56,6 +56,7 @@ from .errors import (
     config_number,
 )
 from .priors import Prior, prior_from_json
+from .tolerances import ORACLE_GAP_COEFF, Z_SCORE_LIMIT
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -63,9 +64,6 @@ EXIT_INVARIANT = 2
 EXIT_BOUNDARY = 3
 EXIT_CERTIFICATE = 4
 EXIT_STATISTICAL = 5
-
-# calibrated oracle-gap coefficient: bound = coeff / m
-ORACLE_GAP_COEFF = 0.2
 
 
 def _load_config(path: str) -> dict[str, Any]:
@@ -202,8 +200,6 @@ def cmd_verify(cfg: dict[str, Any], args) -> tuple[dict[str, Any], int]:
     if args.oracle_grid is not None:
         gap = oracle_gap(eq, args.oracle_grid)
         body["oracle"] = gap
-        # discretization bound calibrated on the measured gap decay
-        # (equilibrium gaps stay ~30x below it, perturbations ~500x above)
         bound = ORACLE_GAP_COEFF / gap["m"]
         body["oracle_bound"] = bound
         ok = ok and gap["gap"] <= bound
@@ -241,7 +237,7 @@ def cmd_simulate(cfg: dict[str, Any], args) -> tuple[dict[str, Any], int]:
     z_scores = _z_scores(eq, report)
     body = {"equilibrium": eq.to_json_dict(), "report": report.to_json_dict(), "z_scores": z_scores}
     worst = max((abs(z) for z in z_scores.values() if not np.isnan(z)), default=0.0)
-    return body, EXIT_OK if worst <= 5.0 else EXIT_STATISTICAL
+    return body, EXIT_OK if worst <= Z_SCORE_LIMIT else EXIT_STATISTICAL
 
 
 def _thread_count() -> int:
@@ -265,11 +261,11 @@ def _z_scores(eq: Equilibrium, report) -> dict[str, float]:
     from .welfare import cs_inexperienced, cs_savvy
 
     out: dict[str, float] = {}
-    if report.eta_se and not np.isnan(report.eta_se) and report.eta_se > 0:
+    if report.eta_se > 0:
         out["eta"] = (report.eta_hat - eq.eta) / report.eta_se
-    if report.cs_savvy_se and report.cs_savvy_se > 0:
+    if report.cs_savvy_se > 0:
         out["cs_savvy"] = (report.cs_savvy_hat - cs_savvy(eq.g, eq.n)) / report.cs_savvy_se
-    if report.cs_inexperienced_se and report.cs_inexperienced_se > 0:
+    if report.cs_inexperienced_se > 0:
         out["cs_inexperienced"] = (
             report.cs_inexperienced_hat - cs_inexperienced(eq)
         ) / report.cs_inexperienced_se
@@ -377,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationFailureError, InfeasibleCandidateError, BracketError) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (DomainError, DiscloseEqError) as exc:
+    except DiscloseEqError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, Union
 
 import numpy as np
@@ -53,8 +53,6 @@ ArrayLike = Union[float, np.ndarray]
 # integral-precision order: the uniform grid (merged with both
 # distributions' breakpoints) that MPC_TOL is read on
 _MPC_GRID = 2001
-_MPC_BASE = np.linspace(0.0, 1.0, _MPC_GRID)
-_MPC_BASE_LIST = _MPC_BASE.tolist()
 
 LESS_INFORMATIVE = "LessInformative"
 MORE_INFORMATIVE = "MoreInformative"
@@ -421,6 +419,14 @@ def drop_repeats(x: np.ndarray) -> np.ndarray:
     return x[np.concatenate([[True], x[1:] != x[:-1]])]
 
 
+@lru_cache(maxsize=8)
+def uniform_base(m: int) -> tuple[np.ndarray, list[float]]:
+    """linspace(0, 1, m) and its list, made once per m: the base that
+    insert_points takes for the DM, oracle and MPC grids (it copies)."""
+    base = np.linspace(0.0, 1.0, m)
+    return base, base.tolist()
+
+
 def insert_points(base: np.ndarray, base_list: list[float], points) -> np.ndarray:
     """The sorted union of a sorted grid without repeats (base, and base_list
     its tolist()) and some points without NaN: each point that is not a base
@@ -445,7 +451,7 @@ def informativeness_compare(
     LessInformative means g0 is a mean-preserving contraction of g1.
     Incomparability is an ordinary outcome, not an error.
     """
-    grid = insert_points(_MPC_BASE, _MPC_BASE_LIST, [*g0.breakpoints(), *g1.breakpoints()])
+    grid = insert_points(*uniform_base(_MPC_GRID), [*g0.breakpoints(), *g1.breakpoints()])
     delta = g1.cum_integral(grid) - g0.cum_integral(grid)
     mean_gap = float(delta[-1])
     min_fwd = float(np.min(delta))

@@ -130,6 +130,21 @@ column values missed the prior's mean by 2.9e-10 and its objective missed
 their payoff by 8.8e-11.  1e-12 is the smallest value HiGHS accepts; a
 cell narrower than that is still dropped."""
 
+# -- cli: the verdict bounds ---------------------------------------------------
+
+ORACLE_GAP_COEFF = 0.2
+"""Payoff units times grid points: the bound on the oracle gap is
+ORACLE_GAP_COEFF / m on an m-point grid.  cli.cmd_verify: with
+--oracle-grid, a market whose LP best response beats its played value by
+more fails its certificate (exit 4).  Calibrated on the measured gap
+decay: equilibrium gaps stay about 30 times below it, perturbed markets'
+about 500 times above."""
+
+Z_SCORE_LIMIT = 5.0
+"""Standard errors.  cli.cmd_simulate: a simulation whose largest |z| of
+its estimates against the analytic values (_z_scores) exceeds this exits 5
+(statistical failure)."""
+
 # -- montecarlo: the stopping rule in quantile space, and the memory bound -----
 
 STOP_MARGIN = 1e-8

@@ -15,47 +15,49 @@ Two routes, deliberately redundant:
   every one +-1 or a cell width, run unscaled at fixed feasibility
   tolerances of 1e-10 on any strictly increasing grid (_cumulative_lp).
   Its CSC input is, entry for entry, the matrix that the sparse products
-  defining it would give.  The model is handed to HiGHS through the
-  binding SciPy ships (scipy.optimize._highspy) under _LP_OPTIONS, set in
-  HiGHS's own terms: dual simplex without presolve or scaling, under
-  devex pricing.  So the solve is the one linprog(method="highs") runs
-  with those options, without its input checks and result
-  post-processing.  Each thread keeps one HiGHS instance, given those
-  settings once; every call passes it the model as arrays in one
-  passModel call (a HighsLp's setters copy each array element by
-  element), and a model HiGHS rejects is a typed oracle-lp failure,
-  because the instance would keep and solve the previous one.
-  oracle_gap first tests the vertex that pools the market's stretch
-  [v_L*, v_H*] for optimality in closed form, in O(m) arithmetic at
-  HiGHS's tolerance (_pooling_vertex), and reads the value from that
-  vertex where it passes: on 1,656 of the 1,760 oracles of the
-  benchmark's markets (m = 201 and 801), with no HiGHS call.  Elsewhere
-  HiGHS starts from that vertex's basis, where best_response_oracle,
-  which has no market, starts from the slack basis as linprog does.
-  From the slack basis the dual simplex takes far more iterations
-  (47,298 on the seeded test markets at m = 201), which only
-  best_response_oracle and markets off their equilibrium pay.  The
-  masses are f less the differences of HiGHS's column values C, so
-  best_response_oracle's value and masses are linprog's to the bit.
-  HiGHS solves the exact model: it drops only matrix entries under
-  HIGHS_SMALL_ENTRY, its floor, where its default of 1e-9 dropped the
-  width of a narrower cell and its masses then missed the prior's mean.
+  defining it would give.  oracle_gap first tests the vertex that pools
+  the market's stretch [v_L*, v_H*] for optimality in closed form, in
+  O(m) arithmetic at HiGHS's tolerance (_pooling_vertex), and reads the
+  value from that vertex where it passes: on 1,656 of the 1,760 oracles
+  of the benchmark's markets (m = 201 and 801), with no HiGHS call.
+  Elsewhere the model goes to HiGHS through the binding SciPy ships
+  (scipy.optimize._highspy) under _LP_OPTIONS, set in HiGHS's own terms:
+  dual simplex without presolve or scaling, under devex pricing.  So the
+  solve is the one linprog(method="highs") runs with those options,
+  without its input checks and result post-processing.  As under
+  linprog, each call makes its own HiGHS instance and gives it those
+  settings and the model, as arrays in one passModel call (a HighsLp's
+  setters copy each array element by element); nothing of one call's
+  solve is kept for the next.  A model or a starting basis HiGHS
+  rejects is a typed oracle-lp failure.  HiGHS starts from the pooling
+  vertex's basis, where best_response_oracle, which has no market,
+  starts from the slack basis as linprog does.  From the slack basis the
+  dual simplex takes far more iterations (47,298 on the seeded test
+  markets at m = 201), which only best_response_oracle and markets off
+  their equilibrium pay.  The masses are f less the differences of
+  HiGHS's column values C, so best_response_oracle's value and masses
+  are linprog's to the bit.  HiGHS solves the exact model: it drops only
+  matrix entries under HIGHS_SMALL_ENTRY, its floor (at its default of
+  1e-9 it dropped the width of a narrower cell, and its masses missed
+  the prior's mean).
 
 A certificate computes each value once per market.  check_dm_conditions
 sorts its two grids together once; multiplier_phi and payoff_u evaluate
 each branch on its slice of the sorted points only; a scalar read of the
 posterior bisects its segment ends; the played value is cached on the
 market (Equilibrium.played_value) for oracle_gap and payoff_identity_gap;
-and the oracle's base grid is made once per m.  Right after a solve, as
-the benchmark runs it, a certificate of the 440 certify_random markets of
-bench seeds 1-10 averages about 0.36 ms on a 2-vCPU Xeon VM (0.47 ms
-before): check_dm_conditions 0.20 ms, of which the multiplier, the
+and each uniform base grid is made once per size (uniform_base).  Right
+after a solve, as the benchmark runs it, a certificate of the 440
+certify_random markets of bench seeds 1-10 averages about 0.36 ms on a
+2-vCPU Xeon VM: check_dm_conditions 0.20 ms, of which the multiplier, the
 payoff, DM4's posterior reads and the grids take about 0.05, 0.07, 0.04
 and 0.03 ms; oracle_gap 0.16 ms, of which the pooling-vertex test, the
 payoff, discretize_prior, the grid and the played value take about 0.05,
-0.04, 0.01, 0.01 and 0.01 ms, and HiGHS about 0.04 ms averaged in from
-the 26 markets where the closed form declines (0.74 ms each, against
-0.10 ms for the 414 it certifies); payoff_identity_gap a microsecond.
+0.04, 0.01, 0.01 and 0.01 ms, and HiGHS about 0.05 ms averaged in from
+the 26 markets where the closed form declines (each 7 to 8 times the
+0.10 ms of the 414 it certifies; making and dropping the solver takes
+about 0.06 ms of that, and building the model 0.03 ms);
+payoff_identity_gap a microsecond.
 
 The cost-heterogeneity check implements the large-market sufficiency
 condition: the multiplier's pooled slope must stay below the steepest
@@ -66,19 +68,18 @@ Importing it by that name would first run scipy.optimize/__init__, which
 loads about 560 modules the oracle never calls (scipy.linalg, scipy.fft,
 numpy.f2py, all of linprog).  So the module is loaded at import time from
 its file in SciPy's install, registered under its full name, and reused
-if scipy.optimize was imported first.  That cut `import disclose_eq.verify`
-from about 0.8 s to 0.17 s (793 to 234 loaded modules) and a cold
-`disclose-eq verify --oracle-grid 201` from 0.97 s to 0.34 s on a 2-vCPU
-Xeon VM.  A SciPy without the binding fails this import with ImportError.
+if scipy.optimize was imported first.  Loaded so, `import
+disclose_eq.verify` takes about 0.17 s and loads 234 modules, against
+0.8 s and 793 through scipy.optimize, and a cold `disclose-eq verify
+--oracle-grid 201` about 0.34 s against 0.97 s, on a 2-vCPU Xeon VM.
+A SciPy without the binding fails this import with ImportError.
 """
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.util
 import os
 import sys
-import threading
 from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
@@ -87,7 +88,7 @@ import numpy as np
 from .costs import ContinuousCosts, CostDistribution, DiscreteCosts  # noqa: F401 (re-exported)
 from .endogenous import _N_CAP, check_convex_by_cap, payoff_u, solve_endog
 from .errors import DomainError, IterationCapError, ValidationFailureError
-from .posterior import drop_repeats, in_caller_order, insert_points, sorted_points
+from .posterior import drop_repeats, in_caller_order, insert_points, sorted_points, uniform_base
 from .priors import Prior
 from .tolerances import DM1_TOL, DM2_TOL, DM3_TOL, DM4_TOL, HIGHS_FEASIBILITY_TOL, HIGHS_SMALL_ENTRY
 
@@ -123,8 +124,6 @@ _BASIC, _AT_LOWER, _AT_UPPER = _core.HighsBasisStatus.kBasic, _core.HighsBasisSt
 # points of the uniform grid on [0, 1] on which check_dm_conditions tests DM2
 # (with the market's breakpoints inserted)
 _GRID_SIZE = 1001
-_DM_BASE = np.linspace(0.0, 1.0, _GRID_SIZE)
-_DM_BASE_LIST = _DM_BASE.tolist()
 # 0, 1, ..., k - 1 for the support grid's pieces of k points (_linspace)
 _POOL_STEPS = np.arange(_GRID_SIZE // 2, dtype=float)
 _TAIL_STEPS = np.arange(_GRID_SIZE // 4 + 2, dtype=float)
@@ -152,9 +151,6 @@ _LP_OPTIONS.simplex_dual_edge_weight_strategy = 1
 _LP_OPTIONS.simplex_scale_strategy = 0
 _LP_OPTIONS.primal_feasibility_tolerance = _LP_OPTIONS.dual_feasibility_tolerance = HIGHS_FEASIBILITY_TOL
 _LP_OPTIONS.small_matrix_value = HIGHS_SMALL_ENTRY
-# one HiGHS instance per thread, given _LP_OPTIONS once and a new model on
-# every oracle call; an instance is not safe to share between threads
-_THREAD = threading.local()
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +213,7 @@ def _support_grid(eq) -> np.ndarray:
 def _dm_grid(eq) -> np.ndarray:
     """The grid DM2 is read on: the base grid with the market's thresholds,
     clipped to [0, 1], inserted."""
-    return insert_points(_DM_BASE, _DM_BASE_LIST, [min(max(x, 0.0), 1.0) for x in eq.thresholds])
+    return insert_points(*uniform_base(_GRID_SIZE), [min(max(x, 0.0), 1.0) for x in eq.thresholds])
 
 
 def payoff_identity_gap(eq) -> float:
@@ -314,14 +310,7 @@ def oracle_grid(eq, m: int) -> np.ndarray:
         raise DomainError(f"oracle grid needs at least {ORACLE_GRID_MIN} points")
     if m > ORACLE_GRID_MAX:
         raise DomainError(f"oracle grid takes at most {ORACLE_GRID_MAX} points, not {m}")
-    return insert_points(*_oracle_base(m), eq.thresholds)
-
-
-@functools.lru_cache(maxsize=8)
-def _oracle_base(m: int) -> tuple[np.ndarray, list[float]]:
-    """linspace(0, 1, m) and its list, made once per m; insert_points copies."""
-    base = np.linspace(0.0, 1.0, m)
-    return base, base.tolist()
+    return insert_points(*uniform_base(m), eq.thresholds)
 
 
 def discretize_prior(prior: Prior, grid: np.ndarray) -> np.ndarray:
@@ -380,11 +369,11 @@ def _solve_oracle(
     Every sum of about m terms is NumPy's pairwise one, not a BLAS dot,
     whose bits OpenBLAS's thread count changes above 10,000 terms.  The
     masses are f less the differences of HiGHS's column values C_k, as
-    the linprog reference reads them.  The solver is this thread's HiGHS
-    instance, made on its first call and given the settings then; the
-    model goes to it as arrays through passModel's array overload.  A
-    model or a basis HiGHS rejects, and any model status but optimal, is
-    a typed oracle-lp failure."""
+    the linprog reference reads them.  Each call that runs HiGHS makes its
+    own instance, as linprog does, and gives it the settings and then the
+    model, as arrays through passModel's array overload.  A model or a
+    basis HiGHS rejects, and any model status but optimal, is a typed
+    oracle-lp failure."""
     grid = np.asarray(grid, dtype=float)
     u_values = np.asarray(u_values, dtype=float)
     if grid.ndim != 1 or grid.shape != u_values.shape or len(grid) < 2:
@@ -397,12 +386,8 @@ def _solve_oracle(
     if masses is not None:
         return float(np.add.reduce(u_values * masses)), masses, 6 * len(grid) - 5, 0
     model = _cumulative_lp(h, f, u_values)
-    highs = getattr(_THREAD, "highs", None)
-    if highs is None:
-        highs = _THREAD.highs = _Highs()
-        highs.passOptions(_LP_OPTIONS)
-    # a rejected model leaves the previous one in place, and run() would
-    # solve that one again; a new model clears the previous basis
+    highs = _Highs()
+    highs.passOptions(_LP_OPTIONS)
     if highs.passModel(*model) == HighsStatus.kError:
         raise ValidationFailureError("oracle-lp", "HiGHS rejected the model")
     if basis is not None and highs.setBasis(basis) == HighsStatus.kError:
@@ -508,49 +493,38 @@ def _pooling_vertex(grid: np.ndarray, h: np.ndarray, f: np.ndarray, u: np.ndarra
 def _cumulative_lp(h: np.ndarray, f: np.ndarray, u: np.ndarray):
     """The oracle LP over the cumulative mass moved, as passModel's
     arguments: columns, rows, nonzeros, format, sense, offset; cost,
-    column bounds, row bounds; CSC start, index, value; integrality.  The
-    cost of C_k is u_k - u_{k+1} (u_{m-1} for C_{m-1}), started from 0.0
-    as a sparse product's sum is, so that it is never -0.0."""
+    column bounds, row bounds; CSC start, index, value; integrality.
+    Column C_k (k < m-1) is +1 and -1 in the rows g_k >= 0 and
+    g_{k+1} >= 0, then -h_k in chain row k and h_k in the mean row;
+    C_{m-1} is +1 in row g_{m-1} >= 0.  D_k is +1 in chain row k-1 and -1
+    in chain row k.  The cost of C_k is u_k - u_{k+1} (u_{m-1} for
+    C_{m-1}), started from 0.0 as a sparse product's sum is, so that it
+    is never -0.0."""
     m = len(f)
-    start, index, value, col_lower, col_upper, row_lower, integrality = _lp_frame(m)
-    value = value.copy()
-    value[2 : 4 * m - 4 : 4] = -h
-    value[3 : 4 * m - 4 : 4] = h
-    cost, row_upper = np.zeros(2 * m), np.zeros(2 * m)
-    cost[:m] += u
-    cost[: m - 1] -= u[1:]
-    row_upper[:m] = f
-    return (
-        2 * m, 2 * m, 6 * m - 5, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
-        cost, col_lower, col_upper, row_lower, row_upper, start, index, value, integrality,
-    )
-
-
-@functools.lru_cache(maxsize=8)
-def _lp_frame(m: int):
-    """What _cumulative_lp's model takes from m alone, the cell widths in
-    its matrix left 0.  Column C_k (k < m-1) is +1 and -1 in the rows
-    g_k >= 0 and g_{k+1} >= 0, then -h_k in chain row k and h_k in the mean
-    row; C_{m-1} is +1 in row g_{m-1} >= 0.  D_k is +1 in chain row k-1
-    and -1 in chain row k.  The arrays are shared by every model of m
-    points; passModel copies them."""
     count = np.full(2 * m, 2)
     count[: m - 1] = 4
     count[[m - 1, m, 2 * m - 1]] = 1
     k = np.arange(m - 1)
     index = np.column_stack([k, k + 1, k + m, np.full(m - 1, 2 * m - 1)])
-    value = np.zeros(6 * m - 5)
+    value = np.empty(6 * m - 5)
     value[0 : 4 * m - 4 : 4], value[1 : 4 * m - 4 : 4] = 1.0, -1.0
+    value[2 : 4 * m - 4 : 4], value[3 : 4 * m - 4 : 4] = -h, h
     value[4 * m - 4], value[4 * m - 3 :: 2], value[4 * m - 2 :: 2] = 1.0, -1.0, 1.0
     col_lower = np.concatenate([np.full(m, -kHighsInf), np.zeros(m)])
     col_upper = np.full(2 * m, kHighsInf)
     col_upper[m - 1] = col_lower[m - 1] = col_upper[m] = 0.0
     row_lower = np.full(2 * m, -kHighsInf)
     row_lower[-1] = 0.0
+    cost, row_upper = np.zeros(2 * m), np.zeros(2 * m)
+    cost[:m] += u
+    cost[: m - 1] -= u[1:]
+    row_upper[:m] = f
     return (
+        2 * m, 2 * m, 6 * m - 5, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
+        cost, col_lower, col_upper, row_lower, row_upper,
         np.concatenate([[0], np.cumsum(count)]).astype(np.int32),
         np.concatenate([index.ravel(), [m - 1], np.repeat(np.arange(m, 2 * m - 1), 2)]).astype(np.int32),
-        value, col_lower, col_upper, row_lower, np.zeros(2 * m, np.int32),
+        value, np.zeros(2 * m, np.int32),
     )
 
 

@@ -140,7 +140,7 @@ from disclose_eq.errors import (
 from disclose_eq.exogenous import solve_v_l_eq
 from disclose_eq.montecarlo import _Buffers, _first_max
 from disclose_eq.posterior import (
-    _MPC_BASE,
+    _MPC_GRID,
     EQUALLY_INFORMATIVE,
     INCOMPARABLE,
     LESS_INFORMATIVE,
@@ -760,7 +760,7 @@ def informativeness_by_sorted_union(
     LessInformative means g0 is a mean-preserving contraction of g1.
     Incomparability is an ordinary outcome, not an error.
     """
-    grid = np.unique(np.concatenate([_MPC_BASE, g0.breakpoints(), g1.breakpoints()]))
+    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, _MPC_GRID), g0.breakpoints(), g1.breakpoints()]))
     delta = np.asarray(g1.cum_integral(grid)) - np.asarray(g0.cum_integral(grid))
     mean_gap = float(delta[-1])
     min_fwd = float(np.min(delta))

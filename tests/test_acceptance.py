@@ -19,6 +19,7 @@ from disclose_eq.endogenous import (
 )
 from disclose_eq.exogenous import r_lower_bar
 from disclose_eq.montecarlo import SimConfig, SingleCost, simulate_market
+from disclose_eq.tolerances import ORACLE_GAP_COEFF
 from disclose_eq.verify import (
     check_dm_conditions,
     hetero_check,
@@ -36,8 +37,6 @@ from disclose_eq.welfare import (
     threshold_scan,
 )
 from reference import solve_exog, v_h_large_n
-
-ORACLE_GAP_COEFF = 0.2  # calibrated in test_criterion_4
 
 
 def _report(number: int, label: str, elapsed: float, budget: float | None) -> None:

@@ -43,6 +43,7 @@ from disclose_eq.errors import (
 )
 from disclose_eq.exogenous import r_lower_bar, solve_v_l_eq
 from disclose_eq.posterior import AffinePower, full_disclosure_distribution
+from disclose_eq.tolerances import ORACLE_GAP_COEFF
 from disclose_eq.verify import check_dm_conditions, oracle_gap
 from disclose_eq.welfare import informativeness_compare
 from reference import (
@@ -705,7 +706,7 @@ def test_small_alpha_root_next_to_full_info(uniform, s):
     assert eq.r_star < r_full_info(uniform, s)
     assert check_dm_conditions(eq).passed
     m = 201
-    assert oracle_gap(eq, m)["gap"] <= 0.2 / m
+    assert oracle_gap(eq, m)["gap"] <= ORACLE_GAP_COEFF / m
 
 
 @pytest.mark.parametrize(
@@ -816,7 +817,7 @@ def test_reserve_within_1e_12_of_zero_certifies(prior, n, s):
     eq = solve_endog(prior, n, 0.5, s)
     assert 0.0 < eq.r_star < 1e-12 and not eq.bottom_disclosure
     assert check_dm_conditions(eq).passed
-    assert oracle_gap(eq, 201)["gap"] <= 0.2 / 201
+    assert oracle_gap(eq, 201)["gap"] <= ORACLE_GAP_COEFF / 201
 
 
 # The benchmark's tracer finds the outer bisection of solve_endog by the

@@ -23,6 +23,7 @@ from disclose_eq.endogenous import assemble_market, payoff_u, solve_endog
 from disclose_eq.errors import DiscloseEqError, DomainError, ValidationFailureError
 from disclose_eq.posterior import Flat, FullDisclosure, PosteriorDistribution, insert_points
 from disclose_eq.priors import PiecewiseLinearPrior
+from disclose_eq.tolerances import ORACLE_GAP_COEFF
 from disclose_eq.verify import (
     _support_grid,
     best_response_oracle,
@@ -160,7 +161,7 @@ def test_alpha_zero_certificate(uniform, power2, piecewise):
         assert report.dm1_max_continuity_gap == 0.0
         assert report.dm1_min_slope_increment == 0.0
         assert abs(payoff_identity_gap(eq)) < 1e-15
-        assert oracle_gap(eq, 201)["gap"] <= 0.2 / 201
+        assert oracle_gap(eq, 201)["gap"] <= ORACLE_GAP_COEFF / 201
 
 
 def test_certificate_fails_on_perturbed(uniform, eq_uniform_small):
@@ -266,7 +267,7 @@ def test_oracle_gap_shrinks(eq_power):
     gaps = [oracle_gap(eq_power, m)["gap"] for m in (101, 201, 401, 801)]
     assert all(g >= -1e-9 for g in gaps)
     assert all(b <= max(a, 1e-9) for a, b in zip(gaps, gaps[1:]))
-    assert gaps[1] <= 0.2 / 201
+    assert gaps[1] <= ORACLE_GAP_COEFF / 201
 
 
 def test_oracle_grid_includes_breakpoints(eq_uniform_small):
@@ -277,7 +278,7 @@ def test_oracle_grid_includes_breakpoints(eq_uniform_small):
 
 def test_oracle_flags_perturbed_candidates(uniform, eq_uniform_small):
     eq = eq_uniform_small
-    bound = 0.2 / 201
+    bound = ORACLE_GAP_COEFF / 201
     for delta in (0.03, 0.06):
         bad = assemble_market(uniform, 2, 0.65, eq.v_l_star + delta, eq.r_star, 0.1)
         gap = oracle_gap(bad, 201)["gap"]
@@ -462,7 +463,7 @@ def test_oracle_on_a_breakpoint_one_ulp_off_the_grid(monkeypatch, uniform):
     value, masses = best_response_oracle(u, uniform, grid)
     assert value == pytest.approx(_dense_oracle(u, uniform, grid), abs=1e-9)
     _assert_contraction(masses, uniform, grid)
-    assert oracle_gap(eq, 201)["gap"] <= 0.2 / 201
+    assert oracle_gap(eq, 201)["gap"] <= ORACLE_GAP_COEFF / 201
     # r* = 0.35 is one ulp off a grid point too, at both grid sizes: the
     # pooling vertex is the optimum, and HiGHS, started from its basis,
     # takes no iteration (146 and 2,898 when a narrow cell sent the LP to a
@@ -472,7 +473,7 @@ def test_oracle_on_a_breakpoint_one_ulp_off_the_grid(monkeypatch, uniform):
         assert np.min(np.diff(oracle_grid(eq, m))) < 1e-15
         gap = oracle_gap(eq, m)
         assert gap["lp_iterations"] == 0
-        assert gap["gap"] <= 0.2 / gap["m"]
+        assert gap["gap"] <= ORACLE_GAP_COEFF / gap["m"]
         with monkeypatch.context() as patch:
             _closed_form_off(patch)
             highs = oracle_gap(eq, m)
@@ -503,7 +504,8 @@ def test_oracle_solves_a_top_cell_of_width_1e8_under_a_jump(uniform):
 
 def test_oracle_reports_highs_stopping_without_a_status(monkeypatch):
     # a run that HiGHS ends without a model status ("Not Set") is a typed
-    # failure, not a value read from an unfinished solve
+    # failure, not a value read from an unfinished solve; the next call,
+    # on a solver of its own, solves as before
     stop = [True]
 
     class Stopping(verify._Highs):
@@ -513,14 +515,12 @@ def test_oracle_reports_highs_stopping_without_a_status(monkeypatch):
                 return verify.HighsModelStatus.kNotset
             return super().getModelStatus()
 
-    monkeypatch.setattr(verify, "_THREAD", threading.local())
     monkeypatch.setattr(verify, "_Highs", Stopping)
     u, prior, grid = _jittered_cases()[36]
     with pytest.raises(ValidationFailureError) as exc:
         best_response_oracle(u, prior, grid)
     assert exc.value.invariant == "oracle-lp"
     assert "Not Set" in str(exc.value)
-    # the thread's HiGHS instance solves the next model as a new one would
     case = _seeded_cases()[0]
     value, masses = best_response_oracle(*case)
     assert value == oracle_by_sparse_algebra(*case)[0]
@@ -600,8 +600,6 @@ def test_oracle_lp_equals_the_sparse_algebra_reference(monkeypatch):
         ])
         return optimize.linprog(c, **kwargs)
 
-    # a fresh per-thread cache, so that every oracle call here builds on Recorded
-    monkeypatch.setattr(verify, "_THREAD", threading.local())
     monkeypatch.setattr(verify, "_Highs", Recorded)
     monkeypatch.setattr(reference, "linprog", recorded)
     cases = _reference_cases()
@@ -627,9 +625,9 @@ def test_oracle_lp_equals_the_sparse_algebra_reference(monkeypatch):
 
 
 def test_oracle_reports_a_rejected_model(monkeypatch):
-    # HiGHS keeps the previous model when it rejects one, and run() then
-    # reports that model's optimum: a rejection must raise, and the next
-    # model on the thread must solve to linprog's bits
+    # a model HiGHS rejects is a typed failure that says so (run() would
+    # solve the model the solver held instead: a new solver's is empty,
+    # with status "Empty"), and the next call must solve to linprog's bits
     reject = []
 
     class Rejecting(verify._Highs):
@@ -640,9 +638,9 @@ def test_oracle_reports_a_rejected_model(monkeypatch):
                 args = args[:-1] + (np.full(args[0], 7, np.int32),)
             return super().passModel(*args)
 
-    monkeypatch.setattr(verify, "_THREAD", threading.local())
     monkeypatch.setattr(verify, "_Highs", Rejecting)
-    # two grids of 104 points, so the previous model's solution would fit
+    # two grids of 104 points, so that a model kept from the first call
+    # would give a solution of the second's size
     first, _, second = _seeded_cases()[:3]
     assert len(first[2]) == len(second[2])
     best_response_oracle(*first)
@@ -658,10 +656,10 @@ def test_oracle_reports_a_rejected_model(monkeypatch):
 
 def test_oracle_reports_a_rejected_starting_basis(monkeypatch, uniform):
     # a starting basis HiGHS rejects is a typed failure, not a cold solve;
-    # the next call on the thread solves as before.  On this market the
-    # pooling vertex is not optimal at m = 201 (phi's slope increment is
-    # -4.7e-10 at the grid point below v_L*), so oracle_gap hands HiGHS its
-    # basis, from which it pivots once
+    # the next call solves as before.  On this market the pooling vertex is
+    # not optimal at m = 201 (phi's slope increment is -4.7e-10 at the grid
+    # point below v_L*), so oracle_gap hands HiGHS its basis, from which it
+    # pivots once
     eq = solve_endog(uniform, 2, 0.17589106877949487, 0.1454499384425067)
     reject = []
 
@@ -672,7 +670,6 @@ def test_oracle_reports_a_rejected_starting_basis(monkeypatch, uniform):
                 basis.col_status = basis.col_status[:-1]  # one status short
             return super().setBasis(basis)
 
-    monkeypatch.setattr(verify, "_THREAD", threading.local())
     monkeypatch.setattr(verify, "_Highs", Rejecting)
     want = oracle_gap(eq, 201)
     assert want["lp_iterations"] == 1
@@ -682,6 +679,23 @@ def test_oracle_reports_a_rejected_starting_basis(monkeypatch, uniform):
     assert exc.value.invariant == "oracle-lp"
     assert "rejected the starting basis" in str(exc.value)
     assert oracle_gap(eq, 201) == want
+
+
+def test_every_oracle_lp_runs_on_a_solver_of_its_own(monkeypatch):
+    # no HiGHS instance outlives its call: each LP gets a new one, given
+    # the settings before its model
+    made = []
+
+    class Counted(verify._Highs):
+        def passModel(self, *args):
+            made.append((self, self.getOptionValue("presolve")[1]))
+            return super().passModel(*args)
+
+    monkeypatch.setattr(verify, "_Highs", Counted)
+    for case in _seeded_cases()[:3]:
+        best_response_oracle(*case)
+    assert len({id(highs) for highs, _ in made}) == len(made) == 3
+    assert all(presolve == "off" for _, presolve in made)
 
 
 def test_oracle_threads_each_keep_their_own_solver():
@@ -759,7 +773,7 @@ def test_oracle_gap_agrees_with_the_cold_oracle(m):
         grid = oracle_grid(eq, m)
         cold, _ = best_response_oracle(payoff_u(eq, grid), eq.prior, grid)
         assert abs(gap["oracle_value"] - cold) <= 1e-12
-        bound = 0.2 / gap["m"]
+        bound = ORACLE_GAP_COEFF / gap["m"]
         assert (gap["gap"] <= bound) == (cold - gap["played_value"] <= bound)
 
 
@@ -782,7 +796,7 @@ def test_one_point_pools_certify_through_the_oracle(uniform, alpha, s):
         grid = oracle_grid(eq, m)
         assert eq.v_l_star == 0.0 and grid[1] == eq.r_star and grid[2] == eq.v_h_star
         gap = oracle_gap(eq, m)
-        assert -1e-12 <= gap["gap"] <= 0.2 / gap["m"]
+        assert -1e-12 <= gap["gap"] <= ORACLE_GAP_COEFF / gap["m"]
 
 
 def test_the_pooling_basis_is_the_optimum_on_a_seeded_market(monkeypatch, eq_power):
@@ -861,13 +875,12 @@ def test_an_optimal_pooling_vertex_runs_no_lp(monkeypatch, uniform, eq_power):
         def run(self):
             raise AssertionError("HiGHS ran")
 
-    monkeypatch.setattr(verify, "_THREAD", threading.local())
     monkeypatch.setattr(verify, "_Highs", Failing)
     one_ulp = solve_endog(uniform, 19, 0.4, 0.15)
     for eq, m in [(eq_power, 201), (eq_power, 801), (eq_power, 4001), (one_ulp, 4001)]:
         gap = oracle_gap(eq, m)
         assert gap["lp_iterations"] == 0
-        assert 0.0 <= gap["gap"] <= 0.2 / gap["m"]
+        assert 0.0 <= gap["gap"] <= ORACLE_GAP_COEFF / gap["m"]
 
 
 def test_the_breakpoint_grids_need_no_sort():
