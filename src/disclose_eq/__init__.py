@@ -16,7 +16,10 @@ __all__ = [
 
 def __getattr__(name: str):
     """The re-exports, loaded on first use (PEP 562): importing the package,
-    as `python -m disclose_eq` does before its __main__ runs, loads no numpy."""
+    as `python -m disclose_eq` does before its __main__ runs, loads no numpy.
+    Nor do these modules: numpy loads at their first array read (lazy), so
+    a cold solve or limit never loads it, while verify, hetero, sweep and
+    simulate load it with the modules they import."""
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from .priors import (

@@ -3,8 +3,11 @@
 A cold process makes no BLAS call: the oracle's sums of about m terms
 are NumPy's pairwise ones.  Yet OpenBLAS starts a pool of one thread per
 core when numpy loads, and the idle workers spin before they sleep.  So
-the entry defaults OPENBLAS_NUM_THREADS to 1 before numpy first loads; a
-value the caller set wins.  Importing the package sets nothing.
+the entry defaults OPENBLAS_NUM_THREADS to 1 first; a value the caller
+set wins.  numpy loads after that, if at all: with the modules that
+verify, hetero, sweep and simulate import, or at a first array read
+(disclose_eq.lazy).  A solve or limit never loads it.  Importing the
+package sets nothing.
 
 Once the command has returned and stdout and stderr are flushed, the
 process ends with os._exit: the interpreter's teardown, a fifth of a cold

@@ -30,9 +30,7 @@ import json
 import math
 import os
 import sys
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from . import __version__
 from .candidate import solve_beta
@@ -55,8 +53,14 @@ from .errors import (
     ValidationFailureError,
     config_number,
 )
+from .lazy import LazyNumpy
 from .priors import Prior, prior_from_json
 from .tolerances import ORACLE_GAP_COEFF, Z_SCORE_LIMIT
+
+if TYPE_CHECKING:
+    import numpy as np
+else:
+    np = LazyNumpy(globals())
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

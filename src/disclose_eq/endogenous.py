@@ -56,9 +56,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from .candidate import Candidate, build_candidate, build_g, solve_beta, validate_candidate
 from .errors import (
@@ -68,6 +66,7 @@ from .errors import (
     UnsupportedBoundaryError,
     ValidationFailureError,
 )
+from .lazy import LazyNumpy
 from .posterior import (
     AffinePower,
     Flat,
@@ -83,6 +82,11 @@ from .tolerances import (
     BISECT_XTOL, BRACKET_EDGE, FIXED_POINT_TOL, REGIME_BAND, RESERVE_TOL, SEARCH_POSTERIOR_TOL,
     SEARCH_PRIOR_TOL, THRESHOLD_XTOL, Z_EDGE,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+else:
+    np = LazyNumpy(globals())
 
 REGIME_FULL = "FullDisclosure"  # the note of full_disclosure_market
 _N_CAP = 1 << 20

@@ -26,6 +26,11 @@ segment's lower level.  The quantiles are computed in place, so
 `sample_into` can write a block into arrays that the simulator reuses
 from block to block.
 
+numpy is imported at the module's first array use (lazy).  A segment's
+scalar cdf and integral, all that a solve reads, run on Python floats;
+a scalar read of a PosteriorDistribution, through its one-element
+array, loads numpy.
+
 The integral-precision order lives here too: informativeness_compare is
 the mean-preserving-contraction check of a general posterior, used by the
 deviation gate and the welfare statics (candidate validation reads a
@@ -40,15 +45,17 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Any, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Union
 
 from .errors import DomainError, ValidationFailureError
-from .priors import Prior
+from .lazy import LazyNumpy, is_array
+from .priors import ArrayLike, Prior
 from .tolerances import ATOM_MATCH_TOL, CONTINUITY_TOL, MPC_TOL, POOLED_LEVEL_FLOOR
 
-ArrayLike = Union[float, np.ndarray]
+if TYPE_CHECKING:
+    import numpy as np
+else:
+    np = LazyNumpy(globals())
 
 # integral-precision order: the uniform grid (merged with both
 # distributions' breakpoints) that MPC_TOL is read on
@@ -89,7 +96,7 @@ class Flat:
     level: float
 
     def cdf(self, prior: Prior, v: ArrayLike) -> ArrayLike:
-        return np.full_like(v, self.level) if isinstance(v, np.ndarray) else self.level
+        return np.full_like(v, self.level) if is_array(v) else self.level
 
     def integral(self, prior: Prior, lo: float, hi: ArrayLike, k: int = 1) -> ArrayLike:
         return self.level**k * (hi - lo)
@@ -127,7 +134,7 @@ class AffinePower:
     def _t(self, v: ArrayLike) -> ArrayLike:
         """(v - a) / (b - a), clipped to [0, 1]."""
         t = (v - self.a) / (self.b - self.a)
-        return t.clip(0.0, 1.0) if isinstance(t, np.ndarray) else min(max(t, 0.0), 1.0)
+        return t.clip(0.0, 1.0) if is_array(t) else min(max(t, 0.0), 1.0)
 
     def line(self, v: ArrayLike) -> ArrayLike:
         """cdf**root_power, extended past [a, b] and unclipped."""
@@ -136,7 +143,7 @@ class AffinePower:
     def _w(self, v: ArrayLike) -> ArrayLike:
         """cdf**root_power, clipped to [0, 1]."""
         w = self.line(v)
-        return w.clip(0.0, 1.0) if isinstance(w, np.ndarray) else min(max(w, 0.0), 1.0)
+        return w.clip(0.0, 1.0) if is_array(w) else min(max(w, 0.0), 1.0)
 
     def cdf(self, prior: Prior, v: ArrayLike) -> ArrayLike:
         if self._scaled():

@@ -4,11 +4,13 @@ Three families: uniform, power (cdf v**a), and piecewise-linear cdfs.
 Every moment the solvers consume is closed form, including the power
 moments of the cdf, so the nested bisections upstream never touch a
 quadrature rule.  Methods accept floats (fast path inside solver loops)
-and numpy arrays (grids, sampling); cdf_cum is the fused scalar primitive
-of those loops, F(v) and its integral from one evaluation of the piece.
-A solver step reads it once at v_L and hands the pair (CdfCum) to each
-moment it takes there (the at_a arguments); the pair at 1 is read once
-per prior (at_one).
+and numpy arrays (grids, sampling).  A float read never touches numpy,
+which this module imports at its first array read (lazy); a piecewise
+prior makes its knot arrays there too.  cdf_cum is the fused scalar
+primitive of those loops, F(v) and its integral from one evaluation of
+the piece.  A solver step reads it once at v_L and hands the pair
+(CdfCum) to each moment it takes there (the at_a arguments); the pair at
+1 is read once per prior (at_one).
 """
 from __future__ import annotations
 
@@ -16,19 +18,23 @@ import bisect as _stdbisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Union
 
 from .errors import ConfigError, DomainError, config_number
+from .lazy import LazyNumpy, is_array
 from .tolerances import CONVEXITY_SLACK
 
-ArrayLike = Union[float, np.ndarray]
+if TYPE_CHECKING:
+    import numpy as np
+else:
+    np = LazyNumpy(globals())
+
+ArrayLike = Union[float, "np.ndarray"]
 CdfCum = tuple[float, float]  # (F(v), int_0^v F) from one Prior.cdf_cum(v)
 
 
 def _check_unit_interval(x: ArrayLike, name: str) -> None:
-    if isinstance(x, np.ndarray):
+    if is_array(x):
         if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN fails both
             raise DomainError(f"{name} must lie in [0, 1]")
     elif not 0.0 <= x <= 1.0:
@@ -177,7 +183,7 @@ class PowerPrior(Prior):
     a: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.a) and self.a > 0.0):
+        if not (math.isfinite(self.a) and self.a > 0.0):
             raise DomainError(f"power exponent must be positive, got {self.a!r}")
 
     def cdf(self, v: ArrayLike) -> ArrayLike:
@@ -259,17 +265,24 @@ class PiecewiseLinearPrior(Prior):
         i = _stdbisect.bisect_right(self._xs, v) - 1
         return min(max(i, 0), len(self._xs) - 2)
 
+    @cached_property
+    def _knot_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """_xs, _qs and _slopes as float64 arrays, made by the first array read."""
+        return np.array(self._xs), np.array(self._qs), np.array(self._slopes)
+
     def cdf(self, v: ArrayLike) -> ArrayLike:
         _check_unit_interval(v, "v")
-        if isinstance(v, np.ndarray):
-            return np.interp(v, self._xs, self._qs)
+        if is_array(v):
+            xs, qs, _ = self._knot_arrays
+            return np.interp(v, xs, qs)
         i = self._piece(v)
         return self._qs[i] + self._slopes[i] * (v - self._xs[i])
 
     def quantile(self, q: ArrayLike) -> ArrayLike:
         _check_unit_interval(q, "q")
-        if isinstance(q, np.ndarray):
-            return np.interp(q, self._qs, self._xs)
+        if is_array(q):
+            xs, qs, _ = self._knot_arrays
+            return np.interp(q, qs, xs)
         j = min(max(_stdbisect.bisect_right(self._qs, q) - 1, 0), len(self._qs) - 2)
         return self._xs[j] + (q - self._qs[j]) / self._slopes[j]
 
@@ -289,16 +302,21 @@ class PiecewiseLinearPrior(Prior):
             cums = self._knot_cums[k] = tuple(out)
         return cums
 
+    @cached_property
+    def _knot_cum_arrays(self) -> dict[int, np.ndarray]:
+        return {}
+
     def cum_pow_cdf(self, v: ArrayLike, k: int) -> ArrayLike:
-        cums = self._knot_cum(k)
-        xs, qs, ms = self._xs, self._qs, self._slopes
-        if isinstance(v, np.ndarray):
+        if is_array(v):
+            xs, qs, ms = self._knot_arrays
+            cums = self._knot_cum_arrays.get(k)
+            if cums is None:
+                cums = self._knot_cum_arrays[k] = np.array(self._knot_cum(k))
             idx = np.clip(np.searchsorted(xs, v, side="right") - 1, 0, len(ms) - 1)
             f = np.interp(v, xs, qs)
-            base = np.asarray(cums)[idx]
-            q0 = np.asarray(qs)[idx]
-            m = np.asarray(ms)[idx]
-            return base + (f ** (k + 1) - q0 ** (k + 1)) / (m * (k + 1))
+            return cums[idx] + (f ** (k + 1) - qs[idx] ** (k + 1)) / (ms[idx] * (k + 1))
+        cums = self._knot_cum(k)
+        xs, qs, ms = self._xs, self._qs, self._slopes
         i = self._piece(v)
         f = qs[i] + ms[i] * (v - xs[i])
         return cums[i] + (f ** (k + 1) - qs[i] ** (k + 1)) / (ms[i] * (k + 1))

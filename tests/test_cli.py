@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import disclose_eq
-from disclose_eq import costs, endogenous, montecarlo, verify
+from disclose_eq import costs, endogenous, montecarlo, tolerances, verify
 from disclose_eq.cli import _thread_count, main
 from disclose_eq.errors import DomainError
 
@@ -279,7 +279,7 @@ def test_simulate_requires_seed_and_writes_curve(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["report"]["consumers"] == 20000
-    assert max(abs(z) for z in payload["z_scores"].values()) <= 5.0
+    assert max(abs(z) for z in payload["z_scores"].values()) <= tolerances.Z_SCORE_LIMIT
     lines = curve.read_text().strip().splitlines()
     assert lines[2].split(",") == ["bin_left", "bin_right", "v_mid", "u_hat", "se", "u_analytic"]
 
@@ -506,6 +506,14 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _run_in_process(argv: list[str]) -> tuple[int, bytes, bytes]:
+    """cli.main(argv) in this process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
 def run_pinned_case(case: str, tmp_path, environ: dict[str, str] | None = None) -> dict:
     """Run a pinned case through cli.main in this process, or, given
     environment variables to add, through `python -m disclose_eq`."""
@@ -514,10 +522,7 @@ def run_pinned_case(case: str, tmp_path, environ: dict[str, str] | None = None) 
     argv = [a.format(out=files.get("out"), curve=files.get("curve")) for a in args]
     argv[1:1] = ["--config", _write(tmp_path, "cfg.json", cfg)]
     if environ is None:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        stdout, stderr = out.getvalue().encode(), err.getvalue().encode()
+        code, stdout, stderr = _run_in_process(argv)
     else:
         proc = _run_entry(argv, environ)
         code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
@@ -715,7 +720,7 @@ def test_verify_and_scipy_optimize_share_the_binding_in_either_order(order):
     result = _run_fresh(_IMPORT_ORDER_SCRIPT, order)
     assert result["same"] is True
     assert (result["fun"], result["x"]) == (1.0, [1.0, 0.0])
-    assert abs(result["gap"]) < 0.2 / 201
+    assert abs(result["gap"]) < tolerances.ORACLE_GAP_COEFF / 201
 
 
 _MISSING_BINDING_SCRIPT = """
@@ -745,7 +750,7 @@ def test_a_missing_binding_is_an_import_error():
 # lazily (its __getattr__ imports them on first use), and __main__ runs the
 # CLI.
 _LAYERS = (
-    ("errors", "tolerances"),
+    ("errors", "tolerances", "lazy"),
     ("rootfind", "priors", "costs"),
     ("posterior",),
     ("candidate",),
@@ -810,11 +815,85 @@ def test_importing_the_package_loads_no_numpy_and_sets_no_environment():
         disclose_eq.no_such_name
 
 
+# Runs CLI commands through cli.main in a fresh interpreter, as
+# _run_in_process runs one in this process: each command's exit code and
+# the sha256 of its stdout and stderr, then the numpy modules loaded.
+_COLD_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+from disclose_eq import cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    sha = [hashlib.sha256(s.getvalue().encode()).hexdigest()[:16] for s in (out, err)]
+    runs.append({"code": code, "stdout": sha[0], "stderr": sha[1], "files": {}})
+print(json.dumps({"runs": runs, "numpy": sorted(m for m in sys.modules if m.split(".")[0] == "numpy")}))
+"""
+
+_POWER = {"prior": {"family": "power", "a": 2.0}, "n": 3, "alpha": 0.4, "s": 0.15}
+_PIECEWISE = {**_POWER, "prior": {"family": "piecewise", "knots": [[0.0, 0.0], [0.5, 0.3], [1.0, 1.0]]}}
+
+
+def test_a_cold_solve_or_limit_never_imports_numpy(tmp_path):
+    # a solve runs on Python floats: uniform, power and piecewise priors,
+    # the alpha = 0 market, and limit's scan over n, all in one process
+    cases = {
+        "solve": PINNED_CASES["solve"],
+        "solve-alpha-0": PINNED_CASES["solve-alpha-0"],
+        "limit": PINNED_CASES["limit"],
+        "solve-power": (_POWER, ["solve"]),
+        "solve-piecewise": (_PIECEWISE, ["solve"]),
+    }
+    runs = [[args[0], "--config", _write(tmp_path, f"{case}.json", cfg)] for case, (cfg, args) in cases.items()]
+    result = _run_fresh(_COLD_SCRIPT, json.dumps(runs))
+    assert result["numpy"] == []
+    for case, argv, cold in zip(cases, runs, result["runs"]):
+        if case in PINNED:
+            assert cold == PINNED[case], case
+        code, stdout, stderr = _run_in_process(argv)
+        assert cold == {"code": code, "stdout": _sha(stdout), "stderr": _sha(stderr), "files": {}}, case
+
+
+# After scalar solves that leave numpy unloaded, the first array reads of
+# each prior family and of each market's posterior bind numpy, and return
+# what they return where numpy was imported first.
+_FIRST_ARRAY_READS_SCRIPT = """
+import json, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+from disclose_eq import posterior, priors
+from disclose_eq.endogenous import solve_endog
+from disclose_eq.priors import prior_from_json
+markets = [solve_endog(prior_from_json(cfg["prior"]), cfg["n"], cfg["alpha"], cfg["s"]) for cfg in json.loads(sys.argv[2])]
+loaded = "numpy" in sys.modules
+import numpy as np
+grid = np.linspace(0.0, 1.0, 101)
+reads = []
+for eq in markets:
+    prior = eq.prior
+    for values in (prior.cdf(grid), prior.quantile(grid), prior.cum_pow_cdf(grid, 1), prior.cum_pow_cdf(grid, 3),
+                   eq.g.cdf(grid), eq.g.cum_integral(grid)):
+        reads.append([float(x).hex() for x in values])
+print(json.dumps({"loaded": loaded, "reads": reads, "bound": [m.np is np for m in (priors, posterior)]}))
+"""
+
+
+def test_first_array_reads_after_a_scalar_solve_match_numpy_first():
+    markets = json.dumps([BASE, _POWER, _PIECEWISE])
+    deferred = _run_fresh(_FIRST_ARRAY_READS_SCRIPT, "solve-first", markets)
+    eager = _run_fresh(_FIRST_ARRAY_READS_SCRIPT, "numpy-first", markets)
+    assert (deferred["loaded"], eager["loaded"]) == (False, True)
+    assert deferred["bound"] == eager["bound"] == [True, True]  # the modules read numpy itself from then on
+    assert len(deferred["reads"]) == 18 and deferred["reads"] == eager["reads"]
+
+
 # Runs the CLI through __main__.main in a fresh interpreter and reports the
-# process's OS threads afterwards, numpy loaded.  The entry ends the process
-# by os._exit, which the probe turns into a SystemExit to report first.
+# process's OS threads afterwards, and whether the command loaded numpy.
+# The entry ends the process by os._exit, which the probe turns into a
+# SystemExit to report first.
 _ENTRY_SCRIPT = """
-import json, os
+import json, os, sys
 from disclose_eq.__main__ import main
 
 def exit_to_the_probe(code):
@@ -829,6 +908,7 @@ print(json.dumps({
     "code": code,
     "threads": len(os.listdir("/proc/self/task")),
     "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "numpy": "numpy" in sys.modules,
 }))
 """
 
@@ -836,9 +916,10 @@ print(json.dumps({
 @pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
 @pytest.mark.parametrize("caller", [None, "2"], ids=["unset", "caller-2"])
 def test_the_entry_defaults_to_a_one_thread_blas_pool(tmp_path, caller):
-    argv = ["solve", "--config", _write(tmp_path, "cfg.json", BASE), "--out", str(tmp_path / "out.json")]
+    # a sweep loads numpy (a solve does not), so OpenBLAS starts its pool
+    argv = ["sweep", "--config", _write(tmp_path, "cfg.json", SWEEP), "--out", str(tmp_path / "out.csv")]
     result = _run_fresh(_ENTRY_SCRIPT, *argv, OPENBLAS_NUM_THREADS=caller)
-    assert (result["code"], result["OPENBLAS_NUM_THREADS"]) == (0, caller or "1")
+    assert (result["code"], result["OPENBLAS_NUM_THREADS"], result["numpy"]) == (0, caller or "1", True)
     if caller is None:  # OpenBLAS caps a caller's count at the cores it finds
         assert result["threads"] == 1
 
